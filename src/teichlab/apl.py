@@ -56,13 +56,6 @@ class RayFit:
         d = asdict(self)
         return json.dumps(d, sort_keys=True)
 
-    def to_csv_rows(self):
-        """(t, length, residual) rows for the fitted window."""
-        n = len(self.residuals)
-        ts = self.radii[-n:]
-        ls = self.lengths[-n:]
-        return list(zip(ts, ls, self.residuals))
-
 
 def _check_ray_args(direction, radii):
     if direction[0] <= 0:

@@ -63,10 +63,12 @@ def _as_float(cfg, key):
     return v
 
 
-def _as_pos_int(cfg, key):
+def _as_int(cfg, key, lo=None):
+    """cfg[key] as an integer, at least lo when lo is given."""
     v = _as_float(cfg, key)
-    if v <= 0 or v != int(v):
-        raise ConfigError("%s must be a positive integer" % key)
+    if v != int(v) or (lo is not None and v < lo):
+        raise ConfigError("%s must be an integer%s"
+                          % (key, "" if lo is None else " >= %d" % lo))
     return int(v)
 
 
@@ -87,7 +89,7 @@ def _workers(cfg) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError("TEICHLAB_WORKERS must be an integer")
-    return _as_pos_int(cfg, "workers")
+    return _as_int(cfg, "workers", 1)
 
 
 def _emit(out_path: str | None, text: str):
@@ -113,7 +115,7 @@ def _radii_from_spec(spec: str) -> list:
 
 
 def cmd_markoff_count(cfg):
-    bound = _as_pos_int(cfg, "bound")
+    bound = _as_int(cfg, "bound", 1)
     norm = str(cfg["norm"])
     if norm not in ("max", "sum"):
         raise ConfigError("norm must be max or sum")
@@ -173,7 +175,7 @@ def cmd_bx(cfg):
 
 def cmd_cone_count(cfg):
     X = _as_triple(cfg, "x")
-    print("count=%d" % orbit.cone_count(X, _as_pos_int(cfg, "m") if cfg["m"] else 0,
+    print("count=%d" % orbit.cone_count(X, _as_int(cfg, "m"),
                                         _as_float(cfg, "L")))
     return 0
 
@@ -182,11 +184,11 @@ def cmd_ball_volume(cfg):
     gamma = str(cfg["word"])
     L = _as_float(cfg, "L")
     l1 = _as_float(cfg, "l1")
-    mc = int(float(cfg["mc_samples"])) if cfg["mc_samples"] else 0
+    mc = _as_int(cfg, "mc_samples", 0) if cfg["mc_samples"] is not None else 0
     if mc:
         vol, avg, se = orbit.ball_volume_and_average(
-            gamma, L, mc_samples=mc, seed=_as_pos_int(cfg, "seed") if cfg["seed"] else 0,
-            l1=l1, workers=_workers(cfg))
+            gamma, L, mc_samples=mc, seed=_as_int(cfg, "seed", 0), l1=l1,
+            workers=_workers(cfg))
         print("vol=%.6f mc_avg=%.6f mc_stderr=%.6f" % (vol, avg, se))
     else:
         vol = orbit.ball_length_region_volume(gamma, L, l1=l1)
@@ -211,7 +213,7 @@ def cmd_apl_ray(cfg):
 
 
 def cmd_wall_scan(cfg):
-    scan = apl.wall_scan(str(cfg["word"]), grid_n=_as_pos_int(cfg, "grid_n"),
+    scan = apl.wall_scan(str(cfg["word"]), grid_n=_as_int(cfg, "grid_n", 1),
                          l1=_as_float(cfg, "l1"))
     print("walls=%d mids=%s" % (scan.wall_count,
                                 [round(s.u_mid, 6) for s in scan.walls]))
@@ -230,7 +232,7 @@ def _hexagon_trial(i):
 
 
 def cmd_hexagon_check(cfg):
-    n = _as_pos_int(cfg, "trials")
+    n = _as_int(cfg, "trials", 1)
     res = parallel_map(_hexagon_trial, range(n), _workers(cfg))
     worst = max(res)
     s = hyptrig.acosh_1p(1.0)  # cosh s = 2
@@ -255,7 +257,7 @@ def _wolpert_trial(i):
 
 
 def cmd_wolpert_check(cfg):
-    n = _as_pos_int(cfg, "trials")
+    n = _as_int(cfg, "trials", 1)
     res = parallel_map(_wolpert_trial, range(n), _workers(cfg))
     worst = max(res)
     print("jacobian_sup=%.3e" % worst)
@@ -269,7 +271,7 @@ def cmd_twist_convexity(cfg):
                           "%r is not simple" % gamma)
     ell = _as_float(cfg, "ell")
     f = orbit._gamma_length_fn(gamma, _as_float(cfg, "l1"))
-    n = _as_pos_int(cfg, "grid_n")
+    n = _as_int(cfg, "grid_n", 1)
     span = _as_float(cfg, "span")
     taus = [-span + 2 * span * i / (n - 1) for i in range(n)]
     vals = [f(ell, t) for t in taus]

@@ -1,7 +1,7 @@
 """Marked hyperbolic structures on the one-holed torus and four-holed sphere
 in Fenchel-Nielsen coordinates (interior curve length l, twist tau in length
-units), with curve lengths, twist flows, elementary re-marking moves, the
-symplectic-volume check, and a Thurston-distance estimator.
+units), with curve lengths, twist flows, elementary re-marking moves and
+the symplectic-volume check.
 
 One-holed torus chart (boundary length l1, 0 = cusp): the induced trace
 coordinates are
@@ -184,26 +184,15 @@ def transversal_relation_residual(X: SurfacePoint) -> float:
 # four-holed sphere trigonometric route
 
 
-def _sphere_seams(X: SurfacePoint) -> tuple[float, float]:
-    l1, l2, l3, l4 = X.boundaries
-    if min(l1, l2, l3, l4) <= 0.0:
-        raise HexDomainError(
-            "transversal lengths on a cusped four-holed sphere are outside "
-            "the trigonometric route's domain")
-    a1 = seam_F1(l1 / 2.0, X.ell / 2.0, l2 / 2.0)
-    a2 = seam_F1(l3 / 2.0, X.ell / 2.0, l4 / 2.0)
-    return a1, a2
-
-
-def _sphere_delta_length(X: SurfacePoint, second: bool, tau=None) -> float:
+def _sphere_delta_length(X: SurfacePoint, second: bool) -> float:
     """Length of the transversal pairing boundaries (1,3) or, with second
-    set, (1,4); tau overrides the twist (used for sign probes)."""
+    set, (1,4)."""
     l1, l2, l3, l4 = X.boundaries
     if min(l1, l2, l3, l4) <= 0.0:
         raise HexDomainError(
             "transversal lengths on a cusped four-holed sphere are outside "
             "the trigonometric route's domain")
-    t = X.tau if tau is None else tau
+    t = X.tau
     a1 = seam_F1(l1 / 2.0, X.ell / 2.0, l2 / 2.0)
     if not second:
         a2 = seam_F1(l3 / 2.0, X.ell / 2.0, l4 / 2.0)
@@ -259,11 +248,6 @@ def dehn_twist(X: SurfacePoint) -> SurfacePoint:
 
 def dehn_twist_slope_map(p: int, q: int) -> tuple[int, int]:
     return farey.normalize_slope(p + q, q)
-
-
-def elementary_move_slope_map(p: int, q: int) -> tuple[int, int]:
-    """Slope relabel induced by the torus elementary move (basis swap)."""
-    return farey.normalize_slope(q, -p)
 
 
 def elementary_move(X: SurfacePoint) -> SurfacePoint:
@@ -339,59 +323,3 @@ def wolpert_check(X: SurfacePoint, h: float = 1e-5) -> float:
         raise ArithmeticError(
             "step %g straddles a twist-sign wall (det=%g); retry smaller" % (hh, det))
     return abs(abs(det) - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Thurston distance estimation
-
-
-def _distance_family(X: SurfacePoint, depth: int):
-    if X.kind == S11:
-        return [torus_curve(s) for s in farey.slopes_up_to_depth(depth)]
-    fam = [sphere_curve("interior")]
-    for k in range(-depth, depth + 1):
-        fam.append(("delta", k))
-        fam.append(("delta2", k))
-    return fam
-
-
-def _family_length(X: SurfacePoint, c) -> float:
-    if isinstance(c, CurveOnSurface):
-        return curve_length(X, c)
-    label, k = c
-    # Dehn-twisted transversal: its length is the transversal length at
-    # twist shifted by k full turns
-    return _sphere_delta_length(X, second=(label == "delta2"),
-                                tau=X.tau + k * X.ell)
-
-
-def thurston_distance_estimate(X: SurfacePoint, Y: SurfacePoint,
-                               depth: int) -> tuple[float, float]:
-    """(lower, stabilized) bounds for the symmetrized Thurston distance
-    max_gamma |log(l_gamma(X)/l_gamma(Y))| over a curve family of Farey
-    depth <= depth; stabilized is the value at the first depth where two
-    successive sweeps agree within 1%."""
-    if X.kind != Y.kind:
-        raise ValueError("points live on different surfaces")
-    prev = None
-    stabilized = None
-    lower = 0.0
-    for d in range(1, max(2, depth) + 1):
-        cur = 0.0
-        for c in _distance_family(X, d):
-            lx = _family_length(X, c)
-            ly = _family_length(Y, c)
-            if lx <= 0 or ly <= 0:
-                continue
-            cur = max(cur, abs(math.log(lx / ly)))
-        if d == depth:
-            lower = cur
-        if prev is not None and stabilized is None:
-            if cur <= prev * 1.01 + 1e-15 and cur >= prev * 0.99 - 1e-15:
-                stabilized = cur
-        prev = cur
-    if d != depth:
-        lower = prev
-    if stabilized is None:
-        stabilized = prev
-    return lower, stabilized

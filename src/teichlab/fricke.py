@@ -4,8 +4,10 @@ Words in the free group on a, b are strings over {a, A, b, B} with capitals
 denoting inverses.  Traces of words are computed two ways: numerically from
 explicit matrices, and symbolically from the trace coordinates
 (x, y, z) = (Tr A, Tr B, Tr AB) by recursive trace-identity reduction
-    Tr(UV) + Tr(UV^{-1}) = Tr(U) Tr(V).
-The symbolic route keeps integer inputs exact (all operations are ring
+    Tr(UV) + Tr(UV^{-1}) = Tr(U) Tr(V),
+compiled once per word into a straight-line plan that is evaluated in
+int, float (with a certified error bound) or mpmath arithmetic.  The
+symbolic route keeps integer inputs exact (all operations are ring
 operations), which the Markoff bridge relies on.
 
 Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
@@ -13,11 +15,11 @@ Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 _INV = str.maketrans("aAbB", "AaBb")
-_LETTER_TRACE = {"a": "x", "A": "x", "b": "y", "B": "y"}
 
 
 class WordError(ValueError):
@@ -100,13 +102,6 @@ class Mat2:
     c: float
     d: float
 
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def check_unimodular(self, tol=1e-12):
-        if abs(self.det() - 1.0) > tol * max(1.0, abs(self.a * self.d), abs(self.b * self.c)):
-            raise ValueError("matrix not unimodular: det=%r" % self.det())
-
     def trace(self):
         return self.a + self.d
 
@@ -154,94 +149,152 @@ def _rotations(w: str):
         yield w[i:] + w[:i]
 
 
-def _tr(w: str, x, y, z, memo: dict):
-    """Trace polynomial value of the cyclically reduced word w."""
-    key = canonical_cyclic(w)
-    v = memo.get(key)
-    if v is not None:
-        return v
-    # work on the representative with the fewest inverse letters so that
-    # rule 1 strictly reduces their count (termination)
-    w = key
-    iw = invert_word(w)
-    if _n_caps(iw) < _n_caps(w):
-        w = iw
-    n = len(w)
-    if n == 0:
-        memo[key] = 2
-        return 2
-    if n == 1:
-        v = x if w in "aA" else y
-        memo[key] = v
-        return v
-    if n == 2 and w in ("ab", "ba"):
-        memo[key] = z
-        return z
-    # rule 1: an inverse letter somewhere -- rotate it to the end:
-    #   Tr(P g^-1) = Tr(g) Tr(P) - Tr(P g)
-    rot = None
-    for r in _rotations(w):
-        if r[-1] in "AB":
-            rot = r
-            break
-    if rot is not None:
-        g = rot[-1].translate(_INV)
-        P = rot[:-1]
-        tg = x if g == "a" else y
-        v = tg * _tr(cyclic_reduce(P), x, y, z, memo) \
-            - _tr(cyclic_reduce(concat_reduced(P, g)), x, y, z, memo)
-        memo[key] = v
-        return v
-    # positive word. rule 2: a doubled letter -- rotate "gg" to the end:
-    #   Tr(P g g) = Tr(g) Tr(P g) - Tr(P)
-    rot = None
-    for r in _rotations(w):
-        if r[-1] == r[-2]:
-            rot = r
-            break
-    if rot is not None:
-        g = rot[-1]
-        P = rot[:-2]
-        tg = x if g == "a" else y
-        v = tg * _tr(cyclic_reduce(P + g), x, y, z, memo) \
-            - _tr(cyclic_reduce(P), x, y, z, memo)
-        memo[key] = v
-        return v
-    # alternating positive word (ab)^k: Chebyshev-style recursion in z
-    if n % 2 != 0:
-        raise WordError("unreachable word form %r" % w)
-    k = n // 2
-    t0, t1 = 2, z
-    for _ in range(k - 1):
-        t0, t1 = t1, z * t1 - t0
-    memo[key] = t1
-    return t1
+# plan registers of the generator traces x = Tr a and y = Tr b
+_GEN_REG = {"a": 0, "b": 1}
+
+
+def _compile(w: str):
+    """Straight-line plan (instrs, out) of the trace polynomial of w.
+
+    The trace-identity reduction branches only on the word, never on the
+    values, so it runs once per word and the plan serves every triple in
+    every arithmetic.  Registers 0, 1, 2 hold x, y, z; instrs[i] sets
+    register i + 3 to ("k", c, 0), the integer c, or to (op, j, k), the
+    product ("*") or difference ("-") of two earlier registers.  Canonical
+    cyclic subwords get one register each, as do repeated instructions.
+    """
+    instrs = []
+    regs = {}
+    memo = {}
+
+    def emit(ins):
+        r = regs.get(ins)
+        if r is None:
+            r = regs[ins] = len(instrs) + 3
+            instrs.append(ins)
+        return r
+
+    def tr(w):
+        key = canonical_cyclic(w)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        # work on the representative with the fewest inverse letters so that
+        # rule 1 strictly reduces their count (termination)
+        w = key
+        iw = invert_word(w)
+        if _n_caps(iw) < _n_caps(w):
+            w = iw
+        n = len(w)
+        if n == 0:
+            r = emit(("k", 2, 0))
+        elif n == 1:
+            r = _GEN_REG[w.lower()]
+        elif w in ("ab", "ba"):
+            r = 2
+        elif rot := next((u for u in _rotations(w) if u[-1] in "AB"), None):
+            # rule 1: an inverse letter somewhere -- rotate it to the end:
+            #   Tr(P g^-1) = Tr(g) Tr(P) - Tr(P g)
+            g, P = rot[-1].lower(), rot[:-1]
+            r = emit(("-", emit(("*", _GEN_REG[g], tr(cyclic_reduce(P)))),
+                      tr(cyclic_reduce(concat_reduced(P, g)))))
+        elif rot := next((u for u in _rotations(w) if u[-1] == u[-2]), None):
+            # positive word. rule 2: a doubled letter -- rotate "gg" to the end:
+            #   Tr(P g g) = Tr(g) Tr(P g) - Tr(P)
+            g, P = rot[-1], rot[:-2]
+            r = emit(("-", emit(("*", _GEN_REG[g], tr(cyclic_reduce(P + g)))),
+                      tr(cyclic_reduce(P))))
+        elif n % 2:
+            raise WordError("unreachable word form %r" % w)
+        else:
+            # rule 3: alternating positive word (ab)^k, Chebyshev recursion
+            #   Tr((ab)^(j+1)) = z Tr((ab)^j) - Tr((ab)^(j-1))
+            t0, t1 = emit(("k", 2, 0)), 2
+            for _ in range(n // 2 - 1):
+                t0, t1 = t1, emit(("-", emit(("*", 2, t1)), t0))
+            r = t1
+        memo[key] = r
+        return r
+
+    out = tr(w)
+    return tuple(instrs), out
+
+
+# plans of recent words; words outside the cache are recompiled
+_trace_plan = functools.lru_cache(maxsize=1024)(_compile)
+
+
+def _plan_eval(plan, x, y, z):
+    """Evaluate a plan in whatever arithmetic the inputs carry (exact for
+    ints: the trace polynomial has integer coefficients)."""
+    instrs, out = plan
+    vals = [x, y, z]
+    for op, j, k in instrs:
+        if op == "*":
+            vals.append(vals[j] * vals[k])
+        elif op == "-":
+            vals.append(vals[j] - vals[k])
+        else:
+            vals.append(j)
+    return vals[out]
+
+
+def _plan_eval_float(plan, x, y, z):
+    """(value, certified absolute error) of the plan in doubles.
+
+    Forward error analysis per instruction; the caller rejects the result
+    when the bound is not tiny relative to the value (the polynomial can
+    cancel through deg * log10(coordinate) digits)."""
+    eps = 2.3e-16
+    instrs, out = plan
+    vals = [x, y, z]
+    errs = [eps * abs(x), eps * abs(y), eps * abs(z)]
+    for op, j, k in instrs:
+        if op == "*":
+            v = vals[j] * vals[k]
+            errs.append(abs(vals[j]) * errs[k] + abs(vals[k]) * errs[j]
+                        + eps * abs(v))
+        elif op == "-":
+            v = vals[j] - vals[k]
+            errs.append(errs[j] + errs[k] + eps * abs(v))
+        else:
+            v = float(j)
+            errs.append(0.0)
+        vals.append(v)
+    return vals[out], errs[out]
 
 
 def trace_word_fricke(t: FrickeTriple | tuple, w: str, max_len: int = 10_000):
     """Trace of the word w at trace coordinates t, by trace-identity reduction.
 
     Exact for integer coordinates (the trace polynomial has integer
-    coefficients).  Memoized per call on canonical cyclic subwords.
+    coefficients).  Evaluates the word's compiled plan.
     """
+    if len(w) > max_len and len(cyclic_reduce(w)) > max_len:
+        raise WordError("word length %d exceeds cap %d"
+                        % (len(cyclic_reduce(w)), max_len))
     if isinstance(t, FrickeTriple):
-        x, y, z = t.x, t.y, t.z
-    else:
-        x, y, z = t
-    w = cyclic_reduce(w)
-    if len(w) > max_len:
-        raise WordError("word length %d exceeds cap %d" % (len(w), max_len))
-    return _tr(w, x, y, z, {})
+        t = t.astuple()
+    return _plan_eval(_trace_plan(w), *t)
 
 
-def length_trace(tr: float) -> float:
-    """Geodesic length from trace: l = 2 arccosh(|tr|/2)."""
-    a = abs(tr) / 2.0
-    if a < 1.0:
-        raise ValueError("|trace| = %g < 2: elliptic/parabolic, no geodesic length" % abs(tr))
-    if a > 1e15:
-        return 2.0 * (math.log(a) + math.log(2.0))
-    return 2.0 * math.acosh(a)
+def trace_word_float(t: tuple, w: str) -> tuple[float, float]:
+    """(trace, certified absolute error bound) of w at a float triple."""
+    return _plan_eval_float(_trace_plan(w), *t)
+
+
+def length_trace(tr) -> float:
+    """Geodesic length from trace: l = 2 arccosh(|tr|/2).
+
+    Takes floats and ints of any size: from 10^15 on, arccosh(t/2) = log t
+    up to O(t^-2), and math.log takes ints beyond the float range.
+    """
+    t = abs(tr)
+    if t < 2:
+        raise ValueError("|trace| = %g < 2: elliptic/parabolic, no geodesic length" % t)
+    if t < 1e15:
+        return 2.0 * math.acosh(t / 2.0)
+    return 2.0 * math.log(t)
 
 
 def trace_of_length(ell: float) -> float:
@@ -261,55 +314,7 @@ def length_from_log_trace(log_tr: float) -> float:
     return 2.0 * math.acosh(tr / 2.0)
 
 
-def resolve_intersection(l1: float, l2: float, l3: float, eps: int) -> float:
-    """Length of the curve resolved at one self-intersection.
-
-    gamma = gamma1 gamma2 crossing once, gamma3 = gamma1 gamma2^{-1}:
-    l = 2 Arccosh(2 cosh(l1/2) cosh(l2/2) + eps cosh(l3/2)), eps in {+1,-1}.
-    """
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    arg = 2.0 * math.cosh(l1 / 2.0) * math.cosh(l2 / 2.0) + eps * math.cosh(l3 / 2.0)
-    if arg < 1.0:
-        raise ValueError("arccosh argument %g < 1: wrong sign for this configuration" % arg)
-    return 2.0 * math.acosh(arg)
-
-
-_EPS_CACHE: dict[tuple[str, str], int] = {}
-
-
-def resolve_intersection_word(t: FrickeTriple, w1: str, w2: str) -> tuple[float, int]:
-    """Resolve gamma = w1 w2 at its crossing, determining eps numerically.
-
-    The sign is fixed once per (w1, w2) pair by comparison against the word
-    engine at a fixed generic representation, then cached.
-    """
-    ck = (w1, w2)
-    w = concat_reduced(reduce_word(w1), reduce_word(w2))
-    w3 = concat_reduced(reduce_word(w1), invert_word(reduce_word(w2)))
-    eps = _EPS_CACHE.get(ck)
-    if eps is None:
-        probe = FrickeTriple(2.9, 3.3, 4.1)
-        t1 = trace_word_fricke(probe, w1)
-        t2 = trace_word_fricke(probe, w2)
-        t3 = trace_word_fricke(probe, w3)
-        tg = trace_word_fricke(probe, w)
-        best = None
-        for e in (1, -1):
-            # predicted |trace| of gamma: 4 c1 c2 + 2 eps c3 with c_i = |t_i|/2
-            pred = abs(t1) * abs(t2) + e * abs(t3)
-            err = abs(pred - abs(tg))
-            if best is None or err < best[0]:
-                best = (err, e)
-        eps = best[1]
-        _EPS_CACHE[ck] = eps
-    l1 = length_trace(trace_word_fricke(t, w1))
-    l2 = length_trace(trace_word_fricke(t, w2))
-    l3 = length_trace(trace_word_fricke(t, w3))
-    return resolve_intersection(l1, l2, l3, eps), eps
-
-
-def rep_from_fricke(t: FrickeTriple, allow_parabolic: bool = False) -> tuple[Mat2, Mat2]:
+def rep_from_fricke(t: FrickeTriple) -> tuple[Mat2, Mat2]:
     """A realizing pair (A, B) in the fixed normal form: A diagonal, B with a
     unit corner entry (B_21 = 1).
 
@@ -319,8 +324,6 @@ def rep_from_fricke(t: FrickeTriple, allow_parabolic: bool = False) -> tuple[Mat
     x, y, z = t.x, t.y, t.z
     disc = x * x - 4.0
     if disc <= 0:
-        if abs(disc) < 1e-12 and allow_parabolic:
-            return _rep_parabolic(x, y, z)
         raise ValueError(
             "cannot realize with A diagonal: discriminant x^2 - 4 = %g <= 0" % disc)
     lam = (x + math.sqrt(disc)) / 2.0
@@ -335,14 +338,3 @@ def rep_from_fricke(t: FrickeTriple, allow_parabolic: bool = False) -> tuple[Mat
     B = Mat2(p, q, 1.0, s)
     return A, B
 
-
-def _rep_parabolic(x, y, z):
-    e = 1.0 if x >= 0 else -1.0
-    # A = [[e, 1], [0, e]]; B = [[p, q], [r, s]] with r = e(z - e y) forced
-    r = e * (z - e * y)
-    if abs(r) < 1e-12:
-        raise ValueError("parabolic normal form degenerate: corner entry 0")
-    p = y / 2.0
-    s = y - p
-    q = (p * s - 1.0) / r
-    return Mat2(e, 1.0, 0.0, e), Mat2(p, q, r, s)

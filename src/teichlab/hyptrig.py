@@ -12,7 +12,6 @@ automatic above argument 350 unless the caller forces plain evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
@@ -97,20 +96,6 @@ def E_approx(x: float, y: float, z: float) -> tuple[float, PLRegion]:
     if region is PLRegion.DELTA2:
         return (z - x - y) / 2.0, region
     return -min(x, y), region
-
-
-@dataclass(frozen=True)
-class PantsBoundary:
-    """Boundary geodesic lengths of a hyperbolic pair of pants."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("pants boundary lengths must be positive finite")
 
 
 def _log_R(x: float, y: float, z: float) -> float:
@@ -238,42 +223,3 @@ def arc_over_geodesic_inverse(a1: float, a2: float, d: float) -> float:
         else:
             raise HexDomainError("no real foot separation: cosh s = %g < 1" % arg)
     return math.acosh(arg)
-
-
-@dataclass(frozen=True)
-class HexSides:
-    """Sides of a right-angled hexagon in consecutive order a, tc, b, ta, c, tb.
-
-    The two alternating triples (a,b,c) and (ta,tb,tc) determine each other;
-    from_alternate builds the tilde sides from (a,b,c).
-    """
-
-    a: float
-    b: float
-    c: float
-    ta: float
-    tb: float
-    tc: float
-
-    def __post_init__(self):
-        for v in (self.a, self.b, self.c, self.ta, self.tb, self.tc):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("hexagon sides must be positive finite")
-
-    @classmethod
-    def from_alternate(cls, a: float, b: float, c: float) -> "HexSides":
-        ta = seam_F1(b, c, a)
-        tb = seam_F1(c, a, b)
-        tc = seam_F1(a, b, c)
-        return cls(a, b, c, ta, tb, tc)
-
-    def hc1_residual(self) -> float:
-        """Max relative residual of the convex identity over its three forms."""
-        res = 0.0
-        for (s, u, v, w) in ((self.c, self.ta, self.tb, self.tc),
-                             (self.a, self.tb, self.tc, self.ta),
-                             (self.b, self.tc, self.ta, self.tb)):
-            lhs = math.cosh(s)
-            rhs = (math.cosh(w) + math.cosh(u) * math.cosh(v)) / (math.sinh(u) * math.sinh(v))
-            res = max(res, abs(lhs - rhs) / abs(rhs))
-        return res

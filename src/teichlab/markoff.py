@@ -51,13 +51,6 @@ class MarkoffTriple:
 ROOT = MarkoffTriple(1, 1, 1)
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    triple: MarkoffTriple
-    parent_move: int | None
-    depth: int
-
-
 def apply_move(t: MarkoffTriple, i: int) -> MarkoffTriple:
     """Replace coordinate i by 3 * (product of the others) - itself.
 

@@ -18,15 +18,18 @@ cross-validated against a direct word-orbit enumeration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 from . import farey
 from .fricke import (FrickeTriple, canonical_cyclic, cyclic_reduce,
-                     length_trace, reduce_word, trace_word_fricke)
+                     length_trace, reduce_word, trace_word_float,
+                     trace_word_fricke)
 from .fn_surface import S11, SurfacePoint, fricke_triple, surface_from_triple
 
 
@@ -44,7 +47,6 @@ def farey_trace(X, slope: tuple[int, int]):
     t = _triple(X)
     v = farey.slope_trace(t, slope)
     if isinstance(v, float) and not math.isfinite(v):
-        import mpmath
         tv = tuple(mpmath.mpf(c) for c in t)
         v = farey.slope_trace(tv, slope)
     return v
@@ -164,9 +166,6 @@ def _mat_key(m):
     raise ValueError("zero matrix")
 
 
-_STAB_CACHE: dict[str, int] = {}
-
-
 def curve_symmetry_order(gamma: str, radius: int = 8) -> int:
     """|Sym(gamma) & Gamma|: order of the mapping-class stabilizer of the
     unoriented class of gamma, found by ball search in the generators.
@@ -177,11 +176,12 @@ def curve_symmetry_order(gamma: str, radius: int = 8) -> int:
     twist subgroup, which is exactly the redundancy quotiented out by the
     slope parametrization).
     """
-    key = canonical_cyclic(gamma)
-    if key in _STAB_CACHE:
-        return _STAB_CACHE[key]
-    if simple_power(gamma):
-        _STAB_CACHE[key] = 1
+    return _symmetry_order(canonical_cyclic(gamma), radius)
+
+
+@functools.lru_cache(maxsize=1024)
+def _symmetry_order(key: str, radius: int) -> int:
+    if simple_power(key):
         return 1
     ident = (1, 0, 0, 1)
     seen = {ident: key}
@@ -209,7 +209,6 @@ def curve_symmetry_order(gamma: str, radius: int = 8) -> int:
             # (gamma is a decorated simple class); 0 is the sentinel
             order = 0
             break
-    _STAB_CACHE[key] = order
     return order
 
 
@@ -288,144 +287,28 @@ def _key_of(t, integral: bool):
     key = (float(t[0]), float(t[1]), float(t[2]))
     if all(math.isfinite(v) for v in key):
         return key
-    import mpmath
     return tuple(mpmath.nstr(v, 9) for v in t)
-
-
-def _length_int_trace(tr: int) -> float:
-    tr = abs(tr)
-    if tr < 2:
-        raise ArithmeticError("non-hyperbolic trace %d along the orbit" % tr)
-    if tr > 10 ** 15:
-        # 2 arccosh(t/2) = 2 log t - 2 log 2 + O(t^-2); math.log is exact
-        # for arbitrarily large ints
-        return 2.0 * (math.log(tr) - math.log(2.0))
-    return 2.0 * math.acosh(tr / 2.0)
-
-
-class _PlanCell:
-    """Operand recorder: running trace_word_fricke on three of these captures
-    the trace-identity reduction of a fixed word as a straight-line program
-    (the reduction branches only on the word, never on the values)."""
-
-    __slots__ = ("plan", "idx")
-
-    def __init__(self, plan, idx):
-        self.plan = plan
-        self.idx = idx
-
-    def _emit(self, op, other):
-        plan = self.plan
-        if not isinstance(other, _PlanCell):
-            kkey = ("k", int(other))
-            ki = plan["cache"].get(kkey)
-            if ki is None:
-                ki = len(plan["instrs"])
-                plan["instrs"].append(("k", int(other), 0))
-                plan["cache"][kkey] = ki
-            ob = ki
-        else:
-            ob = other.idx
-        key = (op, self.idx, ob)
-        hit = plan["cache"].get(key)
-        if hit is not None:
-            return _PlanCell(plan, hit)
-        idx = len(plan["instrs"])
-        plan["instrs"].append((op, self.idx, ob))
-        plan["cache"][key] = idx
-        return _PlanCell(plan, idx)
-
-    def __mul__(self, other):
-        return self._emit("*", other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self._emit("-", other)
-
-
-_TRACE_PLANS: dict = {}
-
-
-def _trace_plan(gamma: str):
-    """(instrs, out_idx) evaluating tr(gamma) from registers x, y, z."""
-    plan = _TRACE_PLANS.get(gamma)
-    if plan is None:
-        rec = {"instrs": [("in", i, 0) for i in range(3)], "cache": {}}
-        cells = tuple(_PlanCell(rec, i) for i in range(3))
-        out = trace_word_fricke(cells, gamma)
-        if not isinstance(out, _PlanCell):
-            rec["instrs"].append(("k", int(out), 0))
-            out_idx = len(rec["instrs"]) - 1
-        else:
-            out_idx = out.idx
-        plan = (tuple(rec["instrs"]), out_idx)
-        _TRACE_PLANS[gamma] = plan
-    return plan
-
-
-def _plan_eval_float(plan, x, y, z):
-    """(value, certified absolute error) of the plan in doubles.
-
-    Forward error analysis per instruction; the caller rejects the result
-    when the bound is not tiny relative to the value (the polynomial can
-    cancel through deg * log10(coordinate) digits)."""
-    eps = 2.3e-16
-    instrs, out = plan
-    vals = [0.0] * len(instrs)
-    errs = [0.0] * len(instrs)
-    ins = (x, y, z)
-    for i, (op, a, b) in enumerate(instrs):
-        if op == "in":
-            vals[i] = ins[a]
-            errs[i] = eps * abs(ins[a])
-        elif op == "k":
-            vals[i] = float(a)
-        elif op == "*":
-            v = vals[a] * vals[b]
-            vals[i] = v
-            errs[i] = abs(vals[a]) * errs[b] + abs(vals[b]) * errs[a] \
-                + eps * abs(v)
-        else:
-            v = vals[a] - vals[b]
-            vals[i] = v
-            errs[i] = errs[a] + errs[b] + eps * abs(v)
-    return vals[out], errs[out]
-
-
-def _plan_eval(plan, x, y, z):
-    """Evaluate the plan in whatever arithmetic the inputs carry."""
-    instrs, out = plan
-    vals = [None] * len(instrs)
-    ins = (x, y, z)
-    for i, (op, a, b) in enumerate(instrs):
-        if op == "in":
-            vals[i] = ins[a]
-        elif op == "k":
-            vals[i] = a
-        elif op == "*":
-            vals[i] = vals[a] * vals[b]
-        else:
-            vals[i] = vals[a] - vals[b]
-    return vals[out]
 
 
 def _node_length(t, gamma: str, integral: bool) -> float:
     """l_gamma at a triple node, immune to the catastrophic cancellation of
     float trace polynomials at large coordinates: exact big-int arithmetic
-    for integral data, float matrix products while the tracked error bound
-    is negligible, multiprecision otherwise."""
+    for integral data, floats while the certified error bound is
+    negligible, multiprecision otherwise; all three evaluate the word's one
+    compiled trace plan."""
     if integral:
-        return _length_int_trace(trace_word_fricke(t, gamma))
-    plan = _trace_plan(gamma)
+        tr = trace_word_fricke(t, gamma)
+        if abs(tr) < 2:
+            raise ArithmeticError("non-hyperbolic trace %d for %r along the "
+                                  "orbit" % (tr, gamma))
+        return length_trace(tr)
     fx, fy, fz = (float(v) for v in t)
     if all(math.isfinite(v) for v in (fx, fy, fz)):
-        tr, err = _plan_eval_float(plan, fx, fy, fz)
+        tr, err = trace_word_float((fx, fy, fz), gamma)
         if math.isfinite(tr) and math.isfinite(err):
             tr = abs(tr)
             if tr > 2.0 + 1e-6 and err < 1e-8 * tr:
-                return 2.0 * math.acosh(tr / 2.0)
-    import mpmath
+                return length_trace(tr)
     # the trace polynomial has degree <= len(gamma) in the coordinates, so
     # the working precision must absorb that many orders of cancellation
     m = max(abs(v) for v in t)
@@ -437,7 +320,7 @@ def _node_length(t, gamma: str, integral: bool) -> float:
     dps = 50 + len(gamma) * digits
     with mpmath.workdps(dps):
         tm = tuple(mpmath.mpf(v) if isinstance(v, float) else v for v in t)
-        tr = abs(_plan_eval(plan, *tm))
+        tr = abs(trace_word_fricke(tm, gamma))
         if tr < 2:
             if tr > 2 - mpmath.mpf("1e-9"):
                 return 0.0
@@ -446,36 +329,30 @@ def _node_length(t, gamma: str, integral: bool) -> float:
                 % (mpmath.nstr(tr, 8), gamma))
         ftr = float(tr)
         if math.isfinite(ftr):
-            # acosh(T/2) = log T up to O(T^-2) once T is this large
-            return 2.0 * math.acosh(ftr / 2.0) if ftr < 1e15 \
-                else 2.0 * math.log(ftr)
+            return length_trace(ftr)
         return float(2 * mpmath.log(tr))
 
 
 def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
-               debug_validate: bool = True, max_nodes: int = 5_000_000):
+               max_nodes: int = 5_000_000):
     """BFS over the triple orbit of X; returns (lengths <= L, node count,
     pruned count, validation violations).
 
     Nodes are expanded while l_gamma <= prune_c * L and counted when
-    l_gamma <= L.  With debug_validate every pruned node is expanded one
-    extra level and any child re-entering the counting range is a violation
-    (the caller must treat violations > 0 as a hard failure).
+    l_gamma <= L.  Every pruned node is expanded one extra level and any
+    child re-entering the counting range is a violation (the caller must
+    treat violations > 0 as a hard failure).
     """
     root = _triple(X)
     integral = _is_integral(root)
-    old_dps = None
-    if integral:
-        root = tuple(int(v) for v in root)
-    else:
-        import mpmath
-        # node coordinates must stay accurate through the trace cancellation
-        # at the pruning frontier, which digs ~deg * log10(coord) digits
-        need = 60 + int(0.25 * len(gamma) * prune_c * L)
-        old_dps = mpmath.mp.dps
-        mpmath.mp.dps = max(mpmath.mp.dps, need)
-        root = tuple(mpmath.mpf(float(v)) for v in root)
-    try:
+    # node coordinates must stay accurate through the trace cancellation
+    # at the pruning frontier, which digs ~deg * log10(coord) digits
+    need = 60 + int(0.25 * len(gamma) * prune_c * L)
+    with mpmath.workdps(max(mpmath.mp.dps, need)):
+        if integral:
+            root = tuple(int(v) for v in root)
+        else:
+            root = tuple(mpmath.mpf(float(v)) for v in root)
         kappa0 = root[0] ** 2 + root[1] ** 2 + root[2] ** 2 \
             - root[0] * root[1] * root[2] - 2
         seen = {_key_of(root, integral)}
@@ -512,21 +389,16 @@ def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
                         nxt.append(child)
             frontier = nxt
         violations = 0
-        if debug_validate and pruned_nodes:
-            ekeys = set()
-            for node in pruned_nodes:
-                for g in GENS:
-                    child = _TRIPLE_MAPS[g](*node)
-                    ck = _key_of(child, integral)
-                    if ck not in seen and ck not in ekeys:
-                        ekeys.add(ck)
-                        if _node_length(child, gamma, integral) <= L:
-                            violations += 1
+        ekeys = set()
+        for node in pruned_nodes:
+            for g in GENS:
+                child = _TRIPLE_MAPS[g](*node)
+                ck = _key_of(child, integral)
+                if ck not in seen and ck not in ekeys:
+                    ekeys.add(ck)
+                    if _node_length(child, gamma, integral) <= L:
+                        violations += 1
         return counted, nodes, len(pruned_nodes), violations
-    finally:
-        if old_dps is not None:
-            import mpmath
-            mpmath.mp.dps = old_dps
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +409,6 @@ def _mp_rep(t):
     """Multiprecision realizing matrices for (x, y, z) and their inverses,
     A diagonal; words in the orbit BFS get long, so traces are computed as
     matrix products (linear cost) rather than by polynomial reduction."""
-    import mpmath
     x, y, z = (mpmath.mpf(v) if isinstance(v, int) else mpmath.mpf(float(v))
                for v in _triple(t))
     if abs(x) <= 2:
@@ -572,61 +443,58 @@ def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
     validation violations).  Counts curves directly with no bookkeeping,
     so it also handles classes with infinite symmetry.
     """
-    import mpmath
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = max(old_dps, 60 + int(0.5 * prune_c * L))
-    mats = _mp_rep(X)
-    root = canonical_cyclic(gamma)
+    with mpmath.workdps(max(mpmath.mp.dps, 60 + int(0.5 * prune_c * L))):
+        mats = _mp_rep(X)
+        root = canonical_cyclic(gamma)
 
-    def ell(w):
-        tr = _word_trace_mp(mats, w)
-        if tr < 2:
-            if tr > 2 - mpmath.mpf("1e-9"):
-                return 0.0
-            raise ArithmeticError(
-                "non-hyperbolic trace %s for %r along the word orbit"
-                % (mpmath.nstr(tr, 8), w))
-        return float(2 * mpmath.acosh(tr / 2))
+        def ell(w):
+            tr = _word_trace_mp(mats, w)
+            if tr < 2:
+                if tr > 2 - mpmath.mpf("1e-9"):
+                    return 0.0
+                raise ArithmeticError(
+                    "non-hyperbolic trace %s for %r along the word orbit"
+                    % (mpmath.nstr(tr, 8), w))
+            return float(2 * mpmath.acosh(tr / 2))
 
-    counted = []
-    lr = ell(root)
-    if lr <= L:
-        counted.append(lr)
-    seen = {root}
-    frontier = [root]
-    nodes = 1
-    pruned_words = []
-    cL = prune_c * L
-    while frontier:
-        if nodes > max_nodes:
-            raise ArithmeticError(
-                "word-orbit search exceeded %d classes" % max_nodes)
-        nxt = []
-        for w in frontier:
-            if ell(w) > cL:
-                pruned_words.append(w)
-                continue
+        counted = []
+        lr = ell(root)
+        if lr <= L:
+            counted.append(lr)
+        seen = {root}
+        frontier = [root]
+        nodes = 1
+        pruned_words = []
+        cL = prune_c * L
+        while frontier:
+            if nodes > max_nodes:
+                raise ArithmeticError(
+                    "word-orbit search exceeded %d classes" % max_nodes)
+            nxt = []
+            for w in frontier:
+                if ell(w) > cL:
+                    pruned_words.append(w)
+                    continue
+                for g in GENS:
+                    w2 = canonical_cyclic(apply_auto(w, g))
+                    if w2 in seen:
+                        continue
+                    seen.add(w2)
+                    nodes += 1
+                    nxt.append(w2)
+                    lw = ell(w2)
+                    if lw <= L:
+                        counted.append(lw)
+            frontier = nxt
+        violations = 0
+        for w in pruned_words:
             for g in GENS:
                 w2 = canonical_cyclic(apply_auto(w, g))
-                if w2 in seen:
-                    continue
-                seen.add(w2)
-                nodes += 1
-                nxt.append(w2)
-                lw = ell(w2)
-                if lw <= L:
-                    counted.append(lw)
-        frontier = nxt
-    violations = 0
-    for w in pruned_words:
-        for g in GENS:
-            w2 = canonical_cyclic(apply_auto(w, g))
-            if w2 not in seen:
-                seen.add(w2)
-                if ell(w2) <= L:
-                    violations += 1
-    mpmath.mp.dps = old_dps
-    return counted, nodes, len(pruned_words), violations
+                if w2 not in seen:
+                    seen.add(w2)
+                    if ell(w2) <= L:
+                        violations += 1
+        return counted, nodes, len(pruned_words), violations
 
 
 def count_orbit_word_bruteforce(X, gamma: str, L: float,
@@ -674,8 +542,7 @@ class CountReport:
 
 def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
                      grid: list[float] | None = None,
-                     compute_B: bool = False,
-                     debug_validate: bool = True) -> CountReport:
+                     compute_B: bool = False) -> CountReport:
     """Count curves in the mapping-class orbit of gamma with length <= L.
 
     Simple gamma routes through the slope count (the orbit of a simple
@@ -730,8 +597,7 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
                       "note": "Sym(gamma) infinite; a3 reported equal to a1"})
     else:
         aut = point_symmetry_order(t)
-        lengths, nodes, pruned, violations = _orbit_bfs(
-            t, gamma, L, prune_c, debug_validate)
+        lengths, nodes, pruned, violations = _orbit_bfs(t, gamma, L, prune_c)
         if violations:
             raise ArithmeticError(
                 "pruning validation failed: %d node(s) beyond the pruned "
@@ -845,7 +711,6 @@ def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
         if k > -2.0 + 1e-9:
             raise ValueError("kappa=%g > -2: not a torus point" % k)
         l1 = 2.0 * math.acosh(max(1.0, -k / 2.0))
-    import mpmath
     tm = tuple(mpmath.mpf(v) for v in t)
     memo = {}
     total = 0
@@ -868,11 +733,7 @@ def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
             t1 = abs(farey.slope_trace(tm, s, memo))
             t3 = abs(farey.slope_trace(tm, (s[0] + sp[0], s[1] + sp[1]), memo))
             ell = 2 * mpmath.acosh(t1 / 2)
-            if l1 == 0.0:
-                half = mpmath.coth(ell / 2)
-            else:
-                half = mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
-                                   + 2 * mpmath.cosh(ell)) / (2 * mpmath.sinh(ell / 2))
+            half = _mp_torus_m(l1, ell)
             c = tr2 / (2 * half)
             tau0 = 2 * mpmath.acosh(c) if c > 1 else mpmath.mpf(0)
             # the trace pair (t2, t3) only determines tau0 up to sign
@@ -898,6 +759,15 @@ def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 
 
+def _mp_torus_m(l1: float, ell):
+    """The torus chart factor m(l1, ell) of fn_surface, in mpmath at the
+    caller's precision (coth(ell/2) at a cusp)."""
+    if l1 == 0.0:
+        return mpmath.coth(ell / 2)
+    return mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
+                       + 2 * mpmath.cosh(ell)) / (2 * mpmath.sinh(ell / 2))
+
+
 def _mp_fricke_triple(l1: float, ell, tau, extra_dps: int = 0):
     """Trace coordinates from (ell, tau) in multiprecision.
 
@@ -906,17 +776,11 @@ def _mp_fricke_triple(l1: float, ell, tau, extra_dps: int = 0):
     log10(coord) digits), so the chart itself must be evaluated at the
     precision the downstream trace needs.
     """
-    import mpmath
-    dps = 60 + extra_dps
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60 + extra_dps):
         ell = mpmath.mpf(ell)
         tau = mpmath.mpf(tau)
         x = 2 * mpmath.cosh(ell / 2)
-        if l1 == 0.0:
-            m = mpmath.coth(ell / 2)
-        else:
-            m = mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
-                            + 2 * mpmath.cosh(ell)) / (2 * mpmath.sinh(ell / 2))
+        m = _mp_torus_m(l1, ell)
         y = 2 * m * mpmath.cosh(tau / 2)
         z = 2 * m * mpmath.cosh((ell + tau) / 2)
         return (x, y, z)
@@ -999,13 +863,9 @@ def require_filling(gamma: str):
     if is_peripheral_word(gamma):
         raise ValueError("gamma=%r is peripheral: length ball has infinite volume"
                          % gamma)
-    p, q = word_abelianization(gamma)
-    if (p, q) != (0, 0):
-        g = math.gcd(p, q)
-        base = farey.slope_word(p // g, q // g)
-        if canonical_cyclic(gamma) == canonical_cyclic(base * g):
-            raise ValueError(
-                "gamma=%r is a power of a simple curve: not filling" % gamma)
+    if simple_power(gamma):
+        raise ValueError(
+            "gamma=%r is a power of a simple curve: not filling" % gamma)
     if curve_symmetry_order(gamma) == 0:
         raise ValueError(
             "gamma=%r has an infinite twist stabilizer: not filling" % gamma)
@@ -1068,8 +928,7 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
 
 
 def _mc_orbit_count(t, gamma, L, prune_c):
-    lengths, _, _, violations = _orbit_bfs(t, gamma, L, prune_c,
-                                           debug_validate=True)
+    lengths, _, _, violations = _orbit_bfs(t, gamma, L, prune_c)
     if violations:
         raise ArithmeticError("pruning validation failed in MC sampling")
     return len(lengths)

@@ -84,6 +84,28 @@ class TestCommands:
         assert out.startswith("vol=")
         assert float(out.split("=", 1)[1]) > 0
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_cone_count_signed_m(self, m, capsys):
+        assert run_main(["cone-count", "--x", "3,3,3", "--m", m,
+                         "--L", "20"]) == 0
+        assert "count=" in capsys.readouterr().out
+
+    def test_ball_volume_seed_zero(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake(gamma, L, **kwargs):
+            seen.update(kwargs)
+            return 1.0, 1.0, 0.1
+        monkeypatch.setattr(cli.orbit, "ball_volume_and_average", fake)
+        assert run_main(["ball-volume", "--mc-samples", "1000"]) == 0
+        assert seen["seed"] == 0 and seen["mc_samples"] == 1000
+        assert capsys.readouterr().out.startswith("vol=")
+
+    def test_bad_integers_exit_1(self):
+        assert run_main(["cone-count", "--m", "0.5"]) == 1
+        assert run_main(["ball-volume", "--mc-samples", "1000",
+                         "--seed", "-1"]) == 1
+
     def test_twist_convexity_nonsimple_rejected(self):
         assert run_main(["twist-convexity", "--word", "aabAb"]) == 1
 

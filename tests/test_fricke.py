@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teichlab import farey
+from teichlab import farey, fricke
 from teichlab.fricke import (FrickeTriple, WordError, canonical_cyclic,
                              concat_reduced, cyclic_reduce, invert_word,
                              length_from_log_trace, length_trace,
@@ -98,6 +98,13 @@ class TestTrace:
         b = trace_word_fricke(t, invert_word(w))
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
+    def test_plan_cache_bounded(self):
+        size = fricke._trace_plan.cache_info().maxsize
+        for i in range(size + 100):
+            trace_word_fricke((3, 3, 3), format(i, "011b").translate(
+                str.maketrans("01", "ab")))
+        assert fricke._trace_plan.cache_info().currsize <= size
+
     def test_rep_realizes_triple(self):
         t = FrickeTriple(3.1, 4.2, 5.9)
         A, B = rep_from_fricke(t)
@@ -121,6 +128,11 @@ class TestLength:
         for s in [1.2, 10.0, 39.0, 41.0]:
             want = 2.0 * math.acosh(math.exp(s) / 2.0) if s < 40 else 2.0 * s
             assert length_from_log_trace(s) == pytest.approx(want, rel=1e-11)
+
+    def test_huge_int_trace(self):
+        # ints beyond float range: 2 arccosh(t/2) = 2 log t to double precision
+        assert length_trace(10 ** 400) == 2.0 * math.log(10 ** 400)
+        assert length_trace(-10 ** 400) == 2.0 * math.log(10 ** 400)
 
     def test_elliptic_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import pytest
 
 from teichlab import orbit as ob
+from teichlab.fricke import trace_word_fricke
 
 
 MODULAR = (3.0, 3.0, 3.0)
@@ -63,6 +65,12 @@ class TestWordClassification:
         assert ob.curve_symmetry_order("abaB") == 0
         assert ob.curve_symmetry_order("aabb") == 0
 
+    def test_symmetry_order_cached_per_radius(self):
+        # radius 0 sees only the identity; that answer must not stand in for
+        # the default search
+        assert ob.curve_symmetry_order("abaB", radius=0) == 1
+        assert ob.curve_symmetry_order("abaB") == 0
+
     def test_symmetry_order_finite_for_filling(self):
         assert ob.curve_symmetry_order("aabAb") >= 1
 
@@ -105,6 +113,34 @@ class TestOrbitCount:
         rep = ob.count_orbit_word(MODULAR, "aabAb", 10.0)
         assert rep.sym_order >= 1
         assert rep.a3 == rep.sym_order * rep.a1
+
+
+class TestNodeLength:
+    def test_integral_node_beyond_1e15(self):
+        # |tr| has ~200 digits here; the exact int trace must give
+        # 2 arccosh(|tr|/2), not that minus 2 log 2
+        t = (3, 3, 3)
+        for g in "TUTUTUTUTUTU":
+            t = ob._TRIPLE_MAPS[g](*t)
+        tr = trace_word_fricke(t, "aabAb")
+        assert abs(tr) > 10 ** 15
+        with mpmath.workdps(60):
+            want = float(2 * mpmath.acosh(abs(mpmath.mpf(tr)) / 2))
+        assert ob._node_length(t, "aabAb", True) == pytest.approx(want, rel=1e-12)
+
+
+class TestPrecision:
+    def test_word_orbit_abort_keeps_dps(self):
+        dps = mpmath.mp.dps
+        with pytest.raises(ArithmeticError, match="exceeded"):
+            ob._word_orbit_lengths(MODULAR, "aabAb", 30.0, max_nodes=10)
+        assert mpmath.mp.dps == dps
+
+    def test_triple_orbit_abort_keeps_dps(self):
+        dps = mpmath.mp.dps
+        with pytest.raises(ArithmeticError, match="exceeded"):
+            ob._orbit_bfs(GENERIC, "aabAb", 30.0, max_nodes=10)
+        assert mpmath.mp.dps == dps
 
 
 class TestConeCount:
