@@ -6,8 +6,8 @@ explicit matrices, and symbolically from the trace coordinates
 (x, y, z) = (Tr A, Tr B, Tr AB) by recursive trace-identity reduction
     Tr(UV) + Tr(UV^{-1}) = Tr(U) Tr(V),
 compiled once per word into a straight-line plan that is evaluated in
-int, float (with a certified error bound) or mpmath arithmetic.  The
-symbolic route keeps integer inputs exact (all operations are ring
+int, float or mpmath arithmetic, or on ints scaled by 2^k (fixed point).
+The symbolic route keeps integer inputs exact (all operations are ring
 operations), which the Markoff bridge relies on.
 
 Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
@@ -60,11 +60,10 @@ def cyclic_reduce(w: str) -> str:
     return w
 
 
-_ORD = {"a": 0, "b": 1, "A": 2, "B": 3}
-
-
-def _wkey(w: str):
-    return tuple(_ORD[c] for c in w)
+# letters in the order a < b < A < B, as digits so that rotations compare
+# as plain strings
+_TO_ORD = str.maketrans("abAB", "0123")
+_FROM_ORD = str.maketrans("0123", "abAB")
 
 
 def canonical_cyclic(w: str) -> str:
@@ -76,17 +75,10 @@ def canonical_cyclic(w: str) -> str:
     forms coincide.
     """
     w = cyclic_reduce(w)
-    if not w:
-        return ""
-    best = None
-    best_key = None
-    for u in (w, invert_word(w)):
-        for i in range(len(u)):
-            r = u[i:] + u[:i]
-            k = _wkey(r)
-            if best is None or k < best_key:
-                best, best_key = r, k
-    return best
+    best = min((u[i:] + u[:i] for u in (w.translate(_TO_ORD),
+                                        invert_word(w).translate(_TO_ORD))
+                for i in range(len(u))), default="")
+    return best.translate(_FROM_ORD)
 
 
 def _n_caps(w: str) -> int:
@@ -239,29 +231,19 @@ def _plan_eval(plan, x, y, z):
     return vals[out]
 
 
-def _plan_eval_float(plan, x, y, z):
-    """(value, certified absolute error) of the plan in doubles.
-
-    Forward error analysis per instruction; the caller rejects the result
-    when the bound is not tiny relative to the value (the polynomial can
-    cancel through deg * log10(coordinate) digits)."""
-    eps = 2.3e-16
+def _plan_eval_fixed(plan, x, y, z, k):
+    """Evaluate a plan on ints scaled by 2^k: each product shifts right by
+    k, each constant left by k.  Exact for k = 0."""
     instrs, out = plan
     vals = [x, y, z]
-    errs = [eps * abs(x), eps * abs(y), eps * abs(z)]
-    for op, j, k in instrs:
+    for op, i, j in instrs:
         if op == "*":
-            v = vals[j] * vals[k]
-            errs.append(abs(vals[j]) * errs[k] + abs(vals[k]) * errs[j]
-                        + eps * abs(v))
+            vals.append(vals[i] * vals[j] >> k)
         elif op == "-":
-            v = vals[j] - vals[k]
-            errs.append(errs[j] + errs[k] + eps * abs(v))
+            vals.append(vals[i] - vals[j])
         else:
-            v = float(j)
-            errs.append(0.0)
-        vals.append(v)
-    return vals[out], errs[out]
+            vals.append(i << k)
+    return vals[out]
 
 
 def trace_word_fricke(t: FrickeTriple | tuple, w: str, max_len: int = 10_000):
@@ -278,9 +260,13 @@ def trace_word_fricke(t: FrickeTriple | tuple, w: str, max_len: int = 10_000):
     return _plan_eval(_trace_plan(w), *t)
 
 
-def trace_word_float(t: tuple, w: str) -> tuple[float, float]:
-    """(trace, certified absolute error bound) of w at a float triple."""
-    return _plan_eval_float(_trace_plan(w), *t)
+def trace_word_fixed(t: tuple, w: str, k: int) -> int:
+    """The trace of w, scaled by 2^k, at a triple of ints scaled by 2^k.
+
+    Each product rounds down by less than 2^-k, an error the later products
+    carry along; k = 0 is exact integer arithmetic.
+    """
+    return _plan_eval_fixed(_trace_plan(w), *t, k)
 
 
 def length_trace(tr) -> float:
@@ -318,8 +304,9 @@ def rep_from_fricke(t: FrickeTriple) -> tuple[Mat2, Mat2]:
     """A realizing pair (A, B) in the fixed normal form: A diagonal, B with a
     unit corner entry (B_21 = 1).
 
-    Requires |x| > 2 (A hyperbolic) and an irreducible solution; otherwise
-    raises naming the failed discriminant.
+    Requires |x| > 2 (A hyperbolic); otherwise raises naming the failed
+    discriminant.  B has det ps - q = 1 for every q, so reducible triples
+    (q = 0, kappa = 2) are realized too.
     """
     x, y, z = t.x, t.y, t.z
     disc = x * x - 4.0
@@ -331,10 +318,6 @@ def rep_from_fricke(t: FrickeTriple) -> tuple[Mat2, Mat2]:
     # B = [[p, q], [1, s]],  p + s = y,  lam p + s / lam = z
     p = (z - y / lam) / (lam - 1.0 / lam)
     s = y - p
-    q = p * s - 1.0
-    if abs(q) < 1e-12:
-        raise ValueError(
-            "reducible configuration: ps - 1 = %g vanishes (kappa = %g)" % (q, t.kappa))
-    B = Mat2(p, q, 1.0, s)
+    B = Mat2(p, p * s - 1.0, 1.0, s)
     return A, B
 

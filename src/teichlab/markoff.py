@@ -69,13 +69,15 @@ def is_markoff(p: int, q: int, r: int) -> bool:
 
     Both checks are performed and must agree; a disagreement would mean the
     equation has a positive solution outside the tree, which is impossible,
-    so it is asserted.
+    so it raises ArithmeticError.
     """
     if p <= 0 or q <= 0 or r <= 0:
         return False
     eq = (p * p + q * q + r * r == 3 * p * q * r)
     desc = eq and _descends(p, q, r)
-    assert eq == desc, "equation/descent disagreement at (%d,%d,%d)" % (p, q, r)
+    if eq != desc:
+        raise ArithmeticError(
+            "equation/descent disagreement at (%d,%d,%d)" % (p, q, r))
     return desc
 
 
@@ -191,6 +193,12 @@ def _perms(s: tuple[int, int, int]) -> int:
     return 6
 
 
+def _check_monotone(s, child):
+    if child[2] <= s[2]:
+        raise ArithmeticError(
+            "monotonicity violated on edge %r -> %r" % (s, child))
+
+
 def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
                     stream=None, move_filter=None,
                     checkpoint_path: str | None = None,
@@ -202,7 +210,7 @@ def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
     definition; ordered counting weights each node by its number of distinct
     coordinate permutations.  Pruning at a node whose norm exceeds the bound
     is sound because every away-from-root move strictly increases the max
-    coordinate; this is asserted on every edge.
+    coordinate; this is checked on every edge.
 
     stream: optional text file object; triples are written as CSV rows
     `p,q,r,depth,parent_move` as they are visited.
@@ -249,8 +257,7 @@ def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
                                  "" if pmove is None else pmove])
         visited += 1
         for (i, child) in _children(s):
-            assert child[2] > s[2], \
-                "monotonicity violated on edge %r -> %r" % (s, child)
+            _check_monotone(s, child)
             if _node_norm(child, norm) <= bound:
                 stack.append((child, depth + 1, i, word + (i,)))
         if checkpoint_path is not None and visited % checkpoint_interval == 0:
@@ -271,7 +278,7 @@ def enumerate_triples(bound: int, norm: str = "max") -> list[tuple[int, int, int
             continue
         out.append(s)
         for (_, child) in _children(s):
-            assert child[2] > s[2]
+            _check_monotone(s, child)
             if _node_norm(child, norm) <= bound:
                 stack.append(child)
     return sorted(out)

@@ -12,7 +12,7 @@ triples these are the polynomial maps
     U:  (x,y,z) -> (z, y, yz - x)        U^-1: (x,y,z) -> (xy - z, y, x)
 
 which preserve the boundary invariant kappa exactly.  Orbit searches run on
-triples (fast path, nodes deduplicated exactly for integer data) and are
+triples held as ints scaled by 2^k (k = 0, exact, for integral data) and are
 cross-validated against a direct word-orbit enumeration.
 """
 
@@ -22,14 +22,14 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from . import farey
 from .fricke import (FrickeTriple, canonical_cyclic, cyclic_reduce,
-                     length_trace, reduce_word, trace_word_float,
-                     trace_word_fricke)
+                     length_trace, reduce_word, trace_word_fixed)
 from .fn_surface import S11, SurfacePoint, fricke_triple, surface_from_triple
 
 
@@ -60,7 +60,7 @@ def simple_slopes(X, L: float):
     """All slopes with geodesic length <= L at X, with their traces.
 
     Farey-tree search from the minimal triangle, pruned where traces exceed
-    2 cosh(L/2); outward trace monotonicity is asserted on every edge.
+    2 cosh(L/2); outward trace monotonicity is checked on every edge.
     """
     x, y, z = (abs(v) for v in _triple(X))
     bound = 2.0 * math.cosh(L / 2.0)
@@ -111,8 +111,9 @@ def simple_slopes(X, L: float):
         u, tu, v, tv, topp = edges.pop()
         w = (u[0] + v[0], u[1] + v[1])
         tw = tu * tv - topp
-        assert tw >= topp * (1.0 - 1e-9) - 1e-9, \
-            "trace monotonicity violated at slope %r" % (w,)
+        if tw < topp * (1.0 - 1e-9) - 1e-9:
+            raise ArithmeticError(
+                "trace monotonicity violated at slope %r" % (w,))
         if tw > bound:
             continue
         out[farey.normalize_slope(*w)] = tw
@@ -139,11 +140,12 @@ _GEN_MATS = {
     "T": (1, 1, 0, 1), "t": (1, -1, 0, 1),
     "U": (1, 0, 1, 1), "u": (1, 0, -1, 1),
 }
+# the maps on triples of ints scaled by 2^k (k = 0: exact integral triples)
 _TRIPLE_MAPS = {
-    "T": lambda x, y, z: (x, z, x * z - y),
-    "t": lambda x, y, z: (x, x * y - z, y),
-    "U": lambda x, y, z: (z, y, y * z - x),
-    "u": lambda x, y, z: (x * y - z, y, x),
+    "T": lambda x, y, z, k: (x, z, (x * z >> k) - y),
+    "t": lambda x, y, z, k: (x, (x * y >> k) - z, y),
+    "U": lambda x, y, z, k: (z, y, (y * z >> k) - x),
+    "u": lambda x, y, z, k: ((x * y >> k) - z, y, x),
 }
 GENS = "TtUu"
 
@@ -212,9 +214,36 @@ def _symmetry_order(key: str, radius: int) -> int:
     return order
 
 
+def _fixed_root(X, bits: int):
+    """(node, k): the triple X as ints scaled by 2^k, where k = 0 when every
+    coordinate is an integer (exact arithmetic) and k = bits otherwise.
+    Ints convert exactly at any size, anything else as a double."""
+    qs = [Fraction(v if isinstance(v, int) else float(v)) for v in _triple(X)]
+    k = 0 if all(q.denominator == 1 for q in qs) else bits
+    return tuple((q.numerator << k) // q.denominator for q in qs), k
+
+
+def _reduced(t, k: int):
+    """Descend the orbit of a node: apply the generator map that lowers
+    max|coord| the most, until none lowers it."""
+    size = max(map(abs, t))
+    while True:
+        low, u = min((max(map(abs, c)), c)
+                     for c in (_TRIPLE_MAPS[g](*t, k) for g in GENS))
+        if low >= size:
+            return t
+        t, size = u, low
+
+
 def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
-    """|Aut(X)|: mapping classes in a generator ball fixing the triple."""
-    root = _triple(X)
+    """|Aut(X)|: mapping classes in a generator ball fixing the triple.
+
+    The ball is centred at the reduced triple of the orbit of X (|Aut| is
+    invariant under conjugation), where a small radius finds every
+    automorphism; a ball around a far-moved X would miss them.
+    """
+    root, k = _fixed_root(X, 64)
+    root = _reduced(root, k)
     ident = (1, 0, 0, 1)
     seen = {ident}
     frontier = [(ident, root)]
@@ -228,7 +257,7 @@ def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
                 if m2 in seen:
                     continue
                 seen.add(m2)
-                t2 = _TRIPLE_MAPS[g](*t)
+                t2 = _TRIPLE_MAPS[g](*t, k)
                 nxt.append((m2, t2))
                 if max(abs(a - b) for a, b in zip(t2, root)) <= tol * scale:
                     aut += 1
@@ -274,63 +303,30 @@ def simple_power(w: str) -> int:
 # orbit BFS over triples
 
 
-def _is_integral(t) -> bool:
-    return all(isinstance(v, int) or (isinstance(v, float) and v.is_integer()
-                                      and abs(v) < 2**52) for v in t)
+def _bits(digits: float) -> int:
+    """Binary places that carry `digits` decimal digits."""
+    return math.ceil(digits * math.log2(10))
 
 
-def _key_of(t, integral: bool):
-    if integral:
-        return (int(t[0]), int(t[1]), int(t[2]))
-    # double rounding absorbs path-dependent low-bit differences of the
-    # high-precision node values while staying injective on distinct nodes
-    key = (float(t[0]), float(t[1]), float(t[2]))
-    if all(math.isfinite(v) for v in key):
-        return key
-    return tuple(mpmath.nstr(v, 9) for v in t)
+def _kappa_fixed(t, k: int) -> int:
+    """kappa of a node scaled by 2^k, in the node's arithmetic."""
+    x, y, z = t
+    return (x * x + y * y + z * z - (x * y >> k) * z >> k) - (2 << k)
 
 
-def _node_length(t, gamma: str, integral: bool) -> float:
-    """l_gamma at a triple node, immune to the catastrophic cancellation of
-    float trace polynomials at large coordinates: exact big-int arithmetic
-    for integral data, floats while the certified error bound is
-    negligible, multiprecision otherwise; all three evaluate the word's one
-    compiled trace plan."""
-    if integral:
-        tr = trace_word_fricke(t, gamma)
-        if abs(tr) < 2:
-            raise ArithmeticError("non-hyperbolic trace %d for %r along the "
-                                  "orbit" % (tr, gamma))
-        return length_trace(tr)
-    fx, fy, fz = (float(v) for v in t)
-    if all(math.isfinite(v) for v in (fx, fy, fz)):
-        tr, err = trace_word_float((fx, fy, fz), gamma)
-        if math.isfinite(tr) and math.isfinite(err):
-            tr = abs(tr)
-            if tr > 2.0 + 1e-6 and err < 1e-8 * tr:
-                return length_trace(tr)
-    # the trace polynomial has degree <= len(gamma) in the coordinates, so
-    # the working precision must absorb that many orders of cancellation
-    m = max(abs(v) for v in t)
-    fm = max(abs(fx), abs(fy), abs(fz))
-    if math.isfinite(fm):
-        digits = max(0, int(math.log10(fm + 1.0)) + 1)
-    else:
-        digits = int(mpmath.log10(m + 1)) + 1
-    dps = 50 + len(gamma) * digits
-    with mpmath.workdps(dps):
-        tm = tuple(mpmath.mpf(v) if isinstance(v, float) else v for v in t)
-        tr = abs(trace_word_fricke(tm, gamma))
-        if tr < 2:
-            if tr > 2 - mpmath.mpf("1e-9"):
-                return 0.0
-            raise ArithmeticError(
-                "non-hyperbolic trace %s for %r along the orbit"
-                % (mpmath.nstr(tr, 8), gamma))
-        ftr = float(tr)
-        if math.isfinite(ftr):
-            return length_trace(ftr)
-        return float(2 * mpmath.log(tr))
+def _node_length(t, gamma: str, k: int) -> float:
+    """l_gamma at a node held as ints scaled by 2^k (k = 0: an integral
+    triple, exact), from the fixed-point trace of gamma's compiled plan."""
+    tr = abs(trace_word_fixed(t, gamma, k))
+    if tr < 2 << k:
+        # within 1e-9 of parabolic is rounding at a cusp-like node
+        if tr * 10 ** 9 > (2 * 10 ** 9 - 1) << k:
+            return 0.0
+        raise ArithmeticError("non-hyperbolic trace %.8g for %r along the "
+                              "orbit" % (tr / (1 << k), gamma))
+    if tr.bit_length() - k < 1000:
+        return length_trace(tr / (1 << k))
+    return length_trace(tr >> k)  # beyond the float range: 2 log t
 
 
 def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
@@ -342,63 +338,62 @@ def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
     l_gamma <= L.  Every pruned node is expanded one extra level and any
     child re-entering the counting range is a violation (the caller must
     treat violations > 0 as a hard failure).
+
+    Nodes are ints scaled by 2^k: k = 0 for an integral X, else k binary
+    places carry the digits that the trace cancellation at the pruning
+    frontier digs (~deg * log10(coord)).  Paths to one node round
+    differently in the last places, so nodes are keyed on 64 binary places.
     """
-    root = _triple(X)
-    integral = _is_integral(root)
-    # node coordinates must stay accurate through the trace cancellation
-    # at the pruning frontier, which digs ~deg * log10(coord) digits
-    need = 60 + int(0.25 * len(gamma) * prune_c * L)
-    with mpmath.workdps(max(mpmath.mp.dps, need)):
-        if integral:
-            root = tuple(int(v) for v in root)
-        else:
-            root = tuple(mpmath.mpf(float(v)) for v in root)
-        kappa0 = root[0] ** 2 + root[1] ** 2 + root[2] ** 2 \
-            - root[0] * root[1] * root[2] - 2
-        seen = {_key_of(root, integral)}
-        frontier = [root]
-        counted = []
-        nodes = 0
-        pruned_nodes = []
-        cL = prune_c * L
-        while frontier:
-            if nodes > max_nodes:
-                raise ArithmeticError(
-                    "orbit search exceeded %d nodes: gamma=%r may be "
-                    "non-filling (unbounded twist families stay below the "
-                    "pruning threshold)" % (max_nodes, gamma))
-            nxt = []
-            for node in frontier:
-                lv = _node_length(node, gamma, integral)
-                if lv <= L:
-                    counted.append(float(lv))
-                nodes += 1
-                if lv > cL:
-                    pruned_nodes.append(node)
-                    continue
-                if not integral:
-                    k = node[0] ** 2 + node[1] ** 2 + node[2] ** 2 \
-                        - node[0] * node[1] * node[2] - 2
-                    if abs(k - kappa0) > 1e-7 * max(1.0, abs(kappa0)):
-                        raise ArithmeticError("kappa drifted along the orbit")
-                for g in GENS:
-                    child = _TRIPLE_MAPS[g](*node)
-                    ck = _key_of(child, integral)
-                    if ck not in seen:
-                        seen.add(ck)
-                        nxt.append(child)
-            frontier = nxt
-        violations = 0
-        ekeys = set()
-        for node in pruned_nodes:
+    root, k = _fixed_root(
+        X, _bits(60 + int(0.25 * len(gamma) * prune_c * L)))
+    shift = max(0, k - 64)
+
+    def key(t):
+        return (t[0] >> shift, t[1] >> shift, t[2] >> shift)
+
+    kappa0 = _kappa_fixed(root, k)
+    drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
+    seen = {key(root)}
+    frontier = [root]
+    counted = []
+    nodes = 0
+    pruned_nodes = []
+    cL = prune_c * L
+    while frontier:
+        if nodes > max_nodes:
+            raise ArithmeticError(
+                "orbit search exceeded %d nodes: gamma=%r may be "
+                "non-filling (unbounded twist families stay below the "
+                "pruning threshold)" % (max_nodes, gamma))
+        nxt = []
+        for node in frontier:
+            lv = _node_length(node, gamma, k)
+            if lv <= L:
+                counted.append(lv)
+            nodes += 1
+            if lv > cL:
+                pruned_nodes.append(node)
+                continue
+            if abs(_kappa_fixed(node, k) - kappa0) * 10 ** 7 > drift:
+                raise ArithmeticError("kappa drifted along the orbit")
             for g in GENS:
-                child = _TRIPLE_MAPS[g](*node)
-                ck = _key_of(child, integral)
-                if ck not in seen and ck not in ekeys:
-                    ekeys.add(ck)
-                    if _node_length(child, gamma, integral) <= L:
-                        violations += 1
-        return counted, nodes, len(pruned_nodes), violations
+                child = _TRIPLE_MAPS[g](*node, k)
+                ck = key(child)
+                if ck not in seen:
+                    seen.add(ck)
+                    nxt.append(child)
+        frontier = nxt
+    violations = 0
+    ekeys = set()
+    for node in pruned_nodes:
+        for g in GENS:
+            child = _TRIPLE_MAPS[g](*node, k)
+            ck = key(child)
+            if ck not in seen and ck not in ekeys:
+                ekeys.add(ck)
+                if _node_length(child, gamma, k) <= L:
+                    violations += 1
+    return counted, nodes, len(pruned_nodes), violations
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +787,10 @@ def _gamma_length_fn(gamma: str, l1: float):
     def f(ell, tau):
         # precision to survive the trace cancellation at these coordinates
         extra = int(0.25 * deg * (abs(ell) + abs(tau))) + 20
+        k = _bits(60 + extra)
         t = _mp_fricke_triple(l1, ell, tau, extra_dps=extra)
-        return _node_length(t, gamma, False)
+        return _node_length(tuple(int(mpmath.ldexp(v, k)) for v in t),
+                            gamma, k)
     return f
 
 

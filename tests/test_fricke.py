@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teichlab import farey, fricke
 from teichlab.fricke import (FrickeTriple, WordError, canonical_cyclic,
@@ -72,6 +72,7 @@ class TestTrace:
             assert trace_word_fricke((x, y, z), "abAB") == k
 
     @given(triples, words)
+    @example((3.0, 3.0, 7.0), "ab")  # reducible: kappa = 2
     @settings(max_examples=200, deadline=None)
     def test_matches_matrix_trace(self, t, w):
         ft = FrickeTriple(*t)

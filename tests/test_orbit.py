@@ -109,6 +109,14 @@ class TestOrbitCount:
         assert back.counts == rep.counts
         assert back.X == rep.X
 
+    def test_far_moved_triple_counts_as_base(self):
+        # (3, 39, 15) is (3, 3, 3) moved by t^3; |Aut| = 3 at both, so the
+        # counts agree only when the symmetry search finds all of Aut there
+        base = ob.count_orbit_word((3, 3, 3), "aabAb", 12.0, grid=[7, 12])
+        far = ob.count_orbit_word((3, 39, 15), "aabAb", 12.0, grid=[7, 12])
+        assert far.aut_order == base.aut_order == 3
+        assert far.counts == base.counts == [12, 48]
+
     def test_marked_count_relation(self):
         rep = ob.count_orbit_word(MODULAR, "aabAb", 10.0)
         assert rep.sym_order >= 1
@@ -121,12 +129,40 @@ class TestNodeLength:
         # 2 arccosh(|tr|/2), not that minus 2 log 2
         t = (3, 3, 3)
         for g in "TUTUTUTUTUTU":
-            t = ob._TRIPLE_MAPS[g](*t)
+            t = ob._TRIPLE_MAPS[g](*t, 0)
         tr = trace_word_fricke(t, "aabAb")
         assert abs(tr) > 10 ** 15
         with mpmath.workdps(60):
             want = float(2 * mpmath.acosh(abs(mpmath.mpf(tr)) / 2))
-        assert ob._node_length(t, "aabAb", True) == pytest.approx(want, rel=1e-12)
+        assert ob._node_length(t, "aabAb", 0) == pytest.approx(want, rel=1e-12)
+
+    def test_integral_node_any_scale(self):
+        # an integral node scaled by 2^256 is exact in fixed point, so it
+        # gives the length of the k = 0 node bit for bit
+        t = (3, 3, 3)
+        for g in "TUUTTU":
+            t = ob._TRIPLE_MAPS[g](*t, 0)
+        scaled = tuple(v << 256 for v in t)
+        assert ob._node_length(scaled, "aabAb", 256) == \
+            ob._node_length(t, "aabAb", 0)
+
+    def test_float_node_matches_mpmath(self):
+        # a non-integral node 12 moves deep, in fixed point, against the
+        # same moves and trace in mpmath at 60 digits
+        maps = {"T": lambda x, y, z: (x, z, x * z - y),
+                "t": lambda x, y, z: (x, x * y - z, y),
+                "U": lambda x, y, z: (z, y, y * z - x),
+                "u": lambda x, y, z: (x * y - z, y, x)}
+        k = 256
+        t, _ = ob._fixed_root(GENERIC, k)
+        with mpmath.workdps(60):
+            tm = tuple(mpmath.mpf(v) for v in GENERIC)
+            for g in "TUtUUTuTTUTU":
+                t = ob._TRIPLE_MAPS[g](*t, k)
+                tm = maps[g](*tm)
+            tr = abs(trace_word_fricke(tm, "aabAb"))
+            want = float(2 * mpmath.acosh(tr / 2))
+        assert ob._node_length(t, "aabAb", k) == pytest.approx(want, rel=1e-13)
 
 
 class TestPrecision:
