@@ -11,9 +11,10 @@ triples these are the polynomial maps
     T:  (x,y,z) -> (x, z, xz - y)        T^-1: (x,y,z) -> (x, xy - z, y)
     U:  (x,y,z) -> (z, y, yz - x)        U^-1: (x,y,z) -> (xy - z, y, x)
 
-which preserve the boundary invariant kappa exactly.  Orbit searches run on
-triples held as ints scaled by 2^k (k = 0, exact, for integral data) and are
-cross-validated against a direct word-orbit enumeration.
+which preserve the boundary invariant kappa exactly.  Both orbit searches
+(over triples, and over the conjugacy classes of the direct word-orbit
+enumeration that cross-validates it) run in 2^-k fixed point, exact at
+k = 0 for integral triples, and share one pruned BFS.
 """
 
 from __future__ import annotations
@@ -154,9 +155,10 @@ def apply_auto(w: str, g: str) -> str:
     return reduce_word(w.translate(_AUTOS[g]))
 
 
-def _mat_mul(m, n):
-    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+def _mat_mul(m, n, k: int):
+    """Product of 2x2 matrices of ints scaled by 2^k (k = 0: exact)."""
+    return ((m[0] * n[0] + m[1] * n[2]) >> k, (m[0] * n[1] + m[1] * n[3]) >> k,
+            (m[2] * n[0] + m[3] * n[2]) >> k, (m[2] * n[1] + m[3] * n[3]) >> k)
 
 
 def _mat_key(m):
@@ -195,7 +197,7 @@ def _symmetry_order(key: str, radius: int) -> int:
             for g in GENS:
                 # applying g to the image word is left composition, so the
                 # matrix product is taken in the same order
-                m2 = _mat_key(_mat_mul(_GEN_MATS[g], m))
+                m2 = _mat_key(_mat_mul(_GEN_MATS[g], m, 0))
                 if m2 in seen:
                     continue
                 w2 = canonical_cyclic(apply_auto(w, g))
@@ -253,7 +255,7 @@ def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
         nxt = []
         for (m, t) in frontier:
             for g in GENS:
-                m2 = _mat_key(_mat_mul(m, _GEN_MATS[g]))
+                m2 = _mat_key(_mat_mul(m, _GEN_MATS[g], 0))
                 if m2 in seen:
                     continue
                 seen.add(m2)
@@ -300,7 +302,7 @@ def simple_power(w: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# orbit BFS over triples
+# orbit searches: one pruned BFS over triples or conjugacy classes
 
 
 def _bits(digits: float) -> int:
@@ -314,30 +316,82 @@ def _kappa_fixed(t, k: int) -> int:
     return (x * x + y * y + z * z - (x * y >> k) * z >> k) - (2 << k)
 
 
-def _node_length(t, gamma: str, k: int) -> float:
-    """l_gamma at a node held as ints scaled by 2^k (k = 0: an integral
-    triple, exact), from the fixed-point trace of gamma's compiled plan."""
-    tr = abs(trace_word_fixed(t, gamma, k))
+def _trace_length(tr: int, k: int, w: str) -> float:
+    """l = 2 arccosh(|tr|/2) for the trace of w held as an int scaled by
+    2^k; a trace within 1e-9 of parabolic is rounding at a cusp-like node."""
+    tr = abs(tr)
     if tr < 2 << k:
-        # within 1e-9 of parabolic is rounding at a cusp-like node
         if tr * 10 ** 9 > (2 * 10 ** 9 - 1) << k:
             return 0.0
         raise ArithmeticError("non-hyperbolic trace %.8g for %r along the "
-                              "orbit" % (tr / (1 << k), gamma))
+                              "orbit" % (tr / (1 << k), w))
     if tr.bit_length() - k < 1000:
         return length_trace(tr / (1 << k))
     return length_trace(tr >> k)  # beyond the float range: 2 log t
 
 
+def _node_length(t, gamma: str, k: int) -> float:
+    """l_gamma at a node held as ints scaled by 2^k (k = 0: an integral
+    triple, exact), from the fixed-point trace of gamma's compiled plan."""
+    return _trace_length(trace_word_fixed(t, gamma, k), k, gamma)
+
+
+def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
+                max_nodes: int):
+    """BFS from root; returns (lengths <= L, node count, pruned count).
+
+    A node is expanded while length(node) <= prune_c * L and counted when
+    length(node) <= L; nodes are deduplicated on key(node).  Every pruned
+    node is expanded one extra level, and a new child re-entering the
+    counting range fails the search (the pruning constant is too small).
+    """
+    seen = {key(root)}
+    frontier = [root]
+    counted = []
+    pruned = []
+    nodes = 0
+    cL = prune_c * L
+    while frontier:
+        if nodes > max_nodes:
+            raise ArithmeticError(
+                "orbit search exceeded %d nodes: the word may be non-filling "
+                "(unbounded twist families stay below the pruning threshold)"
+                % max_nodes)
+        nxt = []
+        for node in frontier:
+            lv = length(node)
+            nodes += 1
+            if lv <= L:
+                counted.append(lv)
+            if lv > cL:
+                pruned.append(node)
+                continue
+            for child in children(node):
+                ck = key(child)
+                if ck not in seen:
+                    seen.add(ck)
+                    nxt.append(child)
+        frontier = nxt
+    violations = 0
+    for node in pruned:
+        for child in children(node):
+            ck = key(child)
+            if ck not in seen:
+                seen.add(ck)
+                if length(child) <= L:
+                    violations += 1
+    if violations:
+        raise ArithmeticError(
+            "pruning validation failed: %d node(s) beyond the pruned frontier "
+            "re-entered the counting range; rerun with a larger prune "
+            "constant" % violations)
+    return counted, nodes, len(pruned)
+
+
 def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
                max_nodes: int = 5_000_000):
-    """BFS over the triple orbit of X; returns (lengths <= L, node count,
-    pruned count, validation violations).
-
-    Nodes are expanded while l_gamma <= prune_c * L and counted when
-    l_gamma <= L.  Every pruned node is expanded one extra level and any
-    child re-entering the counting range is a violation (the caller must
-    treat violations > 0 as a hard failure).
+    """The pruned BFS over the triple orbit of X; returns (lengths <= L,
+    node count, pruned count).
 
     Nodes are ints scaled by 2^k: k = 0 for an integral X, else k binary
     places carry the digits that the trace cancellation at the pruning
@@ -353,152 +407,73 @@ def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
 
     kappa0 = _kappa_fixed(root, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
-    seen = {key(root)}
-    frontier = [root]
-    counted = []
-    nodes = 0
-    pruned_nodes = []
-    cL = prune_c * L
-    while frontier:
-        if nodes > max_nodes:
-            raise ArithmeticError(
-                "orbit search exceeded %d nodes: gamma=%r may be "
-                "non-filling (unbounded twist families stay below the "
-                "pruning threshold)" % (max_nodes, gamma))
-        nxt = []
-        for node in frontier:
-            lv = _node_length(node, gamma, k)
-            if lv <= L:
-                counted.append(lv)
-            nodes += 1
-            if lv > cL:
-                pruned_nodes.append(node)
-                continue
-            if abs(_kappa_fixed(node, k) - kappa0) * 10 ** 7 > drift:
-                raise ArithmeticError("kappa drifted along the orbit")
-            for g in GENS:
-                child = _TRIPLE_MAPS[g](*node, k)
-                ck = key(child)
-                if ck not in seen:
-                    seen.add(ck)
-                    nxt.append(child)
-        frontier = nxt
-    violations = 0
-    ekeys = set()
-    for node in pruned_nodes:
-        for g in GENS:
-            child = _TRIPLE_MAPS[g](*node, k)
-            ck = key(child)
-            if ck not in seen and ck not in ekeys:
-                ekeys.add(ck)
-                if _node_length(child, gamma, k) <= L:
-                    violations += 1
-    return counted, nodes, len(pruned_nodes), violations
+
+    def children(t):
+        if abs(_kappa_fixed(t, k) - kappa0) * 10 ** 7 > drift:
+            raise ArithmeticError("kappa drifted along the orbit")
+        return [_TRIPLE_MAPS[g](*t, k) for g in GENS]
+
+    return _pruned_bfs(root, key, children,
+                       lambda t: _node_length(t, gamma, k),
+                       L, prune_c, max_nodes)
 
 
-# ---------------------------------------------------------------------------
-# word-orbit oracle
-
-
-def _mp_rep(t):
-    """Multiprecision realizing matrices for (x, y, z) and their inverses,
-    A diagonal; words in the orbit BFS get long, so traces are computed as
-    matrix products (linear cost) rather than by polynomial reduction."""
-    x, y, z = (mpmath.mpf(v) if isinstance(v, int) else mpmath.mpf(float(v))
-               for v in _triple(t))
-    if abs(x) <= 2:
-        raise ValueError("first coordinate trace %s not hyperbolic" % x)
-    lam = (x + mpmath.sqrt(x * x - 4)) / 2
-    p = (z - y / lam) / (lam - 1 / lam)
+def _rep_fixed(t, k: int) -> dict:
+    """Realizing matrices of the node t (ints scaled by 2^k) and their
+    inverses, in the normal form of fricke.rep_from_fricke: A diagonal,
+    B = [[p, q], [1, s]].  Words in the orbit get long, so their traces are
+    matrix products (linear cost) rather than Fricke plans."""
+    x, y, z = t
+    one = 1 << k
+    if abs(x) <= 2 * one:
+        raise ValueError("first coordinate trace %.8g not hyperbolic"
+                         % (x / one))
+    lam = (x + math.isqrt(x * x - (4 << 2 * k))) >> 1
+    lam_inv = (one << k) // lam
+    p = ((z - (y << k) // lam) << k) // (lam - lam_inv)
     s = y - p
-    q = p * s - 1
-    if q == 0:
-        raise ValueError("reducible configuration: cannot realize matrices")
-    one = mpmath.mpf(1)
-    return {
-        "a": (lam, 0 * one, 0 * one, 1 / lam),
-        "A": (1 / lam, 0 * one, 0 * one, lam),
-        "b": (p, q, one, s),
-        "B": (s, -q, -one, p),
-    }
+    q = (p * s >> k) - one
+    return {"a": (lam, 0, 0, lam_inv), "A": (lam_inv, 0, 0, lam),
+            "b": (p, q, one, s), "B": (s, -q, -one, p)}
 
 
-def _word_trace_mp(mats, w):
-    m = None
-    for ch in w:
-        g = mats[ch]
-        m = g if m is None else _mat_mul(m, g)
-    return abs(m[0] + m[3])
+def _word_length(mats: dict, w: str, k: int) -> float:
+    """l_w from the fixed-point trace of w's realizing-matrix product."""
+    m = mats[w[0]]
+    for ch in w[1:]:
+        m = _mat_mul(m, mats[ch], k)
+    return _trace_length(m[0] + m[3], k, w)
 
 
 def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
                         max_nodes: int = 2_000_000):
-    """BFS over canonical conjugacy classes under the generator
-    substitutions; returns (lengths <= L, node count, pruned count,
-    validation violations).  Counts curves directly with no bookkeeping,
-    so it also handles classes with infinite symmetry.
+    """The pruned BFS over canonical conjugacy classes under the generator
+    substitutions; returns (lengths <= L, node count, pruned count).
+    Counts curves directly with no bookkeeping, so it also handles classes
+    with infinite symmetry.
+
+    Lengths are taken at the reduced triple of the orbit of X (the counts
+    are mapping-class invariant, and a search from a far-moved X prunes
+    classes it needs), in 2^-k fixed point with k carrying
+    60 + 0.5 * prune_c * L digits; the realizing matrices are irrational,
+    so integral triples are scaled up to that k too.
     """
-    with mpmath.workdps(max(mpmath.mp.dps, 60 + int(0.5 * prune_c * L))):
-        mats = _mp_rep(X)
-        root = canonical_cyclic(gamma)
+    k = _bits(60 + int(0.5 * prune_c * L))
+    root, k0 = _fixed_root(X, k)
+    mats = _rep_fixed(tuple(v << (k - k0) for v in _reduced(root, k0)), k)
 
-        def ell(w):
-            tr = _word_trace_mp(mats, w)
-            if tr < 2:
-                if tr > 2 - mpmath.mpf("1e-9"):
-                    return 0.0
-                raise ArithmeticError(
-                    "non-hyperbolic trace %s for %r along the word orbit"
-                    % (mpmath.nstr(tr, 8), w))
-            return float(2 * mpmath.acosh(tr / 2))
+    def children(w):
+        return [canonical_cyclic(apply_auto(w, g)) for g in GENS]
 
-        counted = []
-        lr = ell(root)
-        if lr <= L:
-            counted.append(lr)
-        seen = {root}
-        frontier = [root]
-        nodes = 1
-        pruned_words = []
-        cL = prune_c * L
-        while frontier:
-            if nodes > max_nodes:
-                raise ArithmeticError(
-                    "word-orbit search exceeded %d classes" % max_nodes)
-            nxt = []
-            for w in frontier:
-                if ell(w) > cL:
-                    pruned_words.append(w)
-                    continue
-                for g in GENS:
-                    w2 = canonical_cyclic(apply_auto(w, g))
-                    if w2 in seen:
-                        continue
-                    seen.add(w2)
-                    nodes += 1
-                    nxt.append(w2)
-                    lw = ell(w2)
-                    if lw <= L:
-                        counted.append(lw)
-            frontier = nxt
-        violations = 0
-        for w in pruned_words:
-            for g in GENS:
-                w2 = canonical_cyclic(apply_auto(w, g))
-                if w2 not in seen:
-                    seen.add(w2)
-                    if ell(w2) <= L:
-                        violations += 1
-        return counted, nodes, len(pruned_words), violations
+    return _pruned_bfs(canonical_cyclic(gamma), lambda w: w, children,
+                       lambda w: _word_length(mats, w, k),
+                       L, prune_c, max_nodes)
 
 
 def count_orbit_word_bruteforce(X, gamma: str, L: float,
                                 prune_c: float = 3.0) -> int:
     """Direct curve count used to validate the triple engine."""
-    lengths, _, _, violations = _word_orbit_lengths(X, gamma, L, prune_c)
-    if violations:
-        raise ArithmeticError("pruning validation failed in word-orbit count")
-    return len(lengths)
+    return len(_word_orbit_lengths(X, gamma, L, prune_c)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -555,67 +530,42 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     if grid[-1] != L:
         grid.append(L)
     sym = curve_symmetry_order(gamma)
+    aut = point_symmetry_order(t)
     k = simple_power(gamma)
     if k:
         # orbit of the k-th power of a simple curve = k-th powers of all
         # simple curves; length scales by k
         counts = [count_simple(t, g / k) for g in grid]
-        a1 = counts[-1]
-        report = CountReport(
-            schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
-            normalized=[c / g ** 2 for c, g in zip(counts, grid)],
-            a1=a1, a3=a1, sym_order=1, aut_order=point_symmetry_order(t),
-            orbit_nodes=a1, pruned=0, prune_constant=prune_c,
-            prune_violations=0,
-            metadata={"engine": "simple-slope", "kappa": _kappa(t),
-                      "simple_power": k})
-    elif sym == 0:
-        # infinite symmetry (gamma is simple with decoration, e.g. a power
-        # times a boundary conjugate): the node bookkeeping breaks down, so
-        # count curves directly over conjugacy classes
-        lengths, nodes, pruned, violations = _word_orbit_lengths(
-            t, gamma, L, prune_c)
-        if violations:
-            raise ArithmeticError(
-                "pruning validation failed: %d class(es) beyond the pruned "
-                "frontier re-entered the counting range" % violations)
-        arr = np.sort(np.array(lengths))
-        counts = [int(np.searchsorted(arr, g, side="right")) for g in grid]
-        a1 = counts[-1]
-        report = CountReport(
-            schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
-            normalized=[c / g ** 2 for c, g in zip(counts, grid)],
-            a1=a1, a3=a1, sym_order=0, aut_order=point_symmetry_order(t),
-            orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
-            prune_violations=violations,
-            metadata={"engine": "word-orbit", "kappa": _kappa(t),
-                      "note": "Sym(gamma) infinite; a3 reported equal to a1"})
+        nodes, pruned = counts[-1], 0
+        meta = {"engine": "simple-slope", "simple_power": k}
     else:
-        aut = point_symmetry_order(t)
-        lengths, nodes, pruned, violations = _orbit_bfs(t, gamma, L, prune_c)
-        if violations:
-            raise ArithmeticError(
-                "pruning validation failed: %d node(s) beyond the pruned "
-                "frontier re-entered the counting range; rerun with a larger "
-                "prune constant" % violations)
+        if sym == 0:
+            # infinite symmetry (gamma is simple with decoration, e.g. a
+            # power times a boundary conjugate): the node bookkeeping breaks
+            # down, so count curves directly over conjugacy classes
+            lengths, nodes, pruned = _word_orbit_lengths(t, gamma, L, prune_c)
+            meta = {"engine": "word-orbit",
+                    "note": "Sym(gamma) infinite; a3 reported equal to a1"}
+        else:
+            lengths, nodes, pruned = _orbit_bfs(t, gamma, L, prune_c)
+            meta = {"engine": "triple-orbit"}
         arr = np.sort(np.array(lengths))
         counts = []
         for g in grid:
             a2 = int(np.searchsorted(arr, g, side="right"))
-            a1g = a2 * aut / sym
+            a1g = a2 * aut / sym if sym else a2
             if abs(a1g - round(a1g)) > 1e-6:
                 raise ArithmeticError(
                     "node count %d not divisible by sym/aut bookkeeping "
                     "(aut=%d sym=%d)" % (a2, aut, sym))
             counts.append(int(round(a1g)))
-        a1 = counts[-1]
-        report = CountReport(
-            schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
-            normalized=[c / g ** 2 for c, g in zip(counts, grid)],
-            a1=a1, a3=sym * a1, sym_order=sym, aut_order=aut,
-            orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
-            prune_violations=violations,
-            metadata={"engine": "triple-orbit", "kappa": _kappa(t)})
+    a1 = counts[-1]
+    report = CountReport(
+        schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
+        normalized=[c / g ** 2 for c, g in zip(counts, grid)],
+        a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
+        orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
+        prune_violations=0, metadata={"kappa": _kappa(t), **meta})
     if compute_B:
         report.B = thurston_ball_B(t, 1e-6)
         report.fitted_constant = report.a1 / (L * L * report.B)
@@ -924,13 +874,6 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     return area / curve_symmetry_order(gamma)
 
 
-def _mc_orbit_count(t, gamma, L, prune_c):
-    lengths, _, _, violations = _orbit_bfs(t, gamma, L, prune_c)
-    if violations:
-        raise ArithmeticError("pruning validation failed in MC sampling")
-    return len(lengths)
-
-
 def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
                             seed: int = 0, l1: float = 0.0,
                             grid_n: int = 200, prune_c: float = 1.5,
@@ -981,5 +924,5 @@ def _mc_sample_value(args):
     shortest = min(tr for (_, tr) in simple_slopes(t, ell + 1e-6))
     if shortest < xbound * (1.0 - 1e-12):
         return 0.0
-    a2 = _mc_orbit_count((t.x, t.y, t.z), gamma, L, prune_c)
+    a2 = len(_orbit_bfs((t.x, t.y, t.z), gamma, L, prune_c)[0])
     return a2 / sym

@@ -19,3 +19,26 @@ def test_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src/teichlab: %s" % found
+
+
+def test_orbit_searches_make_no_mpmath_call():
+    # one precision policy: both orbit searches run in 2^-k fixed point, and
+    # a second arithmetic must not grow back into them
+    searches = ["_pruned_bfs", "_orbit_bfs", "_word_orbit_lengths",
+                "_node_length", "_word_length", "_rep_fixed", "_trace_length"]
+    tree = ast.parse((SRC / "orbit.py").read_text())
+    mp_names = {"mpmath"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mp_names |= {a.asname for a in node.names
+                         if a.asname and a.name.split(".")[0] == "mpmath"}
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "mpmath":
+            mp_names |= {a.asname or a.name for a in node.names}
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    assert set(searches) <= set(funcs), set(searches) - set(funcs)
+    found = ["%s:%d" % (name, node.lineno)
+             for name in searches for node in ast.walk(funcs[name])
+             if isinstance(node, ast.Name) and node.id in mp_names]
+    assert not found, "mpmath in the orbit searches: %s" % found

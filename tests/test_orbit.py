@@ -1,16 +1,30 @@
 """Mapping-class orbit counting: simple curves, general words, volumes."""
 
+import itertools
 import math
 
 import mpmath
 import pytest
 
 from teichlab import orbit as ob
-from teichlab.fricke import trace_word_fricke
+from teichlab.fricke import canonical_cyclic, trace_word_fricke
 
 
 MODULAR = (3.0, 3.0, 3.0)
 GENERIC = (3.2, 3.5, 4.1)
+# the generator maps on triples, written out apart from the module's
+# fixed-point ones
+MOVES = {"T": lambda x, y, z: (x, z, x * z - y),
+         "t": lambda x, y, z: (x, x * y - z, y),
+         "U": lambda x, y, z: (z, y, y * z - x),
+         "u": lambda x, y, z: (x * y - z, y, x)}
+INVERSE = {"T": "t", "t": "T", "U": "u", "u": "U"}
+
+
+def moved(t, word):
+    for g in word:
+        t = MOVES[g](*t)
+    return t
 
 
 class TestSimpleCounting:
@@ -87,11 +101,12 @@ class TestWordClassification:
 class TestOrbitCount:
     @pytest.mark.parametrize("gamma", ["abaB", "aabAb"])
     def test_matches_brute_force(self, gamma):
-        for L in [6.0, 9.0]:
-            rep = ob.count_orbit_word(MODULAR, gamma, L)
-            brute = ob.count_orbit_word_bruteforce(MODULAR, gamma, L)
-            assert rep.counts[-1] == brute
-            assert rep.prune_violations == 0
+        for X in (MODULAR, GENERIC):
+            for L in [6.0, 9.0]:
+                rep = ob.count_orbit_word(X, gamma, L)
+                brute = ob.count_orbit_word_bruteforce(X, gamma, L)
+                assert rep.counts[-1] == brute
+                assert rep.prune_violations == 0
 
     def test_simple_word_via_slopes(self):
         L = 10.0
@@ -116,6 +131,24 @@ class TestOrbitCount:
         far = ob.count_orbit_word((3, 39, 15), "aabAb", 12.0, grid=[7, 12])
         assert far.aut_order == base.aut_order == 3
         assert far.counts == base.counts == [12, 48]
+        # (87, 6, 15) is (3, 3, 3) moved by tuu; abaB has infinite symmetry,
+        # so the word-orbit engine counts it, and a search started at the
+        # far triple prunes classes of the orbit
+        assert moved((3, 3, 3), "tuu") == (87, 6, 15)
+        base = ob.count_orbit_word((3, 3, 3), "abaB", 9.0)
+        far = ob.count_orbit_word((87, 6, 15), "abaB", 9.0)
+        assert far.counts == base.counts == [0, 3, 6]
+
+    @pytest.mark.parametrize("base", [(3, 3, 3), (3, 4, 5)])
+    def test_word_orbit_invariant_under_moves(self, base):
+        # mapping classes leave the counts unchanged: every freely reduced
+        # move by three generators
+        want = ob.count_orbit_word(base, "abaB", 9.0).counts
+        for w in itertools.product("TtUu", repeat=3):
+            if INVERSE[w[0]] == w[1] or INVERSE[w[1]] == w[2]:
+                continue
+            got = ob.count_orbit_word(moved(base, w), "abaB", 9.0).counts
+            assert got == want, "".join(w)
 
     def test_marked_count_relation(self):
         rep = ob.count_orbit_word(MODULAR, "aabAb", 10.0)
@@ -149,20 +182,48 @@ class TestNodeLength:
     def test_float_node_matches_mpmath(self):
         # a non-integral node 12 moves deep, in fixed point, against the
         # same moves and trace in mpmath at 60 digits
-        maps = {"T": lambda x, y, z: (x, z, x * z - y),
-                "t": lambda x, y, z: (x, x * y - z, y),
-                "U": lambda x, y, z: (z, y, y * z - x),
-                "u": lambda x, y, z: (x * y - z, y, x)}
         k = 256
         t, _ = ob._fixed_root(GENERIC, k)
         with mpmath.workdps(60):
             tm = tuple(mpmath.mpf(v) for v in GENERIC)
             for g in "TUtUUTuTTUTU":
                 t = ob._TRIPLE_MAPS[g](*t, k)
-                tm = maps[g](*tm)
+                tm = MOVES[g](*tm)
             tr = abs(trace_word_fricke(tm, "aabAb"))
             want = float(2 * mpmath.acosh(tr / 2))
         assert ob._node_length(t, "aabAb", k) == pytest.approx(want, rel=1e-13)
+
+
+class TestWordLength:
+    def test_long_words_match_mpmath(self):
+        # words of 36 to 68 letters in the orbit of abaB at a non-integral
+        # triple, in the fixed point of a word-orbit search at L = 12,
+        # against the product of the realizing matrices in mpmath at 60
+        # digits
+        k = ob._bits(60 + int(0.5 * 3.0 * 12.0))
+        t, _ = ob._fixed_root(GENERIC, k)
+        mats = ob._rep_fixed(t, k)
+        with mpmath.workdps(60):
+            x, y, z = (mpmath.mpf(v) for v in GENERIC)
+            lam = (x + mpmath.sqrt(x * x - 4)) / 2
+            p = (z - y / lam) / (lam - 1 / lam)
+            s = y - p
+            q = p * s - 1
+            mp_mats = {"a": mpmath.matrix([[lam, 0], [0, 1 / lam]]),
+                       "A": mpmath.matrix([[1 / lam, 0], [0, lam]]),
+                       "b": mpmath.matrix([[p, q], [1, s]]),
+                       "B": mpmath.matrix([[s, -q], [-1, p]])}
+            for moves in ["TUTUTUT", "TUUTUTT", "tutututu"]:
+                w = "abaB"
+                for g in moves:
+                    w = canonical_cyclic(ob.apply_auto(w, g))
+                assert len(w) >= 30
+                m = mpmath.eye(2)
+                for ch in w:
+                    m = m * mp_mats[ch]
+                want = float(2 * mpmath.acosh(abs(m[0, 0] + m[1, 1]) / 2))
+                assert ob._word_length(mats, w, k) == \
+                    pytest.approx(want, rel=1e-13), moves
 
 
 class TestPrecision:
