@@ -14,7 +14,10 @@ triples these are the polynomial maps
 which preserve the boundary invariant kappa exactly.  Both orbit searches
 (over triples, and over the conjugacy classes of the direct word-orbit
 enumeration that cross-validates it) run in 2^-k fixed point, exact at
-k = 0 for integral triples, and share one pruned BFS.
+k = 0 for integral triples, and share one pruned BFS.  The lengths along
+twist lines and rays (length-ball volumes, APL) are fixed point end to end
+as well: the (ell, tau) torus chart is built from two exponentials as ints
+scaled by 2^k and handed to the same node-length code as orbit nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from .fricke import (FrickeTriple, canonical_cyclic, cyclic_reduce,
@@ -141,14 +145,18 @@ _GEN_MATS = {
     "T": (1, 1, 0, 1), "t": (1, -1, 0, 1),
     "U": (1, 0, 1, 1), "u": (1, 0, -1, 1),
 }
-# the maps on triples of ints scaled by 2^k (k = 0: exact integral triples)
-_TRIPLE_MAPS = {
-    "T": lambda x, y, z, k: (x, z, (x * z >> k) - y),
-    "t": lambda x, y, z, k: (x, (x * y >> k) - z, y),
-    "U": lambda x, y, z, k: (z, y, (y * z >> k) - x),
-    "u": lambda x, y, z, k: ((x * y >> k) - z, y, x),
-}
 GENS = "TtUu"
+
+
+def _images(t, k: int, xy=None):
+    """The node t (ints scaled by 2^k; k = 0: an exact integral triple)
+    moved by each generator map, in GENS order.  xy = x*y >> k, which two
+    of the maps share, may come from a caller that has it already."""
+    x, y, z = t
+    if xy is None:
+        xy = x * y >> k
+    return ((x, z, (x * z >> k) - y), (x, xy - z, y),
+            (z, y, (y * z >> k) - x), (xy - z, y, x))
 
 
 def apply_auto(w: str, g: str) -> str:
@@ -230,8 +238,7 @@ def _reduced(t, k: int):
     max|coord| the most, until none lowers it."""
     size = max(map(abs, t))
     while True:
-        low, u = min((max(map(abs, c)), c)
-                     for c in (_TRIPLE_MAPS[g](*t, k) for g in GENS))
+        low, u = min((max(map(abs, c)), c) for c in _images(t, k))
         if low >= size:
             return t
         t, size = u, low
@@ -254,12 +261,11 @@ def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
     for _ in range(radius):
         nxt = []
         for (m, t) in frontier:
-            for g in GENS:
+            for g, t2 in zip(GENS, _images(t, k)):
                 m2 = _mat_key(_mat_mul(m, _GEN_MATS[g], 0))
                 if m2 in seen:
                     continue
                 seen.add(m2)
-                t2 = _TRIPLE_MAPS[g](*t, k)
                 nxt.append((m2, t2))
                 if max(abs(a - b) for a, b in zip(t2, root)) <= tol * scale:
                     aut += 1
@@ -310,10 +316,13 @@ def _bits(digits: float) -> int:
     return math.ceil(digits * math.log2(10))
 
 
-def _kappa_fixed(t, k: int) -> int:
-    """kappa of a node scaled by 2^k, in the node's arithmetic."""
+def _kappa_fixed(t, k: int, xy=None) -> int:
+    """kappa of a node scaled by 2^k, in the node's arithmetic (xy as for
+    _images)."""
     x, y, z = t
-    return (x * x + y * y + z * z - (x * y >> k) * z >> k) - (2 << k)
+    if xy is None:
+        xy = x * y >> k
+    return (x * x + y * y + z * z - xy * z >> k) - (2 << k)
 
 
 def _trace_length(tr: int, k: int, w: str) -> float:
@@ -334,6 +343,11 @@ def _node_length(t, gamma: str, k: int) -> float:
     """l_gamma at a node held as ints scaled by 2^k (k = 0: an integral
     triple, exact), from the fixed-point trace of gamma's compiled plan."""
     return _trace_length(trace_word_fixed(t, gamma, k), k, gamma)
+
+
+class PruningError(ArithmeticError):
+    """A node beyond the pruned frontier of an orbit search re-entered the
+    counting range: the pruning constant was too small for this search."""
 
 
 def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
@@ -381,7 +395,7 @@ def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
                 if length(child) <= L:
                     violations += 1
     if violations:
-        raise ArithmeticError(
+        raise PruningError(
             "pruning validation failed: %d node(s) beyond the pruned frontier "
             "re-entered the counting range; rerun with a larger prune "
             "constant" % violations)
@@ -409,9 +423,12 @@ def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
 
     def children(t):
-        if abs(_kappa_fixed(t, k) - kappa0) * 10 ** 7 > drift:
+        # the drift check runs at every node expanded or validated, and
+        # shares x*y with the maps
+        xy = t[0] * t[1] >> k
+        if abs(_kappa_fixed(t, k, xy) - kappa0) * 10 ** 7 > drift:
             raise ArithmeticError("kappa drifted along the orbit")
-        return [_TRIPLE_MAPS[g](*t, k) for g in GENS]
+        return _images(t, k, xy)
 
     return _pruned_bfs(root, key, children,
                        lambda t: _node_length(t, gamma, k),
@@ -702,6 +719,7 @@ def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
 # ball volume and Weil-Petersson average
 
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
+_MC_PRUNE_ESCALATION = (2.0, 3.0)
 
 
 def _mp_torus_m(l1: float, ell):
@@ -713,22 +731,50 @@ def _mp_torus_m(l1: float, ell):
                        + 2 * mpmath.cosh(ell)) / (2 * mpmath.sinh(ell / 2))
 
 
-def _mp_fricke_triple(l1: float, ell, tau, extra_dps: int = 0):
-    """Trace coordinates from (ell, tau) in multiprecision.
+def _exp_fixed(h: float, k: int) -> tuple[int, int]:
+    """(e^h, e^-h) as ints scaled by 2^k, each within two units of 2^-k.
+
+    e^|h| comes from mpmath's pure mpf_exp with the bits that 2^-k absolute
+    accuracy needs (no global precision state is read or set), and its
+    inverse from one integer division."""
+    a = abs(h)
+    _, man, exp, _ = mpf_exp(from_float(a),
+                             k + 8 + math.ceil(a / math.log(2)), round_nearest)
+    s = exp + k
+    big = man << s if s >= 0 else man >> -s
+    small = (1 << 2 * k) // big
+    return (big, small) if h >= 0 else (small, big)
+
+
+def _chart_fixed(l1: float, ell: float, tau: float, k: int):
+    """Trace coordinates (x, y, z) of the torus chart at (ell, tau), as ints
+    scaled by 2^k: with v = e^(ell/2) and u = e^(tau/2),
+
+        x = v + 1/v,  y = m (u + 1/u),  z = m (uv + 1/(uv)),
+        m = sqrt(2 cosh(l1/2) + v^2 + v^-2) / (v - 1/v)
+
+    (m = coth(ell/2) at a cusp).  uv is the product of the two fixed-point
+    exponentials, never e^((ell+tau)/2) of the rounded float sum, which
+    would break the kappa identity that ties z to x and y.
 
     Near the reducible locus the trace of a word is sensitive to the triple
     far beyond double precision (the polynomial cancels through ~deg *
-    log10(coord) digits), so the chart itself must be evaluated at the
-    precision the downstream trace needs.
+    log10(coord) digits), so the chart is evaluated at the precision the
+    downstream trace needs.  In the thin part m ~ 2/ell divides by
+    v - 1/v ~ ell, so the chart works 2 log2(1/ell) bits finer than 2^-k.
     """
-    with mpmath.workdps(60 + extra_dps):
-        ell = mpmath.mpf(ell)
-        tau = mpmath.mpf(tau)
-        x = 2 * mpmath.cosh(ell / 2)
-        m = _mp_torus_m(l1, ell)
-        y = 2 * m * mpmath.cosh(tau / 2)
-        z = 2 * m * mpmath.cosh((ell + tau) / 2)
-        return (x, y, z)
+    g = 2 * max(0, -math.frexp(ell)[1])
+    n = k + g
+    v, vi = _exp_fixed(float(ell) / 2, n)
+    u, ui = _exp_fixed(float(tau) / 2, n)
+    if l1 == 0.0:
+        r = v + vi  # the square root is exact at a cusp
+    else:
+        c1 = sum(_exp_fixed(float(l1) / 2, n))
+        r = math.isqrt((c1 + (v * v + vi * vi >> n)) << n)
+    m = (r << n) // (v - vi)
+    return (v + vi >> g, m * (u + ui) >> n + g,
+            m * (u * v + ui * vi >> n) >> n + g)
 
 
 def _gamma_length_fn(gamma: str, l1: float):
@@ -738,9 +784,7 @@ def _gamma_length_fn(gamma: str, l1: float):
         # precision to survive the trace cancellation at these coordinates
         extra = int(0.25 * deg * (abs(ell) + abs(tau))) + 20
         k = _bits(60 + extra)
-        t = _mp_fricke_triple(l1, ell, tau, extra_dps=extra)
-        return _node_length(tuple(int(mpmath.ldexp(v, k)) for v in t),
-                            gamma, k)
+        return _node_length(_chart_fixed(l1, ell, tau, k), gamma, k)
     return f
 
 
@@ -924,5 +968,13 @@ def _mc_sample_value(args):
     shortest = min(tr for (_, tr) in simple_slopes(t, ell + 1e-6))
     if shortest < xbound * (1.0 - 1e-12):
         return 0.0
-    a2 = len(_orbit_bfs((t.x, t.y, t.z), gamma, L, prune_c)[0])
-    return a2 / sym
+    # a sample whose pruning validation fails is rerun at the next larger
+    # constant; the ladder depends on the sample alone, so results stay the
+    # same across worker counts
+    ladder = [prune_c] + [c for c in _MC_PRUNE_ESCALATION if c > prune_c]
+    for c in ladder[:-1]:
+        try:
+            return len(_orbit_bfs((t.x, t.y, t.z), gamma, L, c)[0]) / sym
+        except PruningError:
+            pass
+    return len(_orbit_bfs((t.x, t.y, t.z), gamma, L, ladder[-1])[0]) / sym

@@ -42,3 +42,19 @@ def test_orbit_searches_make_no_mpmath_call():
              for name in searches for node in ast.walk(funcs[name])
              if isinstance(node, ast.Name) and node.id in mp_names]
     assert not found, "mpmath in the orbit searches: %s" % found
+
+
+def test_length_path_sets_no_global_precision():
+    # the (ell, tau) chart and the twist-line length function are fixed
+    # point end to end: no mpmath context precision is read or set there
+    names = ["_gamma_length_fn", "_chart_fixed", "_exp_fixed"]
+    tree = ast.parse((SRC / "orbit.py").read_text())
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    assert set(names) <= set(funcs), set(names) - set(funcs)
+    context = {"workdps", "workprec", "extradps", "extraprec", "dps", "prec"}
+    found = ["%s:%d" % (name, node.lineno)
+             for name in names for node in ast.walk(funcs[name])
+             if (isinstance(node, ast.Attribute) and node.attr in context)
+             or (isinstance(node, ast.Name) and node.id in context)]
+    assert not found, "mpmath precision state on the length path: %s" % found

@@ -27,6 +27,13 @@ def moved(t, word):
     return t
 
 
+def fixed_moved(t, word, k):
+    """The module's fixed-point maps applied along word."""
+    for g in word:
+        t = ob._images(t, k)[ob.GENS.index(g)]
+    return t
+
+
 class TestSimpleCounting:
     def test_modular_systole_count(self):
         # systole 2 arccosh(3/2) ~ 1.9248; the three trace-3 slopes realize it
@@ -160,9 +167,7 @@ class TestNodeLength:
     def test_integral_node_beyond_1e15(self):
         # |tr| has ~200 digits here; the exact int trace must give
         # 2 arccosh(|tr|/2), not that minus 2 log 2
-        t = (3, 3, 3)
-        for g in "TUTUTUTUTUTU":
-            t = ob._TRIPLE_MAPS[g](*t, 0)
+        t = fixed_moved((3, 3, 3), "TUTUTUTUTUTU", 0)
         tr = trace_word_fricke(t, "aabAb")
         assert abs(tr) > 10 ** 15
         with mpmath.workdps(60):
@@ -172,9 +177,7 @@ class TestNodeLength:
     def test_integral_node_any_scale(self):
         # an integral node scaled by 2^256 is exact in fixed point, so it
         # gives the length of the k = 0 node bit for bit
-        t = (3, 3, 3)
-        for g in "TUUTTU":
-            t = ob._TRIPLE_MAPS[g](*t, 0)
+        t = fixed_moved((3, 3, 3), "TUUTTU", 0)
         scaled = tuple(v << 256 for v in t)
         assert ob._node_length(scaled, "aabAb", 256) == \
             ob._node_length(t, "aabAb", 0)
@@ -187,11 +190,57 @@ class TestNodeLength:
         with mpmath.workdps(60):
             tm = tuple(mpmath.mpf(v) for v in GENERIC)
             for g in "TUtUUTuTTUTU":
-                t = ob._TRIPLE_MAPS[g](*t, k)
+                t = fixed_moved(t, g, k)
                 tm = MOVES[g](*tm)
             tr = abs(trace_word_fricke(tm, "aabAb"))
             want = float(2 * mpmath.acosh(tr / 2))
         assert ob._node_length(t, "aabAb", k) == pytest.approx(want, rel=1e-13)
+
+
+def mp_chart_length(gamma, l1, ell, tau):
+    """l_gamma at (ell, tau) from the torus chart of fn_surface written in
+    mpmath, at 1000 digits plus twice the digits the module's precision rule
+    gives these coordinates."""
+    with mpmath.workdps(1000 + int(0.5 * len(gamma) * (ell + abs(tau)))):
+        ell, tau, l1 = mpmath.mpf(ell), mpmath.mpf(tau), mpmath.mpf(l1)
+        m = mpmath.sqrt(2 * mpmath.cosh(l1 / 2) + 2 * mpmath.cosh(ell)) \
+            / (2 * mpmath.sinh(ell / 2))
+        t = (2 * mpmath.cosh(ell / 2), 2 * m * mpmath.cosh(tau / 2),
+             2 * m * mpmath.cosh((ell + tau) / 2))
+        return float(2 * mpmath.acosh(abs(trace_word_fricke(t, gamma)) / 2))
+
+
+# the thin part, twist-line points of the length ball, and APL ray points
+# near e^250 where the trace of aab cancels from ~10^650 down to lengths
+# 33.5 and 0.25 (tau < -ell: uv = e^((ell+tau)/2) is tiny, 1/(uv) huge)
+CHART_POINTS = [(0.002, 0.0), (0.002, -1.3), (0.7, 3.9), (1.5, -12.25),
+                (6.0, 27.5), (12.0, -30.0), (497.25, 1150.0),
+                (500.0, -1033.5), (500.0, -1000.25)]
+
+
+class TestChart:
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    @pytest.mark.parametrize("gamma", ["aab", "aabAb"])
+    def test_lengths_match_mpmath_chart(self, gamma, l1):
+        # ell = 1e-100 lies below the output scale 2^-k of the chart
+        f = ob._gamma_length_fn(gamma, l1)
+        for ell, tau in CHART_POINTS + [(1e-100, 0.3)]:
+            assert f(ell, tau) == pytest.approx(
+                mp_chart_length(gamma, l1, ell, tau), rel=1e-13), (ell, tau)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_kappa_identity(self, l1):
+        # x^2 + y^2 + z^2 - xyz - 2 = -2 cosh(l1/2) in the chart's own fixed
+        # point, to the 60 digits the precision rule starts from (a rounded
+        # float ell + tau breaks it from the 16th digit of z on)
+        for ell, tau in CHART_POINTS:
+            k = ob._bits(80 + int(1.25 * (ell + abs(tau))))
+            t = ob._chart_fixed(l1, ell, tau, k)
+            with mpmath.workprec(k + 64):
+                want = int(mpmath.ldexp(
+                    -2 * mpmath.cosh(mpmath.mpf(l1) / 2), k))
+            err = abs(ob._kappa_fixed(t, k) - want)
+            assert err.bit_length() <= k - ob._bits(60), (ell, tau)
 
 
 class TestWordLength:
@@ -233,6 +282,27 @@ class TestPrecision:
             ob._word_orbit_lengths(MODULAR, "aabAb", 30.0, max_nodes=10)
         assert mpmath.mp.dps == dps
 
+    def test_kappa_drift_fires(self, monkeypatch):
+        # too few binary places for a non-integral X: rounding moves kappa
+        # and the check along the orbit must stop the search
+        monkeypatch.setattr(ob, "_bits", lambda digits: 12)
+        with pytest.raises(ArithmeticError, match="kappa drifted"):
+            ob._orbit_bfs(GENERIC, "aabAb", 9.0)
+
+    def test_kappa_checked_at_every_node(self, monkeypatch):
+        # once at the root, then at each expanded node and at each pruned
+        # node the validation expands
+        calls = []
+        kappa = ob._kappa_fixed
+
+        def counted(*args):
+            calls.append(1)
+            return kappa(*args)
+        monkeypatch.setattr(ob, "_kappa_fixed", counted)
+        _, nodes, pruned = ob._orbit_bfs(GENERIC, "aabAb", 9.0)
+        assert pruned > 0
+        assert len(calls) == 1 + nodes
+
     def test_triple_orbit_abort_keeps_dps(self):
         dps = mpmath.mp.dps
         with pytest.raises(ArithmeticError, match="exceeded"):
@@ -253,6 +323,14 @@ class TestConeCount:
 
 
 class TestThurstonBall:
+    @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC])
+    def test_invariant_under_generators(self, X):
+        # B depends on the point of moduli space, not on the marking
+        b = ob.thurston_ball_B(X)
+        for g in "TtUu":
+            assert ob.thurston_ball_B(MOVES[g](*X)) == \
+                pytest.approx(b, rel=1e-4), g
+
     def test_positive_and_monotone(self):
         b1 = ob.thurston_ball_B(MODULAR)
         b2 = ob.thurston_ball_B((4.0, 4.0, 4.0))
@@ -278,3 +356,16 @@ class TestBallVolume:
     def test_non_filling_rejected(self):
         with pytest.raises(ValueError):
             ob.ball_length_region_volume("abaB", 20.0)
+
+
+class TestMonteCarlo:
+    def test_sample_escalates_prune_constant(self):
+        # sample 54 of seed 1 fails pruning validation at prune_c = 1.5;
+        # reruns at 2.0 and 3.0 both count 756
+        args = (54, 1, "aabAb", 16.0, 0.0, 1, 1.5)
+        assert ob._mc_sample_value(args) == 756.0
+        _, seed, gamma, L, l1, sym, _ = args
+        for c in (2.0, 3.0):
+            assert ob._mc_sample_value((54, seed, gamma, L, l1, sym, c)) \
+                == 756.0
+
