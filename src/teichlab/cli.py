@@ -63,6 +63,16 @@ def _as_float(cfg, key):
     return v
 
 
+def _as_length(cfg, key, zero_ok):
+    """cfg[key] as a float above 0, or at 0 too when zero_ok (a cusp).  The
+    chart mirrors the sign of a length, so a negative one is rejected rather
+    than silently read as its absolute value."""
+    v = _as_float(cfg, key)
+    if v < 0 or (v == 0 and not zero_ok):
+        raise ConfigError("%s must be %s 0" % (key, ">=" if zero_ok else ">"))
+    return v
+
+
 def _as_int(cfg, key, lo=None):
     """cfg[key] as an integer, at least lo when lo is given."""
     v = _as_float(cfg, key)
@@ -181,7 +191,7 @@ def cmd_cone_count(cfg):
 def cmd_ball_volume(cfg):
     gamma = str(cfg["word"])
     L = _as_float(cfg, "L")
-    l1 = _as_float(cfg, "l1")
+    l1 = _as_length(cfg, "l1", zero_ok=True)
     mc = _as_int(cfg, "mc_samples", 0) if cfg["mc_samples"] is not None else 0
     if mc:
         vol, avg, se = orbit.ball_volume_and_average(
@@ -203,7 +213,8 @@ def cmd_apl_ray(cfg):
     if len(x0) != 2:
         raise ConfigError("x0 must be l,t")
     fit = apl.ray_fit(gamma, tuple(x0), tuple(d),
-                      _radii_from_spec(cfg["radii"]), l1=_as_float(cfg, "l1"))
+                      _radii_from_spec(cfg["radii"]),
+                      l1=_as_length(cfg, "l1", zero_ok=True))
     print(fit.to_json())
     if cfg["out"]:
         _emit(cfg["out"], fit.to_json() + "\n")
@@ -212,7 +223,7 @@ def cmd_apl_ray(cfg):
 
 def cmd_wall_scan(cfg):
     scan = apl.wall_scan(str(cfg["word"]), grid_n=_as_int(cfg, "grid_n", 1),
-                         l1=_as_float(cfg, "l1"))
+                         l1=_as_length(cfg, "l1", zero_ok=True))
     print("walls=%d mids=%s" % (scan.wall_count,
                                 [round(s.u_mid, 6) for s in scan.walls]))
     if cfg["out"]:
@@ -267,8 +278,8 @@ def cmd_twist_convexity(cfg):
     if not orbit.is_simple_word(gamma):
         raise ConfigError("twist convexity is a simple-curve property; "
                           "%r is not simple" % gamma)
-    ell = _as_float(cfg, "ell")
-    f = orbit._gamma_length_fn(gamma, _as_float(cfg, "l1"))
+    ell = _as_length(cfg, "ell", zero_ok=False)
+    f = orbit._gamma_length_fn(gamma, _as_length(cfg, "l1", zero_ok=True))
     n = _as_int(cfg, "grid_n", 1)
     span = _as_float(cfg, "span")
     taus = [-span + 2 * span * i / (n - 1) for i in range(n)]

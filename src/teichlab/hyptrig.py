@@ -6,15 +6,13 @@ a pair of pants, and its piecewise-linear large-length approximant E.
 
 All cosh/sinh compositions have a log-domain code path so that lengths in the
 hundreds (where cosh overflows a float) still evaluate; the switch is
-automatic above argument 350 unless the caller forces plain evaluation.
+automatic above argument 350.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-
-import mpmath
 
 LOG2 = math.log(2.0)
 # above this argument cosh/sinh are evaluated in log domain
@@ -109,8 +107,7 @@ def _log_R(x: float, y: float, z: float) -> float:
     return num - den
 
 
-def seam_F1(x: float, y: float, z: float, half_lengths: bool = False,
-            log_domain: bool | str = "auto", mp_dps: int | None = None) -> float:
+def seam_F1(x: float, y: float, z: float, half_lengths: bool = False) -> float:
     """F1(x,y,z) = arccosh((cosh z + cosh x cosh y) / (sinh x sinh y)).
 
     The distance between the boundary geodesics of (half-)lengths x and y in
@@ -118,30 +115,15 @@ def seam_F1(x: float, y: float, z: float, half_lengths: bool = False,
     half_lengths set the three arguments are halved first, which is the form
     needed when gluing pants given full boundary lengths.
 
-    log_domain: "auto" and True use the cancellation-free log-domain
-    evaluation, which is stable both at large arguments and near the
-    degenerate locus where the arccosh argument approaches 1; False forces
-    the literal formula (which overflows past ~350 and loses all digits
-    near degeneracy).
+    The evaluation is in the log domain, which is stable both at large
+    arguments and near the degenerate locus where the arccosh argument
+    approaches 1.
     """
     if half_lengths:
         x, y, z = x / 2.0, y / 2.0, z / 2.0
     if not (x > 0 and y > 0 and z > 0):
         raise ValueError("seam_F1 needs positive lengths")
-    if mp_dps is not None:
-        with mpmath.workdps(mp_dps):
-            val = mpmath.acosh((mpmath.cosh(z) + mpmath.cosh(x) * mpmath.cosh(y))
-                               / (mpmath.sinh(x) * mpmath.sinh(y)))
-            return float(val)
-    use_log = log_domain in (True, "auto")
-    if not use_log and log_domain is not False:
-        raise ValueError("log_domain must be True, False or 'auto'")
-    if use_log:
-        return acosh_1p_exp(_log_R(x, y, z))
-    arg = (math.cosh(z) + math.cosh(x) * math.cosh(y)) / (math.sinh(x) * math.sinh(y))
-    if arg < 1.0:
-        raise HexDomainError("arccosh argument %g < 1" % arg)
-    return math.acosh(arg)
+    return acosh_1p_exp(_log_R(x, y, z))
 
 
 def log_sinh_F1(x: float, y: float, z: float) -> float:
@@ -154,8 +136,7 @@ def log_sinh_F1(x: float, y: float, z: float) -> float:
     return 0.5 * (lr + _logsumexp([lr, LOG2]))
 
 
-def hexagon_side(mode: str, ta: float, tb: float, given: float,
-                 log_domain: bool | str = "auto") -> float:
+def hexagon_side(mode: str, ta: float, tb: float, given: float) -> float:
     """Solve a right-angled hexagon side identity.
 
     convex:  given the side c~ opposite c (with adjacent sides ta, tb),
@@ -167,12 +148,10 @@ def hexagon_side(mode: str, ta: float, tb: float, given: float,
     if not (ta > 0 and tb > 0 and given > 0):
         raise ValueError("hexagon_side needs positive lengths")
     if mode == "convex":
-        return seam_F1(ta, tb, given, log_domain=log_domain)
+        return seam_F1(ta, tb, given)
     if mode != "crossed":
         raise ValueError("mode must be 'convex' or 'crossed'")
-    use_log = (log_domain is True) or (
-        log_domain == "auto" and max(ta, tb, given) > LOG_DOMAIN_CUTOFF)
-    if use_log:
+    if max(ta, tb, given) > LOG_DOMAIN_CUTOFF:
         # cosh(c~) - 1 = sinh ta sinh tb cosh c - cosh ta cosh tb - 1
         # = sinh ta sinh tb (cosh c - 1) - (cosh(ta - tb) ... ) ; safer:
         # work with S = sinh ta sinh tb, C = cosh ta cosh tb in logs:

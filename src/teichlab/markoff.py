@@ -11,7 +11,6 @@ All triple arithmetic is exact (Python big integers).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -114,7 +113,7 @@ def _children(s: tuple[int, int, int]):
     return out
 
 
-_CKPT_MAGIC = b"MKV1\n"
+_CKPT_MAGIC = b"MKV2\n"
 
 
 def _lp_write(f, s: bytes):
@@ -151,19 +150,16 @@ def _save_checkpoint(path, bound, norm, ordering, count, visited, stack):
         _lp_int(f, count)
         _lp_int(f, visited)
         _lp_int(f, len(stack))
-        for (s, depth, pmove, word) in stack:
+        for s in stack:
             for v in s:
                 _lp_int(f, v)
-            _lp_int(f, depth)
-            _lp_int(f, -1 if pmove is None else pmove)
-            _lp_write(f, "".join(map(str, word)).encode())
     os.replace(tmp, path)
 
 
 def _load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError("not a MKV1 checkpoint: %s" % path)
+            raise ValueError("not a MKV2 checkpoint: %s" % path)
         norm = _lp_read(f).decode()
         ordering = _lp_read(f).decode()
         bound = _lp_read_int(f)
@@ -172,11 +168,7 @@ def _load_checkpoint(path):
         nstack = _lp_read_int(f)
         stack = []
         for _ in range(nstack):
-            s = (_lp_read_int(f), _lp_read_int(f), _lp_read_int(f))
-            depth = _lp_read_int(f)
-            pmove = _lp_read_int(f)
-            word = tuple(int(ch) for ch in _lp_read(f).decode())
-            stack.append((s, depth, None if pmove < 0 else pmove, word))
+            stack.append((_lp_read_int(f), _lp_read_int(f), _lp_read_int(f)))
     return norm, ordering, bound, count, visited, stack
 
 
@@ -200,7 +192,6 @@ def _check_monotone(s, child):
 
 
 def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
-                    stream=None, move_filter=None,
                     checkpoint_path: str | None = None,
                     checkpoint_interval: int = 1_000_000,
                     resume: bool = False):
@@ -212,11 +203,6 @@ def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
     is sound because every away-from-root move strictly increases the max
     coordinate; this is checked on every edge.
 
-    stream: optional text file object; triples are written as CSV rows
-    `p,q,r,depth,parent_move` as they are visited.
-    move_filter: optional predicate on the move-word (tuple of move indices
-    from the root); only nodes whose word passes are counted, the traversal
-    itself is unaffected.
     checkpoint_path: state is saved there every checkpoint_interval nodes;
     pass resume=True to continue from an existing file (bound/norm/ordering
     must match what is stored).
@@ -228,16 +214,9 @@ def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
     if ordering not in ("unordered", "ordered"):
         raise ValueError("ordering must be 'unordered' or 'ordered'")
 
-    writer = None
-    if stream is not None:
-        writer = csv.writer(stream)
-        writer.writerow(["p", "q", "r", "depth", "parent_move"])
-
     count = 0
     visited = 0
-    root = (1, 1, 1)
-    # stack entries: (sorted triple, depth, parent_move, move word)
-    stack = [(root, 0, None, ())]
+    stack = [(1, 1, 1)]  # sorted triples
     if resume:
         if checkpoint_path is None:
             raise ValueError("resume requires checkpoint_path")
@@ -246,20 +225,15 @@ def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
             raise ValueError("checkpoint parameters do not match this call")
 
     while stack:
-        s, depth, pmove, word = stack.pop()
-        n = _node_norm(s, norm)
-        if n > bound:
+        s = stack.pop()
+        if _node_norm(s, norm) > bound:
             continue
-        if move_filter is None or move_filter(word):
-            count += _perms(s) if ordering == "ordered" else 1
-            if writer is not None:
-                writer.writerow([s[0], s[1], s[2], depth,
-                                 "" if pmove is None else pmove])
+        count += _perms(s) if ordering == "ordered" else 1
         visited += 1
-        for (i, child) in _children(s):
+        for (_, child) in _children(s):
             _check_monotone(s, child)
             if _node_norm(child, norm) <= bound:
-                stack.append((child, depth + 1, i, word + (i,)))
+                stack.append(child)
         if checkpoint_path is not None and visited % checkpoint_interval == 0:
             _save_checkpoint(checkpoint_path, bound, norm, ordering,
                              count, visited, stack)

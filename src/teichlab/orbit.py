@@ -788,6 +788,9 @@ def _gamma_length_fn(gamma: str, l1: float):
     return f
 
 
+# _twist_lipschitz and the ignored K of _tau_measure are kept only for the
+# benchmark's twist_measure op, which passes one to the other by name; both
+# go with ROADMAP P0
 def _twist_lipschitz(gamma: str) -> float:
     """Certified Lipschitz constant of tau -> l_gamma: the twist derivative
     is a sum of cosines over the crossings with the twist curve, one for
@@ -796,57 +799,62 @@ def _twist_lipschitz(gamma: str) -> float:
     return 2.0 + 2.0 * max(1, nb)
 
 
-def _tau_measure(f, ell, L, K, tol=None, budget=400_000):
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _tau_measure(f, ell, L, K=None):
     """Lebesgue measure of {tau : f(ell, tau) <= L}.
 
-    The sublevel set of a non-simple curve along the twist line is a union
-    of intervals (length is convex along twists only for simple curves), so
-    the measure is computed by certified interval subdivision: with
-    |df/dtau| <= K, a block is fully inside when the endpoint average plus
-    K h/4 stays under L and fully outside when it minus K h/4 exceeds L.
-    Blocks smaller than tol fall back to the midpoint rule, which only
-    happens along threshold crossings and near-threshold plateaus.
+    The length of every closed geodesic is strictly convex along a
+    Fenchel-Nielsen twist (Wolpert, The Fenchel-Nielsen deformation, Ann.
+    of Math. 115, 1982; Kerckhoff, The Nielsen realization problem, Ann. of
+    Math. 117, 1983), so the sublevel set is one interval.  A symmetric
+    shell [-T, T] is doubled until f > L at both ends and rises outward
+    there (f(+-T) > f(+-T/2)), which by convexity puts the whole set
+    inside; golden-section search for the minimum then looks for one tau
+    with f <= L (the set is empty once the bracket is below 2^-20 T), and
+    each end is bisected to float resolution.
     """
-    if tol is None:
-        tol = 1e-3 * max(1.0, ell)
-    evals = [0]
-
     def g(tau):
-        evals[0] += 1
-        if evals[0] > budget:
-            raise ArithmeticError(
-                "twist measure exceeded %d evaluations at ell=%g" % (budget, ell))
-        return f(ell, float(tau))
-
-    def rec(a, b, fa, fb, depth):
-        h = b - a
-        m = 0.5 * (a + b)
-        fm = g(m)
-        hi_bound = max((fa + fm) / 2.0, (fm + fb) / 2.0) + K * h / 4.0
-        if hi_bound <= L:
-            return h
-        lo_bound = min((fa + fm) / 2.0, (fm + fb) / 2.0) - K * h / 4.0
-        if lo_bound > L:
-            return 0.0
-        if h < tol or depth <= 0:
-            return h if fm <= L else 0.0
-        return rec(a, m, fa, fm, depth - 1) + rec(m, b, fm, fb, depth - 1)
-
-    def block(a, b):
-        return rec(a, b, g(a), g(b), 60)
+        return f(ell, tau)
 
     T = max(4.0 * ell, 8.0)
-    total = block(-T, T)
-    empty_shells = 0
+    f_lo, f_hi = g(-T / 2.0), g(T / 2.0)
     for _ in range(40):
-        s_hi = block(T, 2.0 * T)
-        s_lo = block(-2.0 * T, -T)
-        total += s_hi + s_lo
-        empty_shells = empty_shells + 1 if s_hi == 0.0 and s_lo == 0.0 else 0
+        out_lo, out_hi = g(-T), g(T)
+        if out_lo > max(L, f_lo) and out_hi > max(L, f_hi):
+            break
+        f_lo, f_hi = out_lo, out_hi
         T *= 2.0
-        if empty_shells >= 2:
-            return total
-    raise ArithmeticError("twist sublevel set unbounded: gamma not filling")
+    else:
+        raise ArithmeticError("twist sublevel set unbounded: gamma not filling")
+    a, b = -T, T
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = g(c), g(d)
+    while fc > L and fd > L:  # one new point per step
+        if b - a < T * 2.0 ** -20:
+            return 0.0
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = g(d)
+    inside = c if fc <= L else d
+
+    def crossing(a, b):
+        # from g(a) <= L < g(b), |b - a| < 2T, down to below T 2^-52
+        for _ in range(53):
+            m = 0.5 * (a + b)
+            if g(m) <= L:
+                a = m
+            else:
+                b = m
+        return a
+
+    return crossing(inside, T) - crossing(inside, -T)
 
 
 def require_filling(gamma: str):
@@ -869,10 +877,9 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     the volume of a Sym-fundamental region of the length ball."""
     gamma = require_filling(gamma)
     f = _gamma_length_fn(gamma, l1)
-    K = _twist_lipschitz(gamma)
 
     def w(e):
-        return _tau_measure(f, e, L, K)
+        return _tau_measure(f, e, L)
 
     # coarse bracket in ell: widths vanish for very short and very long ell
     ell = None

@@ -109,6 +109,21 @@ class TestCommands:
     def test_twist_convexity_nonsimple_rejected(self):
         assert run_main(["twist-convexity", "--word", "aabAb"]) == 1
 
+    # the chart mirrors the sign of ell and l1, so a negative value would
+    # silently run at its absolute value; ell = 0 is the degenerate torus
+    @pytest.mark.parametrize("args", [
+        ["twist-convexity", "--ell=0"],
+        ["twist-convexity", "--ell=-1.5"],
+        ["twist-convexity", "--l1=-0.7"],
+        ["ball-volume", "--L", "8", "--l1=-0.7"],
+        ["apl-ray", "--l1=-0.7"],
+        ["wall-scan", "--l1=-0.7"],
+    ])
+    def test_bad_lengths_exit_1(self, args, capsys):
+        assert run_main(args) == 1
+        key = args[-1].split("=")[0][2:]
+        assert "config error: %s must be" % key in capsys.readouterr().err
+
 
 class TestReport:
     def test_acceptance_then_report(self, tmp_path, capsys):

@@ -45,9 +45,10 @@ def test_orbit_searches_make_no_mpmath_call():
 
 
 def test_length_path_sets_no_global_precision():
-    # the (ell, tau) chart and the twist-line length function are fixed
-    # point end to end: no mpmath context precision is read or set there
-    names = ["_gamma_length_fn", "_chart_fixed", "_exp_fixed"]
+    # the (ell, tau) chart, the twist-line length function and the twist
+    # measure are fixed point end to end: no mpmath context precision is
+    # read or set there
+    names = ["_gamma_length_fn", "_chart_fixed", "_exp_fixed", "_tau_measure"]
     tree = ast.parse((SRC / "orbit.py").read_text())
     funcs = {node.name: node for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef)}

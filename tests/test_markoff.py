@@ -79,3 +79,25 @@ class TestCheckpoint:
         again = mk.enumerate_count(10 ** 6, checkpoint_path=ck,
                                    checkpoint_interval=5)
         assert again == full
+
+    def test_resume_after_interrupt(self, tmp_path, monkeypatch):
+        ck = tmp_path / "markoff.ck"
+        full = mk.enumerate_count(10 ** 6)
+        real_save = mk._save_checkpoint
+        saves = []
+
+        def save_then_die(*args):
+            real_save(*args)
+            saves.append(args[5])  # visited
+            if len(saves) == 3:
+                raise KeyboardInterrupt
+        monkeypatch.setattr(mk, "_save_checkpoint", save_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            mk.enumerate_count(10 ** 6, checkpoint_path=str(ck),
+                               checkpoint_interval=5)
+        assert saves == [5, 10, 15] and ck.exists()
+        resumed = mk.enumerate_count(10 ** 6, checkpoint_path=str(ck),
+                                     checkpoint_interval=5, resume=True)
+        assert resumed == full
+        assert not ck.exists()
+        assert list(tmp_path.iterdir()) == []

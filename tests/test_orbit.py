@@ -197,17 +197,23 @@ class TestNodeLength:
         assert ob._node_length(t, "aabAb", k) == pytest.approx(want, rel=1e-13)
 
 
+def mp_chart_trace(gamma, l1, ell, tau):
+    """The trace of gamma at (ell, tau) from the torus chart of fn_surface
+    written in mpmath, at the caller's precision."""
+    ell, tau, l1 = mpmath.mpf(ell), mpmath.mpf(tau), mpmath.mpf(l1)
+    m = mpmath.sqrt(2 * mpmath.cosh(l1 / 2) + 2 * mpmath.cosh(ell)) \
+        / (2 * mpmath.sinh(ell / 2))
+    t = (2 * mpmath.cosh(ell / 2), 2 * m * mpmath.cosh(tau / 2),
+         2 * m * mpmath.cosh((ell + tau) / 2))
+    return trace_word_fricke(t, gamma)
+
+
 def mp_chart_length(gamma, l1, ell, tau):
-    """l_gamma at (ell, tau) from the torus chart of fn_surface written in
-    mpmath, at 1000 digits plus twice the digits the module's precision rule
-    gives these coordinates."""
+    """l_gamma at (ell, tau) from the mpmath chart, at 1000 digits plus
+    twice the digits the module's precision rule gives these coordinates."""
     with mpmath.workdps(1000 + int(0.5 * len(gamma) * (ell + abs(tau)))):
-        ell, tau, l1 = mpmath.mpf(ell), mpmath.mpf(tau), mpmath.mpf(l1)
-        m = mpmath.sqrt(2 * mpmath.cosh(l1 / 2) + 2 * mpmath.cosh(ell)) \
-            / (2 * mpmath.sinh(ell / 2))
-        t = (2 * mpmath.cosh(ell / 2), 2 * m * mpmath.cosh(tau / 2),
-             2 * m * mpmath.cosh((ell + tau) / 2))
-        return float(2 * mpmath.acosh(abs(trace_word_fricke(t, gamma)) / 2))
+        tr = mp_chart_trace(gamma, l1, ell, tau)
+        return float(2 * mpmath.acosh(abs(tr) / 2))
 
 
 # the thin part, twist-line points of the length ball, and APL ray points
@@ -342,6 +348,64 @@ class TestThurstonBall:
         L = 40.0
         n = ob.integral_multicurve_count(X, L)
         assert n / (L * L * B) == pytest.approx(1.0, rel=0.1)
+
+
+def laurent_tau_measure(l1, ell, L):
+    """Measure of {tau : l_aabAb(ell, tau) <= L} in closed form.  aabAb has
+    two b-letters, so its trace along the line is c2 e^tau + c0 + c-2 e^-tau:
+    the c's come from three mpmath chart traces, and the ends of the
+    sublevel set |tr| <= 2 cosh(L/2) from two quadratics in e^tau."""
+    with mpmath.workdps(60 + int(2 * ell)):
+        taus = (-1, 0, 1)
+        rows = [[mpmath.exp(t), 1, mpmath.exp(-t)] for t in taus]
+        c2, c0, cm2 = mpmath.lu_solve(
+            mpmath.matrix(rows),
+            mpmath.matrix([mp_chart_trace("aabAb", l1, ell, t) for t in taus]))
+        # the three-term form holds off the sample points too
+        tr = mp_chart_trace("aabAb", l1, ell, 3)
+        assert abs(c2 * mpmath.e ** 3 + c0 + cm2 * mpmath.e ** -3 - tr) \
+            <= mpmath.mpf(10) ** -40 * abs(tr)
+        # one sign: |tr| is convex in tau
+        sign = 1 if c2 > 0 else -1
+        c2, c0, cm2 = sign * c2, sign * c0, sign * cm2
+        assert cm2 > 0
+
+        def width(C):
+            # log-measure of {X > 0 : c2 X + c0 + cm2 / X <= C}
+            b = C - c0
+            disc = b * b - 4 * c2 * cm2
+            if b <= 0 or disc <= 0:
+                return 0.0
+            return float(2 * mpmath.log(b + mpmath.sqrt(disc))
+                         - mpmath.log(4 * c2 * cm2))
+        C = 2 * mpmath.cosh(mpmath.mpf(L) / 2)
+        return width(C) - width(-C)
+
+
+class TestTwistMeasure:
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    @pytest.mark.parametrize("L", [9.0, 12.0, 30.0])
+    def test_matches_laurent_closed_form(self, L, l1):
+        f = ob._gamma_length_fn("aabAb", l1)
+        for ell in (0.5, 1.0, 2.5, 6.0, 12.0, 27.2):
+            want = laurent_tau_measure(l1, ell, L)
+            assert ob._tau_measure(f, ell, L) == pytest.approx(
+                want, abs=1e-9), ell
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    @pytest.mark.parametrize("gamma", ["aaBabb", "aabAbAbb", "abbaBAAb"])
+    def test_one_interval_on_grid(self, gamma, l1):
+        # a midpoint grid over [-G, G] crosses the threshold at most twice
+        # (the sublevel set is one interval) and measures it to one step
+        h, G, L = 0.02, 32.0, 20.0
+        f = ob._gamma_length_fn(gamma, l1)
+        for ell in (1.0, 6.0):
+            inside = [f(ell, -G + h * (k + 0.5)) <= L
+                      for k in range(round(2 * G / h))]
+            assert not (inside[0] or inside[-1])
+            assert sum(a != b for a, b in zip(inside, inside[1:])) <= 2
+            assert ob._tau_measure(f, ell, L) == pytest.approx(
+                h * sum(inside), abs=h)
 
 
 class TestBallVolume:
