@@ -66,8 +66,12 @@ def simple_slopes(X, L: float):
 
     Farey-tree search from the minimal triangle, pruned where traces exceed
     2 cosh(L/2); outward trace monotonicity is checked on every edge.
+    X must be a torus point (ValueError otherwise): elsewhere the traces
+    need not grow outward and the search would not end.
     """
-    x, y, z = (abs(v) for v in _triple(X))
+    t = _triple(X)
+    _torus_kappa(t)
+    x, y, z = (abs(v) for v in t)
     bound = 2.0 * math.cosh(L / 2.0)
     # descend to the minimal triangle: basis (sa, sb), vertices sa, sb, sa+sb
     sa, sb = (1, 0), (0, 1)
@@ -244,6 +248,13 @@ def _reduced(t, k: int):
         t, size = u, low
 
 
+def _reduced_root(X):
+    """(node, k): X as ints scaled by 2^k (k = 0 for an integral X, else
+    64) descended to the reduced triple of its orbit."""
+    root, k = _fixed_root(X, 64)
+    return _reduced(root, k), k
+
+
 def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
     """|Aut(X)|: mapping classes in a generator ball fixing the triple.
 
@@ -251,8 +262,7 @@ def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
     invariant under conjugation), where a small radius finds every
     automorphism; a ball around a far-moved X would miss them.
     """
-    root, k = _fixed_root(X, 64)
-    root = _reduced(root, k)
+    root, k = _reduced_root(X)
     ident = (1, 0, 0, 1)
     seen = {ident}
     frontier = [(ident, root)]
@@ -541,6 +551,7 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     if is_peripheral_word(gamma) or not gamma:
         raise ValueError("gamma is peripheral; its orbit is not counted")
     t = _triple(X)
+    kappa = _torus_kappa(t)
     if grid is None:
         grid = [L / 2.0, 0.75 * L, L]
     grid = sorted(set(float(g) for g in grid if 0 < g <= L)) or [L]
@@ -582,16 +593,27 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         normalized=[c / g ** 2 for c, g in zip(counts, grid)],
         a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
         orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
-        prune_violations=0, metadata={"kappa": _kappa(t), **meta})
+        prune_violations=0, metadata={"kappa": kappa, **meta})
     if compute_B:
         report.B = thurston_ball_B(t, 1e-6)
         report.fitted_constant = report.a1 / (L * L * report.B)
     return report
 
 
-def _kappa(t) -> float:
+def _torus_kappa(t) -> float:
+    """kappa of the triple t, after checking that t is a torus point: every
+    |trace| > 2 and kappa <= -2, up to the rounding of the cubic at float
+    coordinates.  Raises ValueError otherwise."""
     x, y, z = t
-    return float(x * x + y * y + z * z - x * y * z - 2)
+    s = x * x + y * y + z * z
+    kappa = s - x * y * z - 2
+    # exact for ints; at float coordinates the cubic is rounded to a few
+    # units in the last place of s, and beyond the float range it is void
+    slack = 0 if isinstance(kappa, int) else 1e-9 * max(1.0, s)
+    if not (min(abs(x), abs(y), abs(z)) > 2 and kappa <= -2 + slack < math.inf):
+        raise ValueError("X=%r is not a torus point (kappa=%g; a torus point "
+                         "has kappa <= -2 and every |trace| > 2)" % (t, kappa))
+    return float(kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +627,11 @@ def _adaptive_simpson(f, a, b, tol, fa, fm, fb, depth):
     whole = (b - a) / 6.0 * (fa + 4 * fm + fb)
     left = (m - a) / 6.0 * (fa + 4 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4 * frm + fb)
+    if abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
     if depth <= 0:
         raise ArithmeticError(
             "sector integral not converged (achieved %g)" % abs(left + right - whole))
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
     # halved tolerance floored at integrand noise level, else the recursion
     # chases roundoff to the depth limit
     sub = max(tol / 2, 1e-14)
@@ -620,12 +642,23 @@ def _adaptive_simpson(f, a, b, tol, fa, fm, fb, depth):
 def thurston_ball_B(X, tol: float = 1e-6) -> float:
     """Area of the unit length ball {lam in ML ~ R^2 : l_lam(X) <= 1}.
 
-    B = (1/2) Integral_0^pi r(theta)^2 dtheta with r = 1 / (homogeneous
-    length of the unit direction), matching the normalization where lattice
-    points mod +-1 are the integral multicurves.
+    B is a function on moduli space: the area is unchanged by GL(2,Z), by
+    permuting the coordinates and by even sign flips.  So it is integrated
+    at the canonical triple of the orbit of X (ValueError unless X is a
+    torus point): the reduced triple, as absolute values in ascending
+    order.  The order is chosen by cost: the quadrature takes 153 direction
+    walks at (3, 4, 5) and 477 at (5, 4, 3).
     """
-    t = _triple(X)
+    _torus_kappa(_triple(X))
+    root, k = _reduced_root(X)
+    return _ball_area(sorted(abs(v) / (1 << k) for v in root), tol)
 
+
+def _ball_area(t, tol: float) -> float:
+    """B at the marking t: (1/2) Integral_0^pi r(theta)^2 dtheta with
+    r = 1 / (homogeneous length of the unit direction), matching the
+    normalization where lattice points mod +-1 are the integral
+    multicurves."""
     def f(theta):
         rate = farey.direction_length_rate(t, math.cos(theta), math.sin(theta))
         return 0.5 / (rate * rate)
@@ -668,11 +701,9 @@ def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
     inverse, and the cone selects the k's landing in it.
     """
     t = _triple(X)
+    kappa = _torus_kappa(t)
     if l1 is None:
-        k = _kappa(t)
-        if k > -2.0 + 1e-9:
-            raise ValueError("kappa=%g > -2: not a torus point" % k)
-        l1 = 2.0 * math.acosh(max(1.0, -k / 2.0))
+        l1 = 2.0 * math.acosh(max(1.0, -kappa / 2.0))
     tm = tuple(mpmath.mpf(v) for v in t)
     memo = {}
     total = 0

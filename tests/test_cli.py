@@ -1,11 +1,15 @@
 """Driver plumbing: config precedence, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from teichlab import cli
 
@@ -37,6 +41,9 @@ class TestConfig:
         cf = tmp_path / "exp.cfg"
         cf.write_text("bogus = 1\n")
         assert run_main(["markoff-count", "--config", str(cf)]) == 1
+        # an unknown flag or command is a config error too
+        assert run_main(["markoff-count", "--bogus", "1"]) == 1
+        assert run_main(["no-such-command"]) == 1
 
     def test_invalid_value_exit_1(self):
         assert run_main(["markoff-count", "--bound", "minus-one"]) == 1
@@ -106,11 +113,22 @@ class TestCommands:
         assert run_main(["ball-volume", "--mc-samples", "1000",
                          "--seed", "-1"]) == 1
 
-    def test_twist_convexity_nonsimple_rejected(self):
-        assert run_main(["twist-convexity", "--word", "aabAb"]) == 1
+    def test_twist_convexity_needs_twist_crossing(self, capsys):
+        # length is convex along the twist for every curve crossing a, so a
+        # non-simple word is checked; words without a b-letter and the
+        # boundary abAB do not cross a
+        assert run_main(["twist-convexity", "--word", "aabAb"]) == 0
+        for word in ("a", "aaA", "bB", "abAB"):
+            assert run_main(["twist-convexity", "--word", word]) == 1, word
+        # at large ell the second differences of b are below the rounding
+        # of its lengths, which is not a convexity failure
+        assert run_main(["twist-convexity", "--word", "b",
+                         "--ell", "800"]) == 0
+        capsys.readouterr()
 
-    # the chart mirrors the sign of ell and l1, so a negative value would
-    # silently run at its absolute value; ell = 0 is the degenerate torus
+    # the chart and the trace bound 2 cosh(L/2) mirror the sign of ell, l1
+    # and L, so a negative value would silently run at its absolute value;
+    # ell = 0 is the degenerate torus
     @pytest.mark.parametrize("args", [
         ["twist-convexity", "--ell=0"],
         ["twist-convexity", "--ell=-1.5"],
@@ -118,11 +136,88 @@ class TestCommands:
         ["ball-volume", "--L", "8", "--l1=-0.7"],
         ["apl-ray", "--l1=-0.7"],
         ["wall-scan", "--l1=-0.7"],
+        ["count-simple", "--L=-5"],
+        ["cone-count", "--L=-5"],
+        ["count-word", "--L=0"],
     ])
     def test_bad_lengths_exit_1(self, args, capsys):
         assert run_main(args) == 1
         key = args[-1].split("=")[0][2:]
         assert "config error: %s must be" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["count-simple", "--x=0,0,0", "--L=5"],
+        ["bx", "--x=2,2,2"],
+        ["cone-count", "--x=-3,3,3"],
+        ["count-word", "--x=2.5,2.5,2.5", "--word=aabAb"],
+    ])
+    def test_non_torus_point_exit_1(self, args, capsys, time_bound):
+        # off the torus points the Farey search never ends and the ball
+        # area divides by zero
+        with time_bound(3):
+            assert run_main(args) == 1
+        assert "not a torus point" in capsys.readouterr().err
+
+
+# torus points, moved by a permutation and an even sign flip in the fuzz
+_TORUS = [(3, 3, 3), (3, 4, 5), (3, 3, 6), (4, 4, 4)]
+_SIGNS = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+
+
+def _torus_triples():
+    return st.builds(lambda t, p, s: tuple(t[i] * e for i, e in zip(p, s)),
+                     st.sampled_from(_TORUS), st.permutations(range(3)),
+                     st.sampled_from(_SIGNS))
+
+
+@st.composite
+def _argv(draw):
+    ints = st.integers(-12, 12)
+    x = draw(st.one_of(st.tuples(ints, ints, ints), _torus_triples()))
+    cmd = draw(st.sampled_from(["count-simple", "bx", "cone-count",
+                                "count-word"]))
+    argv = [cmd, "--x=%d,%d,%d" % x]
+    if cmd != "bx":
+        argv.append("--L=%d" % draw(st.integers(-3, 8)))
+    if cmd == "cone-count":
+        argv.append("--m=%d" % draw(ints))
+    if cmd == "count-word":
+        argv.append("--word=%s" % draw(st.one_of(
+            st.sampled_from(["a", "aab", "abaB", "aabAb", "abAB"]),
+            st.text("abABc", max_size=6))))
+    # an unknown key, as a flag or in a config file
+    unknown = draw(st.sampled_from([None, "flag", "file"]))
+    if unknown == "flag":
+        argv.append("--bogus=1")
+    return argv, unknown == "file"
+
+
+class TestFuzz:
+    """CLI input never hangs and never escapes as a traceback: every
+    command ends within a time bound with an exit code 0-3.  The slowest
+    example takes about 0.25 s (bx at (3,3,6)).  No shrinking and no
+    replay of stored failures: each rerun of a hanging example would run
+    to the bound again."""
+
+    @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.generate])
+    @given(case=_argv())
+    @example(case=(["count-simple", "--x=0,0,0", "--L=5"], False))
+    @example(case=(["bx", "--x=2,2,2"], False))
+    def test_exit_codes(self, case, time_bound):
+        argv, bad_file = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as d, time_bound(3), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            if bad_file:
+                cfg = os.path.join(d, "bad.cfg")
+                with open(cfg, "w") as f:
+                    f.write("bogus = 1\n")
+                argv = argv + ["--config", cfg]
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
 
 
 class TestReport:

@@ -322,6 +322,14 @@ class TestConeCount:
         counts = [ob.cone_count(MODULAR, m, 20.0) for m in (-2, 0, 5)]
         assert len(set(counts)) == 1
 
+    @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC])
+    def test_invariant_under_generators(self, X):
+        # g.X is the same point of moduli space: the same orbit points land
+        # in the cone
+        c = ob.cone_count(X, 0, 20.0)
+        for g in "TtUu":
+            assert ob.cone_count(MOVES[g](*X), 0, 20.0) == c, g
+
     def test_quadratic_growth(self):
         c1 = ob.cone_count(GENERIC, 0, 30.0)
         c2 = ob.cone_count(GENERIC, 0, 60.0)
@@ -329,13 +337,52 @@ class TestConeCount:
 
 
 class TestThurstonBall:
-    @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC])
+    @pytest.mark.parametrize("X", [(3, 4, 5), (6, 15, 3)])
     def test_invariant_under_generators(self, X):
-        # B depends on the point of moduli space, not on the marking
+        # B depends on the point of moduli space, not on the marking; an
+        # integral orbit descends exactly to one canonical triple
         b = ob.thurston_ball_B(X)
-        for g in "TtUu":
-            assert ob.thurston_ball_B(MOVES[g](*X)) == \
-                pytest.approx(b, rel=1e-4), g
+        x, y, z = X
+        images = [MOVES[g](*X) for g in "TtUu"]
+        images += list(itertools.permutations(X))
+        images += [(-x, -y, z), (x, -y, -z), (-x, y, -z)]
+        for Y in images:
+            assert ob.thurston_ball_B(Y) == b, Y
+
+    @pytest.mark.parametrize("X", [GENERIC, (5.0, 3.1, 7.2)])
+    def test_moved_float_triple(self, X):
+        # the moved doubles descend in 2^-64 fixed point to the canonical
+        # triple up to their own rounding
+        b = ob.thurston_ball_B(X)
+        for n in (1, 2):
+            for word in itertools.product("TtUu", repeat=n):
+                assert ob.thurston_ball_B(moved(X, word)) == \
+                    pytest.approx(b, rel=1e-12), word
+
+    @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC, (6, 15, 3)])
+    def test_quadrature_at_own_marking(self, X):
+        # independent of the reduction: the same quadrature, run at the
+        # marking X itself, has to land on B within its tolerance
+        assert ob._ball_area(X, 1e-6) == \
+            pytest.approx(ob.thurston_ball_B(X), rel=1e-4)
+
+    def test_converges_at_depth_limit(self):
+        # the reduced triple of MC sample 0 of seed 0: at this marking one
+        # sector of the quadrature converges only at the recursion limit
+        X = (2.0545797218640933, 8.923065622080278, 8.737976656699363)
+        assert ob._ball_area(X, 1e-6) == pytest.approx(0.630621, rel=1e-5)
+        assert ob.thurston_ball_B(X) == pytest.approx(0.630621, rel=1e-5)
+
+    @pytest.mark.parametrize("X", [(0, 0, 0), (2, 2, 2), (2.5, 2.5, 2.5),
+                                   (-3, 3, 3), (1e200, 1e200, 1e200)])
+    def test_non_torus_point_rejected(self, X, time_bound):
+        # off the torus points simple_slopes never ends and B divides by 0
+        for f in (ob.thurston_ball_B, lambda X: ob.simple_slopes(X, 5.0),
+                  lambda X: ob.cone_count(X, 0, 5.0),
+                  lambda X: ob.count_orbit_word(X, "aabAb", 5.0)):
+            with time_bound(3), \
+                    pytest.raises(ValueError, match="not a torus point"):
+                f(X)
 
     def test_positive_and_monotone(self):
         b1 = ob.thurston_ball_B(MODULAR)
