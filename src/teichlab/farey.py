@@ -144,20 +144,21 @@ def direction_length_rate(t, ux: float, uy: float, steps: int = 300) -> float:
     if ux == 0:
         return 2.0 * math.acosh(abs(y) / 2.0)
     lx, ly, lz = math.log(abs(x)), math.log(abs(y)), math.log(abs(z))
+    lw = math.log(abs(x * y - z))  # slope (1,-1)
+    # the first mediant's trace is known: forming it as t1 t2 - t_opp
+    # would cancel (xy against xy - z) at large traces
     if ux >= 0:
         P1, T1 = (1, 0), lx
         P2, T2 = (0, 1), ly
-        Topp = math.log(abs(x * y - z))  # slope (1,-1)
+        M, TM, Topp = (1, 1), lz, lw
     else:
         P1, T1 = (0, 1), ly
         P2, T2 = (-1, 0), lx
-        Topp = lz  # (0,1) - (-1,0) = (1,1)
+        M, TM, Topp = (-1, 1), lw, lz  # (0,1) - (-1,0) = (1,1)
     from .fricke import length_from_log_trace
     prev = None
     cur = None
     for _ in range(steps):
-        M = (P1[0] + P2[0], P1[1] + P2[1])
-        TM = _log_combine(T1, T2, Topp)
         # u lies in sub-cone (P1, M) iff u is on the same side of M as P1
         s_u = M[0] * uy - M[1] * ux
         if s_u == 0.0:
@@ -172,6 +173,8 @@ def direction_length_rate(t, ux: float, uy: float, steps: int = 300) -> float:
         cur = (M, TM)
         if max(abs(M[0]), abs(M[1])) > 1e14:
             break
+        M = (P1[0] + P2[0], P1[1] + P2[1])
+        TM = _log_combine(T1, T2, Topp)
     M, TM = cur
     ell = length_from_log_trace(TM)
     if prev is not None:

@@ -47,9 +47,6 @@ class MarkoffTriple:
         return (self.p, self.q, self.r)
 
 
-ROOT = MarkoffTriple(1, 1, 1)
-
-
 def apply_move(t: MarkoffTriple, i: int) -> MarkoffTriple:
     """Replace coordinate i by 3 * (product of the others) - itself.
 
@@ -96,7 +93,7 @@ def _descends(p: int, q: int, r: int) -> bool:
 
 
 def _children(s: tuple[int, int, int]):
-    """Away-from-root moves at the sorted node s = (a <= b <= c).
+    """The away-from-root children of the sorted node s = (a <= b <= c).
 
     Replacing a or b strictly increases the max coordinate except at the two
     symmetric nodes near the root, where duplicates are skipped.
@@ -109,7 +106,7 @@ def _children(s: tuple[int, int, int]):
         if child == s or child in seen:
             continue
         seen.add(child)
-        out.append((i, child))
+        out.append(child)
     return out
 
 
@@ -230,7 +227,7 @@ def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
             continue
         count += _perms(s) if ordering == "ordered" else 1
         visited += 1
-        for (_, child) in _children(s):
+        for child in _children(s):
             _check_monotone(s, child)
             if _node_norm(child, norm) <= bound:
                 stack.append(child)
@@ -251,7 +248,7 @@ def enumerate_triples(bound: int, norm: str = "max") -> list[tuple[int, int, int
         if _node_norm(s, norm) > bound:
             continue
         out.append(s)
-        for (_, child) in _children(s):
+        for child in _children(s):
             _check_monotone(s, child)
             if _node_norm(child, norm) <= bound:
                 stack.append(child)

@@ -14,10 +14,12 @@ triples these are the polynomial maps
 which preserve the boundary invariant kappa exactly.  Both orbit searches
 (over triples, and over the conjugacy classes of the direct word-orbit
 enumeration that cross-validates it) run in 2^-k fixed point, exact at
-k = 0 for integral triples, and share one pruned BFS.  The lengths along
-twist lines and rays (length-ball volumes, APL) are fixed point end to end
-as well: the (ell, tau) torus chart is built from two exponentials as ints
-scaled by 2^k and handed to the same node-length code as orbit nodes.
+k = 0 for integral triples, and share one pruned BFS.  The simple-slope
+and cone counts share one Farey walk in the same fixed point.  The lengths
+along twist lines and rays (length-ball volumes, APL) are fixed point end
+to end as well: the (ell, tau) torus chart is built from two exponentials
+as ints scaled by 2^k and handed to the same node-length code as orbit
+nodes.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from .fricke import (FrickeTriple, canonical_cyclic, cyclic_reduce,
                      length_trace, reduce_word, trace_word_fixed)
-from .fn_surface import S11, SurfacePoint, fricke_triple, surface_from_triple
+from .fn_surface import S11, SurfacePoint, fricke_triple
 
 
 def _triple(X) -> tuple:
@@ -44,74 +45,69 @@ def _triple(X) -> tuple:
     return tuple(X)
 
 
-def farey_trace(X, slope: tuple[int, int]):
-    """Trace of the simple curve of slope (p,q) by Stern-Brocot descent.
-
-    Falls back to multiprecision when the float recursion overflows.
-    """
-    t = _triple(X)
-    v = farey.slope_trace(t, slope)
-    if isinstance(v, float) and not math.isfinite(v):
-        tv = tuple(mpmath.mpf(c) for c in t)
-        v = farey.slope_trace(tv, slope)
-    return v
-
-
 # ---------------------------------------------------------------------------
-# simple-curve counting
+# simple curves: one Farey walk
 
 
-def simple_slopes(X, L: float):
-    """All slopes with geodesic length <= L at X, with their traces.
+def _farey_walk(X, L: float):
+    """(marks, k): for every slope s with trace <= 2 cosh(L/2) at X, the
+    pair (s, (tr s, tr s', tr(s + s'))) with det(s, s') = 1, the marking
+    triple of s, as ints scaled by 2^k (k = 0 for an integral X, else 64).
 
-    Farey-tree search from the minimal triangle, pruned where traces exceed
-    2 cosh(L/2); outward trace monotonicity is checked on every edge.
-    X must be a torus point (ValueError otherwise): elsewhere the traces
-    need not grow outward and the search would not end.
+    Descends to the minimal triangle, then walks the Farey tree outward
+    from it: across an edge (u, v) with opposite vertex u - v lies u + v,
+    of trace t_u t_v - t_(u-v).  Traces grow outward at a torus point, and
+    a child below its opposite vertex raises ArithmeticError.  X must be a
+    torus point (ValueError otherwise): elsewhere the traces need not grow
+    outward and the walk would not end.
     """
     t = _triple(X)
     _torus_kappa(t)
-    x, y, z = (abs(v) for v in t)
-    bound = 2.0 * math.cosh(L / 2.0)
+    (ta, tb, tab), k = _fixed_root([abs(v) for v in t], 64)
+    bound = int(math.ldexp(2.0 * math.cosh(L / 2.0), k))
     # descend to the minimal triangle: basis (sa, sb), vertices sa, sb, sa+sb
     sa, sb = (1, 0), (0, 1)
-    ta, tb, tab = x, y, z
     for _ in range(10_000):
-        cur_max = max(ta, tb, tab)
-        if tab == cur_max:
+        top = max(ta, tb, tab)
+        if tab == top:
             # flip the sum vertex to sa - sb; rebase as (sa-sb, sb), sum sa
-            new = abs(ta * tb - tab)
-            if new >= cur_max * (1.0 - 1e-12):
+            new = (ta * tb >> k) - tab
+            if new >= top:
                 break
-            sa, sb, ta, tb, tab = \
-                (sa[0] - sb[0], sa[1] - sb[1]), sb, new, tb, ta
-        elif ta == cur_max:
+            sa, ta, tab = (sa[0] - sb[0], sa[1] - sb[1]), new, ta
+        elif ta == top:
             # flip vertex sa to sa + 2sb; rebase as (sb, sa+sb)
-            new = abs(tb * tab - ta)
-            if new >= cur_max * (1.0 - 1e-12):
+            new = (tb * tab >> k) - ta
+            if new >= top:
                 break
             sa, sb, ta, tb, tab = sb, (sa[0] + sb[0], sa[1] + sb[1]), tb, tab, new
         else:
-            new = abs(ta * tab - tb)
-            if new >= cur_max * (1.0 - 1e-12):
+            new = (ta * tab >> k) - tb
+            if new >= top:
                 break
-            sa, sb, ta, tb, tab = sa, (sa[0] + sb[0], sa[1] + sb[1]), ta, tab, new
+            sb, tb, tab = (sa[0] + sb[0], sa[1] + sb[1]), tab, new
     else:
         raise RuntimeError("minimal-triangle descent did not terminate")
 
+    marks = []
+
+    def mark(w, tw, u, tu, tv):
+        # the vertex w = u + v: s' = -u when det(w, u) = -1, so s + s' = v;
+        # else s' = u, and w + u has trace t_w t_u - t_v
+        if tw <= bound:
+            if w[0] * u[1] > w[1] * u[0]:
+                tv = (tw * tu >> k) - tv
+            marks.append((w, (tw, tu, tv)))
+
     ssum = (sa[0] + sb[0], sa[1] + sb[1])
     sdif = (sa[0] - sb[0], sa[1] - sb[1])
-    tdif = ta * tb - tab
-    verts = [(farey.normalize_slope(*sa), ta), (farey.normalize_slope(*sb), tb),
-             (farey.normalize_slope(*ssum), tab),
-             (farey.normalize_slope(*sdif), tdif)]
-    out = {}
-    for s, t in verts:
-        if t <= bound:
-            out[s] = t
-    # frontier edges (u, tu, v, tv, opposite trace); every later neighbor
-    # across an edge (u,v) is the sum u+v, so seed with the four edges of
-    # the minimal triangle and its mirror across (sa, sb)
+    tdif = (ta * tb >> k) - tab
+    # the minimal triangle and its mirror vertex sa - sb; every later vertex
+    # is the sum u + v across a frontier edge (u, v, opposite trace)
+    mark(sa, ta, sb, tb, tdif)
+    mark(sb, tb, sa, ta, tdif)
+    mark(ssum, tab, sa, ta, tb)
+    mark(sdif, tdif, sa, ta, tb)
     edges = [(ssum, tab, sa, ta, tb),
              (ssum, tab, sb, tb, ta),
              (sdif, tdif, sa, ta, tb),
@@ -119,16 +115,26 @@ def simple_slopes(X, L: float):
     while edges:
         u, tu, v, tv, topp = edges.pop()
         w = (u[0] + v[0], u[1] + v[1])
-        tw = tu * tv - topp
-        if tw < topp * (1.0 - 1e-9) - 1e-9:
+        tw = (tu * tv >> k) - topp
+        # equality is a tie at the minimal triangle, as at (4, 8, 4)
+        if tw < topp:
             raise ArithmeticError(
                 "trace monotonicity violated at slope %r" % (w,))
         if tw > bound:
             continue
-        out[farey.normalize_slope(*w)] = tw
+        mark(w, tw, u, tu, tv)
         edges.append((w, tw, u, tu, tv))
         edges.append((w, tw, v, tv, tu))
-    return sorted(out.items())
+    return marks, k
+
+
+def simple_slopes(X, L: float):
+    """All slopes with geodesic length <= L at X, with their traces, from
+    the Farey walk (exact ints at an integral X, else floats); ValueError
+    unless X is a torus point."""
+    marks, k = _farey_walk(X, L)
+    return sorted((farey.normalize_slope(*s), tr / (1 << k) if k else tr)
+                  for s, (tr, _, _) in marks)
 
 
 def count_simple(X, L: float) -> int:
@@ -298,11 +304,6 @@ def is_peripheral_word(w: str) -> bool:
         return False
     k = len(w) // 4
     return canonical_cyclic(w) == canonical_cyclic("abAB" * k)
-
-
-def is_simple_word(w: str) -> bool:
-    """True iff w is conjugate (up to inversion) to a primitive slope word."""
-    return simple_power(w) == 1
 
 
 def simple_power(w: str) -> int:
@@ -590,7 +591,7 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     a1 = counts[-1]
     report = CountReport(
         schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
-        normalized=[c / g ** 2 for c, g in zip(counts, grid)],
+        normalized=[c / g / g for c, g in zip(counts, grid)],
         a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
         orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
         prune_violations=0, metadata={"kappa": kappa, **meta})
@@ -682,68 +683,38 @@ def integral_multicurve_count(X, L: float) -> int:
 # cone counts
 
 
-def _complete_slope(p: int, q: int) -> tuple[int, int]:
-    """A slope (u,v) with p*v - q*u = 1."""
-    if q == 0:
-        return (0, 1)
-    v = pow(p % q, -1, q) if q > 1 else 0
-    u = (p * v - 1) // q
-    return (u, v)
-
-
-def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
+def cone_count(X, m: int, L: float) -> int:
     """Orbit points g.X with coordinate-curve length <= L and twist in the
     cone m*l <= tau <= (m+1)*l.
 
-    Each simple slope s with l_s(X) <= L carries the one-parameter twist
-    family of re-markings (l_s, tau0 + k l_s); the Fenchel-Nielsen data is
-    recovered from the re-marked Fricke triple through the calibrated chart
-    inverse, and the cone selects the k's landing in it.
+    Each slope s with l_s(X) <= L carries the twist family of points with
+    Fenchel-Nielsen coordinates (l_s, tau0 + j l_s), j in Z, and its
+    marking triple from the Farey walk, (x, y, z) = (tr s, tr s', tr(s+s')),
+    determines tau0 up to the twist maps T, t (tau -> tau +- l).  They
+    reduce it until |y| stops falling, to |tau0| <= l/2, with the tie
+    tau0 = +-l/2 (|xy - z| = |y|) taken in the form y = z.  Slopes that an
+    automorphism of X exchanges reduce to one triple, so families are keyed
+    on the reduced triple, in the walk's fixed point (64 binary places off
+    the integers).  A family meets every width-l cone once, or twice when
+    tau0 = 0 (z = xy - z) puts both ends in it.  So the count is the same
+    for every m; m stays in the signature because the CLI and perfbench
+    pass it.
     """
-    t = _triple(X)
-    kappa = _torus_kappa(t)
-    if l1 is None:
-        l1 = 2.0 * math.acosh(max(1.0, -kappa / 2.0))
-    tm = tuple(mpmath.mpf(v) for v in t)
-    memo = {}
-    total = 0
-    seen_nodes = set()
-    with mpmath.workdps(80):
-        for (s, _) in simple_slopes(t, L):
-            sp = _complete_slope(*s)
-            # twist-reduce the completion: sp + k*s all complete s, and the
-            # cone total is invariant under the choice, so take the one with
-            # the smallest trace to keep the chart inversion well scaled
-            tr2 = abs(farey.slope_trace(tm, sp, memo))
-            for step in (1, -1):
-                while True:
-                    cand = (sp[0] + step * s[0], sp[1] + step * s[1])
-                    trc = abs(farey.slope_trace(tm, cand, memo))
-                    if trc < tr2:
-                        sp, tr2 = cand, trc
-                    else:
-                        break
-            t1 = abs(farey.slope_trace(tm, s, memo))
-            t3 = abs(farey.slope_trace(tm, (s[0] + sp[0], s[1] + sp[1]), memo))
-            ell = 2 * mpmath.acosh(t1 / 2)
-            half = _mp_torus_m(l1, ell)
-            c = tr2 / (2 * half)
-            tau0 = 2 * mpmath.acosh(c) if c > 1 else mpmath.mpf(0)
-            # the trace pair (t2, t3) only determines tau0 up to sign
-            zp = 2 * half * mpmath.cosh((ell + tau0) / 2)
-            zn = 2 * half * mpmath.cosh((ell - tau0) / 2)
-            if abs(zn - t3) < abs(zp - t3):
-                tau0 = -tau0
-            f = float(mpmath.frac(tau0 / ell))
-            node_key = (round(float(ell), 9), round(f, 9))
-            if node_key in seen_nodes:
-                continue
-            seen_nodes.add(node_key)
-            # integers k with m <= tau0/l + k <= m + 1
-            klo = math.ceil(m - f - 1e-12)
-            khi = math.floor(m + 1 - f + 1e-12)
-            total += max(0, khi - klo + 1)
-    return total
+    marks, k = _farey_walk(X, L)
+    families = {}
+    for _, (x, y, z) in marks:
+        while True:
+            xy = x * y >> k
+            if z < y:
+                y, z = z, (x * z >> k) - y
+            elif xy - z < y:
+                y, z = xy - z, y
+            else:
+                break
+        if xy - z == y:
+            z = y
+        families[(x, y, z)] = 2 if 2 * z == xy else 1
+    return sum(families.values())
 
 
 # ---------------------------------------------------------------------------
@@ -751,15 +722,6 @@ def cone_count(X, m: int, L: float, l1: float | None = None) -> int:
 
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 _MC_PRUNE_ESCALATION = (2.0, 3.0)
-
-
-def _mp_torus_m(l1: float, ell):
-    """The torus chart factor m(l1, ell) of fn_surface, in mpmath at the
-    caller's precision (coth(ell/2) at a cusp)."""
-    if l1 == 0.0:
-        return mpmath.coth(ell / 2)
-    return mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
-                       + 2 * mpmath.cosh(ell)) / (2 * mpmath.sinh(ell / 2))
 
 
 def _exp_fixed(h: float, k: int) -> tuple[int, int]:

@@ -97,6 +97,19 @@ class TestCommands:
                          "--L", "20"]) == 0
         assert "count=" in capsys.readouterr().out
 
+    def test_bx_huge_traces(self, capsys):
+        # a torus point with traces ~5e16: the first mediant of the
+        # direction walk, formed as xy - (xy - z), cancelled to below 0
+        t = "5.164605048998411e16"
+        assert run_main(["bx", "--x", ",".join([t] * 3)]) == 0
+        assert capsys.readouterr().out.startswith("B=")
+
+    def test_count_word_tiny_L(self, capsys):
+        # the normalized counts divided by L^2, which underflows to 0
+        assert run_main(["count-word", "--x", "87,-267,-267", "--word",
+                         "aabAb", "--L", "1e-269"]) == 0
+        assert "count=0" in capsys.readouterr().out
+
     def test_ball_volume_seed_zero(self, monkeypatch, capsys):
         seen = {}
 

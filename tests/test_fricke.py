@@ -192,6 +192,17 @@ class TestFarey:
         assert r1 > 0
         assert r1 == pytest.approx(r2, rel=1e-9)
 
+    @pytest.mark.parametrize("t", [1e12, 5.164605048998411e16])
+    def test_direction_rate_huge_traces(self, t):
+        # the slopes (1,1) and (-1,1) have traces t and t^2 - t; neither may
+        # be formed as a difference of products that cancels at this size
+        got = farey.direction_length_rate((t, t, t), 1.0, 1.0)
+        assert got == pytest.approx(2 * math.acosh(t / 2) / math.sqrt(2),
+                                    rel=1e-12)
+        got = farey.direction_length_rate((t, t, t), -1.0, 1.0)
+        assert got == pytest.approx(
+            2 * math.acosh((t * t - t) / 2) / math.sqrt(2), rel=1e-12)
+
     def test_slopes_up_to_depth(self):
         s = farey.slopes_up_to_depth(2)
         assert (1, 0) in s and (0, 1) in s and (1, 1) in s and (-1, 1) in s

@@ -22,10 +22,12 @@ def test_no_assert_statements():
 
 
 def test_orbit_searches_make_no_mpmath_call():
-    # one precision policy: both orbit searches run in 2^-k fixed point, and
-    # a second arithmetic must not grow back into them
+    # one precision policy: both orbit searches and the Farey walk of the
+    # slope and cone counts run in 2^-k fixed point, and a second arithmetic
+    # must not grow back into them
     searches = ["_pruned_bfs", "_orbit_bfs", "_word_orbit_lengths",
-                "_node_length", "_word_length", "_rep_fixed", "_trace_length"]
+                "_node_length", "_word_length", "_rep_fixed", "_trace_length",
+                "_farey_walk", "simple_slopes", "cone_count"]
     tree = ast.parse((SRC / "orbit.py").read_text())
     mp_names = {"mpmath"}
     for node in ast.walk(tree):

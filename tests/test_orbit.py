@@ -2,11 +2,15 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from teichlab import farey
 from teichlab import orbit as ob
+from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
 from teichlab.fricke import canonical_cyclic, trace_word_fricke
 
 
@@ -54,20 +58,63 @@ class TestSimpleCounting:
         assert 3.5 <= c2 / c1 <= 4.5
 
     def test_brute_force_small(self):
-        # enumerate all primitive slopes in a box as the oracle
-        L = 8.0
-        bound = 2.0 * math.cosh(L / 2.0)
-        got = ob.count_simple(GENERIC, L)
-        want = 0
-        for p in range(-60, 61):
-            for q in range(0, 61):
-                if q == 0 and p <= 0:
-                    continue
-                if math.gcd(p, q) != 1:
-                    continue
-                if abs(ob.farey_trace(GENERIC, (p, q))) <= bound:
-                    want += 1
-        assert got == want
+        assert_matches_box(GENERIC, 8.0, 60, 60)
+
+    def test_brute_force_far_moved(self):
+        # (567, 52, 29473): the descent to the minimal triangle is 4 flips
+        assert_matches_box(moved((3, 4, 5), "TUTU"), 12.0, 40, 40)
+
+    def test_brute_force_thin_part(self):
+        # MC draw 4 of seed 917568896: the coordinate curve has l ~ 0.0097,
+        # and 1098 slopes up to |p| = 549 lie within L = 16 of it
+        ell, tau = mc_draw(917568896, 4)
+        assert ell == pytest.approx(0.0097289, rel=1e-4)
+        t = fricke_triple(SurfacePoint(S11, (0.0,), ell, tau))
+        got = assert_matches_box((t.x, t.y, t.z), 16.0, 700, 2)
+        assert len(got) == 1098
+
+    def test_tie_at_minimal_triangle(self):
+        # at (4, 8, 4) the flip of the largest vertex gives the same trace
+        # 8, and the first child of the walk equals its opposite vertex;
+        # the counts are the ones at the permutation (4, 4, 8)
+        perms = list(itertools.permutations((4, 4, 8)))
+        for L in (6.0, 20.0):
+            assert len({ob.count_simple(X, L) for X in perms}) == 1, L
+        assert {ob.cone_count(X, 1, 20.0) for X in perms} == {25}
+
+
+def mc_draw(seed, i):
+    """(ell, tau) of MC sample i of seed, as orbit._mc_sample_value draws."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+    u1, u2, u3 = rng.random(3)
+    ell = ob.SYSTOLE_TOP * max(u1, u2)
+    return ell, u3 * ell
+
+
+def assert_matches_box(X, L, pmax, qmax):
+    """simple_slopes(X, L) against the exact traces (Fractions of the
+    coordinates) of every primitive slope in |p| <= pmax, 0 <= q <= qmax;
+    the box must strictly contain the returned slopes."""
+    bound = Fraction(2.0 * math.cosh(L / 2.0))
+    exact = tuple(Fraction(v) for v in X)
+    memo = {}
+    want = {}
+    for p in range(-pmax, pmax + 1):
+        for q in range(0, qmax + 1):
+            if (q == 0 and p <= 0) or math.gcd(p, q) != 1:
+                continue
+            tr = abs(farey.slope_trace(exact, (p, q), memo))
+            if tr <= bound:
+                want[(p, q)] = tr
+    got = dict(ob.simple_slopes(X, L))
+    assert sorted(got) == sorted(want)
+    assert all(abs(p) < pmax and q < qmax for (p, q) in got)
+    for s, tr in got.items():
+        if all(isinstance(v, int) for v in X):
+            assert tr == want[s], s
+        else:
+            assert tr == pytest.approx(float(want[s]), rel=1e-14), s
+    return got
 
 
 class TestWordClassification:
@@ -334,6 +381,69 @@ class TestConeCount:
         c1 = ob.cone_count(GENERIC, 0, 30.0)
         c2 = ob.cone_count(GENERIC, 0, 60.0)
         assert 3.4 <= c2 / c1 <= 4.6
+
+    @pytest.mark.parametrize("X", [(4, 4, 8), (3.5, 3.5, 3.5), GENERIC])
+    def test_matches_chart_inverse(self, X):
+        ms = (-2, 0, 3)
+        want, zero_twists = chart_inverse_cone_counts(X, 30.0, ms)
+        assert [ob.cone_count(X, m, 30.0) for m in ms] == want
+        if X == (4, 4, 8):
+            # families with tau0 = 0 meet every cone at both ends
+            assert zero_twists > 0
+
+    def test_far_moved_triple(self):
+        # (3, 4, 5) moved by eight generators has coordinates of 11 digits
+        X = moved((3, 4, 5), "TUTUTUTU")
+        assert max(X) > 10 ** 10
+        assert ob.cone_count(X, 0, 60.0) == \
+            ob.cone_count((3, 4, 5), 0, 60.0) == 590
+
+
+def chart_inverse_cone_counts(X, L, ms):
+    """The cone counts through the Fenchel-Nielsen chart inverse, in mpmath
+    at 80 digits, and the number of twist families with tau0 = 0.
+
+    Each slope s = (p, q) with l_s <= L is completed to (u, v) with
+    pv - qu = 1 and twist-reduced by trace; (l, tau0) come from inverting
+    the torus chart x = 2 cosh(l/2), y = 2 m cosh(tau/2),
+    z = 2 m cosh((l + tau)/2); re-markings are merged on (l, tau0/l mod 1)
+    rounded to 9 digits, and each family counts the k with
+    m <= tau0/l + k <= m + 1."""
+    x, y, z = X
+    l1 = 2 * math.acosh(max(1.0, -(x * x + y * y + z * z - x * y * z - 2) / 2))
+    families = set()
+    with mpmath.workdps(80):
+        tm = tuple(mpmath.mpf(v) for v in X)
+        memo = {}
+
+        def tr(s):
+            return abs(farey.slope_trace(tm, s, memo))
+        for (p, q), _ in ob.simple_slopes(X, L):
+            if q:
+                v = pow(p % q, -1, q) if q > 1 else 0
+                sp = ((p * v - 1) // q, v)
+            else:
+                sp = (0, 1)
+            for step in (1, -1):
+                while tr((sp[0] + step * p, sp[1] + step * q)) < tr(sp):
+                    sp = (sp[0] + step * p, sp[1] + step * q)
+            ell = 2 * mpmath.acosh(tr((p, q)) / 2)
+            half = mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
+                               + 2 * mpmath.cosh(ell)) \
+                / (2 * mpmath.sinh(ell / 2))
+            c = tr(sp) / (2 * half)
+            tau0 = 2 * mpmath.acosh(c) if c > 1 else mpmath.mpf(0)
+            # the sign of tau0 from the trace of s + s'
+            t3 = tr((p + sp[0], q + sp[1]))
+            if abs(2 * half * mpmath.cosh((ell - tau0) / 2) - t3) < \
+                    abs(2 * half * mpmath.cosh((ell + tau0) / 2) - t3):
+                tau0 = -tau0
+            families.add((round(float(ell), 9),
+                           round(float(mpmath.frac(tau0 / ell)), 9)))
+    counts = [sum(max(0, math.floor(m + 1 - f + 1e-12)
+                      - math.ceil(m - f - 1e-12) + 1) for _, f in families)
+              for m in ms]
+    return counts, sum(f in (0.0, 1.0) for _, f in families)
 
 
 class TestThurstonBall:
