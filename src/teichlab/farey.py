@@ -7,14 +7,12 @@ other slopes follow from the Farey vertex relation
 
     t(mediant) = t(parent1) * t(parent2) - t(parent1 - parent2)
 
-which is the trace identity applied along the Farey tessellation.  A
-log-domain variant supports convergents far too deep for floats.
+which is the trace identity applied along the Farey tessellation.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .fricke import FrickeTriple
 
@@ -105,87 +103,6 @@ def slope_word(p: int, q: int) -> str:
         else:
             hi, wh = med, wm
     raise RuntimeError("mediant search failed for (%d,%d)" % (p, q))
-
-
-def slope_length(t, slope, memo=None) -> float:
-    from .fricke import length_trace
-    return length_trace(slope_trace(t, slope, memo))
-
-
-# ---------------------------------------------------------------------------
-# log-domain trace walk toward an irrational direction
-
-
-def _log_combine(l1: float, l2: float, l3: float) -> float:
-    """log(t1 t2 - t3) from logs, assuming the result is positive."""
-    s = l1 + l2
-    if s < 700.0:
-        v = math.exp(l1) * math.exp(l2) - math.exp(l3)
-        if v <= 0:
-            raise ArithmeticError("trace recursion left the positive cone")
-        return math.log(v)
-    return s + math.log1p(-math.exp(l3 - s))
-
-
-def direction_length_rate(t, ux: float, uy: float, steps: int = 300) -> float:
-    """Homogeneous length of the unit direction (ux, uy) in ML ~ R^2.
-
-    Walks the Farey tessellation toward the direction, tracking log-traces,
-    and returns lim l(p,q) / ||(p,q)|| along the convergents.
-    """
-    if isinstance(t, FrickeTriple):
-        x, y, z = t.x, t.y, t.z
-    else:
-        x, y, z = t
-    if uy < 0 or (uy == 0 and ux < 0):
-        ux, uy = -ux, -uy
-    if uy == 0:
-        return 2.0 * math.acosh(abs(x) / 2.0)
-    if ux == 0:
-        return 2.0 * math.acosh(abs(y) / 2.0)
-    lx, ly, lz = math.log(abs(x)), math.log(abs(y)), math.log(abs(z))
-    lw = math.log(abs(x * y - z))  # slope (1,-1)
-    # the first mediant's trace is known: forming it as t1 t2 - t_opp
-    # would cancel (xy against xy - z) at large traces
-    if ux >= 0:
-        P1, T1 = (1, 0), lx
-        P2, T2 = (0, 1), ly
-        M, TM, Topp = (1, 1), lz, lw
-    else:
-        P1, T1 = (0, 1), ly
-        P2, T2 = (-1, 0), lx
-        M, TM, Topp = (-1, 1), lw, lz  # (0,1) - (-1,0) = (1,1)
-    from .fricke import length_from_log_trace
-    prev = None
-    cur = None
-    for _ in range(steps):
-        # u lies in sub-cone (P1, M) iff u is on the same side of M as P1
-        s_u = M[0] * uy - M[1] * ux
-        if s_u == 0.0:
-            # the direction is exactly this rational slope
-            return length_from_log_trace(TM) / math.hypot(M[0], M[1])
-        s_1 = M[0] * P1[1] - M[1] * P1[0]
-        if (s_u > 0) == (s_1 > 0):
-            P2, T2, Topp = M, TM, T2
-        else:
-            P1, T1, Topp = M, TM, T1
-        prev = cur
-        cur = (M, TM)
-        if max(abs(M[0]), abs(M[1])) > 1e14:
-            break
-        M = (P1[0] + P2[0], P1[1] + P2[1])
-        TM = _log_combine(T1, T2, Topp)
-    M, TM = cur
-    ell = length_from_log_trace(TM)
-    if prev is not None:
-        # difference quotient along the walk converges one order faster
-        # than the plain ratio (homogeneity of the limit length)
-        Mp, TMp = prev
-        ellp = length_from_log_trace(TMp)
-        dn = math.hypot(M[0], M[1]) - math.hypot(Mp[0], Mp[1])
-        if dn > 0.5 * math.hypot(M[0] - Mp[0], M[1] - Mp[1]):
-            return (ell - ellp) / dn
-    return ell / math.hypot(M[0], M[1])
 
 
 def slopes_up_to_depth(depth: int) -> list[tuple[int, int]]:

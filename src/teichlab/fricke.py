@@ -290,16 +290,6 @@ def trace_of_length(ell: float) -> float:
     return 2.0 * math.cosh(ell / 2.0)
 
 
-def length_from_log_trace(log_tr: float) -> float:
-    """l = 2 arccosh(e^{log_tr}/2) given log |trace|, stable for huge traces."""
-    if log_tr > 40.0:
-        return 2.0 * log_tr  # relative error < e^{-80}
-    tr = math.exp(log_tr)
-    if tr < 2.0:
-        raise ValueError("trace below 2")
-    return 2.0 * math.acosh(tr / 2.0)
-
-
 def rep_from_fricke(t: FrickeTriple) -> tuple[Mat2, Mat2]:
     """A realizing pair (A, B) in the fixed normal form: A diagonal, B with a
     unit corner entry (B_21 = 1).

@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from sys import float_info
 
 import numpy as np
 from mpmath.libmp import from_float, mpf_exp, round_nearest
@@ -64,7 +65,13 @@ def _farey_walk(X, L: float):
     t = _triple(X)
     _torus_kappa(t)
     (ta, tb, tab), k = _fixed_root([abs(v) for v in t], 64)
-    bound = int(math.ldexp(2.0 * math.cosh(L / 2.0), k))
+    try:
+        n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
+    except OverflowError:
+        raise ValueError("L=%g: the trace bound 2 cosh(L/2) overflows a "
+                         "float; L must be at most %.4f"
+                         % (L, 2.0 * math.log(float_info.max))) from None
+    bound = (n << k) // d
     # descend to the minimal triangle: basis (sa, sb), vertices sa, sb, sa+sb
     sa, sb = (1, 0), (0, 1)
     for _ in range(10_000):
@@ -596,7 +603,7 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
         prune_violations=0, metadata={"kappa": kappa, **meta})
     if compute_B:
-        report.B = thurston_ball_B(t, 1e-6)
+        report.B = thurston_ball_B(t)
         report.fitted_constant = report.a1 / (L * L * report.B)
     return report
 
@@ -621,52 +628,43 @@ def _torus_kappa(t) -> float:
 # Thurston unit-ball area
 
 
-def _adaptive_simpson(f, a, b, tol, fa, fm, fb, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    whole = (b - a) / 6.0 * (fa + 4 * fm + fb)
-    left = (m - a) / 6.0 * (fa + 4 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4 * frm + fb)
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    if depth <= 0:
-        raise ArithmeticError(
-            "sector integral not converged (achieved %g)" % abs(left + right - whole))
-    # halved tolerance floored at integrand noise level, else the recursion
-    # chases roundoff to the depth limit
-    sub = max(tol / 2, 1e-14)
-    return (_adaptive_simpson(f, a, m, sub, fa, flm, fm, depth - 1)
-            + _adaptive_simpson(f, m, b, sub, fm, frm, fb, depth - 1))
-
-
-def thurston_ball_B(X, tol: float = 1e-6) -> float:
+def thurston_ball_B(X) -> float:
     """Area of the unit length ball {lam in ML ~ R^2 : l_lam(X) <= 1}.
 
     B is a function on moduli space: the area is unchanged by GL(2,Z), by
-    permuting the coordinates and by even sign flips.  So it is integrated
+    permuting the coordinates and by even sign flips.  So it is computed
     at the canonical triple of the orbit of X (ValueError unless X is a
     torus point): the reduced triple, as absolute values in ascending
-    order.  The order is chosen by cost: the quadrature takes 153 direction
-    walks at (3, 4, 5) and 477 at (5, 4, 3).
+    order.
     """
     _torus_kappa(_triple(X))
     root, k = _reduced_root(X)
-    return _ball_area(sorted(abs(v) / (1 << k) for v in root), tol)
+    # ints at an integral X, so that the walk there stays exact
+    return _ball_area(sorted(abs(v) / (1 << k) if k else abs(v) for v in root))
 
 
-def _ball_area(t, tol: float) -> float:
-    """B at the marking t: (1/2) Integral_0^pi r(theta)^2 dtheta with
-    r = 1 / (homogeneous length of the unit direction), matching the
-    normalization where lattice points mod +-1 are the integral
-    multicurves."""
-    def f(theta):
-        rate = farey.direction_length_rate(t, math.cos(theta), math.sin(theta))
-        return 0.5 / (rate * rate)
+def _ball_area(t) -> float:
+    """B at the marking t: half the area of the unit ball, the normalization
+    in which lattice points mod +-1 are the integral multicurves.
 
-    a, b = 0.0, math.pi
-    m = 0.5 * (a + b)
-    return _adaptive_simpson(f, a, b, tol, f(a), f(m), f(b), 40)
+    Length extends to a norm on ML ~ R^2, so every s / l_s lies on the
+    boundary of the ball, and Farey neighbours s, s' span with 0 a triangle
+    of area 1 / (2 l_s l_s').  Over the slopes of the Farey walk to length
+    l_top + 40 (l_top: the longest coordinate curve of t), in order of
+    angle, these triangles make up the star polygon through them, which
+    misses area of order e^-40.  ArithmeticError unless consecutive slopes
+    are Farey neighbours, the convexity premise of the sum.
+    """
+    slopes = sorted(simple_slopes(t, length_trace(max(map(abs, t))) + 40.0),
+                    key=lambda st: (st[0][1] != 0,
+                                    Fraction(-st[0][0], st[0][1] or 1)))
+    # by angle in [0, pi): (1, 0) first, then p/q decreasing
+    for (s, _), (s2, _) in zip(slopes, slopes[1:] + slopes[:1]):
+        if abs(s[0] * s2[1] - s[1] * s2[0]) != 1:
+            raise ArithmeticError(
+                "slopes %r and %r are not Farey neighbours" % (s, s2))
+    ells = [length_trace(tr) for _, tr in slopes]
+    return math.fsum(0.5 / (a * b) for a, b in zip(ells, ells[1:] + ells[:1]))
 
 
 def integral_multicurve_count(X, L: float) -> int:

@@ -98,11 +98,24 @@ class TestCommands:
         assert "count=" in capsys.readouterr().out
 
     def test_bx_huge_traces(self, capsys):
-        # a torus point with traces ~5e16: the first mediant of the
-        # direction walk, formed as xy - (xy - z), cancelled to below 0
+        # a torus point with traces ~5e16, where the slope (-1, 1) of trace
+        # t^2 - t must not be formed as a cancelling xy - (xy - z)
         t = "5.164605048998411e16"
         assert run_main(["bx", "--x", ",".join([t] * 3)]) == 0
         assert capsys.readouterr().out.startswith("B=")
+
+    def test_bx_thin_draw(self, capsys):
+        # MC draw 4 of seed 917568896 (l ~ 0.0097), where a quadrature over
+        # directions did not converge
+        assert run_main(["bx", "--x", "2.000023663063033,411.15203570182683,"
+                         "411.16556518273023"]) == 0
+        assert capsys.readouterr().out.startswith("B=")
+
+    @pytest.mark.parametrize("cmd", ["count-simple", "cone-count"])
+    def test_trace_bound_overflow_exit_1(self, cmd, capsys):
+        # 2 cosh(L/2) is beyond the float range at L = 2000
+        assert run_main([cmd, "--x", "3,3,3", "--L", "2000"]) == 1
+        assert "L must be at most 1419.5654" in capsys.readouterr().err
 
     def test_count_word_tiny_L(self, capsys):
         # the normalized counts divided by L^2, which underflows to 0
@@ -208,9 +221,9 @@ def _argv(draw):
 class TestFuzz:
     """CLI input never hangs and never escapes as a traceback: every
     command ends within a time bound with an exit code 0-3.  The slowest
-    example takes about 0.25 s (bx at (3,3,6)).  No shrinking and no
-    replay of stored failures: each rerun of a hanging example would run
-    to the bound again."""
+    example takes about 0.1 s (count-word at (3,3,3) and L = 8).  No
+    shrinking and no replay of stored failures: each rerun of a hanging
+    example would run to the bound again."""
 
     @settings(max_examples=60, deadline=None,
               phases=[Phase.explicit, Phase.generate])

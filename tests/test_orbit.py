@@ -82,6 +82,15 @@ class TestSimpleCounting:
             assert len({ob.count_simple(X, L) for X in perms}) == 1, L
         assert {ob.cone_count(X, 1, 20.0) for X in perms} == {25}
 
+    def test_trace_bound_beyond_float_range(self):
+        # at a float X the bound 2 cosh(L/2) scaled by 2^64 leaves the float
+        # range from L ~ 1331; 2 cosh(L/2) itself leaves it past L ~ 1419.57
+        got = assert_matches_box((12345.5,) * 3, 1340.0, 75, 75)
+        assert len(got) == ob.count_simple((12345.5,) * 3, 1340.0) == 4692
+        for f in (ob.count_simple, lambda X, L: ob.cone_count(X, 0, L)):
+            with pytest.raises(ValueError, match="at most 1419.5654"):
+                f(MODULAR, 2000.0)
+
 
 def mc_draw(seed, i):
     """(ell, tau) of MC sample i of seed, as orbit._mc_sample_value draws."""
@@ -446,6 +455,58 @@ def chart_inverse_cone_counts(X, L, ms):
     return counts, sum(f in (0.0, 1.0) for _, f in families)
 
 
+def _log_combine(l1, l2, l3):
+    """log(t1 t2 - t3) from logs, assuming the result is positive."""
+    s = l1 + l2
+    if s < 700.0:
+        return math.log(math.exp(l1) * math.exp(l2) - math.exp(l3))
+    return s + math.log1p(-math.exp(l3 - s))
+
+
+def _log_trace_length(log_tr):
+    """l = 2 arccosh(e^log_tr / 2), with 2 log_tr for huge traces."""
+    if log_tr > 40.0:
+        return 2.0 * log_tr
+    return 2.0 * math.acosh(math.exp(log_tr) / 2.0)
+
+
+def direction_length_rate(t, ux, uy, steps=10 ** 6):
+    """Homogeneous length of the direction (ux, uy) in ML ~ R^2, apart from
+    the module's Farey walk: log-traces along the Farey convergents toward
+    the direction until |p| or |q| > 1e14, and the difference quotient of
+    the last two (it converges one order faster than l(p,q) / |(p,q)|)."""
+    x, y, z = t
+    if uy < 0 or (uy == 0 and ux < 0):
+        ux, uy = -ux, -uy
+    lx, ly, lz = math.log(abs(x)), math.log(abs(y)), math.log(abs(z))
+    lw = math.log(abs(x * y - z))  # slope (-1, 1)
+    if ux >= 0:
+        P1, T1, P2, T2, M, TM = (1, 0), lx, (0, 1), ly, (1, 1), lz
+    else:
+        P1, T1, P2, T2, M, TM = (0, 1), ly, (-1, 0), lx, (-1, 1), lw
+    prev = cur = None
+    for _ in range(steps):
+        # u lies in the sub-cone (P1, M) iff it is on the side of M of P1
+        s_u = M[0] * uy - M[1] * ux
+        if s_u == 0.0:
+            return _log_trace_length(TM) / math.hypot(*M)
+        if (s_u > 0) == (M[0] * P1[1] - M[1] * P1[0] > 0):
+            P2, T2, Topp = M, TM, T2
+        else:
+            P1, T1, Topp = M, TM, T1
+        prev, cur = cur, (M, TM)
+        if max(abs(M[0]), abs(M[1])) > 1e14:
+            break
+        M = (P1[0] + P2[0], P1[1] + P2[1])
+        TM = _log_combine(T1, T2, Topp)
+    (M, TM), (Mp, TMp) = cur, prev
+    ell = _log_trace_length(TM)
+    dn = math.hypot(*M) - math.hypot(*Mp)
+    if dn > 0.5 * math.hypot(M[0] - Mp[0], M[1] - Mp[1]):
+        return (ell - _log_trace_length(TMp)) / dn
+    return ell / math.hypot(*M)
+
+
 class TestThurstonBall:
     @pytest.mark.parametrize("X", [(3, 4, 5), (6, 15, 3)])
     def test_invariant_under_generators(self, X):
@@ -471,17 +532,40 @@ class TestThurstonBall:
 
     @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC, (6, 15, 3)])
     def test_quadrature_at_own_marking(self, X):
-        # independent of the reduction: the same quadrature, run at the
-        # marking X itself, has to land on B within its tolerance
-        assert ob._ball_area(X, 1e-6) == \
-            pytest.approx(ob.thurston_ball_B(X), rel=1e-4)
+        # independent of the reduction: the same polygon sum, run at the
+        # marking X itself, walks other slopes to another length bound
+        assert ob._ball_area(X) == \
+            pytest.approx(ob.thurston_ball_B(X), rel=1e-12)
 
     def test_converges_at_depth_limit(self):
-        # the reduced triple of MC sample 0 of seed 0: at this marking one
-        # sector of the quadrature converges only at the recursion limit
+        # the reduced triple of MC sample 0 of seed 0, where the adaptive
+        # theta-quadrature that B once was reached its recursion limit and
+        # read 0.630621, high by 5e-4; the value agrees with the dense
+        # integral of test_dense_integral
         X = (2.0545797218640933, 8.923065622080278, 8.737976656699363)
-        assert ob._ball_area(X, 1e-6) == pytest.approx(0.630621, rel=1e-5)
-        assert ob.thurston_ball_B(X) == pytest.approx(0.630621, rel=1e-5)
+        assert ob._ball_area(X) == pytest.approx(0.6303030686, rel=1e-9)
+        assert ob.thurston_ball_B(X) == pytest.approx(0.6303030686, rel=1e-9)
+
+    @pytest.mark.parametrize("X, rel", [
+        ((3, 4, 5), 2e-7),
+        ((2.0545797218640933, 8.923065622080278, 8.737976656699363), 3e-6)])
+    def test_dense_integral(self, X, rel):
+        # B = (1/2) Integral_0^pi r(theta)^2 dtheta, r = 1 / the homogeneous
+        # length of the direction, by the midpoint rule
+        n = 5000
+        h = math.pi / n
+        area = h * math.fsum(
+            0.5 / direction_length_rate(X, math.cos(th), math.sin(th)) ** 2
+            for th in ((i + 0.5) * h for i in range(n)))
+        assert ob.thurston_ball_B(X) == pytest.approx(area, rel=rel)
+
+    @pytest.mark.parametrize("t", [1e12, 5.164605048998411e16, 1e20])
+    def test_closed_form_huge_traces(self, t):
+        # only the three slopes of trace t are shorter than l + 40, and the
+        # ball is the hexagon on them up to a relative O(1/t): B = 3/(2 l^2)
+        ell = 2.0 * math.acosh(t / 2.0)
+        assert ob.thurston_ball_B((t, t, t)) == \
+            pytest.approx(3.0 / (2.0 * ell * ell), rel=1e-12)
 
     @pytest.mark.parametrize("X", [(0, 0, 0), (2, 2, 2), (2.5, 2.5, 2.5),
                                    (-3, 3, 3), (1e200, 1e200, 1e200)])
