@@ -441,6 +441,14 @@ _SPECS = {
 }
 
 
+_HELP = {
+    "prune_c": "prune constant of the word-orbit engine (words with infinite "
+               "symmetry): a class is expanded while its length is <= "
+               "prune_c * L; the triple-orbit and simple-slope engines do "
+               "not use it",
+}
+
+
 def main(argv=None) -> int:
     ap = _Parser(prog="teichlab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -453,7 +461,7 @@ def main(argv=None) -> int:
                                action="store_const", const="1")
             else:
                 p.add_argument("--" + key.replace("_", "-"), dest=key,
-                               default=None)
+                               default=None, help=_HELP.get(key))
     try:
         ns = ap.parse_args(argv)
         defaults, fn = _SPECS[ns.cmd]

@@ -11,15 +11,18 @@ triples these are the polynomial maps
     T:  (x,y,z) -> (x, z, xz - y)        T^-1: (x,y,z) -> (x, xy - z, y)
     U:  (x,y,z) -> (z, y, yz - x)        U^-1: (x,y,z) -> (xy - z, y, x)
 
-which preserve the boundary invariant kappa exactly.  Both orbit searches
-(over triples, and over the conjugacy classes of the direct word-orbit
-enumeration that cross-validates it) run in 2^-k fixed point, exact at
-k = 0 for integral triples, and share one pruned BFS.  The simple-slope
-and cone counts share one Farey walk in the same fixed point.  The lengths
-along twist lines and rays (length-ball volumes, APL) are fixed point end
-to end as well: the (ell, tau) torus chart is built from two exponentials
-as ints scaled by 2^k and handed to the same node-length code as orbit
-nodes.
+which preserve the boundary invariant kappa exactly.  One Farey walk in
+2^-k fixed point, exact at k = 0 for integral triples, yields every short
+slope with its marking triple; it feeds the simple-slope, cone and
+triple-orbit counts and the ball area.  The triple orbit of a word is
+counted over the twist families of those slopes: length is convex along
+a Fenchel-Nielsen twist, so each family is one downhill walk to its
+minimum and one walk outward on each side.  Words with infinite symmetry,
+and the direct word-orbit enumeration that cross-validates the families,
+run a pruned BFS over conjugacy classes.  The lengths along twist lines
+and rays (length-ball volumes, APL) are fixed point end to end as well:
+the (ell, tau) torus chart is built from two exponentials as ints scaled
+by 2^k and handed to the same node-length code as orbit nodes.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ def _triple(X) -> tuple:
 # simple curves: one Farey walk
 
 
-def _farey_walk(X, L: float):
+def _farey_walk(X, L: float, bits: int = 64):
     """(marks, k): for every slope s with trace <= 2 cosh(L/2) at X, the
     pair (s, (tr s, tr s', tr(s + s'))) with det(s, s') = 1, the marking
-    triple of s, as ints scaled by 2^k (k = 0 for an integral X, else 64).
+    triple of s, as ints scaled by 2^k (k = 0 for an integral X, else
+    bits).
 
     Descends to the minimal triangle, then walks the Farey tree outward
     from it: across an edge (u, v) with opposite vertex u - v lies u + v,
@@ -64,7 +68,7 @@ def _farey_walk(X, L: float):
     """
     t = _triple(X)
     _torus_kappa(t)
-    (ta, tb, tab), k = _fixed_root([abs(v) for v in t], 64)
+    (ta, tb, tab), k = _fixed_root([abs(v) for v in t], bits)
     try:
         n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
     except OverflowError:
@@ -165,13 +169,11 @@ _GEN_MATS = {
 GENS = "TtUu"
 
 
-def _images(t, k: int, xy=None):
+def _images(t, k: int):
     """The node t (ints scaled by 2^k; k = 0: an exact integral triple)
-    moved by each generator map, in GENS order.  xy = x*y >> k, which two
-    of the maps share, may come from a caller that has it already."""
+    moved by each generator map, in GENS order."""
     x, y, z = t
-    if xy is None:
-        xy = x * y >> k
+    xy = x * y >> k
     return ((x, z, (x * z >> k) - y), (x, xy - z, y),
             (z, y, (y * z >> k) - x), (xy - z, y, x))
 
@@ -326,7 +328,7 @@ def simple_power(w: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# orbit searches: one pruned BFS over triples or conjugacy classes
+# orbit searches: twist families over triples, a pruned BFS over classes
 
 
 def _bits(digits: float) -> int:
@@ -334,13 +336,10 @@ def _bits(digits: float) -> int:
     return math.ceil(digits * math.log2(10))
 
 
-def _kappa_fixed(t, k: int, xy=None) -> int:
-    """kappa of a node scaled by 2^k, in the node's arithmetic (xy as for
-    _images)."""
+def _kappa_fixed(t, k: int) -> int:
+    """kappa of a node scaled by 2^k, in the node's arithmetic."""
     x, y, z = t
-    if xy is None:
-        xy = x * y >> k
-    return (x * x + y * y + z * z - xy * z >> k) - (2 << k)
+    return (x * x + y * y + z * z - (x * y >> k) * z >> k) - (2 << k)
 
 
 def _trace_length(tr: int, k: int, w: str) -> float:
@@ -361,11 +360,6 @@ def _node_length(t, gamma: str, k: int) -> float:
     """l_gamma at a node held as ints scaled by 2^k (k = 0: an integral
     triple, exact), from the fixed-point trace of gamma's compiled plan."""
     return _trace_length(trace_word_fixed(t, gamma, k), k, gamma)
-
-
-class PruningError(ArithmeticError):
-    """A node beyond the pruned frontier of an orbit search re-entered the
-    counting range: the pruning constant was too small for this search."""
 
 
 def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
@@ -413,44 +407,115 @@ def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
                 if length(child) <= L:
                     violations += 1
     if violations:
-        raise PruningError(
+        raise ArithmeticError(
             "pruning validation failed: %d node(s) beyond the pruned frontier "
             "re-entered the counting range; rerun with a larger prune "
             "constant" % violations)
     return counted, nodes, len(pruned)
 
 
-def _orbit_bfs(X, gamma: str, L: float, prune_c: float = 3.0,
-               max_nodes: int = 5_000_000):
-    """The pruned BFS over the triple orbit of X; returns (lengths <= L,
-    node count, pruned count).
+# a non-empty twist family of a slope this close to L fails the count (the
+# slopes beyond L are not walked); the step cap bounds each family's walk
+_TOP_BAND = 1.0
+_FAMILY_STEPS = 100_000
+
+
+def _twist_node(mark, k: int):
+    """node(n) = T^n(mark) = (x, y_n, y_(n+1)) for the marking triple
+    mark = (x, y_0, y_1) of ints scaled by 2^k: T takes s' to s + s', so
+    y_n = tr(s' + n s) and y_(n+1) = x y_n - y_(n-1).  The recursion is
+    extended one step at a time, so each y_n is rounded along one path."""
+    x = mark[0]
+    ys = {0: mark[1], 1: mark[2]}
+    lo, hi = 0, 1
+
+    def node(n):
+        nonlocal lo, hi
+        while hi < n + 1:
+            hi += 1
+            ys[hi] = (x * ys[hi - 1] >> k) - ys[hi - 2]
+        while lo > n:
+            lo -= 1
+            ys[lo] = (x * ys[lo + 1] >> k) - ys[lo + 2]
+        return (x, ys[n], ys[n + 1])
+    return node
+
+
+def _walk_family(node, gamma: str, L: float, k: int):
+    """(lengths <= L, {n: |tr gamma| at node(n)} for every node evaluated)
+    along one twist family: downhill from n = 0 to the minimum of the
+    convex l_gamma, then outward on both sides until l_gamma > L."""
+    trs = {}
+
+    def tr(n):
+        if n not in trs:
+            if len(trs) >= _FAMILY_STEPS:
+                raise ArithmeticError(
+                    "twist family walk exceeded %d steps: the word may be "
+                    "non-filling" % _FAMILY_STEPS)
+            trs[n] = abs(trace_word_fixed(node(n), gamma, k))
+        return trs[n]
+
+    m = 0
+    for step in (1, -1):  # downhill to the right, else to the left
+        while tr(m + step) < tr(m):
+            m += step
+        if m:
+            break
+    found = []
+    for n, step in ((m, 1), (m - 1, -1)):
+        while (ell := _trace_length(tr(n), k, gamma)) <= L:
+            found.append(ell)
+            n += step
+    return found, trs
+
+
+def _family_lengths(X, gamma: str, L: float):
+    """The triple-orbit engine: (lengths <= L of gamma over the mapping
+    classes g, as l_gamma(g.X), one per class, and the work counters
+    {families, evaluations, k}).
+
+    A mapping class is a slope s (its image of a, up to sign) and a twist
+    index n.  The Farey walk gives each s with l_s <= L its marking triple
+    (tr s, tr s', tr(s + s')), and the twist maps T, t move it along its
+    family (_twist_node).  Length is convex along a Fenchel-Nielsen twist,
+    so l_gamma is convex in n, and each family is one downhill walk and
+    two outward ones (_walk_family).  Slopes beyond L are not walked; a
+    non-empty family with l_s > L - _TOP_BAND raises ArithmeticError, on
+    the premise that the slopes of the non-empty families make one
+    interval in l_s.  kappa is checked at both ends of every non-empty
+    family, where the rounding of the recursion is largest.
 
     Nodes are ints scaled by 2^k: k = 0 for an integral X, else k binary
-    places carry the digits that the trace cancellation at the pruning
-    frontier digs (~deg * log10(coord)).  Paths to one node round
-    differently in the last places, so nodes are keyed on 64 binary places.
+    places carry the digits that the trace cancellation digs
+    (~deg * log10(coord)).
     """
-    root, k = _fixed_root(
-        X, _bits(60 + int(0.25 * len(gamma) * prune_c * L)))
-    shift = max(0, k - 64)
-
-    def key(t):
-        return (t[0] >> shift, t[1] >> shift, t[2] >> shift)
-
+    bits = _bits(60 + int(0.25 * len(gamma) * 1.5 * L))
+    root, k = _fixed_root([abs(v) for v in _triple(X)], bits)
+    marks, _ = _farey_walk(X, L, bits)
     kappa0 = _kappa_fixed(root, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
-
-    def children(t):
-        # the drift check runs at every node expanded or validated, and
-        # shares x*y with the maps
-        xy = t[0] * t[1] >> k
-        if abs(_kappa_fixed(t, k, xy) - kappa0) * 10 ** 7 > drift:
-            raise ArithmeticError("kappa drifted along the orbit")
-        return _images(t, k, xy)
-
-    return _pruned_bfs(root, key, children,
-                       lambda t: _node_length(t, gamma, k),
-                       L, prune_c, max_nodes)
+    lengths = []
+    evaluations = 0
+    for _, mark in marks:
+        node = _twist_node(mark, k)
+        found, trs = _walk_family(node, gamma, L, k)
+        evaluations += len(trs)
+        if not found:
+            continue
+        ls = length_trace(mark[0] / (1 << k))
+        if ls > L - _TOP_BAND:
+            raise ArithmeticError(
+                "the twist family of a slope of length %.6g > L - %g is "
+                "non-empty: slopes beyond L may carry curves of length <= L"
+                % (ls, _TOP_BAND))
+        # the two outermost nodes, where the recursion has rounded most
+        for n in (min(trs), max(trs)):
+            if abs(_kappa_fixed(node(n), k) - kappa0) * 10 ** 7 > drift:
+                raise ArithmeticError("kappa drifted along the orbit")
+        lengths += found
+    return lengths, {"families": len(marks), "evaluations": evaluations,
+                     "k": k}
 
 
 def _rep_fixed(t, k: int) -> dict:
@@ -551,9 +616,13 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     """Count curves in the mapping-class orbit of gamma with length <= L.
 
     Simple gamma routes through the slope count (the orbit of a simple
-    curve is all simple curves).  Otherwise the triple-orbit BFS counts
-    orbit nodes and converts to a curve count A1 via the exact relation
-    #elements = #nodes * |Aut(X)| = #curves * |Sym(gamma)|; A3 = sym * A1.
+    curve is all simple curves).  A gamma with infinite symmetry goes to
+    the word-orbit BFS over conjugacy classes, the one engine that uses
+    prune_c.  Otherwise the triple-orbit engine walks the twist family of
+    every slope of length <= L and counts the mapping classes g with
+    l_gamma(g.X) <= L; each curve is the image of |Sym(gamma)| of them, so
+    A1 = #classes / |Sym(gamma)| (ArithmeticError unless Sym divides it)
+    and A3 = sym * A1.  |Aut(X)| is reported, not used.
     """
     gamma = cyclic_reduce(gamma)
     if is_peripheral_word(gamma) or not gamma:
@@ -577,24 +646,18 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     else:
         if sym == 0:
             # infinite symmetry (gamma is simple with decoration, e.g. a
-            # power times a boundary conjugate): the node bookkeeping breaks
-            # down, so count curves directly over conjugacy classes
+            # power times a boundary conjugate): count curves directly over
+            # conjugacy classes
             lengths, nodes, pruned = _word_orbit_lengths(t, gamma, L, prune_c)
             meta = {"engine": "word-orbit",
                     "note": "Sym(gamma) infinite; a3 reported equal to a1"}
         else:
-            lengths, nodes, pruned = _orbit_bfs(t, gamma, L, prune_c)
-            meta = {"engine": "triple-orbit"}
+            lengths, work = _family_lengths(t, gamma, L)
+            nodes, pruned = work["evaluations"], 0
+            meta = {"engine": "triple-orbit", **work}
         arr = np.sort(np.array(lengths))
-        counts = []
-        for g in grid:
-            a2 = int(np.searchsorted(arr, g, side="right"))
-            a1g = a2 * aut / sym if sym else a2
-            if abs(a1g - round(a1g)) > 1e-6:
-                raise ArithmeticError(
-                    "node count %d not divisible by sym/aut bookkeeping "
-                    "(aut=%d sym=%d)" % (a2, aut, sym))
-            counts.append(int(round(a1g)))
+        counts = [_per_curve(int(np.searchsorted(arr, g, side="right")), sym)
+                  for g in grid]
     a1 = counts[-1]
     report = CountReport(
         schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
@@ -606,6 +669,18 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         report.B = thurston_ball_B(t)
         report.fitted_constant = report.a1 / (L * L * report.B)
     return report
+
+
+def _per_curve(n: int, sym: int) -> int:
+    """Curves from n mapping classes, each curve the image of sym of them
+    (sym = 0: n already counts curves)."""
+    if not sym:
+        return n
+    curves, rest = divmod(n, sym)
+    if rest:
+        raise ArithmeticError("%d mapping classes are not a multiple of "
+                              "|Sym(gamma)| = %d" % (n, sym))
+    return curves
 
 
 def _torus_kappa(t) -> float:
@@ -719,7 +794,6 @@ def cone_count(X, m: int, L: float) -> int:
 # ball volume and Weil-Petersson average
 
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
-_MC_PRUNE_ESCALATION = (2.0, 3.0)
 
 
 def _exp_fixed(h: float, k: int) -> tuple[int, int]:
@@ -929,7 +1003,11 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     curve, twist in [0, l); samples are drawn with density proportional to
     l on the wedge below the maximal systole, each from its own
     counter-based RNG stream keyed by (seed, sample index) so the result is
-    independent of worker scheduling.
+    independent of worker scheduling.  A sample counts the curves of the
+    orbit of gamma at X with the triple-orbit engine of count_orbit_word
+    (twist families, no prune constant).  prune_c has no effect: a filling
+    gamma has finite symmetry, so no sample reaches the word-orbit engine,
+    the one that prunes.
     """
     if mc_samples < 1000:
         raise ValueError("mc_samples must be >= 1000")
@@ -954,7 +1032,7 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
 
 
 def _mc_sample_value(args):
-    i, seed, gamma, L, l1, sym, prune_c = args
+    i, seed, gamma, L, l1, sym, _ = args  # prune_c has no effect here
     rng = np.random.Generator(np.random.Philox(key=[seed, i]))
     u1, u2, u3 = rng.random(3)
     ell = SYSTOLE_TOP * max(u1, u2)  # density ~ ell on (0, top]
@@ -966,13 +1044,4 @@ def _mc_sample_value(args):
     shortest = min(tr for (_, tr) in simple_slopes(t, ell + 1e-6))
     if shortest < xbound * (1.0 - 1e-12):
         return 0.0
-    # a sample whose pruning validation fails is rerun at the next larger
-    # constant; the ladder depends on the sample alone, so results stay the
-    # same across worker counts
-    ladder = [prune_c] + [c for c in _MC_PRUNE_ESCALATION if c > prune_c]
-    for c in ladder[:-1]:
-        try:
-            return len(_orbit_bfs((t.x, t.y, t.z), gamma, L, c)[0]) / sym
-        except PruningError:
-            pass
-    return len(_orbit_bfs((t.x, t.y, t.z), gamma, L, ladder[-1])[0]) / sym
+    return _per_curve(len(_family_lengths(t, gamma, L)[0]), sym)

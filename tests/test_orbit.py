@@ -219,6 +219,128 @@ class TestOrbitCount:
         assert rep.a3 == rep.sym_order * rep.a1
 
 
+def orbit_bfs_lengths(X, gamma, L, prune_c):
+    """The oracle of the twist-family count: a pruned BFS over the triple
+    orbit of X; returns (lengths <= L, node count).  Nodes are ints scaled
+    by 2^k, keyed on 64 binary places; the count of mapping classes is the
+    node count times |Aut(X)|."""
+    root, k = ob._fixed_root(
+        X, ob._bits(60 + int(0.25 * len(gamma) * prune_c * L)))
+    shift = max(0, k - 64)
+    kappa0 = ob._kappa_fixed(root, k)
+
+    def children(t):
+        if abs(ob._kappa_fixed(t, k) - kappa0) * 10 ** 7 > \
+                max(1 << k, abs(kappa0)):
+            raise ArithmeticError("kappa drifted along the orbit")
+        return ob._images(t, k)
+
+    lengths, nodes, _ = ob._pruned_bfs(
+        root, lambda t: tuple(v >> shift for v in t), children,
+        lambda t: ob._node_length(t, gamma, k), L, prune_c, 5_000_000)
+    return lengths, nodes
+
+
+def bfs_counts(X, gamma, L, grid, prune_c):
+    """Curve counts at each grid length from the BFS oracle."""
+    lengths, _ = orbit_bfs_lengths(X, gamma, L, prune_c)
+    aut = ob.point_symmetry_order(X)
+    sym = ob.curve_symmetry_order(gamma)
+    return [sum(v <= g for v in lengths) * aut // sym for g in grid]
+
+
+def mc_triple(seed, i):
+    ell, tau = mc_draw(seed, i)
+    t = fricke_triple(SurfacePoint(S11, (0.0,), ell, tau))
+    return (t.x, t.y, t.z)
+
+
+class TestTwistFamilies:
+    def test_matches_bfs_on_mc_draws(self):
+        # the first 20 accepted MC draws of seed 0 at L = 16, the BFS at the
+        # prune constant of the MC samples
+        L, grid = 16.0, [8.0, 12.0, 16.0]
+        done = 0
+        for i in itertools.count():
+            args = (i, 0, "aabAb", L, 0.0, 1, 1.5)
+            if ob._mc_sample_value(args) == 0.0:
+                continue
+            X = mc_triple(0, i)
+            got = ob.count_orbit_word(X, "aabAb", L, grid=grid)
+            assert got.counts == bfs_counts(X, "aabAb", L, grid, 1.5), i
+            done += 1
+            if done == 20:
+                break
+
+    @pytest.mark.parametrize("draw, L, want", [
+        ((917568896, 4), 16.0, 753), ((917568896, 4), 30.0, 8106),
+        ((1, 54), 16.0, 756), ((1, 54), 30.0, 8047)])
+    def test_matches_bfs_at_thin_draws(self, draw, L, want):
+        # draws in the thin part (l ~ 0.01), where the BFS needs prune_c = 2
+        X = mc_triple(*draw)
+        grid = [L / 2.0, 0.75 * L, L]
+        got = ob.count_orbit_word(X, "aabAb", L)
+        assert got.counts == bfs_counts(X, "aabAb", L, grid, 2.0)
+        assert got.counts[-1] == want
+
+    @pytest.mark.parametrize("X", [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5),
+                                   (87, 6, 15), (3, 39, 15), GENERIC])
+    def test_matches_bfs_triple_by_word(self, X):
+        # (87, 6, 15) has |Aut| = 2 and (3, 39, 15) |Aut| = 3: the family
+        # count takes no Aut conversion
+        L, grid = 14.0, [7.0, 10.5, 14.0]
+        for gamma in ["aabAb", "aabbAB", "aaBabb", "abbaBAAb", "aabAbAbb"]:
+            got = ob.count_orbit_word(X, gamma, L, grid=grid)
+            assert got.metadata["engine"] == "triple-orbit"
+            assert got.counts == bfs_counts(X, gamma, L, grid, 3.0), gamma
+
+    def test_far_node_matches_mpmath(self):
+        # the node T^n of a marking triple at n = +-25, against traces of
+        # the slopes s' + n s in mpmath; the word is chiral, so the test
+        # tells T from t
+        L, gamma = 16.0, "aabAbAbb"
+        k = ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L))
+        marks, k = ob._farey_walk(GENERIC, L, k)
+        s, mark = max(marks, key=lambda m: m[0][1])
+        p, q = s
+        assert q >= 2
+        with mpmath.workdps(400):
+            tm = tuple(mpmath.mpf(v) for v in GENERIC)
+            memo = {}
+
+            def tr(v):
+                return farey.slope_trace(tm, v, memo)
+            # the completion s' of the mark: det(s, s') = 1, tr s' = y_0
+            u = pow(p, -1, q)
+            sp = ((p * u - 1) // q, u)
+            sp = min(((sp[0] + j * p, sp[1] + j * q) for j in range(-9, 10)),
+                     key=lambda v: abs(tr(v) - mpmath.ldexp(mark[1], -k)))
+            assert s[0] * sp[1] - s[1] * sp[0] == 1
+            node = ob._twist_node(mark, k)
+            for n in (25, -25):
+                t = tuple(tr((sp[0] + j * p, sp[1] + j * q))
+                          for j in (n, n + 1))
+                want = 2 * mpmath.acosh(
+                    abs(trace_word_fricke((tr(s),) + t, gamma)) / 2)
+                assert want > 3 * L
+                assert ob._node_length(node(n), gamma, k) == pytest.approx(
+                    float(want), rel=1e-13), n
+
+    def test_top_band_family_raises(self, monkeypatch):
+        # a non-empty family of a slope with l_s > L - band fails the count
+        monkeypatch.setattr(ob, "_TOP_BAND", 9.0)
+        with pytest.raises(ArithmeticError, match="non-empty"):
+            ob.count_orbit_word(GENERIC, "aabAb", 9.0)
+
+    def test_work_counters(self):
+        rep = ob.count_orbit_word(GENERIC, "aabAb", 9.0)
+        meta = rep.metadata
+        assert meta["families"] == ob.count_simple(GENERIC, 9.0)
+        assert rep.orbit_nodes == meta["evaluations"] >= 3 * meta["families"]
+        assert meta["k"] == ob._bits(60 + int(0.25 * 5 * 1.5 * 9.0))
+        assert ob.count_orbit_word(MODULAR, "aabAb", 9.0).metadata["k"] == 0
+
+
 class TestNodeLength:
     def test_integral_node_beyond_1e15(self):
         # |tr| has ~200 digits here; the exact int trace must give
@@ -346,14 +468,23 @@ class TestPrecision:
 
     def test_kappa_drift_fires(self, monkeypatch):
         # too few binary places for a non-integral X: rounding moves kappa
-        # and the check along the orbit must stop the search
+        # and the check at the ends of the twist families must stop the
+        # count
         monkeypatch.setattr(ob, "_bits", lambda digits: 12)
         with pytest.raises(ArithmeticError, match="kappa drifted"):
-            ob._orbit_bfs(GENERIC, "aabAb", 9.0)
+            ob._family_lengths(GENERIC, "aabAb", 9.0)
 
-    def test_kappa_checked_at_every_node(self, monkeypatch):
-        # once at the root, then at each expanded node and at each pruned
-        # node the validation expands
+    def test_kappa_checked_at_both_family_ends(self, monkeypatch):
+        # once at the root, then at the outermost node on each side of
+        # every family with a length <= L
+        L = 9.0
+        k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
+        marks, _ = ob._farey_walk(GENERIC, L, k)
+        nonempty = sum(
+            any(ob._node_length(ob._twist_node(mark, k)(n), "aabAb", k) <= L
+                for n in range(-30, 31))
+            for _, mark in marks)
+        assert 0 < nonempty < len(marks)
         calls = []
         kappa = ob._kappa_fixed
 
@@ -361,14 +492,14 @@ class TestPrecision:
             calls.append(1)
             return kappa(*args)
         monkeypatch.setattr(ob, "_kappa_fixed", counted)
-        _, nodes, pruned = ob._orbit_bfs(GENERIC, "aabAb", 9.0)
-        assert pruned > 0
-        assert len(calls) == 1 + nodes
+        ob._family_lengths(GENERIC, "aabAb", L)
+        assert len(calls) == 1 + 2 * nonempty
 
-    def test_triple_orbit_abort_keeps_dps(self):
+    def test_triple_orbit_abort_keeps_dps(self, monkeypatch):
+        monkeypatch.setattr(ob, "_FAMILY_STEPS", 2)
         dps = mpmath.mp.dps
         with pytest.raises(ArithmeticError, match="exceeded"):
-            ob._orbit_bfs(GENERIC, "aabAb", 30.0, max_nodes=10)
+            ob._family_lengths(GENERIC, "aabAb", 30.0)
         assert mpmath.mp.dps == dps
 
 
@@ -664,9 +795,10 @@ class TestBallVolume:
 
 
 class TestMonteCarlo:
-    def test_sample_escalates_prune_constant(self):
-        # sample 54 of seed 1 fails pruning validation at prune_c = 1.5;
-        # reruns at 2.0 and 3.0 both count 756
+    def test_sample_count_independent_of_prune_constant(self):
+        # sample 54 of seed 1 is a thin draw where a BFS pruned at 1.5 L
+        # fails its validation (TestTwistFamilies); the twist-family count
+        # has no prune constant
         args = (54, 1, "aabAb", 16.0, 0.0, 1, 1.5)
         assert ob._mc_sample_value(args) == 756.0
         _, seed, gamma, L, l1, sym, _ = args
