@@ -176,8 +176,7 @@ def cmd_count_simple(cfg):
 def cmd_count_word(cfg):
     X = _as_triple(cfg, "x")
     L = _as_length(cfg, "L", zero_ok=False)
-    rep = orbit.count_orbit_word(X, str(cfg["word"]), L,
-                                 prune_c=_as_float(cfg, "prune_c"))
+    rep = orbit.count_orbit_word(X, str(cfg["word"]), L)
     print("count=%d" % rep.counts[-1])
     if cfg["out"]:
         _emit(cfg["out"], rep.to_json() + "\n")
@@ -421,8 +420,7 @@ _SPECS = {
     "markoff-fit": ({"bounds": "1000,1000000,1000000000", "norm": "max",
                      **_COMMON}, cmd_markoff_fit),
     "count-simple": ({"x": "3,3,3", "L": "2.0", **_COMMON}, cmd_count_simple),
-    "count-word": ({"x": "3,3,3", "word": "a", "L": "10.0", "prune_c": "3.0",
-                    **_COMMON}, cmd_count_word),
+    "count-word": ({"x": "3,3,3", "word": "a", "L": "10.0", **_COMMON}, cmd_count_word),
     "bx": ({"x": "3,3,3", **_COMMON}, cmd_bx),
     "cone-count": ({"x": "3,3,3", "m": "0", "L": "60.0", **_COMMON}, cmd_cone_count),
     "ball-volume": ({"word": "aabAb", "L": "30.0", "l1": "0.0",
@@ -441,14 +439,6 @@ _SPECS = {
 }
 
 
-_HELP = {
-    "prune_c": "prune constant of the word-orbit engine (words with infinite "
-               "symmetry): a class is expanded while its length is <= "
-               "prune_c * L; the triple-orbit and simple-slope engines do "
-               "not use it",
-}
-
-
 def main(argv=None) -> int:
     ap = _Parser(prog="teichlab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -461,7 +451,7 @@ def main(argv=None) -> int:
                                action="store_const", const="1")
             else:
                 p.add_argument("--" + key.replace("_", "-"), dest=key,
-                               default=None, help=_HELP.get(key))
+                               default=None)
     try:
         ns = ap.parse_args(argv)
         defaults, fn = _SPECS[ns.cmd]

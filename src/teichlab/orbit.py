@@ -13,13 +13,13 @@ triples these are the polynomial maps
 
 which preserve the boundary invariant kappa exactly.  One Farey walk in
 2^-k fixed point, exact at k = 0 for integral triples, yields every short
-slope with its marking triple; it feeds the simple-slope, cone and
-triple-orbit counts and the ball area.  The triple orbit of a word is
-counted over the twist families of those slopes: length is convex along
-a Fenchel-Nielsen twist, so each family is one downhill walk to its
-minimum and one walk outward on each side.  Words with infinite symmetry,
-and the direct word-orbit enumeration that cross-validates the families,
-run a pruned BFS over conjugacy classes.  The lengths along twist lines
+slope with its marking triple; it feeds the simple-slope, cone and orbit
+counts, |Aut(X)| and the ball area.  The orbit of every non-simple word is
+counted over the twist families of those slopes: length is convex along a
+Fenchel-Nielsen twist, so each family is one downhill walk to its minimum
+and one walk outward on each side, or one node for a word the twist
+fixes.  A pruned BFS over conjugacy classes is kept only as the oracle of
+that count.  The lengths along twist lines
 and rays (length-ball volumes, APL) are fixed point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
 by 2^k and handed to the same node-length code as orbit nodes.
@@ -189,12 +189,9 @@ def _mat_mul(m, n, k: int):
 
 
 def _mat_key(m):
-    """Canonical representative in PSL(2,Z): fix the sign of the first
-    nonzero entry (the elliptic involution acts trivially on curves)."""
-    for v in m:
-        if v != 0:
-            return m if v > 0 else tuple(-e for e in m)
-    raise ValueError("zero matrix")
+    """Canonical representative in PSL(2,Z) of a nonzero m, first nonzero
+    entry positive (-I acts trivially on triples, not on all curves)."""
+    return m if m > (0, 0, 0, 0) else tuple(-e for e in m)
 
 
 def curve_symmetry_order(gamma: str, radius: int = 8) -> int:
@@ -207,13 +204,29 @@ def curve_symmetry_order(gamma: str, radius: int = 8) -> int:
     twist subgroup, which is exactly the redundancy quotiented out by the
     slope parametrization).
     """
-    return _symmetry_order(canonical_cyclic(gamma), radius)
+    return _symmetry(canonical_cyclic(gamma), radius)[0]
+
+
+def _orbit_rep(gamma: str) -> tuple[str, int]:
+    """(rep, iota): gamma's orbit representative (_symmetry), and 2 if -I
+    (a -> A, b -> B; it fixes every triple) maps gamma to another class."""
+    key = canonical_cyclic(gamma)
+    rep = _symmetry(key, 8)[1]
+    if rep is None:
+        raise ArithmeticError("Sym(%r) is infinite, but no image in the "
+                              "symmetry search is fixed by T" % gamma)
+    return rep, 1 if canonical_cyclic(key.swapcase()) == key else 2
 
 
 @functools.lru_cache(maxsize=1024)
-def _symmetry_order(key: str, radius: int) -> int:
+def _symmetry(key: str, radius: int) -> tuple[int, str | None]:
+    """(|Sym| or 0 if infinite, the orbit representative) from the ball of
+    the given radius around key.  The representative is the image that
+    crosses a least: fewest b/B letters, then shortest, then key, then
+    first in order.  If Sym is infinite it must also be fixed by T (else
+    None), so that l is constant along every twist family."""
     if simple_power(key):
-        return 1
+        return 1, key
     ident = (1, 0, 0, 1)
     seen = {ident: key}
     frontier = [(ident, key)]
@@ -233,14 +246,14 @@ def _symmetry_order(key: str, radius: int) -> int:
                 if w2 == key:
                     stab.add(m2)
         frontier = nxt
-    order = len(stab)
-    for m in stab:
-        if m != ident and abs(m[0] + m[3]) >= 2:
-            # a parabolic or hyperbolic stabilizer element: Sym is infinite
-            # (gamma is a decorated simple class); 0 is the sentinel
-            order = 0
-            break
-    return order
+    # a parabolic or hyperbolic stabilizer element: Sym is infinite (gamma
+    # is a decorated simple class); 0 is the sentinel
+    infinite = any(m != ident and abs(m[0] + m[3]) >= 2 for m in stab)
+    order = 0 if infinite else len(stab)
+    images = sorted(set(seen.values()), key=lambda w: (
+        sum(c in "bB" for c in w), len(w), w != key, w))
+    return order, next((w for w in images if order or
+                        canonical_cyclic(apply_auto(w, "T")) == w), None)
 
 
 def _fixed_root(X, bits: int):
@@ -263,39 +276,31 @@ def _reduced(t, k: int):
         t, size = u, low
 
 
-def _reduced_root(X):
-    """(node, k): X as ints scaled by 2^k (k = 0 for an integral X, else
-    64) descended to the reduced triple of its orbit."""
+def _canonical_triple(X):
+    """The reduced triple of the orbit of X (found in 2^-64 fixed point,
+    exactly at an integral X) as ascending absolute values, ints if X is."""
     root, k = _fixed_root(X, 64)
-    return _reduced(root, k), k
+    return sorted(abs(v) / (1 << k) if k else abs(v)
+                  for v in _reduced(root, k))
 
 
-def point_symmetry_order(X, radius: int = 6, tol: float = 1e-9) -> int:
-    """|Aut(X)|: mapping classes in a generator ball fixing the triple.
+_AUT_RTOL = 1e-9
 
-    The ball is centred at the reduced triple of the orbit of X (|Aut| is
-    invariant under conjugation), where a small radius finds every
-    automorphism; a ball around a far-moved X would miss them.
-    """
-    root, k = _reduced_root(X)
-    ident = (1, 0, 0, 1)
-    seen = {ident}
-    frontier = [(ident, root)]
-    aut = 1
-    scale = max(abs(v) for v in root)
-    for _ in range(radius):
-        nxt = []
-        for (m, t) in frontier:
-            for g, t2 in zip(GENS, _images(t, k)):
-                m2 = _mat_key(_mat_mul(m, _GEN_MATS[g], 0))
-                if m2 in seen:
-                    continue
-                seen.add(m2)
-                nxt.append((m2, t2))
-                if max(abs(a - b) for a, b in zip(t2, root)) <= tol * scale:
-                    aut += 1
-        frontier = nxt
-    return aut
+
+def point_symmetry_order(X) -> int:
+    """|Aut(X)| in PSL(2,Z), one per slope of the Farey walk (at the
+    canonical triple, to l_r, r the shortest slope) whose twist-reduced
+    marking triple is r's up to _AUT_RTOL: g is fixed by g(r) up to twists,
+    and no twist fixes X."""
+    t = _canonical_triple(X)
+    marks, k = _farey_walk(t, length_trace(t[0] * (1 + 2 * _AUT_RTOL)))
+    reduced = [_twist_reduced(mark, k) for _, mark in marks]
+    x, y, z = ref = min(reduced)
+    # near a tie tau0 = +-l/2 rounding reduces a family to either side
+    near = (ref, (x, z, (x * z >> k) - y), (x, (x * y >> k) - z, y))
+    tol = _AUT_RTOL * max(ref)
+    return sum(any(max(abs(a - b) for a, b in zip(r, c)) <= tol
+                   for c in near) for r in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +446,11 @@ def _twist_node(mark, k: int):
     return node
 
 
-def _walk_family(node, gamma: str, L: float, k: int):
+def _walk_family(node, gamma: str, L: float, k: int, twist_fixed: bool):
     """(lengths <= L, {n: |tr gamma| at node(n)} for every node evaluated)
     along one twist family: downhill from n = 0 to the minimum of the
-    convex l_gamma, then outward on both sides until l_gamma > L."""
+    convex l_gamma, then outward on both sides until l_gamma > L; only n = 0
+    when T fixes gamma (twist_fixed), where l_gamma is constant."""
     trs = {}
 
     def tr(n):
@@ -456,6 +462,9 @@ def _walk_family(node, gamma: str, L: float, k: int):
             trs[n] = abs(trace_word_fixed(node(n), gamma, k))
         return trs[n]
 
+    if twist_fixed:
+        ell = _trace_length(tr(0), k, gamma)
+        return [ell] if ell <= L else [], trs
     m = 0
     for step in (1, -1):  # downhill to the right, else to the left
         while tr(m + step) < tr(m):
@@ -471,20 +480,24 @@ def _walk_family(node, gamma: str, L: float, k: int):
 
 
 def _family_lengths(X, gamma: str, L: float):
-    """The triple-orbit engine: (lengths <= L of gamma over the mapping
-    classes g, as l_gamma(g.X), one per class, and the work counters
-    {families, evaluations, k}).
+    """The triple-orbit engine: (lengths <= L of gamma over the classes g
+    of PSL(2,Z), as l_gamma(g.X), and the work counters {families,
+    evaluations, k}).
 
-    A mapping class is a slope s (its image of a, up to sign) and a twist
-    index n.  The Farey walk gives each s with l_s <= L its marking triple
-    (tr s, tr s', tr(s + s')), and the twist maps T, t move it along its
-    family (_twist_node).  Length is convex along a Fenchel-Nielsen twist,
-    so l_gamma is convex in n, and each family is one downhill walk and
-    two outward ones (_walk_family).  Slopes beyond L are not walked; a
-    non-empty family with l_s > L - _TOP_BAND raises ArithmeticError, on
-    the premise that the slopes of the non-empty families make one
-    interval in l_s.  kappa is checked at both ends of every non-empty
-    family, where the rounding of the recursion is largest.
+    A class is a slope s (its image of a, up to sign) and a twist index n.
+    The Farey walk gives each s with l_s <= L its marking triple
+    (tr s, tr s', tr(s + s')), and T, t move it along its family
+    (_twist_node).  l_gamma is convex in n (Fenchel-Nielsen twist), so a
+    family is a downhill walk and two outward ones (_walk_family), or one
+    node when T fixes gamma.
+
+    Slopes beyond L are not walked, which is safe only at the image of
+    gamma that crosses a least (_symmetry): at (3.2, 3.5, 4.1) and L = 9,
+    aabbabb (orbit of aabAb) has curves of length <= 9 in the families of
+    slopes of length 10.02, 11.07 and 12.29, while those with l_s in (8, 9]
+    are empty.  A non-empty family with l_s > L - _TOP_BAND raises
+    ArithmeticError as a guard.  kappa is checked at both ends of every
+    non-empty family, where the recursion has rounded most.
 
     Nodes are ints scaled by 2^k: k = 0 for an integral X, else k binary
     places carry the digits that the trace cancellation digs
@@ -495,11 +508,13 @@ def _family_lengths(X, gamma: str, L: float):
     marks, _ = _farey_walk(X, L, bits)
     kappa0 = _kappa_fixed(root, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
+    twist_fixed = canonical_cyclic(apply_auto(gamma, "T")) == \
+        canonical_cyclic(gamma)
     lengths = []
     evaluations = 0
     for _, mark in marks:
         node = _twist_node(mark, k)
-        found, trs = _walk_family(node, gamma, L, k)
+        found, trs = _walk_family(node, gamma, L, k, twist_fixed)
         evaluations += len(trs)
         if not found:
             continue
@@ -547,10 +562,10 @@ def _word_length(mats: dict, w: str, k: int) -> float:
 
 def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
                         max_nodes: int = 2_000_000):
-    """The pruned BFS over canonical conjugacy classes under the generator
-    substitutions; returns (lengths <= L, node count, pruned count).
-    Counts curves directly with no bookkeeping, so it also handles classes
-    with infinite symmetry.
+    """The oracle of count_orbit_word: a pruned BFS over canonical
+    conjugacy classes under the generator substitutions; returns
+    (lengths <= L, node count, pruned count).  Counts curves directly,
+    with no bookkeeping.
 
     Lengths are taken at the reduced triple of the orbit of X (the counts
     are mapping-class invariant, and a search from a far-moved X prunes
@@ -572,7 +587,7 @@ def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
 
 def count_orbit_word_bruteforce(X, gamma: str, L: float,
                                 prune_c: float = 3.0) -> int:
-    """Direct curve count used to validate the triple engine."""
+    """Direct curve count: the oracle of count_orbit_word."""
     return len(_word_orbit_lengths(X, gamma, L, prune_c)[0])
 
 
@@ -616,13 +631,14 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     """Count curves in the mapping-class orbit of gamma with length <= L.
 
     Simple gamma routes through the slope count (the orbit of a simple
-    curve is all simple curves).  A gamma with infinite symmetry goes to
-    the word-orbit BFS over conjugacy classes, the one engine that uses
-    prune_c.  Otherwise the triple-orbit engine walks the twist family of
-    every slope of length <= L and counts the mapping classes g with
-    l_gamma(g.X) <= L; each curve is the image of |Sym(gamma)| of them, so
-    A1 = #classes / |Sym(gamma)| (ArithmeticError unless Sym divides it)
-    and A3 = sym * A1.  |Aut(X)| is reported, not used.
+    curve is all simple curves).  Any other gamma is counted at its orbit
+    representative by the triple-orbit engine: the classes g of PSL(2,Z)
+    with l_gamma(g.X) <= L, one per slope when Sym(gamma) is infinite.  -I
+    fixes every triple but maps gamma to another curve of the same length
+    unless iota = 1, so A1 = iota * #classes / |Sym(gamma)| (ArithmeticError
+    unless Sym divides the count) and A3 = sym * A1 (A1 if Sym is
+    infinite).  |Aut(X)| is reported, not used.  prune_c is ignored, only
+    echoed as prune_constant (count_orbit_word_bruteforce prunes).
     """
     gamma = cyclic_reduce(gamma)
     if is_peripheral_word(gamma) or not gamma:
@@ -641,29 +657,23 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         # orbit of the k-th power of a simple curve = k-th powers of all
         # simple curves; length scales by k
         counts = [count_simple(t, g / k) for g in grid]
-        nodes, pruned = counts[-1], 0
+        nodes = counts[-1]
         meta = {"engine": "simple-slope", "simple_power": k}
     else:
-        if sym == 0:
-            # infinite symmetry (gamma is simple with decoration, e.g. a
-            # power times a boundary conjugate): count curves directly over
-            # conjugacy classes
-            lengths, nodes, pruned = _word_orbit_lengths(t, gamma, L, prune_c)
-            meta = {"engine": "word-orbit",
-                    "note": "Sym(gamma) infinite; a3 reported equal to a1"}
-        else:
-            lengths, work = _family_lengths(t, gamma, L)
-            nodes, pruned = work["evaluations"], 0
-            meta = {"engine": "triple-orbit", **work}
+        rep, iota = _orbit_rep(gamma)
+        lengths, work = _family_lengths(t, rep, L)
+        nodes = work["evaluations"]
+        meta = {"engine": "triple-orbit", "representative": rep,
+                "iota": iota, **work}
         arr = np.sort(np.array(lengths))
-        counts = [_per_curve(int(np.searchsorted(arr, g, side="right")), sym)
-                  for g in grid]
+        counts = [_per_curve(int(np.searchsorted(arr, g, side="right")),
+                             sym or 1, iota) for g in grid]
     a1 = counts[-1]
     report = CountReport(
         schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
         normalized=[c / g / g for c, g in zip(counts, grid)],
         a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
-        orbit_nodes=nodes, pruned=pruned, prune_constant=prune_c,
+        orbit_nodes=nodes, pruned=0, prune_constant=prune_c,
         prune_violations=0, metadata={"kappa": kappa, **meta})
     if compute_B:
         report.B = thurston_ball_B(t)
@@ -671,16 +681,13 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     return report
 
 
-def _per_curve(n: int, sym: int) -> int:
-    """Curves from n mapping classes, each curve the image of sym of them
-    (sym = 0: n already counts curves)."""
-    if not sym:
-        return n
-    curves, rest = divmod(n, sym)
+def _per_curve(n: int, sym: int, iota: int) -> int:
+    """iota * n / sym curves from n classes of PSL(2,Z)."""
+    quotient, rest = divmod(n, sym)
     if rest:
         raise ArithmeticError("%d mapping classes are not a multiple of "
                               "|Sym(gamma)| = %d" % (n, sym))
-    return curves
+    return iota * quotient
 
 
 def _torus_kappa(t) -> float:
@@ -713,9 +720,7 @@ def thurston_ball_B(X) -> float:
     order.
     """
     _torus_kappa(_triple(X))
-    root, k = _reduced_root(X)
-    # ints at an integral X, so that the walk there stays exact
-    return _ball_area(sorted(abs(v) / (1 << k) if k else abs(v) for v in root))
+    return _ball_area(_canonical_triple(X))
 
 
 def _ball_area(t) -> float:
@@ -763,31 +768,37 @@ def cone_count(X, m: int, L: float) -> int:
     Each slope s with l_s(X) <= L carries the twist family of points with
     Fenchel-Nielsen coordinates (l_s, tau0 + j l_s), j in Z, and its
     marking triple from the Farey walk, (x, y, z) = (tr s, tr s', tr(s+s')),
-    determines tau0 up to the twist maps T, t (tau -> tau +- l).  They
-    reduce it until |y| stops falling, to |tau0| <= l/2, with the tie
-    tau0 = +-l/2 (|xy - z| = |y|) taken in the form y = z.  Slopes that an
-    automorphism of X exchanges reduce to one triple, so families are keyed
-    on the reduced triple, in the walk's fixed point (64 binary places off
-    the integers).  A family meets every width-l cone once, or twice when
-    tau0 = 0 (z = xy - z) puts both ends in it.  So the count is the same
-    for every m; m stays in the signature because the CLI and perfbench
-    pass it.
+    determines tau0 up to the twist maps T, t (tau -> tau +- l), which
+    _twist_reduced removes, down to |tau0| <= l/2.  Slopes that an automorphism of X exchanges
+    reduce to one triple, so families are keyed on the reduced triple, in
+    the walk's fixed point (64 binary places off the integers).  A family
+    meets every width-l cone once, or twice when tau0 = 0 (z = xy - z) puts
+    both ends in it.  So the count is the same for every m; m stays in the
+    signature because the CLI and perfbench pass it.
     """
     marks, k = _farey_walk(X, L)
     families = {}
-    for _, (x, y, z) in marks:
-        while True:
-            xy = x * y >> k
-            if z < y:
-                y, z = z, (x * z >> k) - y
-            elif xy - z < y:
-                y, z = xy - z, y
-            else:
-                break
-        if xy - z == y:
+    for _, mark in marks:
+        x, y, z = _twist_reduced(mark, k)
+        xy = x * y >> k
+        if xy - z == y:  # a tie tau0 = +-l/2 in the form y = z
             z = y
         families[(x, y, z)] = 2 if 2 * z == xy else 1
     return sum(families.values())
+
+
+def _twist_reduced(mark, k: int):
+    """A family's marking triple moved by T, t until |y| stops falling, to
+    |tau0| <= l/2; at a tie tau0 = +-l/2 either neighbour comes out."""
+    x, y, z = mark
+    while True:
+        xy = x * y >> k
+        if z < y:
+            y, z = z, (x * z >> k) - y
+        elif xy - z < y:
+            y, z = xy - z, y
+        else:
+            return (x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +949,9 @@ def require_filling(gamma: str):
 
 def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
                               grid_n: int = 200) -> float:
-    """FN-area of {(l,tau) : l_gamma <= L} divided by |Sym(gamma)|, i.e.
-    the volume of a Sym-fundamental region of the length ball."""
+    """FN-area of {(l,tau) : l_gamma <= L} times iota / |Sym(gamma)|, i.e.
+    the volume of a Sym-fundamental region of the length ball, taken twice
+    when -I maps gamma to another curve (see count_orbit_word)."""
     gamma = require_filling(gamma)
     f = _gamma_length_fn(gamma, l1)
 
@@ -987,13 +999,12 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     # trapezoid rule in numpy's own operation order; np.trapz is gone in
     # numpy 2.4 and np.trapezoid is absent before 2.0
     area = float((np.diff(xs) * (ws[1:] + ws[:-1]) / 2.0).sum())
-    return area / curve_symmetry_order(gamma)
+    return area * _orbit_rep(gamma)[1] / curve_symmetry_order(gamma)
 
 
 def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
                             seed: int = 0, l1: float = 0.0,
-                            grid_n: int = 200, prune_c: float = 1.5,
-                            workers: int = 1):
+                            grid_n: int = 200, workers: int = 1):
     """(vol, avg, stderr): the FN-area of a Sym(gamma)-fundamental region of
     the length ball {l_gamma <= L}, and the Monte Carlo estimate of
     Integral over moduli of s_X(L, gamma) dX, which the unfolding identity
@@ -1004,10 +1015,8 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     l on the wedge below the maximal systole, each from its own
     counter-based RNG stream keyed by (seed, sample index) so the result is
     independent of worker scheduling.  A sample counts the curves of the
-    orbit of gamma at X with the triple-orbit engine of count_orbit_word
-    (twist families, no prune constant).  prune_c has no effect: a filling
-    gamma has finite symmetry, so no sample reaches the word-orbit engine,
-    the one that prunes.
+    orbit of gamma at X as count_orbit_word does: twist families at the
+    orbit representative, times iota over |Sym|.
     """
     if mc_samples < 1000:
         raise ValueError("mc_samples must be >= 1000")
@@ -1019,11 +1028,10 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     if workers > 1:
         from ._util import parallel_map
         vals = parallel_map(_mc_sample_value,
-                            [(i, seed, gamma, L, l1, sym, prune_c) for i in idx],
+                            [(i, seed, gamma, L, l1, sym) for i in idx],
                             workers)
     else:
-        vals = [_mc_sample_value((i, seed, gamma, L, l1, sym, prune_c))
-                for i in idx]
+        vals = [_mc_sample_value((i, seed, gamma, L, l1, sym)) for i in idx]
     vals = np.array(vals, dtype=float)
     region_area = SYSTOLE_TOP ** 2 / 2.0
     avg = region_area * float(np.mean(vals))
@@ -1032,7 +1040,7 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
 
 
 def _mc_sample_value(args):
-    i, seed, gamma, L, l1, sym, _ = args  # prune_c has no effect here
+    i, seed, gamma, L, l1, sym = args
     rng = np.random.Generator(np.random.Philox(key=[seed, i]))
     u1, u2, u3 = rng.random(3)
     ell = SYSTOLE_TOP * max(u1, u2)  # density ~ ell on (0, top]
@@ -1044,4 +1052,5 @@ def _mc_sample_value(args):
     shortest = min(tr for (_, tr) in simple_slopes(t, ell + 1e-6))
     if shortest < xbound * (1.0 - 1e-12):
         return 0.0
-    return _per_curve(len(_family_lengths(t, gamma, L)[0]), sym)
+    rep, iota = _orbit_rep(gamma)
+    return _per_curve(len(_family_lengths(t, rep, L)[0]), sym, iota)

@@ -205,18 +205,116 @@ class TestOrbitCount:
     @pytest.mark.parametrize("base", [(3, 3, 3), (3, 4, 5)])
     def test_word_orbit_invariant_under_moves(self, base):
         # mapping classes leave the counts unchanged: every freely reduced
-        # move by three generators
-        want = ob.count_orbit_word(base, "abaB", 9.0).counts
-        for w in itertools.product("TtUu", repeat=3):
-            if INVERSE[w[0]] == w[1] or INVERSE[w[1]] == w[2]:
-                continue
-            got = ob.count_orbit_word(moved(base, w), "abaB", 9.0).counts
-            assert got == want, "".join(w)
+        # move by three generators (aabAB: infinite Sym and iota = 2)
+        for gamma in ("abaB", "aabAB"):
+            want = ob.count_orbit_word(base, gamma, 9.0).counts
+            for w in itertools.product("TtUu", repeat=3):
+                if INVERSE[w[0]] == w[1] or INVERSE[w[1]] == w[2]:
+                    continue
+                got = ob.count_orbit_word(moved(base, w), gamma, 9.0).counts
+                assert got == want, (gamma, "".join(w))
 
     def test_marked_count_relation(self):
         rep = ob.count_orbit_word(MODULAR, "aabAb", 10.0)
         assert rep.sym_order >= 1
         assert rep.a3 == rep.sym_order * rep.a1
+
+
+def ball_aut_order(X, radius=6, tol=1e-9):
+    """The oracle of point_symmetry_order: the mapping classes in a
+    generator ball around the reduced triple of the orbit of X that fix
+    it."""
+    root, k = ob._fixed_root(X, 64)
+    root = ob._reduced(root, k)
+    ident = (1, 0, 0, 1)
+    seen = {ident}
+    frontier = [(ident, root)]
+    aut = 1
+    scale = max(abs(v) for v in root)
+    for _ in range(radius):
+        nxt = []
+        for (m, t) in frontier:
+            for g, t2 in zip(ob.GENS, ob._images(t, k)):
+                m2 = ob._mat_key(ob._mat_mul(m, ob._GEN_MATS[g], 0))
+                if m2 in seen:
+                    continue
+                seen.add(m2)
+                nxt.append((m2, t2))
+                if max(abs(a - b) for a, b in zip(t2, root)) <= tol * scale:
+                    aut += 1
+        frontier = nxt
+    return aut
+
+
+class TestPointSymmetry:
+    # six bases moved by seven words (the float moves of (3.3, 3.3, 3.3)
+    # round, so its automorphisms match only within the tolerance), then
+    # GENERIC and a triple with |Aut| = 2
+    TRIPLES = [moved(base, w)
+               for base in [(3, 3, 3), (3, 4, 5), (4, 4, 4), (6, 6, 6),
+                            (3, 6, 15), (3.3, 3.3, 3.3)]
+               for w in ["", "T", "u", "tU", "UUt", "tuT", "TTTu"]] + \
+        [GENERIC, (4, 4, 8)]
+
+    @pytest.mark.parametrize("X", TRIPLES)
+    def test_matches_generator_ball(self, X):
+        assert ob.point_symmetry_order(X) == ball_aut_order(X)
+
+    def test_even_sign_flip(self):
+        # X and its even sign flips are one hyperbolic surface
+        for X in [(3, 3, 3), (3, 6, 15), GENERIC]:
+            x, y, z = X
+            assert ob.point_symmetry_order((-x, -y, z)) == \
+                ob.point_symmetry_order((x, -y, -z)) == \
+                ob.point_symmetry_order(X)
+
+
+def short_words(n):
+    """The canonical words of length <= n that are neither peripheral nor
+    powers of a simple curve."""
+    words = set()
+    for m in range(1, n + 1):
+        for w in map("".join, itertools.product("abAB", repeat=m)):
+            if canonical_cyclic(w) == w and not ob.is_peripheral_word(w) \
+                    and not ob.simple_power(w):
+                words.add(w)
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+class TestShortWords:
+    @pytest.mark.parametrize("X, L", [(MODULAR, 8.0), (GENERIC, 10.0)])
+    def test_every_short_word_matches_brute_force(self, X, L):
+        # one engine for every non-simple word: the twist families at the
+        # orbit representative, infinite Sym included
+        words = short_words(6)
+        assert len(words) == 74
+        assert sum(ob.curve_symmetry_order(w) == 0 for w in words) == 36
+        bad = {}
+        for w in words:
+            got = ob.count_orbit_word(X, w, L).counts[-1]
+            want = ob.count_orbit_word_bruteforce(X, w, L)
+            if got != want:
+                bad[w] = (got, want)
+        assert not bad
+
+    @pytest.mark.parametrize("X, gamma, L, want", [
+        # -I maps aabbAB to another curve: the families count half the orbit
+        (MODULAR, "aabbAB", 9.0, 36),
+        # in the orbit of aabAb; counted at aabbabb itself, the families of
+        # slopes longer than L hold curves of length <= L
+        (GENERIC, "aabbabb", 9.0, 10),
+        (GENERIC, "ababAb", 10.0, 14)])
+    def test_pinned_counts(self, X, gamma, L, want):
+        assert ob.count_orbit_word(X, gamma, L).counts[-1] == want
+        assert ob.count_orbit_word_bruteforce(X, gamma, L) == want
+
+    def test_representative(self):
+        # the image crossing a least; for infinite Sym one fixed by T
+        assert ob._orbit_rep("aabbabb") == ("aaBAB", 1)
+        assert ob._orbit_rep("aabbAB") == ("aabbAB", 2)
+        for w, iota in (("abaB", 1), ("aabAB", 2)):
+            assert ob._orbit_rep(w) == (w, iota)
+            assert canonical_cyclic(ob.apply_auto(w, "T")) == w
 
 
 def orbit_bfs_lengths(X, gamma, L, prune_c):
@@ -242,11 +340,14 @@ def orbit_bfs_lengths(X, gamma, L, prune_c):
 
 
 def bfs_counts(X, gamma, L, grid, prune_c):
-    """Curve counts at each grid length from the BFS oracle."""
+    """Curve counts at each grid length from the BFS oracle: the triple
+    orbit counts PSL(2,Z) classes, and -I maps gamma to a second curve of
+    the same length unless it fixes gamma (iota = 1)."""
     lengths, _ = orbit_bfs_lengths(X, gamma, L, prune_c)
     aut = ob.point_symmetry_order(X)
     sym = ob.curve_symmetry_order(gamma)
-    return [sum(v <= g for v in lengths) * aut // sym for g in grid]
+    iota = ob._orbit_rep(gamma)[1]
+    return [sum(v <= g for v in lengths) * aut * iota // sym for g in grid]
 
 
 def mc_triple(seed, i):
@@ -262,7 +363,7 @@ class TestTwistFamilies:
         L, grid = 16.0, [8.0, 12.0, 16.0]
         done = 0
         for i in itertools.count():
-            args = (i, 0, "aabAb", L, 0.0, 1, 1.5)
+            args = (i, 0, "aabAb", L, 0.0, 1)
             if ob._mc_sample_value(args) == 0.0:
                 continue
             X = mc_triple(0, i)
@@ -793,16 +894,20 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             ob.ball_length_region_volume("abaB", 20.0)
 
+    def test_unfolding_identity_with_involution_factor(self):
+        # -I maps aabbAB to another curve (iota = 2): the counts and the
+        # volume must both carry the factor, or the sides differ by 2
+        vol, avg, se = ob.ball_volume_and_average("aabbAB", 10.0,
+                                                  mc_samples=1000, seed=0)
+        assert abs(avg - vol) <= 3.0 * se
+        assert vol == pytest.approx(79.72, abs=0.01)
+
 
 class TestMonteCarlo:
     def test_sample_count_independent_of_prune_constant(self):
         # sample 54 of seed 1 is a thin draw where a BFS pruned at 1.5 L
         # fails its validation (TestTwistFamilies); the twist-family count
         # has no prune constant
-        args = (54, 1, "aabAb", 16.0, 0.0, 1, 1.5)
+        args = (54, 1, "aabAb", 16.0, 0.0, 1)
         assert ob._mc_sample_value(args) == 756.0
-        _, seed, gamma, L, l1, sym, _ = args
-        for c in (2.0, 3.0):
-            assert ob._mc_sample_value((54, seed, gamma, L, l1, sym, c)) \
-                == 756.0
 
