@@ -18,6 +18,13 @@ from fractions import Fraction
 
 from .orbit import _gamma_length_fn
 
+# largest denominator of a rational snap; the step of the gradient
+# differences; the direction slice and the sampling scale of wall_scan
+MAX_DEN = 64
+GRAD_STEP = 1.0 / 16.0
+U_RANGE = (-2.5, 2.5)
+T_SCALE = 40.0
+
 
 @dataclass
 class RationalReport:
@@ -28,7 +35,7 @@ class RationalReport:
     ok: bool
 
 
-def nearest_rational(value: float, max_den: int = 64,
+def nearest_rational(value: float, max_den: int = MAX_DEN,
                      tol: float = 1e-4) -> RationalReport:
     fr = Fraction(value).limit_denominator(max_den)
     err = abs(value - float(fr))
@@ -67,8 +74,7 @@ def _check_ray_args(direction, radii):
 
 
 def ray_fit(gamma: str, x0: tuple, direction: tuple, radii,
-            l1: float = 0.0, grad_step: float = 1.0 / 16.0,
-            max_den: int = 64) -> RayFit:
+            l1: float = 0.0) -> RayFit:
     """Fit l_gamma(X0 + t*d) ~ slope*t + offset over the top decade of t.
 
     The gradient coefficients are measured by symmetric differences of the
@@ -101,7 +107,7 @@ def ray_fit(gamma: str, x0: tuple, direction: tuple, radii,
         or residual_sup > 1e-3 * max(1.0, abs(slope) * radii[-1])
 
     t_big = radii[-1]
-    h = grad_step
+    h = GRAD_STEP
     grad = []
     for i in range(2):
         dp = list(direction)
@@ -110,9 +116,9 @@ def ray_fit(gamma: str, x0: tuple, direction: tuple, radii,
         dm[i] -= h
         grad.append((F(t_big, dp) - F(t_big, dm)) / (2.0 * h * t_big))
     rational = {
-        "slope": asdict(nearest_rational(slope, max_den)),
-        "grad_ell": asdict(nearest_rational(grad[0], max_den)),
-        "grad_tau": asdict(nearest_rational(grad[1], max_den)),
+        "slope": asdict(nearest_rational(slope)),
+        "grad_ell": asdict(nearest_rational(grad[0])),
+        "grad_tau": asdict(nearest_rational(grad[1])),
     }
     return RayFit(
         schema="APL1", gamma=gamma, l1=l1, x0=tuple(x0),
@@ -153,9 +159,7 @@ class WallScan:
         return len(self.walls)
 
 
-def wall_scan(gamma: str, u_range=(-2.5, 2.5), grid_n: int = 64,
-              t_scale: float = 40.0, l1: float = 0.0,
-              max_den: int = 64) -> WallScan:
+def wall_scan(gamma: str, grid_n: int = 64, l1: float = 0.0) -> WallScan:
     """Sweep directions d(u) = (1, u) and locate the walls of the limiting
     piecewise linear form.
 
@@ -168,21 +172,21 @@ def wall_scan(gamma: str, u_range=(-2.5, 2.5), grid_n: int = 64,
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
     f = _gamma_length_fn(gamma, l1)
-    lo, hi = float(u_range[0]), float(u_range[1])
+    lo, hi = U_RANGE
     du = (hi - lo) / grid_n
     us = [lo + i * du for i in range(grid_n + 1)]
 
     def G(u, t):
         return f(t * 1.0, t * u) / t
 
-    g1 = [G(u, t_scale) for u in us]
-    g2 = [G(u, 2.0 * t_scale) for u in us]
+    g1 = [G(u, T_SCALE) for u in us]
+    g2 = [G(u, 2.0 * T_SCALE) for u in us]
     d1 = [(b - a) / du for a, b in zip(g1, g1[1:])]
     d2 = [(b - a) / du for a, b in zip(g2, g2[1:])]
     jump1 = [abs(b - a) for a, b in zip(d1, d1[1:])]
     jump2 = [abs(b - a) for a, b in zip(d2, d2[1:])]
     baseline = sorted(jump2)[len(jump2) // 2]
-    # slope jumps at true walls are rational gaps, never below ~1/max_den;
+    # slope jumps at true walls are rational gaps, never below ~1/MAX_DEN;
     # the floor keeps pure evaluation noise out when the field is constant
     threshold = max(10.0 * baseline, 1e-3)
     # require the jump at both scales: a kink of the limit form sharpens
@@ -201,14 +205,13 @@ def wall_scan(gamma: str, u_range=(-2.5, 2.5), grid_n: int = 64,
             # between cell i and cell j+1
             u_lo, u_hi = us[i], us[j + 2]
             u_mid = 0.5 * (u_lo + u_hi)
-            walls.append(WallSegment(
-                u_lo, u_hi, u_mid, asdict(nearest_rational(u_mid, max_den,
-                                                           tol=2.0 * du))))
+            walls.append(WallSegment(u_lo, u_hi, u_mid, asdict(
+                nearest_rational(u_mid, tol=2.0 * du))))
             i = j + 1
         i += 1
     zero_cells = [0.5 * (us[i] + us[i + 1]) for i in range(len(d2))
                   if abs(d2[i]) < 1e-9]
     return WallScan(
         schema="APL1", gamma=gamma, l1=l1, u_range=(lo, hi), grid_n=grid_n,
-        t_scale=t_scale, us=us, mismatch=mism, baseline=baseline,
+        t_scale=T_SCALE, us=us, mismatch=mism, baseline=baseline,
         threshold=threshold, walls=walls, zero_slope_cells=zero_cells)

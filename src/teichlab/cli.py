@@ -198,7 +198,7 @@ def cmd_cone_count(cfg):
 
 def cmd_ball_volume(cfg):
     gamma = str(cfg["word"])
-    L = _as_float(cfg, "L")
+    L = _as_length(cfg, "L", zero_ok=True)
     l1 = _as_length(cfg, "l1", zero_ok=True)
     mc = _as_int(cfg, "mc_samples", 0) if cfg["mc_samples"] is not None else 0
     if mc:
@@ -289,7 +289,7 @@ def cmd_twist_convexity(cfg):
         raise ConfigError("%r does not cross the twist curve a" % gamma)
     ell = _as_length(cfg, "ell", zero_ok=False)
     f = orbit._gamma_length_fn(gamma, _as_length(cfg, "l1", zero_ok=True))
-    n = _as_int(cfg, "grid_n", 1)
+    n = _as_int(cfg, "grid_n", 3)  # one second difference needs 3 points
     span = _as_float(cfg, "span")
     taus = [-span + 2 * span * i / (n - 1) for i in range(n)]
     vals = [f(ell, t) for t in taus]
@@ -413,29 +413,28 @@ def cmd_report(cfg):
 # ---------------------------------------------------------------------------
 # dispatch
 
-_COMMON = {"out": None, "workers": "1", "seed": "0"}
-
+# each command takes only the keys it reads: out where it writes a file,
+# workers where it fans out, seed where it draws samples
 _SPECS = {
-    "markoff-count": ({"bound": "100", "norm": "max", **_COMMON}, cmd_markoff_count),
+    "markoff-count": ({"bound": "100", "norm": "max", "out": None}, cmd_markoff_count),
     "markoff-fit": ({"bounds": "1000,1000000,1000000000", "norm": "max",
-                     **_COMMON}, cmd_markoff_fit),
-    "count-simple": ({"x": "3,3,3", "L": "2.0", **_COMMON}, cmd_count_simple),
-    "count-word": ({"x": "3,3,3", "word": "a", "L": "10.0", **_COMMON}, cmd_count_word),
-    "bx": ({"x": "3,3,3", **_COMMON}, cmd_bx),
-    "cone-count": ({"x": "3,3,3", "m": "0", "L": "60.0", **_COMMON}, cmd_cone_count),
-    "ball-volume": ({"word": "aabAb", "L": "30.0", "l1": "0.0",
-                     "mc_samples": None, **_COMMON}, cmd_ball_volume),
+                     "out": None}, cmd_markoff_fit),
+    "count-simple": ({"x": "3,3,3", "L": "2.0"}, cmd_count_simple),
+    "count-word": ({"x": "3,3,3", "word": "a", "L": "10.0", "out": None}, cmd_count_word),
+    "bx": ({"x": "3,3,3"}, cmd_bx),
+    "cone-count": ({"x": "3,3,3", "m": "0", "L": "60.0"}, cmd_cone_count),
+    "ball-volume": ({"word": "aabAb", "L": "30.0", "l1": "0.0", "mc_samples": None,
+                     "workers": "1", "seed": "0"}, cmd_ball_volume),
     "apl-ray": ({"word": "aab", "dir": "1,0", "x0": "0,0", "radii": "10:1000",
-                 "l1": "0.0", **_COMMON}, cmd_apl_ray),
-    "wall-scan": ({"word": "aab", "grid_n": "64", "l1": "0.0", **_COMMON},
+                 "l1": "0.0", "out": None}, cmd_apl_ray),
+    "wall-scan": ({"word": "aab", "grid_n": "64", "l1": "0.0", "out": None},
                   cmd_wall_scan),
-    "hexagon-check": ({"trials": "100", **_COMMON}, cmd_hexagon_check),
-    "wolpert-check": ({"trials": "50", **_COMMON}, cmd_wolpert_check),
+    "hexagon-check": ({"trials": "100", "workers": "1"}, cmd_hexagon_check),
+    "wolpert-check": ({"trials": "50", "workers": "1"}, cmd_wolpert_check),
     "twist-convexity": ({"word": "b", "ell": "1.5", "span": "4.0",
-                         "grid_n": "33", "l1": "0.0", **_COMMON},
-                        cmd_twist_convexity),
-    "acceptance": ({"assert_": None, **_COMMON}, cmd_acceptance),
-    "report": ({"files": "", **_COMMON}, cmd_report),
+                         "grid_n": "33", "l1": "0.0"}, cmd_twist_convexity),
+    "acceptance": ({"assert_": None, "out": None, "workers": "1"}, cmd_acceptance),
+    "report": ({"files": "", "out": None}, cmd_report),
 }
 
 

@@ -39,6 +39,8 @@ from .hyptrig import (HexDomainError, arc_over_geodesic,
 
 S11 = "S11"
 S04 = "S04"
+# relative tolerance of surface_from_triple's kappa and transversal checks
+CHART_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def fricke_triple(X: SurfacePoint) -> FrickeTriple:
     return FrickeTriple(x, y, z)
 
 
-def surface_from_triple(t: FrickeTriple, l1: float, tol: float = 1e-8) -> SurfacePoint:
+def surface_from_triple(t: FrickeTriple, l1: float) -> SurfacePoint:
     """Invert the torus chart: recover (l, tau) from trace coordinates.
 
     l1 must match the boundary invariant kappa = -2 cosh(l1/2) of the
@@ -149,7 +151,7 @@ def surface_from_triple(t: FrickeTriple, l1: float, tol: float = 1e-8) -> Surfac
     if x <= 2.0:
         raise ValueError("coordinate-curve trace must exceed 2")
     want = -2.0 * math.cosh(l1 / 2.0)
-    if abs(t.kappa - want) > tol * max(1.0, abs(want)):
+    if abs(t.kappa - want) > CHART_TOL * max(1.0, abs(want)):
         raise ValueError("triple has kappa=%g, boundary l1=%g needs %g"
                          % (t.kappa, l1, want))
     ell = 2.0 * math.acosh(x / 2.0)
@@ -160,7 +162,7 @@ def surface_from_triple(t: FrickeTriple, l1: float, tol: float = 1e-8) -> Surfac
     s = (z - y * math.cosh(ell / 2.0)) / (2.0 * m * math.sinh(ell / 2.0))
     tau = 2.0 * math.asinh(s)
     yp = 2.0 * m * math.cosh(tau / 2.0)
-    if abs(yp - y) > tol * max(1.0, y):
+    if abs(yp - y) > CHART_TOL * max(1.0, y):
         raise ValueError("transversal trace inconsistent with chart (off by %g)"
                          % abs(yp - y))
     return SurfacePoint(S11, (l1,), ell, tau)
@@ -271,9 +273,7 @@ def elementary_move(X: SurfacePoint) -> SurfacePoint:
     nb = (l1, l3, l2, l4)
     # in the new chart the old interior curve is the (1,3)-transversal:
     # invert its half-trace formula for the arc, then the arc for |tau'|
-    arg = (math.cosh(old_alpha / 2.0) + math.cosh(l1 / 2.0) * math.cosh(l2 / 2.0)) \
-        / (math.sinh(l1 / 2.0) * math.sinh(l2 / 2.0))
-    d = math.acosh(arg)
+    d = seam_F1(l1 / 2.0, l2 / 2.0, old_alpha / 2.0)
     a1 = seam_F1(l1 / 2.0, new_ell / 2.0, l3 / 2.0)
     a2 = seam_F1(l2 / 2.0, new_ell / 2.0, l4 / 2.0)
     abs_tau = arc_over_geodesic_inverse(a1, a2, d)

@@ -246,15 +246,20 @@ def _plan_eval_fixed(plan, x, y, z, k):
     return vals[out]
 
 
-def trace_word_fricke(t: FrickeTriple | tuple, w: str, max_len: int = 10_000):
+# longest cyclically reduced word trace_word_fricke compiles
+MAX_WORD_LEN = 10_000
+
+
+def trace_word_fricke(t: FrickeTriple | tuple, w: str):
     """Trace of the word w at trace coordinates t, by trace-identity reduction.
 
     Exact for integer coordinates (the trace polynomial has integer
-    coefficients).  Evaluates the word's compiled plan.
+    coefficients).  Evaluates the word's compiled plan.  WordError if w
+    is longer than MAX_WORD_LEN even after cyclic reduction.
     """
-    if len(w) > max_len and len(cyclic_reduce(w)) > max_len:
+    if len(w) > MAX_WORD_LEN and len(cyclic_reduce(w)) > MAX_WORD_LEN:
         raise WordError("word length %d exceeds cap %d"
-                        % (len(cyclic_reduce(w)), max_len))
+                        % (len(cyclic_reduce(w)), MAX_WORD_LEN))
     if isinstance(t, FrickeTriple):
         t = t.astuple()
     return _plan_eval(_trace_plan(w), *t)

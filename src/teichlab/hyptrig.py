@@ -107,20 +107,17 @@ def _log_R(x: float, y: float, z: float) -> float:
     return num - den
 
 
-def seam_F1(x: float, y: float, z: float, half_lengths: bool = False) -> float:
+def seam_F1(x: float, y: float, z: float) -> float:
     """F1(x,y,z) = arccosh((cosh z + cosh x cosh y) / (sinh x sinh y)).
 
-    The distance between the boundary geodesics of (half-)lengths x and y in
-    a pair of pants whose remaining boundary has (half-)length z.  With
-    half_lengths set the three arguments are halved first, which is the form
-    needed when gluing pants given full boundary lengths.
+    The distance between the boundary geodesics of half-lengths x and y in
+    a pair of pants whose remaining boundary has half-length z: a caller
+    with full boundary lengths halves them first.
 
     The evaluation is in the log domain, which is stable both at large
     arguments and near the degenerate locus where the arccosh argument
     approaches 1.
     """
-    if half_lengths:
-        x, y, z = x / 2.0, y / 2.0, z / 2.0
     if not (x > 0 and y > 0 and z > 0):
         raise ValueError("seam_F1 needs positive lengths")
     return acosh_1p_exp(_log_R(x, y, z))

@@ -38,6 +38,7 @@ import numpy as np
 from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
+from ._util import parallel_map
 from .fricke import (FrickeTriple, canonical_cyclic, cyclic_reduce,
                      length_trace, reduce_word, trace_word_fixed)
 from .fn_surface import S11, SurfacePoint, fricke_triple
@@ -194,34 +195,37 @@ def _mat_key(m):
     return m if m > (0, 0, 0, 0) else tuple(-e for e in m)
 
 
-def curve_symmetry_order(gamma: str, radius: int = 8) -> int:
+def curve_symmetry_order(gamma: str) -> int:
     """|Sym(gamma) & Gamma|: order of the mapping-class stabilizer of the
-    unoriented class of gamma, found by ball search in the generators.
+    unoriented class of gamma, from the ball of radius _SYM_RADIUS in the
+    generators; 0 if it is infinite (abaB: a twist fixes it).
 
-    Finite for non-simple, non-peripheral classes (the finite subgroups of
-    the group have order <= 3, so a modest radius suffices); returns 1 for
-    simple classes by convention (their stabilizer contains the infinite
-    twist subgroup, which is exactly the redundancy quotiented out by the
-    slope parametrization).
+    Finite for filling classes (the finite subgroups of the group have
+    order <= 3, so a modest radius suffices); 1 for simple classes by
+    convention (their stabilizer contains the infinite twist subgroup,
+    which is the redundancy quotiented out by the slope parametrization).
     """
-    return _symmetry(canonical_cyclic(gamma), radius)[0]
+    return _symmetry(canonical_cyclic(gamma))[0]
 
 
 def _orbit_rep(gamma: str) -> tuple[str, int]:
     """(rep, iota): gamma's orbit representative (_symmetry), and 2 if -I
     (a -> A, b -> B; it fixes every triple) maps gamma to another class."""
     key = canonical_cyclic(gamma)
-    rep = _symmetry(key, 8)[1]
+    rep = _symmetry(key)[1]
     if rep is None:
         raise ArithmeticError("Sym(%r) is infinite, but no image in the "
                               "symmetry search is fixed by T" % gamma)
     return rep, 1 if canonical_cyclic(key.swapcase()) == key else 2
 
 
+_SYM_RADIUS = 8
+
+
 @functools.lru_cache(maxsize=1024)
-def _symmetry(key: str, radius: int) -> tuple[int, str | None]:
+def _symmetry(key: str) -> tuple[int, str | None]:
     """(|Sym| or 0 if infinite, the orbit representative) from the ball of
-    the given radius around key.  The representative is the image that
+    radius _SYM_RADIUS around key.  The representative is the image that
     crosses a least: fewest b/B letters, then shortest, then key, then
     first in order.  If Sym is infinite it must also be fixed by T (else
     None), so that l is constant along every twist family."""
@@ -231,7 +235,7 @@ def _symmetry(key: str, radius: int) -> tuple[int, str | None]:
     seen = {ident: key}
     frontier = [(ident, key)]
     stab = {ident}
-    for _ in range(radius):
+    for _ in range(_SYM_RADIUS):
         nxt = []
         for (m, w) in frontier:
             for g in GENS:
@@ -560,8 +564,13 @@ def _word_length(mats: dict, w: str, k: int) -> float:
     return _trace_length(m[0] + m[3], k, w)
 
 
-def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
-                        max_nodes: int = 2_000_000):
+# the oracle BFS expands a class while its length is <= _ORACLE_PRUNE * L,
+# and gives up beyond _ORACLE_NODES nodes
+_ORACLE_PRUNE = 3.0
+_ORACLE_NODES = 2_000_000
+
+
+def _word_orbit_lengths(X, gamma: str, L: float):
     """The oracle of count_orbit_word: a pruned BFS over canonical
     conjugacy classes under the generator substitutions; returns
     (lengths <= L, node count, pruned count).  Counts curves directly,
@@ -570,10 +579,10 @@ def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
     Lengths are taken at the reduced triple of the orbit of X (the counts
     are mapping-class invariant, and a search from a far-moved X prunes
     classes it needs), in 2^-k fixed point with k carrying
-    60 + 0.5 * prune_c * L digits; the realizing matrices are irrational,
-    so integral triples are scaled up to that k too.
+    60 + 0.5 * _ORACLE_PRUNE * L digits; the realizing matrices are
+    irrational, so integral triples are scaled up to that k too.
     """
-    k = _bits(60 + int(0.5 * prune_c * L))
+    k = _bits(60 + int(0.5 * _ORACLE_PRUNE * L))
     root, k0 = _fixed_root(X, k)
     mats = _rep_fixed(tuple(v << (k - k0) for v in _reduced(root, k0)), k)
 
@@ -582,13 +591,12 @@ def _word_orbit_lengths(X, gamma: str, L: float, prune_c: float = 3.0,
 
     return _pruned_bfs(canonical_cyclic(gamma), lambda w: w, children,
                        lambda w: _word_length(mats, w, k),
-                       L, prune_c, max_nodes)
+                       L, _ORACLE_PRUNE, _ORACLE_NODES)
 
 
-def count_orbit_word_bruteforce(X, gamma: str, L: float,
-                                prune_c: float = 3.0) -> int:
+def count_orbit_word_bruteforce(X, gamma: str, L: float) -> int:
     """Direct curve count: the oracle of count_orbit_word."""
-    return len(_word_orbit_lengths(X, gamma, L, prune_c)[0])
+    return len(_word_orbit_lengths(X, gamma, L)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +619,6 @@ class CountReport:
     pruned: int
     prune_constant: float
     prune_violations: int
-    B: float | None = None
-    fitted_constant: float | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -626,8 +632,7 @@ class CountReport:
 
 
 def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
-                     grid: list[float] | None = None,
-                     compute_B: bool = False) -> CountReport:
+                     grid: list[float] | None = None) -> CountReport:
     """Count curves in the mapping-class orbit of gamma with length <= L.
 
     Simple gamma routes through the slope count (the orbit of a simple
@@ -638,7 +643,8 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     unless iota = 1, so A1 = iota * #classes / |Sym(gamma)| (ArithmeticError
     unless Sym divides the count) and A3 = sym * A1 (A1 if Sym is
     infinite).  |Aut(X)| is reported, not used.  prune_c is ignored, only
-    echoed as prune_constant (count_orbit_word_bruteforce prunes).
+    echoed as prune_constant (count_orbit_word_bruteforce prunes).  The
+    constant of the counting theorem is a1 / (L^2 thurston_ball_B(X)).
     """
     gamma = cyclic_reduce(gamma)
     if is_peripheral_word(gamma) or not gamma:
@@ -669,16 +675,12 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         counts = [_per_curve(int(np.searchsorted(arr, g, side="right")),
                              sym or 1, iota) for g in grid]
     a1 = counts[-1]
-    report = CountReport(
+    return CountReport(
         schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
         normalized=[c / g / g for c, g in zip(counts, grid)],
         a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
         orbit_nodes=nodes, pruned=0, prune_constant=prune_c,
         prune_violations=0, metadata={"kappa": kappa, **meta})
-    if compute_B:
-        report.B = thurston_ball_B(t)
-        report.fitted_constant = report.a1 / (L * L * report.B)
-    return report
 
 
 def _per_curve(n: int, sym: int, iota: int) -> int:
@@ -878,6 +880,18 @@ def _twist_lipschitz(gamma: str) -> float:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _bisect(pred, inside, outside, steps: int) -> float:
+    """The end of an interval where pred holds, between a point inside it
+    and one outside: the last midpoint inside after `steps` halvings."""
+    for _ in range(steps):
+        m = 0.5 * (inside + outside)
+        if pred(m):
+            inside = m
+        else:
+            outside = m
+    return inside
+
+
 def _tau_measure(f, ell, L, K=None):
     """Lebesgue measure of {tau : f(ell, tau) <= L}.
 
@@ -920,17 +934,11 @@ def _tau_measure(f, ell, L, K=None):
             fd = g(d)
     inside = c if fc <= L else d
 
-    def crossing(a, b):
-        # from g(a) <= L < g(b), |b - a| < 2T, down to below T 2^-52
-        for _ in range(53):
-            m = 0.5 * (a + b)
-            if g(m) <= L:
-                a = m
-            else:
-                b = m
-        return a
+    def below(tau):
+        return f(ell, tau) <= L
 
-    return crossing(inside, T) - crossing(inside, -T)
+    # each end is less than 2T away, so 53 halvings end below T 2^-52
+    return _bisect(below, inside, T, 53) - _bisect(below, inside, -T, 53)
 
 
 def require_filling(gamma: str):
@@ -978,21 +986,11 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     else:
         raise ArithmeticError("length region unbounded in ell: gamma not filling")
     # refine the support endpoints by bisection
-    lo_a, lo_b = ell_lo * 0.5, ell_lo
-    for _ in range(20):
-        m = 0.5 * (lo_a + lo_b)
-        if w(m) == 0.0:
-            lo_a = m
-        else:
-            lo_b = m
-    hi_a, hi_b = ell_hi, ell_hi * 2.0
-    for _ in range(20):
-        m = 0.5 * (hi_a + hi_b)
-        if w(m) == 0.0:
-            hi_b = m
-        else:
-            hi_a = m
-    ell_min, ell_max = lo_b, hi_a
+    def nonempty(e):
+        return w(e) > 0.0
+
+    ell_min = _bisect(nonempty, ell_lo, ell_lo * 0.5, 20)
+    ell_max = _bisect(nonempty, ell_hi, ell_hi * 2.0, 20)
 
     xs = np.linspace(ell_min, ell_max, grid_n)
     ws = np.array([w(float(e)) for e in xs])
@@ -1003,8 +1001,7 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
 
 
 def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
-                            seed: int = 0, l1: float = 0.0,
-                            grid_n: int = 200, workers: int = 1):
+                            seed: int = 0, l1: float = 0.0, workers: int = 1):
     """(vol, avg, stderr): the FN-area of a Sym(gamma)-fundamental region of
     the length ball {l_gamma <= L}, and the Monte Carlo estimate of
     Integral over moduli of s_X(L, gamma) dX, which the unfolding identity
@@ -1021,18 +1018,12 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     if mc_samples < 1000:
         raise ValueError("mc_samples must be >= 1000")
     gamma = require_filling(gamma)
-    vol = ball_length_region_volume(gamma, L, l1=l1, grid_n=grid_n)
+    vol = ball_length_region_volume(gamma, L, l1=l1)
     sym = curve_symmetry_order(gamma)
 
-    idx = list(range(mc_samples))
-    if workers > 1:
-        from ._util import parallel_map
-        vals = parallel_map(_mc_sample_value,
-                            [(i, seed, gamma, L, l1, sym) for i in idx],
-                            workers)
-    else:
-        vals = [_mc_sample_value((i, seed, gamma, L, l1, sym)) for i in idx]
-    vals = np.array(vals, dtype=float)
+    vals = np.array(parallel_map(
+        _mc_sample_value, [(i, seed, gamma, L, l1, sym)
+                           for i in range(mc_samples)], workers), dtype=float)
     region_area = SYSTOLE_TOP ** 2 / 2.0
     avg = region_area * float(np.mean(vals))
     stderr = region_area * float(np.std(vals, ddof=1)) / math.sqrt(mc_samples)

@@ -160,6 +160,7 @@ class TestCommands:
         ["twist-convexity", "--ell=-1.5"],
         ["twist-convexity", "--l1=-0.7"],
         ["ball-volume", "--L", "8", "--l1=-0.7"],
+        ["ball-volume", "--L=-5"],
         ["apl-ray", "--l1=-0.7"],
         ["wall-scan", "--l1=-0.7"],
         ["count-simple", "--L=-5"],
@@ -170,6 +171,12 @@ class TestCommands:
         assert run_main(args) == 1
         key = args[-1].split("=")[0][2:]
         assert "config error: %s must be" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_twist_convexity_grid_too_small(self, n, capsys):
+        # a second difference needs three grid points
+        assert run_main(["twist-convexity", "--grid-n", n]) == 1
+        assert "grid_n must be an integer >= 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["count-simple", "--x=0,0,0", "--L=5"],
@@ -183,6 +190,35 @@ class TestCommands:
         with time_bound(3):
             assert run_main(args) == 1
         assert "not a torus point" in capsys.readouterr().err
+
+
+# a command takes --out, --workers and --seed only where it writes a file,
+# fans out to workers or draws samples; elsewhere each is an unknown key
+_UNREAD_KEYS = (
+    [(cmd, "out") for cmd in ("count-simple", "bx", "cone-count",
+                              "ball-volume", "hexagon-check",
+                              "wolpert-check", "twist-convexity")]
+    + [(cmd, "workers") for cmd in ("markoff-count", "markoff-fit",
+                                    "count-simple", "count-word", "bx",
+                                    "cone-count", "apl-ray", "wall-scan",
+                                    "twist-convexity", "report")]
+    + [(cmd, "seed") for cmd in ("markoff-count", "markoff-fit",
+                                 "count-simple", "count-word", "bx",
+                                 "cone-count", "apl-ray", "wall-scan",
+                                 "hexagon-check", "wolpert-check",
+                                 "twist-convexity", "acceptance", "report")])
+
+
+@pytest.mark.parametrize("cmd,key", _UNREAD_KEYS)
+def test_unread_key_rejected(cmd, key, tmp_path, capsys):
+    out = tmp_path / "r.out"
+    value = str(out) if key == "out" else "2"
+    assert run_main([cmd, "--" + key, value]) == 1
+    cf = tmp_path / "exp.cfg"
+    cf.write_text("%s = %s\n" % (key, value))
+    assert run_main([cmd, "--config", str(cf)]) == 1
+    assert "unknown config key: %r" % key in capsys.readouterr().err
+    assert not out.exists()
 
 
 # torus points, moved by a permutation and an even sign flip in the fuzz

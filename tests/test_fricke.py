@@ -65,6 +65,17 @@ class TestTrace:
         # tr(AB^{-1}) = xy - z
         assert trace_word_fricke(t, "aB") == 3.0 * 4.0 - 5.0
 
+    def test_word_length_cap(self):
+        # the cap applies to the cyclic reduction: b^n a B^n is conjugate
+        # to a, however long it is written
+        over = fricke.MAX_WORD_LEN + 1
+        with pytest.raises(WordError, match="exceeds cap"):
+            trace_word_fricke((3, 4, 5), "ab" * (over // 2 + 1))
+        with pytest.raises(WordError, match="exceeds cap"):
+            trace_word_fricke((3, 4, 5), "a" * over)
+        n = over // 2
+        assert trace_word_fricke((3, 4, 5), "b" * n + "a" + "B" * n) == 3
+
     def test_commutator_identity_integers(self):
         # tr[a,b] = x^2 + y^2 + z^2 - xyz - 2, exactly in integer arithmetic
         for (x, y, z) in [(3, 3, 3), (3, 3, 6), (4, 5, 6), (7, 2, 9), (3, 6, 15)]:

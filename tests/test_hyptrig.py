@@ -87,10 +87,6 @@ class TestSeamF1:
             math.sinh(x) * math.sinh(y))
         assert ht.seam_F1(x, y, z) == pytest.approx(math.acosh(arg), rel=1e-13)
 
-    def test_half_lengths(self):
-        assert ht.seam_F1(2.4, 1.8, 4.2, half_lengths=True) == pytest.approx(
-            ht.seam_F1(1.2, 0.9, 2.1), rel=1e-13)
-
     @given(st.floats(min_value=60.0, max_value=400.0),
            st.floats(min_value=60.0, max_value=400.0),
            st.floats(min_value=60.0, max_value=400.0))

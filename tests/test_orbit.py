@@ -142,12 +142,6 @@ class TestWordClassification:
         assert ob.curve_symmetry_order("abaB") == 0
         assert ob.curve_symmetry_order("aabb") == 0
 
-    def test_symmetry_order_cached_per_radius(self):
-        # radius 0 sees only the identity; that answer must not stand in for
-        # the default search
-        assert ob.curve_symmetry_order("abaB", radius=0) == 1
-        assert ob.curve_symmetry_order("abaB") == 0
-
     def test_symmetry_order_finite_for_filling(self):
         assert ob.curve_symmetry_order("aabAb") >= 1
 
@@ -195,8 +189,8 @@ class TestOrbitCount:
         assert far.aut_order == base.aut_order == 3
         assert far.counts == base.counts == [12, 48]
         # (87, 6, 15) is (3, 3, 3) moved by tuu; abaB has infinite symmetry,
-        # so the word-orbit engine counts it, and a search started at the
-        # far triple prunes classes of the orbit
+        # so the twist families count it at its T-fixed representative,
+        # one node per slope of the walk from the far triple
         assert moved((3, 3, 3), "tuu") == (87, 6, 15)
         base = ob.count_orbit_word((3, 3, 3), "abaB", 9.0)
         far = ob.count_orbit_word((87, 6, 15), "abaB", 9.0)
@@ -387,8 +381,8 @@ class TestTwistFamilies:
     @pytest.mark.parametrize("X", [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5),
                                    (87, 6, 15), (3, 39, 15), GENERIC])
     def test_matches_bfs_triple_by_word(self, X):
-        # (87, 6, 15) has |Aut| = 2 and (3, 39, 15) |Aut| = 3: the family
-        # count takes no Aut conversion
+        # (87, 6, 15) and (3, 39, 15) are (3, 3, 3) moved by tuu and t^3,
+        # with |Aut| = 3: the family count takes no Aut conversion
         L, grid = 14.0, [7.0, 10.5, 14.0]
         for gamma in ["aabAb", "aabbAB", "aaBabb", "abbaBAAb", "aabAbAbb"]:
             got = ob.count_orbit_word(X, gamma, L, grid=grid)
@@ -561,10 +555,11 @@ class TestWordLength:
 
 
 class TestPrecision:
-    def test_word_orbit_abort_keeps_dps(self):
+    def test_word_orbit_abort_keeps_dps(self, monkeypatch):
+        monkeypatch.setattr(ob, "_ORACLE_NODES", 10)
         dps = mpmath.mp.dps
         with pytest.raises(ArithmeticError, match="exceeded"):
-            ob._word_orbit_lengths(MODULAR, "aabAb", 30.0, max_nodes=10)
+            ob._word_orbit_lengths(MODULAR, "aabAb", 30.0)
         assert mpmath.mp.dps == dps
 
     def test_kappa_drift_fires(self, monkeypatch):
