@@ -151,7 +151,9 @@ def cmd_markoff_count(cfg):
 
 
 def cmd_markoff_fit(cfg):
-    bounds = [int(float(b)) for b in str(cfg["bounds"]).split(",")]
+    # log(b)^2 normalizes each count: b = 1 would divide by zero
+    bounds = [_as_int({"bounds": b}, "bounds", 2)
+              for b in str(cfg["bounds"]).split(",")]
     samples = []
     for b in bounds:
         c = markoff.enumerate_count(b, norm=str(cfg["norm"]))
@@ -291,6 +293,8 @@ def cmd_twist_convexity(cfg):
     f = orbit._gamma_length_fn(gamma, _as_length(cfg, "l1", zero_ok=True))
     n = _as_int(cfg, "grid_n", 3)  # one second difference needs 3 points
     span = _as_float(cfg, "span")
+    if span <= 0:  # a grid of tau = 0 only would check no data
+        raise ConfigError("span must be > 0")
     taus = [-span + 2 * span * i / (n - 1) for i in range(n)]
     vals = [f(ell, t) for t in taus]
     d2 = [a - 2 * b + c for a, b, c in zip(vals, vals[1:], vals[2:])]

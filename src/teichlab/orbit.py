@@ -22,7 +22,9 @@ fixes.  A pruned BFS over conjugacy classes is kept only as the oracle of
 that count.  The lengths along twist lines
 and rays (length-ball volumes, APL) are fixed point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
-by 2^k and handed to the same node-length code as orbit nodes.
+by 2^k, with k chosen per trace by a forward error bound through the chart
+and the trace plan, and its trace goes through the same length code as
+orbit nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (FrickeTriple, canonical_cyclic, cyclic_reduce,
+from .fricke import (FrickeTriple, _plan_error_fixed, _plan_eval_fixed,
+                     _trace_plan, canonical_cyclic, cyclic_reduce,
                      length_trace, reduce_word, trace_word_fixed)
 from .fn_surface import S11, SurfacePoint, fricke_triple
 
@@ -363,12 +366,6 @@ def _trace_length(tr: int, k: int, w: str) -> float:
     if tr.bit_length() - k < 1000:
         return length_trace(tr / (1 << k))
     return length_trace(tr >> k)  # beyond the float range: 2 log t
-
-
-def _node_length(t, gamma: str, k: int) -> float:
-    """l_gamma at a node held as ints scaled by 2^k (k = 0: an integral
-    triple, exact), from the fixed-point trace of gamma's compiled plan."""
-    return _trace_length(trace_word_fixed(t, gamma, k), k, gamma)
 
 
 def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
@@ -810,7 +807,8 @@ SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 
 
 def _exp_fixed(h: float, k: int) -> tuple[int, int]:
-    """(e^h, e^-h) as ints scaled by 2^k, each within two units of 2^-k.
+    """(e^h, e^-h) as ints scaled by 2^k: e^|h| within 1 + 2^-7 units of
+    2^-k, its inverse within 2 + 2^-6 units (_EXP_ERR = 3 bounds both).
 
     e^|h| comes from mpmath's pure mpf_exp with the bits that 2^-k absolute
     accuracy needs (no global precision state is read or set), and its
@@ -824,9 +822,13 @@ def _exp_fixed(h: float, k: int) -> tuple[int, int]:
     return (big, small) if h >= 0 else (small, big)
 
 
+_EXP_ERR = 3  # units of 2^-k that bound the error of either exponential
+
+
 def _chart_fixed(l1: float, ell: float, tau: float, k: int):
     """Trace coordinates (x, y, z) of the torus chart at (ell, tau), as ints
-    scaled by 2^k: with v = e^(ell/2) and u = e^(tau/2),
+    scaled by 2^k, and bounds (ex, ey, ez) on their errors in units of
+    2^-k: with v = e^(ell/2) and u = e^(tau/2),
 
         x = v + 1/v,  y = m (u + 1/u),  z = m (uv + 1/(uv)),
         m = sqrt(2 cosh(l1/2) + v^2 + v^-2) / (v - 1/v)
@@ -835,34 +837,93 @@ def _chart_fixed(l1: float, ell: float, tau: float, k: int):
     exponentials, never e^((ell+tau)/2) of the rounded float sum, which
     would break the kappa identity that ties z to x and y.
 
-    Near the reducible locus the trace of a word is sensitive to the triple
-    far beyond double precision (the polynomial cancels through ~deg *
-    log10(coord) digits), so the chart is evaluated at the precision the
-    downstream trace needs.  In the thin part m ~ 2/ell divides by
-    v - 1/v ~ ell, so the chart works 2 log2(1/ell) bits finer than 2^-k.
+    In the thin part m ~ 2/ell divides by v - 1/v ~ ell, so the chart
+    works g = 2 log2(1/ell) guard bits finer than 2^-k.  The bounds carry
+    every rounding: the exponentials (_EXP_ERR units each), the squares,
+    the isqrt (l1 > 0), the division for m, the products for y and z, and
+    the final shift by g.  The caller picks k (_gamma_length_fn).
     """
     g = 2 * max(0, -math.frexp(ell)[1])
     n = k + g
+    E = _EXP_ERR
     v, vi = _exp_fixed(float(ell) / 2, n)
     u, ui = _exp_fixed(float(tau) / 2, n)
     if l1 == 0.0:
         r = v + vi  # the square root is exact at a cusp
+        er = 2 * E
     else:
         c1 = sum(_exp_fixed(float(l1) / 2, n))
-        r = math.isqrt((c1 + (v * v + vi * vi >> n)) << n)
-    m = (r << n) // (v - vi)
-    return (v + vi >> g, m * (u + ui) >> n + g,
-            m * (u * v + ui * vi >> n) >> n + g)
+        s = c1 + (v * v + vi * vi >> n)
+        es = 2 * E + (2 * E * (v + vi) + 2 * E * E >> n) + 2
+        r = math.isqrt(s << n)
+        # |sqrt(s 2^n) - sqrt(S 2^n)| <= 2^n |s - S| / r, plus the floor
+        er = (es << n) // r + 2
+    d = v - vi
+    ed = 2 * E
+    m = (r << n) // d
+    em = (er << n) // d + ((r + er) * ed << n) // (d * (d - ed)) + 3
+    w = u + ui
+    p = u * v + ui * vi >> n
+    ep = (E * (u + v + ui + vi) + 2 * E * E >> n) + 2
+    ew = 2 * E
+    return ((v + vi >> g, m * w >> n + g, m * p >> n + g),
+            ((2 * E >> g) + 2, (m * ew + w * em + em * ew >> n + g) + 2,
+             (m * ep + p * em + em * ep >> n + g) + 2))
+
+
+def _certified_length(tr: int, e: int, k: int, w: str):
+    """The length of the trace tr of w, both ints scaled by 2^k, when its
+    error bound e fixes it: e 2^60 <= tr - 2 and the float lengths at
+    tr - 2e and tr + 2e agree.  A finer evaluation, whose error is smaller,
+    lies in that interval and so gives this length bit for bit.  None when
+    the bound does not decide."""
+    if tr - (2 << k) < e << 60:
+        return None
+    length = _trace_length(tr - 2 * e, k, w)
+    return length if length == _trace_length(tr + 2 * e, k, w) else None
 
 
 def _gamma_length_fn(gamma: str, l1: float):
+    """(ell, tau) -> l_gamma on the torus chart, in fixed point at the
+    precision the trace needs.
+
+    The cap k_hi is the worst-case rule 60 + 0.25 deg (|ell| + |tau|) + 20
+    digits for the trace cancellation at these coordinates.  The first try
+    is k0 = 96 bits plus the bits of the coordinates, (|ell| + |tau|) /
+    (2 ln 2) + 8.  A try at k < k_hi returns when the chart-and-plan error
+    bound e (units of 2^-k) certifies its length (_certified_length): then
+    it is the length k_hi gives, bit for bit.  Otherwise k rises once, by
+    the bits the margin |tr| - 2 lacks plus 64 (at least 32), and then to
+    k_hi, whose length is returned as it stands.
+    """
+    plan = _trace_plan(gamma)
+    out = plan[1]
     deg = len(gamma)
 
     def f(ell, tau):
-        # precision to survive the trace cancellation at these coordinates
-        extra = int(0.25 * deg * (abs(ell) + abs(tau))) + 20
-        k = _bits(60 + extra)
-        return _node_length(_chart_fixed(l1, ell, tau, k), gamma, k)
+        size = abs(ell) + abs(tau)
+        k_hi = _bits(60 + int(0.25 * deg * size) + 20)
+        k = min(k_hi, 104 + math.ceil(size / (2 * math.log(2))))
+        raised = False
+        while True:
+            t, errs = _chart_fixed(l1, ell, tau, k)
+            regs = _plan_eval_fixed(plan, *t, k, registers=True)
+            tr = abs(regs[out])
+            if k == k_hi:
+                return _trace_length(tr, k, gamma)
+            e = _plan_error_fixed(plan, regs, errs, k)
+            length = _certified_length(tr, e, k, gamma)
+            if length is not None:
+                return length
+            margin = tr - (2 << k)
+            # a margin inside the error bounds |tr| - 2 only from above;
+            # then take |tr| - 2 >= 1, as at all but the shortest curves
+            mbits = abs(margin).bit_length()
+            if margin <= 2 * e:
+                mbits = min(mbits, k)
+            k = k_hi if raised else min(k_hi, k + max(
+                32, e.bit_length() - mbits + 64))
+            raised = True
     return f
 
 

@@ -178,6 +178,24 @@ class TestCommands:
         assert run_main(["twist-convexity", "--grid-n", n]) == 1
         assert "grid_n must be an integer >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", ["0", "-3"])
+    def test_twist_convexity_span_positive(self, span, capsys):
+        # span 0 checks tau = 0 only; a negative span mirrors the grid
+        assert run_main(["twist-convexity", "--span=" + span]) == 1
+        assert "span must be > 0" in capsys.readouterr().err
+
+    def test_markoff_fit_bounds_at_least_2(self, capsys):
+        # each count is normalized by log(b)^2, zero at b = 1
+        assert run_main(["markoff-fit", "--bounds", "1,10,100"]) == 1
+        assert "bounds must be an integer >= 2" in capsys.readouterr().err
+        assert run_main(["markoff-fit", "--bounds", "10,100.5"]) == 1
+
+    @pytest.mark.parametrize("cmd", ["apl-ray", "wall-scan"])
+    def test_apl_rejects_peripheral_word(self, cmd, capsys):
+        # the boundary curve abAB has length 0 everywhere
+        assert run_main([cmd, "--word", "abAB"]) == 1
+        assert "peripheral" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["count-simple", "--x=0,0,0", "--L=5"],
         ["bx", "--x=2,2,2"],

@@ -27,7 +27,7 @@ def test_orbit_searches_make_no_mpmath_call():
     # and a second arithmetic must not grow back into them
     searches = ["_pruned_bfs", "_family_lengths", "_walk_family",
                 "_twist_node", "_word_orbit_lengths",
-                "_node_length", "_word_length", "_rep_fixed", "_trace_length",
+                "_word_length", "_rep_fixed", "_trace_length",
                 "_farey_walk", "_twist_reduced", "simple_slopes", "cone_count",
                 "thurston_ball_B", "_ball_area"]
     tree = ast.parse((SRC / "orbit.py").read_text())
@@ -49,17 +49,23 @@ def test_orbit_searches_make_no_mpmath_call():
 
 
 def test_length_path_sets_no_global_precision():
-    # the (ell, tau) chart, the twist-line length function and the twist
-    # measure are fixed point end to end: no mpmath context precision is
-    # read or set there
-    names = ["_gamma_length_fn", "_chart_fixed", "_exp_fixed", "_tau_measure"]
-    tree = ast.parse((SRC / "orbit.py").read_text())
-    funcs = {node.name: node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef)}
-    assert set(names) <= set(funcs), set(names) - set(funcs)
+    # the (ell, tau) chart with its error bounds, the twist-line length
+    # function with its precision policy, the plan evaluation and its error
+    # pass, and the twist measure are fixed point end to end: no mpmath
+    # context precision is read or set there
+    names = {"orbit.py": ["_gamma_length_fn", "_chart_fixed", "_exp_fixed",
+                          "_tau_measure", "_trace_length",
+                          "_certified_length"],
+             "fricke.py": ["_plan_eval_fixed", "_plan_error_fixed"]}
     context = {"workdps", "workprec", "extradps", "extraprec", "dps", "prec"}
-    found = ["%s:%d" % (name, node.lineno)
-             for name in names for node in ast.walk(funcs[name])
-             if (isinstance(node, ast.Attribute) and node.attr in context)
-             or (isinstance(node, ast.Name) and node.id in context)]
+    found = []
+    for module, wanted in names.items():
+        tree = ast.parse((SRC / module).read_text())
+        funcs = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        assert set(wanted) <= set(funcs), set(wanted) - set(funcs)
+        found += ["%s:%d" % (name, node.lineno)
+                  for name in wanted for node in ast.walk(funcs[name])
+                  if (isinstance(node, ast.Attribute) and node.attr in context)
+                  or (isinstance(node, ast.Name) and node.id in context)]
     assert not found, "mpmath precision state on the length path: %s" % found

@@ -11,7 +11,9 @@ import pytest
 from teichlab import farey
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
-from teichlab.fricke import canonical_cyclic, trace_word_fricke
+from teichlab.fricke import (_plan_error_fixed, _plan_eval_fixed,
+                             _trace_plan, canonical_cyclic, trace_word_fixed,
+                             trace_word_fricke)
 
 
 MODULAR = (3.0, 3.0, 3.0)
@@ -29,6 +31,11 @@ def moved(t, word):
     for g in word:
         t = MOVES[g](*t)
     return t
+
+
+def node_length(t, gamma, k):
+    """l_gamma at a triple of ints scaled by 2^k (k = 0: exact)."""
+    return ob._trace_length(trace_word_fixed(t, gamma, k), k, gamma)
 
 
 def fixed_moved(t, word, k):
@@ -329,7 +336,7 @@ def orbit_bfs_lengths(X, gamma, L, prune_c):
 
     lengths, nodes, _ = ob._pruned_bfs(
         root, lambda t: tuple(v >> shift for v in t), children,
-        lambda t: ob._node_length(t, gamma, k), L, prune_c, 5_000_000)
+        lambda t: node_length(t, gamma, k), L, prune_c, 5_000_000)
     return lengths, nodes
 
 
@@ -418,7 +425,7 @@ class TestTwistFamilies:
                 want = 2 * mpmath.acosh(
                     abs(trace_word_fricke((tr(s),) + t, gamma)) / 2)
                 assert want > 3 * L
-                assert ob._node_length(node(n), gamma, k) == pytest.approx(
+                assert node_length(node(n), gamma, k) == pytest.approx(
                     float(want), rel=1e-13), n
 
     def test_top_band_family_raises(self, monkeypatch):
@@ -445,15 +452,15 @@ class TestNodeLength:
         assert abs(tr) > 10 ** 15
         with mpmath.workdps(60):
             want = float(2 * mpmath.acosh(abs(mpmath.mpf(tr)) / 2))
-        assert ob._node_length(t, "aabAb", 0) == pytest.approx(want, rel=1e-12)
+        assert node_length(t, "aabAb", 0) == pytest.approx(want, rel=1e-12)
 
     def test_integral_node_any_scale(self):
         # an integral node scaled by 2^256 is exact in fixed point, so it
         # gives the length of the k = 0 node bit for bit
         t = fixed_moved((3, 3, 3), "TUUTTU", 0)
         scaled = tuple(v << 256 for v in t)
-        assert ob._node_length(scaled, "aabAb", 256) == \
-            ob._node_length(t, "aabAb", 0)
+        assert node_length(scaled, "aabAb", 256) == \
+            node_length(t, "aabAb", 0)
 
     def test_float_node_matches_mpmath(self):
         # a non-integral node 12 moves deep, in fixed point, against the
@@ -467,7 +474,7 @@ class TestNodeLength:
                 tm = MOVES[g](*tm)
             tr = abs(trace_word_fricke(tm, "aabAb"))
             want = float(2 * mpmath.acosh(tr / 2))
-        assert ob._node_length(t, "aabAb", k) == pytest.approx(want, rel=1e-13)
+        assert node_length(t, "aabAb", k) == pytest.approx(want, rel=1e-13)
 
 
 def mp_chart_trace(gamma, l1, ell, tau):
@@ -514,12 +521,159 @@ class TestChart:
         # float ell + tau breaks it from the 16th digit of z on)
         for ell, tau in CHART_POINTS:
             k = ob._bits(80 + int(1.25 * (ell + abs(tau))))
-            t = ob._chart_fixed(l1, ell, tau, k)
+            t, _ = ob._chart_fixed(l1, ell, tau, k)
             with mpmath.workprec(k + 64):
                 want = int(mpmath.ldexp(
                     -2 * mpmath.cosh(mpmath.mpf(l1) / 2), k))
             err = abs(ob._kappa_fixed(t, k) - want)
             assert err.bit_length() <= k - ob._bits(60), (ell, tau)
+
+
+def k_hi(gamma, ell, tau):
+    """The precision cap of _gamma_length_fn: the worst-case digit rule."""
+    return ob._bits(60 + int(0.25 * len(gamma) * (abs(ell) + abs(tau))) + 20)
+
+
+def length_at_cap(gamma, l1, ell, tau):
+    """l_gamma with the chart and the trace at the cap, the one precision
+    the length path used before it chose k per trace."""
+    k = k_hi(gamma, ell, tau)
+    return node_length(ob._chart_fixed(l1, ell, tau, k)[0], gamma, k)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as e:
+        return repr(e)
+
+
+def ray_points(seed, rays):
+    """The points apl.ray_fit evaluates on seeded rays X0 + t (1, u): the
+    radii 5 ... 500 and the four +-1/16 gradient offsets at the top one."""
+    rng = np.random.default_rng(seed)
+    radii = [5.0 * 10 ** (2.0 * i / 7.0) for i in range(8)]
+    h, top = 1.0 / 16.0, radii[-1]
+    pts = []
+    for _ in range(rays):
+        x0 = (rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
+        u = rng.uniform(-2.3, 2.3)
+        dirs = [(1.0, u)] * len(radii) + [
+            (1.0 + h, u), (1.0 - h, u), (1.0, u + h), (1.0, u - h)]
+        ts = radii + [top] * 4
+        pts += [(x0[0] + t * d[0], x0[1] + t * d[1])
+                for t, d in zip(ts, dirs)]
+    return pts
+
+
+class TestChartPrecision:
+    """The chart's error bounds and the per-trace precision they choose."""
+
+    WORDS = ["aab", "abaB", "aabAb", "aaBabb"]
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_bound_covers_error(self, l1):
+        # the bounds of x, y, z and of each word's trace at k hold against
+        # an evaluation 4000 bits finer (whose own bound is added), on 500
+        # points per l1 with ell log-uniform in [1e-3, 500] and tau = ell u,
+        # |u| <= 2.3, and on the chart points
+        rng = np.random.default_rng([1400, round(10 * l1)])
+        ells = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 500))
+        pts = [(float(e), float(e * rng.uniform(-2.3, 2.3))) for e in ells]
+        pts += CHART_POINTS + [(1e-100, 0.3)]
+        plans = [_trace_plan(w) for w in self.WORDS]
+        ks = (80, 200, 600)
+        K = max(ks) + 4000
+        slack = []
+        for ell, tau in pts:
+            ref, ref_err = ob._chart_fixed(l1, ell, tau, K)
+            ref_regs = [_plan_eval_fixed(p, *ref, K, registers=True)
+                        for p in plans]
+            ref_tr = [(r[p[1]], _plan_error_fixed(p, r, ref_err, K))
+                      for p, r in zip(plans, ref_regs)]
+            for k in ks:
+                s = K - k
+                t, errs = ob._chart_fixed(l1, ell, tau, k)
+                for v, e, w, ew in zip(t, errs, ref, ref_err):
+                    assert abs((v << s) - w) <= (e << s) + ew, (ell, tau, k)
+                for p, (w, ew) in zip(plans, ref_tr):
+                    regs = _plan_eval_fixed(p, *t, k, registers=True)
+                    e = _plan_error_fixed(p, regs, errs, k)
+                    err = abs((regs[p[1]] << s) - w)
+                    assert err <= (e << s) + ew, (ell, tau, k)
+                    slack.append((e << s).bit_length() - err.bit_length())
+        # a bound loose by many bits would send needless traces to k_hi
+        assert np.median(slack) <= 8
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_lengths_bit_identical_to_cap(self, l1, monkeypatch):
+        # the length at the chosen k is the length at the cap, bit for bit,
+        # on the chart points and on seeded ray points; no try runs above
+        # the cap, and none of the ray points climbs to it.  At (1e-100,
+        # 0.3) the cap is too coarse for abaB (whose trace tends to
+        # x^2 + 2 cosh(l1/2)) and raises; the policy climbs there and
+        # raises the same error
+        pts = ray_points(14, 20)
+        ks = []
+        chart = ob._chart_fixed
+
+        def spy(l1, ell, tau, k):
+            ks.append((ell, tau, k))
+            return chart(l1, ell, tau, k)
+        chart_pts = CHART_POINTS + [(1e-100, 0.3)]
+        for gamma in ["aab", "abaB", "aabAb"]:
+            f = ob._gamma_length_fn(gamma, l1)
+            for i, (ell, tau) in enumerate(chart_pts + pts):
+                want = outcome(length_at_cap, gamma, l1, ell, tau)
+                monkeypatch.setattr(ob, "_chart_fixed", spy)
+                ks.clear()
+                got = outcome(f, ell, tau)
+                monkeypatch.setattr(ob, "_chart_fixed", chart)
+                assert got == want, (gamma, ell, tau)
+                cap = k_hi(gamma, ell, tau)
+                assert len(ks) <= 3 and all(k <= cap for _, _, k in ks)
+                if i >= len(chart_pts):
+                    assert ks[-1][2] < cap or len(ks) == 1, (gamma, ell, tau)
+
+    @pytest.mark.parametrize("gamma", WORDS + ["aabAbAbbaB"])
+    def test_plan_bound_covers_rounding(self, gamma):
+        # exact dyadic inputs (no chart error): the bound is the products'
+        # rounding alone, against the plan evaluated in Fractions
+        rng = np.random.default_rng(1401)
+        plan = _trace_plan(gamma)
+        for k in (0, 1, 7, 64, 200):
+            for _ in range(40):
+                t = [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 3)]
+                t = [v >> int(rng.integers(0, 60)) for v in t]
+                regs = _plan_eval_fixed(plan, *t, k, registers=True)
+                e = _plan_error_fixed(plan, regs, (0, 0, 0), k)
+                exact = trace_word_fricke(
+                    tuple(Fraction(v, 2 ** k) for v in t), gamma)
+                assert abs(Fraction(regs[plan[1]], 2 ** k) - exact) \
+                    <= Fraction(e, 2 ** k), (gamma, k, t)
+
+    def test_certified_length(self):
+        # certified only with e 2^60 <= tr - 2 and both ends of tr +- 2e on
+        # one float: a trace on a rounding tie of the float 3 is not
+        k = 200
+        three = 2 * math.acosh(1.5)
+        assert ob._certified_length(3 << k, 1, k, "aab") == three
+        tie = (3 << k) + (1 << k - 52)  # halfway from 3 to 3 + 2^-51
+        assert ob._trace_length(tie, k, "aab") == three
+        assert ob._certified_length(tie, 1, k, "aab") is None
+        assert ob._certified_length(tie - 2, 1, k, "aab") == three
+        assert ob._certified_length((2 << k) + (1 << 60), 1, k, "aab") \
+            is not None
+        assert ob._certified_length((2 << k) + (1 << 60) - 1, 1, k,
+                                    "aab") is None
+
+    def test_boundary_curve_reaches_cap(self):
+        # tr = -2 exactly: no margin at any k, so abAB is evaluated at the
+        # cap and returns what the cap gives (0 or a non-hyperbolic error)
+        f = ob._gamma_length_fn("abAB", 0.0)
+        for ell, tau in CHART_POINTS + [(1e-100, 0.3)]:
+            assert outcome(f, ell, tau) == outcome(
+                length_at_cap, "abAB", 0.0, ell, tau), (ell, tau)
 
 
 class TestWordLength:
@@ -577,7 +731,7 @@ class TestPrecision:
         k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
         marks, _ = ob._farey_walk(GENERIC, L, k)
         nonempty = sum(
-            any(ob._node_length(ob._twist_node(mark, k)(n), "aabAb", k) <= L
+            any(node_length(ob._twist_node(mark, k)(n), "aabAb", k) <= L
                 for n in range(-30, 31))
             for _, mark in marks)
         assert 0 < nonempty < len(marks)
