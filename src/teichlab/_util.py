@@ -11,7 +11,10 @@ def parallel_map(fn, items, workers: int):
     count because each item's computation is self-contained (per-item RNG
     streams are keyed by item index, never by worker)."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(items), cpus)
+    if workers <= 1:
         return [fn(it) for it in items]
     import multiprocessing as mp
     ctx = mp.get_context("spawn")

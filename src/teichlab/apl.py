@@ -12,12 +12,10 @@ where the rescaled gradient jumps between two sampling scales.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .fricke import cyclic_reduce
-from .orbit import _gamma_length_fn, is_peripheral_word
+from .orbit import _gamma_length_fn
 
 # largest denominator of a rational snap; the step of the gradient
 # differences; the direction slice and the sampling scale of wall_scan
@@ -65,14 +63,6 @@ class RayFit:
         return json.dumps(d, sort_keys=True)
 
 
-def _check_word(gamma):
-    """The boundary curve has length 0 at every point (and trace +-2, where
-    no fixed-point precision settles its length): no ray to fit."""
-    if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
-        raise ValueError("gamma=%r is peripheral or trivial: its length is "
-                         "0 everywhere" % gamma)
-
-
 def _check_ray_args(direction, radii):
     if direction[0] <= 0:
         raise ValueError("ray direction must increase the length coordinate")
@@ -91,7 +81,6 @@ def ray_fit(gamma: str, x0: tuple, direction: tuple, radii,
     converge to the rational coefficients of the local linear form.
     """
     radii = [float(t) for t in radii]
-    _check_word(gamma)
     _check_ray_args(direction, radii)
     f = _gamma_length_fn(gamma, l1)
 
@@ -181,7 +170,6 @@ def wall_scan(gamma: str, grid_n: int = 64, l1: float = 0.0) -> WallScan:
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
-    _check_word(gamma)
     f = _gamma_length_fn(gamma, l1)
     lo, hi = U_RANGE
     du = (hi - lo) / grid_n

@@ -91,14 +91,12 @@ def _as_int(cfg, key, lo=None):
     return int(v)
 
 
-def _as_triple(cfg, key):
-    try:
-        parts = [float(p) for p in str(cfg[key]).split(",")]
-    except ValueError:
-        raise ConfigError("%s must be x,y,z" % key)
-    if len(parts) != 3 or not all(math.isfinite(p) for p in parts):
-        raise ConfigError("%s must be three finite numbers" % key)
-    return tuple(parts)
+def _as_tuple(cfg, key, n):
+    """cfg[key] as n comma-separated finite floats."""
+    parts = str(cfg[key]).split(",")
+    if len(parts) != n:
+        raise ConfigError("%s must be %d comma-separated numbers" % (key, n))
+    return tuple(_as_float({key: p}, key) for p in parts)
 
 
 def _workers(cfg) -> int:
@@ -121,7 +119,7 @@ def _radii_from_spec(spec: str) -> list:
     parts = str(spec).split(":")
     if len(parts) not in (2, 3):
         raise ConfigError("radii must be lo:hi[:n]")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = (_as_float({"radii": p}, "radii") for p in parts[:2])
     n = int(parts[2]) if len(parts) == 3 else 9
     if lo <= 0 or hi < 100.0 * lo or n < 4:
         raise ConfigError("radii must span >= two decades with >= 4 samples")
@@ -169,14 +167,14 @@ def cmd_markoff_fit(cfg):
 
 
 def cmd_count_simple(cfg):
-    X = _as_triple(cfg, "x")
+    X = _as_tuple(cfg, "x", 3)
     L = _as_length(cfg, "L", zero_ok=True)
     print("count=%d" % orbit.count_simple(X, L))
     return 0
 
 
 def cmd_count_word(cfg):
-    X = _as_triple(cfg, "x")
+    X = _as_tuple(cfg, "x", 3)
     L = _as_length(cfg, "L", zero_ok=False)
     rep = orbit.count_orbit_word(X, str(cfg["word"]), L)
     print("count=%d" % rep.counts[-1])
@@ -186,13 +184,13 @@ def cmd_count_word(cfg):
 
 
 def cmd_bx(cfg):
-    X = _as_triple(cfg, "x")
+    X = _as_tuple(cfg, "x", 3)
     print("B=%.9f" % orbit.thurston_ball_B(X))
     return 0
 
 
 def cmd_cone_count(cfg):
-    X = _as_triple(cfg, "x")
+    X = _as_tuple(cfg, "x", 3)
     print("count=%d" % orbit.cone_count(X, _as_int(cfg, "m"),
                                         _as_length(cfg, "L", zero_ok=True)))
     return 0
@@ -216,13 +214,9 @@ def cmd_ball_volume(cfg):
 
 def cmd_apl_ray(cfg):
     gamma = str(cfg["word"])
-    d = [float(p) for p in str(cfg["dir"]).split(",")]
-    if len(d) != 2:
-        raise ConfigError("dir must be dl,dt")
-    x0 = [float(p) for p in str(cfg["x0"]).split(",")]
-    if len(x0) != 2:
-        raise ConfigError("x0 must be l,t")
-    fit = apl.ray_fit(gamma, tuple(x0), tuple(d),
+    d = _as_tuple(cfg, "dir", 2)
+    x0 = _as_tuple(cfg, "x0", 2)
+    fit = apl.ray_fit(gamma, x0, d,
                       _radii_from_spec(cfg["radii"]),
                       l1=_as_length(cfg, "l1", zero_ok=True))
     print(fit.to_json())
@@ -287,7 +281,7 @@ def cmd_twist_convexity(cfg):
     # length is convex along the twist for every closed geodesic that
     # crosses the twist curve a, i.e. has a b-letter once cyclically reduced
     gamma = cyclic_reduce(str(cfg["word"]))
-    if not set(gamma) & set("bB") or orbit.is_peripheral_word(gamma):
+    if not set(gamma) & set("bB"):
         raise ConfigError("%r does not cross the twist curve a" % gamma)
     ell = _as_length(cfg, "ell", zero_ok=False)
     f = orbit._gamma_length_fn(gamma, _as_length(cfg, "l1", zero_ok=True))
@@ -382,31 +376,39 @@ def cmd_report(cfg):
         raise ConfigError("report needs >= 1 file")
     docs = []
     for p in files:
-        with open(p) as f:
-            docs.append(json.load(f))
+        try:
+            with open(p) as f:
+                docs.append(json.load(f))
+        except (OSError, ValueError) as e:
+            raise ConfigError("cannot read report %s: %s" % (p, e))
+        if not isinstance(docs[-1], dict):
+            raise ConfigError("%s is not a JSON object" % p)
     schemas = {d.get("schema") for d in docs}
     if len(schemas) != 1:
         raise ConfigError("schema-version mismatch: %s" % sorted(map(str, schemas)))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     schema = schemas.pop()
-    if schema == "ACC1":
-        w.writerow(["check", "value", "pass"])
-        for d in docs:
-            for r in d["checks"]:
-                w.writerow([r["check"], r["value"], r["pass"]])
-    elif schema == "ORB1":
-        w.writerow(["gamma", "L", "count", "sym_order", "pruned"])
-        for d in docs:
-            w.writerow([d["gamma"], d["L_grid"][-1], d["counts"][-1],
-                        d["sym_order"], d["pruned"]])
-    elif schema == "APL1":
-        w.writerow(["gamma", "slope", "rational_ok"])
-        for d in docs:
-            w.writerow([d["gamma"], d.get("slope"),
-                        d.get("rational", {}).get("slope", {}).get("ok")])
-    else:
-        raise ConfigError("unknown schema %r" % schema)
+    try:
+        if schema == "ACC1":
+            w.writerow(["check", "value", "pass"])
+            for d in docs:
+                for r in d["checks"]:
+                    w.writerow([r["check"], r["value"], r["pass"]])
+        elif schema == "ORB1":
+            w.writerow(["gamma", "L", "count", "sym_order", "pruned"])
+            for d in docs:
+                w.writerow([d["gamma"], d["L_grid"][-1], d["counts"][-1],
+                            d["sym_order"], d["pruned"]])
+        elif schema == "APL1":
+            w.writerow(["gamma", "slope", "rational_ok"])
+            for d in docs:
+                w.writerow([d["gamma"], d.get("slope"),
+                            d.get("rational", {}).get("slope", {}).get("ok")])
+        else:
+            raise ConfigError("unknown schema %r" % schema)
+    except (LookupError, TypeError, AttributeError) as e:
+        raise ConfigError("malformed %s report: %r" % (schema, e))
     text = buf.getvalue()
     sys.stdout.write(text)
     if cfg["out"]:

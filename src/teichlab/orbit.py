@@ -23,8 +23,8 @@ that count.  The lengths along twist lines
 and rays (length-ball volumes, APL) are fixed point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
 by 2^k, with k chosen per trace by a forward error bound through the chart
-and the trace plan, and its trace goes through the same length code as
-orbit nodes.
+and the trace plan: a length is returned only once that bound fixes it.
+Its trace goes through the same length code as orbit nodes.
 """
 
 from __future__ import annotations
@@ -883,34 +883,40 @@ def _certified_length(tr: int, e: int, k: int, w: str):
     return length if length == _trace_length(tr + 2 * e, k, w) else None
 
 
+# the chart's bound on |ell| + |tau| and l1: a try takes ~0.7 bits per unit,
+# one aabAb length 0.02 s at 10^4 and 1-2 s at 10^5 (APL rays reach ~1200)
+CHART_MAX = 1e5
+_MAX_RAISES = 64  # a^n at the smallest float ell: 33 tries, >= 63 bits apart
+
+
 def _gamma_length_fn(gamma: str, l1: float):
     """(ell, tau) -> l_gamma on the torus chart, in fixed point at the
     precision the trace needs.
 
-    The cap k_hi is the worst-case rule 60 + 0.25 deg (|ell| + |tau|) + 20
-    digits for the trace cancellation at these coordinates.  The first try
-    is k0 = 96 bits plus the bits of the coordinates, (|ell| + |tau|) /
-    (2 ln 2) + 8.  A try at k < k_hi returns when the chart-and-plan error
-    bound e (units of 2^-k) certifies its length (_certified_length): then
-    it is the length k_hi gives, bit for bit.  Otherwise k rises once, by
-    the bits the margin |tr| - 2 lacks plus 64 (at least 32), and then to
-    k_hi, whose length is returned as it stands.
+    The first try is k0 = 96 bits plus the bits of the coordinates,
+    (|ell| + |tau|) / (2 ln 2) + 8.  A length is returned only when the
+    chart-and-plan error bound e (units of 2^-k) certifies it
+    (_certified_length); else k rises by the bits the margin |tr| - 2 lacks
+    plus 64 (at least 32), up to _MAX_RAISES times, then ArithmeticError.
+    A trivial or peripheral gamma (trace +-2 at a cusp: no k decides) and
+    points off the chart (CHART_MAX; ell / 2 = 0) are a ValueError.
     """
+    if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
+        raise ValueError("gamma=%r is peripheral or trivial" % gamma)
     plan = _trace_plan(gamma)
     out = plan[1]
-    deg = len(gamma)
 
     def f(ell, tau):
         size = abs(ell) + abs(tau)
-        k_hi = _bits(60 + int(0.25 * deg * size) + 20)
-        k = min(k_hi, 104 + math.ceil(size / (2 * math.log(2))))
-        raised = False
-        while True:
+        if not (size <= CHART_MAX and abs(l1) <= CHART_MAX) or ell / 2 == 0:
+            raise ValueError("(ell, tau, l1) = (%r, %r, %r) is off the chart: "
+                             "|ell| + |tau| and l1 at most %g, ell not 0"
+                             % (ell, tau, l1, CHART_MAX))
+        k = 104 + math.ceil(size / (2 * math.log(2)))
+        for _ in range(_MAX_RAISES + 1):
             t, errs = _chart_fixed(l1, ell, tau, k)
             regs = _plan_eval_fixed(plan, *t, k, registers=True)
             tr = abs(regs[out])
-            if k == k_hi:
-                return _trace_length(tr, k, gamma)
             e = _plan_error_fixed(plan, regs, errs, k)
             length = _certified_length(tr, e, k, gamma)
             if length is not None:
@@ -921,9 +927,9 @@ def _gamma_length_fn(gamma: str, l1: float):
             mbits = abs(margin).bit_length()
             if margin <= 2 * e:
                 mbits = min(mbits, k)
-            k = k_hi if raised else min(k_hi, k + max(
-                32, e.bit_length() - mbits + 64))
-            raised = True
+            k += max(32, e.bit_length() - mbits + 64)
+        raise ArithmeticError("no precision up to %d bits fixes the length "
+                              "of %r at (%r, %r)" % (k, gamma, ell, tau))
     return f
 
 

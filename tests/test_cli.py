@@ -3,15 +3,17 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import types
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from teichlab import cli
+from teichlab import _util, cli
 
 
 def run_main(args):
@@ -196,6 +198,33 @@ class TestCommands:
         assert run_main([cmd, "--word", "abAB"]) == 1
         assert "peripheral" in capsys.readouterr().err
 
+    def test_twist_convexity_thin_part(self, capsys):
+        # at ell = 1e-40 the lengths of aaBabb need more bits than the
+        # coordinates' size suggests; the error bound finds them
+        assert run_main(["twist-convexity", "--word", "aaBabb",
+                         "--ell", "1e-40"]) == 0
+        capsys.readouterr()
+
+    # outside the chart's domain: non-finite, beyond CHART_MAX (the first
+    # try alone would need ~10^300 bits), or ell = 0 on the ray
+    @pytest.mark.parametrize("args", [
+        ["apl-ray", "--x0=0,inf"],
+        ["apl-ray", "--dir=1,nan"],
+        ["apl-ray", "--l1=1e308"],
+        ["apl-ray", "--radii=1:1e300:5"],
+        ["apl-ray", "--radii=1:inf"],
+        ["apl-ray", "--x0=-10,0"],
+        ["wall-scan", "--l1=1e300"],
+        ["twist-convexity", "--ell=1e300"],
+        ["twist-convexity", "--span=1e300"],
+        ["twist-convexity", "--ell=5e-324"],
+        ["ball-volume", "--L=1e300"],
+    ])
+    def test_chart_domain_exit_1(self, args, capsys, time_bound):
+        with time_bound(3):
+            assert run_main(args) == 1
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["count-simple", "--x=0,0,0", "--L=5"],
         ["bx", "--x=2,2,2"],
@@ -250,12 +279,29 @@ def _torus_triples():
                      st.sampled_from(_SIGNS))
 
 
+# the chart commands: each key is left at its default or drawn, one value
+# per comma-separated component, from the finite, non-finite and huge
+_CHART_KEYS = {"apl-ray": [("x0", 2), ("dir", 2), ("l1", 1)],
+               "wall-scan": [("l1", 1)],
+               "twist-convexity": [("ell", 1), ("l1", 1), ("span", 1)]}
+_CHART_VALUES = ["-1", "0", "0.5", "3", "inf", "-inf", "nan", "1e300"]
+
+
 @st.composite
 def _argv(draw):
     ints = st.integers(-12, 12)
-    x = draw(st.one_of(st.tuples(ints, ints, ints), _torus_triples()))
     cmd = draw(st.sampled_from(["count-simple", "bx", "cone-count",
-                                "count-word"]))
+                                "count-word"] + list(_CHART_KEYS)))
+    if cmd in _CHART_KEYS:
+        argv = [cmd, "--word=%s" % draw(st.sampled_from(
+            ["aab", "abaB", "aBab", "a", "abAB"]))]
+        for key, n in _CHART_KEYS[cmd]:
+            v = draw(st.one_of(st.none(), st.lists(
+                st.sampled_from(_CHART_VALUES), min_size=n, max_size=n)))
+            if v is not None:
+                argv.append("--%s=%s" % (key, ",".join(v)))
+        return argv, False
+    x = draw(st.one_of(st.tuples(ints, ints, ints), _torus_triples()))
     argv = [cmd, "--x=%d,%d,%d" % x]
     if cmd != "bx":
         argv.append("--L=%d" % draw(st.integers(-3, 8)))
@@ -275,11 +321,12 @@ def _argv(draw):
 class TestFuzz:
     """CLI input never hangs and never escapes as a traceback: every
     command ends within a time bound with an exit code 0-3.  The slowest
-    example takes about 0.1 s (count-word at (3,3,3) and L = 8).  No
-    shrinking and no replay of stored failures: each rerun of a hanging
-    example would run to the bound again."""
+    example takes about 0.1 s (count-word at (3,3,3) and L = 8; each case
+    of the chart commands ends within 0.16 s).  No shrinking and no replay
+    of stored failures: each rerun of a hanging example would run to the
+    bound again."""
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=100, deadline=None,
               phases=[Phase.explicit, Phase.generate])
     @given(case=_argv())
     @example(case=(["count-simple", "--x=0,0,0", "--L=5"], False))
@@ -301,6 +348,20 @@ class TestFuzz:
 
 
 class TestReport:
+    @pytest.mark.parametrize("name,text", [
+        ("missing.json", None),
+        (".", None),
+        ("list.json", "[1, 2]"),
+        ("bad.json", "{not json"),
+        ("orb.json", json.dumps({"schema": "ORB1", "counts": [1]})),
+    ])
+    def test_unreadable_file_exit_1(self, name, text, tmp_path, capsys):
+        p = tmp_path / name
+        if text is not None:
+            p.write_text(text)
+        assert run_main(["report", "--files", str(p)]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_acceptance_then_report(self, tmp_path, capsys):
         out = tmp_path / "acc.json"
         assert run_main(["acceptance", "--out", str(out)]) == 0
@@ -318,6 +379,36 @@ class TestReport:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("workers,n,want", [
+        (5000, 2, 2), (5000, 10, 4), (3, 10, 3), (5000, 1, None)])
+    def test_parallel_map_bounds_processes(self, workers, n, want,
+                                           monkeypatch):
+        # one process per item and per available CPU at most; a fake
+        # context records the pool size and starts no process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return [fn(it) for it in items]
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: types.SimpleNamespace(
+                                Pool=FakePool))
+        monkeypatch.setattr(_util.os, "sched_getaffinity",
+                            lambda pid: set(range(4)), raising=False)
+        got = _util.parallel_map(abs, range(-n, 0), workers)
+        assert got == list(range(n, 0, -1))
+        assert sizes == ([] if want is None else [want])
+
     def test_workers_env_byte_identical(self, tmp_path):
         outs = []
         for w in ("1", "3"):
