@@ -82,13 +82,20 @@ def _as_length(cfg, key, zero_ok):
     return v
 
 
-def _as_int(cfg, key, lo=None):
-    """cfg[key] as an integer, at least lo when lo is given."""
+def _as_int(cfg, key, lo=None, hi=None):
+    """cfg[key] as an integer, at least lo and at most hi when given."""
     v = _as_float(cfg, key)
     if v != int(v) or (lo is not None and v < lo):
         raise ConfigError("%s must be an integer%s"
                           % (key, "" if lo is None else " >= %d" % lo))
+    if hi is not None and v > hi:
+        raise ConfigError("%s must be at most %d" % (key, hi))
     return int(v)
+
+
+# the most points of a grid or radius list a command builds and evaluates
+# a length at: wall-scan --grid-n, twist-convexity --grid-n, apl-ray's n
+GRID_MAX = 4096
 
 
 def _as_tuple(cfg, key, n):
@@ -123,6 +130,8 @@ def _radii_from_spec(spec: str) -> list:
     n = int(parts[2]) if len(parts) == 3 else 9
     if lo <= 0 or hi < 100.0 * lo or n < 4:
         raise ConfigError("radii must span >= two decades with >= 4 samples")
+    if n > GRID_MAX:
+        raise ConfigError("radii must have at most %d samples" % GRID_MAX)
     r = math.log(hi / lo)
     return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
 
@@ -226,7 +235,8 @@ def cmd_apl_ray(cfg):
 
 
 def cmd_wall_scan(cfg):
-    scan = apl.wall_scan(str(cfg["word"]), grid_n=_as_int(cfg, "grid_n", 1),
+    n = _as_int(cfg, "grid_n", 1, GRID_MAX)
+    scan = apl.wall_scan(str(cfg["word"]), grid_n=n,
                          l1=_as_length(cfg, "l1", zero_ok=True))
     print("walls=%d mids=%s" % (scan.wall_count,
                                 [round(s.u_mid, 6) for s in scan.walls]))
@@ -285,7 +295,7 @@ def cmd_twist_convexity(cfg):
         raise ConfigError("%r does not cross the twist curve a" % gamma)
     ell = _as_length(cfg, "ell", zero_ok=False)
     f = orbit._gamma_length_fn(gamma, _as_length(cfg, "l1", zero_ok=True))
-    n = _as_int(cfg, "grid_n", 3)  # one second difference needs 3 points
+    n = _as_int(cfg, "grid_n", 3, GRID_MAX)  # a second difference needs 3
     span = _as_float(cfg, "span")
     if span <= 0:  # a grid of tau = 0 only would check no data
         raise ConfigError("span must be > 0")

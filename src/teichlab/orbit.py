@@ -30,6 +30,7 @@ Its trace goes through the same length code as orbit nodes.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -297,17 +298,33 @@ _AUT_RTOL = 1e-9
 def point_symmetry_order(X) -> int:
     """|Aut(X)| in PSL(2,Z), one per slope of the Farey walk (at the
     canonical triple, to l_r, r the shortest slope) whose twist-reduced
-    marking triple is r's up to _AUT_RTOL: g is fixed by g(r) up to twists,
-    and no twist fixes X."""
+    marking triple marks r's family (_same_family): g is fixed by g(r) up
+    to twists, and no twist fixes X."""
     t = _canonical_triple(X)
     marks, k = _farey_walk(t, length_trace(t[0] * (1 + 2 * _AUT_RTOL)))
     reduced = [_twist_reduced(mark, k) for _, mark in marks]
-    x, y, z = ref = min(reduced)
-    # near a tie tau0 = +-l/2 rounding reduces a family to either side
-    near = (ref, (x, z, (x * z >> k) - y), (x, (x * y >> k) - z, y))
-    tol = _AUT_RTOL * max(ref)
-    return sum(any(max(abs(a - b) for a, b in zip(r, c)) <= tol
-                   for c in near) for r in reduced)
+    ref = min(reduced)
+    return sum(_same_family(r, ref, k) for r in reduced)
+
+
+def _aut_tol(v: int, k: int) -> int:
+    """How far apart, in units of 2^-k, two traces of size v from the Farey
+    walk may lie and still be one: _AUT_RTOL of v at a float triple, where
+    the slopes an automorphism exchanges come out a few roundings apart,
+    and 0 at an integral one (k = 0), whose walk is exact."""
+    return v // round(1 / _AUT_RTOL) if k else 0
+
+
+def _same_family(r, ref, k: int) -> bool:
+    """Whether the twist-reduced marking triples r and ref (ints scaled by
+    2^k) mark one twist family: r is ref or one of its two twist
+    neighbours (near a tie tau0 = +-l/2 rounding reduces a family to
+    either side), up to _aut_tol(max(ref), k) in each coordinate."""
+    x, y, z = ref
+    tol = _aut_tol(max(ref), k)
+    return any(max(abs(a - b) for a, b in zip(r, c)) <= tol
+               for c in (ref, (x, z, (x * z >> k) - y),
+                         (x, (x * y >> k) - z, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -768,21 +785,37 @@ def cone_count(X, m: int, L: float) -> int:
     Fenchel-Nielsen coordinates (l_s, tau0 + j l_s), j in Z, and its
     marking triple from the Farey walk, (x, y, z) = (tr s, tr s', tr(s+s')),
     determines tau0 up to the twist maps T, t (tau -> tau +- l), which
-    _twist_reduced removes, down to |tau0| <= l/2.  Slopes that an automorphism of X exchanges
-    reduce to one triple, so families are keyed on the reduced triple, in
-    the walk's fixed point (64 binary places off the integers).  A family
-    meets every width-l cone once, or twice when tau0 = 0 (z = xy - z) puts
-    both ends in it.  So the count is the same for every m; m stays in the
-    signature because the CLI and perfbench pass it.
+    _twist_reduced removes, down to |tau0| <= l/2.  Slopes that an
+    automorphism of X exchanges reduce to one family.  At an integral X the
+    walk is exact and families are keyed on the reduced triple; a float X
+    walks from its canonical triple (ValueError unless X is a torus point),
+    and families are merged by _same_family, as point_symmetry_order
+    merges them.  A family meets every width-l cone once, or twice when
+    tau0 = 0 (z = xy - z) puts both ends in it.  So the count is the same
+    for every m; m stays in the signature because the CLI and perfbench
+    pass it.
     """
+    if _fixed_root(X, 64)[1]:  # a float X: walk from one marking of it
+        _torus_kappa(_triple(X))
+        X = _canonical_triple(X)
     marks, k = _farey_walk(X, L)
+    reduced = (_twist_reduced(mark, k) for _, mark in marks)
+    if k:
+        reduced = sorted(reduced)  # by ascending x = tr s, for the scan
     families = {}
-    for _, mark in marks:
-        x, y, z = _twist_reduced(mark, k)
+    for x, y, z in reduced:
         xy = x * y >> k
-        if xy - z == y:  # a tie tau0 = +-l/2 in the form y = z
-            z = y
-        families[(x, y, z)] = 2 if 2 * z == xy else 1
+        # exact keys, a tie tau0 = +-l/2 in the form y = z
+        key = (x, y, y) if xy - z == y else (x, y, z)
+        tol = 0
+        if k:  # a float X: match the families whose x is within rounding
+            e = _aut_tol(x, k)
+            near = itertools.takewhile(lambda c: x - c[0] <= e,
+                                       reversed(families))
+            if key in families or any(_same_family(key, c, k) for c in near):
+                continue
+            tol = _aut_tol(max(key), k)
+        families[key] = 2 if abs(2 * z - xy) <= tol else 1
     return sum(families.values())
 
 
@@ -959,18 +992,74 @@ def _bisect(pred, inside, outside, steps: int) -> float:
     return inside
 
 
+_SECANT_STEPS = 32  # a cap only: Illinois reaches 2^-44 in 1-14 steps
+
+
+def _end_predicate(g, L, inside, g_in, outside, g_out):
+    """The predicate g(tau) <= L for bisecting one end of the sublevel set
+    from inside (g_in <= L) toward outside (g_out > L), answered without g
+    on the far side of the tightest known inside point lo or outside point
+    hi.
+
+    Illinois (bracketed secant) steps on g - L shrink [lo, hi] until g == L
+    or it is below 2^-44 of its start width w; two probes at the last
+    estimate +-2^-50 w then tighten it.  The sublevel set is one interval,
+    so a point between inside and lo lies in it and one at or beyond hi
+    does not: the predicate answers every midpoint as g itself would."""
+    s = 1.0 if outside > inside else -1.0
+    w = s * (outside - inside)
+    lo, hi, h_lo, h_hi = inside, outside, g_in - L, g_out - L
+    moved = 0  # 1 when the last step moved lo, -1 when it moved hi
+    for _ in range(_SECANT_STEPS):
+        x = lo - h_lo * (hi - lo) / (h_hi - h_lo)
+        if not s * lo < s * x < s * hi or s * (hi - lo) < w * 2.0 ** -44:
+            break
+        h = g(x) - L
+        if h <= 0:
+            lo, h_lo = x, h
+            if h == 0:
+                break
+            if moved > 0:  # the Illinois step: hi stayed twice
+                h_hi *= 0.5
+            moved = 1
+        else:
+            hi, h_hi = x, h
+            if moved < 0:
+                h_lo *= 0.5
+            moved = -1
+    for p in (x - s * w * 2.0 ** -50, x + s * w * 2.0 ** -50):
+        if s * lo < s * p < s * hi:
+            if g(p) <= L:
+                lo = p
+            else:
+                hi = p
+
+    def below(tau):
+        if s * tau <= s * lo:
+            return True
+        return s * tau < s * hi and g(tau) <= L
+    return below
+
+
+
 def _tau_measure(f, ell, L, K=None):
     """Lebesgue measure of {tau : f(ell, tau) <= L}.
 
     The length of every closed geodesic is strictly convex along a
     Fenchel-Nielsen twist (Wolpert, The Fenchel-Nielsen deformation, Ann.
     of Math. 115, 1982; Kerckhoff, The Nielsen realization problem, Ann. of
-    Math. 117, 1983), so the sublevel set is one interval.  A symmetric
+    Math. 117, 1983), and a certified length is a monotone function of the
+    true trace, so the sublevel set of f is one interval.  A symmetric
     shell [-T, T] is doubled until f > L at both ends and rises outward
     there (f(+-T) > f(+-T/2)), which by convexity puts the whole set
     inside; golden-section search for the minimum then looks for one tau
-    with f <= L (the set is empty once the bracket is below 2^-20 T), and
-    each end is bisected to float resolution.
+    with f <= L (the set is empty once the bracket is below 2^-20 T).
+    Each end is bisected 53 times from that tau toward +-T, to float
+    resolution.  The bisection is replayed through _end_predicate: a
+    bracketed secant first pins the end to about 2^-50 of its bracket, and
+    only midpoints inside that bracket evaluate f, so the measure is the
+    one the plain bisection gives, bit for bit, from about a third of the
+    length evaluations.
     """
     def g(tau):
         return f(ell, tau)
@@ -999,13 +1088,12 @@ def _tau_measure(f, ell, L, K=None):
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = g(d)
-    inside = c if fc <= L else d
-
-    def below(tau):
-        return f(ell, tau) <= L
-
+    inside, f_in = (c, fc) if fc <= L else (d, fd)
     # each end is less than 2T away, so 53 halvings end below T 2^-52
-    return _bisect(below, inside, T, 53) - _bisect(below, inside, -T, 53)
+    return (_bisect(_end_predicate(g, L, inside, f_in, T, out_hi),
+                    inside, T, 53)
+            - _bisect(_end_predicate(g, L, inside, f_in, -T, out_lo),
+                      inside, -T, 53))
 
 
 def require_filling(gamma: str):

@@ -180,6 +180,28 @@ class TestCommands:
         assert run_main(["twist-convexity", "--grid-n", n]) == 1
         assert "grid_n must be an integer >= 3" in capsys.readouterr().err
 
+    def test_grid_cap_at_parsing_helpers(self):
+        # a grid or radius list is built, and a length evaluated at each
+        # point, only once its size is known to be at most GRID_MAX
+        cap = cli.GRID_MAX
+        assert cli._as_int({"grid_n": str(cap)}, "grid_n", 1, cap) == cap
+        for n in (cap + 1, 10 ** 9):
+            with pytest.raises(cli.ConfigError, match="at most %d" % cap):
+                cli._as_int({"grid_n": str(n)}, "grid_n", 1, cap)
+        with pytest.raises(cli.ConfigError, match="at most %d" % cap):
+            cli._radii_from_spec("10:1000:%d" % (cap + 1))
+
+    @pytest.mark.parametrize("args", [
+        ["wall-scan", "--grid-n", "{n}"],
+        ["twist-convexity", "--grid-n", "{n}"],
+        ["apl-ray", "--radii", "10:1000:{n}"],
+    ])
+    def test_grid_cap_exit_1(self, args, capsys, time_bound):
+        args = [a.format(n=cli.GRID_MAX + 1) for a in args]
+        with time_bound(3):
+            assert run_main(args) == 1
+        assert "at most %d" % cli.GRID_MAX in capsys.readouterr().err
+
     @pytest.mark.parametrize("span", ["0", "-3"])
     def test_twist_convexity_span_positive(self, span, capsys):
         # span 0 checks tau = 0 only; a negative span mirrors the grid

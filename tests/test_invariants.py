@@ -51,11 +51,11 @@ def test_orbit_searches_make_no_mpmath_call():
 def test_length_path_sets_no_global_precision():
     # the (ell, tau) chart with its error bounds, the twist-line length
     # function with its precision policy, the plan evaluation and its error
-    # pass, and the twist measure are fixed point end to end: no mpmath
-    # context precision is read or set there
+    # pass are fixed point end to end, and the twist measure with its end
+    # search only calls them: no mpmath context precision is read or set
     names = {"orbit.py": ["_gamma_length_fn", "_chart_fixed", "_exp_fixed",
-                          "_tau_measure", "_trace_length",
-                          "_certified_length"],
+                          "_tau_measure", "_end_predicate", "_bisect",
+                          "_trace_length", "_certified_length"],
              "fricke.py": ["_plan_eval_fixed", "_plan_error_fixed"]}
     context = {"workdps", "workprec", "extradps", "extraprec", "dps", "prec"}
     found = []

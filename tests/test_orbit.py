@@ -792,6 +792,23 @@ class TestConeCount:
             # families with tau0 = 0 meet every cone at both ends
             assert zero_twists > 0
 
+    @pytest.mark.parametrize("X, aut, words", [
+        ((3.3, 3.3, 3.3), 3, ["T", "tU", "TTu", "uuT"]),
+        ((3.3, 3.3, 5.445), 2, ["", "t", "UT", "uTT"]),
+        ((3.3, 3.5, 5.775), 1, ["", "U", "tT"]),
+    ])
+    def test_moved_float_triple(self, X, aut, words):
+        # at a float triple the families that an automorphism exchanges,
+        # and the two ends of a family with tau0 = 0, agree only up to
+        # rounding: keyed exactly, (3.3, 3.3, 3.3) moved by T counted 84
+        # families at L = 20 instead of 28
+        assert ob.point_symmetry_order(X) == aut
+        for w in words:
+            Y = moved(X, w)
+            want, zero_twists = chart_inverse_cone_counts(Y, 20.0, (0, 2))
+            assert [ob.cone_count(Y, m, 20.0) for m in (0, 2)] == want, w
+            assert (zero_twists > 0) == (aut == 1), w
+
     def test_far_moved_triple(self):
         # (3, 4, 5) moved by eight generators has coordinates of 11 digits
         X = moved((3, 4, 5), "TUTUTUTU")
@@ -1015,6 +1032,62 @@ def laurent_tau_measure(l1, ell, L):
         return width(C) - width(-C)
 
 
+def bisection_tau_measure(f, ell, L):
+    """The twist measure by plain bisection: the shell and golden-section
+    search of ob._tau_measure, then 53 halvings of each end, each of which
+    evaluates f (the routine before the secant-bracketed replay)."""
+    def g(tau):
+        return f(ell, tau)
+
+    T = max(4.0 * ell, 8.0)
+    f_lo, f_hi = g(-T / 2.0), g(T / 2.0)
+    for _ in range(40):
+        out_lo, out_hi = g(-T), g(T)
+        if out_lo > max(L, f_lo) and out_hi > max(L, f_hi):
+            break
+        f_lo, f_hi = out_lo, out_hi
+        T *= 2.0
+    else:
+        raise ArithmeticError("unbounded")
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -T, T
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = g(c), g(d)
+    while fc > L and fd > L:
+        if b - a < T * 2.0 ** -20:
+            return 0.0
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = g(d)
+    start = c if fc <= L else d
+    ends = []
+    for outside in (T, -T):
+        inside = start
+        for _ in range(53):
+            m = 0.5 * (inside + outside)
+            if g(m) <= L:
+                inside = m
+            else:
+                outside = m
+        ends.append(inside)
+    return ends[0] - ends[1]
+
+
+def counted(f):
+    """f and a one-element list that counts its calls."""
+    calls = [0]
+
+    def g(ell, tau):
+        calls[0] += 1
+        return f(ell, tau)
+    return g, calls
+
+
 class TestTwistMeasure:
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     @pytest.mark.parametrize("L", [9.0, 12.0, 30.0])
@@ -1041,6 +1114,43 @@ class TestTwistMeasure:
                 h * sum(inside), abs=h)
 
 
+    @pytest.mark.parametrize("gamma", ["aabAb", "aaBabb", "aabbAB"])
+    def test_equals_plain_bisection(self, gamma):
+        # the bracketed secant only spares evaluations: every midpoint of
+        # the bisection gets the answer f would give, so the measure is
+        # the plain bisection's bit for bit, thin, thick and empty lines
+        rng = np.random.default_rng(16)
+        widths = []
+        for l1 in (0.0, 0.7):
+            f = ob._gamma_length_fn(gamma, l1)
+            ells = [1e-3, 0.02, 15.0, 30.0] + \
+                list(10.0 ** rng.uniform(-2.0, 1.3, size=4))
+            for ell in ells:
+                L = float(rng.uniform(3.0, 40.0))
+                want = bisection_tau_measure(f, ell, L)
+                assert ob._tau_measure(f, ell, L) == want, (l1, ell, L)
+                widths.append(want)
+        assert 0.0 in widths and sum(w > 0 for w in widths) >= 6
+
+    def test_evaluation_count(self):
+        # the two 53-step bisections were 106 of the ~112 evaluations of a
+        # line; the secant leaves a handful of midpoints to evaluate
+        f = ob._gamma_length_fn("aabAb", 0.0)
+        counts = []
+        for L in (9.0, 12.0, 30.0):
+            for ell in (0.5, 1.0, 2.5, 6.0):
+                g, calls = counted(f)
+                assert ob._tau_measure(g, ell, L) > 0
+                g_old, calls_old = counted(f)
+                bisection_tau_measure(g_old, ell, L)
+                assert calls[0] < calls_old[0], (ell, L)
+                counts.append(calls[0])
+                g, again = counted(f)
+                ob._tau_measure(g, ell, L)
+                assert again == calls
+        assert sorted(counts)[len(counts) // 2] <= 45, counts
+
+
 class TestBallVolume:
     def test_region_volume_scales(self):
         # boundary effects are still visible at this scale; the tight
@@ -1053,6 +1163,16 @@ class TestBallVolume:
     def test_non_filling_rejected(self):
         with pytest.raises(ValueError):
             ob.ball_length_region_volume("abaB", 20.0)
+
+    # the volumes as the plain bisection of each twist line gave them
+    @pytest.mark.parametrize("gamma, L, l1, want", [
+        ("aabAb", 30.0, 0.0, "798.4623437003264"),
+        ("aabAb", 10.0, 0.0, "55.75504577374852"),
+        ("aaBabb", 12.0, 0.7, "73.38487152864275"),
+        ("aabbAB", 10.0, 0.0, "79.71780633726678"),
+    ])
+    def test_pinned_volumes(self, gamma, L, l1, want):
+        assert repr(ob.ball_length_region_volume(gamma, L, l1=l1)) == want
 
     def test_unfolding_identity_with_involution_factor(self):
         # -I maps aabbAB to another curve (iota = 2): the counts and the
