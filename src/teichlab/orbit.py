@@ -166,10 +166,13 @@ _AUTOS = {
     "t": str.maketrans({"b": "bA", "B": "aB"}),
     "U": str.maketrans({"a": "ab", "A": "BA"}),
     "u": str.maketrans({"a": "aB", "A": "bA"}),
+    "S": str.maketrans("abAB", "bABa"),  # a -> b, b -> A
+    "-I": str.maketrans("abAB", "ABab"),  # a -> A, b -> B: fixes every triple
 }
 _GEN_MATS = {
     "T": (1, 1, 0, 1), "t": (1, -1, 0, 1),
     "U": (1, 0, 1, 1), "u": (1, 0, -1, 1),
+    "S": (0, -1, 1, 0), "-I": (-1, 0, 0, -1),
 }
 GENS = "TtUu"
 
@@ -187,28 +190,33 @@ def apply_auto(w: str, g: str) -> str:
     return reduce_word(w.translate(_AUTOS[g]))
 
 
+def _word_images(w: str, gens=GENS) -> list[str]:
+    """The canonical class of w moved by each of gens."""
+    return [canonical_cyclic(apply_auto(w, g)) for g in gens]
+
+
+def _descend(x, moves, size):
+    """Move to the least image, by (size, image), until none is smaller."""
+    s = size(x)
+    while True:
+        low, y = min((size(c), c) for c in moves(x))
+        if low >= s:
+            return x
+        x, s = y, low
+
+
 def _mat_mul(m, n, k: int):
     """Product of 2x2 matrices of ints scaled by 2^k (k = 0: exact)."""
     return ((m[0] * n[0] + m[1] * n[2]) >> k, (m[0] * n[1] + m[1] * n[3]) >> k,
             (m[2] * n[0] + m[3] * n[2]) >> k, (m[2] * n[1] + m[3] * n[3]) >> k)
 
 
-def _mat_key(m):
-    """Canonical representative in PSL(2,Z) of a nonzero m, first nonzero
-    entry positive (-I acts trivially on triples, not on all curves)."""
-    return m if m > (0, 0, 0, 0) else tuple(-e for e in m)
-
-
 def curve_symmetry_order(gamma: str) -> int:
     """|Sym(gamma) & Gamma|: order of the mapping-class stabilizer of the
-    unoriented class of gamma, from the ball of radius _SYM_RADIUS in the
-    generators; 0 if it is infinite (abaB: a twist fixes it).
-
-    Finite for filling classes (the finite subgroups of the group have
-    order <= 3, so a modest radius suffices); 1 for simple classes by
-    convention (their stabilizer contains the infinite twist subgroup,
-    which is the redundancy quotiented out by the slope parametrization).
-    """
+    unoriented class of gamma in PSL(2,Z) (_symmetry); 0 if it is infinite
+    (abaB: a twist fixes it), 1 for simple classes by convention (their
+    stabilizer contains the infinite twist subgroup, which is the
+    redundancy quotiented out by the slope parametrization)."""
     return _symmetry(canonical_cyclic(gamma))[0]
 
 
@@ -218,50 +226,47 @@ def _orbit_rep(gamma: str) -> tuple[str, int]:
     key = canonical_cyclic(gamma)
     rep = _symmetry(key)[1]
     if rep is None:
-        raise ArithmeticError("Sym(%r) is infinite, but no image in the "
-                              "symmetry search is fixed by T" % gamma)
+        raise ArithmeticError("Sym(%r) is infinite, but no least-length "
+                              "image of it is fixed by T" % gamma)
     return rep, 1 if canonical_cyclic(key.swapcase()) == key else 2
-
-
-_SYM_RADIUS = 8
 
 
 @functools.lru_cache(maxsize=1024)
 def _symmetry(key: str) -> tuple[int, str | None]:
-    """(|Sym| or 0 if infinite, the orbit representative) from the ball of
-    radius _SYM_RADIUS around key.  The representative is the image that
-    crosses a least: fewest b/B letters, then shortest, then key, then
-    first in order.  If Sym is infinite it must also be fixed by T (else
-    None), so that l is constant along every twist family."""
+    """(|Sym| or 0 if infinite, the orbit representative) from the finite set
+    of least-length words of the orbit of key.  A longer word has a shortening
+    Whitehead move (peak reduction), in rank 2 one of T, t, U, u, so key
+    descends; the shortest words are joined by the moves of T, t, U, u, S and
+    -I that keep the length, with the signed matrix M[v] of a path to each, and
+    -I and the loops M[v']^-1 G M[v] generate +-Stab (McCool), whose image in
+    PSL(2,Z) is Sym: infinite once the closure passes 6, the largest order of a
+    finite subgroup of SL(2,Z).  The representative has the fewest b/B letters
+    (it crosses a least), then is key, then first in order; for an infinite Sym
+    it is fixed by T (else None), so that l is constant along every twist
+    family."""
     if simple_power(key):
         return 1, key
-    ident = (1, 0, 0, 1)
-    seen = {ident: key}
-    frontier = [(ident, key)]
-    stab = {ident}
-    for _ in range(_SYM_RADIUS):
-        nxt = []
-        for (m, w) in frontier:
-            for g in GENS:
-                # applying g to the image word is left composition, so the
-                # matrix product is taken in the same order
-                m2 = _mat_key(_mat_mul(_GEN_MATS[g], m, 0))
-                if m2 in seen:
-                    continue
-                w2 = canonical_cyclic(apply_auto(w, g))
-                seen[m2] = w2
-                nxt.append((m2, w2))
-                if w2 == key:
-                    stab.add(m2)
-        frontier = nxt
-    # a parabolic or hyperbolic stabilizer element: Sym is infinite (gamma
-    # is a decorated simple class); 0 is the sentinel
-    infinite = any(m != ident and abs(m[0] + m[3]) >= 2 for m in stab)
-    order = 0 if infinite else len(stab)
-    images = sorted(set(seen.values()), key=lambda w: (
-        sum(c in "bB" for c in w), len(w), w != key, w))
-    return order, next((w for w in images if order or
-                        canonical_cyclic(apply_auto(w, "T")) == w), None)
+    start = _descend(key, _word_images, len)
+    mats = {start: (1, 0, 0, 1)}
+    todo = [start]
+    loops = set()
+    for w in todo:
+        for g, w2 in zip(_GEN_MATS, _word_images(w, _GEN_MATS)):
+            m2 = _mat_mul(_GEN_MATS[g], mats[w], 0)
+            if w2 in mats:
+                m = mats[w2]  # its inverse in SL(2,Z) is (d, -b, -c, a)
+                loops.add(_mat_mul((m[3], -m[1], -m[2], m[0]), m2, 0))
+            elif len(w2) == len(start):
+                mats[w2] = m2
+                todo.append(w2)
+    group = new = {(1, 0, 0, 1), (-1, 0, 0, -1)}
+    while new and len(group) <= 6:
+        new = {_mat_mul(m, g, 0) for m in new for g in loops} - group
+        group |= new
+    order = 0 if len(group) > 6 else len(group) // 2
+    reps = [w for w in mats if order or _word_images(w, "T") == [w]]
+    return order, min(reps, default=None, key=lambda w: (
+        sum(c in "bB" for c in w), w != key, w))
 
 
 def _fixed_root(X, bits: int):
@@ -274,14 +279,8 @@ def _fixed_root(X, bits: int):
 
 
 def _reduced(t, k: int):
-    """Descend the orbit of a node: apply the generator map that lowers
-    max|coord| the most, until none lowers it."""
-    size = max(map(abs, t))
-    while True:
-        low, u = min((max(map(abs, c)), c) for c in _images(t, k))
-        if low >= size:
-            return t
-        t, size = u, low
+    """The node t descended by the generator maps to the least max|coord|."""
+    return _descend(t, lambda u: _images(u, k), lambda u: max(map(abs, u)))
 
 
 def _canonical_triple(X):
@@ -373,13 +372,17 @@ def _kappa_fixed(t, k: int) -> int:
 
 def _trace_length(tr: int, k: int, w: str) -> float:
     """l = 2 arccosh(|tr|/2) for the trace of w held as an int scaled by
-    2^k; a trace within 1e-9 of parabolic is rounding at a cusp-like node."""
+    2^k; a trace within 1e-9 of parabolic is rounding at a cusp-like node.
+    Below |tr| = 3 (simple curves only: Yamada), 4 asinh(sqrt(|tr| - 2)/2)
+    keeps the digits of the exact margin that a float |tr| would lose."""
     tr = abs(tr)
     if tr < 2 << k:
         if tr * 10 ** 9 > (2 * 10 ** 9 - 1) << k:
             return 0.0
         raise ArithmeticError("non-hyperbolic trace %.8g for %r along the "
                               "orbit" % (tr / (1 << k), w))
+    if tr < 3 << k:
+        return 4.0 * math.asinh(math.sqrt((tr - (2 << k)) / (1 << k)) / 2.0)
     if tr.bit_length() - k < 1000:
         return length_trace(tr / (1 << k))
     return length_trace(tr >> k)  # beyond the float range: 2 log t
@@ -526,8 +529,7 @@ def _family_lengths(X, gamma: str, L: float):
     marks, _ = _farey_walk(X, L, bits)
     kappa0 = _kappa_fixed(root, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
-    twist_fixed = canonical_cyclic(apply_auto(gamma, "T")) == \
-        canonical_cyclic(gamma)
+    twist_fixed = _word_images(gamma, "T") == [canonical_cyclic(gamma)]
     lengths = []
     evaluations = 0
     for _, mark in marks:
@@ -600,10 +602,7 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     root, k0 = _fixed_root(X, k)
     mats = _rep_fixed(tuple(v << (k - k0) for v in _reduced(root, k0)), k)
 
-    def children(w):
-        return [canonical_cyclic(apply_auto(w, g)) for g in GENS]
-
-    return _pruned_bfs(canonical_cyclic(gamma), lambda w: w, children,
+    return _pruned_bfs(canonical_cyclic(gamma), lambda w: w, _word_images,
                        lambda w: _word_length(mats, w, k),
                        L, _ORACLE_PRUNE, _ORACLE_NODES)
 
@@ -1114,9 +1113,10 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
                               grid_n: int = 200) -> float:
     """FN-area of {(l,tau) : l_gamma <= L} times iota / |Sym(gamma)|, i.e.
     the volume of a Sym-fundamental region of the length ball, taken twice
-    when -I maps gamma to another curve (see count_orbit_word)."""
-    gamma = require_filling(gamma)
-    f = _gamma_length_fn(gamma, l1)
+    when -I maps gamma to another curve (see count_orbit_word); taken at
+    the orbit representative, as every image of gamma gives the same."""
+    rep, iota = _orbit_rep(require_filling(gamma))
+    f = _gamma_length_fn(rep, l1)
 
     def w(e):
         return _tau_measure(f, e, L)
@@ -1152,7 +1152,7 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     # trapezoid rule in numpy's own operation order; np.trapz is gone in
     # numpy 2.4 and np.trapezoid is absent before 2.0
     area = float((np.diff(xs) * (ws[1:] + ws[:-1]) / 2.0).sum())
-    return area * _orbit_rep(gamma)[1] / curve_symmetry_order(gamma)
+    return area * iota / curve_symmetry_order(gamma)
 
 
 def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,

@@ -150,7 +150,16 @@ class TestWordClassification:
         assert ob.curve_symmetry_order("aabb") == 0
 
     def test_symmetry_order_finite_for_filling(self):
-        assert ob.curve_symmetry_order("aabAb") >= 1
+        # aabbAABB is fixed by S (a -> b, b -> A); an element of order 3
+        # fixes the other four (TestShortWords pins a count of aaBABAbb)
+        assert ob.curve_symmetry_order("aabAb") == 1
+        assert ob.curve_symmetry_order("aabbAABB") == 2
+        for w in ("aaBABAbb", "aaBBAbAb", "aabAbABB", "aabbABAB"):
+            assert ob.curve_symmetry_order(w) == 3, w
+        assert ob.curve_symmetry_order("abaB") == 0
+        assert ob.curve_symmetry_order("aabAB") == 0
+        assert ob.curve_symmetry_order("aabbAB") == 1
+        assert ob._orbit_rep("aabbAB")[1] == 2
 
     def test_require_filling(self):
         with pytest.raises(ValueError):
@@ -236,7 +245,8 @@ def ball_aut_order(X, radius=6, tol=1e-9):
         nxt = []
         for (m, t) in frontier:
             for g, t2 in zip(ob.GENS, ob._images(t, k)):
-                m2 = ob._mat_key(ob._mat_mul(m, ob._GEN_MATS[g], 0))
+                m2 = ob._mat_mul(m, ob._GEN_MATS[g], 0)
+                m2 = max(m2, tuple(-e for e in m2))  # its class in PSL(2,Z)
                 if m2 in seen:
                     continue
                 seen.add(m2)
@@ -304,7 +314,10 @@ class TestShortWords:
         # in the orbit of aabAb; counted at aabbabb itself, the families of
         # slopes longer than L hold curves of length <= L
         (GENERIC, "aabbabb", 9.0, 10),
-        (GENERIC, "ababAb", 10.0, 14)])
+        (GENERIC, "ababAb", 10.0, 14),
+        # |Sym| = 3 and iota = 2: 12 PSL(2,Z) classes make 2 * 12 / 3
+        # curves (|Sym| = 1 in a search ball of radius 8 counted 24)
+        (MODULAR, "aaBABAbb", 12.0, 8)])
     def test_pinned_counts(self, X, gamma, L, want):
         assert ob.count_orbit_word(X, gamma, L).counts[-1] == want
         assert ob.count_orbit_word_bruteforce(X, gamma, L) == want
@@ -316,6 +329,45 @@ class TestShortWords:
         for w, iota in (("abaB", 1), ("aabAB", 2)):
             assert ob._orbit_rep(w) == (w, iota)
             assert canonical_cyclic(ob.apply_auto(w, "T")) == w
+
+
+def pushed(gamma, phi):
+    """The canonical class of gamma moved by the substitutions of phi."""
+    for g in phi:
+        gamma = ob.apply_auto(gamma, g)
+    return canonical_cyclic(gamma)
+
+
+class TestPushInvariance:
+    # words of 12 to 1224 letters; a generator ball of radius 8 around the
+    # pushed word missed the symmetry of aabbAABB ([0, 0, 6]) and, from
+    # (TU)^5 on, the shortest images of aabAb ([3, 24, 36] at (3, 3, 3))
+    PUSHES = ["TUTU", "TU" * 3, "TU" * 4, "TU" * 5, "TTUU" * 3, "TU" * 6,
+              "TuTTUtuTTUtU"]
+
+    @pytest.mark.parametrize("X, gamma, want", [
+        (MODULAR, "aabAb", [3, 24, 48]),
+        (MODULAR, "aabbAABB", [0, 0, 3]),
+        (MODULAR, "aabbAB", [0, 36, 96]),
+        (GENERIC, "aabAb", [0, 10, 28]),
+        (GENERIC, "aabbAABB", [0, 0, 0]),
+        (GENERIC, "aabbAB", [0, 0, 28]),
+    ])
+    def test_counts(self, X, gamma, want):
+        base = ob.count_orbit_word(X, gamma, 12.0, grid=[6, 9, 12])
+        assert base.counts == want
+        for phi in self.PUSHES:
+            rep = ob.count_orbit_word(X, pushed(gamma, phi), 12.0,
+                                      grid=[6, 9, 12])
+            assert (rep.counts, rep.sym_order, rep.metadata["iota"]) == \
+                (want, base.sym_order, base.metadata["iota"]), phi
+
+    @pytest.mark.parametrize("gamma, L", [("aabAb", 10.0),
+                                          ("aabbAABB", 12.0)])
+    def test_volume(self, gamma, L):
+        # the area is taken at the representative: aaBAB for pushed aabAb
+        assert ob.ball_length_region_volume(pushed(gamma, "TU" * 5), L) == \
+            ob.ball_length_region_volume(gamma, L)
 
 
 def orbit_bfs_lengths(X, gamma, L, prune_c):
@@ -520,6 +572,15 @@ class TestChart:
         for ell, tau in CHART_POINTS + THIN_POINTS:
             assert f(ell, tau) == pytest.approx(
                 mp_chart_length(gamma, l1, ell, tau), rel=1e-13), (ell, tau)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_short_simple_curve(self, l1):
+        # the length from the exact margin |tr| - 2: a float trace read
+        # ell = 1e-5 as 1.000000041e-05 and ell = 1e-8 as 0.0
+        f = ob._gamma_length_fn("a", l1)
+        for ell, tau in [(1e-5, 0.3), (1e-8, 0.3)] + THIN_POINTS:
+            assert f(ell, tau) == pytest.approx(
+                mp_chart_length("a", l1, ell, tau), rel=1e-13), ell
 
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     def test_kappa_identity(self, l1):
@@ -783,14 +844,15 @@ class TestConeCount:
         c2 = ob.cone_count(GENERIC, 0, 60.0)
         assert 3.4 <= c2 / c1 <= 4.6
 
-    @pytest.mark.parametrize("X", [(4, 4, 8), (3.5, 3.5, 3.5), GENERIC])
+    @pytest.mark.parametrize("X", [(4, 4, 8), (3.5, 3.5, 3.5), GENERIC,
+                                   (3.0, 3.0, 4.5)])
     def test_matches_chart_inverse(self, X):
         ms = (-2, 0, 3)
         want, zero_twists = chart_inverse_cone_counts(X, 30.0, ms)
         assert [ob.cone_count(X, m, 30.0) for m in ms] == want
-        if X == (4, 4, 8):
+        if X in ((4, 4, 8), (3.0, 3.0, 4.5)):
             # families with tau0 = 0 meet every cone at both ends
-            assert zero_twists > 0
+            assert zero_twists == 1
 
     @pytest.mark.parametrize("X, aut, words", [
         ((3.3, 3.3, 3.3), 3, ["T", "tU", "TTu", "uuT"]),
@@ -807,7 +869,9 @@ class TestConeCount:
             Y = moved(X, w)
             want, zero_twists = chart_inverse_cone_counts(Y, 20.0, (0, 2))
             assert [ob.cone_count(Y, m, 20.0) for m in (0, 2)] == want, w
-            assert (zero_twists > 0) == (aut == 1), w
+            # the two rectangular tori have both coordinate curves at twist
+            # 0, one family where a rotation exchanges them (the square)
+            assert zero_twists == {3: 0, 2: 1, 1: 2}[aut], w
 
     def test_far_moved_triple(self):
         # (3, 4, 5) moved by eight generators has coordinates of 11 digits
@@ -827,11 +891,13 @@ def chart_inverse_cone_counts(X, L, ms):
     z = 2 m cosh((l + tau)/2); re-markings are merged on (l, tau0/l mod 1)
     rounded to 9 digits, and each family counts the k with
     m <= tau0/l + k <= m + 1."""
-    x, y, z = X
-    l1 = 2 * math.acosh(max(1.0, -(x * x + y * y + z * z - x * y * z - 2) / 2))
     families = set()
     with mpmath.workdps(80):
         tm = tuple(mpmath.mpf(v) for v in X)
+        x, y, z = tm
+        # 2 cosh(l1/2) = -kappa in mpmath: a float l1, inverted from a cosh
+        # near 1, put tau0 = 0 at frac(tau0/l) = 0.999999996
+        c1 = max(2, x * y * z + 2 - x * x - y * y - z * z)
         memo = {}
 
         def tr(s):
@@ -846,8 +912,7 @@ def chart_inverse_cone_counts(X, L, ms):
                 while tr((sp[0] + step * p, sp[1] + step * q)) < tr(sp):
                     sp = (sp[0] + step * p, sp[1] + step * q)
             ell = 2 * mpmath.acosh(tr((p, q)) / 2)
-            half = mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
-                               + 2 * mpmath.cosh(ell)) \
+            half = mpmath.sqrt(c1 + 2 * mpmath.cosh(ell)) \
                 / (2 * mpmath.sinh(ell / 2))
             c = tr(sp) / (2 * half)
             tau0 = 2 * mpmath.acosh(c) if c > 1 else mpmath.mpf(0)
@@ -856,12 +921,13 @@ def chart_inverse_cone_counts(X, L, ms):
             if abs(2 * half * mpmath.cosh((ell - tau0) / 2) - t3) < \
                     abs(2 * half * mpmath.cosh((ell + tau0) / 2) - t3):
                 tau0 = -tau0
+            # tau0 = -0 and +0 are one family: frac in [0, 1)
             families.add((round(float(ell), 9),
-                           round(float(mpmath.frac(tau0 / ell)), 9)))
+                           round(float(mpmath.frac(tau0 / ell)), 9) % 1.0))
     counts = [sum(max(0, math.floor(m + 1 - f + 1e-12)
                       - math.ceil(m - f - 1e-12) + 1) for _, f in families)
               for m in ms]
-    return counts, sum(f in (0.0, 1.0) for _, f in families)
+    return counts, sum(f == 0.0 for _, f in families)
 
 
 def _log_combine(l1, l2, l3):
