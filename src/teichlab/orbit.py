@@ -167,12 +167,11 @@ _AUTOS = {
     "U": str.maketrans({"a": "ab", "A": "BA"}),
     "u": str.maketrans({"a": "aB", "A": "bA"}),
     "S": str.maketrans("abAB", "bABa"),  # a -> b, b -> A
-    "-I": str.maketrans("abAB", "ABab"),  # a -> A, b -> B: fixes every triple
 }
 _GEN_MATS = {
     "T": (1, 1, 0, 1), "t": (1, -1, 0, 1),
     "U": (1, 0, 1, 1), "u": (1, 0, -1, 1),
-    "S": (0, -1, 1, 0), "-I": (-1, 0, 0, -1),
+    "S": (0, -1, 1, 0),
 }
 GENS = "TtUu"
 
@@ -236,17 +235,18 @@ def _symmetry(key: str) -> tuple[int, str | None]:
     """(|Sym| or 0 if infinite, the orbit representative) from the finite set
     of least-length words of the orbit of key.  A longer word has a shortening
     Whitehead move (peak reduction), in rank 2 one of T, t, U, u, so key
-    descends; the shortest words are joined by the moves of T, t, U, u, S and
-    -I that keep the length, with the signed matrix M[v] of a path to each, and
-    -I and the loops M[v']^-1 G M[v] generate +-Stab (McCool), whose image in
-    PSL(2,Z) is Sym: infinite once the closure passes 6, the largest order of a
-    finite subgroup of SL(2,Z).  The representative has the fewest b/B letters
-    (it crosses a least), then is key, then first in order; for an infinite Sym
-    it is fixed by T (else None), so that l is constant along every twist
-    family."""
+    descends (cyclically reduced: O(n) a step); the shortest words are joined
+    by the moves of T, t, U, u, S that keep the length, with the signed matrix
+    M[v] of a path to each, and the loops M[v']^-1 G M[v] generate +-Stab
+    (McCool; -I = S^2 seeds the group), whose image in PSL(2,Z) is Sym:
+    infinite once the closure passes 6, the largest order of a finite
+    subgroup of SL(2,Z).  The representative has the fewest b/B letters (it
+    crosses a least), then is key, then first in order; for an infinite Sym
+    it is fixed by T (else None), so l is constant along every twist family."""
     if simple_power(key):
         return 1, key
-    start = _descend(key, _word_images, len)
+    start = canonical_cyclic(_descend(key, lambda w: [
+        cyclic_reduce(w.translate(_AUTOS[g])) for g in GENS], len))
     mats = {start: (1, 0, 0, 1)}
     todo = [start]
     loops = set()

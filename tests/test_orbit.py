@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -341,9 +342,11 @@ def pushed(gamma, phi):
 class TestPushInvariance:
     # words of 12 to 1224 letters; a generator ball of radius 8 around the
     # pushed word missed the symmetry of aabbAABB ([0, 0, 6]) and, from
-    # (TU)^5 on, the shortest images of aabAb ([3, 24, 36] at (3, 3, 3))
+    # (TU)^5 on, the shortest images of aabAb ([3, 24, 36] at (3, 3, 3)).
+    # A power of one twist descends one step per power, the longest descent
+    # for its length.
     PUSHES = ["TUTU", "TU" * 3, "TU" * 4, "TU" * 5, "TTUU" * 3, "TU" * 6,
-              "TuTTUtuTTUtU"]
+              "TuTTUtuTTUtU", "T" * 40, "u" * 40]
 
     @pytest.mark.parametrize("X, gamma, want", [
         (MODULAR, "aabAb", [3, 24, 48]),
@@ -357,8 +360,10 @@ class TestPushInvariance:
         base = ob.count_orbit_word(X, gamma, 12.0, grid=[6, 9, 12])
         assert base.counts == want
         for phi in self.PUSHES:
-            rep = ob.count_orbit_word(X, pushed(gamma, phi), 12.0,
-                                      grid=[6, 9, 12])
+            word = pushed(gamma, phi)
+            t0 = time.perf_counter()
+            rep = ob.count_orbit_word(X, word, 12.0, grid=[6, 9, 12])
+            assert time.perf_counter() - t0 < 1.0, phi
             assert (rep.counts, rep.sym_order, rep.metadata["iota"]) == \
                 (want, base.sym_order, base.metadata["iota"]), phi
 

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Pair the benchmark of two checkouts and write a BENCH_<n>.json summary.
 
-    python3 tools/bench_pair.py --parent ../parent --change . --out BENCH_n.json
+    python3 tools/bench_pair.py --parent ../parent --change . \\
+        --out BENCH_n.json
     python3 tools/bench_pair.py --parent P --change C --out B.json \\
         --workloads orbit-count --pairs 10 --first-seed 11 --tier1
 
-For each workload it runs ``perfbench/run.py --trace 0`` of each checkout
-on the same seeds, one run after the other, and alternates which side runs
-first from pair to pair, so that a drift of the machine falls on both sides
-alike.  Each end-to-end metric of BENCHMARK.json gets the runs of both
-sides, their medians and quartiles, the pairs the change wins (strictly
-better in the metric's own direction) and the change of the median.  With
---tier1 it also runs tier-1 in each checkout, one after the other, and
-records the tests passed, the wall time and the time of criterion 11.
+For each workload of BENCHMARK.json (or the subset --workloads names) it
+runs ``perfbench/run.py --trace 0`` of each checkout for the benchmark's
+run_seconds on the same seeds, one run after the other, and alternates
+which side runs first from pair to pair, so that a drift of the machine
+falls on both sides alike.  Each end-to-end metric of BENCHMARK.json gets
+the runs of both sides, their medians and quartiles, the pairs the change
+wins (strictly better in the metric's own direction) and the change of the
+median.  With --tier1 it also runs tier-1 in each checkout, one after the
+other, and records the tests passed, the wall time and the time of
+criterion 11.  A run that times out or prints no result counts as failed,
+and the report is rewritten after each workload, so a late failure keeps
+the runs made.
 
 Run it with nothing else running: the two sides share the machine.
 """
@@ -30,7 +35,6 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-WORKLOADS = ("mc-orbit", "orbit-count", "twist-length")
 RUN_TIMEOUT = 900
 TIER1_TIMEOUT = 3600
 CRITERION_11 = "test_criterion_11_ball_volume"
@@ -44,10 +48,11 @@ def parse_args(argv):
                    help="checkout of the change")
     p.add_argument("--out", type=Path, required=True,
                    help="the BENCH_<n>.json file to write")
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
+    p.add_argument("--workloads",
+                   help="comma-separated subset of the benchmark's "
+                        "workloads (default: all)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--tier1", action="store_true",
                    help="also time tier-1 in each checkout")
     a = p.parse_args(argv)
@@ -60,21 +65,33 @@ def parse_args(argv):
     return a
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float):
-    """(result, detail) of one perfbench run, or None if it failed."""
+def run_args(workload: str, seed, seconds) -> list:
+    """The arguments of perfbench/run.py for one run."""
+    return ["--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+
+
+def run_once(root: Path, workload: str, seed: int, seconds):
+    """(result, detail) of one perfbench run, or None if it failed: it timed
+    out, exited non-zero or printed no result and detail that parse."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           *run_args(workload, seed, seconds)]
     try:
         out = subprocess.run(cmd, capture_output=True, text=True,
                              timeout=RUN_TIMEOUT, cwd=root)
     except subprocess.TimeoutExpired:
         return None
     lines = out.stdout.strip().splitlines()
-    if out.returncode or len(lines) < 2:
+    try:
+        result, detail = json.loads(lines[-1]), json.loads(lines[-2])
+        ok = not out.returncode and "machine" in detail and all(
+            key in result for key in ("correct", "failed", "metrics"))
+    except (IndexError, ValueError, TypeError):
+        ok = False
+    if not ok:
         sys.stderr.write(out.stderr[-2000:])
         return None
-    return json.loads(lines[-1]), json.loads(lines[-2])
+    return result, detail
 
 
 def summary(runs):
@@ -97,7 +114,7 @@ def compare(pairs, better: str):
             "median_change_ratio": ratio}
 
 
-def bench_workload(args, roots, workload: str, better: dict):
+def bench_workload(args, roots, workload: str, better: dict, seconds):
     """Alternating pairs of runs of one workload."""
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     values = {name: [] for name in better}
@@ -108,7 +125,7 @@ def bench_workload(args, roots, workload: str, better: dict):
         first[str(seed)] = order[0]
         got = {}
         for side in order:
-            got[side] = run_once(roots[side], workload, seed, args.seconds)
+            got[side] = run_once(roots[side], workload, seed, seconds)
             print("%s seed %d %s: %s" % (workload, seed, side, "ok" if
                                           got[side] else "failed"),
                   file=sys.stderr, flush=True)
@@ -133,16 +150,24 @@ def bench_workload(args, roots, workload: str, better: dict):
     return out, machine
 
 
+TIER1_ARGS = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+              "--continue-on-collection-errors", "--durations=0",
+              "--durations-min=1.0"]
+
+
 def tier1(root: Path) -> dict:
     """Tests passed and failed, wall time and criterion 11's time of
-    tier-1."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", "--durations=0",
-           "--durations-min=1.0"]
+    tier-1; a run past TIER1_TIMEOUT counts what it printed so far."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     t0 = time.perf_counter()
-    out = subprocess.run(cmd, capture_output=True, text=True, cwd=root,
-                         env=env, timeout=TIER1_TIMEOUT).stdout
+    try:
+        out = subprocess.run([sys.executable, *TIER1_ARGS], text=True,
+                             capture_output=True, cwd=root, env=env,
+                             timeout=TIER1_TIMEOUT).stdout
+        timed_out = False
+    except subprocess.TimeoutExpired as e:
+        out, timed_out = e.stdout or "", True
+        out = out.decode(errors="replace") if isinstance(out, bytes) else out
     wall = time.perf_counter() - t0
 
     def count(word):
@@ -150,7 +175,7 @@ def tier1(root: Path) -> dict:
         return int(m.group(1)) if m else 0
     crit = re.search(r"([\d.]+)s call\s+\S*%s" % CRITERION_11, out)
     return {"passed": count("passed"), "failed": count("failed"),
-            "pytest_s": round(wall, 2),
+            "pytest_s": round(wall, 2), "timed_out": timed_out,
             "criterion_11_s": float(crit.group(1)) if crit else None}
 
 
@@ -159,27 +184,38 @@ def main(argv=None):
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else names
+    unknown = sorted(set(workloads) - set(names))
+    if unknown:
+        sys.exit("unknown workloads %s; BENCHMARK.json has %s"
+                 % (",".join(unknown), ",".join(names)))
     report = {
         "what": "perfbench/run.py end-to-end metrics, parent against change, "
                 "%d pairs of runs per workload alternating which side runs "
-                "first, --seconds %g" % (args.pairs, args.seconds),
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   "--seconds %g --trace 0" % args.seconds,
+                "first, --seconds %s" % (args.pairs, seconds),
+        "command": " ".join(["python3", "perfbench/run.py",
+                             *run_args("W", "S", seconds)]),
         "workloads": {}}
-    for workload in args.workloads.split(","):
+
+    def write():
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True)
+                            + "\n")
+    for workload in workloads:
         report["workloads"][workload], machine = bench_workload(
-            args, roots, workload, better)
+            args, roots, workload, better, seconds)
         if machine:
-            report["machine"] = {k: machine[k] for k in (
+            report["machine"] = {k: machine.get(k) for k in (
                 "cpu", "nproc", "python", "numpy", "mpmath",
                 "mpmath_backend")}
+        write()
     if args.tier1:
         report["tier1"] = {
-            "command": "PYTHONPATH=src python -m pytest -q "
-                       "--continue-on-collection-errors --durations=0",
+            "command": " ".join(["PYTHONPATH=src", "python", *TIER1_ARGS]),
             "order": list(SIDES),
             **{side: tier1(roots[side]) for side in SIDES}}
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write()
     return 0
 
 
