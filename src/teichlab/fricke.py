@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 _INV = str.maketrans("aAbB", "AaBb")
+_DROP_LETTERS = str.maketrans("", "", "aAbB")
 
 
 class WordError(ValueError):
@@ -31,16 +32,21 @@ def invert_word(w: str) -> str:
 
 
 def reduce_word(w: str) -> str:
-    """Freely reduce: cancel adjacent inverse pairs."""
-    out: list[str] = []
-    for ch in w:
-        if ch not in "aAbB":
-            raise WordError("bad letter %r" % ch)
-        if out and out[-1] == ch.translate(_INV):
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    """Freely reduce: cancel adjacent inverse pairs.
+
+    Each pass cancels the pairs aA, Aa, bB, Bb by C-level str.replace, and
+    passes repeat until the word stops shrinking: a cancellation can expose
+    another across it, so a^n A^n takes n passes, but a word pushed by
+    twists cancels in a few."""
+    bad = w.translate(_DROP_LETTERS)
+    if bad:
+        raise WordError("bad letter %r" % bad[0])
+    n = len(w) + 1
+    while len(w) < n:
+        n = len(w)
+        w = w.replace("aA", "").replace("Aa", "").replace(
+            "bB", "").replace("Bb", "")
+    return w
 
 
 def concat_reduced(u: str, v: str) -> str:

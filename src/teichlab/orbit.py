@@ -838,23 +838,24 @@ def _twist_reduced(mark, k: int):
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 
 
-def _exp_fixed(h: float, k: int) -> tuple[int, int]:
-    """(e^h, e^-h) as ints scaled by 2^k: e^|h| within 1 + 2^-7 units of
-    2^-k, its inverse within 2 + 2^-6 units (_EXP_ERR = 3 bounds both).
+def _exp_fixed(h: float, k: int) -> tuple[tuple[int, int], ...]:
+    """(e^h, e^-h) as ints scaled by 2^k, each with a bound on its error in
+    units of 2^-k: ((e^h, err), (e^-h, err)).
 
-    e^|h| comes from mpmath's pure mpf_exp with the bits that 2^-k absolute
-    accuracy needs (no global precision state is read or set), and its
-    inverse from one integer division."""
+    e^|h| comes from mpmath's pure mpf_exp (no global precision state is
+    read or set) to k + 8 bits relative, trusted to 1 ulp: at most
+    e^|h| 2^-(k+7) units, plus a unit for the shift to scale 2^k, so
+    (big >> k + 7) + 2 bounds it.  Its inverse, from one integer division,
+    is within 3 units.  The chart's products carry m's rounding to about
+    e^|h| units already (_chart_fixed), so the e^|h| / ln 2 bits that an
+    absolute 2^-k would need buy nothing.
+    """
     a = abs(h)
-    _, man, exp, _ = mpf_exp(from_float(a),
-                             k + 8 + math.ceil(a / math.log(2)), round_nearest)
+    _, man, exp, _ = mpf_exp(from_float(a), k + 8, round_nearest)
     s = exp + k
     big = man << s if s >= 0 else man >> -s
-    small = (1 << 2 * k) // big
-    return (big, small) if h >= 0 else (small, big)
-
-
-_EXP_ERR = 3  # units of 2^-k that bound the error of either exponential
+    pair = ((big, (big >> k + 7) + 2), ((1 << 2 * k) // big, 3))
+    return pair if h >= 0 else pair[::-1]
 
 
 def _chart_fixed(l1: float, ell: float, tau: float, k: int):
@@ -871,35 +872,38 @@ def _chart_fixed(l1: float, ell: float, tau: float, k: int):
 
     In the thin part m ~ 2/ell divides by v - 1/v ~ ell, so the chart
     works g = 2 log2(1/ell) guard bits finer than 2^-k.  The bounds carry
-    every rounding: the exponentials (_EXP_ERR units each), the squares,
-    the isqrt (l1 > 0), the division for m, the products for y and z, and
-    the final shift by g.  The caller picks k (_gamma_length_fn).
+    every rounding: the exponentials (_exp_fixed's own bounds for v, 1/v,
+    u, 1/u and the two of cosh(l1/2)), the squares, the isqrt (l1 > 0), the
+    division for m, the products for y and z, and the final shift by g.
+    The exponentials are exact to 2^-(k+7) relative, not to 2^-k absolute:
+    y and z already carry m's few units of rounding times u + 1/u, about
+    e^(|tau|/2) units.  The caller picks k (_gamma_length_fn).
     """
     g = 2 * max(0, -math.frexp(ell)[1])
     n = k + g
-    E = _EXP_ERR
-    v, vi = _exp_fixed(float(ell) / 2, n)
-    u, ui = _exp_fixed(float(tau) / 2, n)
+    (v, ev), (vi, evi) = _exp_fixed(float(ell) / 2, n)
+    (u, eu), (ui, eui) = _exp_fixed(float(tau) / 2, n)
     if l1 == 0.0:
         r = v + vi  # the square root is exact at a cusp
-        er = 2 * E
+        er = ev + evi
     else:
-        c1 = sum(_exp_fixed(float(l1) / 2, n))
-        s = c1 + (v * v + vi * vi >> n)
-        es = 2 * E + (2 * E * (v + vi) + 2 * E * E >> n) + 2
+        (c, ec), (ci, eci) = _exp_fixed(float(l1) / 2, n)
+        s = c + ci + (v * v + vi * vi >> n)
+        es = ec + eci + (ev * (2 * v + ev) + evi * (2 * vi + evi) >> n) + 2
         r = math.isqrt(s << n)
         # |sqrt(s 2^n) - sqrt(S 2^n)| <= 2^n |s - S| / r, plus the floor
         er = (es << n) // r + 2
     d = v - vi
-    ed = 2 * E
+    ed = ev + evi
     m = (r << n) // d
     em = (er << n) // d + ((r + er) * ed << n) // (d * (d - ed)) + 3
     w = u + ui
+    ew = eu + eui
     p = u * v + ui * vi >> n
-    ep = (E * (u + v + ui + vi) + 2 * E * E >> n) + 2
-    ew = 2 * E
+    ep = (eu * v + ev * u + eu * ev + eui * vi + evi * ui + eui * evi
+          >> n) + 2
     return ((v + vi >> g, m * w >> n + g, m * p >> n + g),
-            ((2 * E >> g) + 2, (m * ew + w * em + em * ew >> n + g) + 2,
+            ((ev + evi >> g) + 2, (m * ew + w * em + em * ew >> n + g) + 2,
              (m * ep + p * em + em * ep >> n + g) + 2))
 
 

@@ -1,6 +1,7 @@
 """Trace engine and Farey recursion."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,29 @@ triples = st.tuples(st.floats(min_value=2.1, max_value=8.0),
                     st.floats(min_value=2.1, max_value=8.0))
 
 
+def stack_reduce(w):
+    """Free reduction by one left-to-right pass over a stack of letters."""
+    out = []
+    for ch in w:
+        if out and out[-1] == invert_word(ch):
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 class TestWords:
+    def test_reduce_matches_stack_loop(self):
+        # random words cancel often (a random walk on the letters); wrapping
+        # one in a word and its inverse nests the cancellations deeper
+        rng = random.Random(1800)
+        for _ in range(1000):
+            w, u = ("".join(rng.choice("aAbB") for _ in range(n))
+                    for n in (rng.randrange(60), rng.randrange(30)))
+            for word in (w, u + w + invert_word(u), w + invert_word(w)):
+                assert reduce_word(word) == stack_reduce(word), word
+        assert reduce_word("a" * 40 + "bB" + "A" * 39) == "a"
+
     @given(words)
     @settings(max_examples=150, deadline=None)
     def test_reduce_idempotent(self, w):
@@ -52,8 +75,8 @@ class TestWords:
         assert canonical_cyclic(invert_word(w)) == canonical_cyclic(w)
 
     def test_bad_letter_rejected(self):
-        with pytest.raises(WordError):
-            reduce_word("abc")
+        with pytest.raises(WordError, match="'c'"):
+            reduce_word("abAcd")
 
 
 class TestTrace:

@@ -631,6 +631,20 @@ def ray_points(seed, rays):
 class TestChartPrecision:
     """The chart's error bounds and the per-trace precision they choose."""
 
+    @pytest.mark.parametrize("k", [80, 600, 1300])
+    def test_exp_bound_covers_error(self, k):
+        # both of _exp_fixed's values, e^h and e^-h scaled by 2^k, lie within
+        # their bounds of mpmath's at k + 4000 bits, for |h| from 1e-3 to
+        # 900 (e^900 ~ 2^1298: the relative bound grows to ~2^1291 units)
+        hs = [10.0 ** (i / 4.0) for i in range(-12, 12)] + [900.0]
+        hs += [-h for h in hs]
+        with mpmath.workprec(k + 4000):
+            for h in hs:
+                pair = ob._exp_fixed(h, k)
+                for (got, err), sign in zip(pair, (1, -1)):
+                    want = mpmath.ldexp(mpmath.exp(sign * mpmath.mpf(h)), k)
+                    assert abs(got - want) <= err, (h, k, sign)
+
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     def test_bound_covers_error(self, l1):
         # the bounds of x, y, z and of each word's trace at k hold against
@@ -669,9 +683,13 @@ class TestChartPrecision:
     def test_ray_lengths_equal_cap(self, l1, monkeypatch):
         # on seeded ray points the worst-case rule is certified, and the
         # length the error bound accepts is its length bit for bit, found
-        # within two tries (the thin part is TestChart's)
+        # within two tries (the thin part is TestChart's); the total of
+        # tries is pinned, so that a looser chart bound cannot add tries
+        # unseen (1168 tries for 960 lengths at both l1, counted with the
+        # exponentials absolute to 2^-k)
         pts = ray_points(14, 20)
         ks = []
+        tries = 0
         chart = ob._chart_fixed
 
         def spy(l1, ell, tau, k):
@@ -686,6 +704,8 @@ class TestChartPrecision:
                 got = f(ell, tau)
                 monkeypatch.setattr(ob, "_chart_fixed", chart)
                 assert got == want and len(ks) <= 2, (gamma, ell, tau, ks)
+                tries += len(ks)
+        assert tries == 1168
 
     @pytest.mark.parametrize("gamma", WORDS + ["aabAbAbbaB"])
     def test_plan_bound_covers_rounding(self, gamma):

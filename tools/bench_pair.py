@@ -12,12 +12,12 @@ run_seconds on the same seeds, one run after the other, and alternates
 which side runs first from pair to pair, so that a drift of the machine
 falls on both sides alike.  Each end-to-end metric of BENCHMARK.json gets
 the runs of both sides, their medians and quartiles, the pairs the change
-wins (strictly better in the metric's own direction) and the change of the
-median.  With --tier1 it also runs tier-1 in each checkout, one after the
-other, and records the tests passed, the wall time and the time of
-criterion 11.  A run that times out or prints no result counts as failed,
-and the report is rewritten after each workload, so a late failure keeps
-the runs made.
+wins (strictly better in the metric's own direction), the change of the
+median and a verdict (see verdict()).  With --tier1 it also runs tier-1 in
+each checkout, one after the other, and records the tests passed, the wall
+time and the time of criterion 11.  A run that times out or prints no
+result counts as failed, and the report is rewritten after each workload,
+so a late failure keeps the runs made.
 
 Run it with nothing else running: the two sides share the machine.
 """
@@ -102,8 +102,38 @@ def summary(runs):
             "q1": q1, "q3": q3, "runs": sorted(runs)}
 
 
-def compare(pairs, better: str):
-    """Both sides' summaries, the change's wins and its median change."""
+def verdict(parent: dict, change: dict, wins: int, better: str,
+            bound: float) -> str:
+    """What the pairs of one metric show, from the two sides' summaries:
+
+    - "gain": the change wins at least 9 of 10 pairs and its median is
+      better than the parent's by more than the parent's IQR;
+    - "worse": the change's median is worse than the parent's by more than
+      the bound, relative to the parent's median (BENCHMARK.json's bound);
+    - "unresolved": the parent's IQR is wider than the bound, relative to
+      its median, and not every run of the change beats every run of the
+      parent;
+    - "within bound" otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = parent["median"], change["median"]
+    gained = sign * (p - c)
+    if 10 * wins >= 9 * parent["n"] and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gained > bound * abs(p):
+        return "worse"
+    if better == "lower":
+        beats_all = max(change["runs"]) < min(parent["runs"])
+    else:
+        beats_all = min(change["runs"]) > max(parent["runs"])
+    if parent["q3"] - parent["q1"] > bound * abs(p) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def compare(pairs, better: str, bound: float):
+    """Both sides' summaries, the change's wins, its median change and the
+    verdict."""
     lower = better == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in pairs)
     sides = {s: summary([pair[i] for pair in pairs])
@@ -111,13 +141,14 @@ def compare(pairs, better: str):
     base = sides["parent"]["median"]
     ratio = sides["change"]["median"] / base - 1.0 if base else 0.0
     return {**sides, "change_wins": "%d/%d" % (wins, len(pairs)),
-            "median_change_ratio": ratio}
+            "median_change_ratio": ratio, "bound": bound,
+            "verdict": verdict(*sides.values(), wins, better, bound)}
 
 
-def bench_workload(args, roots, workload: str, better: dict, seconds):
+def bench_workload(args, roots, workload: str, metrics: dict, seconds):
     """Alternating pairs of runs of one workload."""
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    values = {name: [] for name in better}
+    values = {name: [] for name in metrics}
     first, failed_ops = {}, dict.fromkeys(SIDES, 0)
     failed_runs, correct, machine = 0, True, None
     for i, seed in enumerate(seeds):
@@ -137,7 +168,7 @@ def bench_workload(args, roots, workload: str, better: dict, seconds):
             correct = correct and result["correct"]
             failed_ops[side] += result["failed"]
             machine = machine or detail["machine"]
-        for name in better:
+        for name in metrics:
             if all(name in got[s][0]["metrics"] for s in SIDES):
                 values[name].append(tuple(got[s][0]["metrics"][name]["value"]
                                           for s in SIDES))
@@ -146,7 +177,8 @@ def bench_workload(args, roots, workload: str, better: dict, seconds):
            "failed_runs": failed_runs}
     for name, pairs in values.items():
         if pairs:
-            out[name] = compare(pairs, better[name])
+            out[name] = compare(pairs, metrics[name]["better"],
+                                metrics[name]["bound"])
     return out, machine
 
 
@@ -183,7 +215,7 @@ def main(argv=None):
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else names
@@ -204,7 +236,7 @@ def main(argv=None):
                             + "\n")
     for workload in workloads:
         report["workloads"][workload], machine = bench_workload(
-            args, roots, workload, better, seconds)
+            args, roots, workload, metrics, seconds)
         if machine:
             report["machine"] = {k: machine.get(k) for k in (
                 "cpu", "nproc", "python", "numpy", "mpmath",
