@@ -145,15 +145,16 @@ def cmd_markoff_count(cfg):
     norm = str(cfg["norm"])
     if norm not in ("max", "sum"):
         raise ConfigError("norm must be max or sum")
-    count = markoff.enumerate_count(bound, norm=norm)
-    print("count=%d" % count)
-    if cfg["out"]:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(["p", "q", "r"])
-        for t in markoff.enumerate_triples(bound, norm=norm):
-            w.writerow(t)
-        _emit(cfg["out"], buf.getvalue())
+    if not cfg["out"]:
+        print("count=%d" % markoff.enumerate_count(bound, norm=norm))
+        return 0
+    triples = markoff.enumerate_triples(bound, norm=norm)
+    print("count=%d" % len(triples))
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(["p", "q", "r"])
+    w.writerows(triples)
+    _emit(cfg["out"], buf.getvalue())
     return 0
 
 

@@ -237,11 +237,9 @@ def _plan_eval(plan, x, y, z):
     return vals[out]
 
 
-def _plan_eval_fixed(plan, x, y, z, k, registers=False):
+def _plan_eval_fixed(plan, x, y, z, k):
     """Evaluate a plan on ints scaled by 2^k: each product shifts right by
-    k, each constant left by k.  Exact for k = 0.  With registers=True,
-    returns every register (the output is register plan[1]) for
-    _plan_error_fixed."""
+    k, each constant left by k.  Exact for k = 0."""
     instrs, out = plan
     vals = [x, y, z]
     for op, i, j in instrs:
@@ -251,30 +249,33 @@ def _plan_eval_fixed(plan, x, y, z, k, registers=False):
             vals.append(vals[i] - vals[j])
         else:
             vals.append(i << k)
-    return vals if registers else vals[out]
+    return vals[out]
 
 
-def _plan_error_fixed(plan, regs, errs, k):
-    """Upper bound, in units of 2^-k, on the error of a plan's output
-    evaluated by _plan_eval_fixed into the registers regs, from bounds errs
-    on the errors of x, y, z.
+def _plan_eval_bounded(plan, x, y, z, errs, k):
+    """_plan_eval_fixed together with an upper bound, in units of 2^-k, on
+    the error of its output from bounds errs on the errors of x, y, z:
+    returns (tr, err).
 
     With |a - A| <= e_a and |b - B| <= e_b, a product is off by at most
     (|a| e_b + |b| e_a + e_a e_b) / 2^k, rounded up, plus the unit its
     shift drops; a difference by e_a + e_b; a constant is exact.
     """
     instrs, out = plan
+    vals = [x, y, z]
     errs = list(errs)
     for op, i, j in instrs:
         if op == "*":
-            ei, ej = errs[i], errs[j]
-            errs.append((abs(regs[i]) * ej + abs(regs[j]) * ei + ei * ej
-                         >> k) + 2)
+            a, b, ea, eb = vals[i], vals[j], errs[i], errs[j]
+            vals.append(a * b >> k)
+            errs.append((abs(a) * eb + abs(b) * ea + ea * eb >> k) + 2)
         elif op == "-":
+            vals.append(vals[i] - vals[j])
             errs.append(errs[i] + errs[j])
         else:
+            vals.append(i << k)
             errs.append(0)
-    return errs[out]
+    return vals[out], errs[out]
 
 
 # longest cyclically reduced word trace_word_fricke compiles

@@ -149,14 +149,13 @@ def hexagon_side(mode: str, ta: float, tb: float, given: float) -> float:
     if mode != "crossed":
         raise ValueError("mode must be 'convex' or 'crossed'")
     if max(ta, tb, given) > LOG_DOMAIN_CUTOFF:
-        # cosh(c~) - 1 = sinh ta sinh tb cosh c - cosh ta cosh tb - 1
-        # = sinh ta sinh tb (cosh c - 1) - (cosh(ta - tb) ... ) ; safer:
-        # work with S = sinh ta sinh tb, C = cosh ta cosh tb in logs:
+        # cosh(c~) - 1 = R = S cosh c - (C + 1) with S = sinh ta sinh tb
+        # and C = cosh ta cosh tb, in logs: big = log(S cosh c) and
+        # rest = log(C + 1) give log R = big + log1p(-e^(rest - big)),
+        # defined while S cosh c > C + 1
         lS = log_sinh(ta) + log_sinh(tb)
         lC = log_cosh(ta) + log_cosh(tb)
         lcg = log_cosh(given)
-        # R = S cosh c - C - 1;   S cosh c dominates whenever the hexagon
-        # exists with room to spare, so evaluate via expm1 on the ratio.
         big = lS + lcg
         rest = _logsumexp([lC, 0.0])  # C + 1
         if big <= rest:

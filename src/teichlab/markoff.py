@@ -2,9 +2,10 @@
 
 Positive integer solutions of p^2 + q^2 + r^2 = 3pqr form a tree rooted at
 (1,1,1) under the three involutive moves a -> 3bc - a.  This module provides
-the moves, descent membership testing, a checkpointable depth-first tree
-enumeration with norm bounds, an independent quadratic-scan oracle, and
-least-squares growth fitting against C (ln x)^2 + D ln x lnln x.
+the moves, descent membership testing, one pruned depth-first walk of the
+tree under a norm bound (counts and triple lists both read it), an
+independent quadratic-scan oracle, and least-squares growth fitting against
+C (ln x)^2 + D ln x lnln x.
 
 All triple arithmetic is exact (Python big integers).
 """
@@ -12,7 +13,6 @@ All triple arithmetic is exact (Python big integers).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +47,17 @@ class MarkoffTriple:
         return (self.p, self.q, self.r)
 
 
-def apply_move(t: MarkoffTriple, i: int) -> MarkoffTriple:
-    """Replace coordinate i by 3 * (product of the others) - itself.
+def _flip(s: tuple[int, int, int], i: int) -> tuple[int, int, int]:
+    """The Vieta move: coordinate i of s becomes 3 * (product of the
+    others) - itself.  Involutive."""
+    return s[:i] + (3 * s[i - 1] * s[i - 2] - s[i],) + s[i + 1:]
 
-    Involutive: applying the same move twice returns the input.
-    """
-    c = [t.p, t.q, t.r]
+
+def apply_move(t: MarkoffTriple, i: int) -> MarkoffTriple:
+    """The move _flip on coordinate i of t (0, 1 or 2)."""
     if i not in (0, 1, 2):
         raise ValueError("move index must be 0, 1 or 2")
-    j, k = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[i]
-    c[i] = 3 * c[j] * c[k] - c[i]
-    return MarkoffTriple(*c)
+    return MarkoffTriple(*_flip(t.astuple(), i))
 
 
 def is_markoff(p: int, q: int, r: int) -> bool:
@@ -79,12 +79,12 @@ def is_markoff(p: int, q: int, r: int) -> bool:
 
 def _descends(p: int, q: int, r: int) -> bool:
     """Descend by always reducing the max coordinate; stop at (1,1,1)."""
-    a, b, c = sorted((p, q, r))
-    while (a, b, c) != (1, 1, 1):
-        c2 = 3 * a * b - c
-        if not (0 < c2 < c):
+    s = tuple(sorted((p, q, r)))
+    while s != (1, 1, 1):
+        down = _flip(s, 2)
+        if not 0 < down[2] < s[2]:
             return False
-        a, b, c = sorted((a, b, c2))
+        s = tuple(sorted(down))
     return True
 
 
@@ -92,167 +92,69 @@ def _descends(p: int, q: int, r: int) -> bool:
 # tree enumeration
 
 
-def _children(s: tuple[int, int, int]):
+def _children(s: tuple[int, int, int]) -> list:
     """The away-from-root children of the sorted node s = (a <= b <= c).
 
     Replacing a or b strictly increases the max coordinate except at the two
     symmetric nodes near the root, where duplicates are skipped.
     """
-    a, b, c = s
     out = []
-    seen = set()
-    for i, new in ((0, 3 * b * c - a), (1, 3 * a * c - b)):
-        child = tuple(sorted((new, *(s[:i] + s[i + 1:]))))
-        if child == s or child in seen:
-            continue
-        seen.add(child)
-        out.append(child)
+    for i in (0, 1):
+        child = tuple(sorted(_flip(s, i)))
+        if child != s and child not in out:
+            out.append(child)
     return out
 
 
-_CKPT_MAGIC = b"MKV2\n"
+def _walk(bound: int, norm: str):
+    """Yield every sorted Markoff triple with norm <= bound, by depth-first
+    search of the tree from (1,1,1).
 
-
-def _lp_write(f, s: bytes):
-    f.write(str(len(s)).encode() + b":" + s)
-
-
-def _lp_int(f, n: int):
-    _lp_write(f, str(n).encode())
-
-
-def _lp_read(f) -> bytes:
-    n = b""
-    while True:
-        ch = f.read(1)
-        if ch == b":":
-            break
-        if not ch or not ch.isdigit():
-            raise ValueError("corrupt checkpoint: bad length prefix")
-        n += ch
-    return f.read(int(n))
-
-
-def _lp_read_int(f) -> int:
-    return int(_lp_read(f))
-
-
-def _save_checkpoint(path, bound, norm, ordering, count, visited, stack):
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        _lp_write(f, norm.encode())
-        _lp_write(f, ordering.encode())
-        _lp_int(f, bound)
-        _lp_int(f, count)
-        _lp_int(f, visited)
-        _lp_int(f, len(stack))
-        for s in stack:
-            for v in s:
-                _lp_int(f, v)
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(path):
-    with open(path, "rb") as f:
-        if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError("not a MKV2 checkpoint: %s" % path)
-        norm = _lp_read(f).decode()
-        ordering = _lp_read(f).decode()
-        bound = _lp_read_int(f)
-        count = _lp_read_int(f)
-        visited = _lp_read_int(f)
-        nstack = _lp_read_int(f)
-        stack = []
-        for _ in range(nstack):
-            stack.append((_lp_read_int(f), _lp_read_int(f), _lp_read_int(f)))
-    return norm, ordering, bound, count, visited, stack
-
-
-def _node_norm(s: tuple[int, int, int], kind: str) -> int:
-    return s[2] if kind == "max" else s[0] + s[1] + s[2]
-
-
-def _perms(s: tuple[int, int, int]) -> int:
-    a, b, c = s
-    if a == b == c:
-        return 1
-    if a == b or b == c:
-        return 3
-    return 6
-
-
-def _check_monotone(s, child):
-    if child[2] <= s[2]:
-        raise ArithmeticError(
-            "monotonicity violated on edge %r -> %r" % (s, child))
-
-
-def enumerate_count(bound: int, norm: str = "max", ordering: str = "unordered",
-                    checkpoint_path: str | None = None,
-                    checkpoint_interval: int = 1_000_000,
-                    resume: bool = False):
-    """Count Markoff triples with norm <= bound by pruned depth-first search.
-
-    Unordered counting (tree nodes, i.e. sorted triples) is the primary
-    definition; ordered counting weights each node by its number of distinct
-    coordinate permutations.  Pruning at a node whose norm exceeds the bound
-    is sound because every away-from-root move strictly increases the max
-    coordinate; this is checked on every edge.
-
-    checkpoint_path: state is saved there every checkpoint_interval nodes;
-    pass resume=True to continue from an existing file (bound/norm/ordering
-    must match what is stored).
+    Pruning at a node whose norm exceeds the bound is sound because every
+    away-from-root move strictly increases the max coordinate; this is
+    checked on every edge.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if norm not in ("max", "sum"):
         raise ValueError("norm must be 'max' or 'sum'")
-    if ordering not in ("unordered", "ordered"):
-        raise ValueError("ordering must be 'unordered' or 'ordered'")
-
-    count = 0
-    visited = 0
-    stack = [(1, 1, 1)]  # sorted triples
-    if resume:
-        if checkpoint_path is None:
-            raise ValueError("resume requires checkpoint_path")
-        cnorm, cord, cbound, count, visited, stack = _load_checkpoint(checkpoint_path)
-        if (cnorm, cord, cbound) != (norm, ordering, bound):
-            raise ValueError("checkpoint parameters do not match this call")
-
+    size = (lambda s: s[2]) if norm == "max" else sum
+    stack = [(1, 1, 1)]
     while stack:
         s = stack.pop()
-        if _node_norm(s, norm) > bound:
+        if size(s) > bound:
             continue
-        count += _perms(s) if ordering == "ordered" else 1
-        visited += 1
+        yield s
         for child in _children(s):
-            _check_monotone(s, child)
-            if _node_norm(child, norm) <= bound:
+            if child[2] <= s[2]:
+                raise ArithmeticError(
+                    "monotonicity violated on edge %r -> %r" % (s, child))
+            if size(child) <= bound:
                 stack.append(child)
-        if checkpoint_path is not None and visited % checkpoint_interval == 0:
-            _save_checkpoint(checkpoint_path, bound, norm, ordering,
-                             count, visited, stack)
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        os.remove(checkpoint_path)
-    return count
+
+
+# distinct coordinate permutations of a triple with 1, 2 or 3 distinct values
+_PERMS = {1: 1, 2: 3, 3: 6}
+
+
+def enumerate_count(bound: int, norm: str = "max",
+                    ordering: str = "unordered") -> int:
+    """Count Markoff triples with norm <= bound by the tree walk.
+
+    Unordered counting (tree nodes, i.e. sorted triples) is the primary
+    definition; ordered counting weights each node by its number of distinct
+    coordinate permutations.
+    """
+    if ordering not in ("unordered", "ordered"):
+        raise ValueError("ordering must be 'unordered' or 'ordered'")
+    if ordering == "ordered":
+        return sum(_PERMS[len(set(s))] for s in _walk(bound, norm))
+    return sum(1 for _ in _walk(bound, norm))
 
 
 def enumerate_triples(bound: int, norm: str = "max") -> list[tuple[int, int, int]]:
     """All sorted Markoff triples with norm <= bound, via the tree walk."""
-    out = []
-    stack = [(1, 1, 1)]
-    while stack:
-        s = stack.pop()
-        if _node_norm(s, norm) > bound:
-            continue
-        out.append(s)
-        for child in _children(s):
-            _check_monotone(s, child)
-            if _node_norm(child, norm) <= bound:
-                stack.append(child)
-    return sorted(out)
+    return sorted(_walk(bound, norm))
 
 
 # ---------------------------------------------------------------------------

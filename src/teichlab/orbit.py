@@ -42,9 +42,9 @@ from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (FrickeTriple, _plan_error_fixed, _plan_eval_fixed,
-                     _trace_plan, canonical_cyclic, cyclic_reduce,
-                     length_trace, reduce_word, trace_word_fixed)
+from .fricke import (FrickeTriple, _plan_eval_bounded, _trace_plan,
+                     canonical_cyclic, cyclic_reduce, length_trace,
+                     reduce_word, trace_word_fixed)
 from .fn_surface import S11, SurfacePoint, fricke_triple
 
 
@@ -940,7 +940,6 @@ def _gamma_length_fn(gamma: str, l1: float):
     if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
         raise ValueError("gamma=%r is peripheral or trivial" % gamma)
     plan = _trace_plan(gamma)
-    out = plan[1]
 
     def f(ell, tau):
         size = abs(ell) + abs(tau)
@@ -951,9 +950,8 @@ def _gamma_length_fn(gamma: str, l1: float):
         k = 104 + math.ceil(size / (2 * math.log(2)))
         for _ in range(_MAX_RAISES + 1):
             t, errs = _chart_fixed(l1, ell, tau, k)
-            regs = _plan_eval_fixed(plan, *t, k, registers=True)
-            tr = abs(regs[out])
-            e = _plan_error_fixed(plan, regs, errs, k)
+            tr, e = _plan_eval_bounded(plan, *t, errs, k)
+            tr = abs(tr)
             length = _certified_length(tr, e, k, gamma)
             if length is not None:
                 return length

@@ -1,6 +1,7 @@
 """Source-level rules that keep the invariant checks alive."""
 
 import ast
+import re
 from pathlib import Path
 
 import teichlab
@@ -50,13 +51,14 @@ def test_orbit_searches_make_no_mpmath_call():
 
 def test_length_path_sets_no_global_precision():
     # the (ell, tau) chart with its error bounds, the twist-line length
-    # function with its precision policy, the plan evaluation and its error
-    # pass are fixed point end to end, and the twist measure with its end
-    # search only calls them: no mpmath context precision is read or set
+    # function with its precision policy, the plan evaluation with and
+    # without its error bound are fixed point end to end, and the twist
+    # measure with its end search only calls them: no mpmath context
+    # precision is read or set
     names = {"orbit.py": ["_gamma_length_fn", "_chart_fixed", "_exp_fixed",
                           "_tau_measure", "_end_predicate", "_bisect",
                           "_trace_length", "_certified_length"],
-             "fricke.py": ["_plan_eval_fixed", "_plan_error_fixed"]}
+             "fricke.py": ["_plan_eval_fixed", "_plan_eval_bounded"]}
     context = {"workdps", "workprec", "extradps", "extraprec", "dps", "prec"}
     found = []
     for module, wanted in names.items():
@@ -69,3 +71,40 @@ def test_length_path_sets_no_global_precision():
                   if (isinstance(node, ast.Attribute) and node.attr in context)
                   or (isinstance(node, ast.Name) and node.id in context)]
     assert not found, "mpmath precision state on the length path: %s" % found
+
+
+def _top_level_names(tree):
+    """(name, node) for each function, class and plain assignment at the
+    top of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, node
+
+
+def test_no_orphan_names():
+    # code that nothing calls gets deleted: every top-level name of the
+    # package must appear somewhere in src, tests, perfbench or tools
+    # outside its own definition (the benchmark names functions by string)
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(SRC.rglob("*.py"))
+    for d in ("tests", "perfbench", "tools"):
+        files += sorted((root / d).rglob("*.py"))
+    texts = {path: path.read_text() for path in files}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = texts[path].splitlines(keepends=True)
+        tree = ast.parse(texts[path], filename=str(path))
+        for name, node in _top_level_names(tree):
+            word = re.compile(r"\b%s\b" % re.escape(name))
+            own = "".join(lines[node.lineno - 1:node.end_lineno])
+            uses = sum(len(word.findall(t)) for t in texts.values())
+            if uses == len(word.findall(own)):
+                found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not found, "top-level names nothing uses: %s" % found

@@ -36,22 +36,36 @@ class TestEnumeration:
         # 1,1,1 / 1,1,2 / 1,2,5 / 1,5,13 / 2,5,29 / 1,13,34 / 1,34,89
         assert mk.enumerate_count(100) == 7
 
-    @given(st.integers(min_value=1, max_value=2000))
-    @settings(max_examples=30, deadline=None)
-    def test_counts_agree_any_bound(self, bound):
-        assert mk.enumerate_count(bound) == mk.brute_force_count(bound)
+    @given(st.integers(min_value=1, max_value=2000),
+           st.sampled_from(["max", "sum"]))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_agree_any_bound(self, bound, norm):
+        # p + q + r <= bound implies max <= bound, so the scan holds every
+        # triple of either norm
+        size = max if norm == "max" else sum
+        want = sum(1 for t in mk.brute_force_triples(bound) if size(t) <= bound)
+        assert mk.enumerate_count(bound, norm=norm) == want
 
     def test_sum_norm_smaller(self):
         assert mk.enumerate_count(100, norm="sum") <= mk.enumerate_count(100, norm="max")
 
     def test_ordered_weighting(self):
         # each sorted triple contributes its distinct permutations
-        triples = mk.enumerate_triples(1000)
+        triples = mk.brute_force_triples(1000)
         want = 0
         for t in triples:
             k = len(set(t))
             want += {1: 1, 2: 3, 3: 6}[k]
         assert mk.enumerate_count(1000, ordering="ordered") == want
+
+    @pytest.mark.parametrize("bound, norm", [(100, "median"), (0, "max"),
+                                             (0, "sum")])
+    def test_bad_input_raises(self, bound, norm):
+        with pytest.raises(ValueError):
+            mk.enumerate_triples(bound, norm=norm)
+        for ordering in ("unordered", "ordered"):
+            with pytest.raises(ValueError):
+                mk.enumerate_count(bound, norm=norm, ordering=ordering)
 
     def test_growth_fit_positive(self):
         samples = [(10 ** k, mk.enumerate_count(10 ** k)) for k in (3, 5, 7, 9)]
@@ -71,33 +85,3 @@ class TestTraceBridge:
         for (p, q, r) in mk.enumerate_triples(100):
             assert trace_word_fricke((3 * p, 3 * q, 3 * r), "abAB") == -2
 
-
-class TestCheckpoint:
-    def test_resume_matches(self, tmp_path):
-        ck = str(tmp_path / "markoff.ck")
-        full = mk.enumerate_count(10 ** 6)
-        again = mk.enumerate_count(10 ** 6, checkpoint_path=ck,
-                                   checkpoint_interval=5)
-        assert again == full
-
-    def test_resume_after_interrupt(self, tmp_path, monkeypatch):
-        ck = tmp_path / "markoff.ck"
-        full = mk.enumerate_count(10 ** 6)
-        real_save = mk._save_checkpoint
-        saves = []
-
-        def save_then_die(*args):
-            real_save(*args)
-            saves.append(args[5])  # visited
-            if len(saves) == 3:
-                raise KeyboardInterrupt
-        monkeypatch.setattr(mk, "_save_checkpoint", save_then_die)
-        with pytest.raises(KeyboardInterrupt):
-            mk.enumerate_count(10 ** 6, checkpoint_path=str(ck),
-                               checkpoint_interval=5)
-        assert saves == [5, 10, 15] and ck.exists()
-        resumed = mk.enumerate_count(10 ** 6, checkpoint_path=str(ck),
-                                     checkpoint_interval=5, resume=True)
-        assert resumed == full
-        assert not ck.exists()
-        assert list(tmp_path.iterdir()) == []

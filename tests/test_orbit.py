@@ -12,8 +12,8 @@ import pytest
 from teichlab import farey
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
-from teichlab.fricke import (_plan_error_fixed, _plan_eval_fixed,
-                             _trace_plan, canonical_cyclic, trace_word_fixed,
+from teichlab.fricke import (_plan_eval_bounded, _trace_plan,
+                             canonical_cyclic, trace_word_fixed,
                              trace_word_fricke)
 
 
@@ -661,19 +661,15 @@ class TestChartPrecision:
         slack = []
         for ell, tau in pts:
             ref, ref_err = ob._chart_fixed(l1, ell, tau, K)
-            ref_regs = [_plan_eval_fixed(p, *ref, K, registers=True)
-                        for p in plans]
-            ref_tr = [(r[p[1]], _plan_error_fixed(p, r, ref_err, K))
-                      for p, r in zip(plans, ref_regs)]
+            ref_tr = [_plan_eval_bounded(p, *ref, ref_err, K) for p in plans]
             for k in ks:
                 s = K - k
                 t, errs = ob._chart_fixed(l1, ell, tau, k)
                 for v, e, w, ew in zip(t, errs, ref, ref_err):
                     assert abs((v << s) - w) <= (e << s) + ew, (ell, tau, k)
                 for p, (w, ew) in zip(plans, ref_tr):
-                    regs = _plan_eval_fixed(p, *t, k, registers=True)
-                    e = _plan_error_fixed(p, regs, errs, k)
-                    err = abs((regs[p[1]] << s) - w)
+                    tr, e = _plan_eval_bounded(p, *t, errs, k)
+                    err = abs((tr << s) - w)
                     assert err <= (e << s) + ew, (ell, tau, k)
                     slack.append((e << s).bit_length() - err.bit_length())
         # a bound loose by many bits would raise k for needless tries
@@ -717,11 +713,10 @@ class TestChartPrecision:
             for _ in range(40):
                 t = [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 3)]
                 t = [v >> int(rng.integers(0, 60)) for v in t]
-                regs = _plan_eval_fixed(plan, *t, k, registers=True)
-                e = _plan_error_fixed(plan, regs, (0, 0, 0), k)
+                tr, e = _plan_eval_bounded(plan, *t, (0, 0, 0), k)
                 exact = trace_word_fricke(
                     tuple(Fraction(v, 2 ** k) for v in t), gamma)
-                assert abs(Fraction(regs[plan[1]], 2 ** k) - exact) \
+                assert abs(Fraction(tr, 2 ** k) - exact) \
                     <= Fraction(e, 2 ** k), (gamma, k, t)
 
     def test_certified_length(self):
