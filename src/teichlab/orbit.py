@@ -13,14 +13,14 @@ triples these are the polynomial maps
 
 which preserve the boundary invariant kappa exactly.  One Farey walk in
 2^-k fixed point, exact at k = 0 for integral triples, yields every short
-slope with its marking triple; it feeds the simple-slope, cone and orbit
-counts, |Aut(X)| and the ball area.  The orbit of every non-simple word is
-counted over the twist families of those slopes: length is convex along a
-Fenchel-Nielsen twist, so each family is one downhill walk to its minimum
-and one walk outward on each side, or one node for a word the twist
-fixes.  A pruned BFS over conjugacy classes is kept only as the oracle of
-that count.  The lengths along twist lines
-and rays (length-ball volumes, APL) are fixed point end to end as well:
+slope with its marking triple; it feeds the simple-slope and orbit counts,
+|Aut(X)|, the cone count (slopes over |Aut(X)|) and the ball area.  The
+orbit of every non-simple word is counted over the twist families of those
+slopes: length is convex along a Fenchel-Nielsen twist, so each family is
+one downhill walk to its minimum and one walk outward on each side, or one
+node for a word the twist fixes.  A pruned BFS over conjugacy classes is
+kept only as the oracle of that count.  The lengths along twist lines and
+rays (length-ball volumes, APL) are fixed point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
 by 2^k, with k chosen per trace by a forward error bound through the chart
 and the trace plan: a length is returned only once that bound fixes it.
@@ -30,7 +30,6 @@ Its trace goes through the same length code as orbit nodes.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,16 +63,18 @@ def _farey_walk(X, L: float, bits: int = 64):
     triple of s, as ints scaled by 2^k (k = 0 for an integral X, else
     bits).
 
-    Descends to the minimal triangle, then walks the Farey tree outward
-    from it: across an edge (u, v) with opposite vertex u - v lies u + v,
-    of trace t_u t_v - t_(u-v).  Traces grow outward at a torus point, and
-    a child below its opposite vertex raises ArithmeticError.  X must be a
-    torus point (ValueError otherwise): elsewhere the traces need not grow
+    Descends by the generator maps to the minimal triangle (sa, sb, sa+sb),
+    with the basis (sa, sb) as the columns of the product of their
+    matrices, then walks the Farey tree outward from it: across an edge
+    (u, v) with opposite vertex u - v lies u + v, of trace
+    t_u t_v - t_(u-v).  Traces grow outward at a torus point, and a child
+    below its opposite vertex raises ArithmeticError.  X must be a torus
+    point (ValueError otherwise): elsewhere the traces need not grow
     outward and the walk would not end.
     """
     t = _triple(X)
     _torus_kappa(t)
-    (ta, tb, tab), k = _fixed_root([abs(v) for v in t], bits)
+    root, k = _fixed_root([abs(v) for v in t], bits)
     try:
         n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
     except OverflowError:
@@ -81,29 +82,12 @@ def _farey_walk(X, L: float, bits: int = 64):
                          "float; L must be at most %.4f"
                          % (L, 2.0 * math.log(float_info.max))) from None
     bound = (n << k) // d
-    # descend to the minimal triangle: basis (sa, sb), vertices sa, sb, sa+sb
-    sa, sb = (1, 0), (0, 1)
-    for _ in range(10_000):
-        top = max(ta, tb, tab)
-        if tab == top:
-            # flip the sum vertex to sa - sb; rebase as (sa-sb, sb), sum sa
-            new = (ta * tb >> k) - tab
-            if new >= top:
-                break
-            sa, ta, tab = (sa[0] - sb[0], sa[1] - sb[1]), new, ta
-        elif ta == top:
-            # flip vertex sa to sa + 2sb; rebase as (sb, sa+sb)
-            new = (tb * tab >> k) - ta
-            if new >= top:
-                break
-            sa, sb, ta, tb, tab = sb, (sa[0] + sb[0], sa[1] + sb[1]), tb, tab, new
-        else:
-            new = (ta * tab >> k) - tb
-            if new >= top:
-                break
-            sb, tb, tab = (sa[0] + sb[0], sa[1] + sb[1]), tab, new
-    else:
-        raise RuntimeError("minimal-triangle descent did not terminate")
+    (ta, tb, tab), (a, b, c, d) = _descend(
+        (root, (1, 0, 0, 1)),
+        lambda s: [(im, _mat_mul(s[1], _GEN_MATS[g], 0))
+                   for g, im in zip(GENS, _images(s[0], k))],
+        lambda s: max(s[0]))
+    sa, sb = (a, c), (b, d)
 
     marks = []
 
@@ -295,15 +279,22 @@ _AUT_RTOL = 1e-9
 
 
 def point_symmetry_order(X) -> int:
-    """|Aut(X)| in PSL(2,Z), one per slope of the Farey walk (at the
-    canonical triple, to l_r, r the shortest slope) whose twist-reduced
-    marking triple marks r's family (_same_family): g is fixed by g(r) up
-    to twists, and no twist fixes X."""
+    """|Aut(X)| in PSL(2,Z) (ValueError unless X is a torus point): one
+    automorphism g per slope of the Farey walk (at the canonical triple, to
+    l_r, r the shortest slope) whose twist-reduced marking triple marks r's
+    family, since g is fixed by g(r) up to twists and no twist fixes X.  It
+    marks r's family when it is r's reduced triple or one of its two twist
+    neighbours (near a tie tau0 = +-l/2 rounding reduces a family to either
+    side), up to _aut_tol in each coordinate."""
+    _torus_kappa(_triple(X))
     t = _canonical_triple(X)
     marks, k = _farey_walk(t, length_trace(t[0] * (1 + 2 * _AUT_RTOL)))
     reduced = [_twist_reduced(mark, k) for _, mark in marks]
     ref = min(reduced)
-    return sum(_same_family(r, ref, k) for r in reduced)
+    tol = _aut_tol(max(ref), k)
+    family = (ref, *_images(ref, k)[:2])
+    return sum(any(max(abs(a - b) for a, b in zip(r, c)) <= tol
+                   for c in family) for r in reduced)
 
 
 def _aut_tol(v: int, k: int) -> int:
@@ -312,18 +303,6 @@ def _aut_tol(v: int, k: int) -> int:
     the slopes an automorphism exchanges come out a few roundings apart,
     and 0 at an integral one (k = 0), whose walk is exact."""
     return v // round(1 / _AUT_RTOL) if k else 0
-
-
-def _same_family(r, ref, k: int) -> bool:
-    """Whether the twist-reduced marking triples r and ref (ints scaled by
-    2^k) mark one twist family: r is ref or one of its two twist
-    neighbours (near a tie tau0 = +-l/2 rounding reduces a family to
-    either side), up to _aut_tol(max(ref), k) in each coordinate."""
-    x, y, z = ref
-    tol = _aut_tol(max(ref), k)
-    return any(max(abs(a - b) for a, b in zip(r, c)) <= tol
-               for c in (ref, (x, z, (x * z >> k) - y),
-                         (x, (x * y >> k) - z, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +676,12 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
 
 
 def _per_curve(n: int, sym: int, iota: int) -> int:
-    """iota * n / sym curves from n classes of PSL(2,Z)."""
+    """iota * n / sym curves from n classes of PSL(2,Z), or orbit points
+    from n slopes when sym is |Aut(X)|."""
     quotient, rest = divmod(n, sym)
     if rest:
-        raise ArithmeticError("%d mapping classes are not a multiple of "
-                              "|Sym(gamma)| = %d" % (n, sym))
+        raise ArithmeticError("%d classes are not a multiple of the "
+                              "symmetry order %d" % (n, sym))
     return iota * quotient
 
 
@@ -784,38 +764,23 @@ def cone_count(X, m: int, L: float) -> int:
     Fenchel-Nielsen coordinates (l_s, tau0 + j l_s), j in Z, and its
     marking triple from the Farey walk, (x, y, z) = (tr s, tr s', tr(s+s')),
     determines tau0 up to the twist maps T, t (tau -> tau +- l), which
-    _twist_reduced removes, down to |tau0| <= l/2.  Slopes that an
-    automorphism of X exchanges reduce to one family.  At an integral X the
-    walk is exact and families are keyed on the reduced triple; a float X
-    walks from its canonical triple (ValueError unless X is a torus point),
-    and families are merged by _same_family, as point_symmetry_order
-    merges them.  A family meets every width-l cone once, or twice when
-    tau0 = 0 (z = xy - z) puts both ends in it.  So the count is the same
-    for every m; m stays in the signature because the CLI and perfbench
-    pass it.
+    _twist_reduced removes, down to |tau0| <= l/2.  A family meets every
+    width-l cone once, or twice when tau0 = 0 (z = xy - z, up to _aut_tol)
+    puts both ends in it.  Aut(X) acts freely on slopes (no elliptic
+    element of PSL(2,Z) fixes a rational slope), so each family of orbit
+    points comes from |Aut(X)| slopes: the count is (slopes + families with
+    tau0 = 0) / point_symmetry_order(X), from one walk at the canonical
+    triple (ValueError unless X is a torus point; ArithmeticError unless
+    the division is exact).  So the count is the same for every m; m stays
+    in the signature because the CLI and perfbench pass it.
     """
-    if _fixed_root(X, 64)[1]:  # a float X: walk from one marking of it
-        _torus_kappa(_triple(X))
-        X = _canonical_triple(X)
-    marks, k = _farey_walk(X, L)
-    reduced = (_twist_reduced(mark, k) for _, mark in marks)
-    if k:
-        reduced = sorted(reduced)  # by ascending x = tr s, for the scan
-    families = {}
-    for x, y, z in reduced:
-        xy = x * y >> k
-        # exact keys, a tie tau0 = +-l/2 in the form y = z
-        key = (x, y, y) if xy - z == y else (x, y, z)
-        tol = 0
-        if k:  # a float X: match the families whose x is within rounding
-            e = _aut_tol(x, k)
-            near = itertools.takewhile(lambda c: x - c[0] <= e,
-                                       reversed(families))
-            if key in families or any(_same_family(key, c, k) for c in near):
-                continue
-            tol = _aut_tol(max(key), k)
-        families[key] = 2 if abs(2 * z - xy) <= tol else 1
-    return sum(families.values())
+    _torus_kappa(_triple(X))
+    marks, k = _farey_walk(_canonical_triple(X), L)
+    n = len(marks)
+    for _, mark in marks:
+        x, y, z = _twist_reduced(mark, k)
+        n += abs(2 * z - (x * y >> k)) <= _aut_tol(max(x, y, z), k)
+    return _per_curve(n, point_symmetry_order(X), 1)
 
 
 def _twist_reduced(mark, k: int):

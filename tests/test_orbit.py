@@ -851,7 +851,8 @@ class TestConeCount:
         counts = [ob.cone_count(MODULAR, m, 20.0) for m in (-2, 0, 5)]
         assert len(set(counts)) == 1
 
-    @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC])
+    @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC, (4, 4, 8),
+                                   (3.0, 3.0, 4.5)])
     def test_invariant_under_generators(self, X):
         # g.X is the same point of moduli space: the same orbit points land
         # in the cone
@@ -1066,7 +1067,8 @@ class TestThurstonBall:
                                    (-3, 3, 3), (1e200, 1e200, 1e200)])
     def test_non_torus_point_rejected(self, X, time_bound):
         # off the torus points simple_slopes never ends and B divides by 0
-        for f in (ob.thurston_ball_B, lambda X: ob.simple_slopes(X, 5.0),
+        for f in (ob.thurston_ball_B, ob.point_symmetry_order,
+                  lambda X: ob.simple_slopes(X, 5.0),
                   lambda X: ob.cone_count(X, 0, 5.0),
                   lambda X: ob.count_orbit_word(X, "aabAb", 5.0)):
             with time_bound(3), \
