@@ -66,25 +66,46 @@ def cyclic_reduce(w: str) -> str:
     return w
 
 
-# letters in the order a < b < A < B, as digits so that rotations compare
-# as plain strings
-_TO_ORD = str.maketrans("abAB", "0123")
-_FROM_ORD = str.maketrans("0123", "abAB")
-
-
 def canonical_cyclic(w: str) -> str:
     """Canonical form of the unoriented conjugacy class of w.
 
     Minimum over all rotations of the cyclic reduction of w and of its
     inverse, under the letter order a < b < A < B (positive words first).
     Two words name the same unoriented closed curve iff their canonical
-    forms coincide.
+    forms coincide.  swapcase turns that order into the order of code
+    points, and turns the inverse (w reversed, swapcase) into w reversed;
+    only the rotations that _lead_rotations yields can be least.
     """
     w = cyclic_reduce(w)
-    best = min((u[i:] + u[:i] for u in (w.translate(_TO_ORD),
-                                        invert_word(w).translate(_TO_ORD))
-                for i in range(len(u))), default="")
-    return best.translate(_FROM_ORD)
+    if not w:
+        return ""
+    return min(*_lead_rotations(w.swapcase()),
+               *_lead_rotations(w[::-1])).swapcase()
+
+
+def _lead_rotations(u: str) -> list[str]:
+    """The rotations of u that start at a longest cyclic run of its least
+    letter: a least rotation starts with that run.  The run's length is
+    found by a doubling and bisecting search and its places by str.find,
+    all on u doubled, at C level; two such runs never overlap unless u is
+    one letter."""
+    n = len(u)
+    uu = u + u
+    c = min(u)
+    lo, hi = 1, 2  # c^lo is in uu; c^hi is not, or hi > n
+    while hi <= n and c * hi in uu:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, n + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if c * mid in uu else (lo, mid)
+    run = c * lo
+    out = []
+    i = uu.find(run)
+    while 0 <= i < n:
+        out.append(uu[i:i + n])
+        i = uu.find(run, i + len(run))
+    return out
 
 
 def _n_caps(w: str) -> int:

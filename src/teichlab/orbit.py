@@ -174,8 +174,9 @@ def apply_auto(w: str, g: str) -> str:
 
 
 def _word_images(w: str, gens=GENS) -> list[str]:
-    """The canonical class of w moved by each of gens."""
-    return [canonical_cyclic(apply_auto(w, g)) for g in gens]
+    """The canonical class of w moved by each of gens (canonical_cyclic
+    reduces the substituted word)."""
+    return [canonical_cyclic(w.translate(_AUTOS[g])) for g in gens]
 
 
 def _descend(x, moves, size):
@@ -551,12 +552,28 @@ def _rep_fixed(t, k: int) -> dict:
             "b": (p, q, one, s), "B": (s, -q, -one, p)}
 
 
+# letters per block of _word_length: the blocks and their prefixes are the
+# reduced words of 1-6 letters, at most 4 (3^6 - 1) / 2 = 1456 of them
+_BLOCK = 6
+
+
 def _word_length(mats: dict, w: str, k: int) -> float:
-    """l_w from the fixed-point trace of w's realizing-matrix product."""
-    m = mats[w[0]]
-    for ch in w[1:]:
-        m = _mat_mul(m, mats[ch], k)
+    """l_w from the fixed-point trace of w's realizing-matrix product, taken
+    over its blocks of _BLOCK letters (the last one shorter).  mats holds
+    the letters' matrices, and each block and each prefix of a block is
+    multiplied once and kept there."""
+    m = _block(mats, w[:_BLOCK], k)
+    for i in range(_BLOCK, len(w), _BLOCK):
+        m = _mat_mul(m, _block(mats, w[i:i + _BLOCK], k), k)
     return _trace_length(m[0] + m[3], k, w)
+
+
+def _block(mats: dict, b: str, k: int):
+    """The product of the non-empty word b, from its longest known prefix."""
+    m = mats.get(b)
+    if m is None:
+        m = mats[b] = _mat_mul(_block(mats, b[:-1], k), mats[b[-1]], k)
+    return m
 
 
 # the oracle BFS expands a class while its length is <= _ORACLE_PRUNE * L,
@@ -575,7 +592,9 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     are mapping-class invariant, and a search from a far-moved X prunes
     classes it needs), in 2^-k fixed point with k carrying
     60 + 0.5 * _ORACLE_PRUNE * L digits; the realizing matrices are
-    irrational, so integral triples are scaled up to that k too.
+    irrational, so integral triples are scaled up to that k too.  The dict
+    of those matrices is also the memo of _word_length's blocks, so it
+    lives and dies with the search.
     """
     k = _bits(60 + int(0.5 * _ORACLE_PRUNE * L))
     root, k0 = _fixed_root(X, k)
@@ -587,7 +606,10 @@ def _word_orbit_lengths(X, gamma: str, L: float):
 
 
 def count_orbit_word_bruteforce(X, gamma: str, L: float) -> int:
-    """Direct curve count: the oracle of count_orbit_word."""
+    """Direct curve count: the oracle of count_orbit_word, with its checks
+    (ValueError for a peripheral gamma or unless X is a torus point)."""
+    gamma = _countable(gamma)
+    _torus_kappa(_triple(X))
     return len(_word_orbit_lengths(X, gamma, L)[0])
 
 
@@ -638,9 +660,7 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     echoed as prune_constant (count_orbit_word_bruteforce prunes).  The
     constant of the counting theorem is a1 / (L^2 thurston_ball_B(X)).
     """
-    gamma = cyclic_reduce(gamma)
-    if is_peripheral_word(gamma) or not gamma:
-        raise ValueError("gamma is peripheral; its orbit is not counted")
+    gamma = _countable(gamma)
     t = _triple(X)
     kappa = _torus_kappa(t)
     if grid is None:
@@ -673,6 +693,14 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
         orbit_nodes=nodes, pruned=0, prune_constant=prune_c,
         prune_violations=0, metadata={"kappa": kappa, **meta})
+
+
+def _countable(gamma: str) -> str:
+    """gamma cyclically reduced; ValueError if it is empty or peripheral."""
+    gamma = cyclic_reduce(gamma)
+    if is_peripheral_word(gamma) or not gamma:
+        raise ValueError("gamma is peripheral; its orbit is not counted")
+    return gamma
 
 
 def _per_curve(n: int, sym: int, iota: int) -> int:

@@ -74,6 +74,40 @@ class TestWords:
     def test_canonical_inversion_invariance(self, w):
         assert canonical_cyclic(invert_word(w)) == canonical_cyclic(w)
 
+    def test_canonical_matches_all_rotations(self):
+        # the least of every rotation of w and of its inverse, under
+        # a < b < A < B, as canonical_cyclic was first written: equal string
+        # for string to the one that compares only the rotations at a
+        # longest run of the least letter
+        order = str.maketrans("abAB", "0123")
+        back = str.maketrans("0123", "abAB")
+
+        def all_rotations(w):
+            w = cyclic_reduce(w)
+            return min((u[i:] + u[:i] for u in (
+                w.translate(order), invert_word(w).translate(order))
+                for i in range(len(u))), default="").translate(back)
+        reduced = [""]  # every freely reduced word of <= 9 letters
+        for w in reduced:
+            if len(w) < 9:
+                reduced += [w + c for c in "abAB"
+                            if not w or c != invert_word(w[-1])]
+        assert len(reduced) == 1 + 2 * (3 ** 9 - 1)
+        rng = random.Random(22)
+        randoms = ["".join(rng.choice("abAB") for _ in range(rng.randrange(61)))
+                   for _ in range(20000)]
+        # conjugates that are not cyclically reduced
+        conjugates = [u + w + invert_word(u)
+                      for u, w in zip(reduced[::97], randoms)]
+        T = str.maketrans({"b": "ba", "B": "AB"})
+        pushes = ["aabAb"]
+        for _ in range(20):
+            pushes.append(pushes[-1].translate(T))
+        edges = ["", "a", "AAAA", "abab", "BABA", *pushes,
+                 *map(reduce_word, pushes)]
+        for w in reduced + randoms + conjugates + edges:
+            assert canonical_cyclic(w) == all_rotations(w), w
+
     def test_bad_letter_rejected(self):
         with pytest.raises(WordError, match="'c'"):
             reduce_word("abAcd")

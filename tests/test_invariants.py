@@ -28,7 +28,7 @@ def test_orbit_searches_make_no_mpmath_call():
     # and a second arithmetic must not grow back into them
     searches = ["_pruned_bfs", "_family_lengths", "_walk_family",
                 "_twist_node", "_word_orbit_lengths",
-                "_word_length", "_rep_fixed", "_trace_length",
+                "_word_length", "_block", "_rep_fixed", "_trace_length",
                 "_farey_walk", "_twist_reduced", "simple_slopes", "cone_count",
                 "thurston_ball_B", "_ball_area"]
     tree = ast.parse((SRC / "orbit.py").read_text())

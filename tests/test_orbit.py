@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from teichlab import farey
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
 from teichlab.fricke import (_plan_eval_bounded, _trace_plan,
-                             canonical_cyclic, trace_word_fixed,
-                             trace_word_fricke)
+                             canonical_cyclic, reduce_word,
+                             trace_word_fixed, trace_word_fricke)
 
 
 MODULAR = (3.0, 3.0, 3.0)
@@ -181,6 +182,14 @@ class TestOrbitCount:
                 brute = ob.count_orbit_word_bruteforce(X, gamma, L)
                 assert rep.counts[-1] == brute
                 assert rep.prune_violations == 0
+
+    @pytest.mark.parametrize("gamma", ["", "aA", "abAB"])
+    def test_peripheral_word_rejected(self, gamma):
+        # the empty class and the boundary are not counted, by the engine or
+        # by its oracle (which raised IndexError or counted 1 before)
+        for f in (ob.count_orbit_word, ob.count_orbit_word_bruteforce):
+            with pytest.raises(ValueError, match="peripheral"):
+                f(MODULAR, gamma, 9.0)
 
     def test_simple_word_via_slopes(self):
         L = 10.0
@@ -800,6 +809,48 @@ class TestWordLength:
                     pytest.approx(want, rel=1e-13), moves
 
 
+    def test_blocked_product_matches_letter_product(self):
+        # words of 1 to 20 letters cross the six-letter block boundaries;
+        # the blocks come from the memo, the reference multiplies letter
+        # by letter
+        k = ob._bits(60 + int(0.5 * 3.0 * 12.0))
+        t, _ = ob._fixed_root(GENERIC, k)
+        letters = ob._rep_fixed(t, k)
+        mats = dict(letters)
+        rng = random.Random(22)
+        for n in range(1, 21):
+            for _ in range(10):
+                w = rng.choice("abAB")
+                while len(w) < n:
+                    w += rng.choice([c for c in "abAB"
+                                     if c != w[-1].swapcase()])
+                m = letters[w[0]]
+                for ch in w[1:]:
+                    m = ob._mat_mul(m, letters[ch], k)
+                want = ob._trace_length(m[0] + m[3], k, w)
+                assert ob._word_length(mats, w, k) == \
+                    pytest.approx(want, rel=1e-13), w
+        assert all(1 <= len(w) <= 6 for w in mats)
+
+    def test_memo_bounded_per_search(self, monkeypatch):
+        # the memo is the search's own dict of realizing matrices: it holds
+        # reduced words of 1 to 6 letters, at most 4 * (3^6 - 1) / 2 = 1456
+        made = []
+        rep = ob._rep_fixed
+
+        def recorded(t, k):
+            made.append(rep(t, k))
+            return made[-1]
+        monkeypatch.setattr(ob, "_rep_fixed", recorded)
+        ob.count_orbit_word_bruteforce(GENERIC, "aabAb", 12.0)
+        ob.count_orbit_word_bruteforce(GENERIC, "aabAb", 12.0)
+        assert len(made) == 2 and made[0] is not made[1]
+        for mats in made:
+            assert 100 < len(mats) <= 1456
+            assert all(1 <= len(w) <= 6 and reduce_word(w) == w
+                       for w in mats)
+
+
 class TestPrecision:
     def test_word_orbit_abort_keeps_dps(self, monkeypatch):
         monkeypatch.setattr(ob, "_ORACLE_NODES", 10)
@@ -1070,7 +1121,8 @@ class TestThurstonBall:
         for f in (ob.thurston_ball_B, ob.point_symmetry_order,
                   lambda X: ob.simple_slopes(X, 5.0),
                   lambda X: ob.cone_count(X, 0, 5.0),
-                  lambda X: ob.count_orbit_word(X, "aabAb", 5.0)):
+                  lambda X: ob.count_orbit_word(X, "aabAb", 5.0),
+                  lambda X: ob.count_orbit_word_bruteforce(X, "aabAb", 5.0)):
             with time_bound(3), \
                     pytest.raises(ValueError, match="not a torus point"):
                 f(X)

@@ -18,6 +18,10 @@ The table:
   base of BASES moved by each reduced word of length <= 3 in T, t, U, u;
 - ``orb1``: the ORB1 report of each word of ORB_WORDS at each base moved
   by each reduced word of length <= 2;
+- ``brute``: the count of ``count_orbit_word_bruteforce`` (the lengths that
+  its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
+  at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
+  ``counters``;
 - ``mc``: ``_mc_sample_value`` of criterion 11 (aabAb, L = 30) for seeds
   0 and 1, samples 0-119;
 - ``acc1``: the ACC1 document of ``teichlab acceptance``;
@@ -41,6 +45,7 @@ BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
          (3.0, 3.0, 4.5), (6, 6, 6), (3, 6, 15), (4, 4, 8),
          (4.1, 9.62, 3.2)]
 ORB_WORDS = (("aabAb", 12.0), ("abaB", 9.0), ("aabbAB", 10.0))
+BRUTE_WORDS = (("aabAb", 9.0), ("abaB", 9.0))
 MC_SEEDS = (0, 1)
 MC_SAMPLES = 120
 # the generator maps on triples, in the base's own arithmetic
@@ -74,6 +79,8 @@ def cases():
     for base, w, (gamma, L) in itertools.product(BASES, move_words(2),
                                                  ORB_WORDS):
         yield ["orb1", list(base), w, gamma, L]
+    for base, (gamma, L) in itertools.product(BASES, BRUTE_WORDS):
+        yield ["brute", list(base), gamma, L]
     for seed, i in itertools.product(MC_SEEDS, range(MC_SAMPLES)):
         yield ["mc", seed, i]
     yield ["acc1"]
@@ -94,6 +101,12 @@ def _orb1(X, gamma, L, counters):
         if key in d["metadata"]:
             counters[key] = d["metadata"].pop(key)
     return d
+
+
+def _brute(X, gamma, L, counters):
+    lengths, counters["nodes"], counters["pruned"] = \
+        orbit._word_orbit_lengths(X, gamma, L)
+    return len(lengths)
 
 
 def _acc1():
@@ -127,6 +140,8 @@ def run_case(case) -> str:
     elif kind == "orb1":
         X = moved(tuple(case[1]), case[2])
         result = _attempt(_orb1, X, case[3], case[4], counters)
+    elif kind == "brute":
+        result = _attempt(_brute, tuple(case[1]), case[2], case[3], counters)
     elif kind == "mc":
         sym = orbit.curve_symmetry_order("aabAb")
         result = _attempt(orbit._mc_sample_value,
