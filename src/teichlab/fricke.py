@@ -74,38 +74,15 @@ def canonical_cyclic(w: str) -> str:
     Two words name the same unoriented closed curve iff their canonical
     forms coincide.  swapcase turns that order into the order of code
     points, and turns the inverse (w reversed, swapcase) into w reversed;
-    only the rotations that _lead_rotations yields can be least.
+    a least rotation starts with the least letter, so only those are
+    compared.
     """
     w = cyclic_reduce(w)
-    if not w:
-        return ""
-    return min(*_lead_rotations(w.swapcase()),
-               *_lead_rotations(w[::-1])).swapcase()
-
-
-def _lead_rotations(u: str) -> list[str]:
-    """The rotations of u that start at a longest cyclic run of its least
-    letter: a least rotation starts with that run.  The run's length is
-    found by a doubling and bisecting search and its places by str.find,
-    all on u doubled, at C level; two such runs never overlap unless u is
-    one letter."""
-    n = len(u)
-    uu = u + u
-    c = min(u)
-    lo, hi = 1, 2  # c^lo is in uu; c^hi is not, or hi > n
-    while hi <= n and c * hi in uu:
-        lo, hi = hi, 2 * hi
-    hi = min(hi, n + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if c * mid in uu else (lo, mid)
-    run = c * lo
-    out = []
-    i = uu.find(run)
-    while 0 <= i < n:
-        out.append(uu[i:i + n])
-        i = uu.find(run, i + len(run))
-    return out
+    rots = []
+    for u in (w.swapcase(), w[::-1]):
+        c = min(u, default="")
+        rots += [u[i:] + u[:i] for i in range(len(u)) if u[i] == c]
+    return min(rots, default="").swapcase()
 
 
 def _n_caps(w: str) -> int:

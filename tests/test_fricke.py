@@ -77,8 +77,8 @@ class TestWords:
     def test_canonical_matches_all_rotations(self):
         # the least of every rotation of w and of its inverse, under
         # a < b < A < B, as canonical_cyclic was first written: equal string
-        # for string to the one that compares only the rotations at a
-        # longest run of the least letter
+        # for string to the one that compares only the rotations that
+        # start with the least letter
         order = str.maketrans("abAB", "0123")
         back = str.maketrans("0123", "abAB")
 
