@@ -3,12 +3,12 @@
 Words in the free group on a, b are strings over {a, A, b, B} with capitals
 denoting inverses.  Traces of words are computed two ways: numerically from
 explicit matrices, and symbolically from the trace coordinates
-(x, y, z) = (Tr A, Tr B, Tr AB) by recursive trace-identity reduction
-    Tr(UV) + Tr(UV^{-1}) = Tr(U) Tr(V),
-compiled once per word into a straight-line plan that is evaluated in
-int, float or mpmath arithmetic, or on ints scaled by 2^k (fixed point).
-The symbolic route keeps integer inputs exact (all operations are ring
-operations), which the Markoff bridge relies on.
+(x, y, z) = (Tr A, Tr B, Tr AB) by one walk along the word in the group
+algebra, where Cayley-Hamilton keeps every product in the span of
+I, A, B, AB.  The walk is compiled once per word into a straight-line plan
+that is evaluated in int, float or mpmath arithmetic, or on ints scaled by
+2^k (fixed point).  The symbolic route keeps integer inputs exact (all
+operations are ring operations), which the Markoff bridge relies on.
 
 Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
 """
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 _INV = str.maketrans("aAbB", "AaBb")
 _DROP_LETTERS = str.maketrans("", "", "aAbB")
+_PASSES = 8  # str.replace passes of reduce_word before its stack loop
 
 
 class WordError(ValueError):
@@ -34,36 +35,30 @@ def invert_word(w: str) -> str:
 def reduce_word(w: str) -> str:
     """Freely reduce: cancel adjacent inverse pairs.
 
-    Each pass cancels the pairs aA, Aa, bB, Bb by C-level str.replace, and
-    passes repeat until the word stops shrinking: a cancellation can expose
-    another across it, so a^n A^n takes n passes, but a word pushed by
-    twists cancels in a few."""
+    Passes of C-level str.replace cancel aA, Aa, bB, Bb until the word stops
+    shrinking.  A cancellation can expose another across it, so a^n A^n
+    would take n passes: after _PASSES, a stack of letters finishes."""
     bad = w.translate(_DROP_LETTERS)
     if bad:
         raise WordError("bad letter %r" % bad[0])
-    n = len(w) + 1
-    while len(w) < n:
+    for _ in range(_PASSES):
         n = len(w)
         w = w.replace("aA", "").replace("Aa", "").replace(
             "bB", "").replace("Bb", "")
-    return w
-
-
-def concat_reduced(u: str, v: str) -> str:
-    """Concatenate two reduced words, cancelling at the join."""
-    i = len(u)
-    j = 0
-    while i > 0 and j < len(v) and u[i - 1] == v[j].translate(_INV):
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
+        if len(w) == n:
+            return w
+    out = [""]
+    for c in w:
+        out.pop() if out[-1] == c.swapcase() else out.append(c)
+    return "".join(out)
 
 
 def cyclic_reduce(w: str) -> str:
     w = reduce_word(w)
-    while len(w) >= 2 and w[0] == w[-1].translate(_INV):
-        w = w[1:-1]
-    return w
+    i = 0
+    while 2 * i + 1 < len(w) and w[i] == w[-1 - i].swapcase():
+        i += 1
+    return w[i:len(w) - i]
 
 
 def canonical_cyclic(w: str) -> str:
@@ -85,41 +80,17 @@ def canonical_cyclic(w: str) -> str:
     return min(rots, default="").swapcase()
 
 
-def _n_caps(w: str) -> int:
-    return sum(1 for c in w if c in "AB")
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """Unimodular 2x2 real matrix."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def trace(self):
-        return self.a + self.d
-
-    def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-                    self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
-
-    def inv(self) -> "Mat2":
-        # det = 1
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-
-IDENT = Mat2(1.0, 0.0, 0.0, 1.0)
-
-
-def trace_word_numeric(A: Mat2, B: Mat2, w: str) -> float:
-    """Trace of the matrix product spelled by w (capitals = inverses)."""
-    mats = {"a": A, "A": A.inv(), "b": B, "B": B.inv()}
-    m = IDENT
+def trace_word_numeric(A, B, w: str):
+    """Trace of the matrix product spelled by w (capitals = inverses) in the
+    unimodular 2x2 matrices A, B, each a tuple (a, b, c, d) of its rows;
+    exact for int entries."""
+    mats = {"a": A, "A": (A[3], -A[1], -A[2], A[0]),
+            "b": B, "B": (B[3], -B[1], -B[2], B[0])}
+    p, q, r, s = 1, 0, 0, 1
     for ch in reduce_word(w):
-        m = m @ mats[ch]
-    return m.trace()
+        a, b, c, d = mats[ch]
+        p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return p + s
 
 
 @dataclass(frozen=True)
@@ -140,80 +111,101 @@ class FrickeTriple:
         return (self.x, self.y, self.z)
 
 
-def _rotations(w: str):
-    for i in range(len(w)):
-        yield w[i:] + w[:i]
+# longest cyclically reduced word a plan is compiled for
+MAX_WORD_LEN = 10_000
+
+_SWAP = str.maketrans("abAB", "baBA")  # a <-> b: x and y exchange
+# a value of the walk is an int v: the constant v when |v| < _REG, else
+# register |v| - _REG with the sign of v.  The constants stay 0 and +-1
+# (each is a signed copy of one before it), and 2c0 in the trace.
+_REG = 1 << 40
 
 
-# plan registers of the generator traces x = Tr a and y = Tr b
-_GEN_REG = {"a": 0, "b": 1}
+def _walk(w: str, x: int, y: int):
+    """The plan (instrs, out) of the trace of the cyclically reduced word w,
+    with x and y the registers of Tr a and Tr b.
+
+    The walk holds the product of the letters read so far as
+    c0 I + c1 A + c2 B + c3 AB and right-multiplies it by each letter, by
+    A^2 = xA - I, B^2 = yB - I, BA = yA + xB + (z - xy)I - AB and
+    A^-1 = xI - A, B^-1 = yI - B; the trace is 2c0 + x c1 + y c2 + z c3.
+    Constants fold, negation is a sign, repeated instructions are shared.
+    """
+    regs = {}  # instruction -> its register + _REG, in the order emitted
+
+    def emit(op, i, j):
+        if op in "*+" and i > j:
+            i, j = j, i
+        return regs.setdefault((op, i - _REG, j - _REG), len(regs) + 3 + _REG)
+
+    def reg(v):  # v as a signed register
+        return v if abs(v) >= _REG else emit("k", v + _REG, _REG)
+
+    def fma(u, g, v):
+        """u + g v for a register g, or u + v for g = 1."""
+        if g != 1:  # v is a register, or one of the constants 0, +-1
+            v = (g * v if -2 < v < 2
+                 else emit("*", g, abs(v)) * (1 if v > 0 else -1))
+        if not (u and v) or abs(u) < _REG > abs(v):
+            return u + v
+        u, v = reg(u), reg(v)
+        if u == -v:
+            return 0
+        s = 1 if u > 0 else -1
+        if (v > 0) == (u > 0):
+            return s * emit("+", s * u, s * v)
+        return emit("-", u, -v) if u > 0 else emit("-", v, -u)
+
+    X, Y, Z = x + _REG, y + _REG, 2 + _REG
+    D = 0  # z - xy, emitted at its first use
+    c0, c1, c2, c3 = 1, 0, 0, 0
+    for c in w:
+        if c == "b":
+            c0, c1, c2, c3 = -c2, -c3, fma(c0, Y, c2), fma(c1, Y, c3)
+        elif c == "B":
+            c0, c1, c2, c3 = fma(c2, Y, c0), fma(c3, Y, c1), -c0, -c1
+        else:
+            if c2 and not D:
+                D = fma(Z, X, -Y)
+            if c == "a":
+                c0, c1, c2, c3 = (fma(fma(-c1, D, c2), Y, -c3),
+                                  fma(fma(fma(c0, X, c1), Y, c2), Z, c3),
+                                  fma(c3, X, c2), -c2)
+            else:
+                c0, c1, c2, c3 = (fma(fma(fma(c1, X, c0), Y, c3), D, -c2),
+                                  -fma(fma(c0, Y, c2), Z, c3),
+                                  -c3, fma(c2, X, c3))
+    t = reg(fma(fma(fma(fma(c0, 1, c0), X, c1), Y, c2), Z, c3))
+    if t < 0:
+        t = emit("-", reg(0), -t)
+    return tuple(regs), t - _REG
 
 
 def _compile(w: str):
     """Straight-line plan (instrs, out) of the trace polynomial of w.
 
-    The trace-identity reduction branches only on the word, never on the
-    values, so it runs once per word and the plan serves every triple in
-    every arithmetic.  Registers 0, 1, 2 hold x, y, z; instrs[i] sets
-    register i + 3 to ("k", c, 0), the integer c, or to (op, j, k), the
-    product ("*") or difference ("-") of two earlier registers.  Canonical
-    cyclic subwords get one register each, as do repeated instructions.
+    Registers 0, 1, 2 hold x, y, z; instrs[i] sets register i + 3 to
+    ("k", c, 0), the integer c, or to (op, j, k), the product ("*"),
+    difference ("-") or sum ("+") of two earlier registers.  The plan
+    depends only on the word, so it serves every triple in every
+    arithmetic.  Eight forms of w have its trace: w, its reverse (the
+    transposes), its inverse and its reverse inverse, each also with a and
+    b swapped (x and y exchanged).  Each is walked (_walk) once from its
+    first rotation that starts a(b|B), and the shortest plan is kept, so
+    compiling is linear in the word.  WordError if w is longer than
+    MAX_WORD_LEN after cyclic reduction.
     """
-    instrs = []
-    regs = {}
-    memo = {}
-
-    def emit(ins):
-        r = regs.get(ins)
-        if r is None:
-            r = regs[ins] = len(instrs) + 3
-            instrs.append(ins)
-        return r
-
-    def tr(w):
-        key = canonical_cyclic(w)
-        r = memo.get(key)
-        if r is not None:
-            return r
-        # work on the representative with the fewest inverse letters so that
-        # rule 1 strictly reduces their count (termination)
-        w = key
-        iw = invert_word(w)
-        if _n_caps(iw) < _n_caps(w):
-            w = iw
-        n = len(w)
-        if n == 0:
-            r = emit(("k", 2, 0))
-        elif n == 1:
-            r = _GEN_REG[w.lower()]
-        elif w in ("ab", "ba"):
-            r = 2
-        elif rot := next((u for u in _rotations(w) if u[-1] in "AB"), None):
-            # rule 1: an inverse letter somewhere -- rotate it to the end:
-            #   Tr(P g^-1) = Tr(g) Tr(P) - Tr(P g)
-            g, P = rot[-1].lower(), rot[:-1]
-            r = emit(("-", emit(("*", _GEN_REG[g], tr(cyclic_reduce(P)))),
-                      tr(cyclic_reduce(concat_reduced(P, g)))))
-        elif rot := next((u for u in _rotations(w) if u[-1] == u[-2]), None):
-            # positive word. rule 2: a doubled letter -- rotate "gg" to the end:
-            #   Tr(P g g) = Tr(g) Tr(P g) - Tr(P)
-            g, P = rot[-1], rot[:-2]
-            r = emit(("-", emit(("*", _GEN_REG[g], tr(cyclic_reduce(P + g)))),
-                      tr(cyclic_reduce(P))))
-        elif n % 2:
-            raise WordError("unreachable word form %r" % w)
-        else:
-            # rule 3: alternating positive word (ab)^k, Chebyshev recursion
-            #   Tr((ab)^(j+1)) = z Tr((ab)^j) - Tr((ab)^(j-1))
-            t0, t1 = emit(("k", 2, 0)), 2
-            for _ in range(n // 2 - 1):
-                t0, t1 = t1, emit(("-", emit(("*", 2, t1)), t0))
-            r = t1
-        memo[key] = r
-        return r
-
-    out = tr(w)
-    return tuple(instrs), out
+    w = cyclic_reduce(w)
+    if len(w) > MAX_WORD_LEN:
+        raise WordError("word length %d exceeds cap %d"
+                        % (len(w), MAX_WORD_LEN))
+    plans = []
+    for v in (w, w[::-1], w.swapcase(), invert_word(w)):
+        for u, x, y in ((v, 0, 1), (v.translate(_SWAP), 1, 0)):
+            i = min((j for j in map((u + u[:1]).find, ("ab", "aB"))
+                     if j >= 0), default=0)
+            plans.append(_walk(u[i:] + u[:i], x, y))
+    return min(plans, key=lambda plan: len(plan[0]))
 
 
 # plans of recent words; words outside the cache are recompiled
@@ -231,7 +223,7 @@ def _plan_eval(plan, x, y, z):
         elif op == "-":
             vals.append(vals[j] - vals[k])
         else:
-            vals.append(j)
+            vals.append(vals[j] + vals[k] if op == "+" else j)
     return vals[out]
 
 
@@ -246,7 +238,7 @@ def _plan_eval_fixed(plan, x, y, z, k):
         elif op == "-":
             vals.append(vals[i] - vals[j])
         else:
-            vals.append(i << k)
+            vals.append(vals[i] + vals[j] if op == "+" else i << k)
     return vals[out]
 
 
@@ -257,7 +249,7 @@ def _plan_eval_bounded(plan, x, y, z, errs, k):
 
     With |a - A| <= e_a and |b - B| <= e_b, a product is off by at most
     (|a| e_b + |b| e_a + e_a e_b) / 2^k, rounded up, plus the unit its
-    shift drops; a difference by e_a + e_b; a constant is exact.
+    shift drops; a difference or a sum by e_a + e_b; a constant is exact.
     """
     instrs, out = plan
     vals = [x, y, z]
@@ -271,25 +263,18 @@ def _plan_eval_bounded(plan, x, y, z, errs, k):
             vals.append(vals[i] - vals[j])
             errs.append(errs[i] + errs[j])
         else:
-            vals.append(i << k)
-            errs.append(0)
+            vals.append(vals[i] + vals[j] if op == "+" else i << k)
+            errs.append(errs[i] + errs[j] if op == "+" else 0)
     return vals[out], errs[out]
 
 
-# longest cyclically reduced word trace_word_fricke compiles
-MAX_WORD_LEN = 10_000
-
-
 def trace_word_fricke(t: FrickeTriple | tuple, w: str):
-    """Trace of the word w at trace coordinates t, by trace-identity reduction.
+    """Trace of the word w at trace coordinates t, from its trace polynomial.
 
     Exact for integer coordinates (the trace polynomial has integer
     coefficients).  Evaluates the word's compiled plan.  WordError if w
     is longer than MAX_WORD_LEN even after cyclic reduction.
     """
-    if len(w) > MAX_WORD_LEN and len(cyclic_reduce(w)) > MAX_WORD_LEN:
-        raise WordError("word length %d exceeds cap %d"
-                        % (len(cyclic_reduce(w)), MAX_WORD_LEN))
     if isinstance(t, FrickeTriple):
         t = t.astuple()
     return _plan_eval(_trace_plan(w), *t)
@@ -325,9 +310,9 @@ def trace_of_length(ell: float) -> float:
     return 2.0 * math.cosh(ell / 2.0)
 
 
-def rep_from_fricke(t: FrickeTriple) -> tuple[Mat2, Mat2]:
-    """A realizing pair (A, B) in the fixed normal form: A diagonal, B with a
-    unit corner entry (B_21 = 1).
+def rep_from_fricke(t: FrickeTriple) -> tuple[tuple, tuple]:
+    """A realizing pair (A, B), rows as in trace_word_numeric, in the fixed
+    normal form: A diagonal, B with a unit corner entry (B_21 = 1).
 
     Requires |x| > 2 (A hyperbolic); otherwise raises naming the failed
     discriminant.  B has det ps - q = 1 for every q, so reducible triples
@@ -339,10 +324,10 @@ def rep_from_fricke(t: FrickeTriple) -> tuple[Mat2, Mat2]:
         raise ValueError(
             "cannot realize with A diagonal: discriminant x^2 - 4 = %g <= 0" % disc)
     lam = (x + math.sqrt(disc)) / 2.0
-    A = Mat2(lam, 0.0, 0.0, 1.0 / lam)
+    A = (lam, 0.0, 0.0, 1.0 / lam)
     # B = [[p, q], [1, s]],  p + s = y,  lam p + s / lam = z
     p = (z - y / lam) / (lam - 1.0 / lam)
     s = y - p
-    B = Mat2(p, p * s - 1.0, 1.0, s)
+    B = (p, p * s - 1.0, 1.0, s)
     return A, B
 

@@ -189,6 +189,21 @@ def _descend(x, moves, size):
         x, s = y, low
 
 
+def _twist_images(w: str) -> list[str]:
+    """w moved by each twist g of GENS, cyclically reduced, by the power
+    g^m, m = 1, 2, 4, ..., that shortens it most (w if g does not), so a
+    push by g^n descends in O(log n) steps."""
+    out = []
+    for g in GENS:
+        best, m = w, 1
+        while len(v := cyclic_reduce(w.translate({
+                c: s[0] + s[1] * m if ord(s[0]) == c else s[0] * m + s[1]
+                for c, s in _AUTOS[g].items()}))) < len(best):
+            best, m = v, 2 * m
+        out.append(best)
+    return out
+
+
 def _mat_mul(m, n, k: int):
     """Product of 2x2 matrices of ints scaled by 2^k (k = 0: exact)."""
     return ((m[0] * n[0] + m[1] * n[2]) >> k, (m[0] * n[1] + m[1] * n[3]) >> k,
@@ -230,8 +245,7 @@ def _symmetry(key: str) -> tuple[int, str | None]:
     it is fixed by T (else None), so l is constant along every twist family."""
     if simple_power(key):
         return 1, key
-    start = canonical_cyclic(_descend(key, lambda w: [
-        cyclic_reduce(w.translate(_AUTOS[g])) for g in GENS], len))
+    start = canonical_cyclic(_descend(key, _twist_images, len))
     mats = {start: (1, 0, 0, 1)}
     todo = [start]
     loops = set()
@@ -536,8 +550,8 @@ def _family_lengths(X, gamma: str, L: float):
 def _rep_fixed(t, k: int) -> dict:
     """Realizing matrices of the node t (ints scaled by 2^k) and their
     inverses, in the normal form of fricke.rep_from_fricke: A diagonal,
-    B = [[p, q], [1, s]].  Words in the orbit get long, so their traces are
-    matrix products (linear cost) rather than Fricke plans."""
+    B = [[p, q], [1, s]].  The orbit holds many long words, so their traces
+    are matrix products rather than one compiled plan per word."""
     x, y, z = t
     one = 1 << k
     if abs(x) <= 2 * one:

@@ -220,6 +220,25 @@ class TestCommands:
         assert run_main([cmd, "--word", "abAB"]) == 1
         assert "peripheral" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["apl-ray", "wall-scan", "twist-convexity",
+                                     "ball-volume", "count-word"])
+    def test_word_over_cap_exit_1(self, cmd, reduced_word, capsys,
+                                  time_bound):
+        # the cap is checked where the trace plan is compiled, so every
+        # command that compiles one meets it, as a config error
+        with time_bound(10):
+            assert run_main([cmd, "--word", reduced_word(23, 10_001)]) == 1
+        assert "exceeds cap" in capsys.readouterr().err
+
+    def test_twist_convexity_generic_word(self, reduced_word, capsys,
+                                          time_bound):
+        # a generic 50-letter word compiles to a plan linear in its
+        # length (335 instructions), so its 33 lengths take well under 5 s
+        with time_bound(5):
+            assert run_main(["twist-convexity", "--word",
+                             reduced_word(23, 50)]) == 0
+        assert "min_second_diff" in capsys.readouterr().out
+
     def test_twist_convexity_thin_part(self, capsys):
         # at ell = 1e-40 the lengths of aaBabb need more bits than the
         # coordinates' size suggests; the error bound finds them

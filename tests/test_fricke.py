@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from teichlab import farey, fricke
 from teichlab.fricke import (FrickeTriple, WordError, canonical_cyclic,
-                             concat_reduced, cyclic_reduce, invert_word,
-                             length_trace, reduce_word, rep_from_fricke,
-                             trace_of_length, trace_word_fricke,
+                             cyclic_reduce, invert_word, length_trace,
+                             reduce_word, rep_from_fricke, trace_of_length,
+                             trace_word_fixed, trace_word_fricke,
                              trace_word_numeric)
 
 
@@ -58,7 +58,7 @@ class TestWords:
     @given(words)
     @settings(max_examples=150, deadline=None)
     def test_inverse_cancels(self, w):
-        assert concat_reduced(reduce_word(w), invert_word(reduce_word(w))) == ""
+        assert reduce_word(w + invert_word(w)) == ""
 
     @given(words, st.integers(min_value=0, max_value=11))
     @settings(max_examples=150, deadline=None)
@@ -167,6 +167,14 @@ class TestTrace:
         b = trace_word_fricke(t, invert_word(w))
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
+    def test_word_cap_at_compile(self):
+        # every caller of a plan meets the cap, the fixed-point one too
+        over = "a" + "b" * fricke.MAX_WORD_LEN
+        with pytest.raises(WordError, match="exceeds cap"):
+            trace_word_fixed((3, 4, 5), over, 0)
+        with pytest.raises(WordError, match="exceeds cap"):
+            fricke._compile(over)
+
     def test_plan_cache_bounded(self):
         size = fricke._trace_plan.cache_info().maxsize
         for i in range(size + 100):
@@ -180,6 +188,58 @@ class TestTrace:
         assert trace_word_numeric(A, B, "a") == pytest.approx(t.x, rel=1e-12)
         assert trace_word_numeric(A, B, "b") == pytest.approx(t.y, rel=1e-12)
         assert trace_word_numeric(A, B, "ab") == pytest.approx(t.z, rel=1e-12)
+
+
+def mat_mul(m, n):
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def mat_inv(m):
+    return (m[3], -m[1], -m[2], m[0])
+
+
+# a pair realizing (3, 3, 3), and the twists acting on pairs as they act
+# on words (T: b -> ba, t: b -> bA, U: a -> ab, u: a -> aB)
+PAIR_333 = ((1, 1, 1, 2), (1, -1, -1, 2))
+PAIR_MOVES = {"T": lambda A, B: (A, mat_mul(B, A)),
+              "t": lambda A, B: (A, mat_mul(B, mat_inv(A))),
+              "U": lambda A, B: (mat_mul(A, B), B),
+              "u": lambda A, B: (mat_mul(A, mat_inv(B)), B)}
+
+
+class TestCompile:
+    """The trace plans, against products of integer matrices
+    (trace_word_numeric): exact at every point of the orbit of (3, 3, 3),
+    independent of any plan."""
+
+    def test_exact_along_orbit(self):
+        rng = random.Random(2301)
+        for _ in range(12):
+            A, B = PAIR_333
+            for g in rng.choices("TtUu", k=rng.randrange(5)):
+                A, B = PAIR_MOVES[g](A, B)
+            t = (A[0] + A[3], B[0] + B[3], trace_word_numeric(A, B, "ab"))
+            for _ in range(100):
+                w = "".join(rng.choices("abAB", k=rng.randrange(17)))
+                assert trace_word_fricke(t, w) == \
+                    trace_word_numeric(A, B, w), (t, w)
+
+    @pytest.mark.parametrize("w, instrs, mults", [
+        ("aabAb", 15, 7), ("abaB", 7, 3), ("aabAB", 16, 7), ("aab", 2, 1)])
+    def test_hot_plans_no_longer(self, w, instrs, mults):
+        # the words the counts and the chart evaluate: no plan is longer
+        # than the recursive Fricke reduction's (15/7, 7/3, 16/7, 2/1)
+        plan = fricke._compile(w)[0]
+        assert len(plan) <= instrs
+        assert sum(op == "*" for op, _, _ in plan) <= mults
+
+    def test_linear_in_the_word(self, reduced_word):
+        w = reduced_word(1000, 1000)
+        assert len(fricke._compile(w)[0]) <= 10 * len(w)
+        A, B = PAIR_333
+        w = reduced_word(10_000, fricke.MAX_WORD_LEN)
+        assert trace_word_fricke((3, 3, 3), w) == trace_word_numeric(A, B, w)
 
 
 class TestLength:

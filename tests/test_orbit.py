@@ -352,8 +352,7 @@ class TestPushInvariance:
     # words of 12 to 1224 letters; a generator ball of radius 8 around the
     # pushed word missed the symmetry of aabbAABB ([0, 0, 6]) and, from
     # (TU)^5 on, the shortest images of aabAb ([3, 24, 36] at (3, 3, 3)).
-    # A power of one twist descends one step per power, the longest descent
-    # for its length.
+    # A power of one twist descends by doubling powers.
     PUSHES = ["TUTU", "TU" * 3, "TU" * 4, "TU" * 5, "TTUU" * 3, "TU" * 6,
               "TuTTUtuTTUtU", "T" * 40, "u" * 40]
 
@@ -375,6 +374,23 @@ class TestPushInvariance:
             assert time.perf_counter() - t0 < 1.0, phi
             assert (rep.counts, rep.sym_order, rep.metadata["iota"]) == \
                 (want, base.sym_order, base.metadata["iota"]), phi
+
+    def test_long_twist_power(self, monkeypatch, time_bound):
+        # aabAb pushed by T^4998 (9999 letters) descends by the powers
+        # t^(2^j) in O(log n) steps of _twist_images, not one per power
+        n = 4998
+        word = canonical_cyclic("aabAb".translate(
+            {ord("b"): "b" + "a" * n, ord("B"): "A" * n + "B"}))
+        assert len(word) == 2 * n + 3
+        steps = []
+        images = ob._twist_images
+        monkeypatch.setattr(ob, "_twist_images",
+                            lambda w: steps.append(w) or images(w))
+        assert ob._symmetry.__wrapped__(word) == (1, "aaBAB")
+        assert len(steps) <= n.bit_length()
+        with time_bound(5):
+            rep = ob.count_orbit_word((3, 3, 3), word, 12.0, grid=[6, 9, 12])
+        assert rep.counts == [3, 24, 48]
 
     @pytest.mark.parametrize("gamma, L", [("aabAb", 10.0),
                                           ("aabbAABB", 12.0)])

@@ -13,7 +13,8 @@ _SPEC.loader.exec_module(same_results)
 
 @pytest.mark.parametrize("case", [["point", [3.2, 3.5, 4.1], "Tu"],
                                   ["orb1", [4, 4, 8], "T", "aabbAB", 10.0],
-                                  ["brute", [3.2, 3.5, 4.1], "aabAb", 9.0]])
+                                  ["brute", [3.2, 3.5, 4.1], "aabAb", 9.0],
+                                  ["plan", "aabAb"]])
 def test_case_lines_repeat(case):
     assert case in list(same_results.cases())
     line = same_results.run_case(case)

@@ -25,7 +25,10 @@ The table:
 - ``mc``: ``_mc_sample_value`` of criterion 11 (aabAb, L = 30) for seeds
   0 and 1, samples 0-119;
 - ``acc1``: the ACC1 document of ``teichlab acceptance``;
-- ``criterion12``: the detail of criterion 12's line.
+- ``criterion12``: the detail of criterion 12's line;
+- ``plan``: the exact trace at (3, 4, 5) of each word of PLAN_WORDS, with
+  the ``instructions`` and ``products`` of its trace plan under
+  ``counters``, so that plan size shows next to the work counters.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from teichlab import cli, orbit  # noqa: E402
+from teichlab import cli, fricke, orbit  # noqa: E402
 
 BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
          (3.3, 3.3, 3.3), (3.3, 3.3, 5.445), (3.3, 3.5, 5.775),
@@ -46,6 +49,7 @@ BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
          (4.1, 9.62, 3.2)]
 ORB_WORDS = (("aabAb", 12.0), ("abaB", 9.0), ("aabbAB", 10.0))
 BRUTE_WORDS = (("aabAb", 9.0), ("abaB", 9.0))
+PLAN_WORDS = ("aabAb", "abaB", "aabAB", "aabbAB", "aaBabb", "aab")
 MC_SEEDS = (0, 1)
 MC_SAMPLES = 120
 # the generator maps on triples, in the base's own arithmetic
@@ -85,6 +89,8 @@ def cases():
         yield ["mc", seed, i]
     yield ["acc1"]
     yield ["criterion12"]
+    for gamma in PLAN_WORDS:
+        yield ["plan", gamma]
 
 
 def _attempt(f, *args):
@@ -125,6 +131,13 @@ def _criterion12():
             % (c120[1] / c60[1], c60, c120))
 
 
+def _plan(gamma, counters):
+    instrs, _ = fricke._trace_plan(gamma)
+    counters["instructions"] = len(instrs)
+    counters["products"] = sum(op == "*" for op, _, _ in instrs)
+    return fricke.trace_word_fricke((3, 4, 5), gamma)
+
+
 def run_case(case) -> str:
     """The JSON line of one case of cases()."""
     kind = case[0]
@@ -150,6 +163,8 @@ def run_case(case) -> str:
         result = _attempt(_acc1)
     elif kind == "criterion12":
         result = _attempt(_criterion12)
+    elif kind == "plan":
+        result = _attempt(_plan, case[1], counters)
     else:
         raise ValueError("unknown case %r" % (case,))
     return json.dumps({"case": case, "result": result, "counters": counters},
