@@ -34,10 +34,26 @@ def _parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (u, v), (p - u, q - v)
 
 
+def _relation(p: int, q: int):
+    """The slopes s1, s2 and s1 - s2 of the vertex relation
+    t(p, q) = t(s1) t(s2) - t(s1 - s2), s1 + s2 = (p, q), each normalized,
+    for a slope off the basis (1, 0), (0, 1), (1, 1), (-1, 1)."""
+    if q >= 2:
+        s1, s2 = _parents(p, q)
+    else:
+        s1 = (1, 0) if p > 1 else (-1, 0)
+        s2 = (p - s1[0], 1)
+    return (normalize_slope(*s1), normalize_slope(*s2),
+            normalize_slope(s1[0] - s2[0], s1[1] - s2[1]))
+
+
 def slope_trace(t: FrickeTriple | tuple, slope: tuple[int, int], memo: dict | None = None):
     """Trace of the simple closed curve of slope (p, q).
 
-    Exact over the integers when the triple is integral.
+    Exact over the integers when the triple is integral.  The Farey path
+    is walked with an explicit stack, so a slope deep in the tree costs
+    no recursion; memo, keyed by normalized slope, may be shared between
+    calls at one triple.  A float trace that overflows is a ValueError.
     """
     if isinstance(t, FrickeTriple):
         x, y, z = t.x, t.y, t.z
@@ -45,32 +61,27 @@ def slope_trace(t: FrickeTriple | tuple, slope: tuple[int, int], memo: dict | No
         x, y, z = t
     if memo is None:
         memo = {}
-
-    def rec(p, q):
-        p, q = normalize_slope(p, q)
-        v = memo.get((p, q))
-        if v is not None:
-            return v
-        if q == 0:
-            v = x
-        elif q == 1:
-            if p == 0:
-                v = y
-            elif p == 1:
-                v = z
-            elif p == -1:
-                v = x * y - z
-            elif p > 1:
-                v = x * rec(p - 1, 1) - rec(p - 2, 1)
-            else:
-                v = x * rec(p + 1, 1) - rec(p + 2, 1)
+    basis = {(1, 0): x, (0, 1): y, (1, 1): z, (-1, 1): x * y - z}
+    top = normalize_slope(*slope)
+    stack = [top]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+        elif s in basis:
+            memo[s] = basis[s]
         else:
-            (u1, v1), (u2, v2) = _parents(p, q)
-            v = rec(u1, v1) * rec(u2, v2) - rec(u1 - u2, v1 - v2)
-        memo[(p, q)] = v
-        return v
-
-    return rec(*slope)
+            parts = _relation(*s)
+            todo = [c for c in parts if c not in memo]
+            if todo:
+                stack += todo
+            else:
+                a, b, c = (memo[r] for r in parts)
+                memo[s] = a * b - c
+    v = memo[top]
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError("the trace of slope %r overflows a float" % (slope,))
+    return v
 
 
 def slope_word(p: int, q: int) -> str:

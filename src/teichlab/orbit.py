@@ -24,6 +24,9 @@ rays (length-ball volumes, APL) are fixed point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
 by 2^k, with k chosen per trace by a forward error bound through the chart
 and the trace plan: a length is returned only once that bound fixes it.
+Each length function takes each exponential once, at the most bits asked
+of it, and shifts it down to later requests (a bounded memo that dies
+with the function).
 Its trace goes through the same length code as orbit nodes.
 """
 
@@ -845,7 +848,11 @@ def _twist_reduced(mark, k: int):
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 
 
-def _exp_fixed(h: float, k: int) -> tuple[tuple[int, int], ...]:
+_EXP_MEMO_CAP = 64  # entries of a length function's memo: a line is ~35 points
+
+
+def _exp_fixed(h: float, k: int, memo: dict | None = None
+               ) -> tuple[tuple[int, int], ...]:
     """(e^h, e^-h) as ints scaled by 2^k, each with a bound on its error in
     units of 2^-k: ((e^h, err), (e^-h, err)).
 
@@ -856,16 +863,34 @@ def _exp_fixed(h: float, k: int) -> tuple[tuple[int, int], ...]:
     is within 3 units.  The chart's products carry m's rounding to about
     e^|h| units already (_chart_fixed), so the e^|h| / ln 2 bits that an
     absolute 2^-k would need buy nothing.
+
+    memo, a dict that one length function keeps (_gamma_length_fn), maps
+    |h| to the mantissa, exponent and bits of e^|h| at the most bits asked
+    so far; mpf_exp runs only when it holds fewer than k + 8 bits.  A
+    mantissa of P >= k + 8 bits is within 1 ulp, at most 2^-(P-1) <=
+    2^-(k+7) relative, of e^|h|, so after the flooring shift to scale 2^k
+    the same (big >> k + 7) + 2 bounds it; and the inverse, 2^2k // big,
+    keeps its 3 units, which rest only on that relative error and on
+    big >= 2^k.  Past _EXP_MEMO_CAP the least recently used entry goes.
     """
     a = abs(h)
-    _, man, exp, _ = mpf_exp(from_float(a), k + 8, round_nearest)
+    got = None if memo is None else memo.pop(a, None)
+    if got is None or got[2] < k + 8:
+        _, man, exp, _ = mpf_exp(from_float(a), k + 8, round_nearest)
+        got = (man, exp, k + 8)
+    if memo is not None:
+        memo[a] = got  # last in the dict's order: the most recently used
+        if len(memo) > _EXP_MEMO_CAP:
+            del memo[next(iter(memo))]
+    man, exp, _ = got
     s = exp + k
     big = man << s if s >= 0 else man >> -s
     pair = ((big, (big >> k + 7) + 2), ((1 << 2 * k) // big, 3))
     return pair if h >= 0 else pair[::-1]
 
 
-def _chart_fixed(l1: float, ell: float, tau: float, k: int):
+def _chart_fixed(l1: float, ell: float, tau: float, k: int,
+                 memo: dict | None = None):
     """Trace coordinates (x, y, z) of the torus chart at (ell, tau), as ints
     scaled by 2^k, and bounds (ex, ey, ez) on their errors in units of
     2^-k: with v = e^(ell/2) and u = e^(tau/2),
@@ -884,17 +909,18 @@ def _chart_fixed(l1: float, ell: float, tau: float, k: int):
     division for m, the products for y and z, and the final shift by g.
     The exponentials are exact to 2^-(k+7) relative, not to 2^-k absolute:
     y and z already carry m's few units of rounding times u + 1/u, about
-    e^(|tau|/2) units.  The caller picks k (_gamma_length_fn).
+    e^(|tau|/2) units.  The caller picks k and may pass the memo of
+    exponentials its length function keeps (_gamma_length_fn, _exp_fixed).
     """
     g = 2 * max(0, -math.frexp(ell)[1])
     n = k + g
-    (v, ev), (vi, evi) = _exp_fixed(float(ell) / 2, n)
-    (u, eu), (ui, eui) = _exp_fixed(float(tau) / 2, n)
+    (v, ev), (vi, evi) = _exp_fixed(float(ell) / 2, n, memo)
+    (u, eu), (ui, eui) = _exp_fixed(float(tau) / 2, n, memo)
     if l1 == 0.0:
         r = v + vi  # the square root is exact at a cusp
         er = ev + evi
     else:
-        (c, ec), (ci, eci) = _exp_fixed(float(l1) / 2, n)
+        (c, ec), (ci, eci) = _exp_fixed(float(l1) / 2, n, memo)
         s = c + ci + (v * v + vi * vi >> n)
         es = ec + eci + (ev * (2 * v + ev) + evi * (2 * vi + evi) >> n) + 2
         r = math.isqrt(s << n)
@@ -943,10 +969,16 @@ def _gamma_length_fn(gamma: str, l1: float):
     plus 64 (at least 32), up to _MAX_RAISES times, then ArithmeticError.
     A trivial or peripheral gamma (trace +-2 at a cusp: no k decides) and
     points off the chart (CHART_MAX; ell / 2 = 0) are a ValueError.
+
+    f keeps its own bounded memo of the chart's exponentials (_exp_fixed):
+    along a twist line e^(ell/2) is taken again only when a point asks for
+    more bits than it holds, and is shifted down otherwise.  The memo dies
+    with f; the lengths are certified, so they do not depend on it.
     """
     if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
         raise ValueError("gamma=%r is peripheral or trivial" % gamma)
     plan = _trace_plan(gamma)
+    memo = {}
 
     def f(ell, tau):
         size = abs(ell) + abs(tau)
@@ -956,7 +988,7 @@ def _gamma_length_fn(gamma: str, l1: float):
                              % (ell, tau, l1, CHART_MAX))
         k = 104 + math.ceil(size / (2 * math.log(2)))
         for _ in range(_MAX_RAISES + 1):
-            t, errs = _chart_fixed(l1, ell, tau, k)
+            t, errs = _chart_fixed(l1, ell, tau, k, memo)
             tr, e = _plan_eval_bounded(plan, *t, errs, k)
             tr = abs(tr)
             length = _certified_length(tr, e, k, gamma)

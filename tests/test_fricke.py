@@ -294,6 +294,37 @@ class TestFarey:
         v = farey.slope_trace((3, 3, 3), (8, 13))
         assert isinstance(v, int)
 
+    def test_deep_slope_length(self):
+        # 1500 Farey steps from the basis, walked without recursion: the
+        # length equals the one of the slope's word through its trace plan
+        from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
+                                         fricke_triple, torus_curve)
+        X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
+        t = fricke_triple(X)
+        want = length_trace(trace_word_fricke(t, farey.slope_word(1, 1500)))
+        assert want == 1363.398091066647
+        assert curve_length(X, torus_curve((1, 1500))) == want
+
+    @pytest.mark.parametrize("slope", [(1501, 1500), (-1, 2000), (2000, 1),
+                                       (-2000, 1), (987, 1597)])
+    def test_deep_integral_traces_exact(self, slope):
+        v = farey.slope_trace((3, 3, 3), slope)
+        assert isinstance(v, int)
+        assert v == trace_word_fricke((3, 3, 3), farey.slope_word(*slope))
+
+    def test_float_overflow_raises(self):
+        # the trace of (1501, 1500) at ell = 3 is about e^2250, past floats
+        from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
+        t = fricke_triple(SurfacePoint(S11, (0.0,), 3.0, 0.0))
+        with pytest.raises(ValueError):
+            farey.slope_trace(t, (1501, 1500))
+
+    def test_shared_memo(self):
+        # a memo shared across calls gives the traces a fresh one gives
+        t, memo = (3.2, 3.5, 4.1), {}
+        for s in [(5, 8), (8, 13), (-3, 7), (13, 21), (1, 0), (-4, 1)]:
+            assert farey.slope_trace(t, s, memo) == farey.slope_trace(t, s)
+
     def test_slopes_up_to_depth(self):
         s = farey.slopes_up_to_depth(2)
         assert (1, 0) in s and (0, 1) in s and (1, 1) in s and (-1, 1) in s

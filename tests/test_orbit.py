@@ -713,9 +713,9 @@ class TestChartPrecision:
         tries = 0
         chart = ob._chart_fixed
 
-        def spy(l1, ell, tau, k):
+        def spy(l1, ell, tau, k, memo=None):
             ks.append(k)
-            return chart(l1, ell, tau, k)
+            return chart(l1, ell, tau, k, memo)
         for gamma in WORDS:
             f = ob._gamma_length_fn(gamma, l1)
             for ell, tau in pts:
@@ -727,6 +727,66 @@ class TestChartPrecision:
                 assert got == want and len(ks) <= 2, (gamma, ell, tau, ks)
                 tries += len(ks)
         assert tries == 1168
+
+    @pytest.mark.parametrize("k", [80, 600])
+    def test_exp_memo_shifted_down_covers_error(self, k, monkeypatch):
+        # e^|h| stored at 1300 + 8 bits and shifted down to scale 2^k, with
+        # no new mpf_exp, lies within _exp_fixed's bounds at k of mpmath's
+        # at k + 4000 bits, for both signs of h
+        hs = [10.0 ** (i / 4.0) for i in range(-12, 12)] + [900.0]
+        memo = {}
+        for h in hs:
+            ob._exp_fixed(h, 1300, memo)
+        assert all(bits == 1308 for _, _, bits in memo.values())
+        calls = []
+        exp = ob.mpf_exp
+        monkeypatch.setattr(ob, "mpf_exp",
+                            lambda *a: calls.append(a) or exp(*a))
+        with mpmath.workprec(k + 4000):
+            for h in hs + [-h for h in hs]:
+                pair = ob._exp_fixed(h, k, memo)
+                for (got, err), sign in zip(pair, (1, -1)):
+                    want = mpmath.ldexp(mpmath.exp(sign * mpmath.mpf(h)), k)
+                    assert abs(got - want) <= err, (h, k, sign)
+        assert not calls
+
+    def test_exp_memo_is_bounded(self):
+        # the least recently used entries go: 1000 distinct h leave the cap,
+        # and the last h asked is kept
+        memo = {}
+        for i in range(1000):
+            ob._exp_fixed(i / 7.0, 80, memo)
+            assert len(memo) <= ob._EXP_MEMO_CAP
+        assert len(memo) == ob._EXP_MEMO_CAP and 999 / 7.0 in memo
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_memo_leaves_lengths_alone(self, l1):
+        # the lengths of one f do not depend on the order of its points nor
+        # on what its memo holds: forward, reverse and a fresh f per point
+        # agree by repr
+        pts = ray_points(14, 20)
+        forward = ob._gamma_length_fn("aabAb", l1)
+        backward = ob._gamma_length_fn("aabAb", l1)
+        want = [repr(forward(ell, tau)) for ell, tau in pts]
+        got = [repr(backward(ell, tau)) for ell, tau in reversed(pts)]
+        assert got[::-1] == want
+        fresh = [repr(ob._gamma_length_fn("aabAb", l1)(ell, tau))
+                 for ell, tau in pts[::12]]
+        assert fresh == want[::12]
+
+    def test_length_functions_share_no_memo(self, monkeypatch):
+        # a second f pays for the exponentials the first one holds; the
+        # first one, asked again, pays nothing
+        calls = []
+        exp = ob.mpf_exp
+        monkeypatch.setattr(ob, "mpf_exp",
+                            lambda *a: calls.append(a) or exp(*a))
+        f, g = (ob._gamma_length_fn("aabAb", 0.7) for _ in range(2))
+        assert f(1.5, -12.25) == g(1.5, -12.25)
+        n = len(calls)
+        assert n > 0 and n % 2 == 0
+        assert calls[:n // 2] == calls[n // 2:]
+        assert f(1.5, -12.25) == g(1.5, -12.25) and len(calls) == n
 
     @pytest.mark.parametrize("gamma", WORDS + ["aabAbAbbaB"])
     def test_plan_bound_covers_rounding(self, gamma):

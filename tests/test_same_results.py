@@ -1,6 +1,7 @@
 """tools/same_results.py: its lines are deterministic."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,22 @@ _SPEC.loader.exec_module(same_results)
 @pytest.mark.parametrize("case", [["point", [3.2, 3.5, 4.1], "Tu"],
                                   ["orb1", [4, 4, 8], "T", "aabbAB", 10.0],
                                   ["brute", [3.2, 3.5, 4.1], "aabAb", 9.0],
-                                  ["plan", "aabAb"]])
+                                  ["plan", "aabAb"],
+                                  ["chart", "tau_measure", "aabAb", 0.5, 10.0],
+                                  ["chart", "ray_fit", "aabAb", 15]])
 def test_case_lines_repeat(case):
     assert case in list(same_results.cases())
     line = same_results.run_case(case)
     assert same_results.run_case(case) == line
     assert '"raised"' not in line
+
+
+def test_chart_counters_unwrap():
+    # the chart case counts through wrappers that it takes off again
+    orbit = same_results.orbit
+    chart, exp = orbit._chart_fixed, orbit.mpf_exp
+    line = same_results.run_case(["chart", "tau_measure", "aabAb", 0.5, 10.0])
+    assert (orbit._chart_fixed, orbit.mpf_exp) == (chart, exp)
+    counters = json.loads(line)["counters"]
+    assert set(counters) == {"chart_tries", "k_sum", "mpf_exp"}
+    assert 0 < counters["mpf_exp"] < 2 * counters["chart_tries"]

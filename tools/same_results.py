@@ -28,7 +28,13 @@ The table:
 - ``criterion12``: the detail of criterion 12's line;
 - ``plan``: the exact trace at (3, 4, 5) of each word of PLAN_WORDS, with
   the ``instructions`` and ``products`` of its trace plan under
-  ``counters``, so that plan size shows next to the work counters.
+  ``counters``, so that plan size shows next to the work counters;
+- ``chart``: the lengths on the (ell, tau) torus chart: ``_tau_measure``
+  of aabAb at each (ell, L) of TAU_POINTS, ``apl.ray_fit`` of each word of
+  RAY_WORDS on the rays of RAY_SEEDS, and the repr of
+  ``ball_length_region_volume`` of aabAb at L = 10, each with the chart's
+  ``chart_tries``, their ``k_sum`` and the ``mpf_exp`` calls under
+  ``counters``, counted by wrapping those names of ``orbit`` for the case.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from teichlab import cli, fricke, orbit  # noqa: E402
+from teichlab import apl, cli, fricke, orbit  # noqa: E402
 
 BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
          (3.3, 3.3, 3.3), (3.3, 3.3, 5.445), (3.3, 3.5, 5.775),
@@ -50,6 +58,9 @@ BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
 ORB_WORDS = (("aabAb", 12.0), ("abaB", 9.0), ("aabbAB", 10.0))
 BRUTE_WORDS = (("aabAb", 9.0), ("abaB", 9.0))
 PLAN_WORDS = ("aabAb", "abaB", "aabAB", "aabbAB", "aaBabb", "aab")
+TAU_POINTS = ((0.05, 10.0), (0.5, 10.0), (1.5, 20.0), (4.0, 30.0))
+RAY_WORDS = ("aab", "abaB", "aabAb")
+RAY_SEEDS = (14, 15)
 MC_SEEDS = (0, 1)
 MC_SAMPLES = 120
 # the generator maps on triples, in the base's own arithmetic
@@ -91,6 +102,11 @@ def cases():
     yield ["criterion12"]
     for gamma in PLAN_WORDS:
         yield ["plan", gamma]
+    for ell, L in TAU_POINTS:
+        yield ["chart", "tau_measure", "aabAb", ell, L]
+    for gamma, seed in itertools.product(RAY_WORDS, RAY_SEEDS):
+        yield ["chart", "ray_fit", gamma, seed]
+    yield ["chart", "volume", "aabAb", 10.0]
 
 
 def _attempt(f, *args):
@@ -138,6 +154,45 @@ def _plan(gamma, counters):
     return fricke.trace_word_fricke((3, 4, 5), gamma)
 
 
+@contextlib.contextmanager
+def _chart_counters(counters):
+    """Count the chart's tries, their precisions k and the mpf_exp calls
+    into counters while the block runs."""
+    chart, exp = orbit._chart_fixed, orbit.mpf_exp
+    counters.update(chart_tries=0, k_sum=0, mpf_exp=0)
+
+    def chart_spy(*args):
+        counters["chart_tries"] += 1
+        counters["k_sum"] += args[3]
+        return chart(*args)
+
+    def exp_spy(*args):
+        counters["mpf_exp"] += 1
+        return exp(*args)
+    orbit._chart_fixed, orbit.mpf_exp = chart_spy, exp_spy
+    try:
+        yield
+    finally:
+        orbit._chart_fixed, orbit.mpf_exp = chart, exp
+
+
+def _chart(counters, what, gamma, *args):
+    with _chart_counters(counters):
+        if what == "tau_measure":
+            ell, L = args
+            return orbit._tau_measure(orbit._gamma_length_fn(gamma, 0.0),
+                                      ell, L)
+        if what == "ray_fit":
+            # the first ray of tests/test_orbit.py's ray_points(seed, n)
+            rng = np.random.default_rng(args[0])
+            x0 = (rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
+            u = rng.uniform(-2.3, 2.3)
+            radii = [5.0 * 10 ** (2.0 * i / 7.0) for i in range(8)]
+            return json.loads(
+                apl.ray_fit(gamma, x0, (1.0, u), radii).to_json())
+        return repr(orbit.ball_length_region_volume(gamma, *args))
+
+
 def run_case(case) -> str:
     """The JSON line of one case of cases()."""
     kind = case[0]
@@ -165,6 +220,8 @@ def run_case(case) -> str:
         result = _attempt(_criterion12)
     elif kind == "plan":
         result = _attempt(_plan, case[1], counters)
+    elif kind == "chart":
+        result = _attempt(_chart, counters, *case[1:])
     else:
         raise ValueError("unknown case %r" % (case,))
     return json.dumps({"case": case, "result": result, "counters": counters},
