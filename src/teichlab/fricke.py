@@ -293,14 +293,17 @@ def length_trace(tr) -> float:
     """Geodesic length from trace: l = 2 arccosh(|tr|/2).
 
     Takes floats and ints of any size: from 10^15 on, arccosh(t/2) = log t
-    up to O(t^-2), and math.log takes ints beyond the float range.
+    up to O(t^-2), and math.log takes ints beyond the float range.  A nan
+    or infinite trace (an overflowed float evaluation) is a ValueError.
     """
     t = abs(tr)
     if t < 2:
         raise ValueError("|trace| = %g < 2: elliptic/parabolic, no geodesic length" % t)
     if t < 1e15:
         return 2.0 * math.acosh(t / 2.0)
-    return 2.0 * math.log(t)
+    if t < math.inf:  # exact for ints of any size; false for nan and inf
+        return 2.0 * math.log(t)
+    raise ValueError("trace %r is not finite: no geodesic length" % tr)
 
 
 def trace_of_length(ell: float) -> float:

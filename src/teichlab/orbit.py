@@ -142,7 +142,7 @@ def simple_slopes(X, L: float):
 
 def count_simple(X, L: float) -> int:
     """Number of simple closed geodesics of length <= L at X."""
-    return len(simple_slopes(X, L))
+    return len(_farey_walk(X, L)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -775,26 +775,24 @@ def _ball_area(t) -> float:
     misses area of order e^-40.  ArithmeticError unless consecutive slopes
     are Farey neighbours, the convexity premise of the sum.
     """
-    slopes = sorted(simple_slopes(t, length_trace(max(map(abs, t))) + 40.0),
-                    key=lambda st: (st[0][1] != 0,
-                                    Fraction(-st[0][0], st[0][1] or 1)))
-    # by angle in [0, pi): (1, 0) first, then p/q decreasing
-    for (s, _), (s2, _) in zip(slopes, slopes[1:] + slopes[:1]):
+    marks, k = _farey_walk(t, length_trace(max(map(abs, t))) + 40.0)
+    # by angle in [0, pi): (+-1, 0) first, then p/q decreasing; a pair the
+    # float key ties or misorders fails the neighbour check, never moves B
+    marks.sort(key=lambda m: (m[0][1] != 0, -m[0][0] / (m[0][1] or 1)))
+    for (s, _), (s2, _) in zip(marks, marks[1:] + marks[:1]):
         if abs(s[0] * s2[1] - s[1] * s2[0]) != 1:
             raise ArithmeticError(
                 "slopes %r and %r are not Farey neighbours" % (s, s2))
-    ells = [length_trace(tr) for _, tr in slopes]
+    ells = [length_trace(m[0] / (1 << k) if k else m[0]) for _, m in marks]
     return math.fsum(0.5 / (a * b) for a, b in zip(ells, ells[1:] + ells[:1]))
 
 
 def integral_multicurve_count(X, L: float) -> int:
     """#{integral multicurves k*slope with length <= L} = sum floor(L/l_s);
     grows like B(X) * L^2."""
-    total = 0
-    for (_, tr) in simple_slopes(X, L):
-        ls = length_trace(tr)
-        total += int(L / ls)
-    return total
+    marks, k = _farey_walk(X, L)
+    return sum(int(L / length_trace(m[0] / (1 << k) if k else m[0]))
+               for _, m in marks)
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +849,7 @@ SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 _EXP_MEMO_CAP = 64  # entries of a length function's memo: a line is ~35 points
 
 
-def _exp_fixed(h: float, k: int, memo: dict | None = None
-               ) -> tuple[tuple[int, int], ...]:
+def _exp_fixed(h: float, k: int, memo: dict) -> tuple[tuple[int, int], ...]:
     """(e^h, e^-h) as ints scaled by 2^k, each with a bound on its error in
     units of 2^-k: ((e^h, err), (e^-h, err)).
 
@@ -874,14 +871,13 @@ def _exp_fixed(h: float, k: int, memo: dict | None = None
     big >= 2^k.  Past _EXP_MEMO_CAP the least recently used entry goes.
     """
     a = abs(h)
-    got = None if memo is None else memo.pop(a, None)
+    got = memo.pop(a, None)
     if got is None or got[2] < k + 8:
         _, man, exp, _ = mpf_exp(from_float(a), k + 8, round_nearest)
         got = (man, exp, k + 8)
-    if memo is not None:
-        memo[a] = got  # last in the dict's order: the most recently used
-        if len(memo) > _EXP_MEMO_CAP:
-            del memo[next(iter(memo))]
+    memo[a] = got  # last in the dict's order: the most recently used
+    if len(memo) > _EXP_MEMO_CAP:
+        del memo[next(iter(memo))]
     man, exp, _ = got
     s = exp + k
     big = man << s if s >= 0 else man >> -s
@@ -889,8 +885,7 @@ def _exp_fixed(h: float, k: int, memo: dict | None = None
     return pair if h >= 0 else pair[::-1]
 
 
-def _chart_fixed(l1: float, ell: float, tau: float, k: int,
-                 memo: dict | None = None):
+def _chart_fixed(l1: float, ell: float, tau: float, k: int, memo: dict):
     """Trace coordinates (x, y, z) of the torus chart at (ell, tau), as ints
     scaled by 2^k, and bounds (ex, ey, ez) on their errors in units of
     2^-k: with v = e^(ell/2) and u = e^(tau/2),
@@ -909,7 +904,7 @@ def _chart_fixed(l1: float, ell: float, tau: float, k: int,
     division for m, the products for y and z, and the final shift by g.
     The exponentials are exact to 2^-(k+7) relative, not to 2^-k absolute:
     y and z already carry m's few units of rounding times u + 1/u, about
-    e^(|tau|/2) units.  The caller picks k and may pass the memo of
+    e^(|tau|/2) units.  The caller picks k and passes the memo of
     exponentials its length function keeps (_gamma_length_fn, _exp_fixed).
     """
     g = 2 * max(0, -math.frexp(ell)[1])

@@ -257,6 +257,12 @@ class TestLength:
         with pytest.raises(ValueError):
             length_trace(1.5)
 
+    @pytest.mark.parametrize("tr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, tr):
+        # an overflowed float trace has no length; nan once came out as nan
+        with pytest.raises(ValueError, match="not finite"):
+            length_trace(tr)
+
 
 class TestFarey:
     def test_basis_traces(self):
@@ -313,11 +319,18 @@ class TestFarey:
         assert v == trace_word_fricke((3, 3, 3), farey.slope_word(*slope))
 
     def test_float_overflow_raises(self):
-        # the trace of (1501, 1500) at ell = 3 is about e^2250, past floats
-        from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
-        t = fricke_triple(SurfacePoint(S11, (0.0,), 3.0, 0.0))
+        # the trace of (1501, 1500) at ell = 3 is about e^2250, past floats;
+        # its float plan overflows to nan, so the curve given by word raises
+        # as the curve given by slope does
+        from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
+                                         fricke_triple, torus_curve)
+        X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
+        t = fricke_triple(X)
         with pytest.raises(ValueError):
             farey.slope_trace(t, (1501, 1500))
+        for spec in [(1501, 1500), farey.slope_word(1501, 1500)]:
+            with pytest.raises(ValueError):
+                curve_length(X, torus_curve(spec))
 
     def test_shared_memo(self):
         # a memo shared across calls gives the traces a fresh one gives

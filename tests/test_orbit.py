@@ -619,7 +619,7 @@ class TestChart:
         # float ell + tau breaks it from the 16th digit of z on)
         for ell, tau in CHART_POINTS:
             k = ob._bits(80 + int(1.25 * (ell + abs(tau))))
-            t, _ = ob._chart_fixed(l1, ell, tau, k)
+            t, _ = ob._chart_fixed(l1, ell, tau, k, {})
             with mpmath.workprec(k + 64):
                 want = int(mpmath.ldexp(
                     -2 * mpmath.cosh(mpmath.mpf(l1) / 2), k))
@@ -632,7 +632,7 @@ def length_at_cap(gamma, l1, ell, tau):
     60 + 0.25 deg (|ell| + |tau|) + 20, the one precision the length path
     used before it chose k per trace.  It holds away from the thin part."""
     k = ob._bits(60 + int(0.25 * len(gamma) * (abs(ell) + abs(tau))) + 20)
-    return node_length(ob._chart_fixed(l1, ell, tau, k)[0], gamma, k)
+    return node_length(ob._chart_fixed(l1, ell, tau, k, {})[0], gamma, k)
 
 
 def ray_points(seed, rays):
@@ -665,7 +665,7 @@ class TestChartPrecision:
         hs += [-h for h in hs]
         with mpmath.workprec(k + 4000):
             for h in hs:
-                pair = ob._exp_fixed(h, k)
+                pair = ob._exp_fixed(h, k, {})
                 for (got, err), sign in zip(pair, (1, -1)):
                     want = mpmath.ldexp(mpmath.exp(sign * mpmath.mpf(h)), k)
                     assert abs(got - want) <= err, (h, k, sign)
@@ -685,11 +685,11 @@ class TestChartPrecision:
         K = max(ks) + 4000
         slack = []
         for ell, tau in pts:
-            ref, ref_err = ob._chart_fixed(l1, ell, tau, K)
+            ref, ref_err = ob._chart_fixed(l1, ell, tau, K, {})
             ref_tr = [_plan_eval_bounded(p, *ref, ref_err, K) for p in plans]
             for k in ks:
                 s = K - k
-                t, errs = ob._chart_fixed(l1, ell, tau, k)
+                t, errs = ob._chart_fixed(l1, ell, tau, k, {})
                 for v, e, w, ew in zip(t, errs, ref, ref_err):
                     assert abs((v << s) - w) <= (e << s) + ew, (ell, tau, k)
                 for p, (w, ew) in zip(plans, ref_tr):
@@ -1130,6 +1130,33 @@ def direction_length_rate(t, ux, uy, steps=10 ** 6):
     return ell / math.hypot(*M)
 
 
+# a thin point, l_sys = 10^-2 and tau = 0.3 l_sys: about 15 000 slopes lie
+# below l_top + 40
+THIN_DRAW = ob._triple(fricke_triple(SurfacePoint(S11, (0.0,), 1e-2,
+                                                 0.3 * 1e-2)))
+
+
+def exact_angle_key(s):
+    p, q = farey.normalize_slope(*s)
+    return (q != 0, Fraction(-p, q or 1))
+
+
+def ball_walk(X, monkeypatch):
+    """thurston_ball_B(X) and the marks of the one Farey walk it takes, in
+    the order that _ball_area left them."""
+    walks = []
+    walk = ob._farey_walk
+
+    def spy(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+    monkeypatch.setattr(ob, "_farey_walk", spy)
+    b = ob.thurston_ball_B(X)
+    monkeypatch.setattr(ob, "_farey_walk", walk)
+    (marks, _), = walks
+    return b, marks
+
+
 class TestThurstonBall:
     @pytest.mark.parametrize("X", [(3, 4, 5), (6, 15, 3)])
     def test_invariant_under_generators(self, X):
@@ -1207,6 +1234,31 @@ class TestThurstonBall:
         b1 = ob.thurston_ball_B(MODULAR)
         b2 = ob.thurston_ball_B((4.0, 4.0, 4.0))
         assert b1 > b2 > 0  # longer systole means smaller unit ball
+
+    @pytest.mark.parametrize("X", [MODULAR, GENERIC, THIN_DRAW])
+    def test_angle_order_is_exact(self, X, monkeypatch):
+        # the float angle key sorts the walk's marks (in place) as the exact
+        # key (+-1, 0) first, then p/q decreasing, does
+        _, marks = ball_walk(X, monkeypatch)
+        got = [s for s, _ in marks]
+        assert len(got) > 10
+        assert got == sorted(got, key=exact_angle_key)
+
+    def test_thin_part_matches_mpmath(self, monkeypatch):
+        # B's dominant terms hold the short slope, whose float trace keeps
+        # its digits because the systole is the canonical triple's first
+        # coordinate; the same polygon at 60 digits, its traces from
+        # farey.slope_trace on the mpf triple
+        b, marks = ball_walk(THIN_DRAW, monkeypatch)
+        slopes = sorted((s for s, _ in marks), key=exact_angle_key)
+        with mpmath.workdps(60):
+            t = [mpmath.mpf(v) for v in ob._canonical_triple(THIN_DRAW)]
+            memo = {}
+            ells = [2 * mpmath.acosh(farey.slope_trace(t, s, memo) / 2)
+                    for s in slopes]
+            want = mpmath.fsum(0.5 / (u * v)
+                               for u, v in zip(ells, ells[1:] + ells[:1]))
+            assert abs(b - want) <= 1e-14 * want
 
     def test_integral_multicurves_track_B(self):
         X = GENERIC

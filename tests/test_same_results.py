@@ -17,7 +17,8 @@ _SPEC.loader.exec_module(same_results)
                                   ["brute", [3.2, 3.5, 4.1], "aabAb", 9.0],
                                   ["plan", "aabAb"],
                                   ["chart", "tau_measure", "aabAb", 0.5, 10.0],
-                                  ["chart", "ray_fit", "aabAb", 15]])
+                                  ["chart", "ray_fit", "aabAb", 15],
+                                  ["ball", "mc", 0, 0]])
 def test_case_lines_repeat(case):
     assert case in list(same_results.cases())
     line = same_results.run_case(case)

@@ -34,7 +34,12 @@ The table:
   RAY_WORDS on the rays of RAY_SEEDS, and the repr of
   ``ball_length_region_volume`` of aabAb at L = 10, each with the chart's
   ``chart_tries``, their ``k_sum`` and the ``mpf_exp`` calls under
-  ``counters``, counted by wrapping those names of ``orbit`` for the case.
+  ``counters``, counted by wrapping those names of ``orbit`` for the case;
+- ``ball``: the repr of ``thurston_ball_B`` and ``count_simple`` (L = 20)
+  at the torus chart's points (ell, tau) of BALL_POINTS, thin points where
+  the walk is long, and at MC samples 0-2 of seed 0 (as
+  ``_mc_sample_value`` draws them), with the number of ``marks`` of the
+  Farey walk of ``thurston_ball_B`` under ``counters``.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from teichlab import apl, cli, fricke, orbit  # noqa: E402
+from teichlab.fn_surface import S11, SurfacePoint, fricke_triple  # noqa: E402
 
 BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
          (3.3, 3.3, 3.3), (3.3, 3.3, 5.445), (3.3, 3.5, 5.775),
@@ -63,6 +69,8 @@ RAY_WORDS = ("aab", "abaB", "aabAb")
 RAY_SEEDS = (14, 15)
 MC_SEEDS = (0, 1)
 MC_SAMPLES = 120
+BALL_POINTS = ((1e-2, 0.3 * 1e-2), (1e-3, 0.3 * 1e-3))
+BALL_MC_SAMPLES = 3
 # the generator maps on triples, in the base's own arithmetic
 MOVES = {"T": lambda x, y, z: (x, z, x * z - y),
          "t": lambda x, y, z: (x, x * y - z, y),
@@ -107,6 +115,10 @@ def cases():
     for gamma, seed in itertools.product(RAY_WORDS, RAY_SEEDS):
         yield ["chart", "ray_fit", gamma, seed]
     yield ["chart", "volume", "aabAb", 10.0]
+    for ell, tau in BALL_POINTS:
+        yield ["ball", "chart", ell, tau]
+    for i in range(BALL_MC_SAMPLES):
+        yield ["ball", "mc", 0, i]
 
 
 def _attempt(f, *args):
@@ -193,6 +205,35 @@ def _chart(counters, what, gamma, *args):
         return repr(orbit.ball_length_region_volume(gamma, *args))
 
 
+@contextlib.contextmanager
+def _walk_counter(counters):
+    """Record the number of marks of each Farey walk into counters while
+    the block runs (the last walk's count stays)."""
+    walk = orbit._farey_walk
+
+    def walk_spy(*args):
+        marks, k = walk(*args)
+        counters["marks"] = len(marks)
+        return marks, k
+    orbit._farey_walk = walk_spy
+    try:
+        yield
+    finally:
+        orbit._farey_walk = walk
+
+
+def _ball_point(where, *args):
+    """The triple of a ball case: the chart point (ell, tau), or that of
+    MC sample i of seed, as _mc_sample_value draws it."""
+    if where == "mc":
+        rng = np.random.Generator(np.random.Philox(key=list(args)))
+        u1, u2, u3 = rng.random(3)
+        ell = orbit.SYSTOLE_TOP * max(u1, u2)
+        args = (ell, u3 * ell)
+    t = fricke_triple(SurfacePoint(S11, (0.0,), *args))
+    return (t.x, t.y, t.z)
+
+
 def run_case(case) -> str:
     """The JSON line of one case of cases()."""
     kind = case[0]
@@ -222,6 +263,12 @@ def run_case(case) -> str:
         result = _attempt(_plan, case[1], counters)
     elif kind == "chart":
         result = _attempt(_chart, counters, *case[1:])
+    elif kind == "ball":
+        X = _ball_point(*case[1:])
+        with _walk_counter(counters):
+            ball = _attempt(lambda: repr(orbit.thurston_ball_B(X)))
+        result = {"thurston_ball_B": ball,
+                  "count_simple": _attempt(orbit.count_simple, X, 20.0)}
     else:
         raise ValueError("unknown case %r" % (case,))
     return json.dumps({"case": case, "result": result, "counters": counters},
