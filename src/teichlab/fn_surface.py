@@ -115,10 +115,6 @@ def torus_curve(spec) -> CurveOnSurface:
     return CurveOnSurface(S11, slope=tuple(spec))
 
 
-def sphere_curve(label: str) -> CurveOnSurface:
-    return CurveOnSurface(S04, label=label)
-
-
 # ---------------------------------------------------------------------------
 # one-holed torus
 
@@ -168,20 +164,6 @@ def surface_from_triple(t: FrickeTriple, l1: float) -> SurfacePoint:
     return SurfacePoint(S11, (l1,), ell, tau)
 
 
-def transversal_relation_residual(X: SurfacePoint) -> float:
-    """Residual of cosh(l_beta/2) = cosh(tau/2) coth(l/2) on a cusped torus.
-
-    Diagnostic for the twist-origin calibration; identically ~0 in this
-    chart (the relation is the y-trace at m = coth(l/2)).
-    """
-    if X.kind != S11 or X.boundaries[0] != 0.0:
-        raise ValueError("relation applies to the cusped torus")
-    lb = curve_length(X, torus_curve((0, 1)))
-    lhs = math.cosh(lb / 2.0)
-    rhs = math.cosh(X.tau / 2.0) / math.tanh(X.ell / 2.0)
-    return abs(lhs - rhs) / rhs
-
-
 # ---------------------------------------------------------------------------
 # four-holed sphere trigonometric route
 
@@ -224,9 +206,8 @@ def curve_length(X: SurfacePoint, c: CurveOnSurface) -> float:
         if c.slope == (1, 0):
             return X.ell
         t = fricke_triple(X)
-        if c.slope is not None:
-            return length_trace(farey.slope_trace(t, c.slope))
-        return length_trace(trace_word_fricke(t, c.word))
+        word = c.word if c.slope is None else farey.slope_word(*c.slope)
+        return length_trace(trace_word_fricke(t, word))
     if c.label == "interior":
         return X.ell
     if c.label in ("b1", "b2", "b3", "b4"):

@@ -306,13 +306,6 @@ def length_trace(tr) -> float:
     raise ValueError("trace %r is not finite: no geodesic length" % tr)
 
 
-def trace_of_length(ell: float) -> float:
-    """Inverse of length_trace on trace >= 2: returns 2 cosh(l/2)."""
-    if ell < 0:
-        raise ValueError("length must be >= 0")
-    return 2.0 * math.cosh(ell / 2.0)
-
-
 def rep_from_fricke(t: FrickeTriple) -> tuple[tuple, tuple]:
     """A realizing pair (A, B), rows as in trace_word_numeric, in the fixed
     normal form: A diagonal, B with a unit corner entry (B_21 = 1).

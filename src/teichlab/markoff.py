@@ -2,10 +2,9 @@
 
 Positive integer solutions of p^2 + q^2 + r^2 = 3pqr form a tree rooted at
 (1,1,1) under the three involutive moves a -> 3bc - a.  This module provides
-the moves, descent membership testing, one pruned depth-first walk of the
-tree under a norm bound (counts and triple lists both read it), an
-independent quadratic-scan oracle, and least-squares growth fitting against
-C (ln x)^2 + D ln x lnln x.
+one pruned depth-first walk of the tree under a norm bound (counts and
+triple lists both read it), an independent quadratic-scan oracle, and
+least-squares growth fitting against C (ln x)^2 + D ln x lnln x.
 
 All triple arithmetic is exact (Python big integers).
 """
@@ -13,79 +12,14 @@ All triple arithmetic is exact (Python big integers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MarkoffTriple:
-    p: int
-    q: int
-    r: int
-
-    def __post_init__(self):
-        p, q, r = self.p, self.q, self.r
-        if not (isinstance(p, int) and isinstance(q, int) and isinstance(r, int)):
-            raise TypeError("coordinates must be integers")
-        if p <= 0 or q <= 0 or r <= 0:
-            raise ValueError("coordinates must be positive")
-        if p * p + q * q + r * r != 3 * p * q * r:
-            raise ValueError("(%d,%d,%d) does not satisfy the Markoff equation" % (p, q, r))
-
-    def sorted(self) -> tuple[int, int, int]:
-        return tuple(sorted((self.p, self.q, self.r)))
-
-    def norm(self, kind: str = "max") -> int:
-        if kind == "max":
-            return max(self.p, self.q, self.r)
-        if kind == "sum":
-            return self.p + self.q + self.r
-        raise ValueError("norm must be 'max' or 'sum'")
-
-    def astuple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
 
 
 def _flip(s: tuple[int, int, int], i: int) -> tuple[int, int, int]:
     """The Vieta move: coordinate i of s becomes 3 * (product of the
     others) - itself.  Involutive."""
     return s[:i] + (3 * s[i - 1] * s[i - 2] - s[i],) + s[i + 1:]
-
-
-def apply_move(t: MarkoffTriple, i: int) -> MarkoffTriple:
-    """The move _flip on coordinate i of t (0, 1 or 2)."""
-    if i not in (0, 1, 2):
-        raise ValueError("move index must be 0, 1 or 2")
-    return MarkoffTriple(*_flip(t.astuple(), i))
-
-
-def is_markoff(p: int, q: int, r: int) -> bool:
-    """True iff (p,q,r) solves the equation and descends to (1,1,1).
-
-    Both checks are performed and must agree; a disagreement would mean the
-    equation has a positive solution outside the tree, which is impossible,
-    so it raises ArithmeticError.
-    """
-    if p <= 0 or q <= 0 or r <= 0:
-        return False
-    eq = (p * p + q * q + r * r == 3 * p * q * r)
-    desc = eq and _descends(p, q, r)
-    if eq != desc:
-        raise ArithmeticError(
-            "equation/descent disagreement at (%d,%d,%d)" % (p, q, r))
-    return desc
-
-
-def _descends(p: int, q: int, r: int) -> bool:
-    """Descend by always reducing the max coordinate; stop at (1,1,1)."""
-    s = tuple(sorted((p, q, r)))
-    while s != (1, 1, 1):
-        down = _flip(s, 2)
-        if not 0 < down[2] < s[2]:
-            return False
-        s = tuple(sorted(down))
-    return True
 
 
 # ---------------------------------------------------------------------------

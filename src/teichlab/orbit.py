@@ -73,8 +73,11 @@ def _farey_walk(X, L: float, bits: int = 64):
     t_u t_v - t_(u-v).  Traces grow outward at a torus point, and a child
     below its opposite vertex raises ArithmeticError.  X must be a torus
     point (ValueError otherwise): elsewhere the traces need not grow
-    outward and the walk would not end.
+    outward and the walk would not end.  L must be >= 0 (ValueError for a
+    negative or nan L: cosh is even, and nan has no trace bound).
     """
+    if not L >= 0:
+        raise ValueError("L=%r: the length bound must be >= 0" % L)
     t = _triple(X)
     _torus_kappa(t)
     root, k = _fixed_root([abs(v) for v in t], bits)
@@ -170,10 +173,6 @@ def _images(t, k: int):
     xy = x * y >> k
     return ((x, z, (x * z >> k) - y), (x, xy - z, y),
             (z, y, (y * z >> k) - x), (xy - z, y, x))
-
-
-def apply_auto(w: str, g: str) -> str:
-    return reduce_word(w.translate(_AUTOS[g]))
 
 
 def _word_images(w: str, gens=GENS) -> list[str]:
@@ -624,8 +623,9 @@ def _word_orbit_lengths(X, gamma: str, L: float):
 
 def count_orbit_word_bruteforce(X, gamma: str, L: float) -> int:
     """Direct curve count: the oracle of count_orbit_word, with its checks
-    (ValueError for a peripheral gamma or unless X is a torus point)."""
-    gamma = _countable(gamma)
+    (ValueError for a peripheral gamma, for an L that is not finite and
+    > 0, or unless X is a torus point)."""
+    gamma = _countable(gamma, L)
     _torus_kappa(_triple(X))
     return len(_word_orbit_lengths(X, gamma, L)[0])
 
@@ -676,8 +676,10 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     infinite).  |Aut(X)| is reported, not used.  prune_c is ignored, only
     echoed as prune_constant (count_orbit_word_bruteforce prunes).  The
     constant of the counting theorem is a1 / (L^2 thurston_ball_B(X)).
+    ValueError for a peripheral gamma, for an L that is not finite and > 0,
+    or unless X is a torus point.
     """
-    gamma = _countable(gamma)
+    gamma = _countable(gamma, L)
     t = _triple(X)
     kappa = _torus_kappa(t)
     if grid is None:
@@ -712,8 +714,11 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         prune_violations=0, metadata={"kappa": kappa, **meta})
 
 
-def _countable(gamma: str) -> str:
-    """gamma cyclically reduced; ValueError if it is empty or peripheral."""
+def _countable(gamma: str, L: float) -> str:
+    """gamma cyclically reduced; ValueError if it is empty or peripheral,
+    or unless the length bound L is finite and > 0."""
+    if not 0 < L < math.inf:
+        raise ValueError("L=%r: the length bound must be finite and > 0" % L)
     gamma = cyclic_reduce(gamma)
     if is_peripheral_word(gamma) or not gamma:
         raise ValueError("gamma is peripheral; its orbit is not counted")
@@ -1191,6 +1196,24 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     return area * iota / curve_symmetry_order(gamma)
 
 
+def _systole_cap(l1: float) -> float:
+    """The top of the MC's draw of ell at boundary length l1: the maximal
+    systole of such a torus, or SYSTOLE_TOP if that is larger.
+
+    Take the reduced triple x <= y <= z <= xy/2, x the systole's trace,
+    with xyz = x^2 + y^2 + z^2 + c and c = 2 cosh(l1/2) - 2 >= 0.
+    z(xy - z) grows in z on [y, xy/2], so
+    x^2 + y^2 + c = z(xy - z) >= y^2 (x - 1).  Hence
+    x^2 + c >= y^2 (x - 2) >= x^2 (x - 2), that is x^3 - 3x^2 <= c, and
+    the systole is at most 2 arccosh(x*/2), x* >= 3 the root of
+    x^3 - 3x^2 = c.  With x = 1 + 2 cosh(theta) the cubic reads
+    2 cosh(3 theta) = 2 cosh(l1/2), so x* = 1 + 2 cosh(l1/6), the trace of
+    the equilateral triple x = y = z, which attains the bound.  At l1 = 0
+    the bound is 2 arccosh(3/2) = 1.9248 and the cap is SYSTOLE_TOP.
+    """
+    return max(SYSTOLE_TOP, length_trace(1.0 + 2.0 * math.cosh(l1 / 6.0)))
+
+
 def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
                             seed: int = 0, l1: float = 0.0, workers: int = 1):
     """(vol, avg, stderr): the FN-area of a Sym(gamma)-fundamental region of
@@ -1200,11 +1223,11 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
 
     Moduli fundamental domain: coordinate curve is the shortest simple
     curve, twist in [0, l); samples are drawn with density proportional to
-    l on the wedge below the maximal systole, each from its own
-    counter-based RNG stream keyed by (seed, sample index) so the result is
-    independent of worker scheduling.  A sample counts the curves of the
-    orbit of gamma at X as count_orbit_word does: twist families at the
-    orbit representative, times iota over |Sym|.
+    l on the wedge below the maximal systole (_systole_cap), each from its
+    own counter-based RNG stream keyed by (seed, sample index) so the
+    result is independent of worker scheduling.  A sample counts the
+    curves of the orbit of gamma at X as count_orbit_word does: twist
+    families at the orbit representative, times iota over |Sym|.
     """
     if mc_samples < 1000:
         raise ValueError("mc_samples must be >= 1000")
@@ -1215,7 +1238,7 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     vals = np.array(parallel_map(
         _mc_sample_value, [(i, seed, gamma, L, l1, sym)
                            for i in range(mc_samples)], workers), dtype=float)
-    region_area = SYSTOLE_TOP ** 2 / 2.0
+    region_area = _systole_cap(l1) ** 2 / 2.0
     avg = region_area * float(np.mean(vals))
     stderr = region_area * float(np.std(vals, ddof=1)) / math.sqrt(mc_samples)
     return vol, avg, stderr
@@ -1225,7 +1248,7 @@ def _mc_sample_value(args):
     i, seed, gamma, L, l1, sym = args
     rng = np.random.Generator(np.random.Philox(key=[seed, i]))
     u1, u2, u3 = rng.random(3)
-    ell = SYSTOLE_TOP * max(u1, u2)  # density ~ ell on (0, top]
+    ell = _systole_cap(l1) * max(u1, u2)  # density ~ ell on (0, top]
     tau = u3 * ell
     X = SurfacePoint(S11, (l1,), ell, tau)
     t = fricke_triple(X)

@@ -1,10 +1,13 @@
 """Shared test fixtures."""
 
 import contextlib
+import math
 import random
 import signal
 
 import pytest
+
+from teichlab.farey import normalize_slope
 
 
 def _alarm(signum, frame):
@@ -50,3 +53,70 @@ def reduced_word():
     """reduced_word(seed, n): a seeded cyclically reduced word of n
     letters, the generic long word of the trace compiler."""
     return _reduced_word
+
+
+def _farey_parents(p: int, q: int):
+    """Farey parents of p/q (q >= 2): (u,v), (p-u, q-v) with pv - qu = 1."""
+    v = pow(p, -1, q)
+    u = (p * v - 1) // q
+    return (u, v), (p - u, q - v)
+
+
+def _farey_relation(p: int, q: int):
+    """The slopes s1, s2 and s1 - s2 of the vertex relation
+    t(p, q) = t(s1) t(s2) - t(s1 - s2), s1 + s2 = (p, q), each normalized,
+    for a slope off the basis (1, 0), (0, 1), (1, 1), (-1, 1)."""
+    if q >= 2:
+        s1, s2 = _farey_parents(p, q)
+    else:
+        s1 = (1, 0) if p > 1 else (-1, 0)
+        s2 = (p - s1[0], 1)
+    return (normalize_slope(*s1), normalize_slope(*s2),
+            normalize_slope(s1[0] - s2[0], s1[1] - s2[1]))
+
+
+def _slope_trace(t, slope, memo=None):
+    """Trace of the simple closed curve of slope (p, q) at the triple t, by
+    the Farey vertex relation from the basis traces, in the arithmetic of
+    t (exact ints at an integral triple, mpf at an mpf one).  The path is
+    walked with an explicit stack; memo, keyed by normalized slope, may be
+    shared between calls at one triple.  A float trace that overflows is
+    a ValueError."""
+    x, y, z = t
+    if memo is None:
+        memo = {}
+    basis = {(1, 0): x, (0, 1): y, (1, 1): z, (-1, 1): x * y - z}
+    top = normalize_slope(*slope)
+    stack = [top]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+        elif s in basis:
+            memo[s] = basis[s]
+        else:
+            parts = _farey_relation(*s)
+            todo = [c for c in parts if c not in memo]
+            if todo:
+                stack += todo
+            else:
+                a, b, c = (memo[r] for r in parts)
+                memo[s] = a * b - c
+    v = memo[top]
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError("the trace of slope %r overflows a float" % (slope,))
+    return v
+
+
+@pytest.fixture(scope="session")
+def slope_trace():
+    """slope_trace(t, slope, memo=None): a slope's trace by the Farey
+    vertex relation, the independent oracle of the Farey walk and of the
+    trace plan of slope words."""
+    return _slope_trace
+
+
+@pytest.fixture(scope="session")
+def farey_parents():
+    """farey_parents(p, q): the Farey parents of p/q, q >= 2."""
+    return _farey_parents

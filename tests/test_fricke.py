@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from teichlab import farey, fricke
 from teichlab.fricke import (FrickeTriple, WordError, canonical_cyclic,
                              cyclic_reduce, invert_word, length_trace,
-                             reduce_word, rep_from_fricke, trace_of_length,
-                             trace_word_fixed, trace_word_fricke,
-                             trace_word_numeric)
+                             reduce_word, rep_from_fricke, trace_word_fixed,
+                             trace_word_fricke, trace_word_numeric)
 
 
 words = st.text(alphabet="abAB", min_size=1, max_size=12)
@@ -246,7 +245,8 @@ class TestLength:
     @given(st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, ell):
-        assert length_trace(trace_of_length(ell)) == pytest.approx(ell, rel=1e-11)
+        assert length_trace(2.0 * math.cosh(ell / 2.0)) == \
+            pytest.approx(ell, rel=1e-11)
 
     def test_huge_int_trace(self):
         # ints beyond float range: 2 arccosh(t/2) = 2 log t to double precision
@@ -265,28 +265,28 @@ class TestLength:
 
 
 class TestFarey:
-    def test_basis_traces(self):
+    def test_basis_traces(self, slope_trace):
         t = (3.0, 4.0, 5.0)
-        assert farey.slope_trace(t, (1, 0)) == 3.0
-        assert farey.slope_trace(t, (0, 1)) == 4.0
-        assert farey.slope_trace(t, (1, 1)) == 5.0
-        assert farey.slope_trace(t, (-1, 1)) == 3.0 * 4.0 - 5.0
+        assert slope_trace(t, (1, 0)) == 3.0
+        assert slope_trace(t, (0, 1)) == 4.0
+        assert slope_trace(t, (1, 1)) == 5.0
+        assert slope_trace(t, (-1, 1)) == 3.0 * 4.0 - 5.0
 
-    def test_parents(self):
+    def test_parents(self, farey_parents):
         for (p, q) in [(2, 5), (3, 7), (5, 8), (1, 9)]:
-            (u1, v1), (u2, v2) = farey._parents(p, q)
+            (u1, v1), (u2, v2) = farey_parents(p, q)
             assert (u1 + u2, v1 + v2) == (p, q)
             assert p * v1 - q * u1 == 1
 
     @given(st.integers(min_value=-9, max_value=9), st.integers(min_value=0, max_value=9))
     @settings(max_examples=120, deadline=None)
-    def test_word_trace_agrees(self, p, q):
+    def test_word_trace_agrees(self, slope_trace, p, q):
         if math.gcd(p, q) != 1 or (p == 0 and q == 0):
             return
         t = (3.0, 3.5, 4.1)
         w = farey.slope_word(p, q)
         assert trace_word_fricke(t, w) == pytest.approx(
-            farey.slope_trace(t, (p, q)), rel=1e-9)
+            slope_trace(t, (p, q)), rel=1e-9)
 
     def test_word_abelianization(self):
         for (p, q) in [(1, 0), (0, 1), (2, 1), (3, 5), (-2, 7)]:
@@ -295,14 +295,14 @@ class TestFarey:
             nb = w.count("b") - w.count("B")
             assert farey.normalize_slope(na, nb) == farey.normalize_slope(p, q)
 
-    def test_integral_traces_exact(self):
+    def test_integral_traces_exact(self, slope_trace):
         # at an integer triple the recursion stays in ZZ
-        v = farey.slope_trace((3, 3, 3), (8, 13))
+        v = slope_trace((3, 3, 3), (8, 13))
         assert isinstance(v, int)
 
     def test_deep_slope_length(self):
-        # 1500 Farey steps from the basis, walked without recursion: the
-        # length equals the one of the slope's word through its trace plan
+        # 1500 Farey steps from the basis: the curve given by slope takes
+        # the trace plan of its 1501-letter word
         from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
                                          fricke_triple, torus_curve)
         X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
@@ -313,30 +313,30 @@ class TestFarey:
 
     @pytest.mark.parametrize("slope", [(1501, 1500), (-1, 2000), (2000, 1),
                                        (-2000, 1), (987, 1597)])
-    def test_deep_integral_traces_exact(self, slope):
-        v = farey.slope_trace((3, 3, 3), slope)
+    def test_deep_integral_traces_exact(self, slope_trace, slope):
+        v = slope_trace((3, 3, 3), slope)
         assert isinstance(v, int)
         assert v == trace_word_fricke((3, 3, 3), farey.slope_word(*slope))
 
-    def test_float_overflow_raises(self):
+    def test_float_overflow_raises(self, slope_trace):
         # the trace of (1501, 1500) at ell = 3 is about e^2250, past floats;
-        # its float plan overflows to nan, so the curve given by word raises
-        # as the curve given by slope does
+        # its float plan overflows to nan, so the curve raises given by
+        # slope or by word, as the vertex relation's float trace does
         from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
                                          fricke_triple, torus_curve)
         X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
         t = fricke_triple(X)
         with pytest.raises(ValueError):
-            farey.slope_trace(t, (1501, 1500))
+            slope_trace(t.astuple(), (1501, 1500))
         for spec in [(1501, 1500), farey.slope_word(1501, 1500)]:
             with pytest.raises(ValueError):
                 curve_length(X, torus_curve(spec))
 
-    def test_shared_memo(self):
+    def test_shared_memo(self, slope_trace):
         # a memo shared across calls gives the traces a fresh one gives
         t, memo = (3.2, 3.5, 4.1), {}
         for s in [(5, 8), (8, 13), (-3, 7), (13, 21), (1, 0), (-4, 1)]:
-            assert farey.slope_trace(t, s, memo) == farey.slope_trace(t, s)
+            assert slope_trace(t, s, memo) == slope_trace(t, s)
 
     def test_slopes_up_to_depth(self):
         s = farey.slopes_up_to_depth(2)

@@ -14,7 +14,7 @@ from teichlab import farey
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
 from teichlab.fricke import (_plan_eval_bounded, _trace_plan,
-                             canonical_cyclic, reduce_word,
+                             canonical_cyclic, length_trace, reduce_word,
                              trace_word_fixed, trace_word_fricke)
 
 
@@ -66,20 +66,20 @@ class TestSimpleCounting:
         c2 = ob.count_simple(GENERIC, 50.0)
         assert 3.5 <= c2 / c1 <= 4.5
 
-    def test_brute_force_small(self):
-        assert_matches_box(GENERIC, 8.0, 60, 60)
+    def test_brute_force_small(self, slope_trace):
+        assert_matches_box(slope_trace, GENERIC, 8.0, 60, 60)
 
-    def test_brute_force_far_moved(self):
+    def test_brute_force_far_moved(self, slope_trace):
         # (567, 52, 29473): the descent to the minimal triangle is 4 flips
-        assert_matches_box(moved((3, 4, 5), "TUTU"), 12.0, 40, 40)
+        assert_matches_box(slope_trace, moved((3, 4, 5), "TUTU"), 12.0, 40, 40)
 
-    def test_brute_force_thin_part(self):
+    def test_brute_force_thin_part(self, slope_trace):
         # MC draw 4 of seed 917568896: the coordinate curve has l ~ 0.0097,
         # and 1098 slopes up to |p| = 549 lie within L = 16 of it
         ell, tau = mc_draw(917568896, 4)
         assert ell == pytest.approx(0.0097289, rel=1e-4)
         t = fricke_triple(SurfacePoint(S11, (0.0,), ell, tau))
-        got = assert_matches_box((t.x, t.y, t.z), 16.0, 700, 2)
+        got = assert_matches_box(slope_trace, (t.x, t.y, t.z), 16.0, 700, 2)
         assert len(got) == 1098
 
     def test_tie_at_minimal_triangle(self):
@@ -91,10 +91,10 @@ class TestSimpleCounting:
             assert len({ob.count_simple(X, L) for X in perms}) == 1, L
         assert {ob.cone_count(X, 1, 20.0) for X in perms} == {25}
 
-    def test_trace_bound_beyond_float_range(self):
+    def test_trace_bound_beyond_float_range(self, slope_trace):
         # at a float X the bound 2 cosh(L/2) scaled by 2^64 leaves the float
         # range from L ~ 1331; 2 cosh(L/2) itself leaves it past L ~ 1419.57
-        got = assert_matches_box((12345.5,) * 3, 1340.0, 75, 75)
+        got = assert_matches_box(slope_trace, (12345.5,) * 3, 1340.0, 75, 75)
         assert len(got) == ob.count_simple((12345.5,) * 3, 1340.0) == 4692
         for f in (ob.count_simple, lambda X, L: ob.cone_count(X, 0, L)):
             with pytest.raises(ValueError, match="at most 1419.5654"):
@@ -109,10 +109,11 @@ def mc_draw(seed, i):
     return ell, u3 * ell
 
 
-def assert_matches_box(X, L, pmax, qmax):
+def assert_matches_box(slope_trace, X, L, pmax, qmax):
     """simple_slopes(X, L) against the exact traces (Fractions of the
-    coordinates) of every primitive slope in |p| <= pmax, 0 <= q <= qmax;
-    the box must strictly contain the returned slopes."""
+    coordinates, by the slope_trace fixture) of every primitive slope in
+    |p| <= pmax, 0 <= q <= qmax; the box must strictly contain the
+    returned slopes."""
     bound = Fraction(2.0 * math.cosh(L / 2.0))
     exact = tuple(Fraction(v) for v in X)
     memo = {}
@@ -121,7 +122,7 @@ def assert_matches_box(X, L, pmax, qmax):
         for q in range(0, qmax + 1):
             if (q == 0 and p <= 0) or math.gcd(p, q) != 1:
                 continue
-            tr = abs(farey.slope_trace(exact, (p, q), memo))
+            tr = abs(slope_trace(exact, (p, q), memo))
             if tr <= bound:
                 want[(p, q)] = tr
     got = dict(ob.simple_slopes(X, L))
@@ -182,6 +183,20 @@ class TestOrbitCount:
                 brute = ob.count_orbit_word_bruteforce(X, gamma, L)
                 assert rep.counts[-1] == brute
                 assert rep.prune_violations == 0
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+    def test_length_bound_rejected(self, L):
+        # L = 0 divided by zero in the normalized counts and nan failed
+        # deep in the fixed-point search; the Farey walk takes L = 0, and
+        # at a negative L counted the slopes of length <= |L| (cosh is even)
+        for f in (ob.count_orbit_word, ob.count_orbit_word_bruteforce):
+            with pytest.raises(ValueError, match="L="):
+                f(MODULAR, "aabAb", L)
+        if L == 0:
+            assert ob.count_simple(GENERIC, L) == 0
+        else:
+            with pytest.raises(ValueError, match="L="):
+                ob.count_simple(GENERIC, L)
 
     @pytest.mark.parametrize("gamma", ["", "aA", "abAB"])
     def test_peripheral_word_rejected(self, gamma):
@@ -338,13 +353,14 @@ class TestShortWords:
         assert ob._orbit_rep("aabbAB") == ("aabbAB", 2)
         for w, iota in (("abaB", 1), ("aabAB", 2)):
             assert ob._orbit_rep(w) == (w, iota)
-            assert canonical_cyclic(ob.apply_auto(w, "T")) == w
+            tw = reduce_word(w.translate(ob._AUTOS["T"]))
+            assert canonical_cyclic(tw) == w
 
 
 def pushed(gamma, phi):
     """The canonical class of gamma moved by the substitutions of phi."""
     for g in phi:
-        gamma = ob.apply_auto(gamma, g)
+        gamma = reduce_word(gamma.translate(ob._AUTOS[g]))
     return canonical_cyclic(gamma)
 
 
@@ -478,7 +494,7 @@ class TestTwistFamilies:
             assert got.metadata["engine"] == "triple-orbit"
             assert got.counts == bfs_counts(X, gamma, L, grid, 3.0), gamma
 
-    def test_far_node_matches_mpmath(self):
+    def test_far_node_matches_mpmath(self, slope_trace):
         # the node T^n of a marking triple at n = +-25, against traces of
         # the slopes s' + n s in mpmath; the word is chiral, so the test
         # tells T from t
@@ -493,7 +509,7 @@ class TestTwistFamilies:
             memo = {}
 
             def tr(v):
-                return farey.slope_trace(tm, v, memo)
+                return slope_trace(tm, v, memo)
             # the completion s' of the mark: det(s, s') = 1, tr s' = y_0
             u = pow(p, -1, q)
             sp = ((p * u - 1) // q, u)
@@ -875,7 +891,8 @@ class TestWordLength:
             for moves in ["TUTUTUT", "TUUTUTT", "tutututu"]:
                 w = "abaB"
                 for g in moves:
-                    w = canonical_cyclic(ob.apply_auto(w, g))
+                    w = canonical_cyclic(
+                        reduce_word(w.translate(ob._AUTOS[g])))
                 assert len(w) >= 30
                 m = mpmath.eye(2)
                 for ch in w:
@@ -994,9 +1011,9 @@ class TestConeCount:
 
     @pytest.mark.parametrize("X", [(4, 4, 8), (3.5, 3.5, 3.5), GENERIC,
                                    (3.0, 3.0, 4.5)])
-    def test_matches_chart_inverse(self, X):
+    def test_matches_chart_inverse(self, slope_trace, X):
         ms = (-2, 0, 3)
-        want, zero_twists = chart_inverse_cone_counts(X, 30.0, ms)
+        want, zero_twists = chart_inverse_cone_counts(slope_trace, X, 30.0, ms)
         assert [ob.cone_count(X, m, 30.0) for m in ms] == want
         if X in ((4, 4, 8), (3.0, 3.0, 4.5)):
             # families with tau0 = 0 meet every cone at both ends
@@ -1007,7 +1024,7 @@ class TestConeCount:
         ((3.3, 3.3, 5.445), 2, ["", "t", "UT", "uTT"]),
         ((3.3, 3.5, 5.775), 1, ["", "U", "tT"]),
     ])
-    def test_moved_float_triple(self, X, aut, words):
+    def test_moved_float_triple(self, slope_trace, X, aut, words):
         # at a float triple the families that an automorphism exchanges,
         # and the two ends of a family with tau0 = 0, agree only up to
         # rounding: keyed exactly, (3.3, 3.3, 3.3) moved by T counted 84
@@ -1015,7 +1032,8 @@ class TestConeCount:
         assert ob.point_symmetry_order(X) == aut
         for w in words:
             Y = moved(X, w)
-            want, zero_twists = chart_inverse_cone_counts(Y, 20.0, (0, 2))
+            want, zero_twists = chart_inverse_cone_counts(
+                slope_trace, Y, 20.0, (0, 2))
             assert [ob.cone_count(Y, m, 20.0) for m in (0, 2)] == want, w
             # the two rectangular tori have both coordinate curves at twist
             # 0, one family where a rotation exchanges them (the square)
@@ -1029,7 +1047,7 @@ class TestConeCount:
             ob.cone_count((3, 4, 5), 0, 60.0) == 590
 
 
-def chart_inverse_cone_counts(X, L, ms):
+def chart_inverse_cone_counts(slope_trace, X, L, ms):
     """The cone counts through the Fenchel-Nielsen chart inverse, in mpmath
     at 80 digits, and the number of twist families with tau0 = 0.
 
@@ -1049,7 +1067,7 @@ def chart_inverse_cone_counts(X, L, ms):
         memo = {}
 
         def tr(s):
-            return abs(farey.slope_trace(tm, s, memo))
+            return abs(slope_trace(tm, s, memo))
         for (p, q), _ in ob.simple_slopes(X, L):
             if q:
                 v = pow(p % q, -1, q) if q > 1 else 0
@@ -1244,17 +1262,17 @@ class TestThurstonBall:
         assert len(got) > 10
         assert got == sorted(got, key=exact_angle_key)
 
-    def test_thin_part_matches_mpmath(self, monkeypatch):
+    def test_thin_part_matches_mpmath(self, slope_trace, monkeypatch):
         # B's dominant terms hold the short slope, whose float trace keeps
         # its digits because the systole is the canonical triple's first
         # coordinate; the same polygon at 60 digits, its traces from
-        # farey.slope_trace on the mpf triple
+        # the slope_trace fixture on the mpf triple
         b, marks = ball_walk(THIN_DRAW, monkeypatch)
         slopes = sorted((s for s, _ in marks), key=exact_angle_key)
         with mpmath.workdps(60):
             t = [mpmath.mpf(v) for v in ob._canonical_triple(THIN_DRAW)]
             memo = {}
-            ells = [2 * mpmath.acosh(farey.slope_trace(t, s, memo) / 2)
+            ells = [2 * mpmath.acosh(slope_trace(t, s, memo) / 2)
                     for s in slopes]
             want = mpmath.fsum(0.5 / (u * v)
                                for u, v in zip(ells, ells[1:] + ells[:1]))
@@ -1452,6 +1470,34 @@ class TestBallVolume:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("l1", [2.0, 4.0])
+    def test_systole_cap_is_equilateral(self, l1):
+        # the cap is the systole of the equilateral triple x = y = z of
+        # kappa = -2 cosh(l1/2), the root x >= 3 of x^3 - 3x^2 = c
+        c = 2.0 * math.cosh(l1 / 2.0) - 2.0
+        x = float(mpmath.findroot(lambda v: v ** 3 - 3 * v ** 2 - c, 3.5))
+        assert x > 3.0
+        assert ob._torus_kappa((x, x, x)) == \
+            pytest.approx(-2.0 * math.cosh(l1 / 2.0), rel=1e-14)
+        systole = min(tr for _, tr in ob.simple_slopes((x, x, x), 3.0))
+        assert systole == pytest.approx(x, rel=1e-15)
+        assert ob._systole_cap(l1) == \
+            pytest.approx(length_trace(x), rel=1e-14)
+        assert ob._systole_cap(l1) > ob.SYSTOLE_TOP
+
+    def test_systole_cap_at_cusp(self):
+        # the cusp's draws stay those of SYSTOLE_TOP, bit for bit
+        assert ob._systole_cap(0.0) == ob.SYSTOLE_TOP
+        assert length_trace(3.0) < ob.SYSTOLE_TOP
+
+    def test_unfolding_identity_with_boundary(self):
+        # at l1 = 4 the maximal systole is 2.29; draws capped at
+        # SYSTOLE_TOP = 1.93 missed part of moduli space and read
+        # 135.7 +- 0.9 against 163.2 (-30 sigma)
+        vol, avg, se = ob.ball_volume_and_average(
+            "aabAb", 16.0, mc_samples=1000, seed=0, l1=4.0)
+        assert abs(avg - vol) <= 3.0 * se
+
     def test_sample_count_independent_of_prune_constant(self):
         # sample 54 of seed 1 is a thin draw where a BFS pruned at 1.5 L
         # fails its validation (TestTwistFamilies); the twist-family count
