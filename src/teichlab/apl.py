@@ -34,9 +34,8 @@ class RationalReport:
     ok: bool
 
 
-def nearest_rational(value: float, max_den: int = MAX_DEN,
-                     tol: float = 1e-4) -> RationalReport:
-    fr = Fraction(value).limit_denominator(max_den)
+def nearest_rational(value: float, tol: float = 1e-4) -> RationalReport:
+    fr = Fraction(value).limit_denominator(MAX_DEN)
     err = abs(value - float(fr))
     return RationalReport(value, fr.numerator, fr.denominator, err, err <= tol)
 

@@ -66,20 +66,6 @@ class SurfacePoint:
         if not math.isfinite(self.tau):
             raise ValueError("twist must be finite")
 
-    def to_record(self) -> str:
-        vals = list(self.boundaries) + [self.ell, self.tau]
-        return ",".join([self.kind] + ["%.17g" % v for v in vals])
-
-    @classmethod
-    def from_record(cls, rec: str) -> "SurfacePoint":
-        parts = rec.strip().split(",")
-        kind = parts[0]
-        nums = [float(v) for v in parts[1:]]
-        nb = 1 if kind == S11 else 4
-        if len(nums) != nb + 2:
-            raise ValueError("bad record %r" % rec)
-        return cls(kind, tuple(nums[:nb]), nums[nb], nums[nb + 1])
-
 
 @dataclass(frozen=True)
 class CurveOnSurface:

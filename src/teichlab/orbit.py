@@ -14,7 +14,8 @@ triples these are the polynomial maps
 which preserve the boundary invariant kappa exactly.  One Farey walk in
 2^-k fixed point, exact at k = 0 for integral triples, yields every short
 slope with its marking triple; it feeds the simple-slope and orbit counts,
-|Aut(X)|, the cone count (slopes over |Aut(X)|) and the ball area.  The
+the cone count (slopes over |Aut(X)|) and the ball area.  |Aut(X)| is read
+off the reduced triple of the orbit of X, with no walk.  The
 orbit of every non-simple word is counted over the twist families of those
 slopes: length is convex along a Fenchel-Nielsen twist, so each family is
 one downhill walk to its minimum and one walk outward on each side, or one
@@ -296,29 +297,43 @@ _AUT_RTOL = 1e-9
 
 
 def point_symmetry_order(X) -> int:
-    """|Aut(X)| in PSL(2,Z) (ValueError unless X is a torus point): one
-    automorphism g per slope of the Farey walk (at the canonical triple, to
-    l_r, r the shortest slope) whose twist-reduced marking triple marks r's
-    family, since g is fixed by g(r) up to twists and no twist fixes X.  It
-    marks r's family when it is r's reduced triple or one of its two twist
-    neighbours (near a tie tau0 = +-l/2 rounding reduces a family to either
-    side), up to _aut_tol in each coordinate."""
+    """|Aut(X)|, the stabilizer of X in PSL(2,Z), from its canonical triple
+    (_aut_order); ValueError unless X is a torus point."""
     _torus_kappa(_triple(X))
-    t = _canonical_triple(X)
-    marks, k = _farey_walk(t, length_trace(t[0] * (1 + 2 * _AUT_RTOL)))
-    reduced = [_twist_reduced(mark, k) for _, mark in marks]
-    ref = min(reduced)
-    tol = _aut_tol(max(ref), k)
-    family = (ref, *_images(ref, k)[:2])
-    return sum(any(max(abs(a - b) for a, b in zip(r, c)) <= tol
-                   for c in family) for r in reduced)
+    return _aut_order(_canonical_triple(X))
+
+
+def _aut_order(t) -> int:
+    """|Aut| at a canonical triple x <= y <= z: 3 when x = y = z (the
+    hexagonal torus, fixed by ST: (x, y, z) -> (y, z, x)), 2 when x = y and
+    2z = xy (the square torus, fixed by S: (x, y, z) -> (y, x, xy - z)),
+    else 1.  The equalities are exact at an integral triple and hold up to
+    _AUT_RTOL relative at a float one.
+
+    PSL(2,Z) = Z/2 * Z/3, so every finite subgroup is conjugate into <S>
+    or <ST>.  Each of these fixes exactly one point of Teichmueller space
+    (an elliptic isometry of a disc; at a cusp, of the upper half-plane):
+    the two tori above, whose triples are reduced.  A point with
+    |Aut| > 1 lies in the orbit of one of them, and the canonical triple
+    is an orbit invariant, so every point of that orbit has the fixed
+    triple as its canonical triple.  No triple is both: x = y = z and
+    2z = xy give x = 2, not a torus point.
+    """
+    x, y, z = t
+    rtol = 0 if isinstance(z, int) else _AUT_RTOL
+    if y - x > rtol * y:
+        return 1
+    if z - x <= rtol * z:
+        return 3
+    return 2 if abs(2 * z - x * y) <= rtol * x * y else 1
 
 
 def _aut_tol(v: int, k: int) -> int:
     """How far apart, in units of 2^-k, two traces of size v from the Farey
     walk may lie and still be one: _AUT_RTOL of v at a float triple, where
-    the slopes an automorphism exchanges come out a few roundings apart,
-    and 0 at an integral one (k = 0), whose walk is exact."""
+    the two ends z and xy - z of a family with tau0 = 0 come out a few
+    roundings apart, and 0 at an integral one (k = 0), whose walk is
+    exact."""
     return v // round(1 / _AUT_RTOL) if k else 0
 
 
@@ -655,12 +670,6 @@ class CountReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, s: str) -> "CountReport":
-        d = json.loads(s)
-        d["X"] = tuple(d["X"])
-        return cls(**d)
-
 
 def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
                      grid: list[float] | None = None) -> CountReport:
@@ -817,18 +826,20 @@ def cone_count(X, m: int, L: float) -> int:
     puts both ends in it.  Aut(X) acts freely on slopes (no elliptic
     element of PSL(2,Z) fixes a rational slope), so each family of orbit
     points comes from |Aut(X)| slopes: the count is (slopes + families with
-    tau0 = 0) / point_symmetry_order(X), from one walk at the canonical
-    triple (ValueError unless X is a torus point; ArithmeticError unless
-    the division is exact).  So the count is the same for every m; m stays
-    in the signature because the CLI and perfbench pass it.
+    tau0 = 0) / |Aut(X)|, from one descent to the canonical triple, which
+    gives |Aut(X)| (_aut_order), and one walk from it (ValueError unless X
+    is a torus point; ArithmeticError unless the division is exact).  So
+    the count is the same for every m; m stays in the signature because
+    the CLI and perfbench pass it.
     """
     _torus_kappa(_triple(X))
-    marks, k = _farey_walk(_canonical_triple(X), L)
+    t = _canonical_triple(X)
+    marks, k = _farey_walk(t, L)
     n = len(marks)
     for _, mark in marks:
         x, y, z = _twist_reduced(mark, k)
         n += abs(2 * z - (x * y >> k)) <= _aut_tol(max(x, y, z), k)
-    return _per_curve(n, point_symmetry_order(X), 1)
+    return _per_curve(n, _aut_order(t), 1)
 
 
 def _twist_reduced(mark, k: int):
@@ -1252,10 +1263,9 @@ def _mc_sample_value(args):
     tau = u3 * ell
     X = SurfacePoint(S11, (l1,), ell, tau)
     t = fricke_triple(X)
-    # fundamental domain: the coordinate curve must be the systole
-    xbound = 2.0 * math.cosh(ell / 2.0)
-    shortest = min(tr for (_, tr) in simple_slopes(t, ell + 1e-6))
-    if shortest < xbound * (1.0 - 1e-12):
+    # fundamental domain: the coordinate curve must be the systole, whose
+    # trace is the least of the canonical triple
+    if _canonical_triple(t)[0] < 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
         return 0.0
     rep, iota = _orbit_rep(gamma)
     return _per_curve(len(_family_lengths(t, rep, L)[0]), sym, iota)

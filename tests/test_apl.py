@@ -17,7 +17,9 @@ class TestNearestRational:
         assert r.ok
 
     def test_reject_far(self):
-        r = apl.nearest_rational(0.5078, max_den=8, tol=1e-4)
+        # 32/63, the nearest fraction of denominator <= MAX_DEN, is 1.4e-4
+        # away
+        r = apl.nearest_rational(0.5078, tol=1e-4)
         assert not r.ok
 
     def test_integer(self):

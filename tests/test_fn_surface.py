@@ -125,7 +125,3 @@ class TestSphere:
         X = sphere(1.5, 0.2)
         c = fs.CurveOnSurface(fs.S04, label="interior")
         assert fs.curve_length(X, c) == 1.5
-
-    def test_record_round_trip(self):
-        X = sphere(1.5, -0.3)
-        assert fs.SurfacePoint.from_record(X.to_record()) == X

@@ -1,6 +1,7 @@
 """Source-level rules that keep the invariant checks alive."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -73,9 +74,10 @@ def test_length_path_sets_no_global_precision():
     assert not found, "mpmath precision state on the length path: %s" % found
 
 
-def _top_level_names(tree):
+def _names(module, tree):
     """(name, node) for each function, class and plain assignment at the
-    top of a module."""
+    top of a module, and for each method of its classes but dunders and
+    overrides of a base-class method (argparse calls _Parser.error)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -86,42 +88,36 @@ def _top_level_names(tree):
             for t in targets:
                 if isinstance(t, ast.Name):
                     yield t.id, node
-
-
-# top-level names that only their unit tests call but that stay, each with
-# the reason it stays
-KEPT_UNCALLED = {
-    "integral_multicurve_count":
-        "#{integral multicurves of length <= L} / (L^2 B(X)) -> 1 is the "
-        "Thurston-measure normalization of B, the paper's constant",
-}
+        if isinstance(node, ast.ClassDef):
+            bases = getattr(module, node.name).__mro__[1:]
+            for f in node.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not re.fullmatch(r"__\w+__", f.name) \
+                        and not any(f.name in vars(b) for b in bases):
+                    yield f.name, f
 
 
 def test_no_orphan_names():
     # code that nothing calls gets deleted: every top-level name of the
-    # package must appear outside its own definition in src, perfbench,
-    # tools or the acceptance criteria (the benchmark names functions by
-    # string).  A unit test is not a caller: a name that only its own test
-    # runs is an orphan unless KEPT_UNCALLED names it, and a name there
-    # that gains a caller leaves the list
+    # package, and every method of its classes, must appear outside its own
+    # definition in src, perfbench, tools or the acceptance criteria (the
+    # benchmark names functions by string).  A unit test is not a caller:
+    # a name that only its own test runs is an orphan
     root = Path(__file__).resolve().parents[1]
     files = sorted(SRC.rglob("*.py"))
     for d in ("perfbench", "tools"):
         files += sorted((root / d).rglob("*.py"))
     files.append(root / "tests" / "test_acceptance.py")
     texts = {path: path.read_text() for path in files}
-    found = {}
+    orphans = []
     for path in sorted(SRC.glob("*.py")):
         lines = texts[path].splitlines(keepends=True)
         tree = ast.parse(texts[path], filename=str(path))
-        for name, node in _top_level_names(tree):
+        module = importlib.import_module("teichlab." + path.stem)
+        for name, node in _names(module, tree):
             word = re.compile(r"\b%s\b" % re.escape(name))
             own = "".join(lines[node.lineno - 1:node.end_lineno])
             uses = sum(len(word.findall(t)) for t in texts.values())
             if uses == len(word.findall(own)):
-                found[name] = "%s:%d" % (path.name, node.lineno)
-    orphans = ["%s %s" % (found[n], n) for n in sorted(found)
-               if n not in KEPT_UNCALLED]
-    assert not orphans, "top-level names nothing uses: %s" % orphans
-    stale = sorted(set(KEPT_UNCALLED) - set(found))
-    assert not stale, "KEPT_UNCALLED names with a caller: %s" % stale
+                orphans.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not orphans, "names nothing uses: %s" % orphans

@@ -1,6 +1,7 @@
 """Mapping-class orbit counting: simple curves, general words, volumes."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -218,9 +219,7 @@ class TestOrbitCount:
 
     def test_report_json_round_trip(self):
         rep = ob.count_orbit_word(MODULAR, "aabAb", 8.0)
-        back = ob.CountReport.from_json(rep.to_json())
-        assert back.counts == rep.counts
-        assert back.X == rep.X
+        assert json.loads(rep.to_json()) == {**vars(rep), "X": list(rep.X)}
 
     def test_far_moved_triple_counts_as_base(self):
         # (3, 39, 15) is (3, 3, 3) moved by t^3; |Aut| = 3 at both, so the
@@ -303,6 +302,48 @@ class TestPointSymmetry:
             assert ob.point_symmetry_order((-x, -y, z)) == \
                 ob.point_symmetry_order((x, -y, -z)) == \
                 ob.point_symmetry_order(X)
+
+    def test_every_small_integral_triple(self):
+        # every reduced integral torus triple x <= y <= z <= 12 (2z <= xy,
+        # x^2 + y^2 + z^2 <= xyz) against the generator ball, as it is and
+        # moved: x = y = z has order 3 and (4, 4, 8) (x = y, 2z = xy) order 2
+        triples = [(x, y, z) for x in range(3, 13) for y in range(x, 13)
+                   for z in range(y, 13)
+                   if 2 * z <= x * y and x * x + y * y + z * z <= x * y * z]
+        assert len(triples) == 190
+        orders = []
+        for X in triples:
+            orders.append(ball_aut_order(X))
+            for w in ["", "T", "tU", "UUt"]:
+                assert ob.point_symmetry_order(moved(X, w)) == orders[-1], \
+                    (X, w)
+        assert [orders.count(n) for n in (1, 2, 3)] == [179, 1, 10]
+
+    @pytest.mark.parametrize("l1", [2.0, 4.0])
+    def test_equilateral_with_boundary(self, l1):
+        # x = 1 + 2 cosh(l1/6), the torus of maximal systole at boundary
+        # length l1 (TestMonteCarlo), is the hexagonal one
+        x = 1.0 + 2.0 * math.cosh(l1 / 6.0)
+        for w in ["", "T", "tU", "UUt"]:
+            assert ob.point_symmetry_order(moved((x, x, x), w)) == 3, w
+
+    def test_walks(self, monkeypatch):
+        # |Aut| is read off the canonical triple with no Farey walk, so the
+        # cone count walks once
+        walks = []
+        walk = ob._farey_walk
+
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
+        monkeypatch.setattr(ob, "_farey_walk", spy)
+        for X in [(3, 3, 3), (4, 4, 8), (3, 4, 5), GENERIC, (3.3, 3.3, 3.3),
+                  (3.3, 3.3, 5.445)]:
+            walks.clear()
+            ob.point_symmetry_order(X)
+            assert not walks, X
+            ob.cone_count(X, 0, 30.0)
+            assert len(walks) == 1, X
 
 
 def short_words(n):
@@ -1497,6 +1538,26 @@ class TestMonteCarlo:
         vol, avg, se = ob.ball_volume_and_average(
             "aabAb", 16.0, mc_samples=1000, seed=0, l1=4.0)
         assert abs(avg - vol) <= 3.0 * se
+
+    @pytest.mark.parametrize("l1", [0.0, 4.0])
+    def test_fundamental_domain_as_slope_walk(self, monkeypatch, l1):
+        # a sample reads the systole's trace off the canonical triple; the
+        # rule written out here walks the slopes up to ell and accepts when
+        # none is shorter than the coordinate curve.  An accepted sample
+        # counts one family length (iota / 1 > 0), a rejected one 0
+        monkeypatch.setattr(ob, "_family_lengths", lambda *args: ([0.0], {}))
+        accepted = 0
+        for i in range(2000):
+            rng = np.random.Generator(np.random.Philox(key=[0, i]))
+            u1, u2, u3 = rng.random(3)
+            ell = ob._systole_cap(l1) * max(u1, u2)
+            t = fricke_triple(SurfacePoint(S11, (l1,), ell, u3 * ell))
+            shortest = min(tr for _, tr in ob.simple_slopes(t, ell + 1e-6))
+            accept = shortest >= 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12)
+            value = ob._mc_sample_value((i, 0, "aabAb", 30.0, l1, 1))
+            assert (value > 0) == accept, i
+            accepted += accept
+        assert 0 < accepted < 2000
 
     def test_sample_count_independent_of_prune_constant(self):
         # sample 54 of seed 1 is a thin draw where a BFS pruned at 1.5 L

@@ -35,3 +35,21 @@ def test_chart_counters_unwrap():
     counters = json.loads(line)["counters"]
     assert set(counters) == {"chart_tries", "k_sum", "mpf_exp"}
     assert 0 < counters["mpf_exp"] < 2 * counters["chart_tries"]
+
+
+@pytest.mark.parametrize("case, walks", [
+    # simple_slopes, cone_count and thurston_ball_B walk once each; |Aut|
+    # takes no walk
+    (["point", [3.2, 3.5, 4.1], "Tu"], 3),
+    # one walk for the twist families
+    (["orb1", [4, 4, 8], "T", "aabbAB", 10.0], 1),
+    # an accepted sample walks for its twist families only
+    (["mc", 0, 0], 1)])
+def test_walks_unwrap(case, walks):
+    # the point, orb1 and mc cases count Farey walks through a wrapper that
+    # they take off again
+    orbit = same_results.orbit
+    walk = orbit._farey_walk
+    line = same_results.run_case(case)
+    assert orbit._farey_walk is walk
+    assert json.loads(line)["counters"]["walks"] == walks

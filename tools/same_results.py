@@ -7,7 +7,8 @@ Run from anywhere; the program is imported from ``src/`` next to this
 directory.  Each line is a JSON object with sorted keys: the case, its
 results, and the work counters of the case under ``counters`` (ORB1's
 ``orbit_nodes`` and the ``evaluations``, ``families`` and ``k`` of its
-metadata), so that two checkouts compare with ``diff`` and a change of work
+metadata, and the Farey walks of each ``point``, ``orb1`` and ``mc`` case
+as ``walks``), so that two checkouts compare with ``diff`` and a change of work
 shows apart from a change of result.  An exception is recorded as its type
 and message in place of the result.
 
@@ -206,18 +207,19 @@ def _chart(counters, what, gamma, *args):
 
 
 @contextlib.contextmanager
-def _walk_counter(counters):
-    """Record the number of marks of each Farey walk into counters while
-    the block runs (the last walk's count stays)."""
+def _walks():
+    """Yield a list that holds the number of marks of each Farey walk made
+    while the block runs."""
     walk = orbit._farey_walk
+    sizes = []
 
     def walk_spy(*args):
         marks, k = walk(*args)
-        counters["marks"] = len(marks)
+        sizes.append(len(marks))
         return marks, k
     orbit._farey_walk = walk_spy
     try:
-        yield
+        yield sizes
     finally:
         orbit._farey_walk = walk
 
@@ -240,21 +242,28 @@ def run_case(case) -> str:
     counters = {}
     if kind == "point":
         X = moved(tuple(case[1]), case[2])
-        result = {
-            "simple_slopes": _attempt(orbit.simple_slopes, X, 20.0),
-            "cone_count": _attempt(orbit.cone_count, X, 0, 25.0),
-            "point_symmetry_order": _attempt(orbit.point_symmetry_order, X),
-            "thurston_ball_B": _attempt(
-                lambda: repr(orbit.thurston_ball_B(X)))}
+        with _walks() as walks:
+            result = {
+                "simple_slopes": _attempt(orbit.simple_slopes, X, 20.0),
+                "cone_count": _attempt(orbit.cone_count, X, 0, 25.0),
+                "point_symmetry_order": _attempt(orbit.point_symmetry_order,
+                                                 X),
+                "thurston_ball_B": _attempt(
+                    lambda: repr(orbit.thurston_ball_B(X)))}
+        counters["walks"] = len(walks)
     elif kind == "orb1":
         X = moved(tuple(case[1]), case[2])
-        result = _attempt(_orb1, X, case[3], case[4], counters)
+        with _walks() as walks:
+            result = _attempt(_orb1, X, case[3], case[4], counters)
+        counters["walks"] = len(walks)
     elif kind == "brute":
         result = _attempt(_brute, tuple(case[1]), case[2], case[3], counters)
     elif kind == "mc":
         sym = orbit.curve_symmetry_order("aabAb")
-        result = _attempt(orbit._mc_sample_value,
-                          (case[2], case[1], "aabAb", 30.0, 0.0, sym))
+        with _walks() as walks:
+            result = _attempt(orbit._mc_sample_value,
+                              (case[2], case[1], "aabAb", 30.0, 0.0, sym))
+        counters["walks"] = len(walks)
     elif kind == "acc1":
         result = _attempt(_acc1)
     elif kind == "criterion12":
@@ -265,8 +274,10 @@ def run_case(case) -> str:
         result = _attempt(_chart, counters, *case[1:])
     elif kind == "ball":
         X = _ball_point(*case[1:])
-        with _walk_counter(counters):
+        with _walks() as walks:
             ball = _attempt(lambda: repr(orbit.thurston_ball_B(X)))
+        if walks:
+            counters["marks"] = walks[-1]
         result = {"thurston_ball_B": ball,
                   "count_simple": _attempt(orbit.count_simple, X, 20.0)}
     else:
