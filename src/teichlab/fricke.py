@@ -6,9 +6,10 @@ explicit matrices, and symbolically from the trace coordinates
 (x, y, z) = (Tr A, Tr B, Tr AB) by one walk along the word in the group
 algebra, where Cayley-Hamilton keeps every product in the span of
 I, A, B, AB.  The walk is compiled once per word into a straight-line plan
-that is evaluated in int, float or mpmath arithmetic, or on ints scaled by
-2^k (fixed point).  The symbolic route keeps integer inputs exact (all
-operations are ring operations), which the Markoff bridge relies on.
+that is evaluated in int, float or mpmath arithmetic, or on lists of ints
+scaled by 2^k (fixed point), many triples in one pass.  The symbolic route
+keeps integer inputs exact (all operations are ring operations), which the
+Markoff bridge relies on.
 
 Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
 """
@@ -227,18 +228,35 @@ def _plan_eval(plan, x, y, z):
     return vals[out]
 
 
-def _plan_eval_fixed(plan, x, y, z, k):
-    """Evaluate a plan on ints scaled by 2^k: each product shifts right by
-    k, each constant left by k.  Exact for k = 0."""
+def _plan_eval_fixed(plan, xs, ys, zs, k):
+    """Evaluate a plan at the triples (xs[i], ys[i], zs[i]) of ints scaled
+    by 2^k, one pass over lists: the list of the traces, scaled by 2^k.
+    Each product shifts right by k, each constant left by k; each product
+    rounds down by less than 2^-k, an error the later products carry
+    along, and k = 0 is exact integer arithmetic.  A register's list is
+    dropped after the last instruction that reads it, so that a wide pass
+    holds a few lists at a time."""
     instrs, out = plan
-    vals = [x, y, z]
-    for op, i, j in instrs:
+    last = {}
+    for n, (op, i, j) in enumerate(instrs):
+        if op != "k":
+            last[i] = last[j] = n
+    last[out] = len(instrs)
+    vals = [xs, ys, zs]
+    for n, (op, i, j) in enumerate(instrs):
+        if op == "k":
+            vals.append([i << k] * len(xs))
+            continue
         if op == "*":
-            vals.append(vals[i] * vals[j] >> k)
+            vals.append([a * b >> k for a, b in zip(vals[i], vals[j])])
         elif op == "-":
-            vals.append(vals[i] - vals[j])
+            vals.append([a - b for a, b in zip(vals[i], vals[j])])
         else:
-            vals.append(vals[i] + vals[j] if op == "+" else i << k)
+            vals.append([a + b for a, b in zip(vals[i], vals[j])])
+        if last[i] == n:
+            vals[i] = None
+        if last[j] == n:
+            vals[j] = None
     return vals[out]
 
 
@@ -278,15 +296,6 @@ def trace_word_fricke(t: FrickeTriple | tuple, w: str):
     if isinstance(t, FrickeTriple):
         t = t.astuple()
     return _plan_eval(_trace_plan(w), *t)
-
-
-def trace_word_fixed(t: tuple, w: str, k: int) -> int:
-    """The trace of w, scaled by 2^k, at a triple of ints scaled by 2^k.
-
-    Each product rounds down by less than 2^-k, an error the later products
-    carry along; k = 0 is exact integer arithmetic.
-    """
-    return _plan_eval_fixed(_trace_plan(w), *t, k)
 
 
 def length_trace(tr) -> float:

@@ -19,9 +19,11 @@ off the reduced triple of the orbit of X, with no walk.  The
 orbit of every non-simple word is counted over the twist families of those
 slopes: length is convex along a Fenchel-Nielsen twist, so each family is
 one downhill walk to its minimum and one walk outward on each side, or one
-node for a word the twist fixes.  A pruned BFS over conjugacy classes is
-kept only as the oracle of that count.  The lengths along twist lines and
-rays (length-ball volumes, APL) are fixed point end to end as well:
+node for a word the twist fixes.  The families are walked in lockstep, with
+one pass of the word's trace plan over each step's new nodes.  A pruned BFS
+over conjugacy classes is kept only as the oracle of that count.  The
+lengths along twist lines and rays (length-ball volumes, APL) are fixed
+point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
 by 2^k, with k chosen per trace by a forward error bound through the chart
 and the trace plan: a length is returned only once that bound fixes it.
@@ -45,9 +47,9 @@ from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (FrickeTriple, _plan_eval_bounded, _trace_plan,
-                     canonical_cyclic, cyclic_reduce, length_trace,
-                     reduce_word, trace_word_fixed)
+from .fricke import (FrickeTriple, _plan_eval_bounded, _plan_eval_fixed,
+                     _trace_plan, canonical_cyclic, cyclic_reduce,
+                     length_trace, reduce_word)
 from .fn_surface import S11, SurfacePoint, fricke_triple
 
 
@@ -457,71 +459,136 @@ _TOP_BAND = 1.0
 _FAMILY_STEPS = 100_000
 
 
-def _twist_node(mark, k: int):
-    """node(n) = T^n(mark) = (x, y_n, y_(n+1)) for the marking triple
-    mark = (x, y_0, y_1) of ints scaled by 2^k: T takes s' to s + s', so
-    y_n = tr(s' + n s) and y_(n+1) = x y_n - y_(n-1).  The recursion is
-    extended one step at a time, so each y_n is rounded along one path."""
-    x = mark[0]
-    ys = {0: mark[1], 1: mark[2]}
-    lo, hi = 0, 1
+def _trace_cut(L: float, k: int) -> int:
+    """The trace, scaled by 2^k, above which every length exceeds L: the
+    trace bound b = floor(2 cosh(L/2) 2^k), raised by b 2^-20 and a unit.
 
-    def node(n):
-        nonlocal lo, hi
-        while hi < n + 1:
-            hi += 1
-            ys[hi] = (x * ys[hi - 1] >> k) - ys[hi - 2]
-        while lo > n:
-            lo -= 1
-            ys[lo] = (x * ys[lo + 1] >> k) - ys[lo + 2]
-        return (x, ys[n], ys[n + 1])
-    return node
+    A trace above the cut exceeds 2 cosh(L/2) by a relative 2^-22 at least
+    (the float cosh is within 2^-50 of it), and dl/d|tr| =
+    2 / sqrt(tr^2 - 4) > 2 / |tr|, so its length exceeds L by more than
+    2^-22.  _trace_length is within 2^-38 of the length wherever
+    cosh(L/2) is a float (L < 1420), so it exceeds L there too: a trace
+    above the cut needs no length to decide l > L, as _trace_length would.
+    """
+    n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
+    b = (n << k) // d
+    return b + (b >> 20) + 1
 
 
-def _walk_family(node, gamma: str, L: float, k: int, twist_fixed: bool):
-    """(lengths <= L, {n: |tr gamma| at node(n)} for every node evaluated)
-    along one twist family: downhill from n = 0 to the minimum of the
-    convex l_gamma, then outward on both sides until l_gamma > L; only n = 0
-    when T fixes gamma (twist_fixed), where l_gamma is constant."""
-    trs = {}
+def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
+    """Walk the twist families of the marks in lockstep: (the lengths
+    <= L of each family, its two outermost nodes (lo, hi), and the
+    counters {evaluations, steps}).
 
-    def tr(n):
-        if n not in trs:
-            if len(trs) >= _FAMILY_STEPS:
+    The family of the marking triple (x, y_0, y_1) is the nodes
+    node(n) = T^n(mark) = (x, y_n, y_(n+1)): T takes s' to s + s', so
+    y_n = tr(s' + n s) and y_(n+1) = x y_n - y_(n-1), extended in 2^-k
+    fixed point one node at a time from each end, so that each y_n is
+    rounded along one path.  A family keeps its evaluated interval
+    [lo, hi], with the node pair at each end, from [0, 1] on (n = 0 alone
+    when T fixes gamma, twist_fixed: l_gamma is constant).  Each step
+    extends every live end by one node, and one pass of the trace plan
+    over lists (_plan_eval_fixed) evaluates all the new nodes of the
+    step; steps counts the passes.
+
+    With tr(n) = |tr gamma| at node(n), the right end is live while
+    tr(hi) < tr(hi - 1) or l(hi) <= L, and the left end while
+    l(lo) <= L or the trace still falls toward it: tr(lo) < tr(lo + 1)
+    when lo < 0, tr(1) >= tr(0) when lo = 0.  This evaluates the nodes of
+    the walk downhill from 0 to the minimum of the convex l_gamma and
+    outward from there until l_gamma > L, and finds the same lengths.
+    Proof: that walk goes right to the first m >= 1 with
+    tr(m + 1) >= tr(m) when tr(1) < tr(0), else left to the last m <= 0
+    with tr(m - 1) >= tr(m); so it evaluates [min(0, m - 1),
+    max(1, m + 1)], then walks out from m and from m - 1 to the first
+    node with l > L on each side, and finds the nodes between those two.
+    By convexity, the fall clause holds exactly on the way down to m: at
+    hi <= m on the right, at lo >= m on the left (at lo = 0 iff m <= 0).
+    So the right end stops at the first hi >= max(1, m + 1) with
+    l(hi) > L, which, as l does not fall from m on, is the last node of
+    the walk on the right; the left end likewise.  And the nodes of
+    [lo, hi] with l <= L are, by convexity, those between the two
+    nodes beyond L.
+    """
+    plan = _trace_plan(gamma)
+    cut = _trace_cut(L, k)
+    n = len(marks)
+    xs = [m[0] for _, m in marks]
+    ys = [m[1] for _, m in marks]
+    zs = [m[2] for _, m in marks]
+    if not twist_fixed:  # node 1 of every family beside node 0
+        xs, ys, zs = (xs + xs, ys + zs,
+                      zs + [(x * z >> k) - y for x, y, z in zip(xs, ys, zs)])
+    trs = [abs(t) for t in _plan_eval_fixed(plan, xs, ys, zs, k)]
+    # no length is taken above the cut
+    ells = [_trace_length(t, k, gamma) if t <= cut else math.inf for t in trs]
+    found = [[ell for ell in ells[f::n] if ell <= L] for f in range(n)]
+    counts = [1 if twist_fixed else 2] * n
+    # an end is [x, y, y', |tr| at its node, family, right]; its node is
+    # (x, y, y') at the right end and (x, y', y) at the left one, and the
+    # next node outward has y'' = x y' - y in place of y
+    ends, live = [], []
+    for f in range(n):
+        left = [xs[f], zs[f], ys[f], trs[f], f, False]
+        if twist_fixed:
+            ends.append((left, [xs[f], ys[f], zs[f], trs[f], f, True]))
+            continue
+        right = [xs[n + f], ys[n + f], zs[n + f], trs[n + f], f, True]
+        ends.append((left, right))
+        t0, t1 = trs[f], trs[n + f]
+        if ells[f] <= L or t0 <= t1:
+            live.append(left)
+        if ells[n + f] <= L or t1 < t0:
+            live.append(right)
+    steps = 1
+    while live:
+        steps += 1
+        xs, ys, zs = [], [], []
+        for e in live:
+            f = e[4]
+            if counts[f] >= _FAMILY_STEPS:
                 raise ArithmeticError(
                     "twist family walk exceeded %d steps: the word may be "
                     "non-filling" % _FAMILY_STEPS)
-            trs[n] = abs(trace_word_fixed(node(n), gamma, k))
-        return trs[n]
-
-    if twist_fixed:
-        ell = _trace_length(tr(0), k, gamma)
-        return [ell] if ell <= L else [], trs
-    m = 0
-    for step in (1, -1):  # downhill to the right, else to the left
-        while tr(m + step) < tr(m):
-            m += step
-        if m:
-            break
-    found = []
-    for n, step in ((m, 1), (m - 1, -1)):
-        while (ell := _trace_length(tr(n), k, gamma)) <= L:
-            found.append(ell)
-            n += step
-    return found, trs
+            counts[f] += 1
+            x, y, y1 = e[0], e[1], e[2]
+            y2 = (x * y1 >> k) - y
+            e[1], e[2] = y1, y2
+            xs.append(x)
+            if e[5]:
+                ys.append(y1)
+                zs.append(y2)
+            else:
+                ys.append(y2)
+                zs.append(y1)
+        trs = _plan_eval_fixed(plan, xs, ys, zs, k)
+        nxt = []
+        for e, t in zip(live, trs):
+            t = abs(t)
+            fell = t < e[3]
+            e[3] = t
+            if t <= cut and (ell := _trace_length(t, k, gamma)) <= L:
+                found[e[4]].append(ell)
+                nxt.append(e)
+            elif fell:
+                nxt.append(e)
+        live = nxt
+    outer = [((lo[0], lo[2], lo[1]), (hi[0], hi[1], hi[2]))
+             for lo, hi in ends]
+    return found, outer, {"evaluations": sum(counts), "steps": steps}
 
 
 def _family_lengths(X, gamma: str, L: float):
     """The triple-orbit engine: (lengths <= L of gamma over the classes g
     of PSL(2,Z), as l_gamma(g.X), and the work counters {families,
-    evaluations, k}).
+    evaluations, steps, k}).
 
     A class is a slope s (its image of a, up to sign) and a twist index n.
     The Farey walk gives each s with l_s <= L its marking triple
-    (tr s, tr s', tr(s + s')), and T, t move it along its family
-    (_twist_node).  l_gamma is convex in n (Fenchel-Nielsen twist), so a
-    family is a downhill walk and two outward ones (_walk_family), or one
-    node when T fixes gamma.
+    (tr s, tr s', tr(s + s')), and T, t move it along its family.
+    l_gamma is convex in n (Fenchel-Nielsen twist), so a family is a
+    downhill walk and two outward ones, or one node when T fixes gamma;
+    _twist_walk walks all families in lockstep.
 
     Slopes beyond L are not walked, which is safe only at the image of
     gamma that crosses a least (_symmetry): at (3.2, 3.5, 4.1) and L = 9,
@@ -541,13 +608,10 @@ def _family_lengths(X, gamma: str, L: float):
     kappa0 = _kappa_fixed(root, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
     twist_fixed = _word_images(gamma, "T") == [canonical_cyclic(gamma)]
+    found, outer, work = _twist_walk(marks, gamma, L, k, twist_fixed)
     lengths = []
-    evaluations = 0
-    for _, mark in marks:
-        node = _twist_node(mark, k)
-        found, trs = _walk_family(node, gamma, L, k, twist_fixed)
-        evaluations += len(trs)
-        if not found:
+    for (_, mark), got, nodes in zip(marks, found, outer):
+        if not got:
             continue
         ls = length_trace(mark[0] / (1 << k))
         if ls > L - _TOP_BAND:
@@ -556,12 +620,11 @@ def _family_lengths(X, gamma: str, L: float):
                 "non-empty: slopes beyond L may carry curves of length <= L"
                 % (ls, _TOP_BAND))
         # the two outermost nodes, where the recursion has rounded most
-        for n in (min(trs), max(trs)):
-            if abs(_kappa_fixed(node(n), k) - kappa0) * 10 ** 7 > drift:
+        for t in nodes:
+            if abs(_kappa_fixed(t, k) - kappa0) * 10 ** 7 > drift:
                 raise ArithmeticError("kappa drifted along the orbit")
-        lengths += found
-    return lengths, {"families": len(marks), "evaluations": evaluations,
-                     "k": k}
+        lengths += got
+    return lengths, {"families": len(marks), **work, "k": k}
 
 
 def _rep_fixed(t, k: int) -> dict:

@@ -120,3 +120,33 @@ def slope_trace():
 def farey_parents():
     """farey_parents(p, q): the Farey parents of p/q, q >= 2."""
     return _farey_parents
+
+
+def _twist_node(mark, k: int):
+    """node(n) = T^n(mark) = (x, y_n, y_(n+1)) for the marking triple
+    mark = (x, y_0, y_1) of ints scaled by 2^k: T takes s' to s + s', so
+    y_n = tr(s' + n s) and y_(n+1) = x y_n - y_(n-1).  The recursion is
+    extended one step at a time from the nodes known, so each y_n is
+    rounded along the path the twist walk takes to it."""
+    x = mark[0]
+    ys = {0: mark[1], 1: mark[2]}
+    lo, hi = 0, 1
+
+    def node(n):
+        nonlocal lo, hi
+        while hi < n + 1:
+            hi += 1
+            ys[hi] = (x * ys[hi - 1] >> k) - ys[hi - 2]
+        while lo > n:
+            lo -= 1
+            ys[lo] = (x * ys[lo + 1] >> k) - ys[lo + 2]
+        return (x, ys[n], ys[n + 1])
+    return node
+
+
+@pytest.fixture(scope="session")
+def twist_node():
+    """twist_node(mark, k): the function n -> T^n(mark) on a marking
+    triple of the Farey walk, in its 2^-k fixed point, one recursion step
+    at a time: the twist family's nodes, apart from the lockstep walk."""
+    return _twist_node

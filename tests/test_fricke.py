@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from teichlab import farey, fricke
 from teichlab.fricke import (FrickeTriple, WordError, canonical_cyclic,
                              cyclic_reduce, invert_word, length_trace,
-                             reduce_word, rep_from_fricke, trace_word_fixed,
-                             trace_word_fricke, trace_word_numeric)
+                             reduce_word, rep_from_fricke, trace_word_fricke,
+                             trace_word_numeric)
 
 
 words = st.text(alphabet="abAB", min_size=1, max_size=12)
@@ -170,9 +170,24 @@ class TestTrace:
         # every caller of a plan meets the cap, the fixed-point one too
         over = "a" + "b" * fricke.MAX_WORD_LEN
         with pytest.raises(WordError, match="exceeds cap"):
-            trace_word_fixed((3, 4, 5), over, 0)
+            fricke._trace_plan(over)
         with pytest.raises(WordError, match="exceeds cap"):
             fricke._compile(over)
+
+    def test_fixed_eval_over_lists(self, reduced_word):
+        # one pass over lists gives each triple's exact trace at k = 0, and
+        # at k = 8 on ints with 8 zero low bits, where every shift is exact
+        triples = [(3, 3, 3), (3, 4, 5), (-4, 7, 2), (5, 5, 5), (87, 6, 15)]
+        xs, ys, zs = (list(c) for c in zip(*triples))
+        scaled = [[v << 8 for v in c] for c in (xs, ys, zs)]
+        for seed in range(40):
+            w = reduced_word(seed, 1 + seed % 13)
+            plan = fricke._trace_plan(w)
+            want = [trace_word_fricke(t, w) for t in triples]
+            assert fricke._plan_eval_fixed(plan, xs, ys, zs, 0) == want, w
+            assert fricke._plan_eval_fixed(plan, *scaled, 8) == \
+                [v << 8 for v in want], w
+            assert fricke._plan_eval_fixed(plan, [], [], [], 8) == []
 
     def test_plan_cache_bounded(self):
         size = fricke._trace_plan.cache_info().maxsize

@@ -27,8 +27,8 @@ def test_orbit_searches_make_no_mpmath_call():
     # one precision policy: both orbit searches and the Farey walk of the
     # slope and cone counts and of the ball area run in 2^-k fixed point,
     # and a second arithmetic must not grow back into them
-    searches = ["_pruned_bfs", "_family_lengths", "_walk_family",
-                "_twist_node", "_word_orbit_lengths",
+    searches = ["_pruned_bfs", "_family_lengths", "_twist_walk",
+                "_trace_cut", "_word_orbit_lengths",
                 "_word_length", "_block", "_rep_fixed", "_trace_length",
                 "_farey_walk", "_twist_reduced", "simple_slopes", "cone_count",
                 "thurston_ball_B", "_ball_area"]

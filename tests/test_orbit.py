@@ -1,5 +1,6 @@
 """Mapping-class orbit counting: simple curves, general words, volumes."""
 
+import collections
 import itertools
 import json
 import math
@@ -14,9 +15,9 @@ import pytest
 from teichlab import farey
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
-from teichlab.fricke import (_plan_eval_bounded, _trace_plan,
-                             canonical_cyclic, length_trace, reduce_word,
-                             trace_word_fixed, trace_word_fricke)
+from teichlab.fricke import (_plan_eval_bounded, _plan_eval_fixed,
+                             _trace_plan, canonical_cyclic, length_trace,
+                             reduce_word, trace_word_fricke)
 
 
 MODULAR = (3.0, 3.0, 3.0)
@@ -38,7 +39,8 @@ def moved(t, word):
 
 def node_length(t, gamma, k):
     """l_gamma at a triple of ints scaled by 2^k (k = 0: exact)."""
-    return ob._trace_length(trace_word_fixed(t, gamma, k), k, gamma)
+    tr, = _plan_eval_fixed(_trace_plan(gamma), *([v] for v in t), k)
+    return ob._trace_length(tr, k, gamma)
 
 
 def fixed_moved(t, word, k):
@@ -496,6 +498,54 @@ def mc_triple(seed, i):
     return (t.x, t.y, t.z)
 
 
+def walk_family(node, gamma, L, k, twist_fixed):
+    """The oracle of the lockstep twist walk: one family walked on its own,
+    downhill from n = 0 to the minimum of the convex l_gamma, then outward
+    on both sides until l_gamma > L (n = 0 alone when T fixes gamma);
+    returns (lengths <= L, {n: node(n)} for every node evaluated)."""
+    plan = _trace_plan(gamma)
+    nodes, trs = {}, {}
+
+    def tr(n):
+        if n not in trs:
+            nodes[n] = node(n)
+            trs[n] = abs(_plan_eval_fixed(plan, *([v] for v in nodes[n]),
+                                          k)[0])
+        return trs[n]
+
+    if twist_fixed:
+        ell = ob._trace_length(tr(0), k, gamma)
+        return [ell] if ell <= L else [], nodes
+    m = 0
+    for step in (1, -1):  # downhill to the right, else to the left
+        while tr(m + step) < tr(m):
+            m += step
+        if m:
+            break
+    found = []
+    for n, step in ((m, 1), (m - 1, -1)):
+        while (ell := ob._trace_length(tr(n), k, gamma)) <= L:
+            found.append(ell)
+            n += step
+    return found, nodes
+
+
+def chart_triple(ell, tau):
+    t = fricke_triple(SurfacePoint(S11, (0.0,), ell, tau))
+    return (t.x, t.y, t.z)
+
+
+# integral points, where ties of the trace are exact (aabbAABB has
+# tr(0) = tr(1) beyond L = 9 in families at (3, 3, 3), (4, 4, 4), (4, 4, 8)
+# and (6, 6, 6)), and chart points with 1080 and 1926 families at L = 16
+WALK_POINTS = [(3, 3, 3), (4, 4, 4), (3, 4, 5), (4, 4, 8), (6, 6, 6), GENERIC,
+               (3.3, 3.3, 5.445), chart_triple(1e-2, 0.3 * 1e-2),
+               chart_triple(3e-3, 0.3 * 3e-3)]
+WALK_WORDS = ["aabAb", "aabbabb"] + [
+    ob._orbit_rep(w)[0] for w in ("aabbAB", "aaBabb", "aabAbAbb")] + [
+    "aabbAABB", "abaB"]
+
+
 class TestTwistFamilies:
     def test_matches_bfs_on_mc_draws(self):
         # the first 20 accepted MC draws of seed 0 at L = 16, the BFS at the
@@ -535,7 +585,7 @@ class TestTwistFamilies:
             assert got.metadata["engine"] == "triple-orbit"
             assert got.counts == bfs_counts(X, gamma, L, grid, 3.0), gamma
 
-    def test_far_node_matches_mpmath(self, slope_trace):
+    def test_far_node_matches_mpmath(self, slope_trace, twist_node):
         # the node T^n of a marking triple at n = +-25, against traces of
         # the slopes s' + n s in mpmath; the word is chiral, so the test
         # tells T from t
@@ -557,7 +607,7 @@ class TestTwistFamilies:
             sp = min(((sp[0] + j * p, sp[1] + j * q) for j in range(-9, 10)),
                      key=lambda v: abs(tr(v) - mpmath.ldexp(mark[1], -k)))
             assert s[0] * sp[1] - s[1] * sp[0] == 1
-            node = ob._twist_node(mark, k)
+            node = twist_node(mark, k)
             for n in (25, -25):
                 t = tuple(tr((sp[0] + j * p, sp[1] + j * q))
                           for j in (n, n + 1))
@@ -566,6 +616,57 @@ class TestTwistFamilies:
                 assert want > 3 * L
                 assert node_length(node(n), gamma, k) == pytest.approx(
                     float(want), rel=1e-13), n
+
+    @pytest.mark.parametrize("X", WALK_POINTS)
+    def test_lockstep_walk_matches_family_oracle(self, X, twist_node,
+                                                 monkeypatch):
+        # per family: the found lengths and the outermost nodes; over all
+        # families: the multiset of the nodes evaluated, and the passes
+        evaluated = []
+
+        def spy(plan, xs, ys, zs, k):
+            evaluated.extend(zip(xs, ys, zs))
+            return _plan_eval_fixed(plan, xs, ys, zs, k)
+        monkeypatch.setattr(ob, "_plan_eval_fixed", spy)
+        for gamma, L in itertools.product(WALK_WORDS, (9.0, 12.5, 16.0)):
+            twist_fixed = gamma == "abaB"
+            assert twist_fixed == (ob._word_images(gamma, "T")
+                                   == [canonical_cyclic(gamma)])
+            marks, k = ob._farey_walk(
+                X, L, ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L)))
+            evaluated.clear()
+            found, outer, work = ob._twist_walk(marks, gamma, L, k,
+                                                twist_fixed)
+            want = collections.Counter()
+            widest = 0
+            for (_, mark), got, ends in zip(marks, found, outer):
+                lengths, nodes = walk_family(twist_node(mark, k), gamma, L,
+                                             k, twist_fixed)
+                assert sorted(got) == sorted(lengths), (gamma, L, mark)
+                assert ends == (nodes[min(nodes)], nodes[max(nodes)])
+                want.update(nodes.values())
+                widest = max(widest, max(nodes) - 1, -min(nodes))
+            assert collections.Counter(evaluated) == want, (gamma, L)
+            assert work == {"evaluations": len(evaluated),
+                            "steps": 1 + widest}
+
+    @pytest.mark.parametrize("k", [0, 299])
+    @pytest.mark.parametrize("L", [7.0, 9.0, 12.0, 16.0, 30.0])
+    def test_trace_cut_decides_as_the_length(self, k, L):
+        # the walk's decision, t <= cut and then the length, at the trace
+        # bound and one unit inside and outside each edge of the relative
+        # 2^-20 band around it and of the cut
+        n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
+        bound = (n << k) // d
+        cut = ob._trace_cut(L, k)
+        band = bound >> 20
+        traces = [bound + j for j in range(-3, 4)]
+        for edge in (bound - band, bound + band, cut):
+            traces += [edge - 1, edge, edge + 1]
+        assert min(traces) <= cut < max(traces)
+        for t in traces:
+            within = ob._trace_length(t, k, "aabAb") <= L
+            assert (t <= cut and within) == within, t - bound
 
     def test_top_band_family_raises(self, monkeypatch):
         # a non-empty family of a slope with l_s > L - band fails the count
@@ -1001,14 +1102,15 @@ class TestPrecision:
         with pytest.raises(ArithmeticError, match="kappa drifted"):
             ob._family_lengths(GENERIC, "aabAb", 9.0)
 
-    def test_kappa_checked_at_both_family_ends(self, monkeypatch):
+    def test_kappa_checked_at_both_family_ends(self, monkeypatch,
+                                               twist_node):
         # once at the root, then at the outermost node on each side of
         # every family with a length <= L
         L = 9.0
         k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
         marks, _ = ob._farey_walk(GENERIC, L, k)
         nonempty = sum(
-            any(node_length(ob._twist_node(mark, k)(n), "aabAb", k) <= L
+            any(node_length(twist_node(mark, k)(n), "aabAb", k) <= L
                 for n in range(-30, 31))
             for _, mark in marks)
         assert 0 < nonempty < len(marks)

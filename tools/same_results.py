@@ -6,11 +6,11 @@
 Run from anywhere; the program is imported from ``src/`` next to this
 directory.  Each line is a JSON object with sorted keys: the case, its
 results, and the work counters of the case under ``counters`` (ORB1's
-``orbit_nodes`` and the ``evaluations``, ``families`` and ``k`` of its
-metadata, and the Farey walks of each ``point``, ``orb1`` and ``mc`` case
-as ``walks``), so that two checkouts compare with ``diff`` and a change of work
-shows apart from a change of result.  An exception is recorded as its type
-and message in place of the result.
+``orbit_nodes`` and the ``evaluations``, ``families``, ``steps`` and ``k``
+of its metadata, and the Farey walks of each ``point``, ``orb1`` and
+``mc`` case as ``walks``), so that two checkouts compare with ``diff`` and
+a change of work shows apart from a change of result.  An exception is
+recorded as its type and message in place of the result.
 
 The table:
 
@@ -18,7 +18,9 @@ The table:
   ``point_symmetry_order`` and the repr of ``thurston_ball_B``, at each
   base of BASES moved by each reduced word of length <= 3 in T, t, U, u;
 - ``orb1``: the ORB1 report of each word of ORB_WORDS at each base moved
-  by each reduced word of length <= 2;
+  by each reduced word of length <= 2, and of aabAb at L = 16 at the torus
+  chart's points (ell, tau) of ORB_CHART_POINTS, thin points where the
+  twist walk is widest (1080 and 1926 families);
 - ``brute``: the count of ``count_orbit_word_bruteforce`` (the lengths that
   its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
   at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
@@ -71,6 +73,7 @@ RAY_SEEDS = (14, 15)
 MC_SEEDS = (0, 1)
 MC_SAMPLES = 120
 BALL_POINTS = ((1e-2, 0.3 * 1e-2), (1e-3, 0.3 * 1e-3))
+ORB_CHART_POINTS = ((1e-2, 0.3 * 1e-2), (3e-3, 0.3 * 3e-3))
 BALL_MC_SAMPLES = 3
 # the generator maps on triples, in the base's own arithmetic
 MOVES = {"T": lambda x, y, z: (x, z, x * z - y),
@@ -78,7 +81,7 @@ MOVES = {"T": lambda x, y, z: (x, z, x * z - y),
          "U": lambda x, y, z: (z, y, y * z - x),
          "u": lambda x, y, z: (x * y - z, y, x)}
 INVERSE = {"T": "t", "t": "T", "U": "u", "u": "U"}
-COUNTERS = ("evaluations", "families", "k")
+COUNTERS = ("evaluations", "families", "steps", "k")
 
 
 def move_words(n: int) -> list[str]:
@@ -103,6 +106,8 @@ def cases():
     for base, w, (gamma, L) in itertools.product(BASES, move_words(2),
                                                  ORB_WORDS):
         yield ["orb1", list(base), w, gamma, L]
+    for ell, tau in ORB_CHART_POINTS:
+        yield ["orb1", "chart", ell, tau, "aabAb", 16.0]
     for base, (gamma, L) in itertools.product(BASES, BRUTE_WORDS):
         yield ["brute", list(base), gamma, L]
     for seed, i in itertools.product(MC_SEEDS, range(MC_SAMPLES)):
@@ -252,9 +257,12 @@ def run_case(case) -> str:
                     lambda: repr(orbit.thurston_ball_B(X)))}
         counters["walks"] = len(walks)
     elif kind == "orb1":
-        X = moved(tuple(case[1]), case[2])
+        if case[1] == "chart":
+            X = _ball_point(*case[1:4])
+        else:
+            X = moved(tuple(case[1]), case[2])
         with _walks() as walks:
-            result = _attempt(_orb1, X, case[3], case[4], counters)
+            result = _attempt(_orb1, X, case[-2], case[-1], counters)
         counters["walks"] = len(walks)
     elif kind == "brute":
         result = _attempt(_brute, tuple(case[1]), case[2], case[3], counters)
