@@ -27,9 +27,10 @@ point end to end as well:
 the (ell, tau) torus chart is built from two exponentials as ints scaled
 by 2^k, with k chosen per trace by a forward error bound through the chart
 and the trace plan: a length is returned only once that bound fixes it.
-Each length function takes each exponential once, at the most bits asked
-of it, and shifts it down to later requests (a bounded memo that dies
-with the function).
+Each length function starts each point at the precision its last point's
+bound asked for, takes each exponential once, at the most bits asked of
+it, and shifts it down to later requests (a bounded memo that dies with
+the function).
 Its trace goes through the same length code as orbit nodes.
 """
 
@@ -926,6 +927,7 @@ SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
 
 
 _EXP_MEMO_CAP = 64  # entries of a length function's memo: a line is ~35 points
+_EXP_HEADROOM = 32  # bits taken above a request, for the next few to reuse
 
 
 def _exp_fixed(h: float, k: int, memo: dict) -> tuple[tuple[int, int], ...]:
@@ -942,18 +944,22 @@ def _exp_fixed(h: float, k: int, memo: dict) -> tuple[tuple[int, int], ...]:
 
     memo, a dict that one length function keeps (_gamma_length_fn), maps
     |h| to the mantissa, exponent and bits of e^|h| at the most bits asked
-    so far; mpf_exp runs only when it holds fewer than k + 8 bits.  A
-    mantissa of P >= k + 8 bits is within 1 ulp, at most 2^-(P-1) <=
-    2^-(k+7) relative, of e^|h|, so after the flooring shift to scale 2^k
-    the same (big >> k + 7) + 2 bounds it; and the inverse, 2^2k // big,
-    keeps its 3 units, which rest only on that relative error and on
-    big >= 2^k.  Past _EXP_MEMO_CAP the least recently used entry goes.
+    so far; mpf_exp runs only when it holds fewer than k + 8 bits, and then
+    takes k + 8 + _EXP_HEADROOM bits, so that a raised try (32 bits up at
+    least) and a neighbouring point at a slightly higher k shift the stored
+    mantissa down instead of calling it again.  A mantissa of P >= k + 8
+    bits is within 1 ulp, at most 2^-(P-1) <= 2^-(k+7) relative, of e^|h|,
+    so after the flooring shift to scale 2^k the same (big >> k + 7) + 2
+    bounds it; and the inverse, 2^2k // big, keeps its 3 units, which rest
+    only on that relative error and on big >= 2^k.  Past _EXP_MEMO_CAP the
+    least recently used entry goes.
     """
     a = abs(h)
     got = memo.pop(a, None)
     if got is None or got[2] < k + 8:
-        _, man, exp, _ = mpf_exp(from_float(a), k + 8, round_nearest)
-        got = (man, exp, k + 8)
+        bits = k + 8 + _EXP_HEADROOM
+        _, man, exp, _ = mpf_exp(from_float(a), bits, round_nearest)
+        got = (man, exp, bits)
     memo[a] = got  # last in the dict's order: the most recently used
     if len(memo) > _EXP_MEMO_CAP:
         del memo[next(iter(memo))]
@@ -1026,8 +1032,10 @@ def _certified_length(tr: int, e: int, k: int, w: str):
     return length if length == _trace_length(tr + 2 * e, k, w) else None
 
 
-# the chart's bound on |ell| + |tau| and l1: a try takes ~0.7 bits per unit,
-# one aabAb length 0.02 s at 10^4 and 1-2 s at 10^5 (APL rays reach ~1200)
+# the chart's bound on |ell| + |tau| and l1: a first guess takes ~0.7 bits per
+# unit; the first aabAb length of an f takes 4-13 ms at 10^4 and 0.15-0.6 s
+# at 10^5 on a 2-core Xeon VM, a nearby next one up to half less (APL rays
+# reach ~1200)
 CHART_MAX = 1e5
 _MAX_RAISES = 64  # a^n at the smallest float ell: 33 tries, >= 63 bits apart
 
@@ -1036,23 +1044,36 @@ def _gamma_length_fn(gamma: str, l1: float):
     """(ell, tau) -> l_gamma on the torus chart, in fixed point at the
     precision the trace needs.
 
-    The first try is k0 = 96 bits plus the bits of the coordinates,
-    (|ell| + |tau|) / (2 ln 2) + 8.  A length is returned only when the
-    chart-and-plan error bound e (units of 2^-k) certifies it
-    (_certified_length); else k rises by the bits the margin |tr| - 2 lacks
-    plus 64 (at least 32), up to _MAX_RAISES times, then ArithmeticError.
-    A trivial or peripheral gamma (trace +-2 at a cusp: no k decides) and
-    points off the chart (CHART_MAX; ell / 2 = 0) are a ValueError.
+    A length is returned only when the chart-and-plan error bound e (units
+    of 2^-k) certifies it (_certified_length); else k rises by the bits the
+    margin |tr| - 2 lacks plus 64 (at least 32), up to _MAX_RAISES times,
+    then ArithmeticError.  A trivial or peripheral gamma (trace +-2 at a
+    cusp: no k decides) and points off the chart (CHART_MAX; ell / 2 = 0)
+    are a ValueError.
+
+    The first try of f's first point is the guess k0 = 96 bits plus the
+    bits of the coordinates, (|ell| + |tau|) / (2 ln 2) + 8.  After each
+    certified point f records the least k at which that point's bound
+    would have certified it: the bits of e barely depend on k, those of
+    the margin grow one for one with it, so that k is about
+    e.bit_length() + 62 - margin.bit_length() + k.  The next point starts
+    at that k plus 32, scaled by the ratio of the two points' guesses, and
+    never below 96 bits (at a few bits the chart's v - 1/v rounds to 0);
+    the raise rule catches a start too low.  Every length is certified at any
+    k, and a finer evaluation lies inside the certified interval
+    (_certified_length), so the start moves only the work, never a length.
 
     f keeps its own bounded memo of the chart's exponentials (_exp_fixed):
     along a twist line e^(ell/2) is taken again only when a point asks for
-    more bits than it holds, and is shifted down otherwise.  The memo dies
-    with f; the lengths are certified, so they do not depend on it.
+    more bits than it holds, and is shifted down otherwise.  The memo and
+    the recorded k die with f; the lengths are certified, so they depend
+    on neither.
     """
     if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
         raise ValueError("gamma=%r is peripheral or trivial" % gamma)
     plan = _trace_plan(gamma)
     memo = {}
+    last = []  # the last point's least certifying k and its first guess
 
     def f(ell, tau):
         size = abs(ell) + abs(tau)
@@ -1060,15 +1081,18 @@ def _gamma_length_fn(gamma: str, l1: float):
             raise ValueError("(ell, tau, l1) = (%r, %r, %r) is off the chart: "
                              "|ell| + |tau| and l1 at most %g, ell not 0"
                              % (ell, tau, l1, CHART_MAX))
-        k = 104 + math.ceil(size / (2 * math.log(2)))
+        guess = 104 + math.ceil(size / (2 * math.log(2)))
+        k = guess if not last else max(96, (last[0] + 32) * guess // last[1])
         for _ in range(_MAX_RAISES + 1):
             t, errs = _chart_fixed(l1, ell, tau, k, memo)
             tr, e = _plan_eval_bounded(plan, *t, errs, k)
             tr = abs(tr)
             length = _certified_length(tr, e, k, gamma)
-            if length is not None:
-                return length
             margin = tr - (2 << k)
+            if length is not None:
+                last[:] = (e.bit_length() + 62 - margin.bit_length() + k,
+                           guess)
+                return length
             # a margin inside the error bounds |tr| - 2 only from above;
             # then take |tr| - 2 >= 1, as at all but the shortest curves
             mbits = abs(margin).bit_length()
@@ -1109,20 +1133,26 @@ def _bisect(pred, inside, outside, steps: int) -> float:
 _SECANT_STEPS = 32  # a cap only: Illinois reaches 2^-44 in 1-14 steps
 
 
-def _end_predicate(g, L, inside, g_in, outside, g_out):
+def _end_predicate(g, L, inside, outside, known):
     """The predicate g(tau) <= L for bisecting one end of the sublevel set
-    from inside (g_in <= L) toward outside (g_out > L), answered without g
-    on the far side of the tightest known inside point lo or outside point
-    hi.
+    from inside (g <= L) toward outside (g > L), answered without g on the
+    far side of the tightest known inside point lo or outside point hi.
+    known maps each tau where g was already evaluated, inside and outside
+    among them, to its value.
 
-    Illinois (bracketed secant) steps on g - L shrink [lo, hi] until g == L
-    or it is below 2^-44 of its start width w; two probes at the last
-    estimate +-2^-50 w then tighten it.  The sublevel set is one interval,
-    so a point between inside and lo lies in it and one at or beyond hi
-    does not: the predicate answers every midpoint as g itself would."""
+    [lo, hi] starts as the tightest pair of known points between inside
+    and outside, and Illinois (bracketed secant) steps on g - L shrink it
+    until g == L or it is below 2^-44 of w = |outside - inside|; two probes
+    at the last estimate +-2^-50 w then tighten it.  The sublevel set is
+    one interval, so a point between inside and lo lies in it and one at
+    or beyond hi does not: the predicate answers every midpoint as g itself
+    would."""
     s = 1.0 if outside > inside else -1.0
     w = s * (outside - inside)
-    lo, hi, h_lo, h_hi = inside, outside, g_in - L, g_out - L
+    ahead = [t for t in known if s * t >= s * inside]
+    lo = max((t for t in ahead if known[t] <= L), key=lambda t: s * t)
+    hi = min((t for t in ahead if known[t] > L), key=lambda t: s * t)
+    h_lo, h_hi = known[lo] - L, known[hi] - L
     moved = 0  # 1 when the last step moved lo, -1 when it moved hi
     for _ in range(_SECANT_STEPS):
         x = lo - h_lo * (hi - lo) / (h_hi - h_lo)
@@ -1173,10 +1203,14 @@ def _tau_measure(f, ell, L, K=None):
     bracketed secant first pins the end to about 2^-50 of its bracket, and
     only midpoints inside that bracket evaluate f, so the measure is the
     one the plain bisection gives, bit for bit, from about a third of the
-    length evaluations.
+    length evaluations.  Each end's secant starts from the tightest
+    bracket that the shell and the search have already evaluated.
     """
+    known = {}
+
     def g(tau):
-        return f(ell, tau)
+        known[tau] = v = f(ell, tau)
+        return v
 
     T = max(4.0 * ell, 8.0)
     f_lo, f_hi = g(-T / 2.0), g(T / 2.0)
@@ -1202,12 +1236,10 @@ def _tau_measure(f, ell, L, K=None):
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = g(d)
-    inside, f_in = (c, fc) if fc <= L else (d, fd)
+    inside = c if fc <= L else d
     # each end is less than 2T away, so 53 halvings end below T 2^-52
-    return (_bisect(_end_predicate(g, L, inside, f_in, T, out_hi),
-                    inside, T, 53)
-            - _bisect(_end_predicate(g, L, inside, f_in, -T, out_lo),
-                      inside, -T, 53))
+    return (_bisect(_end_predicate(g, L, inside, T, known), inside, T, 53)
+            - _bisect(_end_predicate(g, L, inside, -T, known), inside, -T, 53))
 
 
 def require_filling(gamma: str):

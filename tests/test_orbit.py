@@ -864,8 +864,8 @@ class TestChartPrecision:
         # length the error bound accepts is its length bit for bit, found
         # within two tries (the thin part is TestChart's); the total of
         # tries is pinned, so that a looser chart bound cannot add tries
-        # unseen (1168 tries for 960 lengths at both l1, counted with the
-        # exponentials absolute to 2^-k)
+        # unseen (1055 tries for 960 lengths at both l1, each f starting a
+        # point from the k its last point needed)
         pts = ray_points(14, 20)
         ks = []
         tries = 0
@@ -884,18 +884,19 @@ class TestChartPrecision:
                 monkeypatch.setattr(ob, "_chart_fixed", chart)
                 assert got == want and len(ks) <= 2, (gamma, ell, tau, ks)
                 tries += len(ks)
-        assert tries == 1168
+        assert tries == 1055
 
     @pytest.mark.parametrize("k", [80, 600])
     def test_exp_memo_shifted_down_covers_error(self, k, monkeypatch):
-        # e^|h| stored at 1300 + 8 bits and shifted down to scale 2^k, with
-        # no new mpf_exp, lies within _exp_fixed's bounds at k of mpmath's
-        # at k + 4000 bits, for both signs of h
+        # e^|h| stored at 1300 + 8 bits plus the headroom and shifted down
+        # to scale 2^k, with no new mpf_exp, lies within _exp_fixed's bounds
+        # at k of mpmath's at k + 4000 bits, for both signs of h
         hs = [10.0 ** (i / 4.0) for i in range(-12, 12)] + [900.0]
         memo = {}
         for h in hs:
             ob._exp_fixed(h, 1300, memo)
-        assert all(bits == 1308 for _, _, bits in memo.values())
+        assert all(bits == 1308 + ob._EXP_HEADROOM
+                   for _, _, bits in memo.values())
         calls = []
         exp = ob.mpf_exp
         monkeypatch.setattr(ob, "mpf_exp",
@@ -931,6 +932,56 @@ class TestChartPrecision:
         fresh = [repr(ob._gamma_length_fn("aabAb", l1)(ell, tau))
                  for ell, tau in pts[::12]]
         assert fresh == want[::12]
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_start_leaves_lengths_alone(self, l1, monkeypatch):
+        # an order that misleads the start from the last point's k: a far
+        # ray point, a thin one, a far one again and a twist-line point;
+        # the start set by a far point is too low for the thin one and
+        # costs raises, yet every length equals a fresh f's by repr
+        pts = [(497.25, 1150.0), (1e-3, 0.3), (500.0, -1033.5),
+               (1.5, -12.25)]
+        ks = []
+        chart = ob._chart_fixed
+
+        def spy(l1, ell, tau, k, memo):
+            ks.append(k)
+            return chart(l1, ell, tau, k, memo)
+        for gamma in WORDS:
+            fresh = [repr(ob._gamma_length_fn(gamma, l1)(ell, tau))
+                     for ell, tau in pts]
+            f = ob._gamma_length_fn(gamma, l1)
+            monkeypatch.setattr(ob, "_chart_fixed", spy)
+            assert [repr(f(ell, tau)) for ell, tau in pts] == fresh, gamma
+            monkeypatch.setattr(ob, "_chart_fixed", chart)
+        assert len(ks) > len(pts) * len(WORDS)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_start_from_last_point_saves_bits(self, l1, monkeypatch):
+        # on seeded ray points one f for all points makes no more chart
+        # tries than a fresh f per point, whose every point starts at the
+        # guess from its coordinates alone, and its tries take at least 20%
+        # fewer bits in all
+        pts = ray_points(14, 20)
+        work = {}
+        chart = ob._chart_fixed
+
+        def spy(l1, ell, tau, k, memo):
+            work[side][0] += 1
+            work[side][1] += k
+            return chart(l1, ell, tau, k, memo)
+        monkeypatch.setattr(ob, "_chart_fixed", spy)
+        for side in ("shared", "fresh"):
+            work[side] = [0, 0]
+            for gamma in WORDS:
+                f = ob._gamma_length_fn(gamma, l1)
+                for ell, tau in pts:
+                    if side == "fresh":
+                        f = ob._gamma_length_fn(gamma, l1)
+                    f(ell, tau)
+        (tries, k_sum), (fresh_tries, fresh_k_sum) = \
+            work["shared"], work["fresh"]
+        assert tries <= fresh_tries and k_sum <= 0.8 * fresh_k_sum, work
 
     def test_length_functions_share_no_memo(self, monkeypatch):
         # a second f pays for the exponentials the first one holds; the
@@ -1005,10 +1056,10 @@ class TestChartPrecision:
                 f = ob._gamma_length_fn("a" * n, 0.0)
                 assert f(ell, 0.3) == pytest.approx(n * ell, abs=1e-15)
         # out of raises, the loop raises rather than return an uncertified
-        # length
+        # length; a fresh f, as the f above starts near the k it needed
         monkeypatch.setattr(ob, "_MAX_RAISES", 4)
         with pytest.raises(ArithmeticError, match="no precision"):
-            f(1e-100, 0.3)
+            ob._gamma_length_fn("aaa", 0.0)(1e-100, 0.3)
 
 
 class TestWordLength:

@@ -18,6 +18,7 @@ _SPEC.loader.exec_module(same_results)
                                   ["plan", "aabAb"],
                                   ["chart", "tau_measure", "aabAb", 0.5, 10.0],
                                   ["chart", "ray_fit", "aabAb", 15],
+                                  ["chart", "wall_scan", "abaB", 64],
                                   ["ball", "mc", 0, 0]])
 def test_case_lines_repeat(case):
     assert case in list(same_results.cases())

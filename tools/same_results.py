@@ -34,7 +34,8 @@ The table:
   ``counters``, so that plan size shows next to the work counters;
 - ``chart``: the lengths on the (ell, tau) torus chart: ``_tau_measure``
   of aabAb at each (ell, L) of TAU_POINTS, ``apl.ray_fit`` of each word of
-  RAY_WORDS on the rays of RAY_SEEDS, and the repr of
+  RAY_WORDS on the rays of RAY_SEEDS, ``apl.wall_scan`` of each word of
+  RAY_WORDS at grid 64, and the repr of
   ``ball_length_region_volume`` of aabAb at L = 10, each with the chart's
   ``chart_tries``, their ``k_sum`` and the ``mpf_exp`` calls under
   ``counters``, counted by wrapping those names of ``orbit`` for the case;
@@ -120,6 +121,8 @@ def cases():
         yield ["chart", "tau_measure", "aabAb", ell, L]
     for gamma, seed in itertools.product(RAY_WORDS, RAY_SEEDS):
         yield ["chart", "ray_fit", gamma, seed]
+    for gamma in RAY_WORDS:
+        yield ["chart", "wall_scan", gamma, 64]
     yield ["chart", "volume", "aabAb", 10.0]
     for ell, tau in BALL_POINTS:
         yield ["ball", "chart", ell, tau]
@@ -208,6 +211,8 @@ def _chart(counters, what, gamma, *args):
             radii = [5.0 * 10 ** (2.0 * i / 7.0) for i in range(8)]
             return json.loads(
                 apl.ray_fit(gamma, x0, (1.0, u), radii).to_json())
+        if what == "wall_scan":
+            return json.loads(apl.wall_scan(gamma, grid_n=args[0]).to_json())
         return repr(orbit.ball_length_region_volume(gamma, *args))
 
 
