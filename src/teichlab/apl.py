@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .orbit import _gamma_length_fn
+from .fn_surface import _gamma_length_fn
 
 # largest denominator of a rational snap; the step of the gradient
 # differences; the direction slice and the sampling scale of wall_scan

@@ -15,6 +15,10 @@ m = coth(l/2) and the transversal relation cosh(l_beta/2) =
 cosh(tau/2) coth(l/2) holds with zero twist offset.  Twist tau -> tau + l
 realizes the Dehn twist exactly (slope relabel (p,q) -> (p+q, q)).
 
+The chart is computed once, in fixed point with error bounds
+(_chart_fixed); every torus curve length is certified through it
+(_gamma_length_fn), and fricke_triple is its float view.
+
 Four-holed sphere chart (boundaries l1..l4, interior curve pairing
 (l1,l2 | l3,l4)): lengths of the two standard transversals come from the
 two-hexagon route: seam perpendiculars a_i from boundary to interior curve,
@@ -32,8 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from mpmath.libmp import from_float, mpf_exp, round_nearest
+
 from . import farey
-from .fricke import FrickeTriple, length_trace, trace_word_fricke
+from .fricke import (FrickeTriple, _plan_eval_bounded, _trace_length,
+                     _trace_plan, cyclic_reduce, is_peripheral_word)
 from .hyptrig import (HexDomainError, arc_over_geodesic,
                       arc_over_geodesic_inverse, seam_F1)
 
@@ -105,22 +112,205 @@ def torus_curve(spec) -> CurveOnSurface:
 # one-holed torus
 
 
-def _torus_m(l1: float, ell: float) -> float:
-    return math.sqrt(2.0 * math.cosh(l1 / 2.0) + 2.0 * math.cosh(ell)) \
-        / (2.0 * math.sinh(ell / 2.0))
+_EXP_MEMO_CAP = 64  # entries of a length function's memo: a line is ~35 points
+_EXP_HEADROOM = 32  # bits taken above a request, for the next few to reuse
+
+
+def _exp_fixed(h: float, k: int, memo: dict) -> tuple[tuple[int, int], ...]:
+    """(e^h, e^-h) as ints scaled by 2^k, each with a bound on its error in
+    units of 2^-k: ((e^h, err), (e^-h, err)).
+
+    e^|h| comes from mpmath's pure mpf_exp (no global precision state is
+    read or set) to k + 8 bits relative, trusted to 1 ulp: at most
+    e^|h| 2^-(k+7) units, plus a unit for the shift to scale 2^k, so
+    (big >> k + 7) + 2 bounds it.  Its inverse, from one integer division,
+    is within 3 units.  The chart's products carry m's rounding to about
+    e^|h| units already (_chart_fixed), so the e^|h| / ln 2 bits that an
+    absolute 2^-k would need buy nothing.
+
+    memo, a dict its caller keeps (_gamma_length_fn, fricke_triple), maps
+    |h| to the mantissa, exponent and bits of e^|h| at the most bits asked
+    so far; mpf_exp runs only when it holds fewer than k + 8 bits, and then
+    takes k + 8 + _EXP_HEADROOM bits, so that a raised try (32 bits up at
+    least) and a neighbouring point at a slightly higher k shift the stored
+    mantissa down instead of calling it again.  A mantissa of P >= k + 8
+    bits is within 1 ulp, at most 2^-(P-1) <= 2^-(k+7) relative, of e^|h|,
+    so after the flooring shift to scale 2^k the same (big >> k + 7) + 2
+    bounds it; and the inverse, 2^2k // big, keeps its 3 units, which rest
+    only on that relative error and on big >= 2^k.  Past _EXP_MEMO_CAP the
+    least recently used entry goes.
+    """
+    a = abs(h)
+    got = memo.pop(a, None)
+    if got is None or got[2] < k + 8:
+        bits = k + 8 + _EXP_HEADROOM
+        _, man, exp, _ = mpf_exp(from_float(a), bits, round_nearest)
+        got = (man, exp, bits)
+    memo[a] = got  # last in the dict's order: the most recently used
+    if len(memo) > _EXP_MEMO_CAP:
+        del memo[next(iter(memo))]
+    man, exp, _ = got
+    s = exp + k
+    big = man << s if s >= 0 else man >> -s
+    pair = ((big, (big >> k + 7) + 2), ((1 << 2 * k) // big, 3))
+    return pair if h >= 0 else pair[::-1]
+
+
+def _chart_fixed(l1: float, ell: float, tau: float, k: int, memo: dict):
+    """Trace coordinates (x, y, z) of the torus chart at (ell, tau), as ints
+    scaled by 2^k, and bounds (ex, ey, ez) on their errors in units of
+    2^-k: with v = e^(ell/2) and u = e^(tau/2),
+
+        x = v + 1/v,  y = m (u + 1/u),  z = m (uv + 1/(uv)),
+        m = sqrt(2 cosh(l1/2) + v^2 + v^-2) / (v - 1/v)
+
+    (m = coth(ell/2) at a cusp).  uv is the product of the two fixed-point
+    exponentials, never e^((ell+tau)/2) of the rounded float sum, which
+    would break the kappa identity that ties z to x and y.
+
+    In the thin part m ~ 2/ell divides by v - 1/v ~ ell, so the chart
+    works g = 2 log2(1/ell) guard bits finer than 2^-k.  The bounds carry
+    every rounding: the exponentials (_exp_fixed's own bounds for v, 1/v,
+    u, 1/u and the two of cosh(l1/2)), the squares, the isqrt (l1 > 0), the
+    division for m, the products for y and z, and the final shift by g.
+    The exponentials are exact to 2^-(k+7) relative, not to 2^-k absolute:
+    y and z already carry m's few units of rounding times u + 1/u, about
+    e^(|tau|/2) units.  The caller picks k and keeps the memo (_exp_fixed).
+    """
+    g = 2 * max(0, -math.frexp(ell)[1])
+    n = k + g
+    (v, ev), (vi, evi) = _exp_fixed(float(ell) / 2, n, memo)
+    (u, eu), (ui, eui) = _exp_fixed(float(tau) / 2, n, memo)
+    if l1 == 0.0:
+        r = v + vi  # the square root is exact at a cusp
+        er = ev + evi
+    else:
+        (c, ec), (ci, eci) = _exp_fixed(float(l1) / 2, n, memo)
+        s = c + ci + (v * v + vi * vi >> n)
+        es = ec + eci + (ev * (2 * v + ev) + evi * (2 * vi + evi) >> n) + 2
+        r = math.isqrt(s << n)
+        # |sqrt(s 2^n) - sqrt(S 2^n)| <= 2^n |s - S| / r, plus the floor
+        er = (es << n) // r + 2
+    d = v - vi
+    ed = ev + evi
+    m = (r << n) // d
+    em = (er << n) // d + ((r + er) * ed << n) // (d * (d - ed)) + 3
+    w = u + ui
+    ew = eu + eui
+    p = u * v + ui * vi >> n
+    ep = (eu * v + ev * u + eu * ev + eui * vi + evi * ui + eui * evi
+          >> n) + 2
+    return ((v + vi >> g, m * w >> n + g, m * p >> n + g),
+            ((ev + evi >> g) + 2, (m * ew + w * em + em * ew >> n + g) + 2,
+             (m * ep + p * em + em * ep >> n + g) + 2))
+
+
+def _certified_length(tr: int, e: int, k: int, w: str):
+    """The length of the trace tr of w, both ints scaled by 2^k, when its
+    error bound e fixes it: e 2^60 <= tr - 2 and the float lengths at
+    tr - 2e and tr + 2e agree.  A finer evaluation, whose error is smaller,
+    lies in that interval and so gives this length bit for bit.  None when
+    the bound does not decide."""
+    if tr - (2 << k) < e << 60:
+        return None
+    length = _trace_length(tr - 2 * e, k, w)
+    return length if length == _trace_length(tr + 2 * e, k, w) else None
+
+
+# the chart's bound on |ell| + |tau| and l1: a first guess takes ~0.7 bits per
+# unit; the first aabAb length of an f takes 4-13 ms at 10^4 and 0.15-0.6 s
+# at 10^5 on a 2-core Xeon VM, a nearby next one up to half less (APL rays
+# reach ~1200)
+CHART_MAX = 1e5
+_MAX_RAISES = 64  # a^n at the smallest float ell: 33 tries, >= 63 bits apart
+
+
+def _chart_size(l1: float, ell: float, tau: float) -> float:
+    """|ell| + |tau|; ValueError off the chart (CHART_MAX; at ell / 2 = 0
+    the chart's m divides by v - 1/v = 0)."""
+    size = abs(ell) + abs(tau)
+    if not (size <= CHART_MAX and abs(l1) <= CHART_MAX) or ell / 2 == 0:
+        raise ValueError("(ell, tau, l1) = (%r, %r, %r) is off the chart: "
+                         "|ell| + |tau| and l1 at most %g, ell not 0"
+                         % (ell, tau, l1, CHART_MAX))
+    return size
+
+
+def _gamma_length_fn(gamma: str, l1: float):
+    """(ell, tau) -> l_gamma on the torus chart, in fixed point at the
+    precision the trace needs.
+
+    A length is returned only when the chart-and-plan error bound e (units
+    of 2^-k) certifies it (_certified_length); else k rises by the bits the
+    margin |tr| - 2 lacks plus 64 (at least 32), up to _MAX_RAISES times,
+    then ArithmeticError.  A trivial or peripheral gamma (trace +-2 at a
+    cusp: no k decides) and a point off the chart are a ValueError.
+
+    The first try of f's first point is the guess k0 = 96 bits plus the
+    bits of the coordinates, (|ell| + |tau|) / (2 ln 2) + 8.  After each
+    certified point f records the least k at which that point's bound
+    would have certified it: the bits of e barely depend on k, those of
+    the margin grow one for one with it, so that k is about
+    e.bit_length() + 62 - margin.bit_length() + k.  The next point starts
+    at that k plus 32, scaled by the ratio of the two points' guesses, and
+    never below 96 bits (at a few bits the chart's v - 1/v rounds to 0);
+    the raise rule catches a start too low.  Every length is certified at any
+    k, and a finer evaluation lies inside the certified interval
+    (_certified_length), so the start moves only the work, never a length.
+
+    f keeps its own bounded memo of the chart's exponentials (_exp_fixed):
+    along a twist line e^(ell/2) is taken again only when a point asks for
+    more bits than it holds, and is shifted down otherwise.  The memo and
+    the recorded k die with f; the lengths are certified, so they depend
+    on neither.
+    """
+    if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
+        raise ValueError("gamma=%r is peripheral or trivial" % gamma)
+    plan = _trace_plan(gamma)
+    memo = {}
+    last = []  # the last point's least certifying k and its first guess
+
+    def f(ell, tau):
+        size = _chart_size(l1, ell, tau)
+        guess = 104 + math.ceil(size / (2 * math.log(2)))
+        k = guess if not last else max(96, (last[0] + 32) * guess // last[1])
+        for _ in range(_MAX_RAISES + 1):
+            t, errs = _chart_fixed(l1, ell, tau, k, memo)
+            tr, e = _plan_eval_bounded(plan, *t, errs, k)
+            tr = abs(tr)
+            length = _certified_length(tr, e, k, gamma)
+            margin = tr - (2 << k)
+            if length is not None:
+                last[:] = (e.bit_length() + 62 - margin.bit_length() + k,
+                           guess)
+                return length
+            # a margin inside the error bounds |tr| - 2 only from above;
+            # then take |tr| - 2 >= 1, as at all but the shortest curves
+            mbits = abs(margin).bit_length()
+            if margin <= 2 * e:
+                mbits = min(mbits, k)
+            k += max(32, e.bit_length() - mbits + 64)
+        raise ArithmeticError("no precision up to %d bits fixes the length "
+                              "of %r at (%r, %r)" % (k, gamma, ell, tau))
+    return f
 
 
 def fricke_triple(X: SurfacePoint) -> FrickeTriple:
-    """Trace coordinates of the torus chart marking (a = coordinate curve,
-    b = transversal, so x = Tr a, y = Tr b, z = Tr ab)."""
+    """(x, y, z) = (Tr a, Tr b, Tr ab) of the torus chart marking (a the
+    coordinate curve, b the transversal), the float view of _chart_fixed:
+    at a k from 64 up whose bounds are at most 2^-60 of their coordinates,
+    each rounded once (int true division rounds correctly)."""
     if X.kind != S11:
         raise ValueError("fricke_triple is defined for the torus chart")
     l1 = X.boundaries[0]
-    m = _torus_m(l1, X.ell)
-    x = 2.0 * math.cosh(X.ell / 2.0)
-    y = 2.0 * m * math.cosh(X.tau / 2.0)
-    z = 2.0 * m * math.cosh((X.ell + X.tau) / 2.0)
-    return FrickeTriple(x, y, z)
+    _chart_size(l1, X.ell, X.tau)
+    k, memo = 64, {}
+    while True:
+        t, errs = _chart_fixed(l1, X.ell, X.tau, k, memo)
+        if all(e << 60 <= v for v, e in zip(t, errs)):
+            return FrickeTriple(*(v / (1 << k) for v in t))
+        k += max(e.bit_length() + 61 - v.bit_length()
+                 for v, e in zip(t, errs))
 
 
 def surface_from_triple(t: FrickeTriple, l1: float) -> SurfacePoint:
@@ -137,7 +327,8 @@ def surface_from_triple(t: FrickeTriple, l1: float) -> SurfacePoint:
         raise ValueError("triple has kappa=%g, boundary l1=%g needs %g"
                          % (t.kappa, l1, want))
     ell = 2.0 * math.acosh(x / 2.0)
-    m = _torus_m(l1, ell)
+    m = math.sqrt(2.0 * math.cosh(l1 / 2.0) + 2.0 * math.cosh(ell)) \
+        / (2.0 * math.sinh(ell / 2.0))
     # z = y cosh(l/2) + 2m sinh(l/2) sinh(tau/2): solving for sinh(tau/2)
     # stays full precision through tau = 0 (acosh of y/2m does not) and
     # carries the twist sign
@@ -191,9 +382,8 @@ def curve_length(X: SurfacePoint, c: CurveOnSurface) -> float:
     if X.kind == S11:
         if c.slope == (1, 0):
             return X.ell
-        t = fricke_triple(X)
         word = c.word if c.slope is None else farey.slope_word(*c.slope)
-        return length_trace(trace_word_fricke(t, word))
+        return _gamma_length_fn(word, X.boundaries[0])(X.ell, X.tau)
     if c.label == "interior":
         return X.ell
     if c.label in ("b1", "b2", "b3", "b4"):

@@ -81,6 +81,19 @@ def canonical_cyclic(w: str) -> str:
     return min(rots, default="").swapcase()
 
 
+def word_abelianization(w: str) -> tuple[int, int]:
+    w = reduce_word(w)
+    return (w.count("a") - w.count("A"), w.count("b") - w.count("B"))
+
+
+def is_peripheral_word(w: str) -> bool:
+    w = cyclic_reduce(w)
+    if word_abelianization(w) != (0, 0) or len(w) % 4 != 0 or not w:
+        return False
+    k = len(w) // 4
+    return canonical_cyclic(w) == canonical_cyclic("abAB" * k)
+
+
 def trace_word_numeric(A, B, w: str):
     """Trace of the matrix product spelled by w (capitals = inverses) in the
     unimodular 2x2 matrices A, B, each a tuple (a, b, c, d) of its rows;
@@ -313,6 +326,24 @@ def length_trace(tr) -> float:
     if t < math.inf:  # exact for ints of any size; false for nan and inf
         return 2.0 * math.log(t)
     raise ValueError("trace %r is not finite: no geodesic length" % tr)
+
+
+def _trace_length(tr: int, k: int, w: str) -> float:
+    """l = 2 arccosh(|tr|/2) for the trace of w held as an int scaled by
+    2^k; a trace within 1e-9 of parabolic is rounding at a cusp-like node.
+    Below |tr| = 3 (simple curves only: Yamada), 4 asinh(sqrt(|tr| - 2)/2)
+    keeps the digits of the exact margin that a float |tr| would lose."""
+    tr = abs(tr)
+    if tr < 2 << k:
+        if tr * 10 ** 9 > (2 * 10 ** 9 - 1) << k:
+            return 0.0
+        raise ArithmeticError("non-hyperbolic trace %.8g for %r along the "
+                              "orbit" % (tr / (1 << k), w))
+    if tr < 3 << k:
+        return 4.0 * math.asinh(math.sqrt((tr - (2 << k)) / (1 << k)) / 2.0)
+    if tr.bit_length() - k < 1000:
+        return length_trace(tr / (1 << k))
+    return length_trace(tr >> k)  # beyond the float range: 2 log t
 
 
 def rep_from_fricke(t: FrickeTriple) -> tuple[tuple, tuple]:

@@ -22,16 +22,8 @@ one downhill walk to its minimum and one walk outward on each side, or one
 node for a word the twist fixes.  The families are walked in lockstep, with
 one pass of the word's trace plan over each step's new nodes.  A pruned BFS
 over conjugacy classes is kept only as the oracle of that count.  The
-lengths along twist lines and rays (length-ball volumes, APL) are fixed
-point end to end as well:
-the (ell, tau) torus chart is built from two exponentials as ints scaled
-by 2^k, with k chosen per trace by a forward error bound through the chart
-and the trace plan: a length is returned only once that bound fixes it.
-Each length function starts each point at the precision its last point's
-bound asked for, takes each exponential once, at the most bits asked of
-it, and shifts it down to later requests (a bounded memo that dies with
-the function).
-Its trace goes through the same length code as orbit nodes.
+length-ball volumes integrate twist-line measures of the certified
+lengths of fn_surface's (ell, tau) chart.
 """
 
 from __future__ import annotations
@@ -44,14 +36,13 @@ from fractions import Fraction
 from sys import float_info
 
 import numpy as np
-from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (FrickeTriple, _plan_eval_bounded, _plan_eval_fixed,
+from .fricke import (FrickeTriple, _plan_eval_fixed, _trace_length,
                      _trace_plan, canonical_cyclic, cyclic_reduce,
-                     length_trace, reduce_word)
-from .fn_surface import S11, SurfacePoint, fricke_triple
+                     is_peripheral_word, length_trace, word_abelianization)
+from .fn_surface import S11, SurfacePoint, _gamma_length_fn, fricke_triple
 
 
 def _triple(X) -> tuple:
@@ -344,19 +335,6 @@ def _aut_tol(v: int, k: int) -> int:
 # word classification
 
 
-def word_abelianization(w: str) -> tuple[int, int]:
-    w = reduce_word(w)
-    return (w.count("a") - w.count("A"), w.count("b") - w.count("B"))
-
-
-def is_peripheral_word(w: str) -> bool:
-    w = cyclic_reduce(w)
-    if word_abelianization(w) != (0, 0) or len(w) % 4 != 0 or not w:
-        return False
-    k = len(w) // 4
-    return canonical_cyclic(w) == canonical_cyclic("abAB" * k)
-
-
 def simple_power(w: str) -> int:
     """k > 0 if w is conjugate to the k-th power of a slope word, else 0."""
     p, q = word_abelianization(w)
@@ -384,32 +362,16 @@ def _kappa_fixed(t, k: int) -> int:
     return (x * x + y * y + z * z - (x * y >> k) * z >> k) - (2 << k)
 
 
-def _trace_length(tr: int, k: int, w: str) -> float:
-    """l = 2 arccosh(|tr|/2) for the trace of w held as an int scaled by
-    2^k; a trace within 1e-9 of parabolic is rounding at a cusp-like node.
-    Below |tr| = 3 (simple curves only: Yamada), 4 asinh(sqrt(|tr| - 2)/2)
-    keeps the digits of the exact margin that a float |tr| would lose."""
-    tr = abs(tr)
-    if tr < 2 << k:
-        if tr * 10 ** 9 > (2 * 10 ** 9 - 1) << k:
-            return 0.0
-        raise ArithmeticError("non-hyperbolic trace %.8g for %r along the "
-                              "orbit" % (tr / (1 << k), w))
-    if tr < 3 << k:
-        return 4.0 * math.asinh(math.sqrt((tr - (2 << k)) / (1 << k)) / 2.0)
-    if tr.bit_length() - k < 1000:
-        return length_trace(tr / (1 << k))
-    return length_trace(tr >> k)  # beyond the float range: 2 log t
-
-
-def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
+def _pruned_bfs(root, key, children, lengths, L: float, prune_c: float,
                 max_nodes: int):
     """BFS from root; returns (lengths <= L, node count, pruned count).
 
-    A node is expanded while length(node) <= prune_c * L and counted when
-    length(node) <= L; nodes are deduplicated on key(node).  Every pruned
-    node is expanded one extra level, and a new child re-entering the
-    counting range fails the search (the pruning constant is too small).
+    lengths(nodes) gives the lengths of a list of nodes: each BFS level,
+    and the children of the validation pass, in one call.  A node is
+    expanded while its length is <= prune_c * L and counted when it is
+    <= L; nodes are deduplicated on key(node).  Every pruned node is
+    expanded one extra level, and a new child re-entering the counting
+    range fails the search (the pruning constant is too small).
     """
     seen = {key(root)}
     frontier = [root]
@@ -417,35 +379,30 @@ def _pruned_bfs(root, key, children, length, L: float, prune_c: float,
     pruned = []
     nodes = 0
     cL = prune_c * L
+
+    def fresh(parents):
+        out = []
+        for node in parents:
+            for child in children(node):
+                ck = key(child)
+                if ck not in seen:
+                    seen.add(ck)
+                    out.append(child)
+        return out
     while frontier:
         if nodes > max_nodes:
             raise ArithmeticError(
                 "orbit search exceeded %d nodes: the word may be non-filling "
                 "(unbounded twist families stay below the pruning threshold)"
                 % max_nodes)
-        nxt = []
-        for node in frontier:
-            lv = length(node)
-            nodes += 1
+        nodes += len(frontier)
+        inner = []
+        for node, lv in zip(frontier, lengths(frontier)):
             if lv <= L:
                 counted.append(lv)
-            if lv > cL:
-                pruned.append(node)
-                continue
-            for child in children(node):
-                ck = key(child)
-                if ck not in seen:
-                    seen.add(ck)
-                    nxt.append(child)
-        frontier = nxt
-    violations = 0
-    for node in pruned:
-        for child in children(node):
-            ck = key(child)
-            if ck not in seen:
-                seen.add(ck)
-                if length(child) <= L:
-                    violations += 1
+            (pruned if lv > cL else inner).append(node)
+        frontier = fresh(inner)
+    violations = sum(lv <= L for lv in lengths(fresh(pruned)))
     if violations:
         raise ArithmeticError(
             "pruning validation failed: %d node(s) beyond the pruned frontier "
@@ -696,7 +653,7 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     mats = _rep_fixed(tuple(v << (k - k0) for v in _reduced(root, k0)), k)
 
     return _pruned_bfs(canonical_cyclic(gamma), lambda w: w, _word_images,
-                       lambda w: _word_length(mats, w, k),
+                       lambda ws: [_word_length(mats, w, k) for w in ws],
                        L, _ORACLE_PRUNE, _ORACLE_NODES)
 
 
@@ -924,184 +881,6 @@ def _twist_reduced(mark, k: int):
 # ball volume and Weil-Petersson average
 
 SYSTOLE_TOP = 1.93  # the maximal systole of a cusped torus is 2 arccosh(3/2)
-
-
-_EXP_MEMO_CAP = 64  # entries of a length function's memo: a line is ~35 points
-_EXP_HEADROOM = 32  # bits taken above a request, for the next few to reuse
-
-
-def _exp_fixed(h: float, k: int, memo: dict) -> tuple[tuple[int, int], ...]:
-    """(e^h, e^-h) as ints scaled by 2^k, each with a bound on its error in
-    units of 2^-k: ((e^h, err), (e^-h, err)).
-
-    e^|h| comes from mpmath's pure mpf_exp (no global precision state is
-    read or set) to k + 8 bits relative, trusted to 1 ulp: at most
-    e^|h| 2^-(k+7) units, plus a unit for the shift to scale 2^k, so
-    (big >> k + 7) + 2 bounds it.  Its inverse, from one integer division,
-    is within 3 units.  The chart's products carry m's rounding to about
-    e^|h| units already (_chart_fixed), so the e^|h| / ln 2 bits that an
-    absolute 2^-k would need buy nothing.
-
-    memo, a dict that one length function keeps (_gamma_length_fn), maps
-    |h| to the mantissa, exponent and bits of e^|h| at the most bits asked
-    so far; mpf_exp runs only when it holds fewer than k + 8 bits, and then
-    takes k + 8 + _EXP_HEADROOM bits, so that a raised try (32 bits up at
-    least) and a neighbouring point at a slightly higher k shift the stored
-    mantissa down instead of calling it again.  A mantissa of P >= k + 8
-    bits is within 1 ulp, at most 2^-(P-1) <= 2^-(k+7) relative, of e^|h|,
-    so after the flooring shift to scale 2^k the same (big >> k + 7) + 2
-    bounds it; and the inverse, 2^2k // big, keeps its 3 units, which rest
-    only on that relative error and on big >= 2^k.  Past _EXP_MEMO_CAP the
-    least recently used entry goes.
-    """
-    a = abs(h)
-    got = memo.pop(a, None)
-    if got is None or got[2] < k + 8:
-        bits = k + 8 + _EXP_HEADROOM
-        _, man, exp, _ = mpf_exp(from_float(a), bits, round_nearest)
-        got = (man, exp, bits)
-    memo[a] = got  # last in the dict's order: the most recently used
-    if len(memo) > _EXP_MEMO_CAP:
-        del memo[next(iter(memo))]
-    man, exp, _ = got
-    s = exp + k
-    big = man << s if s >= 0 else man >> -s
-    pair = ((big, (big >> k + 7) + 2), ((1 << 2 * k) // big, 3))
-    return pair if h >= 0 else pair[::-1]
-
-
-def _chart_fixed(l1: float, ell: float, tau: float, k: int, memo: dict):
-    """Trace coordinates (x, y, z) of the torus chart at (ell, tau), as ints
-    scaled by 2^k, and bounds (ex, ey, ez) on their errors in units of
-    2^-k: with v = e^(ell/2) and u = e^(tau/2),
-
-        x = v + 1/v,  y = m (u + 1/u),  z = m (uv + 1/(uv)),
-        m = sqrt(2 cosh(l1/2) + v^2 + v^-2) / (v - 1/v)
-
-    (m = coth(ell/2) at a cusp).  uv is the product of the two fixed-point
-    exponentials, never e^((ell+tau)/2) of the rounded float sum, which
-    would break the kappa identity that ties z to x and y.
-
-    In the thin part m ~ 2/ell divides by v - 1/v ~ ell, so the chart
-    works g = 2 log2(1/ell) guard bits finer than 2^-k.  The bounds carry
-    every rounding: the exponentials (_exp_fixed's own bounds for v, 1/v,
-    u, 1/u and the two of cosh(l1/2)), the squares, the isqrt (l1 > 0), the
-    division for m, the products for y and z, and the final shift by g.
-    The exponentials are exact to 2^-(k+7) relative, not to 2^-k absolute:
-    y and z already carry m's few units of rounding times u + 1/u, about
-    e^(|tau|/2) units.  The caller picks k and passes the memo of
-    exponentials its length function keeps (_gamma_length_fn, _exp_fixed).
-    """
-    g = 2 * max(0, -math.frexp(ell)[1])
-    n = k + g
-    (v, ev), (vi, evi) = _exp_fixed(float(ell) / 2, n, memo)
-    (u, eu), (ui, eui) = _exp_fixed(float(tau) / 2, n, memo)
-    if l1 == 0.0:
-        r = v + vi  # the square root is exact at a cusp
-        er = ev + evi
-    else:
-        (c, ec), (ci, eci) = _exp_fixed(float(l1) / 2, n, memo)
-        s = c + ci + (v * v + vi * vi >> n)
-        es = ec + eci + (ev * (2 * v + ev) + evi * (2 * vi + evi) >> n) + 2
-        r = math.isqrt(s << n)
-        # |sqrt(s 2^n) - sqrt(S 2^n)| <= 2^n |s - S| / r, plus the floor
-        er = (es << n) // r + 2
-    d = v - vi
-    ed = ev + evi
-    m = (r << n) // d
-    em = (er << n) // d + ((r + er) * ed << n) // (d * (d - ed)) + 3
-    w = u + ui
-    ew = eu + eui
-    p = u * v + ui * vi >> n
-    ep = (eu * v + ev * u + eu * ev + eui * vi + evi * ui + eui * evi
-          >> n) + 2
-    return ((v + vi >> g, m * w >> n + g, m * p >> n + g),
-            ((ev + evi >> g) + 2, (m * ew + w * em + em * ew >> n + g) + 2,
-             (m * ep + p * em + em * ep >> n + g) + 2))
-
-
-def _certified_length(tr: int, e: int, k: int, w: str):
-    """The length of the trace tr of w, both ints scaled by 2^k, when its
-    error bound e fixes it: e 2^60 <= tr - 2 and the float lengths at
-    tr - 2e and tr + 2e agree.  A finer evaluation, whose error is smaller,
-    lies in that interval and so gives this length bit for bit.  None when
-    the bound does not decide."""
-    if tr - (2 << k) < e << 60:
-        return None
-    length = _trace_length(tr - 2 * e, k, w)
-    return length if length == _trace_length(tr + 2 * e, k, w) else None
-
-
-# the chart's bound on |ell| + |tau| and l1: a first guess takes ~0.7 bits per
-# unit; the first aabAb length of an f takes 4-13 ms at 10^4 and 0.15-0.6 s
-# at 10^5 on a 2-core Xeon VM, a nearby next one up to half less (APL rays
-# reach ~1200)
-CHART_MAX = 1e5
-_MAX_RAISES = 64  # a^n at the smallest float ell: 33 tries, >= 63 bits apart
-
-
-def _gamma_length_fn(gamma: str, l1: float):
-    """(ell, tau) -> l_gamma on the torus chart, in fixed point at the
-    precision the trace needs.
-
-    A length is returned only when the chart-and-plan error bound e (units
-    of 2^-k) certifies it (_certified_length); else k rises by the bits the
-    margin |tr| - 2 lacks plus 64 (at least 32), up to _MAX_RAISES times,
-    then ArithmeticError.  A trivial or peripheral gamma (trace +-2 at a
-    cusp: no k decides) and points off the chart (CHART_MAX; ell / 2 = 0)
-    are a ValueError.
-
-    The first try of f's first point is the guess k0 = 96 bits plus the
-    bits of the coordinates, (|ell| + |tau|) / (2 ln 2) + 8.  After each
-    certified point f records the least k at which that point's bound
-    would have certified it: the bits of e barely depend on k, those of
-    the margin grow one for one with it, so that k is about
-    e.bit_length() + 62 - margin.bit_length() + k.  The next point starts
-    at that k plus 32, scaled by the ratio of the two points' guesses, and
-    never below 96 bits (at a few bits the chart's v - 1/v rounds to 0);
-    the raise rule catches a start too low.  Every length is certified at any
-    k, and a finer evaluation lies inside the certified interval
-    (_certified_length), so the start moves only the work, never a length.
-
-    f keeps its own bounded memo of the chart's exponentials (_exp_fixed):
-    along a twist line e^(ell/2) is taken again only when a point asks for
-    more bits than it holds, and is shifted down otherwise.  The memo and
-    the recorded k die with f; the lengths are certified, so they depend
-    on neither.
-    """
-    if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
-        raise ValueError("gamma=%r is peripheral or trivial" % gamma)
-    plan = _trace_plan(gamma)
-    memo = {}
-    last = []  # the last point's least certifying k and its first guess
-
-    def f(ell, tau):
-        size = abs(ell) + abs(tau)
-        if not (size <= CHART_MAX and abs(l1) <= CHART_MAX) or ell / 2 == 0:
-            raise ValueError("(ell, tau, l1) = (%r, %r, %r) is off the chart: "
-                             "|ell| + |tau| and l1 at most %g, ell not 0"
-                             % (ell, tau, l1, CHART_MAX))
-        guess = 104 + math.ceil(size / (2 * math.log(2)))
-        k = guess if not last else max(96, (last[0] + 32) * guess // last[1])
-        for _ in range(_MAX_RAISES + 1):
-            t, errs = _chart_fixed(l1, ell, tau, k, memo)
-            tr, e = _plan_eval_bounded(plan, *t, errs, k)
-            tr = abs(tr)
-            length = _certified_length(tr, e, k, gamma)
-            margin = tr - (2 << k)
-            if length is not None:
-                last[:] = (e.bit_length() + 62 - margin.bit_length() + k,
-                           guess)
-                return length
-            # a margin inside the error bounds |tr| - 2 only from above;
-            # then take |tr| - 2 >= 1, as at all but the shortest curves
-            mbits = abs(margin).bit_length()
-            if margin <= 2 * e:
-                mbits = min(mbits, k)
-            k += max(32, e.bit_length() - mbits + 64)
-        raise ArithmeticError("no precision up to %d bits fixes the length "
-                              "of %r at (%r, %r)" % (k, gamma, ell, tau))
-    return f
 
 
 # _twist_lipschitz and the ignored K of _tau_measure are kept only for the

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -279,6 +280,32 @@ class TestLength:
             length_trace(tr)
 
 
+def assert_deep_length_certified(slope_trace, slope):
+    """curve_length of slope at (ell, tau) = (3, 0) on the cusped torus,
+    given by slope and by its word, against 2 arccosh(|tr|/2) of the
+    exact slope trace by the Farey vertex relation at the chart in 50-digit
+    mpmath.
+
+    Within 2 ulps: a certified length is the float length of the true
+    trace (both ends of its error interval give the same float), that is
+    2 log t for t the trace rounded to a float, or its integer part beyond
+    floats.  Rounding t moves 2 log t by 2^-52 at most, far below an ulp
+    here; arccosh(t/2) - log t is O(t^-2), nil at t ~ e^680; and log is
+    within an ulp, taking an int beyond floats as log(m) + e log 2 within
+    another."""
+    from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
+                                     torus_curve)
+    X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
+    with mpmath.workdps(50):
+        h = mpmath.mpf(3) / 2
+        m = mpmath.coth(h)  # the cusped chart at tau = 0
+        t = (2 * mpmath.cosh(h), 2 * m, 2 * m * mpmath.cosh(h))
+        want = float(2 * mpmath.acosh(abs(slope_trace(t, slope)) / 2))
+    got = curve_length(X, torus_curve(slope))
+    assert abs(got - want) <= 2 * math.ulp(want), (got, want)
+    assert curve_length(X, torus_curve(farey.slope_word(*slope))) == got
+
+
 class TestFarey:
     def test_basis_traces(self, slope_trace):
         t = (3.0, 4.0, 5.0)
@@ -315,16 +342,10 @@ class TestFarey:
         v = slope_trace((3, 3, 3), (8, 13))
         assert isinstance(v, int)
 
-    def test_deep_slope_length(self):
+    def test_deep_slope_length(self, slope_trace):
         # 1500 Farey steps from the basis: the curve given by slope takes
         # the trace plan of its 1501-letter word
-        from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
-                                         fricke_triple, torus_curve)
-        X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
-        t = fricke_triple(X)
-        want = length_trace(trace_word_fricke(t, farey.slope_word(1, 1500)))
-        assert want == 1363.398091066647
-        assert curve_length(X, torus_curve((1, 1500))) == want
+        assert_deep_length_certified(slope_trace, (1, 1500))
 
     @pytest.mark.parametrize("slope", [(1501, 1500), (-1, 2000), (2000, 1),
                                        (-2000, 1), (987, 1597)])
@@ -334,18 +355,14 @@ class TestFarey:
         assert v == trace_word_fricke((3, 3, 3), farey.slope_word(*slope))
 
     def test_float_overflow_raises(self, slope_trace):
-        # the trace of (1501, 1500) at ell = 3 is about e^2250, past floats;
-        # its float plan overflows to nan, so the curve raises given by
-        # slope or by word, as the vertex relation's float trace does
-        from teichlab.fn_surface import (S11, SurfacePoint, curve_length,
-                                         fricke_triple, torus_curve)
-        X = SurfacePoint(S11, (0.0,), 3.0, 0.0)
-        t = fricke_triple(X)
+        # the trace of (1501, 1500) at ell = 3 is about e^2415, past floats:
+        # the vertex relation's float trace raises, while the certified
+        # length, in fixed point, has no float trace to overflow
+        from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
+        t = fricke_triple(SurfacePoint(S11, (0.0,), 3.0, 0.0))
         with pytest.raises(ValueError):
             slope_trace(t.astuple(), (1501, 1500))
-        for spec in [(1501, 1500), farey.slope_word(1501, 1500)]:
-            with pytest.raises(ValueError):
-                curve_length(X, torus_curve(spec))
+        assert_deep_length_certified(slope_trace, (1501, 1500))
 
     def test_shared_memo(self, slope_trace):
         # a memo shared across calls gives the traces a fresh one gives

@@ -24,30 +24,26 @@ def test_no_assert_statements():
 
 
 def test_orbit_searches_make_no_mpmath_call():
-    # one precision policy: both orbit searches and the Farey walk of the
-    # slope and cone counts and of the ball area run in 2^-k fixed point,
-    # and a second arithmetic must not grow back into them
-    searches = ["_pruned_bfs", "_family_lengths", "_twist_walk",
-                "_trace_cut", "_word_orbit_lengths",
-                "_word_length", "_block", "_rep_fixed", "_trace_length",
-                "_farey_walk", "_twist_reduced", "simple_slopes", "cone_count",
-                "thurston_ball_B", "_ball_area"]
+    # one precision policy: the orbit searches, the Farey walk of the slope
+    # and cone counts and of the ball area, and the twist walk run in 2^-k
+    # fixed point, and the chart's exponentials are fn_surface's; orbit.py
+    # imports no mpmath at all, so a second arithmetic cannot grow back
     tree = ast.parse((SRC / "orbit.py").read_text())
-    mp_names = {"mpmath"}
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            mp_names |= {a.asname for a in node.names
-                         if a.asname and a.name.split(".")[0] == "mpmath"}
-        elif isinstance(node, ast.ImportFrom) and node.module and \
-                node.module.split(".")[0] == "mpmath":
-            mp_names |= {a.asname or a.name for a in node.names}
-    funcs = {node.name: node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef)}
-    assert set(searches) <= set(funcs), set(searches) - set(funcs)
-    found = ["%s:%d" % (name, node.lineno)
-             for name in searches for node in ast.walk(funcs[name])
-             if isinstance(node, ast.Name) and node.id in mp_names]
-    assert not found, "mpmath in the orbit searches: %s" % found
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            continue
+        found += ["%s:%d" % (m, node.lineno) for m in mods
+                  if m.split(".")[0] == "mpmath"]
+    # nor through another module of the package
+    orbit = importlib.import_module("teichlab.orbit")
+    found += [name for name, v in vars(orbit).items()
+              if (getattr(v, "__module__", None) or "").startswith("mpmath")]
+    assert not found, "orbit.py imports mpmath: %s" % found
 
 
 def test_length_path_sets_no_global_precision():
@@ -56,10 +52,12 @@ def test_length_path_sets_no_global_precision():
     # without its error bound are fixed point end to end, and the twist
     # measure with its end search only calls them: no mpmath context
     # precision is read or set
-    names = {"orbit.py": ["_gamma_length_fn", "_chart_fixed", "_exp_fixed",
-                          "_tau_measure", "_end_predicate", "_bisect",
-                          "_trace_length", "_certified_length"],
-             "fricke.py": ["_plan_eval_fixed", "_plan_eval_bounded"]}
+    names = {"fn_surface.py": ["_gamma_length_fn", "_chart_fixed",
+                               "_exp_fixed", "_certified_length",
+                               "fricke_triple"],
+             "orbit.py": ["_tau_measure", "_end_predicate", "_bisect"],
+             "fricke.py": ["_plan_eval_fixed", "_plan_eval_bounded",
+                           "_trace_length"]}
     context = {"workdps", "workprec", "extradps", "extraprec", "dps", "prec"}
     found = []
     for module, wanted in names.items():

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from teichlab import farey
+from teichlab import fn_surface as fs
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
 from teichlab.fricke import (_plan_eval_bounded, _plan_eval_fixed,
-                             _trace_plan, canonical_cyclic, length_trace,
-                             reduce_word, trace_word_fricke)
+                             _trace_length, _trace_plan, canonical_cyclic,
+                             is_peripheral_word, length_trace, reduce_word,
+                             trace_word_fricke)
 
 
 MODULAR = (3.0, 3.0, 3.0)
@@ -37,10 +39,17 @@ def moved(t, word):
     return t
 
 
+def node_lengths(ts, gamma, k):
+    """l_gamma at each of the triples ts of ints scaled by 2^k (k = 0:
+    exact), from one pass of the trace plan over them."""
+    trs = _plan_eval_fixed(_trace_plan(gamma),
+                           *([t[i] for t in ts] for i in range(3)), k)
+    return [_trace_length(tr, k, gamma) for tr in trs]
+
+
 def node_length(t, gamma, k):
     """l_gamma at a triple of ints scaled by 2^k (k = 0: exact)."""
-    tr, = _plan_eval_fixed(_trace_plan(gamma), *([v] for v in t), k)
-    return ob._trace_length(tr, k, gamma)
+    return node_lengths([t], gamma, k)[0]
 
 
 def fixed_moved(t, word, k):
@@ -147,8 +156,8 @@ class TestWordClassification:
         assert ob.simple_power("abaB") == 0
 
     def test_peripheral(self):
-        assert ob.is_peripheral_word("abAB")
-        assert not ob.is_peripheral_word("ab")
+        assert is_peripheral_word("abAB")
+        assert not is_peripheral_word("ab")
 
     def test_symmetry_order_infinite_for_nonfilling(self):
         # tr(abaB) = x^2 + 2 is twist invariant: infinite stabilizer
@@ -354,7 +363,7 @@ def short_words(n):
     words = set()
     for m in range(1, n + 1):
         for w in map("".join, itertools.product("abAB", repeat=m)):
-            if canonical_cyclic(w) == w and not ob.is_peripheral_word(w) \
+            if canonical_cyclic(w) == w and not is_peripheral_word(w) \
                     and not ob.simple_power(w):
                 words.add(w)
     return sorted(words, key=lambda w: (len(w), w))
@@ -461,9 +470,10 @@ class TestPushInvariance:
 
 def orbit_bfs_lengths(X, gamma, L, prune_c):
     """The oracle of the twist-family count: a pruned BFS over the triple
-    orbit of X; returns (lengths <= L, node count).  Nodes are ints scaled
-    by 2^k, keyed on 64 binary places; the count of mapping classes is the
-    node count times |Aut(X)|."""
+    orbit of X, one pass of the trace plan per level; returns
+    (lengths <= L, node count).  Nodes are ints scaled by 2^k, keyed on 64
+    binary places; the count of mapping classes is the node count times
+    |Aut(X)|."""
     root, k = ob._fixed_root(
         X, ob._bits(60 + int(0.25 * len(gamma) * prune_c * L)))
     shift = max(0, k - 64)
@@ -477,7 +487,7 @@ def orbit_bfs_lengths(X, gamma, L, prune_c):
 
     lengths, nodes, _ = ob._pruned_bfs(
         root, lambda t: tuple(v >> shift for v in t), children,
-        lambda t: node_length(t, gamma, k), L, prune_c, 5_000_000)
+        lambda ts: node_lengths(ts, gamma, k), L, prune_c, 5_000_000)
     return lengths, nodes
 
 
@@ -502,19 +512,21 @@ def walk_family(node, gamma, L, k, twist_fixed):
     """The oracle of the lockstep twist walk: one family walked on its own,
     downhill from n = 0 to the minimum of the convex l_gamma, then outward
     on both sides until l_gamma > L (n = 0 alone when T fixes gamma);
-    returns (lengths <= L, {n: node(n)} for every node evaluated)."""
+    returns (lengths <= L, {n: node(n)} for every node evaluated).  Each
+    node's trace comes from the scalar _plan_eval_bounded, its bound
+    unused, apart from the walk's list passes."""
     plan = _trace_plan(gamma)
     nodes, trs = {}, {}
 
     def tr(n):
         if n not in trs:
             nodes[n] = node(n)
-            trs[n] = abs(_plan_eval_fixed(plan, *([v] for v in nodes[n]),
-                                          k)[0])
+            trs[n] = abs(_plan_eval_bounded(plan, *nodes[n], (0, 0, 0),
+                                            k)[0])
         return trs[n]
 
     if twist_fixed:
-        ell = ob._trace_length(tr(0), k, gamma)
+        ell = _trace_length(tr(0), k, gamma)
         return [ell] if ell <= L else [], nodes
     m = 0
     for step in (1, -1):  # downhill to the right, else to the left
@@ -524,7 +536,7 @@ def walk_family(node, gamma, L, k, twist_fixed):
             break
     found = []
     for n, step in ((m, 1), (m - 1, -1)):
-        while (ell := ob._trace_length(tr(n), k, gamma)) <= L:
+        while (ell := _trace_length(tr(n), k, gamma)) <= L:
             found.append(ell)
             n += step
     return found, nodes
@@ -665,7 +677,7 @@ class TestTwistFamilies:
             traces += [edge - 1, edge, edge + 1]
         assert min(traces) <= cut < max(traces)
         for t in traces:
-            within = ob._trace_length(t, k, "aabAb") <= L
+            within = _trace_length(t, k, "aabAb") <= L
             assert (t <= cut and within) == within, t - bound
 
     def test_top_band_family_raises(self, monkeypatch):
@@ -756,7 +768,7 @@ class TestChart:
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     @pytest.mark.parametrize("gamma", WORDS)
     def test_lengths_match_mpmath_chart(self, gamma, l1):
-        f = ob._gamma_length_fn(gamma, l1)
+        f = fs._gamma_length_fn(gamma, l1)
         for ell, tau in CHART_POINTS + THIN_POINTS:
             assert f(ell, tau) == pytest.approx(
                 mp_chart_length(gamma, l1, ell, tau), rel=1e-13), (ell, tau)
@@ -765,7 +777,7 @@ class TestChart:
     def test_short_simple_curve(self, l1):
         # the length from the exact margin |tr| - 2: a float trace read
         # ell = 1e-5 as 1.000000041e-05 and ell = 1e-8 as 0.0
-        f = ob._gamma_length_fn("a", l1)
+        f = fs._gamma_length_fn("a", l1)
         for ell, tau in [(1e-5, 0.3), (1e-8, 0.3)] + THIN_POINTS:
             assert f(ell, tau) == pytest.approx(
                 mp_chart_length("a", l1, ell, tau), rel=1e-13), ell
@@ -777,7 +789,7 @@ class TestChart:
         # float ell + tau breaks it from the 16th digit of z on)
         for ell, tau in CHART_POINTS:
             k = ob._bits(80 + int(1.25 * (ell + abs(tau))))
-            t, _ = ob._chart_fixed(l1, ell, tau, k, {})
+            t, _ = fs._chart_fixed(l1, ell, tau, k, {})
             with mpmath.workprec(k + 64):
                 want = int(mpmath.ldexp(
                     -2 * mpmath.cosh(mpmath.mpf(l1) / 2), k))
@@ -790,7 +802,7 @@ def length_at_cap(gamma, l1, ell, tau):
     60 + 0.25 deg (|ell| + |tau|) + 20, the one precision the length path
     used before it chose k per trace.  It holds away from the thin part."""
     k = ob._bits(60 + int(0.25 * len(gamma) * (abs(ell) + abs(tau))) + 20)
-    return node_length(ob._chart_fixed(l1, ell, tau, k, {})[0], gamma, k)
+    return node_length(fs._chart_fixed(l1, ell, tau, k, {})[0], gamma, k)
 
 
 def ray_points(seed, rays):
@@ -823,7 +835,7 @@ class TestChartPrecision:
         hs += [-h for h in hs]
         with mpmath.workprec(k + 4000):
             for h in hs:
-                pair = ob._exp_fixed(h, k, {})
+                pair = fs._exp_fixed(h, k, {})
                 for (got, err), sign in zip(pair, (1, -1)):
                     want = mpmath.ldexp(mpmath.exp(sign * mpmath.mpf(h)), k)
                     assert abs(got - want) <= err, (h, k, sign)
@@ -843,11 +855,11 @@ class TestChartPrecision:
         K = max(ks) + 4000
         slack = []
         for ell, tau in pts:
-            ref, ref_err = ob._chart_fixed(l1, ell, tau, K, {})
+            ref, ref_err = fs._chart_fixed(l1, ell, tau, K, {})
             ref_tr = [_plan_eval_bounded(p, *ref, ref_err, K) for p in plans]
             for k in ks:
                 s = K - k
-                t, errs = ob._chart_fixed(l1, ell, tau, k, {})
+                t, errs = fs._chart_fixed(l1, ell, tau, k, {})
                 for v, e, w, ew in zip(t, errs, ref, ref_err):
                     assert abs((v << s) - w) <= (e << s) + ew, (ell, tau, k)
                 for p, (w, ew) in zip(plans, ref_tr):
@@ -869,19 +881,19 @@ class TestChartPrecision:
         pts = ray_points(14, 20)
         ks = []
         tries = 0
-        chart = ob._chart_fixed
+        chart = fs._chart_fixed
 
         def spy(l1, ell, tau, k, memo=None):
             ks.append(k)
             return chart(l1, ell, tau, k, memo)
         for gamma in WORDS:
-            f = ob._gamma_length_fn(gamma, l1)
+            f = fs._gamma_length_fn(gamma, l1)
             for ell, tau in pts:
                 want = length_at_cap(gamma, l1, ell, tau)
-                monkeypatch.setattr(ob, "_chart_fixed", spy)
+                monkeypatch.setattr(fs, "_chart_fixed", spy)
                 ks.clear()
                 got = f(ell, tau)
-                monkeypatch.setattr(ob, "_chart_fixed", chart)
+                monkeypatch.setattr(fs, "_chart_fixed", chart)
                 assert got == want and len(ks) <= 2, (gamma, ell, tau, ks)
                 tries += len(ks)
         assert tries == 1055
@@ -894,16 +906,16 @@ class TestChartPrecision:
         hs = [10.0 ** (i / 4.0) for i in range(-12, 12)] + [900.0]
         memo = {}
         for h in hs:
-            ob._exp_fixed(h, 1300, memo)
-        assert all(bits == 1308 + ob._EXP_HEADROOM
+            fs._exp_fixed(h, 1300, memo)
+        assert all(bits == 1308 + fs._EXP_HEADROOM
                    for _, _, bits in memo.values())
         calls = []
-        exp = ob.mpf_exp
-        monkeypatch.setattr(ob, "mpf_exp",
+        exp = fs.mpf_exp
+        monkeypatch.setattr(fs, "mpf_exp",
                             lambda *a: calls.append(a) or exp(*a))
         with mpmath.workprec(k + 4000):
             for h in hs + [-h for h in hs]:
-                pair = ob._exp_fixed(h, k, memo)
+                pair = fs._exp_fixed(h, k, memo)
                 for (got, err), sign in zip(pair, (1, -1)):
                     want = mpmath.ldexp(mpmath.exp(sign * mpmath.mpf(h)), k)
                     assert abs(got - want) <= err, (h, k, sign)
@@ -914,9 +926,9 @@ class TestChartPrecision:
         # and the last h asked is kept
         memo = {}
         for i in range(1000):
-            ob._exp_fixed(i / 7.0, 80, memo)
-            assert len(memo) <= ob._EXP_MEMO_CAP
-        assert len(memo) == ob._EXP_MEMO_CAP and 999 / 7.0 in memo
+            fs._exp_fixed(i / 7.0, 80, memo)
+            assert len(memo) <= fs._EXP_MEMO_CAP
+        assert len(memo) == fs._EXP_MEMO_CAP and 999 / 7.0 in memo
 
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     def test_memo_leaves_lengths_alone(self, l1):
@@ -924,12 +936,12 @@ class TestChartPrecision:
         # on what its memo holds: forward, reverse and a fresh f per point
         # agree by repr
         pts = ray_points(14, 20)
-        forward = ob._gamma_length_fn("aabAb", l1)
-        backward = ob._gamma_length_fn("aabAb", l1)
+        forward = fs._gamma_length_fn("aabAb", l1)
+        backward = fs._gamma_length_fn("aabAb", l1)
         want = [repr(forward(ell, tau)) for ell, tau in pts]
         got = [repr(backward(ell, tau)) for ell, tau in reversed(pts)]
         assert got[::-1] == want
-        fresh = [repr(ob._gamma_length_fn("aabAb", l1)(ell, tau))
+        fresh = [repr(fs._gamma_length_fn("aabAb", l1)(ell, tau))
                  for ell, tau in pts[::12]]
         assert fresh == want[::12]
 
@@ -942,18 +954,18 @@ class TestChartPrecision:
         pts = [(497.25, 1150.0), (1e-3, 0.3), (500.0, -1033.5),
                (1.5, -12.25)]
         ks = []
-        chart = ob._chart_fixed
+        chart = fs._chart_fixed
 
         def spy(l1, ell, tau, k, memo):
             ks.append(k)
             return chart(l1, ell, tau, k, memo)
         for gamma in WORDS:
-            fresh = [repr(ob._gamma_length_fn(gamma, l1)(ell, tau))
+            fresh = [repr(fs._gamma_length_fn(gamma, l1)(ell, tau))
                      for ell, tau in pts]
-            f = ob._gamma_length_fn(gamma, l1)
-            monkeypatch.setattr(ob, "_chart_fixed", spy)
+            f = fs._gamma_length_fn(gamma, l1)
+            monkeypatch.setattr(fs, "_chart_fixed", spy)
             assert [repr(f(ell, tau)) for ell, tau in pts] == fresh, gamma
-            monkeypatch.setattr(ob, "_chart_fixed", chart)
+            monkeypatch.setattr(fs, "_chart_fixed", chart)
         assert len(ks) > len(pts) * len(WORDS)
 
     @pytest.mark.parametrize("l1", [0.0, 0.7])
@@ -964,20 +976,20 @@ class TestChartPrecision:
         # fewer bits in all
         pts = ray_points(14, 20)
         work = {}
-        chart = ob._chart_fixed
+        chart = fs._chart_fixed
 
         def spy(l1, ell, tau, k, memo):
             work[side][0] += 1
             work[side][1] += k
             return chart(l1, ell, tau, k, memo)
-        monkeypatch.setattr(ob, "_chart_fixed", spy)
+        monkeypatch.setattr(fs, "_chart_fixed", spy)
         for side in ("shared", "fresh"):
             work[side] = [0, 0]
             for gamma in WORDS:
-                f = ob._gamma_length_fn(gamma, l1)
+                f = fs._gamma_length_fn(gamma, l1)
                 for ell, tau in pts:
                     if side == "fresh":
-                        f = ob._gamma_length_fn(gamma, l1)
+                        f = fs._gamma_length_fn(gamma, l1)
                     f(ell, tau)
         (tries, k_sum), (fresh_tries, fresh_k_sum) = \
             work["shared"], work["fresh"]
@@ -987,10 +999,10 @@ class TestChartPrecision:
         # a second f pays for the exponentials the first one holds; the
         # first one, asked again, pays nothing
         calls = []
-        exp = ob.mpf_exp
-        monkeypatch.setattr(ob, "mpf_exp",
+        exp = fs.mpf_exp
+        monkeypatch.setattr(fs, "mpf_exp",
                             lambda *a: calls.append(a) or exp(*a))
-        f, g = (ob._gamma_length_fn("aabAb", 0.7) for _ in range(2))
+        f, g = (fs._gamma_length_fn("aabAb", 0.7) for _ in range(2))
         assert f(1.5, -12.25) == g(1.5, -12.25)
         n = len(calls)
         assert n > 0 and n % 2 == 0
@@ -1018,14 +1030,14 @@ class TestChartPrecision:
         # one float: a trace on a rounding tie of the float 3 is not
         k = 200
         three = 2 * math.acosh(1.5)
-        assert ob._certified_length(3 << k, 1, k, "aab") == three
+        assert fs._certified_length(3 << k, 1, k, "aab") == three
         tie = (3 << k) + (1 << k - 52)  # halfway from 3 to 3 + 2^-51
-        assert ob._trace_length(tie, k, "aab") == three
-        assert ob._certified_length(tie, 1, k, "aab") is None
-        assert ob._certified_length(tie - 2, 1, k, "aab") == three
-        assert ob._certified_length((2 << k) + (1 << 60), 1, k, "aab") \
+        assert _trace_length(tie, k, "aab") == three
+        assert fs._certified_length(tie, 1, k, "aab") is None
+        assert fs._certified_length(tie - 2, 1, k, "aab") == three
+        assert fs._certified_length((2 << k) + (1 << 60), 1, k, "aab") \
             is not None
-        assert ob._certified_length((2 << k) + (1 << 60) - 1, 1, k,
+        assert fs._certified_length((2 << k) + (1 << 60) - 1, 1, k,
                                     "aab") is None
 
     @pytest.mark.parametrize("gamma", ["", "aA", "abAB", "BAba",
@@ -1034,7 +1046,7 @@ class TestChartPrecision:
         # trace +-2 at a cusp: no precision certifies a length
         for l1 in (0.0, 0.7):
             with pytest.raises(ValueError, match="peripheral or trivial"):
-                ob._gamma_length_fn(gamma, l1)
+                fs._gamma_length_fn(gamma, l1)
 
     @pytest.mark.parametrize("ell,tau,l1", [
         (math.nan, 0.3, 0.0), (1.5, math.inf, 0.0), (-math.inf, 0.3, 0.0),
@@ -1045,7 +1057,11 @@ class TestChartPrecision:
         # non-finite and far too large coordinates, and an ell whose half
         # rounds to 0 (the chart's m divides by v - 1/v = 0)
         with pytest.raises(ValueError, match="off the chart"):
-            ob._gamma_length_fn("aab", l1)(ell, tau)
+            fs._gamma_length_fn("aab", l1)(ell, tau)
+        # fricke_triple rejects the same points, before it exponentiates
+        if math.isfinite(ell + tau + l1) and ell > 0:
+            with pytest.raises(ValueError, match="off the chart"):
+                fricke_triple(SurfacePoint(S11, (l1,), ell, tau))
 
     def test_powers_of_a_climb_in_thin_part(self, monkeypatch):
         # the margin |tr| - 2 of a^n is ~ (n ell)^2 / 4, far below the first
@@ -1053,13 +1069,13 @@ class TestChartPrecision:
         # (the length comes from the float trace, so it is 0 here)
         for ell in (1e-100, 1e-300, 1e-323):
             for n in (1, 3):
-                f = ob._gamma_length_fn("a" * n, 0.0)
+                f = fs._gamma_length_fn("a" * n, 0.0)
                 assert f(ell, 0.3) == pytest.approx(n * ell, abs=1e-15)
         # out of raises, the loop raises rather than return an uncertified
         # length; a fresh f, as the f above starts near the k it needed
-        monkeypatch.setattr(ob, "_MAX_RAISES", 4)
+        monkeypatch.setattr(fs, "_MAX_RAISES", 4)
         with pytest.raises(ArithmeticError, match="no precision"):
-            ob._gamma_length_fn("aaa", 0.0)(1e-100, 0.3)
+            fs._gamma_length_fn("aaa", 0.0)(1e-100, 0.3)
 
 
 class TestWordLength:
@@ -1113,7 +1129,7 @@ class TestWordLength:
                 m = letters[w[0]]
                 for ch in w[1:]:
                     m = ob._mat_mul(m, letters[ch], k)
-                want = ob._trace_length(m[0] + m[3], k, w)
+                want = _trace_length(m[0] + m[3], k, w)
                 assert ob._word_length(mats, w, k) == \
                     pytest.approx(want, rel=1e-13), w
         assert all(1 <= len(w) <= 6 for w in mats)
@@ -1572,7 +1588,7 @@ class TestTwistMeasure:
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     @pytest.mark.parametrize("L", [9.0, 12.0, 30.0])
     def test_matches_laurent_closed_form(self, L, l1):
-        f = ob._gamma_length_fn("aabAb", l1)
+        f = fs._gamma_length_fn("aabAb", l1)
         for ell in (0.5, 1.0, 2.5, 6.0, 12.0, 27.2):
             want = laurent_tau_measure(l1, ell, L)
             assert ob._tau_measure(f, ell, L) == pytest.approx(
@@ -1584,7 +1600,7 @@ class TestTwistMeasure:
         # a midpoint grid over [-G, G] crosses the threshold at most twice
         # (the sublevel set is one interval) and measures it to one step
         h, G, L = 0.02, 32.0, 20.0
-        f = ob._gamma_length_fn(gamma, l1)
+        f = fs._gamma_length_fn(gamma, l1)
         for ell in (1.0, 6.0):
             inside = [f(ell, -G + h * (k + 0.5)) <= L
                       for k in range(round(2 * G / h))]
@@ -1602,7 +1618,7 @@ class TestTwistMeasure:
         rng = np.random.default_rng(16)
         widths = []
         for l1 in (0.0, 0.7):
-            f = ob._gamma_length_fn(gamma, l1)
+            f = fs._gamma_length_fn(gamma, l1)
             ells = [1e-3, 0.02, 15.0, 30.0] + \
                 list(10.0 ** rng.uniform(-2.0, 1.3, size=4))
             for ell in ells:
@@ -1615,7 +1631,7 @@ class TestTwistMeasure:
     def test_evaluation_count(self):
         # the two 53-step bisections were 106 of the ~112 evaluations of a
         # line; the secant leaves a handful of midpoints to evaluate
-        f = ob._gamma_length_fn("aabAb", 0.0)
+        f = fs._gamma_length_fn("aabAb", 0.0)
         counts = []
         for L in (9.0, 12.0, 30.0):
             for ell in (0.5, 1.0, 2.5, 6.0):

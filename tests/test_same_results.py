@@ -29,10 +29,10 @@ def test_case_lines_repeat(case):
 
 def test_chart_counters_unwrap():
     # the chart case counts through wrappers that it takes off again
-    orbit = same_results.orbit
-    chart, exp = orbit._chart_fixed, orbit.mpf_exp
+    fs = same_results.fn_surface
+    chart, exp = fs._chart_fixed, fs.mpf_exp
     line = same_results.run_case(["chart", "tau_measure", "aabAb", 0.5, 10.0])
-    assert (orbit._chart_fixed, orbit.mpf_exp) == (chart, exp)
+    assert (fs._chart_fixed, fs.mpf_exp) == (chart, exp)
     counters = json.loads(line)["counters"]
     assert set(counters) == {"chart_tries", "k_sum", "mpf_exp"}
     assert 0 < counters["mpf_exp"] < 2 * counters["chart_tries"]

@@ -38,7 +38,8 @@ The table:
   RAY_WORDS at grid 64, and the repr of
   ``ball_length_region_volume`` of aabAb at L = 10, each with the chart's
   ``chart_tries``, their ``k_sum`` and the ``mpf_exp`` calls under
-  ``counters``, counted by wrapping those names of ``orbit`` for the case;
+  ``counters``, counted by wrapping those names of ``fn_surface`` for the
+  case;
 - ``ball``: the repr of ``thurston_ball_B`` and ``count_simple`` (L = 20)
   at the torus chart's points (ell, tau) of BALL_POINTS, thin points where
   the walk is long, and at MC samples 0-2 of seed 0 (as
@@ -58,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from teichlab import apl, cli, fricke, orbit  # noqa: E402
+from teichlab import apl, cli, fn_surface, fricke, orbit  # noqa: E402
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple  # noqa: E402
 
 BASES = [(3, 3, 3), (3, 4, 5), (4, 4, 4), (5, 5, 5), (3.2, 3.5, 4.1),
@@ -179,7 +180,7 @@ def _plan(gamma, counters):
 def _chart_counters(counters):
     """Count the chart's tries, their precisions k and the mpf_exp calls
     into counters while the block runs."""
-    chart, exp = orbit._chart_fixed, orbit.mpf_exp
+    chart, exp = fn_surface._chart_fixed, fn_surface.mpf_exp
     counters.update(chart_tries=0, k_sum=0, mpf_exp=0)
 
     def chart_spy(*args):
@@ -190,11 +191,11 @@ def _chart_counters(counters):
     def exp_spy(*args):
         counters["mpf_exp"] += 1
         return exp(*args)
-    orbit._chart_fixed, orbit.mpf_exp = chart_spy, exp_spy
+    fn_surface._chart_fixed, fn_surface.mpf_exp = chart_spy, exp_spy
     try:
         yield
     finally:
-        orbit._chart_fixed, orbit.mpf_exp = chart, exp
+        fn_surface._chart_fixed, fn_surface.mpf_exp = chart, exp
 
 
 def _chart(counters, what, gamma, *args):
