@@ -299,7 +299,9 @@ def fricke_triple(X: SurfacePoint) -> FrickeTriple:
     """(x, y, z) = (Tr a, Tr b, Tr ab) of the torus chart marking (a the
     coordinate curve, b the transversal), the float view of _chart_fixed:
     at a k from 64 up whose bounds are at most 2^-60 of their coordinates,
-    each rounded once (int true division rounds correctly)."""
+    each rounded once (int true division rounds correctly).  A point on
+    the chart whose traces pass the float range is a ValueError too, as
+    soon as one try bounds a trace past 2^1024, or at the rounding."""
     if X.kind != S11:
         raise ValueError("fricke_triple is defined for the torus chart")
     l1 = X.boundaries[0]
@@ -307,8 +309,17 @@ def fricke_triple(X: SurfacePoint) -> FrickeTriple:
     k, memo = 64, {}
     while True:
         t, errs = _chart_fixed(l1, X.ell, X.tau, k, memo)
-        if all(e << 60 <= v for v, e in zip(t, errs)):
-            return FrickeTriple(*(v / (1 << k) for v in t))
+        past = any((abs(v) - e).bit_length() > k + 1024
+                   for v, e in zip(t, errs))
+        if not past and all(e << 60 <= v for v, e in zip(t, errs)):
+            try:
+                return FrickeTriple(*(v / (1 << k) for v in t))
+            except OverflowError:
+                past = True
+        if past:
+            raise ValueError("(ell, tau, l1) = (%r, %r, %r) is past the "
+                             "float range: a trace exceeds 2^1024"
+                             % (X.ell, X.tau, l1))
         k += max(e.bit_length() + 61 - v.bit_length()
                  for v, e in zip(t, errs))
 

@@ -69,15 +69,26 @@ def canonical_cyclic(w: str) -> str:
     inverse, under the letter order a < b < A < B (positive words first).
     Two words name the same unoriented closed curve iff their canonical
     forms coincide.  swapcase turns that order into the order of code
-    points, and turns the inverse (w reversed, swapcase) into w reversed;
-    a least rotation starts with the least letter, so only those are
-    compared.
+    points, and turns the inverse (w reversed, swapcase) into w reversed.
+
+    Only the rotations that start at a longest run c^r of the least
+    letter c are compared: a rotation starting at a shorter run c^s has a
+    letter above c at place s where these have c, so a least rotation
+    starts with the most copies of c.  The run is found on the doubled
+    word, which holds every cyclic run; a word of one repeated letter is
+    its own only rotation.
     """
     w = cyclic_reduce(w)
     rots = []
     for u in (w.swapcase(), w[::-1]):
-        c = min(u, default="")
-        rots += [u[i:] + u[:i] for i in range(len(u)) if u[i] == c]
+        n, uu = len(u), u + u
+        c = run = min(u, default="")
+        while len(run) < n and run + c in uu:
+            run += c
+        i = uu.find(run)
+        while 0 <= i < n:
+            rots.append(uu[i:i + n])
+            i = uu.find(run, i + 1)
     return min(rots, default="").swapcase()
 
 

@@ -640,6 +640,13 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     (lengths <= L, node count, pruned count).  Counts curves directly,
     with no bookkeeping.
 
+    A node is a class and the generator g that first reached it (None at
+    the root), keyed on the class.  Its image under g's inverse is the
+    class it was reached from (a generator moves unoriented classes, so
+    g^-1 undoes g on them), which the search has already seen; so only
+    the other three images are taken, and the search visits the same
+    classes in the same order as one that takes all four.
+
     Lengths are taken at the reduced triple of the orbit of X (the counts
     are mapping-class invariant, and a search from a far-moved X prunes
     classes it needs), in 2^-k fixed point with k carrying
@@ -652,8 +659,13 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     root, k0 = _fixed_root(X, k)
     mats = _rep_fixed(tuple(v << (k - k0) for v in _reduced(root, k0)), k)
 
-    return _pruned_bfs(canonical_cyclic(gamma), lambda w: w, _word_images,
-                       lambda ws: [_word_length(mats, w, k) for w in ws],
+    def children(node):
+        w, g = node
+        gens = GENS.replace(g.swapcase(), "") if g else GENS
+        return zip(_word_images(w, gens), gens)
+    return _pruned_bfs((canonical_cyclic(gamma), None), lambda n: n[0],
+                       children,
+                       lambda ns: [_word_length(mats, w, k) for w, _ in ns],
                        L, _ORACLE_PRUNE, _ORACLE_NODES)
 
 

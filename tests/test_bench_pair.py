@@ -53,3 +53,38 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_equal_sides_are_within_bound(better):
     assert verdict(PARENT, PARENT, better) == "within bound"
+
+
+# the --durations report of a synthetic tier-1 run: setup and teardown
+# times are not call times
+PYTEST_OUT = """\
+........                                                     [100%]
+============================= slowest durations ==============================
+4.20s call     tests/test_acceptance.py::test_criterion_11_ball_volume
+3.90s call     tests/test_orbit.py::TestShortWords::test_every[X1-10.0]
+2.50s setup    tests/test_orbit.py::TestShortWords::test_every[X1-10.0]
+1.60s call     tests/test_orbit.py::test_new
+1.20s teardown tests/test_fricke.py::test_words
+8 passed in 12.34s
+"""
+
+
+def test_durations_keep_call_times():
+    assert bench_pair.durations(PYTEST_OUT) == {
+        "tests/test_acceptance.py::test_criterion_11_ball_volume": 4.2,
+        "tests/test_orbit.py::TestShortWords::test_every[X1-10.0]": 3.9,
+        "tests/test_orbit.py::test_new": 1.6}
+
+
+def test_slower_needs_both_the_ratio_and_a_second():
+    parent = {"a": 2.0, "b": 2.0, "c": 1.5, "d": 4.0}
+    change = {"a": 3.0,   # 1.5x and 1 s: slower
+              "b": 2.9,   # 1.45x: not slower
+              "c": 2.4,   # 1.6x but 0.9 s: not slower
+              "d": 1.0,   # faster
+              "e": 2.0,   # not reported on the parent: 1.0 s there
+              "f": 1.9}   # 1.9x of 1.0 s but 0.9 s
+    assert bench_pair.slower(parent, change) == ["a", "e"]
+    assert bench_pair.slower(change, change) == []
+    tier1 = bench_pair.durations(PYTEST_OUT)
+    assert bench_pair.slower(tier1, tier1) == []

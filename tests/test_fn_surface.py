@@ -73,6 +73,26 @@ class TestTorusChart:
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 2.0 ** -52 * w, (ell, tau, l1)
 
+    def test_float_range(self):
+        # past the float range but on the chart a ValueError names the
+        # float range, off the chart it names the chart bound
+        assert all(math.isfinite(v)
+                   for v in fs.fricke_triple(torus(1.5, 1400.0)).astuple())
+        with pytest.raises(ValueError, match="float range"):
+            fs.fricke_triple(torus(1.5, 1500.0))
+        with pytest.raises(ValueError, match="off the chart"):
+            fs.fricke_triple(torus(1.5, 2e5))
+
+    def test_float_range_edge(self, monkeypatch):
+        # a certified trace of 2^1024 - 2^970, half an ulp above the
+        # largest float, passes the bit-length test and rounds up to
+        # 2^1024 in the division: the same ValueError
+        k, edge = 64, (1 << 1024) - (1 << 970)
+        monkeypatch.setattr(fs, "_chart_fixed", lambda *args: (
+            (3 << k, 3 << k, edge << k), (0, 0, 0)))
+        with pytest.raises(ValueError, match="float range"):
+            fs.fricke_triple(torus(1.5, 1400.0))
+
     def test_coordinate_curve_length(self):
         X = torus(1.7, 0.3)
         assert fs.curve_length(X, fs.torus_curve((1, 0))) == pytest.approx(1.7)

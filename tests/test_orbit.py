@@ -1134,6 +1134,23 @@ class TestWordLength:
                     pytest.approx(want, rel=1e-13), w
         assert all(1 <= len(w) <= 6 for w in mats)
 
+    @pytest.mark.parametrize("X", [MODULAR, GENERIC])
+    @pytest.mark.parametrize("gamma", ["aabAb", "abaB", "aabbAB"])
+    @pytest.mark.parametrize("L", [6.0, 9.0])
+    def test_skip_matches_four_image_search(self, X, gamma, L):
+        # the search that takes all four images of each class, the way
+        # back included, at the same lengths and k: the same lengths in
+        # the same order, and the same node and pruned counts
+        k = ob._bits(60 + int(0.5 * ob._ORACLE_PRUNE * L))
+        root, k0 = ob._fixed_root(X, k)
+        mats = ob._rep_fixed(
+            tuple(v << (k - k0) for v in ob._reduced(root, k0)), k)
+        want = ob._pruned_bfs(
+            canonical_cyclic(gamma), lambda w: w, ob._word_images,
+            lambda ws: [ob._word_length(mats, w, k) for w in ws], L,
+            ob._ORACLE_PRUNE, ob._ORACLE_NODES)
+        assert ob._word_orbit_lengths(X, gamma, L) == want
+
     def test_memo_bounded_per_search(self, monkeypatch):
         # the memo is the search's own dict of realizing matrices: it holds
         # reduced words of 1 to 6 letters, at most 4 * (3^6 - 1) / 2 = 1456

@@ -54,3 +54,16 @@ def test_walks_unwrap(case, walks):
     line = same_results.run_case(case)
     assert orbit._farey_walk is walk
     assert json.loads(line)["counters"]["walks"] == walks
+
+
+def test_brute_images_unwrap():
+    # the brute case counts canonical forms through a wrapper that it takes
+    # off again: one for gamma, then three images of each class and a
+    # fourth at the root (the way back to a class's parent is not taken)
+    orbit = same_results.orbit
+    canonical = orbit.canonical_cyclic
+    line = same_results.run_case(["brute", [3.2, 3.5, 4.1], "aabAb", 9.0])
+    assert orbit.canonical_cyclic is canonical
+    counters = json.loads(line)["counters"]
+    assert set(counters) == {"images", "nodes", "pruned"}
+    assert counters["images"] == 3 * counters["nodes"] + 2

@@ -15,7 +15,9 @@ the runs of both sides, their medians and quartiles, the pairs the change
 wins (strictly better in the metric's own direction), the change of the
 median and a verdict (see verdict()).  With --tier1 it also runs tier-1 in
 each checkout, one after the other, and records the tests passed, the wall
-time and the time of criterion 11.  A run that times out or prints no
+time, the time of criterion 11 and each test's call time of at least
+DURATIONS_MIN seconds, and lists under ``slower`` the tests the change
+slowed (see slower()).  A run that times out or prints no
 result counts as failed, and the report is rewritten after each workload,
 so a late failure keeps the runs made.
 
@@ -38,6 +40,11 @@ SIDES = ("parent", "change")
 RUN_TIMEOUT = 900
 TIER1_TIMEOUT = 3600
 CRITERION_11 = "test_criterion_11_ball_volume"
+# pytest reports the call times of at least DURATIONS_MIN seconds; a test
+# is slower when its time grew by SLOWER_RATIO and by SLOWER_S seconds
+DURATIONS_MIN = 1.0
+SLOWER_RATIO = 1.5
+SLOWER_S = 1.0
 
 
 def parse_args(argv):
@@ -184,12 +191,29 @@ def bench_workload(args, roots, workload: str, metrics: dict, seconds):
 
 TIER1_ARGS = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
               "--continue-on-collection-errors", "--durations=0",
-              "--durations-min=1.0"]
+              "--durations-min=%g" % DURATIONS_MIN]
+
+
+def durations(out: str) -> dict:
+    """Each test's call time in seconds, from pytest's --durations report."""
+    return {test: float(s) for s, test in
+            re.findall(r"^([\d.]+)s call\s+(\S+)$", out, re.M)}
+
+
+def slower(parent: dict, change: dict) -> list:
+    """The tests whose call time on the change is at least SLOWER_RATIO
+    times and SLOWER_S seconds above the parent's; a test the parent did
+    not report (under DURATIONS_MIN) counts as DURATIONS_MIN there."""
+    return sorted(
+        test for test, s in change.items()
+        if s >= SLOWER_RATIO * parent.get(test, DURATIONS_MIN)
+        and s - parent.get(test, DURATIONS_MIN) >= SLOWER_S)
 
 
 def tier1(root: Path) -> dict:
-    """Tests passed and failed, wall time and criterion 11's time of
-    tier-1; a run past TIER1_TIMEOUT counts what it printed so far."""
+    """Tests passed and failed, wall time, criterion 11's time and the
+    per-test call times of tier-1; a run past TIER1_TIMEOUT counts what it
+    printed so far."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     t0 = time.perf_counter()
     try:
@@ -205,10 +229,12 @@ def tier1(root: Path) -> dict:
     def count(word):
         m = re.search(r"(\d+) %s" % word, out)
         return int(m.group(1)) if m else 0
-    crit = re.search(r"([\d.]+)s call\s+\S*%s" % CRITERION_11, out)
+    calls = durations(out)
     return {"passed": count("passed"), "failed": count("failed"),
             "pytest_s": round(wall, 2), "timed_out": timed_out,
-            "criterion_11_s": float(crit.group(1)) if crit else None}
+            "criterion_11_s": next((s for test, s in calls.items()
+                                    if CRITERION_11 in test), None),
+            "durations": calls}
 
 
 def main(argv=None):
@@ -243,10 +269,11 @@ def main(argv=None):
                 "mpmath_backend")}
         write()
     if args.tier1:
+        runs = {side: tier1(roots[side]) for side in SIDES}
         report["tier1"] = {
             "command": " ".join(["PYTHONPATH=src", "python", *TIER1_ARGS]),
-            "order": list(SIDES),
-            **{side: tier1(roots[side]) for side in SIDES}}
+            "order": list(SIDES), **runs,
+            "slower": slower(*(runs[side]["durations"] for side in SIDES))}
         write()
     return 0
 

@@ -24,7 +24,8 @@ The table:
 - ``brute``: the count of ``count_orbit_word_bruteforce`` (the lengths that
   its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
   at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
-  ``counters``;
+  ``counters``, and as ``images`` its ``orbit.canonical_cyclic`` calls,
+  counted by wrapping that name for the case;
 - ``mc``: ``_mc_sample_value`` of criterion 11 (aabAb, L = 30) for seeds
   0 and 1, samples 0-119;
 - ``acc1``: the ACC1 document of ``teichlab acceptance``;
@@ -148,8 +149,18 @@ def _orb1(X, gamma, L, counters):
 
 
 def _brute(X, gamma, L, counters):
-    lengths, counters["nodes"], counters["pruned"] = \
-        orbit._word_orbit_lengths(X, gamma, L)
+    canonical = orbit.canonical_cyclic
+    counters["images"] = 0
+
+    def canonical_spy(w):
+        counters["images"] += 1
+        return canonical(w)
+    orbit.canonical_cyclic = canonical_spy
+    try:
+        lengths, counters["nodes"], counters["pruned"] = \
+            orbit._word_orbit_lengths(X, gamma, L)
+    finally:
+        orbit.canonical_cyclic = canonical
     return len(lengths)
 
 
