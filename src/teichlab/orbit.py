@@ -11,17 +11,18 @@ triples these are the polynomial maps
     T:  (x,y,z) -> (x, z, xz - y)        T^-1: (x,y,z) -> (x, xy - z, y)
     U:  (x,y,z) -> (z, y, yz - x)        U^-1: (x,y,z) -> (xy - z, y, x)
 
-which preserve the boundary invariant kappa exactly.  One Farey walk in
-2^-k fixed point, exact at k = 0 for integral triples, yields every short
-slope with its marking triple; it feeds the simple-slope and orbit counts,
-the cone count (slopes over |Aut(X)|) and the ball area.  |Aut(X)| is read
-off the reduced triple of the orbit of X, with no walk.  The
-orbit of every non-simple word is counted over the twist families of those
-slopes: length is convex along a Fenchel-Nielsen twist, so each family is
-one downhill walk to its minimum and one walk outward on each side, or one
-node for a word the twist fixes.  The families are walked in lockstep, with
-one pass of the word's trace plan over each step's new nodes.  A pruned BFS
-over conjugacy classes is kept only as the oracle of that count.  The
+which preserve the boundary invariant kappa exactly.  Each entry point
+converts X once, to the reduced triple of its orbit in 2^-k fixed point,
+exact at k = 0 for integral triples; one Farey walk from it yields every
+short slope with its marking triple, for the simple-slope and orbit
+counts, the cone count (slopes over |Aut(X)|) and the ball area, and
+|Aut(X)| is read off it with no walk.  The orbit of every non-simple word
+is counted over the twist families of those slopes: length is convex
+along a Fenchel-Nielsen twist, so each family is one downhill walk to its
+minimum and one walk outward on each side, or one node for a word the
+twist fixes.  The families are walked in lockstep, with one pass of the
+word's trace plan over each step's new nodes.  A pruned BFS over
+conjugacy classes is kept only as the oracle of that count.  The
 length-ball volumes integrate twist-line measures of the certified
 lengths of fn_surface's (ell, tau) chart.
 """
@@ -55,41 +56,52 @@ def _triple(X) -> tuple:
 # simple curves: one Farey walk
 
 
-def _farey_walk(X, L: float, bits: int = 64):
-    """(marks, k): for every slope s with trace <= 2 cosh(L/2) at X, the
-    pair (s, (tr s, tr s', tr(s + s'))) with det(s, s') = 1, the marking
-    triple of s, as ints scaled by 2^k (k = 0 for an integral X, else
-    bits).
-
-    Descends by the generator maps to the minimal triangle (sa, sb, sa+sb),
-    with the basis (sa, sb) as the columns of the product of their
-    matrices, then walks the Farey tree outward from it: across an edge
-    (u, v) with opposite vertex u - v lies u + v, of trace
-    t_u t_v - t_(u-v).  Traces grow outward at a torus point, and a child
-    below its opposite vertex raises ArithmeticError.  X must be a torus
-    point (ValueError otherwise): elsewhere the traces need not grow
-    outward and the walk would not end.  L must be >= 0 (ValueError for a
-    negative or nan L: cosh is even, and nan has no trace bound).
-    """
-    if not L >= 0:
-        raise ValueError("L=%r: the length bound must be >= 0" % L)
+def _point(X, bits: int = 64):
+    """(node, basis, k): X converted and reduced once, for every orbit entry
+    point to pass on.  |X| becomes ints scaled by 2^k (_fixed_root: k = 0
+    for an integral X, else bits) and descends by the generator maps to
+    the minimal triangle (sa, sb, sa + sb): node = (tr sa, tr sb,
+    tr(sa + sb)) is the reduced triple of the orbit, and basis = (sa, sb)
+    in X's marking, the columns of the moves' matrix product.  ValueError
+    unless X is a torus point."""
     t = _triple(X)
     _torus_kappa(t)
     root, k = _fixed_root([abs(v) for v in t], bits)
+    node, (a, b, c, d) = _descend(
+        (root, (1, 0, 0, 1)),
+        lambda s: [(im, _mat_mul(s[1], _GEN_MATS[g], 0))
+                   for g, im in zip(GENS, _images(s[0], k))],
+        lambda s: max(s[0]))
+    return node, ((a, c), (b, d)), k
+
+
+def _trace_bound(L: float, k: int) -> int:
+    """floor(2 cosh(L/2) 2^k); ValueError if 2 cosh(L/2) overflows a float."""
     try:
         n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
     except OverflowError:
         raise ValueError("L=%g: the trace bound 2 cosh(L/2) overflows a "
                          "float; L must be at most %.4f"
                          % (L, 2.0 * math.log(float_info.max))) from None
-    bound = (n << k) // d
-    (ta, tb, tab), (a, b, c, d) = _descend(
-        (root, (1, 0, 0, 1)),
-        lambda s: [(im, _mat_mul(s[1], _GEN_MATS[g], 0))
-                   for g, im in zip(GENS, _images(s[0], k))],
-        lambda s: max(s[0]))
-    sa, sb = (a, c), (b, d)
+    return (n << k) // d
 
+
+def _farey_walk(point, L: float):
+    """(marks, k): for every slope s with trace <= 2 cosh(L/2) at the point
+    (_point), the pair (s, (tr s, tr s', tr(s + s'))) with det(s, s') = 1,
+    the marking triple of s, as ints scaled by the point's 2^k.
+
+    Walks the Farey tree outward from the point's minimal triangle: across
+    an edge (u, v) with opposite vertex u - v lies u + v, of trace
+    t_u t_v - t_(u-v).  Traces grow outward at a torus point, and a child
+    below its opposite vertex raises ArithmeticError.  ValueError for a
+    negative or nan L (cosh is even, and nan has no trace bound) and for
+    one past the float trace bound (_trace_bound).
+    """
+    if not L >= 0:
+        raise ValueError("L=%r: the length bound must be >= 0" % L)
+    (ta, tb, tab), (sa, sb), k = point
+    bound = _trace_bound(L, k)
     marks = []
 
     def mark(w, tw, u, tu, tv):
@@ -133,14 +145,14 @@ def simple_slopes(X, L: float):
     """All slopes with geodesic length <= L at X, with their traces, from
     the Farey walk (exact ints at an integral X, else floats); ValueError
     unless X is a torus point."""
-    marks, k = _farey_walk(X, L)
+    marks, k = _farey_walk(_point(X), L)
     return sorted((farey.normalize_slope(*s), tr / (1 << k) if k else tr)
                   for s, (tr, _, _) in marks)
 
 
 def count_simple(X, L: float) -> int:
     """Number of simple closed geodesics of length <= L at X."""
-    return len(_farey_walk(X, L)[0])
+    return len(_farey_walk(_point(X), L)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,61 +286,45 @@ def _fixed_root(X, bits: int):
     return tuple((q.numerator << k) // q.denominator for q in qs), k
 
 
-def _reduced(t, k: int):
-    """The node t descended by the generator maps to the least max|coord|."""
-    return _descend(t, lambda u: _images(u, k), lambda u: max(map(abs, u)))
-
-
-def _canonical_triple(X):
-    """The reduced triple of the orbit of X (found in 2^-64 fixed point,
-    exactly at an integral X) as ascending absolute values, ints if X is."""
-    root, k = _fixed_root(X, 64)
-    return sorted(abs(v) / (1 << k) if k else abs(v)
-                  for v in _reduced(root, k))
-
-
-_AUT_RTOL = 1e-9
-
-
 def point_symmetry_order(X) -> int:
-    """|Aut(X)|, the stabilizer of X in PSL(2,Z), from its canonical triple
-    (_aut_order); ValueError unless X is a torus point."""
-    _torus_kappa(_triple(X))
-    return _aut_order(_canonical_triple(X))
+    """|Aut(X)|, the stabilizer of X in PSL(2,Z), off the reduced triple of
+    its point (_aut_order); ValueError unless X is a torus point."""
+    return _aut_order(_point(X))
 
 
-def _aut_order(t) -> int:
-    """|Aut| at a canonical triple x <= y <= z: 3 when x = y = z (the
-    hexagonal torus, fixed by ST: (x, y, z) -> (y, z, x)), 2 when x = y and
-    2z = xy (the square torus, fixed by S: (x, y, z) -> (y, x, xy - z)),
-    else 1.  The equalities are exact at an integral triple and hold up to
-    _AUT_RTOL relative at a float one.
+def _aut_order(point) -> int:
+    """|Aut| at the point's reduced triple, sorted as x <= y <= z: 3 when
+    x = y = z (the hexagonal torus, fixed by ST: (x, y, z) -> (y, z, x)),
+    2 when x = y and 2z = xy (the square torus, fixed by S:
+    (x, y, z) -> (y, x, xy - z)), else 1.  Each equality is decided in the
+    point's fixed point with _aut_tol, as the cone count decides tau0 = 0.
 
     PSL(2,Z) = Z/2 * Z/3, so every finite subgroup is conjugate into <S>
     or <ST>.  Each of these fixes exactly one point of Teichmueller space
     (an elliptic isometry of a disc; at a cusp, of the upper half-plane):
     the two tori above, whose triples are reduced.  A point with
-    |Aut| > 1 lies in the orbit of one of them, and the canonical triple
-    is an orbit invariant, so every point of that orbit has the fixed
-    triple as its canonical triple.  No triple is both: x = y = z and
-    2z = xy give x = 2, not a torus point.
+    |Aut| > 1 lies in the orbit of one of them, and the reduced triple is
+    an orbit invariant up to order, so every point of that orbit reduces
+    to the fixed triple.  No triple is both: x = y = z and 2z = xy give
+    x = 2, not a torus point.
     """
-    x, y, z = t
-    rtol = 0 if isinstance(z, int) else _AUT_RTOL
-    if y - x > rtol * y:
+    node, _, k = point
+    x, y, z = sorted(node)
+    if y - x > _aut_tol(y, k):
         return 1
-    if z - x <= rtol * z:
+    if z - x <= _aut_tol(z, k):
         return 3
-    return 2 if abs(2 * z - x * y) <= rtol * x * y else 1
+    xy = x * y >> k
+    return 2 if abs(2 * z - xy) <= _aut_tol(xy, k) else 1
 
 
 def _aut_tol(v: int, k: int) -> int:
-    """How far apart, in units of 2^-k, two traces of size v from the Farey
-    walk may lie and still be one: _AUT_RTOL of v at a float triple, where
-    the two ends z and xy - z of a family with tau0 = 0 come out a few
-    roundings apart, and 0 at an integral one (k = 0), whose walk is
-    exact."""
-    return v // round(1 / _AUT_RTOL) if k else 0
+    """How far apart, in units of 2^-k, two traces of size v at one point
+    may lie and still be one: 1e-9 of v at a float point, where equal
+    traces (the coordinates of a reduced triple with |Aut| > 1, the ends z
+    and xy - z of a family with tau0 = 0) come out a few roundings apart,
+    and 0 at an integral one (k = 0), whose arithmetic is exact."""
+    return v // 10 ** 9 if k else 0
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +413,12 @@ _TOP_BAND = 1.0
 _FAMILY_STEPS = 100_000
 
 
+def _family_bits(gamma: str, L: float) -> int:
+    """The triple-orbit engine's binary places at a float X: they carry the
+    digits that gamma's trace cancellation digs (~deg * log10(coord))."""
+    return _bits(60 + int(0.25 * len(gamma) * 1.5 * L))
+
+
 def _trace_cut(L: float, k: int) -> int:
     """The trace, scaled by 2^k, above which every length exceeds L: the
     trace bound b = floor(2 cosh(L/2) 2^k), raised by b 2^-20 and a unit.
@@ -428,8 +430,7 @@ def _trace_cut(L: float, k: int) -> int:
     cosh(L/2) is a float (L < 1420), so it exceeds L there too: a trace
     above the cut needs no length to decide l > L, as _trace_length would.
     """
-    n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
-    b = (n << k) // d
+    b = _trace_bound(L, k)
     return b + (b >> 20) + 1
 
 
@@ -536,7 +537,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
     return found, outer, {"evaluations": sum(counts), "steps": steps}
 
 
-def _family_lengths(X, gamma: str, L: float):
+def _family_lengths(point, gamma: str, L: float):
     """The triple-orbit engine: (lengths <= L of gamma over the classes g
     of PSL(2,Z), as l_gamma(g.X), and the work counters {families,
     evaluations, steps, k}).
@@ -556,14 +557,11 @@ def _family_lengths(X, gamma: str, L: float):
     ArithmeticError as a guard.  kappa is checked at both ends of every
     non-empty family, where the recursion has rounded most.
 
-    Nodes are ints scaled by 2^k: k = 0 for an integral X, else k binary
-    places carry the digits that the trace cancellation digs
-    (~deg * log10(coord)).
+    Nodes are ints scaled by the point's 2^k (_point): k = 0 for an
+    integral X, else _family_bits.  kappa0 is the point's own.
     """
-    bits = _bits(60 + int(0.25 * len(gamma) * 1.5 * L))
-    root, k = _fixed_root([abs(v) for v in _triple(X)], bits)
-    marks, _ = _farey_walk(X, L, bits)
-    kappa0 = _kappa_fixed(root, k)
+    marks, k = _farey_walk(point, L)
+    kappa0 = _kappa_fixed(point[0], k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
     twist_fixed = _word_images(gamma, "T") == [canonical_cyclic(gamma)]
     found, outer, work = _twist_walk(marks, gamma, L, k, twist_fixed)
@@ -647,7 +645,7 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     the other three images are taken, and the search visits the same
     classes in the same order as one that takes all four.
 
-    Lengths are taken at the reduced triple of the orbit of X (the counts
+    Lengths are taken at the reduced triple of X's point (the counts
     are mapping-class invariant, and a search from a far-moved X prunes
     classes it needs), in 2^-k fixed point with k carrying
     60 + 0.5 * _ORACLE_PRUNE * L digits; the realizing matrices are
@@ -656,8 +654,8 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     lives and dies with the search.
     """
     k = _bits(60 + int(0.5 * _ORACLE_PRUNE * L))
-    root, k0 = _fixed_root(X, k)
-    mats = _rep_fixed(tuple(v << (k - k0) for v in _reduced(root, k0)), k)
+    node, _, k0 = _point(X, k)
+    mats = _rep_fixed(tuple(v << (k - k0) for v in node), k)
 
     def children(node):
         w, g = node
@@ -673,9 +671,7 @@ def count_orbit_word_bruteforce(X, gamma: str, L: float) -> int:
     """Direct curve count: the oracle of count_orbit_word, with its checks
     (ValueError for a peripheral gamma, for an L that is not finite and
     > 0, or unless X is a torus point)."""
-    gamma = _countable(gamma, L)
-    _torus_kappa(_triple(X))
-    return len(_word_orbit_lengths(X, gamma, L)[0])
+    return len(_word_orbit_lengths(X, _countable(gamma, L), L)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +711,9 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     fixes every triple but maps gamma to another curve of the same length
     unless iota = 1, so A1 = iota * #classes / |Sym(gamma)| (ArithmeticError
     unless Sym divides the count) and A3 = sym * A1 (A1 if Sym is
-    infinite).  |Aut(X)| is reported, not used.  prune_c is ignored, only
-    echoed as prune_constant (count_orbit_word_bruteforce prunes).  The
+    infinite).  |Aut(X)| is reported, not used, off the one point (_point)
+    of the count.  prune_c is ignored, only echoed as prune_constant
+    (count_orbit_word_bruteforce prunes).  The
     constant of the counting theorem is a1 / (L^2 thurston_ball_B(X)).
     ValueError for a peripheral gamma, for an L that is not finite and > 0,
     or unless X is a torus point.
@@ -730,17 +727,18 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     if grid[-1] != L:
         grid.append(L)
     sym = curve_symmetry_order(gamma)
-    aut = point_symmetry_order(t)
     k = simple_power(gamma)
     if k:
         # orbit of the k-th power of a simple curve = k-th powers of all
         # simple curves; length scales by k
-        counts = [count_simple(t, g / k) for g in grid]
+        point = _point(t)
+        counts = [len(_farey_walk(point, g / k)[0]) for g in grid]
         nodes = counts[-1]
         meta = {"engine": "simple-slope", "simple_power": k}
     else:
         rep, iota = _orbit_rep(gamma)
-        lengths, work = _family_lengths(t, rep, L)
+        point = _point(t, _family_bits(rep, L))
+        lengths, work = _family_lengths(point, rep, L)
         nodes = work["evaluations"]
         meta = {"engine": "triple-orbit", "representative": rep,
                 "iota": iota, **work}
@@ -751,16 +749,18 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     return CountReport(
         schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
         normalized=[c / g / g for c, g in zip(counts, grid)],
-        a1=a1, a3=sym * a1 if sym else a1, sym_order=sym, aut_order=aut,
+        a1=a1, a3=sym * a1 if sym else a1, sym_order=sym,
+        aut_order=_aut_order(point),
         orbit_nodes=nodes, pruned=0, prune_constant=prune_c,
         prune_violations=0, metadata={"kappa": kappa, **meta})
 
 
 def _countable(gamma: str, L: float) -> str:
     """gamma cyclically reduced; ValueError if it is empty or peripheral,
-    or unless the length bound L is finite and > 0."""
+    or unless L is finite, > 0 and within the float trace bound."""
     if not 0 < L < math.inf:
         raise ValueError("L=%r: the length bound must be finite and > 0" % L)
+    _trace_bound(L, 0)  # before any precision is sized from L
     gamma = cyclic_reduce(gamma)
     if is_peripheral_word(gamma) or not gamma:
         raise ValueError("gamma is peripheral; its orbit is not counted")
@@ -802,27 +802,26 @@ def thurston_ball_B(X) -> float:
 
     B is a function on moduli space: the area is unchanged by GL(2,Z), by
     permuting the coordinates and by even sign flips.  So it is computed
-    at the canonical triple of the orbit of X (ValueError unless X is a
-    torus point): the reduced triple, as absolute values in ascending
-    order.
+    from the point of X (_point; ValueError unless X is a torus point):
+    the reduced triple of its orbit, in 2^-64 fixed point at a float X.
     """
-    _torus_kappa(_triple(X))
-    return _ball_area(_canonical_triple(X))
+    return _ball_area(_point(X))
 
 
-def _ball_area(t) -> float:
-    """B at the marking t: half the area of the unit ball, the normalization
+def _ball_area(point) -> float:
+    """B at the point: half the area of the unit ball, the normalization
     in which lattice points mod +-1 are the integral multicurves.
 
     Length extends to a norm on ML ~ R^2, so every s / l_s lies on the
     boundary of the ball, and Farey neighbours s, s' span with 0 a triangle
     of area 1 / (2 l_s l_s').  Over the slopes of the Farey walk to length
-    l_top + 40 (l_top: the longest coordinate curve of t), in order of
-    angle, these triangles make up the star polygon through them, which
+    l_top + 40 (l_top: the longest coordinate curve of the node), in order
+    of angle, these triangles make up the star polygon through them, which
     misses area of order e^-40.  ArithmeticError unless consecutive slopes
     are Farey neighbours, the convexity premise of the sum.
     """
-    marks, k = _farey_walk(t, length_trace(max(map(abs, t))) + 40.0)
+    top = max(point[0]) / (1 << point[2]) if point[2] else max(point[0])
+    marks, k = _farey_walk(point, length_trace(top) + 40.0)
     # by angle in [0, pi): (+-1, 0) first, then p/q decreasing; a pair the
     # float key ties or misorders fails the neighbour check, never moves B
     marks.sort(key=lambda m: (m[0][1] != 0, -m[0][0] / (m[0][1] or 1)))
@@ -837,7 +836,7 @@ def _ball_area(t) -> float:
 def integral_multicurve_count(X, L: float) -> int:
     """#{integral multicurves k*slope with length <= L} = sum floor(L/l_s);
     grows like B(X) * L^2."""
-    marks, k = _farey_walk(X, L)
+    marks, k = _farey_walk(_point(X), L)
     return sum(int(L / length_trace(m[0] / (1 << k) if k else m[0]))
                for _, m in marks)
 
@@ -859,20 +858,19 @@ def cone_count(X, m: int, L: float) -> int:
     puts both ends in it.  Aut(X) acts freely on slopes (no elliptic
     element of PSL(2,Z) fixes a rational slope), so each family of orbit
     points comes from |Aut(X)| slopes: the count is (slopes + families with
-    tau0 = 0) / |Aut(X)|, from one descent to the canonical triple, which
-    gives |Aut(X)| (_aut_order), and one walk from it (ValueError unless X
-    is a torus point; ArithmeticError unless the division is exact).  So
-    the count is the same for every m; m stays in the signature because
-    the CLI and perfbench pass it.
+    tau0 = 0) / |Aut(X)|, from the point of X (_point; ValueError unless X
+    is a torus point), whose reduced triple gives |Aut(X)| (_aut_order,
+    by the same _aut_tol rule), and one walk from it (ArithmeticError
+    unless the division is exact).  So the count is the same for every m;
+    m stays in the signature because the CLI and perfbench pass it.
     """
-    _torus_kappa(_triple(X))
-    t = _canonical_triple(X)
-    marks, k = _farey_walk(t, L)
+    point = _point(X)
+    marks, k = _farey_walk(point, L)
     n = len(marks)
     for _, mark in marks:
         x, y, z = _twist_reduced(mark, k)
         n += abs(2 * z - (x * y >> k)) <= _aut_tol(max(x, y, z), k)
-    return _per_curve(n, _aut_order(t), 1)
+    return _per_curve(n, _aut_order(point), 1)
 
 
 def _twist_reduced(mark, k: int):
@@ -974,7 +972,6 @@ def _end_predicate(g, L, inside, outside, known):
             return True
         return s * tau < s * hi and g(tau) <= L
     return below
-
 
 
 def _tau_measure(f, ell, L, K=None):
@@ -1142,16 +1139,18 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
 
 
 def _mc_sample_value(args):
+    """Sample i of seed: the curves of the orbit of gamma of length <= L at
+    the drawn (ell, tau), or 0 outside the fundamental domain, where the
+    coordinate curve is not the systole (the least coordinate of the
+    reduced triple).  Both read the one point (_point) at the count's k."""
     i, seed, gamma, L, l1, sym = args
     rng = np.random.Generator(np.random.Philox(key=[seed, i]))
     u1, u2, u3 = rng.random(3)
     ell = _systole_cap(l1) * max(u1, u2)  # density ~ ell on (0, top]
-    tau = u3 * ell
-    X = SurfacePoint(S11, (l1,), ell, tau)
-    t = fricke_triple(X)
-    # fundamental domain: the coordinate curve must be the systole, whose
-    # trace is the least of the canonical triple
-    if _canonical_triple(t)[0] < 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
-        return 0.0
     rep, iota = _orbit_rep(gamma)
-    return _per_curve(len(_family_lengths(t, rep, L)[0]), sym, iota)
+    point = _point(fricke_triple(SurfacePoint(S11, (l1,), ell, u3 * ell)),
+                   _family_bits(rep, L))
+    node, _, k = point
+    if min(node) / (1 << k) < 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
+        return 0.0
+    return _per_curve(len(_family_lengths(point, rep, L)[0]), sym, iota)

@@ -88,3 +88,29 @@ def test_slower_needs_both_the_ratio_and_a_second():
     assert bench_pair.slower(change, change) == []
     tier1 = bench_pair.durations(PYTEST_OUT)
     assert bench_pair.slower(tier1, tier1) == []
+
+
+def test_tier1_order_and_minimum(monkeypatch):
+    # tier-1 runs parent, change, change, parent; each side keeps its runs'
+    # totals and, per test, the smaller of its two call times
+    times = iter([{"a": 2.0, "b": 1.5},          # parent
+                  {"a": 4.0, "b": 1.2, "c": 3.0},  # change
+                  {"a": 3.5, "c": 2.5},          # change: b under 1 s
+                  {"a": 1.8, "b": 1.6}])         # parent
+    seen = []
+
+    def fake_tier1(root):
+        seen.append(root)
+        return {"passed": len(seen), "pytest_s": 10.0,
+                "durations": next(times)}
+    monkeypatch.setattr(bench_pair, "tier1", fake_tier1)
+    got = bench_pair.tier1_pairs({"parent": "P", "change": "C"})
+    assert seen == ["P", "C", "C", "P"]
+    assert got["order"] == ["parent", "change", "change", "parent"]
+    assert got["parent"]["runs"] == [{"passed": 1, "pytest_s": 10.0},
+                                     {"passed": 4, "pytest_s": 10.0}]
+    assert [r["passed"] for r in got["change"]["runs"]] == [2, 3]
+    assert got["parent"]["durations"] == {"a": 1.8, "b": 1.5}
+    assert got["change"]["durations"] == {"a": 3.5, "c": 2.5}
+    # a: 3.5 against 1.8; c: 2.5 against an unreported 1.0
+    assert got["slower"] == ["a", "c"]

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -118,6 +119,29 @@ class TestCommands:
         # 2 cosh(L/2) is beyond the float range at L = 2000
         assert run_main([cmd, "--x", "3,3,3", "--L", "2000"]) == 1
         assert "L must be at most 1419.5654" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["3,3,3", "3.2,3.5,4.1"])
+    @pytest.mark.parametrize("L", ["2000", "2e307", "1e308"])
+    def test_count_word_trace_bound_overflow_exit_1(self, x, L, capsys):
+        # L is checked before the count sizes its precision from it
+        assert run_main(["count-word", "--x", x, "--word", "aabAb",
+                         "--L", L]) == 1
+        assert "L must be at most 1419.5654" in capsys.readouterr().err
+
+    def test_count_word_huge_L_small_memory(self):
+        # at a float X, L = 1e10 once sized a fixed point of ~6e10 bits
+        # (~7.8 GB) before any check of L; under a 1 GB address-space cap
+        # a regression fails fast with a MemoryError
+        cap = 1 << 30
+        r = subprocess.run(
+            [sys.executable, "-m", "teichlab.cli", "count-word", "--x",
+             "3.2,3.5,4.1", "--word", "aabAb", "--L", "1e10"],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert r.returncode == 1, r.stderr
+        assert "L must be at most 1419.5654" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_count_word_tiny_L(self, capsys):
         # the normalized counts divided by L^2, which underflows to 0

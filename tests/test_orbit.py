@@ -112,6 +112,16 @@ class TestSimpleCounting:
             with pytest.raises(ValueError, match="at most 1419.5654"):
                 f(MODULAR, 2000.0)
 
+    @pytest.mark.parametrize("X", [GENERIC, (3, 4, 5)])
+    @pytest.mark.parametrize("L", [2000.0, 2e307, 1e308])
+    def test_count_rejects_L_past_trace_bound(self, X, L):
+        # L is checked before any precision is sized from it: at a float X
+        # the count once sized k from L = 1e10 to ~6e10 bits, and raised
+        # OverflowError from L ~ 2e307 on
+        for f in (ob.count_orbit_word, ob.count_orbit_word_bruteforce):
+            with pytest.raises(ValueError, match="at most 1419.5654"):
+                f(X, "aabAb", L)
+
 
 def mc_draw(seed, i):
     """(ell, tau) of MC sample i of seed, as orbit._mc_sample_value draws."""
@@ -269,8 +279,7 @@ def ball_aut_order(X, radius=6, tol=1e-9):
     """The oracle of point_symmetry_order: the mapping classes in a
     generator ball around the reduced triple of the orbit of X that fix
     it."""
-    root, k = ob._fixed_root(X, 64)
-    root = ob._reduced(root, k)
+    root, _, k = ob._point(X)
     ident = (1, 0, 0, 1)
     seen = {ident}
     frontier = [(ident, root)]
@@ -355,6 +364,62 @@ class TestPointSymmetry:
             assert not walks, X
             ob.cone_count(X, 0, 30.0)
             assert len(walks) == 1, X
+
+
+def count_conversions(monkeypatch):
+    """A list that gets one entry for each _fixed_root call made from now
+    on: each conversion of a triple to fixed point."""
+    calls = []
+    root = ob._fixed_root
+
+    def spy(*args):
+        calls.append(args)
+        return root(*args)
+    monkeypatch.setattr(ob, "_fixed_root", spy)
+    return calls
+
+
+class TestOnePoint:
+    @pytest.mark.parametrize("X", [GENERIC, (3, 4, 5)])
+    @pytest.mark.parametrize("call", [
+        lambda X: ob.count_orbit_word(X, "aabAb", 9.0),
+        lambda X: ob.count_orbit_word(X, "aab", 9.0),
+        lambda X: ob.cone_count(X, 0, 20.0),
+        ob.thurston_ball_B,
+        ob.point_symmetry_order,
+        lambda X: ob.count_orbit_word_bruteforce(X, "aabAb", 6.0)])
+    def test_one_conversion_per_call(self, X, call, monkeypatch):
+        # each entry point converts and reduces X once (_point) and passes
+        # the point on to its walks, its |Aut| and its count
+        calls = count_conversions(monkeypatch)
+        call(X)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("args, accepted", [
+        ((54, 1, "aabAb", 16.0, 0.0, 1), True),
+        ((41, 0, "aabAb", 16.0, 0.0, 1), False)])
+    def test_one_conversion_per_mc_draw(self, args, accepted, monkeypatch):
+        # the fundamental-domain test and the count share the draw's point
+        calls = count_conversions(monkeypatch)
+        assert (ob._mc_sample_value(args) > 0) == accepted
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("X", [(3, 3, 3), (4, 4, 8), GENERIC,
+                                   (3.3, 3.3, 3.3), (3.3, 3.3, 5.445)])
+    def test_point_is_reduced_with_its_basis(self, X, slope_trace):
+        # the node is the minimal triangle's traces (tr sa, tr sb,
+        # tr(sa + sb)), a reduced triple x <= y <= z <= xy/2 once sorted,
+        # and the basis (sa, sb) spans it in the marking of X
+        for w in ["", "T", "tU", "UUt"]:
+            Y = moved(X, w)
+            node, (sa, sb), k = ob._point(Y)
+            x, y, z = sorted(node)
+            assert x * y >> k >= 2 * z - ob._aut_tol(x * y >> k, k)
+            assert sa[0] * sb[1] - sa[1] * sb[0] == 1
+            want = [slope_trace(Y, s) for s in
+                    (sa, sb, (sa[0] + sb[0], sa[1] + sb[1]))]
+            got = [v / (1 << k) if k else v for v in node]
+            assert got == pytest.approx(want, rel=1e-12), w
 
 
 def short_words(n):
@@ -603,7 +668,7 @@ class TestTwistFamilies:
         # tells T from t
         L, gamma = 16.0, "aabAbAbb"
         k = ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L))
-        marks, k = ob._farey_walk(GENERIC, L, k)
+        marks, k = ob._farey_walk(ob._point(GENERIC, k), L)
         s, mark = max(marks, key=lambda m: m[0][1])
         p, q = s
         assert q >= 2
@@ -644,8 +709,8 @@ class TestTwistFamilies:
             twist_fixed = gamma == "abaB"
             assert twist_fixed == (ob._word_images(gamma, "T")
                                    == [canonical_cyclic(gamma)])
-            marks, k = ob._farey_walk(
-                X, L, ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L)))
+            marks, k = ob._farey_walk(ob._point(
+                X, ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L))), L)
             evaluated.clear()
             found, outer, work = ob._twist_walk(marks, gamma, L, k,
                                                 twist_fixed)
@@ -1142,9 +1207,8 @@ class TestWordLength:
         # back included, at the same lengths and k: the same lengths in
         # the same order, and the same node and pruned counts
         k = ob._bits(60 + int(0.5 * ob._ORACLE_PRUNE * L))
-        root, k0 = ob._fixed_root(X, k)
-        mats = ob._rep_fixed(
-            tuple(v << (k - k0) for v in ob._reduced(root, k0)), k)
+        node, _, k0 = ob._point(X, k)
+        mats = ob._rep_fixed(tuple(v << (k - k0) for v in node), k)
         want = ob._pruned_bfs(
             canonical_cyclic(gamma), lambda w: w, ob._word_images,
             lambda ws: [ob._word_length(mats, w, k) for w in ws], L,
@@ -1184,7 +1248,8 @@ class TestPrecision:
         # count
         monkeypatch.setattr(ob, "_bits", lambda digits: 12)
         with pytest.raises(ArithmeticError, match="kappa drifted"):
-            ob._family_lengths(GENERIC, "aabAb", 9.0)
+            ob._family_lengths(ob._point(GENERIC, ob._family_bits(
+                "aabAb", 9.0)), "aabAb", 9.0)
 
     def test_kappa_checked_at_both_family_ends(self, monkeypatch,
                                                twist_node):
@@ -1192,7 +1257,8 @@ class TestPrecision:
         # every family with a length <= L
         L = 9.0
         k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
-        marks, _ = ob._farey_walk(GENERIC, L, k)
+        point = ob._point(GENERIC, k)
+        marks, _ = ob._farey_walk(point, L)
         nonempty = sum(
             any(node_length(twist_node(mark, k)(n), "aabAb", k) <= L
                 for n in range(-30, 31))
@@ -1205,14 +1271,15 @@ class TestPrecision:
             calls.append(1)
             return kappa(*args)
         monkeypatch.setattr(ob, "_kappa_fixed", counted)
-        ob._family_lengths(GENERIC, "aabAb", L)
+        ob._family_lengths(point, "aabAb", L)
         assert len(calls) == 1 + 2 * nonempty
 
     def test_triple_orbit_abort_keeps_dps(self, monkeypatch):
         monkeypatch.setattr(ob, "_FAMILY_STEPS", 2)
         dps = mpmath.mp.dps
         with pytest.raises(ArithmeticError, match="exceeded"):
-            ob._family_lengths(GENERIC, "aabAb", 30.0)
+            ob._family_lengths(ob._point(GENERIC, ob._family_bits(
+                "aabAb", 30.0)), "aabAb", 30.0)
         assert mpmath.mp.dps == dps
 
 
@@ -1402,6 +1469,20 @@ def ball_walk(X, monkeypatch):
     return b, marks
 
 
+def mp_ball(X, marks, slope_trace):
+    """B's polygon over the slopes of the walk's marks (in the marking of
+    X) at 60 digits, its traces from the slope_trace fixture on the mpf
+    triple X."""
+    slopes = sorted((s for s, _ in marks), key=exact_angle_key)
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(v) for v in X]
+        memo = {}
+        ells = [2 * mpmath.acosh(slope_trace(t, s, memo) / 2)
+                for s in slopes]
+        return mpmath.fsum(0.5 / (u * v)
+                           for u, v in zip(ells, ells[1:] + ells[:1]))
+
+
 class TestThurstonBall:
     @pytest.mark.parametrize("X", [(3, 4, 5), (6, 15, 3)])
     def test_invariant_under_generators(self, X):
@@ -1427,9 +1508,11 @@ class TestThurstonBall:
 
     @pytest.mark.parametrize("X", [(3, 4, 5), GENERIC, (6, 15, 3)])
     def test_quadrature_at_own_marking(self, X):
-        # independent of the reduction: the same polygon sum, run at the
-        # marking X itself, walks other slopes to another length bound
-        assert ob._ball_area(X) == \
+        # independent of the marking: the same polygon sum, run in the
+        # basis of the reduced triple in place of X's own, walks and sorts
+        # other slopes
+        node, _, k = ob._point(X)
+        assert ob._ball_area((node, ((1, 0), (0, 1)), k)) == \
             pytest.approx(ob.thurston_ball_B(X), rel=1e-12)
 
     def test_converges_at_depth_limit(self):
@@ -1438,7 +1521,8 @@ class TestThurstonBall:
         # read 0.630621, high by 5e-4; the value agrees with the dense
         # integral of test_dense_integral
         X = (2.0545797218640933, 8.923065622080278, 8.737976656699363)
-        assert ob._ball_area(X) == pytest.approx(0.6303030686, rel=1e-9)
+        assert ob._ball_area(ob._point(X)) == \
+            pytest.approx(0.6303030686, rel=1e-9)
         assert ob.thurston_ball_B(X) == pytest.approx(0.6303030686, rel=1e-9)
 
     @pytest.mark.parametrize("X, rel", [
@@ -1490,20 +1574,24 @@ class TestThurstonBall:
         assert got == sorted(got, key=exact_angle_key)
 
     def test_thin_part_matches_mpmath(self, slope_trace, monkeypatch):
-        # B's dominant terms hold the short slope, whose float trace keeps
-        # its digits because the systole is the canonical triple's first
-        # coordinate; the same polygon at 60 digits, its traces from
-        # the slope_trace fixture on the mpf triple
+        # B's dominant terms hold the short slope, whose trace keeps its
+        # digits in the walk's fixed point because the systole is a
+        # coordinate of the point's reduced triple
         b, marks = ball_walk(THIN_DRAW, monkeypatch)
-        slopes = sorted((s for s, _ in marks), key=exact_angle_key)
-        with mpmath.workdps(60):
-            t = [mpmath.mpf(v) for v in ob._canonical_triple(THIN_DRAW)]
-            memo = {}
-            ells = [2 * mpmath.acosh(slope_trace(t, s, memo) / 2)
-                    for s in slopes]
-            want = mpmath.fsum(0.5 / (u * v)
-                               for u, v in zip(ells, ells[1:] + ells[:1]))
-            assert abs(b - want) <= 1e-14 * want
+        want = mp_ball(THIN_DRAW, marks, slope_trace)
+        assert abs(b - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("base", [GENERIC, (3.3, 3.3, 5.445)])
+    @pytest.mark.parametrize("word", ["T", "tU", "UUt"])
+    def test_moved_float_base_matches_mpmath(self, base, word, slope_trace,
+                                             monkeypatch):
+        # B walks from the point's reduced triple in 2^-64 fixed point, not
+        # from its rounding to doubles: at a moved float base, against the
+        # polygon at 60 digits on the moved doubles themselves
+        X = moved(base, word)
+        b, marks = ball_walk(X, monkeypatch)
+        want = mp_ball(X, marks, slope_trace)
+        assert abs(b - want) <= 1e-14 * want
 
     def test_integral_multicurves_track_B(self):
         X = GENERIC

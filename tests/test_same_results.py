@@ -65,5 +65,26 @@ def test_brute_images_unwrap():
     line = same_results.run_case(["brute", [3.2, 3.5, 4.1], "aabAb", 9.0])
     assert orbit.canonical_cyclic is canonical
     counters = json.loads(line)["counters"]
-    assert set(counters) == {"images", "nodes", "pruned"}
+    assert set(counters) == {"images", "nodes", "pruned", "conversions"}
     assert counters["images"] == 3 * counters["nodes"] + 2
+
+
+@pytest.mark.parametrize("case, conversions", [
+    # simple_slopes, cone_count, point_symmetry_order and thurston_ball_B
+    # convert X once each
+    (["point", [3.2, 3.5, 4.1], "Tu"], 4),
+    (["orb1", [4, 4, 8], "T", "aabbAB", 10.0], 1),
+    (["brute", [3.2, 3.5, 4.1], "aabAb", 9.0], 1),
+    # an accepted sample and a rejected one
+    (["mc", 0, 0], 1),
+    (["mc", 0, 41], 1),
+    # thurston_ball_B and count_simple
+    (["ball", "mc", 0, 0], 2)])
+def test_conversions_unwrap(case, conversions):
+    # the cases that convert X count the conversions (_fixed_root calls)
+    # through a wrapper that they take off again
+    orbit = same_results.orbit
+    root = orbit._fixed_root
+    line = same_results.run_case(case)
+    assert orbit._fixed_root is root
+    assert json.loads(line)["counters"]["conversions"] == conversions

@@ -13,9 +13,10 @@ which side runs first from pair to pair, so that a drift of the machine
 falls on both sides alike.  Each end-to-end metric of BENCHMARK.json gets
 the runs of both sides, their medians and quartiles, the pairs the change
 wins (strictly better in the metric's own direction), the change of the
-median and a verdict (see verdict()).  With --tier1 it also runs tier-1 in
-each checkout, one after the other, and records the tests passed, the wall
-time, the time of criterion 11 and each test's call time of at least
+median and a verdict (see verdict()).  With --tier1 it also runs tier-1
+twice in each checkout, in the order TIER1_ORDER, and records for each run
+the tests passed, the wall time and the time of criterion 11, for each
+side the smaller of its two call times of each test of at least
 DURATIONS_MIN seconds, and lists under ``slower`` the tests the change
 slowed (see slower()).  A run that times out or prints no
 result counts as failed, and the report is rewritten after each workload,
@@ -37,6 +38,9 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# tier-1 runs twice a side, the change's runs between the parent's, so
+# that a steady drift of the machine falls on both sides alike
+TIER1_ORDER = ("parent", "change", "change", "parent")
 RUN_TIMEOUT = 900
 TIER1_TIMEOUT = 3600
 CRITERION_11 = "test_criterion_11_ball_volume"
@@ -237,6 +241,29 @@ def tier1(root: Path) -> dict:
             "durations": calls}
 
 
+def min_durations(runs) -> dict:
+    """Each test's smaller call time over the runs; a test that a run did
+    not report ran under DURATIONS_MIN there, and is left out."""
+    tests = set.intersection(*(set(r["durations"]) for r in runs))
+    return {t: min(r["durations"][t] for r in runs) for t in sorted(tests)}
+
+
+def tier1_pairs(roots) -> dict:
+    """Tier-1 in the order TIER1_ORDER: each side's runs (without their
+    call times), each side's smaller call time of each test, and the tests
+    whose smaller time the change slowed."""
+    runs = {side: [] for side in SIDES}
+    for side in TIER1_ORDER:
+        runs[side].append(tier1(roots[side]))
+    out = {"order": list(TIER1_ORDER)}
+    for side in SIDES:
+        out[side] = {"runs": [{k: v for k, v in r.items() if k != "durations"}
+                              for r in runs[side]],
+                     "durations": min_durations(runs[side])}
+    out["slower"] = slower(*(out[side]["durations"] for side in SIDES))
+    return out
+
+
 def main(argv=None):
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -269,11 +296,9 @@ def main(argv=None):
                 "mpmath_backend")}
         write()
     if args.tier1:
-        runs = {side: tier1(roots[side]) for side in SIDES}
         report["tier1"] = {
             "command": " ".join(["PYTHONPATH=src", "python", *TIER1_ARGS]),
-            "order": list(SIDES), **runs,
-            "slower": slower(*(runs[side]["durations"] for side in SIDES))}
+            **tier1_pairs(roots)}
         write()
     return 0
 

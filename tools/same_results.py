@@ -7,9 +7,13 @@ Run from anywhere; the program is imported from ``src/`` next to this
 directory.  Each line is a JSON object with sorted keys: the case, its
 results, and the work counters of the case under ``counters`` (ORB1's
 ``orbit_nodes`` and the ``evaluations``, ``families``, ``steps`` and ``k``
-of its metadata, and the Farey walks of each ``point``, ``orb1`` and
-``mc`` case as ``walks``), so that two checkouts compare with ``diff`` and
-a change of work shows apart from a change of result.  An exception is
+of its metadata, the Farey walks of each ``point``, ``orb1`` and ``mc``
+case as ``walks``, and the ``orbit._fixed_root`` calls of each ``point``,
+``orb1``, ``brute``, ``mc`` and ``ball`` case, the conversions of X to
+fixed point, as ``conversions``), so that two checkouts compare with
+``diff`` and a change of work shows apart from a change of result.  Each
+counter is taken by wrapping the name of ``orbit`` for the case
+(_calls).  An exception is
 recorded as its type and message in place of the result.
 
 The table:
@@ -24,8 +28,7 @@ The table:
 - ``brute``: the count of ``count_orbit_word_bruteforce`` (the lengths that
   its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
   at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
-  ``counters``, and as ``images`` its ``orbit.canonical_cyclic`` calls,
-  counted by wrapping that name for the case;
+  ``counters``, and as ``images`` its ``orbit.canonical_cyclic`` calls;
 - ``mc``: ``_mc_sample_value`` of criterion 11 (aabAb, L = 30) for seeds
   0 and 1, samples 0-119;
 - ``acc1``: the ACC1 document of ``teichlab acceptance``;
@@ -149,18 +152,10 @@ def _orb1(X, gamma, L, counters):
 
 
 def _brute(X, gamma, L, counters):
-    canonical = orbit.canonical_cyclic
-    counters["images"] = 0
-
-    def canonical_spy(w):
-        counters["images"] += 1
-        return canonical(w)
-    orbit.canonical_cyclic = canonical_spy
-    try:
+    with _calls("canonical_cyclic") as images:
         lengths, counters["nodes"], counters["pruned"] = \
             orbit._word_orbit_lengths(X, gamma, L)
-    finally:
-        orbit.canonical_cyclic = canonical
+    counters["images"] = len(images)
     return len(lengths)
 
 
@@ -229,21 +224,20 @@ def _chart(counters, what, gamma, *args):
 
 
 @contextlib.contextmanager
-def _walks():
-    """Yield a list that holds the number of marks of each Farey walk made
-    while the block runs."""
-    walk = orbit._farey_walk
-    sizes = []
+def _calls(name):
+    """Yield a list of the return values of the calls of orbit.<name>
+    made while the block runs."""
+    f = getattr(orbit, name)
+    got = []
 
-    def walk_spy(*args):
-        marks, k = walk(*args)
-        sizes.append(len(marks))
-        return marks, k
-    orbit._farey_walk = walk_spy
+    def spy(*args):
+        got.append(f(*args))
+        return got[-1]
+    setattr(orbit, name, spy)
     try:
-        yield sizes
+        yield got
     finally:
-        orbit._farey_walk = walk
+        setattr(orbit, name, f)
 
 
 def _ball_point(where, *args):
@@ -260,11 +254,22 @@ def _ball_point(where, *args):
 
 def run_case(case) -> str:
     """The JSON line of one case of cases()."""
-    kind = case[0]
     counters = {}
+    with _calls("_fixed_root") as roots:
+        result = _result(case, counters)
+    if case[0] in ("point", "orb1", "brute", "mc", "ball"):
+        counters["conversions"] = len(roots)
+    return json.dumps({"case": case, "result": result, "counters": counters},
+                      sort_keys=True)
+
+
+def _result(case, counters):
+    """The result of one case of cases(), with its counters put in
+    counters."""
+    kind = case[0]
     if kind == "point":
         X = moved(tuple(case[1]), case[2])
-        with _walks() as walks:
+        with _calls("_farey_walk") as walks:
             result = {
                 "simple_slopes": _attempt(orbit.simple_slopes, X, 20.0),
                 "cone_count": _attempt(orbit.cone_count, X, 0, 25.0),
@@ -278,14 +283,14 @@ def run_case(case) -> str:
             X = _ball_point(*case[1:4])
         else:
             X = moved(tuple(case[1]), case[2])
-        with _walks() as walks:
+        with _calls("_farey_walk") as walks:
             result = _attempt(_orb1, X, case[-2], case[-1], counters)
         counters["walks"] = len(walks)
     elif kind == "brute":
         result = _attempt(_brute, tuple(case[1]), case[2], case[3], counters)
     elif kind == "mc":
         sym = orbit.curve_symmetry_order("aabAb")
-        with _walks() as walks:
+        with _calls("_farey_walk") as walks:
             result = _attempt(orbit._mc_sample_value,
                               (case[2], case[1], "aabAb", 30.0, 0.0, sym))
         counters["walks"] = len(walks)
@@ -299,16 +304,15 @@ def run_case(case) -> str:
         result = _attempt(_chart, counters, *case[1:])
     elif kind == "ball":
         X = _ball_point(*case[1:])
-        with _walks() as walks:
+        with _calls("_farey_walk") as walks:
             ball = _attempt(lambda: repr(orbit.thurston_ball_B(X)))
         if walks:
-            counters["marks"] = walks[-1]
+            counters["marks"] = len(walks[-1][0])
         result = {"thurston_ball_B": ball,
                   "count_simple": _attempt(orbit.count_simple, X, 20.0)}
     else:
         raise ValueError("unknown case %r" % (case,))
-    return json.dumps({"case": case, "result": result, "counters": counters},
-                      sort_keys=True)
+    return result
 
 
 def main() -> int:
