@@ -58,8 +58,7 @@ class RayFit:
     rational: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _check_ray_args(direction, radii):
@@ -108,8 +107,7 @@ def ray_fit(gamma: str, x0: tuple, direction: tuple, radii,
     h = GRAD_STEP
     grad = []
     for i in range(2):
-        dp = list(direction)
-        dm = list(direction)
+        dp, dm = list(direction), list(direction)
         dp[i] += h
         dm[i] -= h
         grad.append((F(t_big, dp) - F(t_big, dm)) / (2.0 * h * t_big))
@@ -191,7 +189,6 @@ def wall_scan(gamma: str, grid_n: int = 64, l1: float = 0.0) -> WallScan:
     # under t -> 2t, whereas one-scale numeric glitches do not persist
     flags = [m2 > threshold and m1 > 0.5 * threshold
              for m1, m2 in zip(jump1, jump2)]
-    mism = jump2
     walls = []
     i = 0
     while i < len(flags):
@@ -211,5 +208,5 @@ def wall_scan(gamma: str, grid_n: int = 64, l1: float = 0.0) -> WallScan:
                   if abs(d2[i]) < 1e-9]
     return WallScan(
         schema="APL1", gamma=gamma, l1=l1, u_range=(lo, hi), grid_n=grid_n,
-        t_scale=T_SCALE, us=us, mismatch=mism, baseline=baseline,
+        t_scale=T_SCALE, us=us, mismatch=jump2, baseline=baseline,
         threshold=threshold, walls=walls, zero_slope_cells=zero_cells)

@@ -169,10 +169,9 @@ def cmd_markoff_fit(cfg):
         print("bound=%d count=%d norm=%.6f" % (b, c, c / math.log(b) ** 2))
     C, report = markoff.fit_growth(samples)
     print("C=%.6f D=%.6f" % (C, report["D"]))
-    if cfg["out"]:
-        _emit(cfg["out"], json.dumps(
-            {"schema": "MKF1", "samples": samples, "C": C, **report},
-            sort_keys=True) + "\n")
+    _emit(cfg["out"], json.dumps(
+        {"schema": "MKF1", "samples": samples, "C": C, **report},
+        sort_keys=True) + "\n")
     return 0
 
 
@@ -188,8 +187,7 @@ def cmd_count_word(cfg):
     L = _as_length(cfg, "L", zero_ok=False)
     rep = orbit.count_orbit_word(X, str(cfg["word"]), L)
     print("count=%d" % rep.counts[-1])
-    if cfg["out"]:
-        _emit(cfg["out"], rep.to_json() + "\n")
+    _emit(cfg["out"], rep.to_json() + "\n")
     return 0
 
 
@@ -230,8 +228,7 @@ def cmd_apl_ray(cfg):
                       _radii_from_spec(cfg["radii"]),
                       l1=_as_length(cfg, "l1", zero_ok=True))
     print(fit.to_json())
-    if cfg["out"]:
-        _emit(cfg["out"], fit.to_json() + "\n")
+    _emit(cfg["out"], fit.to_json() + "\n")
     return 0
 
 
@@ -241,8 +238,7 @@ def cmd_wall_scan(cfg):
                          l1=_as_length(cfg, "l1", zero_ok=True))
     print("walls=%d mids=%s" % (scan.wall_count,
                                 [round(s.u_mid, 6) for s in scan.walls]))
-    if cfg["out"]:
-        _emit(cfg["out"], scan.to_json() + "\n")
+    _emit(cfg["out"], scan.to_json() + "\n")
     return 0
 
 
@@ -374,8 +370,7 @@ def cmd_acceptance(cfg):
     doc = json.dumps({"schema": "ACC1", "checks": rows, "pass": all_ok},
                      sort_keys=True) + "\n"
     sys.stdout.write(doc)
-    if cfg["out"]:
-        _emit(cfg["out"], doc)
+    _emit(cfg["out"], doc)
     if cfg["assert_"] and not all_ok:
         return 3
     return 0
@@ -422,8 +417,7 @@ def cmd_report(cfg):
         raise ConfigError("malformed %s report: %r" % (schema, e))
     text = buf.getvalue()
     sys.stdout.write(text)
-    if cfg["out"]:
-        _emit(cfg["out"], text)
+    _emit(cfg["out"], text)
     return 0
 
 

@@ -42,7 +42,7 @@ from . import farey
 from .fricke import (FrickeTriple, _plan_eval_bounded, _trace_length,
                      _trace_plan, cyclic_reduce, is_peripheral_word)
 from .hyptrig import (HexDomainError, arc_over_geodesic,
-                      arc_over_geodesic_inverse, seam_F1)
+                      arc_over_geodesic_inverse, hexagon_side, seam_F1)
 
 S11 = "S11"
 S04 = "S04"
@@ -364,21 +364,14 @@ def _sphere_delta_length(X: SurfacePoint, second: bool) -> float:
         raise HexDomainError(
             "transversal lengths on a cusped four-holed sphere are outside "
             "the trigonometric route's domain")
-    t = X.tau
+    bo, bf = (l4, l3) if second else (l3, l4)
     a1 = seam_F1(l1 / 2.0, X.ell / 2.0, l2 / 2.0)
-    if not second:
-        a2 = seam_F1(l3 / 2.0, X.ell / 2.0, l4 / 2.0)
-        bo = l3
-    else:
-        a2 = seam_F1(l4 / 2.0, X.ell / 2.0, l3 / 2.0)
-        bo = l4
-        t = t + X.ell / 2.0  # opposite-side foot sits half way along the curve
-    d = arc_over_geodesic(a1, a2, t)
-    arg = math.sinh(l1 / 2.0) * math.sinh(bo / 2.0) * math.cosh(d) \
-        - math.cosh(l1 / 2.0) * math.cosh(bo / 2.0)
-    if arg < 1.0:
-        raise HexDomainError("transversal half-trace argument %g < 1" % arg)
-    return 2.0 * math.acosh(arg)
+    a2 = seam_F1(bo / 2.0, X.ell / 2.0, bf / 2.0)
+    # the opposite-side foot sits half way along the curve
+    t = X.tau + X.ell / 2.0 if second else X.tau
+    # the half-trace formula is the crossed hexagon identity
+    return 2.0 * hexagon_side("crossed", l1 / 2.0, bo / 2.0,
+                              arc_over_geodesic(a1, a2, t))
 
 
 # ---------------------------------------------------------------------------

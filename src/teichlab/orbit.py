@@ -24,7 +24,8 @@ twist fixes.  The families are walked in lockstep, with one pass of the
 word's trace plan over each step's new nodes.  A pruned BFS over
 conjugacy classes is kept only as the oracle of that count.  The
 length-ball volumes integrate twist-line measures of the certified
-lengths of fn_surface's (ell, tau) chart.
+lengths of fn_surface's (ell, tau) chart, where a Monte Carlo sample is
+charted once, in fixed point at the count's k, with no conversion.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ._util import parallel_map
 from .fricke import (FrickeTriple, _plan_eval_fixed, _trace_length,
                      _trace_plan, canonical_cyclic, cyclic_reduce,
                      is_peripheral_word, length_trace, word_abelianization)
-from .fn_surface import S11, SurfacePoint, _gamma_length_fn, fricke_triple
+from .fn_surface import _chart_fixed, _gamma_length_fn
 
 
 def _triple(X) -> tuple:
@@ -57,16 +58,20 @@ def _triple(X) -> tuple:
 
 
 def _point(X, bits: int = 64):
-    """(node, basis, k): X converted and reduced once, for every orbit entry
-    point to pass on.  |X| becomes ints scaled by 2^k (_fixed_root: k = 0
-    for an integral X, else bits) and descends by the generator maps to
-    the minimal triangle (sa, sb, sa + sb): node = (tr sa, tr sb,
-    tr(sa + sb)) is the reduced triple of the orbit, and basis = (sa, sb)
-    in X's marking, the columns of the moves' matrix product.  ValueError
-    unless X is a torus point."""
+    """(node, basis, k): X checked (ValueError unless it is a torus point),
+    converted once to ints scaled by 2^k (_fixed_root: k = 0 for an
+    integral X, else bits) and reduced (_reduced), for every orbit entry
+    point to pass on; an MC sample charts its ints instead."""
     t = _triple(X)
     _torus_kappa(t)
-    root, k = _fixed_root([abs(v) for v in t], bits)
+    return _reduced(*_fixed_root([abs(v) for v in t], bits))
+
+
+def _reduced(root, k: int):
+    """(node, basis, k): the positive triple root (ints scaled by 2^k)
+    descended by the generator maps to the minimal triangle (sa, sb,
+    sa + sb): node = (tr sa, tr sb, tr(sa + sb)) is the reduced triple of
+    the orbit, and basis = (sa, sb) in root's marking."""
     node, (a, b, c, d) = _descend(
         (root, (1, 0, 0, 1)),
         lambda s: [(im, _mat_mul(s[1], _GEN_MATS[g], 0))
@@ -87,7 +92,7 @@ def _trace_bound(L: float, k: int) -> int:
 
 
 def _farey_walk(point, L: float):
-    """(marks, k): for every slope s with trace <= 2 cosh(L/2) at the point
+    """The marks: for every slope s with trace <= 2 cosh(L/2) at the point
     (_point), the pair (s, (tr s, tr s', tr(s + s'))) with det(s, s') = 1,
     the marking triple of s, as ints scaled by the point's 2^k.
 
@@ -138,21 +143,21 @@ def _farey_walk(point, L: float):
         mark(w, tw, u, tu, tv)
         edges.append((w, tw, u, tu, tv))
         edges.append((w, tw, v, tv, tu))
-    return marks, k
+    return marks
 
 
 def simple_slopes(X, L: float):
     """All slopes with geodesic length <= L at X, with their traces, from
     the Farey walk (exact ints at an integral X, else floats); ValueError
     unless X is a torus point."""
-    marks, k = _farey_walk(_point(X), L)
+    _, _, k = point = _point(X)
     return sorted((farey.normalize_slope(*s), tr / (1 << k) if k else tr)
-                  for s, (tr, _, _) in marks)
+                  for s, (tr, _, _) in _farey_walk(point, L))
 
 
 def count_simple(X, L: float) -> int:
     """Number of simple closed geodesics of length <= L at X."""
-    return len(_farey_walk(_point(X), L)[0])
+    return len(_farey_walk(_point(X), L))
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +565,9 @@ def _family_lengths(point, gamma: str, L: float):
     Nodes are ints scaled by the point's 2^k (_point): k = 0 for an
     integral X, else _family_bits.  kappa0 is the point's own.
     """
-    marks, k = _farey_walk(point, L)
-    kappa0 = _kappa_fixed(point[0], k)
+    node, _, k = point
+    marks = _farey_walk(point, L)
+    kappa0 = _kappa_fixed(node, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
     twist_fixed = _word_images(gamma, "T") == [canonical_cyclic(gamma)]
     found, outer, work = _twist_walk(marks, gamma, L, k, twist_fixed)
@@ -730,9 +736,12 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     k = simple_power(gamma)
     if k:
         # orbit of the k-th power of a simple curve = k-th powers of all
-        # simple curves; length scales by k
+        # simple curves; length scales by k.  Traces grow outward, so the
+        # marks of one walk to L / k within g's bound are those of g / k
         point = _point(t)
-        counts = [len(_farey_walk(point, g / k)[0]) for g in grid]
+        marks = _farey_walk(point, L / k)
+        counts = [sum(m[0] <= b for _, m in marks)
+                  for b in [_trace_bound(g / k, point[2]) for g in grid]]
         nodes = counts[-1]
         meta = {"engine": "simple-slope", "simple_power": k}
     else:
@@ -820,8 +829,9 @@ def _ball_area(point) -> float:
     misses area of order e^-40.  ArithmeticError unless consecutive slopes
     are Farey neighbours, the convexity premise of the sum.
     """
-    top = max(point[0]) / (1 << point[2]) if point[2] else max(point[0])
-    marks, k = _farey_walk(point, length_trace(top) + 40.0)
+    node, _, k = point
+    top = max(node) / (1 << k) if k else max(node)
+    marks = _farey_walk(point, length_trace(top) + 40.0)
     # by angle in [0, pi): (+-1, 0) first, then p/q decreasing; a pair the
     # float key ties or misorders fails the neighbour check, never moves B
     marks.sort(key=lambda m: (m[0][1] != 0, -m[0][0] / (m[0][1] or 1)))
@@ -836,9 +846,9 @@ def _ball_area(point) -> float:
 def integral_multicurve_count(X, L: float) -> int:
     """#{integral multicurves k*slope with length <= L} = sum floor(L/l_s);
     grows like B(X) * L^2."""
-    marks, k = _farey_walk(_point(X), L)
+    _, _, k = point = _point(X)
     return sum(int(L / length_trace(m[0] / (1 << k) if k else m[0]))
-               for _, m in marks)
+               for _, m in _farey_walk(point, L))
 
 
 # ---------------------------------------------------------------------------
@@ -864,8 +874,8 @@ def cone_count(X, m: int, L: float) -> int:
     unless the division is exact).  So the count is the same for every m;
     m stays in the signature because the CLI and perfbench pass it.
     """
-    point = _point(X)
-    marks, k = _farey_walk(point, L)
+    _, _, k = point = _point(X)
+    marks = _farey_walk(point, L)
     n = len(marks)
     for _, mark in marks:
         x, y, z = _twist_reduced(mark, k)
@@ -1116,10 +1126,9 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     makes equal; the contract is agreement within 3 standard errors.
 
     Moduli fundamental domain: coordinate curve is the shortest simple
-    curve, twist in [0, l); samples are drawn with density proportional to
-    l on the wedge below the maximal systole (_systole_cap), each from its
-    own counter-based RNG stream keyed by (seed, sample index) so the
-    result is independent of worker scheduling.  A sample counts the
+    curve, twist in [0, l); each sample is its own draw (_mc_draw, keyed
+    by seed and sample index), so the result is independent of worker
+    scheduling.  A sample counts the
     curves of the orbit of gamma at X as count_orbit_word does: twist
     families at the orbit representative, times iota over |Sym|.
     """
@@ -1138,19 +1147,26 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     return vol, avg, stderr
 
 
+def _mc_draw(i: int, seed: int, l1: float) -> tuple[float, float]:
+    """(ell, tau) of MC sample i of seed at boundary length l1, from its own
+    counter-based stream (Philox keyed by [seed, i]): ell has density ~ ell
+    on (0, _systole_cap(l1)], and tau is uniform on [0, ell)."""
+    u1, u2, u3 = np.random.Generator(np.random.Philox(key=[seed, i])).random(3)
+    ell = _systole_cap(l1) * max(u1, u2)
+    return ell, u3 * ell
+
+
 def _mc_sample_value(args):
     """Sample i of seed: the curves of the orbit of gamma of length <= L at
-    the drawn (ell, tau), or 0 outside the fundamental domain, where the
-    coordinate curve is not the systole (the least coordinate of the
-    reduced triple).  Both read the one point (_point) at the count's k."""
+    the drawn (ell, tau) (_mc_draw), or 0 outside the fundamental domain,
+    where the coordinate curve is not the systole (the least coordinate of
+    the reduced triple).  Both read one point: the draw charted once at the
+    count's k (_chart_fixed), reduced (_reduced), with no conversion."""
     i, seed, gamma, L, l1, sym = args
-    rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-    u1, u2, u3 = rng.random(3)
-    ell = _systole_cap(l1) * max(u1, u2)  # density ~ ell on (0, top]
+    ell, tau = _mc_draw(i, seed, l1)
     rep, iota = _orbit_rep(gamma)
-    point = _point(fricke_triple(SurfacePoint(S11, (l1,), ell, u3 * ell)),
-                   _family_bits(rep, L))
-    node, _, k = point
-    if min(node) / (1 << k) < 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
+    k = _family_bits(rep, L)
+    point = _reduced(_chart_fixed(l1, ell, tau, k, {})[0], k)
+    if min(point[0]) / (1 << k) < 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
         return 0.0
     return _per_curve(len(_family_lengths(point, rep, L)[0]), sym, iota)

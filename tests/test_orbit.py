@@ -88,7 +88,7 @@ class TestSimpleCounting:
     def test_brute_force_thin_part(self, slope_trace):
         # MC draw 4 of seed 917568896: the coordinate curve has l ~ 0.0097,
         # and 1098 slopes up to |p| = 549 lie within L = 16 of it
-        ell, tau = mc_draw(917568896, 4)
+        ell, tau = ob._mc_draw(4, 917568896, 0.0)
         assert ell == pytest.approx(0.0097289, rel=1e-4)
         t = fricke_triple(SurfacePoint(S11, (0.0,), ell, tau))
         got = assert_matches_box(slope_trace, (t.x, t.y, t.z), 16.0, 700, 2)
@@ -121,14 +121,6 @@ class TestSimpleCounting:
         for f in (ob.count_orbit_word, ob.count_orbit_word_bruteforce):
             with pytest.raises(ValueError, match="at most 1419.5654"):
                 f(X, "aabAb", L)
-
-
-def mc_draw(seed, i):
-    """(ell, tau) of MC sample i of seed, as orbit._mc_sample_value draws."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-    u1, u2, u3 = rng.random(3)
-    ell = ob.SYSTOLE_TOP * max(u1, u2)
-    return ell, u3 * ell
 
 
 def assert_matches_box(slope_trace, X, L, pmax, qmax):
@@ -349,7 +341,8 @@ class TestPointSymmetry:
 
     def test_walks(self, monkeypatch):
         # |Aut| is read off the canonical triple with no Farey walk, so the
-        # cone count walks once
+        # cone count walks once; a simple-power count walks once for its
+        # whole grid
         walks = []
         walk = ob._farey_walk
 
@@ -363,6 +356,9 @@ class TestPointSymmetry:
             ob.point_symmetry_order(X)
             assert not walks, X
             ob.cone_count(X, 0, 30.0)
+            assert len(walks) == 1, X
+            walks.clear()
+            ob.count_orbit_word(X, "aab", 30.0)
             assert len(walks) == 1, X
 
 
@@ -399,10 +395,20 @@ class TestOnePoint:
         ((54, 1, "aabAb", 16.0, 0.0, 1), True),
         ((41, 0, "aabAb", 16.0, 0.0, 1), False)])
     def test_one_conversion_per_mc_draw(self, args, accepted, monkeypatch):
-        # the fundamental-domain test and the count share the draw's point
+        # a draw is charted once in fixed point, at the count's k, and
+        # converts no triple; the fundamental-domain test and the count
+        # share that point
         calls = count_conversions(monkeypatch)
+        charts = []
+        chart = ob._chart_fixed
+
+        def spy(*args):
+            charts.append(args)
+            return chart(*args)
+        monkeypatch.setattr(ob, "_chart_fixed", spy)
         assert (ob._mc_sample_value(args) > 0) == accepted
-        assert len(calls) == 1
+        assert not calls
+        assert [c[3] for c in charts] == [ob._family_bits("aabAb", args[3])]
 
     @pytest.mark.parametrize("X", [(3, 3, 3), (4, 4, 8), GENERIC,
                                    (3.3, 3.3, 3.3), (3.3, 3.3, 5.445)])
@@ -567,9 +573,10 @@ def bfs_counts(X, gamma, L, grid, prune_c):
     return [sum(v <= g for v in lengths) * aut * iota // sym for g in grid]
 
 
-def mc_triple(seed, i):
-    ell, tau = mc_draw(seed, i)
-    t = fricke_triple(SurfacePoint(S11, (0.0,), ell, tau))
+def mc_triple(seed, i, l1=0.0):
+    """The float triple of MC sample i of seed (orbit._mc_draw)."""
+    ell, tau = ob._mc_draw(i, seed, l1)
+    t = fricke_triple(SurfacePoint(S11, (l1,), ell, tau))
     return (t.x, t.y, t.z)
 
 
@@ -668,7 +675,7 @@ class TestTwistFamilies:
         # tells T from t
         L, gamma = 16.0, "aabAbAbb"
         k = ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L))
-        marks, k = ob._farey_walk(ob._point(GENERIC, k), L)
+        marks = ob._farey_walk(ob._point(GENERIC, k), L)
         s, mark = max(marks, key=lambda m: m[0][1])
         p, q = s
         assert q >= 2
@@ -709,8 +716,9 @@ class TestTwistFamilies:
             twist_fixed = gamma == "abaB"
             assert twist_fixed == (ob._word_images(gamma, "T")
                                    == [canonical_cyclic(gamma)])
-            marks, k = ob._farey_walk(ob._point(
-                X, ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L))), L)
+            point = ob._point(
+                X, ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L)))
+            marks, k = ob._farey_walk(point, L), point[2]
             evaluated.clear()
             found, outer, work = ob._twist_walk(marks, gamma, L, k,
                                                 twist_fixed)
@@ -1258,7 +1266,7 @@ class TestPrecision:
         L = 9.0
         k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
         point = ob._point(GENERIC, k)
-        marks, _ = ob._farey_walk(point, L)
+        marks = ob._farey_walk(point, L)
         nonempty = sum(
             any(node_length(twist_node(mark, k)(n), "aabAb", k) <= L
                 for n in range(-30, 31))
@@ -1465,7 +1473,7 @@ def ball_walk(X, monkeypatch):
     monkeypatch.setattr(ob, "_farey_walk", spy)
     b = ob.thurston_ball_B(X)
     monkeypatch.setattr(ob, "_farey_walk", walk)
-    (marks, _), = walks
+    marks, = walks
     return b, marks
 
 
@@ -1822,16 +1830,35 @@ class TestMonteCarlo:
         monkeypatch.setattr(ob, "_family_lengths", lambda *args: ([0.0], {}))
         accepted = 0
         for i in range(2000):
-            rng = np.random.Generator(np.random.Philox(key=[0, i]))
-            u1, u2, u3 = rng.random(3)
-            ell = ob._systole_cap(l1) * max(u1, u2)
-            t = fricke_triple(SurfacePoint(S11, (l1,), ell, u3 * ell))
+            ell, tau = ob._mc_draw(i, 0, l1)
+            t = fricke_triple(SurfacePoint(S11, (l1,), ell, tau))
             shortest = min(tr for _, tr in ob.simple_slopes(t, ell + 1e-6))
             accept = shortest >= 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12)
             value = ob._mc_sample_value((i, 0, "aabAb", 30.0, l1, 1))
             assert (value > 0) == accept, i
             accepted += accept
         assert 0 < accepted < 2000
+
+    @pytest.mark.parametrize("l1", [0.0, 4.0])
+    def test_sample_is_count_at_draw(self, l1):
+        # a sample charts its draw straight in fixed point; it must read
+        # count_orbit_word at the draw's float triple when the coordinate
+        # curve is the systole (the slope-walk rule above), else 0.  Seed
+        # 1's samples 40-69 hold the thin sample 54 (l ~ 0.01 at l1 = 0)
+        L, sym = 16.0, ob.curve_symmetry_order("aabAb")
+        assert ob._mc_draw(54, 1, 0.0)[0] < 0.02
+        accepted = 0
+        for i in range(40, 70):
+            ell, _ = ob._mc_draw(i, 1, l1)
+            X = mc_triple(1, i, l1)
+            value = ob._mc_sample_value((i, 1, "aabAb", L, l1, sym))
+            shortest = min(tr for _, tr in ob.simple_slopes(X, ell + 1e-6))
+            if shortest >= 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
+                assert value == ob.count_orbit_word(X, "aabAb", L).a1, i
+                accepted += 1
+            else:
+                assert value == 0.0, i
+        assert 0 < accepted < 30
 
     def test_sample_count_independent_of_prune_constant(self):
         # sample 54 of seed 1 is a thin draw where a BFS pruned at 1.5 L

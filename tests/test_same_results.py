@@ -19,7 +19,8 @@ _SPEC.loader.exec_module(same_results)
                                   ["chart", "tau_measure", "aabAb", 0.5, 10.0],
                                   ["chart", "ray_fit", "aabAb", 15],
                                   ["chart", "wall_scan", "abaB", 64],
-                                  ["ball", "mc", 0, 0]])
+                                  ["ball", "mc", 0, 0],
+                                  ["mc", 0, 3, 16.0, 4.0]])
 def test_case_lines_repeat(case):
     assert case in list(same_results.cases())
     line = same_results.run_case(case)
@@ -44,8 +45,10 @@ def test_chart_counters_unwrap():
     (["point", [3.2, 3.5, 4.1], "Tu"], 3),
     # one walk for the twist families
     (["orb1", [4, 4, 8], "T", "aabbAB", 10.0], 1),
-    # an accepted sample walks for its twist families only
-    (["mc", 0, 0], 1)])
+    # an accepted sample walks for its twist families only, at the cusp
+    # and at boundary length 4
+    (["mc", 0, 0], 1),
+    (["mc", 0, 3, 16.0, 4.0], 1)])
 def test_walks_unwrap(case, walks):
     # the point, orb1 and mc cases count Farey walks through a wrapper that
     # they take off again
@@ -75,13 +78,14 @@ def test_brute_images_unwrap():
     (["point", [3.2, 3.5, 4.1], "Tu"], 4),
     (["orb1", [4, 4, 8], "T", "aabbAB", 10.0], 1),
     (["brute", [3.2, 3.5, 4.1], "aabAb", 9.0], 1),
-    # an accepted sample and a rejected one
-    (["mc", 0, 0], 1),
-    (["mc", 0, 41], 1),
+    # an MC sample charts its draw in fixed point and converts no triple,
+    # accepted or rejected
+    (["mc", 0, 0], 0),
+    (["mc", 0, 41], 0),
     # thurston_ball_B and count_simple
     (["ball", "mc", 0, 0], 2)])
 def test_conversions_unwrap(case, conversions):
-    # the cases that convert X count the conversions (_fixed_root calls)
+    # the cases that take X count the conversions (_fixed_root calls)
     # through a wrapper that they take off again
     orbit = same_results.orbit
     root = orbit._fixed_root

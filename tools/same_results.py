@@ -9,12 +9,13 @@ results, and the work counters of the case under ``counters`` (ORB1's
 ``orbit_nodes`` and the ``evaluations``, ``families``, ``steps`` and ``k``
 of its metadata, the Farey walks of each ``point``, ``orb1`` and ``mc``
 case as ``walks``, and the ``orbit._fixed_root`` calls of each ``point``,
-``orb1``, ``brute``, ``mc`` and ``ball`` case, the conversions of X to
-fixed point, as ``conversions``), so that two checkouts compare with
-``diff`` and a change of work shows apart from a change of result.  Each
-counter is taken by wrapping the name of ``orbit`` for the case
-(_calls).  An exception is
-recorded as its type and message in place of the result.
+``orb1``, ``brute``, ``mc`` and ``ball`` case, the conversions of a triple
+X to fixed point, as ``conversions``: one per entry point that takes X,
+none for an MC sample, which charts its draw in fixed point), so that two
+checkouts compare with ``diff`` and a change of work shows apart from a
+change of result.  Each counter is taken by wrapping the name of
+``orbit`` for the case (_calls).  An exception is recorded as its type
+and message in place of the result.
 
 The table:
 
@@ -29,8 +30,11 @@ The table:
   its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
   at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
   ``counters``, and as ``images`` its ``orbit.canonical_cyclic`` calls;
-- ``mc``: ``_mc_sample_value`` of criterion 11 (aabAb, L = 30) for seeds
-  0 and 1, samples 0-119;
+- ``mc``: ``_mc_sample_value`` of aabAb for seeds 0 and 1, samples
+  0-119, at criterion 11's L = 30 and l1 = 0 (case ``["mc", seed, i]``),
+  and for seed 0, samples 0-59, at L = 16 and boundary length l1 = 4
+  (case ``["mc", seed, i, L, l1]``), where the chart's m takes its
+  square root;
 - ``acc1``: the ACC1 document of ``teichlab acceptance``;
 - ``criterion12``: the detail of criterion 12's line;
 - ``plan``: the exact trace at (3, 4, 5) of each word of PLAN_WORDS, with
@@ -46,9 +50,9 @@ The table:
   case;
 - ``ball``: the repr of ``thurston_ball_B`` and ``count_simple`` (L = 20)
   at the torus chart's points (ell, tau) of BALL_POINTS, thin points where
-  the walk is long, and at MC samples 0-2 of seed 0 (as
-  ``_mc_sample_value`` draws them), with the number of ``marks`` of the
-  Farey walk of ``thurston_ball_B`` under ``counters``.
+  the walk is long, and at MC samples 0-2 of seed 0 (``orbit._mc_draw``),
+  with the number of ``marks`` of the Farey walk of ``thurston_ball_B``
+  under ``counters``.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ RAY_WORDS = ("aab", "abaB", "aabAb")
 RAY_SEEDS = (14, 15)
 MC_SEEDS = (0, 1)
 MC_SAMPLES = 120
+MC_BOUNDARY = (0, 60, 16.0, 4.0)  # seed, samples, L, l1
 BALL_POINTS = ((1e-2, 0.3 * 1e-2), (1e-3, 0.3 * 1e-3))
 ORB_CHART_POINTS = ((1e-2, 0.3 * 1e-2), (3e-3, 0.3 * 3e-3))
 BALL_MC_SAMPLES = 3
@@ -118,6 +123,9 @@ def cases():
         yield ["brute", list(base), gamma, L]
     for seed, i in itertools.product(MC_SEEDS, range(MC_SAMPLES)):
         yield ["mc", seed, i]
+    seed, n, L, l1 = MC_BOUNDARY
+    for i in range(n):
+        yield ["mc", seed, i, L, l1]
     yield ["acc1"]
     yield ["criterion12"]
     for gamma in PLAN_WORDS:
@@ -242,12 +250,10 @@ def _calls(name):
 
 def _ball_point(where, *args):
     """The triple of a ball case: the chart point (ell, tau), or that of
-    MC sample i of seed, as _mc_sample_value draws it."""
+    MC sample i of seed at the cusp (orbit._mc_draw)."""
     if where == "mc":
-        rng = np.random.Generator(np.random.Philox(key=list(args)))
-        u1, u2, u3 = rng.random(3)
-        ell = orbit.SYSTOLE_TOP * max(u1, u2)
-        args = (ell, u3 * ell)
+        seed, i = args
+        args = orbit._mc_draw(i, seed, 0.0)
     t = fricke_triple(SurfacePoint(S11, (0.0,), *args))
     return (t.x, t.y, t.z)
 
@@ -290,9 +296,10 @@ def _result(case, counters):
         result = _attempt(_brute, tuple(case[1]), case[2], case[3], counters)
     elif kind == "mc":
         sym = orbit.curve_symmetry_order("aabAb")
+        L, l1 = case[3:] or (30.0, 0.0)
         with _calls("_farey_walk") as walks:
             result = _attempt(orbit._mc_sample_value,
-                              (case[2], case[1], "aabAb", 30.0, 0.0, sym))
+                              (case[2], case[1], "aabAb", L, l1, sym))
         counters["walks"] = len(walks)
     elif kind == "acc1":
         result = _attempt(_acc1)
@@ -307,7 +314,11 @@ def _result(case, counters):
         with _calls("_farey_walk") as walks:
             ball = _attempt(lambda: repr(orbit.thurston_ball_B(X)))
         if walks:
-            counters["marks"] = len(walks[-1][0])
+            # the walk returns its marks; a walk that returns (marks, k)
+            # counts the same marks
+            marks = walks[-1]
+            counters["marks"] = len(marks[0] if isinstance(marks, tuple)
+                                    else marks)
         result = {"thurston_ball_B": ball,
                   "count_simple": _attempt(orbit.count_simple, X, 20.0)}
     else:
