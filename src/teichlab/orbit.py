@@ -22,10 +22,11 @@ along a Fenchel-Nielsen twist, so each family is one downhill walk to its
 minimum and one walk outward on each side, or one node for a word the
 twist fixes.  The families are walked in lockstep, with one pass of the
 word's trace plan over each step's new nodes.  A pruned BFS over
-conjugacy classes is kept only as the oracle of that count.  The
-length-ball volumes integrate twist-line measures of the certified
-lengths of fn_surface's (ell, tau) chart, where a Monte Carlo sample is
-charted once, in fixed point at the count's k, with no conversion.
+conjugacy classes is kept only as the oracle of that count.  A word is
+classified once, for every entry point (_word).  The length-ball volumes
+integrate twist-line measures of the certified lengths of fn_surface's
+(ell, tau) chart, where a Monte Carlo sample is charted once, in fixed
+point at the count's k, and counted by the report's recipe.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from sys import float_info
@@ -58,13 +60,18 @@ def _triple(X) -> tuple:
 
 
 def _point(X, bits: int = 64):
-    """(node, basis, k): X checked (ValueError unless it is a torus point),
-    converted once to ints scaled by 2^k (_fixed_root: k = 0 for an
-    integral X, else bits) and reduced (_reduced), for every orbit entry
+    """(node, basis, k): X's point (_point_kappa), for every orbit entry
     point to pass on; an MC sample charts its ints instead."""
+    return _point_kappa(X, bits)[0]
+
+
+def _point_kappa(X, bits: int):
+    """(point, kappa): X checked (ValueError unless it is a torus point;
+    kappa from _torus_kappa), converted once to ints scaled by 2^k
+    (_fixed_root: k = 0 for an integral X, else bits) and reduced."""
     t = _triple(X)
-    _torus_kappa(t)
-    return _reduced(*_fixed_root([abs(v) for v in t], bits))
+    kappa = _torus_kappa(t)
+    return _reduced(*_fixed_root([abs(v) for v in t], bits)), kappa
 
 
 def _reduced(root, k: int):
@@ -226,28 +233,17 @@ def _mat_mul(m, n, k: int):
 
 def curve_symmetry_order(gamma: str) -> int:
     """|Sym(gamma) & Gamma|: order of the mapping-class stabilizer of the
-    unoriented class of gamma in PSL(2,Z) (_symmetry); 0 if it is infinite
+    unoriented class of gamma in PSL(2,Z) (_word); 0 if it is infinite
     (abaB: a twist fixes it), 1 for simple classes by convention (their
     stabilizer contains the infinite twist subgroup, which is the
     redundancy quotiented out by the slope parametrization)."""
-    return _symmetry(canonical_cyclic(gamma))[0]
+    return _word(gamma).sym
 
 
-def _orbit_rep(gamma: str) -> tuple[str, int]:
-    """(rep, iota): gamma's orbit representative (_symmetry), and 2 if -I
-    (a -> A, b -> B; it fixes every triple) maps gamma to another class."""
-    key = canonical_cyclic(gamma)
-    rep = _symmetry(key)[1]
-    if rep is None:
-        raise ArithmeticError("Sym(%r) is infinite, but no least-length "
-                              "image of it is fixed by T" % gamma)
-    return rep, 1 if canonical_cyclic(key.swapcase()) == key else 2
-
-
-@functools.lru_cache(maxsize=1024)
 def _symmetry(key: str) -> tuple[int, str | None]:
     """(|Sym| or 0 if infinite, the orbit representative) from the finite set
-    of least-length words of the orbit of key.  A longer word has a shortening
+    of least-length words of the orbit of key, a canonical class that is
+    not a power of a simple curve (_word).  A longer word has a shortening
     Whitehead move (peak reduction), in rank 2 one of T, t, U, u, so key
     descends (cyclically reduced: O(n) a step); the shortest words are joined
     by the moves of T, t, U, u, S that keep the length, with the signed matrix
@@ -257,8 +253,6 @@ def _symmetry(key: str) -> tuple[int, str | None]:
     subgroup of SL(2,Z).  The representative has the fewest b/B letters (it
     crosses a least), then is key, then first in order; for an infinite Sym
     it is fixed by T (else None), so l is constant along every twist family."""
-    if simple_power(key):
-        return 1, key
     start = canonical_cyclic(_descend(key, _twist_images, len))
     mats = {start: (1, 0, 0, 1)}
     todo = [start]
@@ -337,15 +331,36 @@ def _aut_tol(v: int, k: int) -> int:
 
 
 def simple_power(w: str) -> int:
-    """k > 0 if w is conjugate to the k-th power of a slope word, else 0."""
-    p, q = word_abelianization(w)
-    if (p, q) == (0, 0):
-        return 0
-    k = math.gcd(p, q)
-    base = farey.slope_word(p // k, q // k)
-    if canonical_cyclic(w) == canonical_cyclic(base * k):
-        return k
-    return 0
+    """k > 0 if w is conjugate to the k-th power of a slope word, else 0
+    (_word; ValueError for an empty or peripheral w)."""
+    return _word(w).power
+
+
+_Word = namedtuple("_Word", "gamma power sym rep iota")
+
+
+@functools.lru_cache(maxsize=1024)
+def _word(gamma: str) -> _Word:
+    """gamma classified once, for every entry point that takes a word:
+    (gamma cyclically reduced, its simple power, |Sym| or 0 if infinite,
+    the orbit representative (1 and the class for a simple power, else
+    _symmetry's), iota: 2 if -I (a -> A, b -> B; it fixes every triple)
+    maps gamma to another class).  ValueError for an empty or peripheral
+    gamma, ArithmeticError if Sym is infinite but T fixes no shortest image."""
+    reduced = cyclic_reduce(gamma)
+    if not reduced or is_peripheral_word(reduced):
+        raise ValueError("gamma=%r is empty or peripheral" % gamma)
+    key = canonical_cyclic(reduced)
+    p, q = word_abelianization(key)
+    n = math.gcd(p, q)
+    power = n if n and key == canonical_cyclic(
+        farey.slope_word(p // n, q // n) * n) else 0
+    sym, rep = (1, key) if power else _symmetry(key)
+    if rep is None:
+        raise ArithmeticError("Sym(%r) is infinite, but no least-length "
+                              "image of it is fixed by T" % gamma)
+    iota = 1 if canonical_cyclic(key.swapcase()) == key else 2
+    return _Word(reduced, power, sym, rep, iota)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +557,20 @@ def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
     return found, outer, {"evaluations": sum(counts), "steps": steps}
 
 
-def _family_lengths(point, gamma: str, L: float):
-    """The triple-orbit engine: (lengths <= L of gamma over the classes g
-    of PSL(2,Z), as l_gamma(g.X), and the work counters {families,
-    evaluations, steps, k}).
+def _family_lengths(point, word: _Word, L: float):
+    """The triple-orbit engine: (lengths <= L of gamma = word.rep over the
+    classes g of PSL(2,Z), as l_gamma(g.X), and the work counters
+    {families, evaluations, steps, k}).
 
     A class is a slope s (its image of a, up to sign) and a twist index n.
     The Farey walk gives each s with l_s <= L its marking triple
     (tr s, tr s', tr(s + s')), and T, t move it along its family.
     l_gamma is convex in n (Fenchel-Nielsen twist), so a family is a
     downhill walk and two outward ones, or one node when T fixes gamma;
-    _twist_walk walks all families in lockstep.
+    _twist_walk walks all families in lockstep.  T fixes gamma exactly
+    when Sym is infinite (word.sym == 0): if T fixes the class, the loop
+    of _symmetry through T at it is parabolic, so the closure passes 6;
+    if Sym is infinite, _symmetry picks a representative that T fixes.
 
     Slopes beyond L are not walked, which is safe only at the image of
     gamma that crosses a least (_symmetry): at (3.2, 3.5, 4.1) and L = 9,
@@ -569,9 +587,7 @@ def _family_lengths(point, gamma: str, L: float):
     marks = _farey_walk(point, L)
     kappa0 = _kappa_fixed(node, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
-    twist_fixed = _word_images(gamma, "T") == [canonical_cyclic(gamma)]
-    found, outer, work = _twist_walk(marks, gamma, L, k, twist_fixed)
-    lengths = []
+    found, outer, work = _twist_walk(marks, word.rep, L, k, word.sym == 0)
     for (_, mark), got, nodes in zip(marks, found, outer):
         if not got:
             continue
@@ -585,8 +601,8 @@ def _family_lengths(point, gamma: str, L: float):
         for t in nodes:
             if abs(_kappa_fixed(t, k) - kappa0) * 10 ** 7 > drift:
                 raise ArithmeticError("kappa drifted along the orbit")
-        lengths += got
-    return lengths, {"families": len(marks), **work, "k": k}
+    return ([v for got in found for v in got],
+            {"families": len(marks), **work, "k": k})
 
 
 def _rep_fixed(t, k: int) -> dict:
@@ -677,7 +693,7 @@ def count_orbit_word_bruteforce(X, gamma: str, L: float) -> int:
     """Direct curve count: the oracle of count_orbit_word, with its checks
     (ValueError for a peripheral gamma, for an L that is not finite and
     > 0, or unless X is a torus point)."""
-    return len(_word_orbit_lengths(X, _countable(gamma, L), L)[0])
+    return len(_word_orbit_lengths(X, _countable(gamma, L).gamma, L)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -724,39 +740,32 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     ValueError for a peripheral gamma, for an L that is not finite and > 0,
     or unless X is a torus point.
     """
-    gamma = _countable(gamma, L)
+    word = _countable(gamma, L)
     t = _triple(X)
-    kappa = _torus_kappa(t)
     if grid is None:
         grid = [L / 2.0, 0.75 * L, L]
     grid = sorted(set(float(g) for g in grid if 0 < g <= L)) or [L]
     if grid[-1] != L:
         grid.append(L)
-    sym = curve_symmetry_order(gamma)
-    k = simple_power(gamma)
+    sym, k = word.sym, word.power
+    point, kappa = _point_kappa(t, 64 if k else _family_bits(word.rep, L))
     if k:
         # orbit of the k-th power of a simple curve = k-th powers of all
         # simple curves; length scales by k.  Traces grow outward, so the
         # marks of one walk to L / k within g's bound are those of g / k
-        point = _point(t)
         marks = _farey_walk(point, L / k)
         counts = [sum(m[0] <= b for _, m in marks)
                   for b in [_trace_bound(g / k, point[2]) for g in grid]]
         nodes = counts[-1]
         meta = {"engine": "simple-slope", "simple_power": k}
     else:
-        rep, iota = _orbit_rep(gamma)
-        point = _point(t, _family_bits(rep, L))
-        lengths, work = _family_lengths(point, rep, L)
+        counts, work = _family_count(word, point, L, grid)
         nodes = work["evaluations"]
-        meta = {"engine": "triple-orbit", "representative": rep,
-                "iota": iota, **work}
-        arr = np.sort(np.array(lengths))
-        counts = [_per_curve(int(np.searchsorted(arr, g, side="right")),
-                             sym or 1, iota) for g in grid]
+        meta = {"engine": "triple-orbit", "representative": word.rep,
+                "iota": word.iota, **work}
     a1 = counts[-1]
     return CountReport(
-        schema="ORB1", X=t, gamma=gamma, L_grid=grid, counts=counts,
+        schema="ORB1", X=t, gamma=word.gamma, L_grid=grid, counts=counts,
         normalized=[c / g / g for c, g in zip(counts, grid)],
         a1=a1, a3=sym * a1 if sym else a1, sym_order=sym,
         aut_order=_aut_order(point),
@@ -764,16 +773,23 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
         prune_violations=0, metadata={"kappa": kappa, **meta})
 
 
-def _countable(gamma: str, L: float) -> str:
-    """gamma cyclically reduced; ValueError if it is empty or peripheral,
-    or unless L is finite, > 0 and within the float trace bound."""
+def _countable(gamma: str, L: float) -> _Word:
+    """gamma's record (_word), after a ValueError unless L is finite, > 0
+    and within the float trace bound."""
     if not 0 < L < math.inf:
         raise ValueError("L=%r: the length bound must be finite and > 0" % L)
     _trace_bound(L, 0)  # before any precision is sized from L
-    gamma = cyclic_reduce(gamma)
-    if is_peripheral_word(gamma) or not gamma:
-        raise ValueError("gamma is peripheral; its orbit is not counted")
-    return gamma
+    return _word(gamma)
+
+
+def _family_count(word: _Word, point, L: float, grid):
+    """count_orbit_word's count, which an MC sample shares: (for each g of
+    grid, iota * the classes of length <= g at the point, built at
+    _family_bits(word.rep, L), over |Sym| (1 if infinite); the work)."""
+    lengths, work = _family_lengths(point, word, L)
+    arr = np.sort(np.array(lengths))
+    return [_per_curve(int(np.searchsorted(arr, g, side="right")),
+                       word.sym or 1, word.iota) for g in grid], work
 
 
 def _per_curve(n: int, sym: int, iota: int) -> int:
@@ -1040,18 +1056,15 @@ def _tau_measure(f, ell, L, K=None):
             - _bisect(_end_predicate(g, L, inside, -T, known), inside, -T, 53))
 
 
-def require_filling(gamma: str):
-    gamma = cyclic_reduce(gamma)
-    if is_peripheral_word(gamma):
-        raise ValueError("gamma=%r is peripheral: length ball has infinite volume"
-                         % gamma)
-    if simple_power(gamma):
-        raise ValueError(
-            "gamma=%r is a power of a simple curve: not filling" % gamma)
-    if curve_symmetry_order(gamma) == 0:
-        raise ValueError(
-            "gamma=%r has an infinite twist stabilizer: not filling" % gamma)
-    return gamma
+def require_filling(gamma: str) -> _Word:
+    """gamma's record (_word); ValueError unless gamma fills: a simple
+    power or an infinite Sym has a length ball of infinite volume."""
+    word = _word(gamma)
+    if word.power or not word.sym:
+        raise ValueError("gamma=%r %s: not filling" % (gamma, (
+            "is a power of a simple curve" if word.power
+            else "has an infinite twist stabilizer")))
+    return word
 
 
 def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
@@ -1060,44 +1073,35 @@ def ball_length_region_volume(gamma: str, L: float, l1: float = 0.0,
     the volume of a Sym-fundamental region of the length ball, taken twice
     when -I maps gamma to another curve (see count_orbit_word); taken at
     the orbit representative, as every image of gamma gives the same."""
-    rep, iota = _orbit_rep(require_filling(gamma))
-    f = _gamma_length_fn(rep, l1)
+    word = require_filling(gamma)
+    f = _gamma_length_fn(word.rep, l1)
 
-    def w(e):
-        return _tau_measure(f, e, L)
+    def nonempty(e):
+        return _tau_measure(f, e, L) > 0.0
 
     # coarse bracket in ell: widths vanish for very short and very long ell
-    ell = None
-    for k in range(-12, 8):
-        cand = 2.0 ** k
-        if w(cand) > 0.0:
-            ell = cand
-            break
+    ell = next((2.0 ** k for k in range(-12, 8) if nonempty(2.0 ** k)), None)
     if ell is None:
         return 0.0
-    ell_lo = ell
-    while ell_lo > 1e-8 and w(ell_lo * 0.5) > 0.0:
+    ell_lo = ell_hi = ell
+    while ell_lo > 1e-8 and nonempty(ell_lo * 0.5):
         ell_lo *= 0.5
-    ell_hi = ell
     while ell_hi < 64 * L:
-        if w(ell_hi * 2.0) == 0.0:
+        if not nonempty(ell_hi * 2.0):
             break
         ell_hi *= 2.0
     else:
         raise ArithmeticError("length region unbounded in ell: gamma not filling")
     # refine the support endpoints by bisection
-    def nonempty(e):
-        return w(e) > 0.0
-
     ell_min = _bisect(nonempty, ell_lo, ell_lo * 0.5, 20)
     ell_max = _bisect(nonempty, ell_hi, ell_hi * 2.0, 20)
 
     xs = np.linspace(ell_min, ell_max, grid_n)
-    ws = np.array([w(float(e)) for e in xs])
+    ws = np.array([_tau_measure(f, float(e), L) for e in xs])
     # trapezoid rule in numpy's own operation order; np.trapz is gone in
     # numpy 2.4 and np.trapezoid is absent before 2.0
     area = float((np.diff(xs) * (ws[1:] + ws[:-1]) / 2.0).sum())
-    return area * iota / curve_symmetry_order(gamma)
+    return area * word.iota / word.sym
 
 
 def _systole_cap(l1: float) -> float:
@@ -1128,19 +1132,15 @@ def ball_volume_and_average(gamma: str, L: float, mc_samples: int = 2000,
     Moduli fundamental domain: coordinate curve is the shortest simple
     curve, twist in [0, l); each sample is its own draw (_mc_draw, keyed
     by seed and sample index), so the result is independent of worker
-    scheduling.  A sample counts the
-    curves of the orbit of gamma at X as count_orbit_word does: twist
-    families at the orbit representative, times iota over |Sym|.
+    scheduling.  A sample counts the curves of the orbit of gamma at X by
+    count_orbit_word's recipe (_family_count), from gamma's one record.
     """
     if mc_samples < 1000:
         raise ValueError("mc_samples must be >= 1000")
-    gamma = require_filling(gamma)
+    gamma = require_filling(gamma).gamma
     vol = ball_length_region_volume(gamma, L, l1=l1)
-    sym = curve_symmetry_order(gamma)
-
-    vals = np.array(parallel_map(
-        _mc_sample_value, [(i, seed, gamma, L, l1, sym)
-                           for i in range(mc_samples)], workers), dtype=float)
+    args = [(i, seed, gamma, L, l1) for i in range(mc_samples)]
+    vals = np.array(parallel_map(_mc_sample_value, args, workers), dtype=float)
     region_area = _systole_cap(l1) ** 2 / 2.0
     avg = region_area * float(np.mean(vals))
     stderr = region_area * float(np.std(vals, ddof=1)) / math.sqrt(mc_samples)
@@ -1157,16 +1157,16 @@ def _mc_draw(i: int, seed: int, l1: float) -> tuple[float, float]:
 
 
 def _mc_sample_value(args):
-    """Sample i of seed: the curves of the orbit of gamma of length <= L at
-    the drawn (ell, tau) (_mc_draw), or 0 outside the fundamental domain,
+    """Sample i of seed: count_orbit_word's count (_family_count) of gamma
+    at the drawn (ell, tau) (_mc_draw), or 0 outside the fundamental domain,
     where the coordinate curve is not the systole (the least coordinate of
     the reduced triple).  Both read one point: the draw charted once at the
     count's k (_chart_fixed), reduced (_reduced), with no conversion."""
-    i, seed, gamma, L, l1, sym = args
+    i, seed, gamma, L, l1 = args
     ell, tau = _mc_draw(i, seed, l1)
-    rep, iota = _orbit_rep(gamma)
-    k = _family_bits(rep, L)
+    word = _word(gamma)
+    k = _family_bits(word.rep, L)
     point = _reduced(_chart_fixed(l1, ell, tau, k, {})[0], k)
     if min(point[0]) / (1 << k) < 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
         return 0.0
-    return _per_curve(len(_family_lengths(point, rep, L)[0]), sym, iota)
+    return _family_count(word, point, L, [L])[0][0]

@@ -114,3 +114,26 @@ def test_tier1_order_and_minimum(monkeypatch):
     assert got["change"]["durations"] == {"a": 3.5, "c": 2.5}
     # a: 3.5 against 1.8; c: 2.5 against an unreported 1.0
     assert got["slower"] == ["a", "c"]
+    # a's parent runs (2.0, 1.8) do not reach it; c's parent reported none
+    assert got["slower_detail"] == {
+        "a": {"parent": [2.0, 1.8], "change": [4.0, 3.5],
+              "verdict": "slower"},
+        "c": {"parent": [None, None], "change": [3.0, 2.5],
+              "verdict": "slower"}}
+
+
+@pytest.mark.parametrize("parent, verdict", [
+    # criterion 11's call times in BENCH_34.json: 5.50 s is 1.52x the
+    # parent's faster run but 1.05x its slower one
+    ((3.61, 5.26), "unresolved"),
+    ((3.61, 3.62), "slower")])
+def test_slower_detail_reads_the_parents_spread(parent, verdict):
+    test = "tests/test_acceptance.py::test_criterion_11_ball_volume"
+    runs = {"parent": [{"durations": {test: s}} for s in parent],
+            "change": [{"durations": {test: s}} for s in (5.76, 5.50)]}
+    mins = {side: bench_pair.min_durations(runs[side])
+            for side in bench_pair.SIDES}
+    assert bench_pair.slower(mins["parent"], mins["change"]) == [test]
+    got = bench_pair.slower_detail([test], runs)[test]
+    assert got == {"parent": list(parent), "change": [5.76, 5.50],
+                   "verdict": verdict}

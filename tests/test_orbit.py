@@ -1,6 +1,7 @@
 """Mapping-class orbit counting: simple curves, general words, volumes."""
 
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 
 from teichlab import farey
 from teichlab import fn_surface as fs
+from teichlab import fricke
 from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
 from teichlab.fricke import (_plan_eval_bounded, _plan_eval_fixed,
@@ -176,7 +178,7 @@ class TestWordClassification:
         assert ob.curve_symmetry_order("abaB") == 0
         assert ob.curve_symmetry_order("aabAB") == 0
         assert ob.curve_symmetry_order("aabbAB") == 1
-        assert ob._orbit_rep("aabbAB")[1] == 2
+        assert ob._word("aabbAB").iota == 2
 
     def test_require_filling(self):
         with pytest.raises(ValueError):
@@ -392,8 +394,8 @@ class TestOnePoint:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("args, accepted", [
-        ((54, 1, "aabAb", 16.0, 0.0, 1), True),
-        ((41, 0, "aabAb", 16.0, 0.0, 1), False)])
+        ((54, 1, "aabAb", 16.0, 0.0), True),
+        ((41, 0, "aabAb", 16.0, 0.0), False)])
     def test_one_conversion_per_mc_draw(self, args, accepted, monkeypatch):
         # a draw is charted once in fixed point, at the count's k, and
         # converts no triple; the fundamental-domain test and the count
@@ -409,6 +411,18 @@ class TestOnePoint:
         assert (ob._mc_sample_value(args) > 0) == accepted
         assert not calls
         assert [c[3] for c in charts] == [ob._family_bits("aabAb", args[3])]
+
+    @pytest.mark.parametrize("X", [GENERIC, (3, 4, 5)])
+    @pytest.mark.parametrize("gamma", ["aabAb", "abaB", "aab"])
+    def test_one_torus_check_per_count(self, X, gamma, monkeypatch):
+        # the report's kappa is that of the one check of X (_point_kappa)
+        calls = []
+        check = ob._torus_kappa
+        monkeypatch.setattr(ob, "_torus_kappa",
+                            lambda t: calls.append(t) or check(t))
+        rep = ob.count_orbit_word(X, gamma, 9.0)
+        assert calls == [X]
+        assert rep.metadata["kappa"] == check(X)
 
     @pytest.mark.parametrize("X", [(3, 3, 3), (4, 4, 8), GENERIC,
                                    (3.3, 3.3, 3.3), (3.3, 3.3, 5.445)])
@@ -438,6 +452,80 @@ def short_words(n):
                     and not ob.simple_power(w):
                 words.add(w)
     return sorted(words, key=lambda w: (len(w), w))
+
+
+def classes(n):
+    """The canonical classes of 1 to n letters that are not peripheral,
+    shortest first, then in code-point order."""
+    return sorted((w for m in range(1, n + 1)
+                   for w in map("".join, itertools.product("abAB", repeat=m))
+                   if canonical_cyclic(w) == w and not is_peripheral_word(w)),
+                  key=lambda w: (len(w), w))
+
+
+# sha256 of the JSON list of [class, simple power, |Sym|, representative,
+# iota] over classes(8), as simple_power, curve_symmetry_order and the
+# representative's own function gave them before one record held all four
+CLASSES_8 = "93a3037a3baf6a07e794a7fb2e7658c2e46c46b172911deb398500c113eab633"
+
+
+class TestOneWord:
+    def test_record_matches_the_classification(self):
+        rows = []
+        for w in classes(8):
+            word = ob._word(w)
+            assert word.gamma == w
+            assert (word.power, word.sym) == \
+                (ob.simple_power(w), ob.curve_symmetry_order(w))
+            rows.append([w, word.power, word.sym, word.rep, word.iota])
+        assert len(rows) == 691
+        assert sum(r[1] > 0 for r in rows) == 72
+        assert sum(r[2] == 0 for r in rows) == 120
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+            CLASSES_8
+        # bounded: one record per word, at most 1024 words
+        assert ob._word.cache_info().maxsize == 1024
+
+    def test_twist_fixed_exactly_when_sym_is_infinite(self):
+        # the twist walk reads T-fixedness off the record (sym == 0)
+        words = [ob._word(w) for w in classes(8)]
+        words = [word for word in words if not word.power]
+        assert len(words) == 619
+        for word in words:
+            fixed = ob._word_images(word.rep, "T") == [word.rep]
+            assert (word.sym == 0) == fixed, word
+
+    @pytest.mark.parametrize("gamma", ["aabAb", "abaB", "aab"])
+    def test_warm_count_classifies_nothing(self, gamma, monkeypatch):
+        # the record is cached: a second count, the twist walk and an MC
+        # sample after the first take no canonical form
+        ob.count_orbit_word(GENERIC, gamma, 9.0)
+        ob._mc_sample_value((54, 1, "aabAb", 16.0, 0.0))
+        calls = []
+        for module in (ob, fricke):
+            monkeypatch.setattr(module, "canonical_cyclic",
+                                lambda w, f=canonical_cyclic:
+                                calls.append(w) or f(w))
+        ob.count_orbit_word(GENERIC, gamma, 9.0)
+        assert ob._mc_sample_value((56, 1, "aabAb", 16.0, 0.0)) > 0
+        ob._family_lengths(ob._point(GENERIC, ob._family_bits("abaB", 9.0)),
+                           ob._word("abaB"), 9.0)
+        assert not calls
+
+    @pytest.mark.parametrize("gamma", ["", "aA", "abAB", "BAba", "abABabAB"])
+    def test_empty_or_peripheral_rejected(self, gamma):
+        for f in (lambda: ob.count_orbit_word(MODULAR, gamma, 9.0),
+                  lambda: ob.count_orbit_word_bruteforce(MODULAR, gamma, 9.0),
+                  lambda: ob.require_filling(gamma)):
+            with pytest.raises(ValueError, match="peripheral"):
+                f()
+
+    def test_infinite_sym_needs_a_twist_fixed_image(self, monkeypatch):
+        # the twist walk counts one node per family when Sym is infinite,
+        # which holds only at an image that T fixes
+        monkeypatch.setattr(ob, "_symmetry", lambda key: (0, None))
+        with pytest.raises(ArithmeticError, match="fixed by T"):
+            ob._word.__wrapped__("abaB")
 
 
 class TestShortWords:
@@ -472,10 +560,10 @@ class TestShortWords:
 
     def test_representative(self):
         # the image crossing a least; for infinite Sym one fixed by T
-        assert ob._orbit_rep("aabbabb") == ("aaBAB", 1)
-        assert ob._orbit_rep("aabbAB") == ("aabbAB", 2)
+        assert ob._word("aabbabb")[3:] == ("aaBAB", 1)
+        assert ob._word("aabbAB")[3:] == ("aabbAB", 2)
         for w, iota in (("abaB", 1), ("aabAB", 2)):
-            assert ob._orbit_rep(w) == (w, iota)
+            assert ob._word(w)[3:] == (w, iota)
             tw = reduce_word(w.translate(ob._AUTOS["T"]))
             assert canonical_cyclic(tw) == w
 
@@ -525,7 +613,7 @@ class TestPushInvariance:
         images = ob._twist_images
         monkeypatch.setattr(ob, "_twist_images",
                             lambda w: steps.append(w) or images(w))
-        assert ob._symmetry.__wrapped__(word) == (1, "aaBAB")
+        assert ob._symmetry(word) == (1, "aaBAB")
         assert len(steps) <= n.bit_length()
         with time_bound(5):
             rep = ob.count_orbit_word((3, 3, 3), word, 12.0, grid=[6, 9, 12])
@@ -569,7 +657,7 @@ def bfs_counts(X, gamma, L, grid, prune_c):
     lengths, _ = orbit_bfs_lengths(X, gamma, L, prune_c)
     aut = ob.point_symmetry_order(X)
     sym = ob.curve_symmetry_order(gamma)
-    iota = ob._orbit_rep(gamma)[1]
+    iota = ob._word(gamma).iota
     return [sum(v <= g for v in lengths) * aut * iota // sym for g in grid]
 
 
@@ -626,7 +714,7 @@ WALK_POINTS = [(3, 3, 3), (4, 4, 4), (3, 4, 5), (4, 4, 8), (6, 6, 6), GENERIC,
                (3.3, 3.3, 5.445), chart_triple(1e-2, 0.3 * 1e-2),
                chart_triple(3e-3, 0.3 * 3e-3)]
 WALK_WORDS = ["aabAb", "aabbabb"] + [
-    ob._orbit_rep(w)[0] for w in ("aabbAB", "aaBabb", "aabAbAbb")] + [
+    ob._word(w).rep for w in ("aabbAB", "aaBabb", "aabAbAbb")] + [
     "aabbAABB", "abaB"]
 
 
@@ -637,7 +725,7 @@ class TestTwistFamilies:
         L, grid = 16.0, [8.0, 12.0, 16.0]
         done = 0
         for i in itertools.count():
-            args = (i, 0, "aabAb", L, 0.0, 1)
+            args = (i, 0, "aabAb", L, 0.0)
             if ob._mc_sample_value(args) == 0.0:
                 continue
             X = mc_triple(0, i)
@@ -1257,7 +1345,7 @@ class TestPrecision:
         monkeypatch.setattr(ob, "_bits", lambda digits: 12)
         with pytest.raises(ArithmeticError, match="kappa drifted"):
             ob._family_lengths(ob._point(GENERIC, ob._family_bits(
-                "aabAb", 9.0)), "aabAb", 9.0)
+                "aabAb", 9.0)), ob._word("aabAb"), 9.0)
 
     def test_kappa_checked_at_both_family_ends(self, monkeypatch,
                                                twist_node):
@@ -1279,7 +1367,7 @@ class TestPrecision:
             calls.append(1)
             return kappa(*args)
         monkeypatch.setattr(ob, "_kappa_fixed", counted)
-        ob._family_lengths(point, "aabAb", L)
+        ob._family_lengths(point, ob._word("aabAb"), L)
         assert len(calls) == 1 + 2 * nonempty
 
     def test_triple_orbit_abort_keeps_dps(self, monkeypatch):
@@ -1287,7 +1375,7 @@ class TestPrecision:
         dps = mpmath.mp.dps
         with pytest.raises(ArithmeticError, match="exceeded"):
             ob._family_lengths(ob._point(GENERIC, ob._family_bits(
-                "aabAb", 30.0)), "aabAb", 30.0)
+                "aabAb", 30.0)), ob._word("aabAb"), 30.0)
         assert mpmath.mp.dps == dps
 
 
@@ -1834,7 +1922,7 @@ class TestMonteCarlo:
             t = fricke_triple(SurfacePoint(S11, (l1,), ell, tau))
             shortest = min(tr for _, tr in ob.simple_slopes(t, ell + 1e-6))
             accept = shortest >= 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12)
-            value = ob._mc_sample_value((i, 0, "aabAb", 30.0, l1, 1))
+            value = ob._mc_sample_value((i, 0, "aabAb", 30.0, l1))
             assert (value > 0) == accept, i
             accepted += accept
         assert 0 < accepted < 2000
@@ -1845,13 +1933,13 @@ class TestMonteCarlo:
         # count_orbit_word at the draw's float triple when the coordinate
         # curve is the systole (the slope-walk rule above), else 0.  Seed
         # 1's samples 40-69 hold the thin sample 54 (l ~ 0.01 at l1 = 0)
-        L, sym = 16.0, ob.curve_symmetry_order("aabAb")
+        L = 16.0
         assert ob._mc_draw(54, 1, 0.0)[0] < 0.02
         accepted = 0
         for i in range(40, 70):
             ell, _ = ob._mc_draw(i, 1, l1)
             X = mc_triple(1, i, l1)
-            value = ob._mc_sample_value((i, 1, "aabAb", L, l1, sym))
+            value = ob._mc_sample_value((i, 1, "aabAb", L, l1))
             shortest = min(tr for _, tr in ob.simple_slopes(X, ell + 1e-6))
             if shortest >= 2.0 * math.cosh(ell / 2.0) * (1.0 - 1e-12):
                 assert value == ob.count_orbit_word(X, "aabAb", L).a1, i
@@ -1864,6 +1952,6 @@ class TestMonteCarlo:
         # sample 54 of seed 1 is a thin draw where a BFS pruned at 1.5 L
         # fails its validation (TestTwistFamilies); the twist-family count
         # has no prune constant
-        args = (54, 1, "aabAb", 16.0, 0.0, 1)
+        args = (54, 1, "aabAb", 16.0, 0.0)
         assert ob._mc_sample_value(args) == 756.0
 

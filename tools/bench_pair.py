@@ -18,7 +18,9 @@ twice in each checkout, in the order TIER1_ORDER, and records for each run
 the tests passed, the wall time and the time of criterion 11, for each
 side the smaller of its two call times of each test of at least
 DURATIONS_MIN seconds, and lists under ``slower`` the tests the change
-slowed (see slower()).  A run that times out or prints no
+slowed (see slower()), with each one's call times and whether the
+parent's own spread resolves it under ``slower_detail`` (see
+slower_detail()).  A run that times out or prints no
 result counts as failed, and the report is rewritten after each workload,
 so a late failure keeps the runs made.
 
@@ -214,6 +216,22 @@ def slower(parent: dict, change: dict) -> list:
         and s - parent.get(test, DURATIONS_MIN) >= SLOWER_S)
 
 
+def slower_detail(tests, runs) -> dict:
+    """For each test of slower(): each side's call times, one per run
+    (None where a run did not report it, under DURATIONS_MIN), and the
+    verdict "unresolved" when the change's smaller time is not slower than
+    the parent's larger one, so that the parent's own two runs spread as
+    far as the flag, else "slower"."""
+    out = {}
+    for test in tests:
+        times = {side: [r["durations"].get(test) for r in runs[side]]
+                 for side in SIDES}
+        parent = max(s or DURATIONS_MIN for s in times["parent"])
+        held = slower({test: parent}, {test: min(times["change"])})
+        out[test] = {**times, "verdict": "slower" if held else "unresolved"}
+    return out
+
+
 def tier1(root: Path) -> dict:
     """Tests passed and failed, wall time, criterion 11's time and the
     per-test call times of tier-1; a run past TIER1_TIMEOUT counts what it
@@ -250,8 +268,8 @@ def min_durations(runs) -> dict:
 
 def tier1_pairs(roots) -> dict:
     """Tier-1 in the order TIER1_ORDER: each side's runs (without their
-    call times), each side's smaller call time of each test, and the tests
-    whose smaller time the change slowed."""
+    call times), each side's smaller call time of each test, the tests
+    whose smaller time the change slowed, and their detail."""
     runs = {side: [] for side in SIDES}
     for side in TIER1_ORDER:
         runs[side].append(tier1(roots[side]))
@@ -261,6 +279,7 @@ def tier1_pairs(roots) -> dict:
                               for r in runs[side]],
                      "durations": min_durations(runs[side])}
     out["slower"] = slower(*(out[side]["durations"] for side in SIDES))
+    out["slower_detail"] = slower_detail(out["slower"], runs)
     return out
 
 

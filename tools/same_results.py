@@ -295,11 +295,10 @@ def _result(case, counters):
     elif kind == "brute":
         result = _attempt(_brute, tuple(case[1]), case[2], case[3], counters)
     elif kind == "mc":
-        sym = orbit.curve_symmetry_order("aabAb")
         L, l1 = case[3:] or (30.0, 0.0)
         with _calls("_farey_walk") as walks:
             result = _attempt(orbit._mc_sample_value,
-                              (case[2], case[1], "aabAb", L, l1, sym))
+                              (case[2], case[1], "aabAb", L, l1))
         counters["walks"] = len(walks)
     elif kind == "acc1":
         result = _attempt(_acc1)
@@ -314,11 +313,7 @@ def _result(case, counters):
         with _calls("_farey_walk") as walks:
             ball = _attempt(lambda: repr(orbit.thurston_ball_B(X)))
         if walks:
-            # the walk returns its marks; a walk that returns (marks, k)
-            # counts the same marks
-            marks = walks[-1]
-            counters["marks"] = len(marks[0] if isinstance(marks, tuple)
-                                    else marks)
+            counters["marks"] = len(walks[-1])
         result = {"thurston_ball_B": ball,
                   "count_simple": _attempt(orbit.count_simple, X, 20.0)}
     else:
