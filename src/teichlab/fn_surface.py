@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
-from .fricke import (FrickeTriple, _plan_eval_bounded, _trace_length,
-                     _trace_plan, cyclic_reduce, is_peripheral_word)
+from .fricke import (FrickeTriple, _normal_plan, _plan_eval_bounded,
+                     _trace_length, cyclic_reduce, is_peripheral_word)
 from .hyptrig import (HexDomainError, arc_over_geodesic,
                       arc_over_geodesic_inverse, hexagon_side, seam_F1)
 
@@ -205,6 +205,16 @@ def _chart_fixed(l1: float, ell: float, tau: float, k: int, memo: dict):
              (m * ep + p * em + em * ep >> n + g) + 2))
 
 
+def _chart_kappa(l1: float, k: int, memo: dict):
+    """(kappa, err): the chart's commutator trace -2 cosh(l1/2) as an int
+    scaled by 2^k, and a bound on its error in units of 2^-k, from
+    _exp_fixed's two exponentials; exactly -2^(k+1) at a cusp."""
+    if l1 == 0.0:
+        return -(2 << k), 0
+    (c, ec), (ci, eci) = _exp_fixed(float(l1) / 2, k, memo)
+    return -(c + ci), ec + eci
+
+
 def _certified_length(tr: int, e: int, k: int, w: str):
     """The length of the trace tr of w, both ints scaled by 2^k, when its
     error bound e fixes it: e 2^60 <= tr - 2 and the float lengths at
@@ -240,6 +250,15 @@ def _gamma_length_fn(gamma: str, l1: float):
     """(ell, tau) -> l_gamma on the torus chart, in fixed point at the
     precision the trace needs.
 
+    The trace is gamma's normal-form plan (fricke._normal_plan) at the
+    chart's (x, y, z) and kappa = -2 cosh(l1/2) (_chart_kappa), each with
+    its error bound.  The true chart point lies on the level surface of the
+    true kappa, where the plan's polynomial is the trace, so the plan's
+    bound holds for the trace there; and the plan drops the monomials that
+    cancel on that surface, which is most of the bits a group-algebra plan
+    needs at large coordinates (aabAb: about 1150 bits at an APL ray top,
+    against about 430).
+
     A length is returned only when the chart-and-plan error bound e (units
     of 2^-k) certifies it (_certified_length); else k rises by the bits the
     margin |tr| - 2 lacks plus 64 (at least 32), up to _MAX_RAISES times,
@@ -253,8 +272,13 @@ def _gamma_length_fn(gamma: str, l1: float):
     the margin grow one for one with it, so that k is about
     e.bit_length() + 62 - margin.bit_length() + k.  The next point starts
     at that k plus 32, scaled by the ratio of the two points' guesses, and
-    never below 96 bits (at a few bits the chart's v - 1/v rounds to 0);
-    the raise rule catches a start too low.  Every length is certified at any
+    never below 96 bits (at a few bits the chart's v - 1/v rounds to 0).
+    The bits above 64 that a point needs grow about linearly along a ray,
+    at rho bits per unit of |ell| + |tau| (rho = the last point's need above
+    64 over its size); a point off the last one's ray, by `off` units from
+    the last point scaled to its size, starts 2 rho off bits higher, as the
+    gradient points at the top of an APL ray do.  The raise rule catches a
+    start too low.  Every length is certified at any
     k, and a finer evaluation lies inside the certified interval
     (_certified_length), so the start moves only the work, never a length.
 
@@ -266,23 +290,30 @@ def _gamma_length_fn(gamma: str, l1: float):
     """
     if not cyclic_reduce(gamma) or is_peripheral_word(gamma):
         raise ValueError("gamma=%r is peripheral or trivial" % gamma)
-    plan = _trace_plan(gamma)
+    plan = _normal_plan(gamma)
     memo = {}
-    last = []  # the last point's least certifying k and its first guess
+    last = []  # the last point's least certifying k, guess, ell, tau, size
 
     def f(ell, tau):
         size = _chart_size(l1, ell, tau)
         guess = 104 + math.ceil(size / (2 * math.log(2)))
-        k = guess if not last else max(96, (last[0] + 32) * guess // last[1])
+        k = guess
+        if last:
+            need, guess0, ell0, tau0, size0 = last
+            r = size / size0
+            off = abs(ell - r * ell0) + abs(tau - r * tau0)
+            k = max(96, (need + 32) * guess // guess0
+                    + math.ceil(2 * max(0, need - 64) * off / size0))
         for _ in range(_MAX_RAISES + 1):
             t, errs = _chart_fixed(l1, ell, tau, k, memo)
-            tr, e = _plan_eval_bounded(plan, *t, errs, k)
+            kappa, ek = _chart_kappa(l1, k, memo)
+            tr, e = _plan_eval_bounded(plan, *t, kappa, (*errs, ek), k)
             tr = abs(tr)
             length = _certified_length(tr, e, k, gamma)
             margin = tr - (2 << k)
             if length is not None:
                 last[:] = (e.bit_length() + 62 - margin.bit_length() + k,
-                           guess)
+                           guess, ell, tau, size)
                 return length
             # a margin inside the error bounds |tr| - 2 only from above;
             # then take |tr| - 2 >= 1, as at all but the shortest curves

@@ -11,6 +11,15 @@ scaled by 2^k (fixed point), many triples in one pass.  The symbolic route
 keeps integer inputs exact (all operations are ring operations), which the
 Markoff bridge relies on.
 
+The fixed-point paths, the chart's certified lengths and the twist walk,
+evaluate a second plan of the same trace: the walk's polynomial put in
+Fricke normal form, reduced by the commutator relation
+xyz = x^2 + y^2 + z^2 - 2 - kappa until no monomial holds all of x, y and
+z, with kappa = Tr[A, B] as a fourth input.  It is the trace on the level
+surface of that kappa, and it drops the large monomials that cancel there,
+so it needs fewer bits for the same error.  Words past NORMAL_MAX_LEN
+letters keep the walk's plan.
+
 Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
 """
 
@@ -161,7 +170,7 @@ def _walk(w: str, x: int, y: int):
     def emit(op, i, j):
         if op in "*+" and i > j:
             i, j = j, i
-        return regs.setdefault((op, i - _REG, j - _REG), len(regs) + 3 + _REG)
+        return regs.setdefault((op, i - _REG, j - _REG), len(regs) + 4 + _REG)
 
     def reg(v):  # v as a signed register
         return v if abs(v) >= _REG else emit("k", v + _REG, _REG)
@@ -209,7 +218,8 @@ def _walk(w: str, x: int, y: int):
 def _compile(w: str):
     """Straight-line plan (instrs, out) of the trace polynomial of w.
 
-    Registers 0, 1, 2 hold x, y, z; instrs[i] sets register i + 3 to
+    Registers 0, 1, 2 hold x, y, z, and register 3 kappa, which only a
+    normal-form plan (_compile_normal) reads; instrs[i] sets register i + 4 to
     ("k", c, 0), the integer c, or to (op, j, k), the product ("*"),
     difference ("-") or sum ("+") of two earlier registers.  The plan
     depends only on the word, so it serves every triple in every
@@ -237,11 +247,178 @@ def _compile(w: str):
 _trace_plan = functools.lru_cache(maxsize=1024)(_compile)
 
 
-def _plan_eval(plan, x, y, z):
-    """Evaluate a plan in whatever arithmetic the inputs carry (exact for
-    ints: the trace polynomial has integer coefficients)."""
+# longest cyclically reduced word whose plan is put in normal form; longer
+# words keep their group-algebra plan, which grows linearly with the word.
+# Over 50 seeded reduced words of each length, the median normal-form plan
+# takes 31 products against the walk's 38.5 at 16 letters, 41 against 44.5
+# at 18 and 57.5 against 50 at 20, and grows faster from there
+NORMAL_MAX_LEN = 16
+
+
+def _normal_poly(plan):
+    """The trace polynomial of a group-algebra plan in Fricke normal form:
+    {(a, b, c, d): coefficient} for the monomials x^a y^b z^c kappa^d,
+    none of them divisible by xyz.
+
+    The plan is expanded product by product, and every monomial divisible
+    by xyz is rewritten by the commutator relation
+    xyz = x^2 + y^2 + z^2 - 2 - kappa, which lowers its degree in x, y, z
+    by 1 or 3, until none is left.  Modulo that relation the monomials
+    without an xyz factor are a basis (its leading term is xyz in any
+    degree order, and one polynomial is a Groebner basis of its ideal), so
+    the form is unique.  The rewrites are memoized for one expansion."""
+    memo = {}
+
+    def rewrite(m):
+        got = memo.get(m)
+        if got is None:
+            a, b, c, d = m
+            got = {}
+            for t, s in (((a + 1, b - 1, c - 1, d), 1),
+                         ((a - 1, b + 1, c - 1, d), 1),
+                         ((a - 1, b - 1, c + 1, d), 1),
+                         ((a - 1, b - 1, c - 1, d), -2),
+                         ((a - 1, b - 1, c - 1, d + 1), -1)):
+                for u, v in (rewrite(t) if min(t[:3]) else {t: 1}).items():
+                    got[u] = got.get(u, 0) + s * v
+            memo[m] = got
+        return got
+
+    def times(p, q):
+        out = {}
+        for (a, b, c, d), u in p.items():
+            for (e, f, g, h), v in q.items():
+                m = (a + e, b + f, c + g, d + h)
+                if min(m[:3]):
+                    for m2, w in rewrite(m).items():
+                        out[m2] = out.get(m2, 0) + u * v * w
+                else:
+                    out[m] = out.get(m, 0) + u * v
+        return {m: v for m, v in out.items() if v}
+
+    def plus(p, q, s):
+        out = dict(p)
+        for m, v in q.items():
+            out[m] = out.get(m, 0) + s * v
+        return {m: v for m, v in out.items() if v}
+
     instrs, out = plan
-    vals = [x, y, z]
+    vals = [{(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1}, {(0, 0, 1, 0): 1},
+            {(0, 0, 0, 1): 1}]
+    for op, i, j in instrs:
+        if op == "*":
+            vals.append(times(vals[i], vals[j]))
+        elif op == "k":
+            vals.append({(0, 0, 0, 0): i} if i else {})
+        else:
+            vals.append(plus(vals[i], vals[j], 1 if op == "+" else -1))
+    return vals[out]
+
+
+def _emit_poly(poly, n: int = 1):
+    """A plan (instrs, out) of T_n(t) for the polynomial t = poly
+    ({(a, b, c, d): coefficient} in x, y, z, kappa: registers 0-3), with
+    T_1(t) = t, T_0 = 2 and T_(j+1) = t T_j - T_(j-1), the trace of the
+    n-th power of a word of trace t.  t is taken by Horner's rule in x,
+    then in y, z and kappa within each coefficient.  A value is an int
+    constant or a signed register (sign, r); a gap of g powers multiplies
+    by the shared power v^g, and a coefficient +-1 costs no product."""
+    regs = {}
+
+    def emit(op, i, j):
+        if op in "*+" and i > j:
+            i, j = j, i
+        return regs.setdefault((op, i, j), len(regs) + 4)
+
+    def reg(u):  # u as a signed register
+        if isinstance(u, int):
+            return (1 if u >= 0 else -1, emit("k", abs(u), 0))
+        return u
+
+    def mul(u, v):
+        if isinstance(u, int):
+            u, v = v, u
+        if isinstance(v, int):
+            if isinstance(u, int) or v in (0, 1, -1):
+                return u * v if isinstance(u, int) else v and (v * u[0], u[1])
+            v = reg(v)
+        return (u[0] * v[0], emit("*", u[1], v[1]))
+
+    def add(u, v):
+        if isinstance(u, int) and isinstance(v, int):
+            return u + v
+        if u == 0 or v == 0:
+            return v if u == 0 else u
+        (s, i), (t, j) = reg(u), reg(v)
+        if s == t:
+            return (s, emit("+", i, j))
+        return (1, emit("-", i, j)) if s > 0 else (1, emit("-", j, i))
+
+    def power(r, g):  # r^g, its powers shared by every gap
+        p = (1, r)
+        for _ in range(g - 1):
+            p = mul(p, (1, r))
+        return p
+
+    def horner(p, var):
+        if var == 4:
+            return p.get((0, 0, 0, 0), 0)
+        parts = {}
+        for m, v in p.items():
+            parts.setdefault(m[var], {})[m[:var] + (0,) + m[var + 1:]] = v
+        acc, last = 0, None
+        for e in sorted(parts, reverse=True):
+            if last is not None:
+                acc = mul(acc, power(var, last - e))
+            acc = add(acc, horner(parts[e], var + 1))
+            last = e
+        return mul(acc, power(var, last)) if last else acc
+
+    t = t_n = horner(poly, 0)
+    t_last = 2
+    for _ in range(n - 1):
+        t_n, t_last = add(mul(t, t_n), mul(-1, t_last)), t_n
+    s, r = reg(t_n)
+    if s < 0:
+        r = emit("-", emit("k", 0, 0), r)
+    return tuple(regs), r
+
+
+def _compile_normal(w: str):
+    """The plan of w's trace polynomial in Fricke normal form (_normal_poly),
+    with kappa in register 3, for a word of at most NORMAL_MAX_LEN letters
+    after cyclic reduction; a longer word gets its group-algebra plan
+    (_trace_plan), which never reads register 3.
+
+    On the level surface kappa(x, y, z) = K both plans give the trace, but
+    the group-algebra plan sums monomials that the commutator relation
+    cancels: aabAb's is x^2yz - x^3 - xy^2 - xz^2 + 3x + yz, which is
+    yz + (1 - K) x there (Horowitz 1972).  At large coordinates those
+    monomials dwarf the trace, so a fixed-point evaluation of the normal
+    form needs fewer bits for the same error.
+
+    The n-th power of a word u is compiled as T_n of u's normal form
+    (_emit_poly): expanded, its monomials would cancel again wherever u is
+    short, as (aB)^4 does at large x and y, where xy - z = tr aB is small.
+    WordError as _compile."""
+    w = cyclic_reduce(w)
+    if len(w) > NORMAL_MAX_LEN:
+        return _trace_plan(w)
+    n = next((len(w) // p for p in range(1, len(w))
+              if len(w) % p == 0 and w[:p] * (len(w) // p) == w), 1)
+    return _emit_poly(_normal_poly(_trace_plan(w[:len(w) // n])), n)
+
+
+# normal-form plans of recent words
+_normal_plan = functools.lru_cache(maxsize=1024)(_compile_normal)
+
+
+def _plan_eval(plan, x, y, z, kappa=None):
+    """Evaluate a plan in whatever arithmetic the inputs carry (exact for
+    ints: the trace polynomial has integer coefficients).  kappa, the
+    commutator trace of (x, y, z), is read only by a normal-form plan."""
+    instrs, out = plan
+    vals = [x, y, z, kappa]
     for op, j, k in instrs:
         if op == "*":
             vals.append(vals[j] * vals[k])
@@ -252,21 +429,22 @@ def _plan_eval(plan, x, y, z):
     return vals[out]
 
 
-def _plan_eval_fixed(plan, xs, ys, zs, k):
+def _plan_eval_fixed(plan, xs, ys, zs, kappa, k):
     """Evaluate a plan at the triples (xs[i], ys[i], zs[i]) of ints scaled
-    by 2^k, one pass over lists: the list of the traces, scaled by 2^k.
-    Each product shifts right by k, each constant left by k; each product
-    rounds down by less than 2^-k, an error the later products carry
-    along, and k = 0 is exact integer arithmetic.  A register's list is
-    dropped after the last instruction that reads it, so that a wide pass
-    holds a few lists at a time."""
+    by 2^k, all of commutator trace kappa (an int scaled by 2^k, read only
+    by a normal-form plan), one pass over lists: the list of the traces,
+    scaled by 2^k.  Each product shifts right by k, each constant left by
+    k; each product rounds down by less than 2^-k, an error the later
+    products carry along, and k = 0 is exact integer arithmetic.  A
+    register's list is dropped after the last instruction that reads it,
+    so that a wide pass holds a few lists at a time."""
     instrs, out = plan
     last = {}
     for n, (op, i, j) in enumerate(instrs):
         if op != "k":
             last[i] = last[j] = n
     last[out] = len(instrs)
-    vals = [xs, ys, zs]
+    vals = [xs, ys, zs, [kappa] * len(xs)]
     for n, (op, i, j) in enumerate(instrs):
         if op == "k":
             vals.append([i << k] * len(xs))
@@ -284,17 +462,21 @@ def _plan_eval_fixed(plan, xs, ys, zs, k):
     return vals[out]
 
 
-def _plan_eval_bounded(plan, x, y, z, errs, k):
-    """_plan_eval_fixed together with an upper bound, in units of 2^-k, on
-    the error of its output from bounds errs on the errors of x, y, z:
-    returns (tr, err).
+def _plan_eval_bounded(plan, x, y, z, kappa, errs, k):
+    """_plan_eval_fixed at one point together with an upper bound, in
+    units of 2^-k, on the error of its output from bounds
+    errs = (e_x, e_y, e_z, e_kappa) on the errors of the inputs: returns
+    (tr, err).
 
     With |a - A| <= e_a and |b - B| <= e_b, a product is off by at most
     (|a| e_b + |b| e_a + e_a e_b) / 2^k, rounded up, plus the unit its
     shift drops; a difference or a sum by e_a + e_b; a constant is exact.
+    The bound holds for the trace at any exact (X, Y, Z, K) within errs
+    on which the plan's polynomial is the trace: for a normal-form plan,
+    any point of the level surface kappa(X, Y, Z) = K.
     """
     instrs, out = plan
-    vals = [x, y, z]
+    vals = [x, y, z, kappa]
     errs = list(errs)
     for op, i, j in instrs:
         if op == "*":

@@ -21,7 +21,7 @@ is counted over the twist families of those slopes: length is convex
 along a Fenchel-Nielsen twist, so each family is one downhill walk to its
 minimum and one walk outward on each side, or one node for a word the
 twist fixes.  The families are walked in lockstep, with one pass of the
-word's trace plan over each step's new nodes.  A pruned BFS over
+word's normal-form trace plan over each step's new nodes.  A pruned BFS over
 conjugacy classes is kept only as the oracle of that count.  A word is
 classified once, for every entry point (_word).  The length-ball volumes
 integrate twist-line measures of the certified lengths of fn_surface's
@@ -43,8 +43,8 @@ import numpy as np
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (FrickeTriple, _plan_eval_fixed, _trace_length,
-                     _trace_plan, canonical_cyclic, cyclic_reduce,
+from .fricke import (FrickeTriple, _normal_plan, _plan_eval_fixed,
+                     _trace_length, canonical_cyclic, cyclic_reduce,
                      is_peripheral_word, length_trace, word_abelianization)
 from .fn_surface import _chart_fixed, _gamma_length_fn
 
@@ -330,12 +330,6 @@ def _aut_tol(v: int, k: int) -> int:
 # word classification
 
 
-def simple_power(w: str) -> int:
-    """k > 0 if w is conjugate to the k-th power of a slope word, else 0
-    (_word; ValueError for an empty or peripheral w)."""
-    return _word(w).power
-
-
 _Word = namedtuple("_Word", "gamma power sym rep iota")
 
 
@@ -435,7 +429,11 @@ _FAMILY_STEPS = 100_000
 
 def _family_bits(gamma: str, L: float) -> int:
     """The triple-orbit engine's binary places at a float X: they carry the
-    digits that gamma's trace cancellation digs (~deg * log10(coord))."""
+    digits that gamma's trace cancellation digs (~deg * log10(coord)) in
+    its group-algebra plan.  The twist walk evaluates the normal-form plan
+    (_twist_walk), which drops most of that cancellation, so the rule now
+    provisions more bits than that plan needs; no bound certifies either
+    (ROADMAP direction 4)."""
     return _bits(60 + int(0.25 * len(gamma) * 1.5 * L))
 
 
@@ -454,7 +452,8 @@ def _trace_cut(L: float, k: int) -> int:
     return b + (b >> 20) + 1
 
 
-def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
+def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
+                twist_fixed: bool):
     """Walk the twist families of the marks in lockstep: (the lengths
     <= L of each family, its two outermost nodes (lo, hi), and the
     counters {evaluations, steps}).
@@ -468,7 +467,11 @@ def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
     when T fixes gamma, twist_fixed: l_gamma is constant).  Each step
     extends every live end by one node, and one pass of the trace plan
     over lists (_plan_eval_fixed) evaluates all the new nodes of the
-    step; steps counts the passes.
+    step; steps counts the passes.  The plan is gamma's normal form
+    (fricke._normal_plan) at kappa, the point's own (_kappa_fixed of its
+    node, exact at an integral X): T preserves kappa, so every node of
+    every family shares it, up to the rounding the walk checks for drift
+    (_family_lengths).
 
     With tr(n) = |tr gamma| at node(n), the right end is live while
     tr(hi) < tr(hi - 1) or l(hi) <= L, and the left end while
@@ -489,7 +492,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
     [lo, hi] with l <= L are, by convexity, those between the two
     nodes beyond L.
     """
-    plan = _trace_plan(gamma)
+    plan = _normal_plan(gamma)
     cut = _trace_cut(L, k)
     n = len(marks)
     xs = [m[0] for _, m in marks]
@@ -498,7 +501,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
     if not twist_fixed:  # node 1 of every family beside node 0
         xs, ys, zs = (xs + xs, ys + zs,
                       zs + [(x * z >> k) - y for x, y, z in zip(xs, ys, zs)])
-    trs = [abs(t) for t in _plan_eval_fixed(plan, xs, ys, zs, k)]
+    trs = [abs(t) for t in _plan_eval_fixed(plan, xs, ys, zs, kappa, k)]
     # no length is taken above the cut
     ells = [_trace_length(t, k, gamma) if t <= cut else math.inf for t in trs]
     found = [[ell for ell in ells[f::n] if ell <= L] for f in range(n)]
@@ -540,7 +543,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, twist_fixed: bool):
             else:
                 ys.append(y2)
                 zs.append(y1)
-        trs = _plan_eval_fixed(plan, xs, ys, zs, k)
+        trs = _plan_eval_fixed(plan, xs, ys, zs, kappa, k)
         nxt = []
         for e, t in zip(live, trs):
             t = abs(t)
@@ -587,7 +590,8 @@ def _family_lengths(point, word: _Word, L: float):
     marks = _farey_walk(point, L)
     kappa0 = _kappa_fixed(node, k)
     drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
-    found, outer, work = _twist_walk(marks, word.rep, L, k, word.sym == 0)
+    found, outer, work = _twist_walk(marks, word.rep, L, k, kappa0,
+                                     word.sym == 0)
     for (_, mark), got, nodes in zip(marks, found, outer):
         if not got:
             continue

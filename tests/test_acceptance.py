@@ -42,10 +42,12 @@ def test_criterion_01_markoff_exactness():
     tree = mk.enumerate_triples(10 ** 4)
     brute = mk.brute_force_triples(10 ** 4)
     dt = time.time() - t0
-    # identical sorted triple lists pin the counts at every x <= 10^4
+    # identical sorted triple lists pin the counts at every x <= 10^4; the
+    # time is checked, and printed only past its bound, so that a passing
+    # line is the same each run
     ok = tree == brute and dt < 10.0
-    report(1, ok, "tree enumeration == O(x^2) oracle up to 1e4 "
-           "(%d triples, %.1fs)" % (len(tree), dt))
+    report(1, ok, "tree enumeration == O(x^2) oracle up to 1e4 (%d triples%s)"
+           % (len(tree), "" if dt < 10.0 else ", %.1fs" % dt))
 
 
 def test_criterion_02_growth():
@@ -60,9 +62,10 @@ def test_criterion_02_growth():
     C, rep = mk.fit_growth(samples)
     ok = (dt < 60.0 and max(drifts) < 0.15 and C > 0
           and rep["max_relative_residual"] < 0.2)
-    report(2, ok, "counts %s in %.1fs; drift/decade %.3f; C=%.4f resid=%.3f"
-           % ([c for (_, c) in samples], dt, max(drifts), C,
-              rep["max_relative_residual"]))
+    # the time as criterion 1's
+    report(2, ok, "counts %s%s; drift/decade %.3f; C=%.4f resid=%.3f"
+           % ([c for (_, c) in samples], "" if dt < 60.0 else " in %.1fs" % dt,
+              max(drifts), C, rep["max_relative_residual"]))
 
 
 def test_criterion_03_trace_engine():

@@ -1,5 +1,6 @@
 """Trace engine and Farey recursion."""
 
+import itertools
 import math
 import random
 
@@ -174,6 +175,8 @@ class TestTrace:
             fricke._trace_plan(over)
         with pytest.raises(WordError, match="exceeds cap"):
             fricke._compile(over)
+        with pytest.raises(WordError, match="exceeds cap"):
+            fricke._normal_plan(over)
 
     def test_fixed_eval_over_lists(self, reduced_word):
         # one pass over lists gives each triple's exact trace at k = 0, and
@@ -185,10 +188,12 @@ class TestTrace:
             w = reduced_word(seed, 1 + seed % 13)
             plan = fricke._trace_plan(w)
             want = [trace_word_fricke(t, w) for t in triples]
-            assert fricke._plan_eval_fixed(plan, xs, ys, zs, 0) == want, w
-            assert fricke._plan_eval_fixed(plan, *scaled, 8) == \
+            # a group-algebra plan never reads kappa
+            assert fricke._plan_eval_fixed(plan, xs, ys, zs, None, 0) == \
+                want, w
+            assert fricke._plan_eval_fixed(plan, *scaled, None, 8) == \
                 [v << 8 for v in want], w
-            assert fricke._plan_eval_fixed(plan, [], [], [], 8) == []
+            assert fricke._plan_eval_fixed(plan, [], [], [], None, 8) == []
 
     def test_plan_cache_bounded(self):
         size = fricke._trace_plan.cache_info().maxsize
@@ -248,6 +253,56 @@ class TestCompile:
         plan = fricke._compile(w)[0]
         assert len(plan) <= instrs
         assert sum(op == "*" for op, _, _ in plan) <= mults
+
+    def test_normal_form_is_the_trace(self):
+        # every canonical, cyclically reduced word of <= 8 letters: the
+        # normal-form plan, at kappa of the triple, is the trace exactly at
+        # integral triples of four kappas (-2, 6, -77 and -94), and its
+        # polynomial has no monomial divisible by xyz
+        words = {canonical_cyclic(w) for n in range(1, 9)
+                 for w in map("".join, itertools.product("abAB", repeat=n))}
+        words.discard("")
+        assert len(words) == 693
+        triples = [(3, 3, 3), (3, 4, 5), (5, 5, 5), (4, 8, 4)]
+        for w in sorted(words):
+            plan = fricke._normal_plan(w)
+            for x, y, z in triples:
+                kappa = x * x + y * y + z * z - x * y * z - 2
+                assert fricke._plan_eval(plan, x, y, z, kappa) == \
+                    trace_word_fricke((x, y, z), w), (w, (x, y, z))
+            poly = fricke._normal_poly(fricke._trace_plan(w))
+            assert all(min(m[:3]) == 0 for m in poly), w
+
+    @pytest.mark.parametrize("w, instrs, mults", [
+        ("aabAb", 5, 2), ("abaB", 2, 1), ("aabAB", 3, 1), ("aab", 2, 1),
+        ("aBaBaBaB", 9, 4)])
+    def test_normal_plans(self, w, instrs, mults):
+        # aabAb is yz + (1 - kappa) x, abaB is x^2 - kappa, aabAB is
+        # (kappa - 1) x and aab is xz - y; a power is T_n of its root's
+        # normal form, here (aB)^4 from xy - z
+        plan = fricke._normal_plan(w)[0]
+        assert len(plan) == instrs
+        assert sum(op == "*" for op, _, _ in plan) == mults
+
+    def test_long_words_keep_the_walk(self, reduced_word):
+        # past NORMAL_MAX_LEN letters the plan is the group-algebra one,
+        # which grows linearly with the word
+        cap = fricke.NORMAL_MAX_LEN
+        for w in (reduced_word(7, cap + 1), "ab" + "aB" * cap):
+            assert fricke._normal_plan(w) == fricke._trace_plan(w)
+        w = reduced_word(8, cap)
+        assert fricke._normal_plan(w) != fricke._trace_plan(w)
+
+    def test_normal_plan_cache_bounded(self):
+        # the plans are a bounded cache, and each compile keeps its own
+        # memo of rewritten monomials
+        size = fricke._normal_plan.cache_info().maxsize
+        assert size == 1024
+        words = (w for n in range(1, 6)
+                 for w in map("".join, itertools.product("abAB", repeat=n)))
+        for w in itertools.islice(words, size + 100):
+            fricke._normal_plan(w)
+        assert fricke._normal_plan.cache_info().currsize <= size
 
     def test_linear_in_the_word(self, reduced_word):
         w = reduced_word(1000, 1000)

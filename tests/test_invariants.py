@@ -53,8 +53,8 @@ def test_length_path_sets_no_global_precision():
     # measure with its end search only calls them: no mpmath context
     # precision is read or set
     names = {"fn_surface.py": ["_gamma_length_fn", "_chart_fixed",
-                               "_exp_fixed", "_certified_length",
-                               "fricke_triple"],
+                               "_chart_kappa", "_exp_fixed",
+                               "_certified_length", "fricke_triple"],
              "orbit.py": ["_tau_measure", "_end_predicate", "_bisect"],
              "fricke.py": ["_plan_eval_fixed", "_plan_eval_bounded",
                            "_trace_length"]}
@@ -95,27 +95,61 @@ def _names(module, tree):
                     yield f.name, f
 
 
+def _docstrings(tree):
+    """The ids of the docstring constants of a module, class or function."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def _references(tree, strings):
+    """(name, line) for each reference in code: a Name, the attribute of
+    an Attribute, a name an import brings in and, with strings, each word
+    of a string constant that is not a docstring (the benchmark names the
+    functions it wraps by string).  Comments, docstrings and, without
+    strings, string constants refer to nothing."""
+    docs = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1], node.lineno
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) and id(node) not in docs:
+            for word in re.findall(r"\w+", node.value):
+                yield word, node.lineno
+
+
 def test_no_orphan_names():
     # code that nothing calls gets deleted: every top-level name of the
-    # package, and every method of its classes, must appear outside its own
-    # definition in src, perfbench, tools or the acceptance criteria (the
-    # benchmark names functions by string).  A unit test is not a caller:
-    # a name that only its own test runs is an orphan
+    # package, and every method of its classes, must be referenced in code
+    # outside its own definition, in src, perfbench, tools or the
+    # acceptance criteria (_references: outside src a name in a string
+    # counts too, since the benchmark names functions by string; a word in
+    # a comment, a docstring or a string of src does not).  A unit test is
+    # not a caller: a name that only its own test runs is an orphan
     root = Path(__file__).resolve().parents[1]
     files = sorted(SRC.rglob("*.py"))
     for d in ("perfbench", "tools"):
         files += sorted((root / d).rglob("*.py"))
     files.append(root / "tests" / "test_acceptance.py")
-    texts = {path: path.read_text() for path in files}
+    refs = {}
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, line in _references(tree, SRC not in path.parents):
+            refs.setdefault(name, []).append((path, line))
     orphans = []
     for path in sorted(SRC.glob("*.py")):
-        lines = texts[path].splitlines(keepends=True)
-        tree = ast.parse(texts[path], filename=str(path))
+        tree = ast.parse(path.read_text(), filename=str(path))
         module = importlib.import_module("teichlab." + path.stem)
         for name, node in _names(module, tree):
-            word = re.compile(r"\b%s\b" % re.escape(name))
-            own = "".join(lines[node.lineno - 1:node.end_lineno])
-            uses = sum(len(word.findall(t)) for t in texts.values())
-            if uses == len(word.findall(own)):
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in refs.get(name, [])):
                 orphans.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not orphans, "names nothing uses: %s" % orphans

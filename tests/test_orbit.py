@@ -45,7 +45,7 @@ def node_lengths(ts, gamma, k):
     """l_gamma at each of the triples ts of ints scaled by 2^k (k = 0:
     exact), from one pass of the trace plan over them."""
     trs = _plan_eval_fixed(_trace_plan(gamma),
-                           *([t[i] for t in ts] for i in range(3)), k)
+                           *([t[i] for t in ts] for i in range(3)), None, k)
     return [_trace_length(tr, k, gamma) for tr in trs]
 
 
@@ -154,10 +154,10 @@ def assert_matches_box(slope_trace, X, L, pmax, qmax):
 
 class TestWordClassification:
     def test_simple_power(self):
-        assert ob.simple_power("a") == 1
-        assert ob.simple_power("aa") == 2
-        assert ob.simple_power("abab") == 2
-        assert ob.simple_power("abaB") == 0
+        assert ob._word("a").power == 1
+        assert ob._word("aa").power == 2
+        assert ob._word("abab").power == 2
+        assert ob._word("abaB").power == 0
 
     def test_peripheral(self):
         assert is_peripheral_word("abAB")
@@ -449,7 +449,7 @@ def short_words(n):
     for m in range(1, n + 1):
         for w in map("".join, itertools.product("abAB", repeat=m)):
             if canonical_cyclic(w) == w and not is_peripheral_word(w) \
-                    and not ob.simple_power(w):
+                    and not ob._word(w).power:
                 words.add(w)
     return sorted(words, key=lambda w: (len(w), w))
 
@@ -475,8 +475,7 @@ class TestOneWord:
         for w in classes(8):
             word = ob._word(w)
             assert word.gamma == w
-            assert (word.power, word.sym) == \
-                (ob.simple_power(w), ob.curve_symmetry_order(w))
+            assert word.sym == ob.curve_symmetry_order(w)
             rows.append([w, word.power, word.sym, word.rep, word.iota])
         assert len(rows) == 691
         assert sum(r[1] > 0 for r in rows) == 72
@@ -668,21 +667,24 @@ def mc_triple(seed, i, l1=0.0):
     return (t.x, t.y, t.z)
 
 
-def walk_family(node, gamma, L, k, twist_fixed):
+def walk_family(node, gamma, L, k, kappa, twist_fixed):
     """The oracle of the lockstep twist walk: one family walked on its own,
     downhill from n = 0 to the minimum of the convex l_gamma, then outward
     on both sides until l_gamma > L (n = 0 alone when T fixes gamma);
     returns (lengths <= L, {n: node(n)} for every node evaluated).  Each
     node's trace comes from the scalar _plan_eval_bounded, its bound
-    unused, apart from the walk's list passes."""
-    plan = _trace_plan(gamma)
+    unused, apart from the walk's list passes, by the walk's own
+    normal-form plan at the point's kappa: at a symmetric point two nodes
+    tie in exact arithmetic, and the walk goes the way its rounding
+    decides."""
+    plan = fricke._normal_plan(gamma)
     nodes, trs = {}, {}
 
     def tr(n):
         if n not in trs:
             nodes[n] = node(n)
-            trs[n] = abs(_plan_eval_bounded(plan, *nodes[n], (0, 0, 0),
-                                            k)[0])
+            trs[n] = abs(_plan_eval_bounded(plan, *nodes[n], kappa,
+                                            (0, 0, 0, 0), k)[0])
         return trs[n]
 
     if twist_fixed:
@@ -796,9 +798,9 @@ class TestTwistFamilies:
         # families: the multiset of the nodes evaluated, and the passes
         evaluated = []
 
-        def spy(plan, xs, ys, zs, k):
+        def spy(plan, xs, ys, zs, kappa, k):
             evaluated.extend(zip(xs, ys, zs))
-            return _plan_eval_fixed(plan, xs, ys, zs, k)
+            return _plan_eval_fixed(plan, xs, ys, zs, kappa, k)
         monkeypatch.setattr(ob, "_plan_eval_fixed", spy)
         for gamma, L in itertools.product(WALK_WORDS, (9.0, 12.5, 16.0)):
             twist_fixed = gamma == "abaB"
@@ -808,13 +810,14 @@ class TestTwistFamilies:
                 X, ob._bits(60 + int(0.25 * len(gamma) * 1.5 * L)))
             marks, k = ob._farey_walk(point, L), point[2]
             evaluated.clear()
-            found, outer, work = ob._twist_walk(marks, gamma, L, k,
+            kappa = ob._kappa_fixed(point[0], k)
+            found, outer, work = ob._twist_walk(marks, gamma, L, k, kappa,
                                                 twist_fixed)
             want = collections.Counter()
             widest = 0
             for (_, mark), got, ends in zip(marks, found, outer):
                 lengths, nodes = walk_family(twist_node(mark, k), gamma, L,
-                                             k, twist_fixed)
+                                             k, kappa, twist_fixed)
                 assert sorted(got) == sorted(lengths), (gamma, L, mark)
                 assert ends == (nodes[min(nodes)], nodes[max(nodes)])
                 want.update(nodes.values())
@@ -1003,8 +1006,9 @@ class TestChartPrecision:
 
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     def test_bound_covers_error(self, l1):
-        # the bounds of x, y, z and of each word's trace at k hold against
-        # an evaluation 4000 bits finer (whose own bound is added), on 500
+        # the bounds of x, y, z, kappa and of each word's trace at k, by
+        # its group-algebra and its normal-form plan, hold against an
+        # evaluation 4000 bits finer (whose own bound is added), on 500
         # points per l1 with ell log-uniform in [1e-3, 500] and tau = ell u,
         # |u| <= 2.3, and on the chart points
         rng = np.random.default_rng([1400, round(10 * l1)])
@@ -1012,15 +1016,19 @@ class TestChartPrecision:
         pts = [(float(e), float(e * rng.uniform(-2.3, 2.3))) for e in ells]
         pts += CHART_POINTS + [(1e-100, 0.3)]
         plans = [_trace_plan(w) for w in WORDS]
+        plans += [fricke._normal_plan(w) for w in WORDS]
         ks = (80, 200, 600)
         K = max(ks) + 4000
         slack = []
+        kappas = {k: fs._chart_kappa(l1, k, {}) for k in ks + (K,)}
         for ell, tau in pts:
             ref, ref_err = fs._chart_fixed(l1, ell, tau, K, {})
+            ref, ref_err = ref + kappas[K][:1], ref_err + kappas[K][1:]
             ref_tr = [_plan_eval_bounded(p, *ref, ref_err, K) for p in plans]
             for k in ks:
                 s = K - k
                 t, errs = fs._chart_fixed(l1, ell, tau, k, {})
+                t, errs = t + kappas[k][:1], errs + kappas[k][1:]
                 for v, e, w, ew in zip(t, errs, ref, ref_err):
                     assert abs((v << s) - w) <= (e << s) + ew, (ell, tau, k)
                 for p, (w, ew) in zip(plans, ref_tr):
@@ -1037,8 +1045,8 @@ class TestChartPrecision:
         # length the error bound accepts is its length bit for bit, found
         # within two tries (the thin part is TestChart's); the total of
         # tries is pinned, so that a looser chart bound cannot add tries
-        # unseen (1055 tries for 960 lengths at both l1, each f starting a
-        # point from the k its last point needed)
+        # unseen (960 tries for 960 lengths at both l1: each f starts a
+        # point from the k its last point needed, and none raises)
         pts = ray_points(14, 20)
         ks = []
         tries = 0
@@ -1057,7 +1065,40 @@ class TestChartPrecision:
                 monkeypatch.setattr(fs, "_chart_fixed", chart)
                 assert got == want and len(ks) <= 2, (gamma, ell, tau, ks)
                 tries += len(ks)
-        assert tries == 1055
+        assert tries == 960
+
+    @pytest.mark.parametrize("l1", [0.0, 0.7])
+    def test_normal_form_needs_no_more_bits(self, l1):
+        # the least k at which a point's bound certifies its length, as
+        # _gamma_length_fn reads it off one evaluation, by the normal-form
+        # plan is at most 1 bit above the group-algebra plan's at seeded
+        # ray and twist-line points, and below it at most of them; the
+        # positive word abababbb and the power (aB)^4 read the most bits
+        # above it in forms that keep xyz or expand the power
+        pts = ray_points(14, 20)
+        rng = np.random.default_rng([1403, round(10 * l1)])
+        pts += [(float(e), float(t)) for e in rng.uniform(0.05, 4.0, 8)
+                for t in rng.uniform(-32.0, 32.0, 6)]
+        saved = []
+        for gamma in WORDS + ["abababbb", "aBaBaBaB"]:
+            plans = (_trace_plan(gamma), fricke._normal_plan(gamma))
+            for ell, tau in pts:
+                k = 104 + math.ceil((abs(ell) + abs(tau)) / (2 * math.log(2)))
+                while True:
+                    t, errs = fs._chart_fixed(l1, ell, tau, k, {})
+                    kappa, ek = fs._chart_kappa(l1, k, {})
+                    got = [_plan_eval_bounded(p, *t, kappa, (*errs, ek), k)
+                           for p in plans]
+                    if all(fs._certified_length(abs(tr), e, k, gamma)
+                           is not None for tr, e in got):
+                        break
+                    k += 256
+                walk, normal = (e.bit_length() + 62 + k
+                                - (abs(tr) - (2 << k)).bit_length()
+                                for tr, e in got)
+                assert normal <= walk + 1, (gamma, ell, tau, walk, normal)
+                saved.append(walk - normal)
+        assert np.median(saved) > 0
 
     @pytest.mark.parametrize("k", [80, 600])
     def test_exp_memo_shifted_down_covers_error(self, k, monkeypatch):
@@ -1180,9 +1221,21 @@ class TestChartPrecision:
             for _ in range(40):
                 t = [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 3)]
                 t = [v >> int(rng.integers(0, 60)) for v in t]
-                tr, e = _plan_eval_bounded(plan, *t, (0, 0, 0), k)
+                tr, e = _plan_eval_bounded(plan, *t, None, (0, 0, 0, 0), k)
                 exact = trace_word_fricke(
                     tuple(Fraction(v, 2 ** k) for v in t), gamma)
+                assert abs(Fraction(tr, 2 ** k) - exact) \
+                    <= Fraction(e, 2 ** k), (gamma, k, t)
+        # the normal-form plan, its kappa a free fourth input
+        rng = np.random.default_rng(1402)
+        plan = fricke._normal_plan(gamma)
+        for k in (0, 1, 7, 64, 200):
+            for _ in range(40):
+                t = [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 4)]
+                t = [v >> int(rng.integers(0, 60)) for v in t]
+                tr, e = _plan_eval_bounded(plan, *t, (0, 0, 0, 0), k)
+                exact = fricke._plan_eval(
+                    plan, *(Fraction(v, 2 ** k) for v in t))
                 assert abs(Fraction(tr, 2 ** k) - exact) \
                     <= Fraction(e, 2 ** k), (gamma, k, t)
 

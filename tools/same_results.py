@@ -38,8 +38,10 @@ The table:
 - ``acc1``: the ACC1 document of ``teichlab acceptance``;
 - ``criterion12``: the detail of criterion 12's line;
 - ``plan``: the exact trace at (3, 4, 5) of each word of PLAN_WORDS, with
-  the ``instructions`` and ``products`` of its trace plan under
-  ``counters``, so that plan size shows next to the work counters;
+  the ``instructions`` and ``products`` of its group-algebra trace plan
+  and, as ``normal_instructions`` and ``normal_products``, those of its
+  normal-form plan under ``counters``, so that plan size shows next to
+  the work counters;
 - ``chart``: the lengths on the (ell, tau) torus chart: ``_tau_measure``
   of aabAb at each (ell, L) of TAU_POINTS, ``apl.ray_fit`` of each word of
   RAY_WORDS on the rays of RAY_SEEDS, ``apl.wall_scan`` of each word of
@@ -184,9 +186,11 @@ def _criterion12():
 
 
 def _plan(gamma, counters):
-    instrs, _ = fricke._trace_plan(gamma)
-    counters["instructions"] = len(instrs)
-    counters["products"] = sum(op == "*" for op, _, _ in instrs)
+    for prefix, plan in (("", fricke._trace_plan(gamma)),
+                         ("normal_", fricke._normal_plan(gamma))):
+        instrs, _ = plan
+        counters[prefix + "instructions"] = len(instrs)
+        counters[prefix + "products"] = sum(op == "*" for op, _, _ in instrs)
     return fricke.trace_word_fricke((3, 4, 5), gamma)
 
 
