@@ -17,7 +17,9 @@ realizes the Dehn twist exactly (slope relabel (p,q) -> (p+q, q)).
 
 The chart is computed once, in fixed point with error bounds
 (_chart_fixed); every torus curve length is certified through it
-(_gamma_length_fn), and fricke_triple is its float view.
+(_gamma_length_fn), and fricke_triple is its float view.  Its
+exponentials come from a short integer kernel with a proven relative
+error (_exp_man), so the chart reads no mpmath.
 
 Four-holed sphere chart (boundaries l1..l4, interior curve pairing
 (l1,l2 | l3,l4)): lengths of the two standard transversals come from the
@@ -35,8 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-from mpmath.libmp import from_float, mpf_exp, round_nearest
 
 from . import farey
 from .fricke import (FrickeTriple, _normal_plan, _plan_eval_bounded,
@@ -116,36 +116,103 @@ _EXP_MEMO_CAP = 64  # entries of a length function's memo: a line is ~35 points
 _EXP_HEADROOM = 32  # bits taken above a request, for the next few to reuse
 
 
+def _exp_man(a: float, p: int) -> tuple[int, int]:
+    """e^a for a float a >= 0 and p >= 64 bits, as (man, exp): man 2^exp
+    is at most e^a and within 2^-p relative of it.
+
+    a = n 2^-t exactly (float.as_integer_ratio).  With a < 2^up, up =
+    max(0, binary exponent of a), and r = isqrt(p) // 2 >= 4, x = a 2^-j
+    for j = up + r is below 2^-r; in fixed point at w = p + j + g bits,
+    X = floor(x 2^w).  The series is mpmath's exp_basecase: S0 = sum
+    x^2i/(2i)! and S1 = sum x^2i/(2i+1)!, two terms a step, each step two
+    floor divisions of the running term by the terms' indices and one
+    product by X2 = floor(X^2 2^-w), until the term floors to 0; then
+    S = S0 + floor(S1 X 2^-w) ~ e^x 2^w.  e^a is S squared j times.
+
+    Error, in units of 2^-w.  Every rounding floors a non-negative
+    number, so each computed value is at most its true one.  x 2^w - X
+    < 1, so x^2 2^w - X2 < 2x + 1.  The running term (below 2^w) errs by
+    at most E y + 3 after a product (y = x^2 <= 2^-8) and E / i + 1
+    after a division by i >= 2, so by at most 3.1 throughout; when it
+    floors to 0 its true value is at most 3.1 and the true tails of S0
+    and S1 are below 2.  Over N steps S0 and S1 so err by at most 3N + 2,
+    S1 X by (3N + 2) x + S1 2^-w + 1 < 3N/16 + 4, and S by at most
+    4N + 6: S = e^x 2^w (1 - rho0), 0 <= rho0 <= (4N + 6) 2^-w, as
+    e^x >= 1.  The term before step i is below 2^(w - 2r(i+1)), so
+    N <= w // 2r + 1.
+
+    Squaring a value (1 - rho) V and flooring it to w bits, or to scale
+    2^-w while V >= 1 is below 2^47, gives (1 - rho)^2 (1 - eta) V^2 >=
+    (1 - 2 rho - eta) V^2 with 0 <= eta < 2^-(w-1): the relative error
+    at most doubles and gains 2^-(w-1).  After j squarings it is below
+    2^j (rho0 + 2^-(w-1)) <= (4N + 8) 2^-(p+g).  The guard g = bit length
+    of p + j + 64 covers 4N + 8 <= 2w / r + 12 <= p + j + 64, so the
+    error is below 2^-p.
+
+    The first squarings run at scale 2^-w while the value is below
+    e^32 < 2^47; the last max(0, up - 5), past it, keep w bits.
+    """
+    n, d = a.as_integer_ratio()
+    t = d.bit_length() - 1
+    up = max(0, n.bit_length() - t)
+    r = math.isqrt(p) >> 1
+    j = up + r
+    w = p + j + (p + j + 64).bit_length()
+    x = (n << w) >> t + j
+    x2 = x * x >> w
+    s0 = s1 = 1 << w
+    i, term = 2, x2
+    while term:
+        term //= i
+        s0 += term
+        term //= i + 1
+        s1 += term
+        i += 2
+        term = term * x2 >> w
+    s = s0 + (s1 * x >> w)
+    top = max(0, up - 5)
+    for _ in range(j - top):
+        s = s * s >> w
+    exp = -w
+    for _ in range(top):
+        s *= s
+        drop = s.bit_length() - w
+        s >>= drop
+        exp = 2 * exp + drop
+    return s, exp
+
+
 def _exp_fixed(h: float, k: int, memo: dict) -> tuple[tuple[int, int], ...]:
     """(e^h, e^-h) as ints scaled by 2^k, each with a bound on its error in
     units of 2^-k: ((e^h, err), (e^-h, err)).
 
-    e^|h| comes from mpmath's pure mpf_exp (no global precision state is
-    read or set) to k + 8 bits relative, trusted to 1 ulp: at most
-    e^|h| 2^-(k+7) units, plus a unit for the shift to scale 2^k, so
-    (big >> k + 7) + 2 bounds it.  Its inverse, from one integer division,
-    is within 3 units.  The chart's products carry m's rounding to about
-    e^|h| units already (_chart_fixed), so the e^|h| / ln 2 bits that an
-    absolute 2^-k would need buy nothing.
+    e^|h| comes from _exp_man at p = k + 8, below it by less than
+    e^|h| 2^-(k+8) units, inside the e^|h| 2^-(k+7) that the bound allows;
+    with a unit for the flooring shift to scale 2^k, (big >> k + 7) + 2
+    bounds it.  Its inverse, from one integer division, is within 3 units.
+    The chart's products carry m's rounding to about e^|h| units already
+    (_chart_fixed), so the e^|h| / ln 2 bits that an absolute 2^-k would
+    need buy nothing.
 
     memo, a dict its caller keeps (_gamma_length_fn, fricke_triple), maps
     |h| to the mantissa, exponent and bits of e^|h| at the most bits asked
-    so far; mpf_exp runs only when it holds fewer than k + 8 bits, and then
-    takes k + 8 + _EXP_HEADROOM bits, so that a raised try (32 bits up at
-    least) and a neighbouring point at a slightly higher k shift the stored
-    mantissa down instead of calling it again.  A mantissa of P >= k + 8
-    bits is within 1 ulp, at most 2^-(P-1) <= 2^-(k+7) relative, of e^|h|,
-    so after the flooring shift to scale 2^k the same (big >> k + 7) + 2
-    bounds it; and the inverse, 2^2k // big, keeps its 3 units, which rest
-    only on that relative error and on big >= 2^k.  Past _EXP_MEMO_CAP the
-    least recently used entry goes.
+    so far.  A first request stores exactly k + 8 bits.  _exp_man runs
+    again only when an entry holds fewer than k + 8 bits, and then takes
+    k + 8 + _EXP_HEADROOM: an exponential asked for again at more bits
+    (e^(ell/2) along a twist line, a raised try 32 bits up at least) will
+    likely be asked again, and the next few requests shift the stored
+    mantissa down; e^(tau/2) of a _tau_measure line's point is never
+    reused, and pays no headroom.  A mantissa taken at P >= k + 8 bits is
+    within 2^-P <= 2^-(k+8) relative of e^|h|, so after the shift the same
+    (big >> k + 7) + 2 bounds it; and the inverse, 2^2k // big, keeps its
+    3 units, which rest only on that relative error and on big >= 2^k.
+    Past _EXP_MEMO_CAP the least recently used entry goes.
     """
     a = abs(h)
     got = memo.pop(a, None)
     if got is None or got[2] < k + 8:
-        bits = k + 8 + _EXP_HEADROOM
-        _, man, exp, _ = mpf_exp(from_float(a), bits, round_nearest)
-        got = (man, exp, bits)
+        bits = k + 8 if got is None else k + 8 + _EXP_HEADROOM
+        got = (*_exp_man(a, bits), bits)
     memo[a] = got  # last in the dict's order: the most recently used
     if len(memo) > _EXP_MEMO_CAP:
         del memo[next(iter(memo))]
@@ -228,9 +295,9 @@ def _certified_length(tr: int, e: int, k: int, w: str):
 
 
 # the chart's bound on |ell| + |tau| and l1: a first guess takes ~0.7 bits per
-# unit; the first aabAb length of an f takes 4-13 ms at 10^4 and 0.15-0.6 s
-# at 10^5 on a 2-core Xeon VM, a nearby next one up to half less (APL rays
-# reach ~1200)
+# unit; the first aabAb length of an f takes 5-10 ms at 10^4 and 0.4-0.65 s
+# at 10^5 on a 2-core Xeon VM, integer-valued coordinates alike, a next one
+# 0.25 away 1-2 ms (APL rays reach ~1200)
 CHART_MAX = 1e5
 _MAX_RAISES = 64  # a^n at the smallest float ell: 33 tries, >= 63 bits apart
 
@@ -277,10 +344,12 @@ def _gamma_length_fn(gamma: str, l1: float):
     at rho bits per unit of |ell| + |tau| (rho = the last point's need above
     64 over its size); a point off the last one's ray, by `off` units from
     the last point scaled to its size, starts 2 rho off bits higher, as the
-    gradient points at the top of an APL ray do.  The raise rule catches a
-    start too low.  Every length is certified at any
-    k, and a finer evaluation lies inside the certified interval
-    (_certified_length), so the start moves only the work, never a length.
+    gradient points at the top of an APL ray do, but at most the guess
+    higher (after a point of subnormal size the ratio of the sizes and so
+    the term overflow).  The raise rule catches a start too low.  Every
+    length is certified at any k, and a finer evaluation lies inside the
+    certified interval (_certified_length), so the start moves only the
+    work, never a length.
 
     f keeps its own bounded memo of the chart's exponentials (_exp_fixed):
     along a twist line e^(ell/2) is taken again only when a point asks for
@@ -302,8 +371,11 @@ def _gamma_length_fn(gamma: str, l1: float):
             need, guess0, ell0, tau0, size0 = last
             r = size / size0
             off = abs(ell - r * ell0) + abs(tau - r * tau0)
+            extra = 2 * max(0, need - 64) * off / size0
+            # at most a fresh first guess; the test is also false when a
+            # subnormal size0 overflows r or extra (inf, or inf * 0 = nan)
             k = max(96, (need + 32) * guess // guess0
-                    + math.ceil(2 * max(0, need - 64) * off / size0))
+                    + (math.ceil(extra) if extra < guess else guess))
         for _ in range(_MAX_RAISES + 1):
             t, errs = _chart_fixed(l1, ell, tau, k, memo)
             kappa, ek = _chart_kappa(l1, k, memo)

@@ -178,6 +178,13 @@ class TestCommands:
                          "--ell", "800"]) == 0
         capsys.readouterr()
 
+    def test_twist_convexity_at_subnormal_ell(self, capsys):
+        # the grid's points share one length function, whose start after a
+        # point of subnormal size stays finite
+        assert run_main(["twist-convexity", "--word", "aabAb",
+                         "--ell", "1e-320"]) == 0
+        assert "min_second_diff=" in capsys.readouterr().out
+
     # the chart and the trace bound 2 cosh(L/2) mirror the sign of ell, l1
     # and L, so a negative value would silently run at its absolute value;
     # ell = 0 is the degenerate torus

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import teichlab
@@ -25,25 +28,41 @@ def test_no_assert_statements():
 
 def test_orbit_searches_make_no_mpmath_call():
     # one precision policy: the orbit searches, the Farey walk of the slope
-    # and cone counts and of the ball area, and the twist walk run in 2^-k
-    # fixed point, and the chart's exponentials are fn_surface's; orbit.py
-    # imports no mpmath at all, so a second arithmetic cannot grow back
-    tree = ast.parse((SRC / "orbit.py").read_text())
+    # and cone counts and of the ball area, the twist walk and the chart
+    # with its exponential kernel run in 2^-k fixed point; no module of
+    # the package imports mpmath, so a second arithmetic cannot grow back
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            mods = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            mods = [node.module or ""]
-        else:
-            continue
-        found += ["%s:%d" % (m, node.lineno) for m in mods
-                  if m.split(".")[0] == "mpmath"]
-    # nor through another module of the package
-    orbit = importlib.import_module("teichlab.orbit")
-    found += [name for name, v in vars(orbit).items()
-              if (getattr(v, "__module__", None) or "").startswith("mpmath")]
-    assert not found, "orbit.py imports mpmath: %s" % found
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%s:%d" % (path.name, m, node.lineno) for m in mods
+                      if m.split(".")[0] == "mpmath"]
+    # nor through another module's names
+    for path in paths:
+        mod = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = importlib.import_module("teichlab." + mod)
+        found += ["%s.%s" % (path.name, name)
+                  for name, v in vars(module).items()
+                  if (getattr(v, "__module__", None) or "")
+                  .startswith("mpmath")]
+    assert not found, "src/teichlab imports mpmath: %s" % found
+
+
+def test_cli_import_loads_no_mpmath():
+    # the CLI with every module it imports leaves mpmath out of the process
+    code = "import sys, teichlab.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False", out.stdout + out.stderr
 
 
 def test_length_path_sets_no_global_precision():
@@ -53,7 +72,7 @@ def test_length_path_sets_no_global_precision():
     # measure with its end search only calls them: no mpmath context
     # precision is read or set
     names = {"fn_surface.py": ["_gamma_length_fn", "_chart_fixed",
-                               "_chart_kappa", "_exp_fixed",
+                               "_chart_kappa", "_exp_fixed", "_exp_man",
                                "_certified_length", "fricke_triple"],
              "orbit.py": ["_tau_measure", "_end_predicate", "_bisect"],
              "fricke.py": ["_plan_eval_fixed", "_plan_eval_bounded",

@@ -1100,20 +1100,40 @@ class TestChartPrecision:
                 saved.append(walk - normal)
         assert np.median(saved) > 0
 
+    @pytest.mark.parametrize("p", [64, 100, 300, 1000, 2000])
+    def test_exp_man_relative_error(self, p):
+        # the kernel's man 2^exp is at most e^a and within its proven
+        # 2^-(p-1) relative of mpmath's e^a at p + 4000 bits (the proof
+        # gives 2^-p), for a from 0 and a subnormal up to near CHART_MAX / 2
+        args = [0.0, 5e-324, 1e-300]
+        args += [10.0 ** (i / 4.0) for i in range(-12, 12)]
+        args += [900.0, fs.CHART_MAX / 2 - 0.123456789]
+        with mpmath.workprec(p + 4000):
+            for a in args:
+                man, exp = fs._exp_man(a, p)
+                want = mpmath.exp(mpmath.mpf(a))
+                err = want - mpmath.ldexp(man, exp)
+                assert 0 <= err <= mpmath.ldexp(want, 1 - p), (a, p)
+
     @pytest.mark.parametrize("k", [80, 600])
     def test_exp_memo_shifted_down_covers_error(self, k, monkeypatch):
-        # e^|h| stored at 1300 + 8 bits plus the headroom and shifted down
-        # to scale 2^k, with no new mpf_exp, lies within _exp_fixed's bounds
-        # at k of mpmath's at k + 4000 bits, for both signs of h
+        # a first request stores exactly k + 8 bits and one asked again at
+        # more bits k + 8 plus the headroom; e^|h| so stored at 1300 + 8
+        # bits plus the headroom and shifted down to scale 2^k, with no new
+        # kernel call, lies within _exp_fixed's bounds at k of mpmath's at
+        # k + 4000 bits, for both signs of h
         hs = [10.0 ** (i / 4.0) for i in range(-12, 12)] + [900.0]
         memo = {}
+        for h in hs:
+            fs._exp_fixed(h, 1200, memo)
+        assert all(bits == 1208 for _, _, bits in memo.values())
         for h in hs:
             fs._exp_fixed(h, 1300, memo)
         assert all(bits == 1308 + fs._EXP_HEADROOM
                    for _, _, bits in memo.values())
         calls = []
-        exp = fs.mpf_exp
-        monkeypatch.setattr(fs, "mpf_exp",
+        exp = fs._exp_man
+        monkeypatch.setattr(fs, "_exp_man",
                             lambda *a: calls.append(a) or exp(*a))
         with mpmath.workprec(k + 4000):
             for h in hs + [-h for h in hs]:
@@ -1170,6 +1190,16 @@ class TestChartPrecision:
             monkeypatch.setattr(fs, "_chart_fixed", chart)
         assert len(ks) > len(pts) * len(WORDS)
 
+    def test_start_after_a_subnormal_point(self):
+        # after a point of subnormal size the ratio of the two sizes
+        # overflows; the start stays finite and the lengths equal a fresh
+        # f's by repr
+        pts = [(1e-320, 0.0), (1e-320, 3.0)]
+        f = fs._gamma_length_fn("aabAb", 0.0)
+        got = [repr(f(ell, tau)) for ell, tau in pts]
+        assert got == [repr(fs._gamma_length_fn("aabAb", 0.0)(ell, tau))
+                       for ell, tau in pts]
+
     @pytest.mark.parametrize("l1", [0.0, 0.7])
     def test_start_from_last_point_saves_bits(self, l1, monkeypatch):
         # on seeded ray points one f for all points makes no more chart
@@ -1201,8 +1231,8 @@ class TestChartPrecision:
         # a second f pays for the exponentials the first one holds; the
         # first one, asked again, pays nothing
         calls = []
-        exp = fs.mpf_exp
-        monkeypatch.setattr(fs, "mpf_exp",
+        exp = fs._exp_man
+        monkeypatch.setattr(fs, "_exp_man",
                             lambda *a: calls.append(a) or exp(*a))
         f, g = (fs._gamma_length_fn("aabAb", 0.7) for _ in range(2))
         assert f(1.5, -12.25) == g(1.5, -12.25)

@@ -31,12 +31,12 @@ def test_case_lines_repeat(case):
 def test_chart_counters_unwrap():
     # the chart case counts through wrappers that it takes off again
     fs = same_results.fn_surface
-    chart, exp = fs._chart_fixed, fs.mpf_exp
+    chart, exp = fs._chart_fixed, fs._exp_man
     line = same_results.run_case(["chart", "tau_measure", "aabAb", 0.5, 10.0])
-    assert (fs._chart_fixed, fs.mpf_exp) == (chart, exp)
+    assert (fs._chart_fixed, fs._exp_man) == (chart, exp)
     counters = json.loads(line)["counters"]
-    assert set(counters) == {"chart_tries", "k_sum", "mpf_exp"}
-    assert 0 < counters["mpf_exp"] < 2 * counters["chart_tries"]
+    assert set(counters) == {"chart_tries", "k_sum", "exp_calls"}
+    assert 0 < counters["exp_calls"] < 2 * counters["chart_tries"]
 
 
 @pytest.mark.parametrize("case, walks", [

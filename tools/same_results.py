@@ -47,9 +47,9 @@ The table:
   RAY_WORDS on the rays of RAY_SEEDS, ``apl.wall_scan`` of each word of
   RAY_WORDS at grid 64, and the repr of
   ``ball_length_region_volume`` of aabAb at L = 10, each with the chart's
-  ``chart_tries``, their ``k_sum`` and the ``mpf_exp`` calls under
-  ``counters``, counted by wrapping those names of ``fn_surface`` for the
-  case;
+  ``chart_tries``, their ``k_sum`` and, as ``exp_calls``, the calls of
+  the chart's exponential kernel ``_exp_man`` under ``counters``, counted
+  by wrapping those names of ``fn_surface`` for the case;
 - ``ball``: the repr of ``thurston_ball_B`` and ``count_simple`` (L = 20)
   at the torus chart's points (ell, tau) of BALL_POINTS, thin points where
   the walk is long, and at MC samples 0-2 of seed 0 (``orbit._mc_draw``),
@@ -196,10 +196,10 @@ def _plan(gamma, counters):
 
 @contextlib.contextmanager
 def _chart_counters(counters):
-    """Count the chart's tries, their precisions k and the mpf_exp calls
-    into counters while the block runs."""
-    chart, exp = fn_surface._chart_fixed, fn_surface.mpf_exp
-    counters.update(chart_tries=0, k_sum=0, mpf_exp=0)
+    """Count the chart's tries, their precisions k and the exponential
+    kernel's calls into counters while the block runs."""
+    chart, exp = fn_surface._chart_fixed, fn_surface._exp_man
+    counters.update(chart_tries=0, k_sum=0, exp_calls=0)
 
     def chart_spy(*args):
         counters["chart_tries"] += 1
@@ -207,13 +207,13 @@ def _chart_counters(counters):
         return chart(*args)
 
     def exp_spy(*args):
-        counters["mpf_exp"] += 1
+        counters["exp_calls"] += 1
         return exp(*args)
-    fn_surface._chart_fixed, fn_surface.mpf_exp = chart_spy, exp_spy
+    fn_surface._chart_fixed, fn_surface._exp_man = chart_spy, exp_spy
     try:
         yield
     finally:
-        fn_surface._chart_fixed, fn_surface.mpf_exp = chart, exp
+        fn_surface._chart_fixed, fn_surface._exp_man = chart, exp
 
 
 def _chart(counters, what, gamma, *args):
