@@ -21,7 +21,11 @@ is counted over the twist families of those slopes: length is convex
 along a Fenchel-Nielsen twist, so each family is one downhill walk to its
 minimum and one walk outward on each side, or one node for a word the
 twist fixes.  The families are walked in lockstep, with one pass of the
-word's normal-form trace plan over each step's new nodes.  A pruned BFS over
+word's normal-form trace plan over each step's new nodes, and every count
+is decided in traces, |tr| <= 2 cosh(L/2) in fixed point.  A word whose
+normal form has coefficients of one sign has |tr| >= c tr s on the family
+of every slope s, proven from that form, so only the slopes with c tr s
+within that bound are walked (_family_lengths).  A pruned BFS over
 conjugacy classes is kept only as the oracle of that count.  A word is
 classified once, for every entry point (_word).  The length-ball volumes
 integrate twist-line measures of the certified lengths of fn_surface's
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,8 +48,9 @@ import numpy as np
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (FrickeTriple, _normal_plan, _plan_eval_fixed,
-                     _trace_length, canonical_cyclic, cyclic_reduce,
+from .fricke import (NORMAL_MAX_LEN, FrickeTriple, _normal_plan,
+                     _normal_poly, _plan_eval_fixed, _trace_length,
+                     _trace_plan, canonical_cyclic, cyclic_reduce,
                      is_peripheral_word, length_trace, word_abelianization)
 from .fn_surface import _chart_fixed, _gamma_length_fn
 
@@ -98,10 +104,12 @@ def _trace_bound(L: float, k: int) -> int:
     return (n << k) // d
 
 
-def _farey_walk(point, L: float):
+def _farey_walk(point, L: float, cut: int = 1):
     """The marks: for every slope s with trace <= 2 cosh(L/2) at the point
     (_point), the pair (s, (tr s, tr s', tr(s + s'))) with det(s, s') = 1,
-    the marking triple of s, as ints scaled by the point's 2^k.
+    the marking triple of s, as ints scaled by the point's 2^k.  With
+    cut > 1, only the slopes with cut * tr s <= T + T 2^-20 + 1, T the
+    trace bound: those of the twist families that _family_lengths walks.
 
     Walks the Farey tree outward from the point's minimal triangle: across
     an edge (u, v) with opposite vertex u - v lies u + v, of trace
@@ -114,6 +122,8 @@ def _farey_walk(point, L: float):
         raise ValueError("L=%r: the length bound must be >= 0" % L)
     (ta, tb, tab), (sa, sb), k = point
     bound = _trace_bound(L, k)
+    if cut > 1:
+        bound = (bound + (bound >> 20) + 1) // cut
     marks = []
 
     def mark(w, tw, u, tu, tv):
@@ -330,7 +340,7 @@ def _aut_tol(v: int, k: int) -> int:
 # word classification
 
 
-_Word = namedtuple("_Word", "gamma power sym rep iota")
+_Word = namedtuple("_Word", "gamma power sym rep iota cut kcoef")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -339,8 +349,10 @@ def _word(gamma: str) -> _Word:
     (gamma cyclically reduced, its simple power, |Sym| or 0 if infinite,
     the orbit representative (1 and the class for a simple power, else
     _symmetry's), iota: 2 if -I (a -> A, b -> B; it fixes every triple)
-    maps gamma to another class).  ValueError for an empty or peripheral
-    gamma, ArithmeticError if Sym is infinite but T fixes no shortest image."""
+    maps gamma to another class, and the representative's slope cut and
+    its K-coefficients (_slope_cut; None for a simple power)).  ValueError
+    for an empty or peripheral gamma, ArithmeticError if Sym is infinite
+    but T fixes no shortest image."""
     reduced = cyclic_reduce(gamma)
     if not reduced or is_peripheral_word(reduced):
         raise ValueError("gamma=%r is empty or peripheral" % gamma)
@@ -354,7 +366,37 @@ def _word(gamma: str) -> _Word:
         raise ArithmeticError("Sym(%r) is infinite, but no least-length "
                               "image of it is fixed by T" % gamma)
     iota = 1 if canonical_cyclic(key.swapcase()) == key else 2
-    return _Word(reduced, power, sym, rep, iota)
+    cut, kcoef = (None, None) if power else _slope_cut(rep)
+    return _Word(reduced, power, sym, rep, iota, cut, kcoef)
+
+
+def _slope_cut(rep: str):
+    """(c, s) of _family_lengths' lemma for the word rep, or (None, None)
+    when it gives no cut: rep is longer than NORMAL_MAX_LEN letters, its
+    normal form in x, y, z and K = -2 - kappa has coefficients of both
+    signs, or c < 2.  c sums |coef| w over the monomials x^a y^b z^c that
+    hold no K (w = 2^(a+b+c-1) if a >= 1, 2^(b+c-2) if a = 0 < b, c, else
+    0); s sums |coef| over those that hold K, and is None when one of them
+    has no K-free monomial of its x, y, z part."""
+    if len(rep) > NORMAL_MAX_LEN:
+        return None, None
+    poly = {}
+    for (a, b, c, d), v in _normal_poly(_trace_plan(rep)).items():
+        for j in range(d + 1):  # kappa^d = (-1)^d (2 + K)^d
+            m = (a, b, c, j)
+            poly[m] = poly.get(m, 0) + (-1) ** d * math.comb(d, j) * \
+                2 ** (d - j) * v
+    poly = {m: v for m, v in poly.items() if v}
+    if len({v > 0 for v in poly.values()}) > 1:
+        return None, None
+    free = {m[:3] for m in poly if not m[3]}
+    cut = sum(abs(v) << (a + b + c - 1 if a else b + c - 2)
+              for (a, b, c, d), v in poly.items() if not d and (a or b and c))
+    if cut < 2:
+        return None, None
+    held = {m: abs(v) for m, v in poly.items() if m[3]}
+    paired = all(m[:3] in free for m in held)
+    return cut, sum(held.values()) if paired else None
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +479,12 @@ def _family_bits(gamma: str, L: float) -> int:
     return _bits(60 + int(0.25 * len(gamma) * 1.5 * L))
 
 
-def _trace_cut(L: float, k: int) -> int:
-    """The trace, scaled by 2^k, above which every length exceeds L: the
-    trace bound b = floor(2 cosh(L/2) 2^k), raised by b 2^-20 and a unit.
-
-    A trace above the cut exceeds 2 cosh(L/2) by a relative 2^-22 at least
-    (the float cosh is within 2^-50 of it), and dl/d|tr| =
-    2 / sqrt(tr^2 - 4) > 2 / |tr|, so its length exceeds L by more than
-    2^-22.  _trace_length is within 2^-38 of the length wherever
-    cosh(L/2) is a float (L < 1420), so it exceeds L there too: a trace
-    above the cut needs no length to decide l > L, as _trace_length would.
-    """
-    b = _trace_bound(L, k)
-    return b + (b >> 20) + 1
-
-
 def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
                 twist_fixed: bool):
-    """Walk the twist families of the marks in lockstep: (the lengths
-    <= L of each family, its two outermost nodes (lo, hi), and the
-    counters {evaluations, steps}).
+    """Walk the twist families of the marks in lockstep: (the traces
+    |tr gamma| <= T = _trace_bound(L, k) of each family, its two outermost
+    nodes (lo, hi), and the counters {evaluations, steps}).  A node holds
+    a curve of length <= L when |tr| <= T, the rule of the Farey walk.
 
     The family of the marking triple (x, y_0, y_1) is the nodes
     node(n) = T^n(mark) = (x, y_n, y_(n+1)): T takes s' to s + s', so
@@ -474,8 +502,8 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
     (_family_lengths).
 
     With tr(n) = |tr gamma| at node(n), the right end is live while
-    tr(hi) < tr(hi - 1) or l(hi) <= L, and the left end while
-    l(lo) <= L or the trace still falls toward it: tr(lo) < tr(lo + 1)
+    tr(hi) < tr(hi - 1) or tr(hi) <= T, and the left end while
+    tr(lo) <= T or the trace still falls toward it: tr(lo) < tr(lo + 1)
     when lo < 0, tr(1) >= tr(0) when lo = 0.  This evaluates the nodes of
     the walk downhill from 0 to the minimum of the convex l_gamma and
     outward from there until l_gamma > L, and finds the same lengths.
@@ -493,7 +521,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
     nodes beyond L.
     """
     plan = _normal_plan(gamma)
-    cut = _trace_cut(L, k)
+    bound = _trace_bound(L, k)
     n = len(marks)
     xs = [m[0] for _, m in marks]
     ys = [m[1] for _, m in marks]
@@ -502,9 +530,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
         xs, ys, zs = (xs + xs, ys + zs,
                       zs + [(x * z >> k) - y for x, y, z in zip(xs, ys, zs)])
     trs = [abs(t) for t in _plan_eval_fixed(plan, xs, ys, zs, kappa, k)]
-    # no length is taken above the cut
-    ells = [_trace_length(t, k, gamma) if t <= cut else math.inf for t in trs]
-    found = [[ell for ell in ells[f::n] if ell <= L] for f in range(n)]
+    found = [[t for t in trs[f::n] if t <= bound] for f in range(n)]
     counts = [1 if twist_fixed else 2] * n
     # an end is [x, y, y', |tr| at its node, family, right]; its node is
     # (x, y, y') at the right end and (x, y', y) at the left one, and the
@@ -518,9 +544,9 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
         right = [xs[n + f], ys[n + f], zs[n + f], trs[n + f], f, True]
         ends.append((left, right))
         t0, t1 = trs[f], trs[n + f]
-        if ells[f] <= L or t0 <= t1:
+        if t0 <= bound or t0 <= t1:
             live.append(left)
-        if ells[n + f] <= L or t1 < t0:
+        if t1 <= bound or t1 < t0:
             live.append(right)
     steps = 1
     while live:
@@ -549,8 +575,8 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
             t = abs(t)
             fell = t < e[3]
             e[3] = t
-            if t <= cut and (ell := _trace_length(t, k, gamma)) <= L:
-                found[e[4]].append(ell)
+            if t <= bound:
+                found[e[4]].append(t)
                 nxt.append(e)
             elif fell:
                 nxt.append(e)
@@ -561,52 +587,107 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
 
 
 def _family_lengths(point, word: _Word, L: float):
-    """The triple-orbit engine: (lengths <= L of gamma = word.rep over the
-    classes g of PSL(2,Z), as l_gamma(g.X), and the work counters
-    {families, evaluations, steps, k}).
+    """The triple-orbit engine: (the traces |tr gamma| <= T =
+    _trace_bound(L, k) of gamma = word.rep over the classes g of PSL(2,Z),
+    at g.X, as ints scaled by the point's 2^k, and the work counters
+    {families, evaluations, steps, k, cut}).
 
     A class is a slope s (its image of a, up to sign) and a twist index n.
-    The Farey walk gives each s with l_s <= L its marking triple
-    (tr s, tr s', tr(s + s')), and T, t move it along its family.
-    l_gamma is convex in n (Fenchel-Nielsen twist), so a family is a
-    downhill walk and two outward ones, or one node when T fixes gamma;
-    _twist_walk walks all families in lockstep.  T fixes gamma exactly
-    when Sym is infinite (word.sym == 0): if T fixes the class, the loop
-    of _symmetry through T at it is parabolic, so the closure passes 6;
-    if Sym is infinite, _symmetry picks a representative that T fixes.
+    The Farey walk gives each s its marking triple (tr s, tr s', tr(s + s')),
+    and T, t move it along its family.  l_gamma is convex in n
+    (Fenchel-Nielsen twist), so a family is a downhill walk and two outward
+    ones, or one node when T fixes gamma; _twist_walk walks all families in
+    lockstep.  T fixes gamma exactly when Sym is infinite (word.sym == 0):
+    if T fixes the class, the loop of _symmetry through T at it is
+    parabolic, so the closure passes 6; if Sym is infinite, _symmetry picks
+    a representative that T fixes.
 
-    Slopes beyond L are not walked, which is safe only at the image of
-    gamma that crosses a least (_symmetry): at (3.2, 3.5, 4.1) and L = 9,
-    aabbabb (orbit of aabAb) has curves of length <= 9 in the families of
-    slopes of length 10.02, 11.07 and 12.29, while those with l_s in (8, 9]
-    are empty.  A non-empty family with l_s > L - _TOP_BAND raises
-    ArithmeticError as a guard.  kappa is checked at both ends of every
-    non-empty family, where the recursion has rounded most.
+    Only the slopes whose family can hold a curve of length <= L are
+    walked: those with cut * tr s <= T + T 2^-20 + 1 (_farey_walk), where
+    cut = word.cut, the c of the lemma below, or 1, the slopes with
+    l_s <= L, for a word without one.
+
+    Lemma.  At a torus point K = -2 - kappa >= 0.  Write the normal form of
+    rho = word.rep (fricke._normal_poly) as a polynomial in x, y, z and K,
+    and suppose all its coefficients have one sign.  Then at every node
+    (x, y, z) of every twist family, |tr rho| >= c x, where c sums |coef| w
+    over the monomials x^a y^b z^c that hold no K: w = 2^(a+b+c-1) if
+    a >= 1, w = 2^(b+c-2) if a = 0 and b, c >= 1, w = 0 otherwise
+    (_slope_cut).
+    Proof.  x, y and z are traces of simple curves at the positive reduced
+    point, so each is > 2.  xyz = x^2 + y^2 + z^2 + K >= x^2 + 2yz, so
+    yz >= x^2 / (x - 2) > x.  So a monomial with a >= 1 is
+    >= 2^(a-1) 2^b 2^c x, and y^b z^c with b, c >= 1 is
+    yz y^(b-1) z^(c-1) >= 2^(b+c-2) x; no normal-form monomial is
+    divisible by xyz, so no other bound is lost.  The monomials that hold
+    K are >= 0, and as the coefficients share a sign, |tr rho| sums the
+    terms' absolute values, so it is >= c x.  QED.  Hence a family of a
+    slope with c tr s > 2 cosh(L/2) holds no curve of length <= L.  aabAb
+    = yz + (3 + K) x gives c = 4: l_s <= L - 4 ln 2 as l_s grows, the
+    least l_rho - l_a that ROADMAP direction 8 measured over the
+    representatives of <= 8 letters, so the cut is sharp.  The lemma is
+    about the representative: at (3.2, 3.5, 4.1) and L = 9, aabbabb (orbit
+    of aabAb) has curves of length <= 9 in the families of slopes of
+    length 10.02, 11.07 and 12.29.
+
+    Floats.  At a float X the walk's ints round the exact values at its
+    point, and its count, |tr| <= T, rests on their lying close to them
+    (the digit rule of _family_bits; the drift check below guards it).
+    The cut needs them within a relative 2^-22, and takes the coefficients
+    > 0 (else it negates the form):
+    - The plan reads kappa0, the point's own, and K0 = -2 - kappa0 can lie
+      below 0 by rounding, where a monomial that holds K can be < 0.  Group
+      the monomials by their x, y, z part.  If each group that holds K also
+      holds the K-free monomial, of |coef| >= 1, and s = word.kcoef sums
+      the |coef| that go with K, then for |K0| <= 1 each group is
+      >= (1 - s |K0|) times its K-free term, so |tr rho| >=
+      (1 - s |K0|) c x.  The cut stands down to K0 = -2^-22 / s and falls
+      back to 1 below it, or below 0 for a word with a group of K-monomials
+      alone (kcoef None).  yz > x needs only the node's own K > -2x.
+    - Let tr and x be exact and tr~, x~ the walk's.  A slope left out has
+      c x~ > T + T 2^-20 + 1, so tr~ >= (1 - 2^-22) tr >=
+      (1 - 2^-22)^2 c x >= (1 - 2^-22)^3 c x~ > T, as
+      (1 - 2^-22)^3 (1 + 2^-20) > 1: the walk would count no node of its
+      family.
+    At an integral X (k = 0) all of it is exact and K0 >= 0.
+
+    A non-empty family of a slope with l_s > L - _TOP_BAND raises
+    ArithmeticError, a guard for the words without a certificate: with
+    c >= 2 every walked slope has l_s <= 2 ln(tr s) < L - 2 ln 2 + 2 e^-L
+    + 2^-19, below the band wherever a non-simple curve fits (|tr| >= 3,
+    Yamada).  kappa is checked at both ends of every non-empty family,
+    where the recursion has rounded most.
 
     Nodes are ints scaled by the point's 2^k (_point): k = 0 for an
     integral X, else _family_bits.  kappa0 is the point's own.
     """
     node, _, k = point
-    marks = _farey_walk(point, L)
     kappa0 = _kappa_fixed(node, k)
-    drift = max(1 << k, abs(kappa0))  # 10^7 times the allowed drift
+    K0 = -(2 << k) - kappa0
+    cut = word.cut or 1
+    if K0 < 0 and (word.kcoef is None or word.kcoef * -K0 << 22 > 1 << k):
+        cut = 1
+    marks = _farey_walk(point, L, cut)
     found, outer, work = _twist_walk(marks, word.rep, L, k, kappa0,
                                      word.sym == 0)
+    top = _trace_bound(max(L - _TOP_BAND, 0.0), k)
+    ends = []
     for (_, mark), got, nodes in zip(marks, found, outer):
-        if not got:
-            continue
-        ls = length_trace(mark[0] / (1 << k))
-        if ls > L - _TOP_BAND:
-            raise ArithmeticError(
-                "the twist family of a slope of length %.6g > L - %g is "
-                "non-empty: slopes beyond L may carry curves of length <= L"
-                % (ls, _TOP_BAND))
-        # the two outermost nodes, where the recursion has rounded most
-        for t in nodes:
-            if abs(_kappa_fixed(t, k) - kappa0) * 10 ** 7 > drift:
-                raise ArithmeticError("kappa drifted along the orbit")
-    return ([v for got in found for v in got],
-            {"families": len(marks), **work, "k": k})
+        if got:
+            if mark[0] > top:
+                raise ArithmeticError(
+                    "the twist family of a slope of length %.6g > L - %g is "
+                    "non-empty: slopes beyond L may carry curves of length "
+                    "<= L" % (length_trace(mark[0] / (1 << k)), _TOP_BAND))
+            ends += nodes
+    # kappa at the two outermost nodes of each non-empty family, in one list
+    # pass (_kappa_fixed written out)
+    base, drift = kappa0 + (2 << k), max(1 << k, abs(kappa0))
+    if ends and max([abs((x * x + y * y + z * z - (x * y >> k) * z >> k)
+                         - base) for x, y, z in ends]) * 10 ** 7 > drift:
+        raise ArithmeticError("kappa drifted along the orbit")
+    return ([t for got in found for t in got],
+            {"families": len(marks), **work, "k": k, "cut": cut})
 
 
 def _rep_fixed(t, k: int) -> dict:
@@ -733,7 +814,10 @@ def count_orbit_word(X, gamma: str, L: float, prune_c: float = 3.0,
     Simple gamma routes through the slope count (the orbit of a simple
     curve is all simple curves).  Any other gamma is counted at its orbit
     representative by the triple-orbit engine: the classes g of PSL(2,Z)
-    with l_gamma(g.X) <= L, one per slope when Sym(gamma) is infinite.  -I
+    with l_gamma(g.X) <= L, one per slope when Sym(gamma) is infinite,
+    over the slopes whose family can hold one (_family_lengths: metadata
+    cut is the c of its lemma at the point, 1 when every slope with
+    l_s <= L is walked).  -I
     fixes every triple but maps gamma to another curve of the same length
     unless iota = 1, so A1 = iota * #classes / |Sym(gamma)| (ArithmeticError
     unless Sym divides the count) and A3 = sym * A1 (A1 if Sym is
@@ -789,10 +873,13 @@ def _countable(gamma: str, L: float) -> _Word:
 def _family_count(word: _Word, point, L: float, grid):
     """count_orbit_word's count, which an MC sample shares: (for each g of
     grid, iota * the classes of length <= g at the point, built at
-    _family_bits(word.rep, L), over |Sym| (1 if infinite); the work)."""
-    lengths, work = _family_lengths(point, word, L)
-    arr = np.sort(np.array(lengths))
-    return [_per_curve(int(np.searchsorted(arr, g, side="right")),
+    _family_bits(word.rep, L), over |Sym| (1 if infinite); the work).  A
+    class counts at g when its |trace| is <= _trace_bound(g, k); the
+    traces are ints wider than 64 bits, so they are sorted as a list."""
+    traces, work = _family_lengths(point, word, L)
+    traces.sort()
+    k = point[2]
+    return [_per_curve(bisect_right(traces, _trace_bound(g, k)),
                        word.sym or 1, word.iota) for g in grid], work
 
 

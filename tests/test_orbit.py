@@ -2,12 +2,14 @@
 
 import collections
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -559,10 +561,10 @@ class TestShortWords:
 
     def test_representative(self):
         # the image crossing a least; for infinite Sym one fixed by T
-        assert ob._word("aabbabb")[3:] == ("aaBAB", 1)
-        assert ob._word("aabbAB")[3:] == ("aabbAB", 2)
+        assert ob._word("aabbabb")[3:5] == ("aaBAB", 1)
+        assert ob._word("aabbAB")[3:5] == ("aabbAB", 2)
         for w, iota in (("abaB", 1), ("aabAB", 2)):
-            assert ob._word(w)[3:] == (w, iota)
+            assert ob._word(w)[3:5] == (w, iota)
             tw = reduce_word(w.translate(ob._AUTOS["T"]))
             assert canonical_cyclic(tw) == w
 
@@ -670,8 +672,9 @@ def mc_triple(seed, i, l1=0.0):
 def walk_family(node, gamma, L, k, kappa, twist_fixed):
     """The oracle of the lockstep twist walk: one family walked on its own,
     downhill from n = 0 to the minimum of the convex l_gamma, then outward
-    on both sides until l_gamma > L (n = 0 alone when T fixes gamma);
-    returns (lengths <= L, {n: node(n)} for every node evaluated).  Each
+    on both sides until l_gamma > L, that is |tr| > _trace_bound(L, k)
+    (n = 0 alone when T fixes gamma); returns (the traces |tr| of the
+    nodes with l_gamma <= L, {n: node(n)} for every node evaluated).  Each
     node's trace comes from the scalar _plan_eval_bounded, its bound
     unused, apart from the walk's list passes, by the walk's own
     normal-form plan at the point's kappa: at a symmetric point two nodes
@@ -687,9 +690,9 @@ def walk_family(node, gamma, L, k, kappa, twist_fixed):
                                             (0, 0, 0, 0), k)[0])
         return trs[n]
 
+    bound = ob._trace_bound(L, k)
     if twist_fixed:
-        ell = _trace_length(tr(0), k, gamma)
-        return [ell] if ell <= L else [], nodes
+        return [tr(0)] if tr(0) <= bound else [], nodes
     m = 0
     for step in (1, -1):  # downhill to the right, else to the left
         while tr(m + step) < tr(m):
@@ -698,8 +701,8 @@ def walk_family(node, gamma, L, k, kappa, twist_fixed):
             break
     found = []
     for n, step in ((m, 1), (m - 1, -1)):
-        while (ell := _trace_length(tr(n), k, gamma)) <= L:
-            found.append(ell)
+        while tr(n) <= bound:
+            found.append(tr(n))
             n += step
     return found, nodes
 
@@ -816,9 +819,9 @@ class TestTwistFamilies:
             want = collections.Counter()
             widest = 0
             for (_, mark), got, ends in zip(marks, found, outer):
-                lengths, nodes = walk_family(twist_node(mark, k), gamma, L,
-                                             k, kappa, twist_fixed)
-                assert sorted(got) == sorted(lengths), (gamma, L, mark)
+                traces, nodes = walk_family(twist_node(mark, k), gamma, L,
+                                            k, kappa, twist_fixed)
+                assert sorted(got) == sorted(traces), (gamma, L, mark)
                 assert ends == (nodes[min(nodes)], nodes[max(nodes)])
                 want.update(nodes.values())
                 widest = max(widest, max(nodes) - 1, -min(nodes))
@@ -829,20 +832,22 @@ class TestTwistFamilies:
     @pytest.mark.parametrize("k", [0, 299])
     @pytest.mark.parametrize("L", [7.0, 9.0, 12.0, 16.0, 30.0])
     def test_trace_cut_decides_as_the_length(self, k, L):
-        # the walk's decision, t <= cut and then the length, at the trace
-        # bound and one unit inside and outside each edge of the relative
-        # 2^-20 band around it and of the cut
+        # the walk decides l <= L as t <= T = _trace_bound(L, k) and takes
+        # no length: at T and one unit inside and outside each edge of the
+        # relative 2^-20 band around it, whose top T + T 2^-20 + 1 is the
+        # slope cut's (_farey_walk), it decides as the length does, but
+        # within 2^-40 of T above it at k = 299, where the float length
+        # rounds to L
         n, d = (2.0 * math.cosh(L / 2.0)).as_integer_ratio()
         bound = (n << k) // d
-        cut = ob._trace_cut(L, k)
+        assert ob._trace_bound(L, k) == bound
         band = bound >> 20
         traces = [bound + j for j in range(-3, 4)]
-        for edge in (bound - band, bound + band, cut):
+        for edge in (bound - band, bound + band, bound + band + 1):
             traces += [edge - 1, edge, edge + 1]
-        assert min(traces) <= cut < max(traces)
         for t in traces:
-            within = _trace_length(t, k, "aabAb") <= L
-            assert (t <= cut and within) == within, t - bound
+            if (t <= bound) != (_trace_length(t, k, "aabAb") <= L):
+                assert k and 0 < t - bound <= bound >> 40, t - bound
 
     def test_top_band_family_raises(self, monkeypatch):
         # a non-empty family of a slope with l_s > L - band fails the count
@@ -851,12 +856,164 @@ class TestTwistFamilies:
             ob.count_orbit_word(GENERIC, "aabAb", 9.0)
 
     def test_work_counters(self):
-        rep = ob.count_orbit_word(GENERIC, "aabAb", 9.0)
+        # one family per slope with c tr s <= T_L: aabAb's cut c = 4, so
+        # fewer than count_simple; no slope lies in the 2^-20 slack
+        L = 9.0
+        rep = ob.count_orbit_word(GENERIC, "aabAb", L)
         meta = rep.metadata
-        assert meta["families"] == ob.count_simple(GENERIC, 9.0)
+        k = meta["k"]
+        bound = ob._trace_bound(L, k)
+        marks = ob._farey_walk(ob._point(GENERIC, k), L)
+        assert meta["cut"] == 4
+        assert meta["families"] == sum(4 * m[0] <= bound for _, m in marks)
+        assert meta["families"] == sum(
+            4 * m[0] <= bound + (bound >> 20) + 1 for _, m in marks)
+        assert meta["families"] < len(marks) == ob.count_simple(GENERIC, L)
         assert rep.orbit_nodes == meta["evaluations"] >= 3 * meta["families"]
-        assert meta["k"] == ob._bits(60 + int(0.25 * 5 * 1.5 * 9.0))
-        assert ob.count_orbit_word(MODULAR, "aabAb", 9.0).metadata["k"] == 0
+        assert k == ob._bits(60 + int(0.25 * 5 * 1.5 * L))
+        assert ob.count_orbit_word(MODULAR, "aabAb", L).metadata["k"] == 0
+
+
+# tools/same_results.py's bases: integral ones, where the walk is exact at
+# k = 0, and float ones
+_SAME_RESULTS = importlib.util.spec_from_file_location(
+    "same_results", Path(__file__).resolve().parents[1] / "tools"
+    / "same_results.py")
+same_results = importlib.util.module_from_spec(_SAME_RESULTS)
+_SAME_RESULTS.loader.exec_module(same_results)
+# the thin chart points of WALK_POINTS and of the chart's thin row
+# (ell = 1e-3), and two MC draws at boundary length l1 = 4
+CUT_POINTS = list(same_results.BASES) + WALK_POINTS[-2:] + [
+    chart_triple(1e-3, 0.7), mc_triple(0, 0, 4.0), mc_triple(0, 1, 4.0)]
+
+
+def uncut(gamma, word=ob._word):
+    """gamma's record with no slope cut: every slope with l_s <= L."""
+    return word(gamma)._replace(cut=None, kcoef=None)
+
+
+class TestSlopeCut:
+    def test_pinned_cuts(self):
+        # aabAb = yz + (3 + K) x, abaB = x^2 + 2 + K, aabAB = -(3 + K) x;
+        # aabbAB = z - (4 + K) xy has coefficients of both signs
+        assert [ob._word(w)[5:] for w in ("aabAb", "abaB", "aabAB",
+                                          "aabbAB")] == \
+            [(4, 1), (2, 1), (3, 1), (None, None)]
+        # 41 of the 246 non-simple representatives of <= 8 letters; six
+        # more have coefficients of one sign but c = 0, and aabaaB's
+        # K x^2 has no K-free partner
+        reps = {ob._word(w).rep for w in classes(8) if not ob._word(w).power}
+        assert len(reps) == 246
+        cuts = {r: ob._word(r)[5:] for r in reps if ob._word(r).cut}
+        assert len(cuts) == 41
+        assert [r for r, (_, s) in cuts.items() if s is None] == ["aabaaB"]
+        assert ob._word("aab").cut is None  # a simple word walks no family
+
+    @pytest.mark.parametrize("X", CUT_POINTS)
+    def test_no_node_below_the_bound(self, X, monkeypatch):
+        # a hunt for counterexamples of the lemma of _family_lengths: every
+        # node that the uncut walk evaluates, for every certified
+        # representative of <= 8 letters, has |tr| >= c x, exactly at k = 0
+        # and within the relative 2^-22 of the proof at a float point, where
+        # the point's K0 can lie below 0 (aabAB's (3 + K0) x)
+        seen = []
+
+        def spy(plan, xs, ys, zs, kappa, k):
+            trs = _plan_eval_fixed(plan, xs, ys, zs, kappa, k)
+            seen.extend(zip(xs, trs))
+            return trs
+        monkeypatch.setattr(ob, "_plan_eval_fixed", spy)
+        L = 12.0
+        reps = sorted({ob._word(w).rep for w in classes(8)
+                       if not ob._word(w).power and ob._word(w).cut})
+        for rep in reps:
+            word = ob._word(rep)
+            point = ob._point(X, ob._family_bits(rep, L))
+            k = point[2]
+            seen.clear()
+            ob._twist_walk(ob._farey_walk(point, L), rep, L, k,
+                           ob._kappa_fixed(point[0], k), word.sym == 0)
+            assert seen
+            for x, t in seen:
+                cx = word.cut * x
+                assert abs(t) >= cx - (cx >> 22 if k else 0), (rep, x, t)
+
+    def test_one_more_changes_mc_counts(self, monkeypatch):
+        # the cut is sharp: aabAb's c + 1 = 5 drops curves of length <= L
+        # from criterion 11's first seed-0 samples
+        args = [(i, 0, "aabAb", 30.0, 0.0) for i in range(5)]
+        want = [ob._mc_sample_value(a) for a in args]
+        word = ob._word("aabAb")
+        monkeypatch.setattr(ob, "_word",
+                            lambda g: word._replace(cut=word.cut + 1))
+        got = [ob._mc_sample_value(a) for a in args]
+        assert any(a > 0 for a in want)
+        assert all(g <= w for g, w in zip(got, want))
+        assert got != want
+
+    @pytest.mark.parametrize("X", same_results.BASES)
+    def test_counts_as_uncut(self, X, monkeypatch):
+        # the ORB1 report of each word of the table with the cut forced off
+        # differs only in its work: fewer families, evaluations and nodes
+        reports = {}
+        for cut in (True, False):
+            if not cut:
+                monkeypatch.setattr(ob, "_word", uncut)
+            for gamma, L in same_results.ORB_WORDS:
+                rep = json.loads(ob.count_orbit_word(X, gamma, L).to_json())
+                meta = rep["metadata"]
+                reports[cut, gamma] = rep, [meta.pop(key) for key in (
+                    "cut", "families", "evaluations")] + \
+                    [rep.pop("orbit_nodes")]
+        for gamma, _ in same_results.ORB_WORDS:
+            (got, work), (want, uncut_work) = (reports[True, gamma],
+                                               reports[False, gamma])
+            assert got == want, gamma
+            assert uncut_work[0] == 1
+            assert [a <= b for a, b in zip(work[1:], uncut_work[1:])] == \
+                [True] * 3, gamma
+
+    @pytest.mark.parametrize("L, l1", [(16.0, 0.0), (30.0, 0.0),
+                                       (16.0, 4.0), (30.0, 4.0)])
+    def test_mc_samples_as_uncut(self, L, l1, monkeypatch):
+        # seeds 0 and 1, the first 20 samples each
+        args = [(i, seed, "aabAb", L, l1) for seed in (0, 1)
+                for i in range(20)]
+        want = [ob._mc_sample_value(a) for a in args]
+        monkeypatch.setattr(ob, "_word", uncut)
+        assert [ob._mc_sample_value(a) for a in args] == want
+        assert sum(v > 0 for v in want) >= 10
+
+    def test_empty_walk_below_two(self):
+        # 2 cosh(L/2) / c < 2: no slope is walked, and no error (a length
+        # cut, 2 acosh(cosh(L/2) / c), would raise there)
+        for X in (MODULAR, GENERIC):
+            rep = ob.count_orbit_word(X, "aabAb", 0.5)
+            assert rep.counts == [0, 0, 0]
+            assert rep.metadata["families"] == 0
+            assert rep.metadata["cut"] == 4
+
+    def test_negative_K0_falls_back(self, monkeypatch):
+        # below K0 = -2^-22 / s, or below 0 for a word whose K-monomial has
+        # no K-free partner, the walk takes every slope with l_s <= L
+        L, k = 9.0, 64
+        node, basis, _ = ob._point(GENERIC, k)
+        kappa0 = ob._kappa_fixed(node, k)
+        got = {}
+        monkeypatch.setattr(ob, "_twist_walk",
+                            lambda marks, *args: ([[]] * len(marks),
+                                                  [()] * len(marks), {}))
+        for dk in (0, 1 << k - 22, (1 << k - 22) + 1):
+            monkeypatch.setattr(ob, "_kappa_fixed",
+                                lambda t, k, v=-(2 << k) + dk: v)
+            for gamma in ("aabAb", "aabaaB"):
+                got[dk, gamma] = ob._family_lengths(
+                    (node, basis, k), ob._word(gamma), L)[1]["cut"]
+        assert kappa0 < -(2 << k)
+        assert got == {(0, "aabAb"): 4, (0, "aabaaB"): 8,
+                       (1 << k - 22, "aabAb"): 4, (1 << k - 22, "aabaaB"): 1,
+                       ((1 << k - 22) + 1, "aabAb"): 1,
+                       ((1 << k - 22) + 1, "aabaaB"): 1}
 
 
 class TestNodeLength:
@@ -1432,26 +1589,40 @@ class TestPrecision:
 
     def test_kappa_checked_at_both_family_ends(self, monkeypatch,
                                                twist_node):
-        # once at the root, then at the outermost node on each side of
-        # every family with a length <= L
+        # the drift check reads the outermost node on each side of every
+        # family with a length <= L and no other node: one such node moved
+        # off kappa's level set fails the count, and the count is unchanged
+        # when the node is that of an empty family.  The families that
+        # raise are the non-empty ones of the uncut walk
         L = 9.0
         k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
         point = ob._point(GENERIC, k)
-        marks = ob._farey_walk(point, L)
+        word = ob._word("aabAb")
         nonempty = sum(
             any(node_length(twist_node(mark, k)(n), "aabAb", k) <= L
                 for n in range(-30, 31))
-            for _, mark in marks)
-        assert 0 < nonempty < len(marks)
-        calls = []
-        kappa = ob._kappa_fixed
-
-        def counted(*args):
-            calls.append(1)
-            return kappa(*args)
-        monkeypatch.setattr(ob, "_kappa_fixed", counted)
-        ob._family_lengths(point, ob._word("aabAb"), L)
-        assert len(calls) == 1 + 2 * nonempty
+            for _, mark in ob._farey_walk(point, L))
+        want = ob._family_lengths(point, word, L)
+        walk = ob._twist_walk
+        found, outer, _ = walk(ob._farey_walk(point, L, 4), "aabAb", L, k,
+                               ob._kappa_fixed(point[0], k), False)
+        assert 0 < nonempty < len(found)
+        raised = 0
+        for f, side in itertools.product(range(len(found)), (0, 1)):
+            def moved(*args, f=f, side=side):
+                got, ends, work = walk(*args)
+                x, y, z = ends[f][side]
+                pair = list(ends[f])
+                pair[side] = (x, y + (y >> 10), z)
+                return got, ends[:f] + [tuple(pair)] + ends[f + 1:], work
+            monkeypatch.setattr(ob, "_twist_walk", moved)
+            if found[f]:
+                with pytest.raises(ArithmeticError, match="kappa drifted"):
+                    ob._family_lengths(point, word, L)
+                raised += 1
+            else:
+                assert ob._family_lengths(point, word, L) == want
+        assert raised == 2 * nonempty
 
     def test_triple_orbit_abort_keeps_dps(self, monkeypatch):
         monkeypatch.setattr(ob, "_FAMILY_STEPS", 2)

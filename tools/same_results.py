@@ -94,7 +94,7 @@ MOVES = {"T": lambda x, y, z: (x, z, x * z - y),
          "U": lambda x, y, z: (z, y, y * z - x),
          "u": lambda x, y, z: (x * y - z, y, x)}
 INVERSE = {"T": "t", "t": "T", "U": "u", "u": "U"}
-COUNTERS = ("evaluations", "families", "steps", "k")
+COUNTERS = ("evaluations", "families", "steps", "k", "cut")
 
 
 def move_words(n: int) -> list[str]:
