@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import markoff, hyptrig, fn_surface, orbit, apl
 from ._util import atomic_write_text, parallel_map
@@ -83,9 +84,11 @@ def _as_length(cfg, key, zero_ok):
 
 
 def _as_int(cfg, key, lo=None, hi=None):
-    """cfg[key] as an integer, at least lo and at most hi when given."""
-    v = _as_float(cfg, key)
-    if v != int(v) or (lo is not None and v < lo):
+    """cfg[key] as an integer, at least lo and at most hi when given, read
+    exactly (Fraction) once _as_float has checked it, so no digit is lost."""
+    _as_float(cfg, key)
+    v = Fraction(cfg[key])
+    if v.denominator != 1 or (lo is not None and v < lo):
         raise ConfigError("%s must be an integer%s"
                           % (key, "" if lo is None else " >= %d" % lo))
     if hi is not None and v > hi:

@@ -39,14 +39,15 @@ import math
 from dataclasses import dataclass, replace
 
 from . import farey
-from .fricke import (FrickeTriple, _normal_plan, _plan_eval_bounded,
-                     _trace_length, cyclic_reduce, is_peripheral_word)
+from .fricke import (FrickeTriple, _kappa_slack, _normal_plan,
+                     _plan_eval_bounded, _trace_length, cyclic_reduce,
+                     is_peripheral_word)
 from .hyptrig import (HexDomainError, arc_over_geodesic,
                       arc_over_geodesic_inverse, hexagon_side, seam_F1)
 
 S11 = "S11"
 S04 = "S04"
-# relative tolerance of surface_from_triple's kappa and transversal checks
+# relative tolerance of surface_from_triple's transversal check
 CHART_TOL = 1e-8
 
 
@@ -431,15 +432,18 @@ def surface_from_triple(t: FrickeTriple, l1: float) -> SurfacePoint:
     """Invert the torus chart: recover (l, tau) from trace coordinates.
 
     l1 must match the boundary invariant kappa = -2 cosh(l1/2) of the
-    triple (checked).  The twist sign is fixed by the third trace.
+    triple up to its rounding (_kappa_slack; checked, as is the float
+    range).  The twist sign is fixed by the third trace.
     """
     x, y, z = abs(t.x), abs(t.y), abs(t.z)
     if x <= 2.0:
         raise ValueError("coordinate-curve trace must exceed 2")
     want = -2.0 * math.cosh(l1 / 2.0)
-    if abs(t.kappa - want) > CHART_TOL * max(1.0, abs(want)):
+    # in floats, as want is: an int kappa would get no slack for its rounding
+    kappa, slack = _kappa_slack([float(v) for v in t.astuple()])
+    if not abs(kappa - want) <= slack < math.inf:
         raise ValueError("triple has kappa=%g, boundary l1=%g needs %g"
-                         % (t.kappa, l1, want))
+                         % (kappa, l1, want))
     ell = 2.0 * math.acosh(x / 2.0)
     m = math.sqrt(2.0 * math.cosh(l1 / 2.0) + 2.0 * math.cosh(ell)) \
         / (2.0 * math.sinh(ell / 2.0))
@@ -449,7 +453,7 @@ def surface_from_triple(t: FrickeTriple, l1: float) -> SurfacePoint:
     s = (z - y * math.cosh(ell / 2.0)) / (2.0 * m * math.sinh(ell / 2.0))
     tau = 2.0 * math.asinh(s)
     yp = 2.0 * m * math.cosh(tau / 2.0)
-    if abs(yp - y) > CHART_TOL * max(1.0, y):
+    if not abs(yp - y) <= CHART_TOL * max(1.0, y):
         raise ValueError("transversal trace inconsistent with chart (off by %g)"
                          % abs(yp - y))
     return SurfacePoint(S11, (l1,), ell, tau)

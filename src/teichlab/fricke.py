@@ -6,10 +6,10 @@ explicit matrices, and symbolically from the trace coordinates
 (x, y, z) = (Tr A, Tr B, Tr AB) by one walk along the word in the group
 algebra, where Cayley-Hamilton keeps every product in the span of
 I, A, B, AB.  The walk is compiled once per word into a straight-line plan
-that is evaluated in int, float or mpmath arithmetic, or on lists of ints
-scaled by 2^k (fixed point), many triples in one pass.  The symbolic route
-keeps integer inputs exact (all operations are ring operations), which the
-Markoff bridge relies on.
+(_compile) that is evaluated in int, float or mpmath arithmetic, or on
+lists of ints scaled by 2^k (fixed point), many triples in one pass.  The
+symbolic route keeps integer inputs exact (all operations are ring
+operations), which the Markoff bridge relies on.
 
 The fixed-point paths, the chart's certified lengths and the twist walk,
 evaluate a second plan of the same trace: the walk's polynomial put in
@@ -18,7 +18,7 @@ xyz = x^2 + y^2 + z^2 - 2 - kappa until no monomial holds all of x, y and
 z, with kappa = Tr[A, B] as a fourth input.  It is the trace on the level
 surface of that kappa, and it drops the large monomials that cancel there,
 so it needs fewer bits for the same error.  Words past NORMAL_MAX_LEN
-letters keep the walk's plan.
+letters keep the walk's plan.  One builder (_builder) builds both plans.
 
 Geodesic lengths use the normalization 2 cosh(l/2) = |Tr|.
 """
@@ -138,33 +138,39 @@ class FrickeTriple:
     @property
     def kappa(self):
         """Commutator trace x^2 + y^2 + z^2 - xyz - 2 (boundary invariant)."""
-        x, y, z = self.x, self.y, self.z
-        return x * x + y * y + z * z - x * y * z - 2
+        return _kappa_slack(self.astuple())[0]
 
     def astuple(self):
         return (self.x, self.y, self.z)
+
+
+def _kappa_slack(t):
+    """(kappa, slack): kappa of the triple t and how far rounding may move
+    it, 0 at ints and 1e-9 max(1, s) at floats, where the cubic is rounded
+    to a few units in the last place of s = x^2 + y^2 + z^2.  Past the
+    float range kappa is nan or infinite and the slack infinite."""
+    x, y, z = t
+    s = x * x + y * y + z * z
+    kappa = s - x * y * z - 2
+    return kappa, 0 if isinstance(kappa, int) else 1e-9 * max(1.0, s)
 
 
 # longest cyclically reduced word a plan is compiled for
 MAX_WORD_LEN = 10_000
 
 _SWAP = str.maketrans("abAB", "baBA")  # a <-> b: x and y exchange
-# a value of the walk is an int v: the constant v when |v| < _REG, else
-# register |v| - _REG with the sign of v.  The constants stay 0 and +-1
-# (each is a signed copy of one before it), and 2c0 in the trace.
 _REG = 1 << 40
 
 
-def _walk(w: str, x: int, y: int):
-    """The plan (instrs, out) of the trace of the cyclically reduced word w,
-    with x and y the registers of Tr a and Tr b.
+def _builder():
+    """(add, mul, out) of one plan (_compile): add(u, v) and mul(u, v) are
+    the values of u + v and u v, out(v) the plan whose output is v.
 
-    The walk holds the product of the letters read so far as
-    c0 I + c1 A + c2 B + c3 AB and right-multiplies it by each letter, by
-    A^2 = xA - I, B^2 = yB - I, BA = yA + xB + (z - xy)I - AB and
-    A^-1 = xI - A, B^-1 = yI - B; the trace is 2c0 + x c1 + y c2 + z c3.
-    Constants fold, negation is a sign, repeated instructions are shared.
-    """
+    A value is an int v: the constant v when |v| < _REG, else register
+    |v| - _REG with the sign of v, so -v negates it.  Constants fold, zeros
+    drop, a factor +-1 is a sign and v - v is 0.  A constant that meets a
+    register is set once, as |v|, its sign in the instruction; a negative
+    output becomes 0 - v.  Repeated instructions are shared."""
     regs = {}  # instruction -> its register + _REG, in the order emitted
 
     def emit(op, i, j):
@@ -173,22 +179,51 @@ def _walk(w: str, x: int, y: int):
         return regs.setdefault((op, i - _REG, j - _REG), len(regs) + 4 + _REG)
 
     def reg(v):  # v as a signed register
-        return v if abs(v) >= _REG else emit("k", v + _REG, _REG)
+        if abs(v) >= _REG:
+            return v
+        r = emit("k", abs(v) + _REG, _REG)
+        return r if v >= 0 else -r
 
-    def fma(u, g, v):
-        """u + g v for a register g, or u + v for g = 1."""
-        if g != 1:  # v is a register, or one of the constants 0, +-1
-            v = (g * v if -2 < v < 2
-                 else emit("*", g, abs(v)) * (1 if v > 0 else -1))
+    def mul(u, v):
+        if abs(u) < _REG:
+            u, v = v, u
+        if abs(v) < _REG and (abs(u) < _REG or -2 < v < 2):
+            return u * v
+        r = emit("*", abs(u), abs(reg(v)))  # u is a register here
+        return r if (u > 0) == (v > 0) else -r
+
+    def add(u, v):
         if not (u and v) or abs(u) < _REG > abs(v):
             return u + v
         u, v = reg(u), reg(v)
         if u == -v:
             return 0
-        s = 1 if u > 0 else -1
-        if (v > 0) == (u > 0):
-            return s * emit("+", s * u, s * v)
-        return emit("-", u, -v) if u > 0 else emit("-", v, -u)
+        if (u > 0) == (v > 0):
+            r = emit("+", abs(u), abs(v))
+            return r if u > 0 else -r
+        return emit("-", max(u, v), -min(u, v))
+
+    def out(v):
+        r = reg(v)
+        r = r if r > 0 else emit("-", reg(0), -r)
+        return tuple(regs), r - _REG
+
+    return add, mul, out
+
+
+def _walk(w: str, x: int, y: int):
+    """The plan (instrs, out) of the trace of the cyclically reduced word w,
+    built by _builder, with x and y the registers of Tr a and Tr b.
+
+    The walk holds the product of the letters read so far as
+    c0 I + c1 A + c2 B + c3 AB and right-multiplies it by each letter, by
+    A^2 = xA - I, B^2 = yB - I, BA = yA + xB + (z - xy)I - AB and
+    A^-1 = xI - A, B^-1 = yI - B; the trace is 2c0 + x c1 + y c2 + z c3.
+    """
+    add, mul, out = _builder()
+
+    def fma(u, g, v):  # u + g v
+        return add(u, mul(g, v))
 
     X, Y, Z = x + _REG, y + _REG, 2 + _REG
     D = 0  # z - xy, emitted at its first use
@@ -209,10 +244,7 @@ def _walk(w: str, x: int, y: int):
                 c0, c1, c2, c3 = (fma(fma(fma(c1, X, c0), Y, c3), D, -c2),
                                   -fma(fma(c0, Y, c2), Z, c3),
                                   -c3, fma(c2, X, c3))
-    t = reg(fma(fma(fma(fma(c0, 1, c0), X, c1), Y, c2), Z, c3))
-    if t < 0:
-        t = emit("-", reg(0), -t)
-    return tuple(regs), t - _REG
+    return out(fma(fma(fma(add(c0, c0), X, c1), Y, c2), Z, c3))
 
 
 def _compile(w: str):
@@ -221,8 +253,8 @@ def _compile(w: str):
     Registers 0, 1, 2 hold x, y, z, and register 3 kappa, which only a
     normal-form plan (_compile_normal) reads; instrs[i] sets register i + 4 to
     ("k", c, 0), the integer c, or to (op, j, k), the product ("*"),
-    difference ("-") or sum ("+") of two earlier registers.  The plan
-    depends only on the word, so it serves every triple in every
+    difference ("-") or sum ("+") of two earlier registers (_builder).  The
+    plan depends only on the word, so it serves every triple in every
     arithmetic.  Eight forms of w have its trace: w, its reverse (the
     transposes), its inverse and its reverse inverse, each also with a and
     b swapped (x and y exchanged).  Each is walked (_walk) once from its
@@ -316,49 +348,17 @@ def _normal_poly(plan):
 
 
 def _emit_poly(poly, n: int = 1):
-    """A plan (instrs, out) of T_n(t) for the polynomial t = poly
-    ({(a, b, c, d): coefficient} in x, y, z, kappa: registers 0-3), with
-    T_1(t) = t, T_0 = 2 and T_(j+1) = t T_j - T_(j-1), the trace of the
-    n-th power of a word of trace t.  t is taken by Horner's rule in x,
-    then in y, z and kappa within each coefficient.  A value is an int
-    constant or a signed register (sign, r); a gap of g powers multiplies
-    by the shared power v^g, and a coefficient +-1 costs no product."""
-    regs = {}
-
-    def emit(op, i, j):
-        if op in "*+" and i > j:
-            i, j = j, i
-        return regs.setdefault((op, i, j), len(regs) + 4)
-
-    def reg(u):  # u as a signed register
-        if isinstance(u, int):
-            return (1 if u >= 0 else -1, emit("k", abs(u), 0))
-        return u
-
-    def mul(u, v):
-        if isinstance(u, int):
-            u, v = v, u
-        if isinstance(v, int):
-            if isinstance(u, int) or v in (0, 1, -1):
-                return u * v if isinstance(u, int) else v and (v * u[0], u[1])
-            v = reg(v)
-        return (u[0] * v[0], emit("*", u[1], v[1]))
-
-    def add(u, v):
-        if isinstance(u, int) and isinstance(v, int):
-            return u + v
-        if u == 0 or v == 0:
-            return v if u == 0 else u
-        (s, i), (t, j) = reg(u), reg(v)
-        if s == t:
-            return (s, emit("+", i, j))
-        return (1, emit("-", i, j)) if s > 0 else (1, emit("-", j, i))
+    """A plan (instrs, out) of T_n(t), built by _builder, for the
+    polynomial t = poly ({(a, b, c, d): coefficient} in x, y, z, kappa:
+    registers 0-3), with T_1(t) = t, T_0 = 2 and
+    T_(j+1) = t T_j - T_(j-1), the trace of the n-th power of a word of
+    trace t.  t is taken by Horner's rule in x, then in y, z and kappa
+    within each coefficient; a gap of g powers multiplies by the shared
+    power v^g, and a coefficient +-1 costs no product."""
+    add, mul, out = _builder()
 
     def power(r, g):  # r^g, its powers shared by every gap
-        p = (1, r)
-        for _ in range(g - 1):
-            p = mul(p, (1, r))
-        return p
+        return functools.reduce(mul, [r + _REG] * g)
 
     def horner(p, var):
         if var == 4:
@@ -377,11 +377,8 @@ def _emit_poly(poly, n: int = 1):
     t = t_n = horner(poly, 0)
     t_last = 2
     for _ in range(n - 1):
-        t_n, t_last = add(mul(t, t_n), mul(-1, t_last)), t_n
-    s, r = reg(t_n)
-    if s < 0:
-        r = emit("-", emit("k", 0, 0), r)
-    return tuple(regs), r
+        t_n, t_last = add(mul(t, t_n), -t_last), t_n
+    return out(t_n)
 
 
 def _compile_normal(w: str):

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import farey
 from ._util import parallel_map
-from .fricke import (NORMAL_MAX_LEN, FrickeTriple, _normal_plan,
+from .fricke import (NORMAL_MAX_LEN, FrickeTriple, _kappa_slack, _normal_plan,
                      _normal_poly, _plan_eval_fixed, _trace_length,
                      _trace_plan, canonical_cyclic, cyclic_reduce,
                      is_peripheral_word, length_trace, word_abelianization)
@@ -897,13 +897,8 @@ def _torus_kappa(t) -> float:
     """kappa of the triple t, after checking that t is a torus point: every
     |trace| > 2 and kappa <= -2, up to the rounding of the cubic at float
     coordinates.  Raises ValueError otherwise."""
-    x, y, z = t
-    s = x * x + y * y + z * z
-    kappa = s - x * y * z - 2
-    # exact for ints; at float coordinates the cubic is rounded to a few
-    # units in the last place of s, and beyond the float range it is void
-    slack = 0 if isinstance(kappa, int) else 1e-9 * max(1.0, s)
-    if not (min(abs(x), abs(y), abs(z)) > 2 and kappa <= -2 + slack < math.inf):
+    kappa, slack = _kappa_slack(t)
+    if not (min(map(abs, t)) > 2 and kappa <= -2 + slack < math.inf):
         raise ValueError("X=%r is not a torus point (kappa=%g; a torus point "
                          "has kappa <= -2 and every |trace| > 2)" % (t, kappa))
     return float(kappa)

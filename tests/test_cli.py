@@ -222,6 +222,21 @@ class TestCommands:
         with pytest.raises(cli.ConfigError, match="at most %d" % cap):
             cli._radii_from_spec("10:1000:%d" % (cap + 1))
 
+    @pytest.mark.parametrize("text, want", [
+        ("9007199254740993", 9007199254740993), ("1e30", 10 ** 30),
+        ("1000.0", 1000)])
+    def test_int_options_keep_every_digit(self, text, want):
+        # read exactly, not through a float: 2^53 + 1 is no float, and
+        # float 1e30 is 1000000000000000019884624838656
+        assert cli._as_int({"seed": text}, "seed", 0) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("2.5", "seed must be an integer >= 0"),
+        ("inf", "seed must be finite")])
+    def test_int_options_reject(self, text, message):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli._as_int({"seed": text}, "seed", 0)
+
     @pytest.mark.parametrize("args", [
         ["wall-scan", "--grid-n", "{n}"],
         ["twist-convexity", "--grid-n", "{n}"],

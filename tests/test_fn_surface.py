@@ -34,6 +34,13 @@ class TestTorusChart:
         # the inversion solves |tau| to the chart tolerance (1e-8)
         assert Y.tau == pytest.approx(tau, rel=1e-6, abs=1e-7)
 
+    def test_int_triple_inverts(self):
+        # an int kappa is compared with the float -2 cosh(l1/2) in floats,
+        # with the slack of its rounding: kappa(3, 3, 4) = -4, l1 = 2 acosh 2
+        l1 = 2.0 * math.acosh(2.0)
+        Y = fs.surface_from_triple(fs.FrickeTriple(3, 3, 4), l1)
+        assert Y == fs.surface_from_triple(fs.FrickeTriple(3.0, 3.0, 4.0), l1)
+
     def test_cusp_relation(self):
         # cusped chart lands on kappa = -2
         t = fs.fricke_triple(torus(1.3, 0.7))
@@ -158,6 +165,28 @@ class TestElementaryMove:
         delta = fs.CurveOnSurface(fs.S04, label="delta")
         assert Y.ell == pytest.approx(fs.curve_length(X, delta), rel=1e-8)
         assert fs.curve_length(Y, delta) == pytest.approx(X.ell, rel=1e-6)
+
+    @pytest.mark.parametrize("ell, tau", [(20.0, 0.3), (50.0, 0.3),
+                                          (1.0, 40.0), (0.5, -30.0)])
+    @pytest.mark.parametrize("l1", [0.0, 0.5])
+    def test_torus_move_at_large_traces(self, ell, tau, l1):
+        # kappa = x^2 + y^2 + z^2 - xyz - 2 rounds like x^2 + y^2 + z^2, so
+        # the level-set check takes that slack (fricke._kappa_slack), not
+        # one relative to kappa
+        X = torus(ell, tau, l1)
+        Y = fs.elementary_move(X)
+        lb = fs.curve_length(X, fs.torus_curve((0, 1)))
+        assert Y.ell == pytest.approx(lb, rel=1e-12)
+        for _ in range(3):
+            Y = fs.elementary_move(Y)
+        assert (Y.ell, Y.tau) == pytest.approx((ell, tau), rel=1e-12,
+                                               abs=1e-12)
+        assert fs.wolpert_check(X) <= 1e-5
+
+    def test_torus_move_past_the_float_range(self):
+        # at ell = 800 kappa overflows to nan, which the check rejects
+        with pytest.raises(ValueError):
+            fs.elementary_move(torus(800.0, 0.3))
 
     def test_wolpert_jacobian_torus(self):
         assert fs.wolpert_check(torus(1.3, 0.4)) <= 1e-5

@@ -1,5 +1,7 @@
 """Trace engine and Farey recursion."""
 
+import functools
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +21,20 @@ words = st.text(alphabet="abAB", min_size=1, max_size=12)
 triples = st.tuples(st.floats(min_value=2.1, max_value=8.0),
                     st.floats(min_value=2.1, max_value=8.0),
                     st.floats(min_value=2.1, max_value=8.0))
+
+
+@functools.cache
+def short_words():
+    """The 693 canonical, cyclically reduced words of 1-8 letters, sorted."""
+    words = {canonical_cyclic(w) for n in range(1, 9)
+             for w in map("".join, itertools.product("abAB", repeat=n))}
+    words.discard("")
+    assert len(words) == 693
+    return sorted(words)
+
+
+def sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def stack_reduce(w):
@@ -259,12 +275,8 @@ class TestCompile:
         # normal-form plan, at kappa of the triple, is the trace exactly at
         # integral triples of four kappas (-2, 6, -77 and -94), and its
         # polynomial has no monomial divisible by xyz
-        words = {canonical_cyclic(w) for n in range(1, 9)
-                 for w in map("".join, itertools.product("abAB", repeat=n))}
-        words.discard("")
-        assert len(words) == 693
         triples = [(3, 3, 3), (3, 4, 5), (5, 5, 5), (4, 8, 4)]
-        for w in sorted(words):
+        for w in short_words():
             plan = fricke._normal_plan(w)
             for x, y, z in triples:
                 kappa = x * x + y * y + z * z - x * y * z - 2
@@ -283,6 +295,20 @@ class TestCompile:
         plan = fricke._normal_plan(w)[0]
         assert len(plan) == instrs
         assert sum(op == "*" for op, _, _ in plan) == mults
+
+    def test_plans_pinned(self):
+        # the plans of every canonical word of <= 8 letters: the
+        # normal-form plans instruction for instruction, the group-algebra
+        # plans by their instructions and products
+        ws = short_words()
+        normal = [fricke._normal_plan(w) for w in ws]
+        normal.append(fricke._normal_plan("aBaBaBaB"))
+        sizes = [(len(plan), sum(op == "*" for op, _, _ in plan))
+                 for plan, _ in map(fricke._trace_plan, ws)]
+        assert sha256(normal) == ("6c61877f71ab6620a4732d840933180c"
+                                  "d4e01fb695350b8a69fd6e81a4258d00")
+        assert sha256(sizes) == ("8540f29e411dc2d430561aaf832324b0"
+                                 "50a8f645f7100798c82e923d75ce865f")
 
     def test_long_words_keep_the_walk(self, reduced_word):
         # past NORMAL_MAX_LEN letters the plan is the group-algebra one,

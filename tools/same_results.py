@@ -39,9 +39,10 @@ The table:
 - ``criterion12``: the detail of criterion 12's line;
 - ``plan``: the exact trace at (3, 4, 5) of each word of PLAN_WORDS, with
   the ``instructions`` and ``products`` of its group-algebra trace plan
-  and, as ``normal_instructions`` and ``normal_products``, those of its
-  normal-form plan under ``counters``, so that plan size shows next to
-  the work counters;
+  and the sha256 of the plan's repr as ``plan_sha``, and as
+  ``normal_instructions``, ``normal_products`` and ``normal_plan_sha``
+  those of its normal-form plan, under ``counters``, so that plan size
+  and content show next to the work counters;
 - ``chart``: the lengths on the (ell, tau) torus chart: ``_tau_measure``
   of aabAb at each (ell, L) of TAU_POINTS, ``apl.ray_fit`` of each word of
   RAY_WORDS on the rays of RAY_SEEDS, ``apl.wall_scan`` of each word of
@@ -60,6 +61,7 @@ The table:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -191,6 +193,8 @@ def _plan(gamma, counters):
         instrs, _ = plan
         counters[prefix + "instructions"] = len(instrs)
         counters[prefix + "products"] = sum(op == "*" for op, _, _ in instrs)
+        counters[prefix + "plan_sha"] = hashlib.sha256(
+            repr(plan).encode()).hexdigest()
     return fricke.trace_word_fricke((3, 4, 5), gamma)
 
 
