@@ -130,11 +130,10 @@ def _radii_from_spec(spec: str) -> list:
     if len(parts) not in (2, 3):
         raise ConfigError("radii must be lo:hi[:n]")
     lo, hi = (_as_float({"radii": p}, "radii") for p in parts[:2])
-    n = int(parts[2]) if len(parts) == 3 else 9
-    if lo <= 0 or hi < 100.0 * lo or n < 4:
-        raise ConfigError("radii must span >= two decades with >= 4 samples")
-    if n > GRID_MAX:
-        raise ConfigError("radii must have at most %d samples" % GRID_MAX)
+    n = _as_int({"radii": parts[2]}, "radii", 4, GRID_MAX) \
+        if len(parts) == 3 else 9
+    if lo <= 0 or hi < 100.0 * lo:
+        raise ConfigError("radii must span >= two decades")
     r = math.log(hi / lo)
     return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
 

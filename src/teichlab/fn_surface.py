@@ -401,21 +401,35 @@ def _gamma_length_fn(gamma: str, l1: float):
 
 def fricke_triple(X: SurfacePoint) -> FrickeTriple:
     """(x, y, z) = (Tr a, Tr b, Tr ab) of the torus chart marking (a the
-    coordinate curve, b the transversal), the float view of _chart_fixed:
-    at a k from 64 up whose bounds are at most 2^-60 of their coordinates,
-    each rounded once (int true division rounds correctly).  A point on
-    the chart whose traces pass the float range is a ValueError too, as
-    soon as one try bounds a trace past 2^1024, or at the rounding."""
+    coordinate curve, b the transversal), the float view of _chart_fixed
+    (_float_chart)."""
     if X.kind != S11:
         raise ValueError("fricke_triple is defined for the torus chart")
+    return _float_chart(X, False)
+
+
+def _float_chart(X: SurfacePoint, moved: bool) -> FrickeTriple:
+    """The torus chart's triple at X, or when moved the triple (y, x,
+    xy - z) of the basis swap, formed from _chart_fixed's ints and bounds
+    (xy - z cancels most of xy at large coordinates, which floats would
+    lose): at a k from 64 up whose bounds are at most 2^-60 of their
+    coordinates, each rounded once (int true division rounds correctly).
+    A point on the chart whose traces pass the float range is a ValueError
+    too, as soon as one try bounds a trace past 2^1024, or at the
+    rounding."""
     l1 = X.boundaries[0]
     _chart_size(l1, X.ell, X.tau)
     k, memo = 64, {}
     while True:
         t, errs = _chart_fixed(l1, X.ell, X.tau, k, memo)
+        if moved:
+            (x, y, z), (ex, ey, ez) = t, errs
+            t = (y, x, (x * y >> k) - z)
+            errs = (ey, ex,
+                    (abs(x) * ey + abs(y) * ex + ex * ey >> k) + ez + 2)
         past = any((abs(v) - e).bit_length() > k + 1024
                    for v, e in zip(t, errs))
-        if not past and all(e << 60 <= v for v, e in zip(t, errs)):
+        if not past and all(e << 60 <= abs(v) for v, e in zip(t, errs)):
             try:
                 return FrickeTriple(*(v / (1 << k) for v in t))
             except OverflowError:
@@ -524,16 +538,15 @@ def elementary_move(X: SurfacePoint) -> SurfacePoint:
     """Re-mark X with the standard transversal as new coordinate curve.
 
     The hyperbolic structure is unchanged; only the chart changes.  Torus:
-    the trace coordinates transform by the basis swap (x,y,z)->(y,x,xy-z)
-    and the chart is inverted.  Sphere: the new interior curve is the
+    the trace coordinates transform by the basis swap (x,y,z)->(y,x,xy-z),
+    formed in the chart's fixed point (_float_chart), and the chart is
+    inverted.  Sphere: the new interior curve is the
     (1,3)-transversal, the boundary order becomes (l1,l3,l2,l4), the new
     twist is recovered from the arc construction with its sign fixed by the
     second transversal's length (which both charts can see).
     """
     if X.kind == S11:
-        t = fricke_triple(X)
-        t2 = FrickeTriple(t.y, t.x, t.x * t.y - t.z)
-        return surface_from_triple(t2, X.boundaries[0])
+        return surface_from_triple(_float_chart(X, True), X.boundaries[0])
     l1, l2, l3, l4 = X.boundaries
     new_ell = _sphere_delta_length(X, second=False)
     old_alpha = X.ell

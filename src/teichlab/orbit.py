@@ -415,7 +415,7 @@ def _kappa_fixed(t, k: int) -> int:
 
 
 def _pruned_bfs(root, key, children, lengths, L: float, prune_c: float,
-                max_nodes: int):
+                max_nodes: int, edge=None):
     """BFS from root; returns (lengths <= L, node count, pruned count).
 
     lengths(nodes) gives the lengths of a list of nodes: each BFS level,
@@ -424,6 +424,15 @@ def _pruned_bfs(root, key, children, lengths, L: float, prune_c: float,
     <= L; nodes are deduplicated on key(node).  Every pruned node is
     expanded one extra level, and a new child re-entering the counting
     range fails the search (the pruning constant is too small).
+
+    The validation pass keys each child of a pruned node before it takes
+    any length, as the main pass does: right when a key costs less than a
+    length.  When the key is the dearer part, edge(pruned) gives instead,
+    from the pruned nodes paired with their lengths, their children that
+    may lie within L, found by a length or a lower bound taken before the
+    key (a superset of those that do), and only those are keyed; each is
+    then decided as before, by lengths, so the violation count is the
+    same.
     """
     seen = {key(root)}
     frontier = [root]
@@ -432,14 +441,13 @@ def _pruned_bfs(root, key, children, lengths, L: float, prune_c: float,
     nodes = 0
     cL = prune_c * L
 
-    def fresh(parents):
+    def fresh(kids):
         out = []
-        for node in parents:
-            for child in children(node):
-                ck = key(child)
-                if ck not in seen:
-                    seen.add(ck)
-                    out.append(child)
+        for child in kids:
+            ck = key(child)
+            if ck not in seen:
+                seen.add(ck)
+                out.append(child)
         return out
     while frontier:
         if nodes > max_nodes:
@@ -452,9 +460,14 @@ def _pruned_bfs(root, key, children, lengths, L: float, prune_c: float,
         for node, lv in zip(frontier, lengths(frontier)):
             if lv <= L:
                 counted.append(lv)
-            (pruned if lv > cL else inner).append(node)
-        frontier = fresh(inner)
-    violations = sum(lv <= L for lv in lengths(fresh(pruned)))
+            if lv > cL:
+                pruned.append((node, lv))
+            else:
+                inner.append(node)
+        frontier = fresh(c for node in inner for c in children(node))
+    kids = edge(pruned) if edge else (c for node, _ in pruned
+                                      for c in children(node))
+    violations = sum(lv <= L for lv in lengths(fresh(kids)))
     if violations:
         raise ArithmeticError(
             "pruning validation failed: %d node(s) beyond the pruned frontier "
@@ -733,6 +746,25 @@ def _block(mats: dict, b: str, k: int):
     return m
 
 
+def _twist_floor(w: str, lw: float, g: str, la: float, lb: float) -> float:
+    """A lower bound on the length of the class w (of length lw) moved by
+    the generator g, from the lengths la, lb of a and b.
+
+    T and t fix a, so they act on classes as the two Dehn twists about the
+    curve a (an automorphism of F2 is known up to conjugation by its action
+    on homology, Nielsen), and U and u as those about b.  The twist of a
+    curve c about a is freely homotopic to c with a copy of a spliced in
+    at each of its i(a, c) crossings with a, and c is the twist back of
+    its twist, which crosses a as often; so the two lengths differ by at
+    most i(a, c) la.  The cyclically reduced word w crosses a copy of a
+    pushed off the base point once per letter b or B, which bounds
+    i(a, c): the image under T or t is at least lw - #b(w) la long, under
+    U or u at least lw - #a(w) lb.  The bound is sharp (a^6 B under T is
+    a^5 B)."""
+    nb = w.count("b") + w.count("B")
+    return lw - (nb * la if g in "Tt" else (len(w) - nb) * lb)
+
+
 # the oracle BFS expands a class while its length is <= _ORACLE_PRUNE * L,
 # and gives up beyond _ORACLE_NODES nodes
 _ORACLE_PRUNE = 3.0
@@ -752,6 +784,17 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     the other three images are taken, and the search visits the same
     classes in the same order as one that takes all four.
 
+    The canonical form is the dear part of a child, and almost no child of
+    a pruned class comes back within L; so the validation pass (edge)
+    first bounds each such child's length from below (_twist_floor; a
+    child whose bound is above L (1 + 2^-30), about half of them, is not
+    measured), then takes its length on its cyclically reduced substituted
+    word, and canonicalizes only a child within L (1 + 2^-30).  That word
+    is conjugate to the canonical one, or to its inverse: the same trace,
+    whose two fixed-point products differ by far less than the slack, as
+    do the bound's float roundings; so every child within L passes both,
+    and it is decided by its canonical word's length as in the main pass.
+
     Lengths are taken at the reduced triple of X's point (the counts
     are mapping-class invariant, and a search from a far-moved X prunes
     classes it needs), in 2^-k fixed point with k carrying
@@ -763,15 +806,28 @@ def _word_orbit_lengths(X, gamma: str, L: float):
     k = _bits(60 + int(0.5 * _ORACLE_PRUNE * L))
     node, _, k0 = _point(X, k)
     mats = _rep_fixed(tuple(v << (k - k0) for v in node), k)
+    near = L * (1.0 + 2.0 ** -30)
+
+    def moves(g):  # the generators that do not undo g
+        return GENS.replace(g.swapcase(), "") if g else GENS
 
     def children(node):
         w, g = node
-        gens = GENS.replace(g.swapcase(), "") if g else GENS
+        gens = moves(g)
         return zip(_word_images(w, gens), gens)
+
+    la, lb = (_word_length(mats, c, k) for c in "ab")
+
+    def edge(pruned):
+        kids = ((cyclic_reduce(w.translate(_AUTOS[g])), g)
+                for (w, h), lw in pruned for g in moves(h)
+                if _twist_floor(w, lw, g, la, lb) <= near)
+        return [(canonical_cyclic(v), g) for v, g in kids
+                if _word_length(mats, v, k) <= near]
     return _pruned_bfs((canonical_cyclic(gamma), None), lambda n: n[0],
                        children,
                        lambda ns: [_word_length(mats, w, k) for w, _ in ns],
-                       L, _ORACLE_PRUNE, _ORACLE_NODES)
+                       L, _ORACLE_PRUNE, _ORACLE_NODES, edge)
 
 
 def count_orbit_word_bruteforce(X, gamma: str, L: float) -> int:
@@ -1086,6 +1142,54 @@ def _end_predicate(g, L, inside, outside, known):
     return below
 
 
+# the relative error each known length is widened by in _chord_floor: far
+# above a certified length's float rounding and the bound's own arithmetic
+_CHORD_SLACK = 2.0 ** -40
+
+
+def _chord_floor(known, a, b) -> float:
+    """A lower bound on a convex g over [a, b], from the values known maps
+    each evaluated tau to (a and b among them).
+
+    By convexity g lies above the chord of every pair of points outside
+    the pair's interval: on each gap [p, q] between consecutive points,
+    above the line through the two points left of it and the line through
+    the two right of it, both extended into the gap, so above their
+    maximum.  The maximum of two lines on [p, q] is least at an end, or
+    at their crossing when one falls and the other rises there; then the
+    lower of the two anywhere in the gap is at most that least value, so
+    the lower one at the computed crossing bounds it, whatever that
+    crossing's rounding.  Each known value is taken _CHORD_SLACK of itself
+    low or high, whichever lowers a line, which covers its rounding."""
+    ts = sorted(known)
+    lo, hi = ts.index(a), ts.index(b)
+
+    def line(i, t):  # the line through points i and i + 1, at t outside
+        u, v = ts[i], ts[i + 1]
+        gu, gv = known[u], known[v]
+        eu, ev = abs(gu) * _CHORD_SLACK, abs(gv) * _CHORD_SLACK
+        if t >= v:
+            r = (t - v) / (v - u)
+            return (gv - ev) * (1.0 + r) - (gu + eu) * r
+        r = (u - t) / (v - u)
+        return (gu - eu) * (1.0 + r) - (gv + ev) * r
+    floor = math.inf
+    for i in range(lo, hi):
+        p, q = ts[i], ts[i + 1]
+        lines = [(line(i - 1, p), line(i - 1, q))] if i else []
+        if i + 2 < len(ts):
+            lines.append((line(i + 1, p), line(i + 1, q)))
+        if not lines:
+            return -math.inf
+        (l0, l1), (r0, r1) = lines[0], lines[-1]
+        floor = min(floor, max(l0, r0), max(l1, r1))
+        d0, d1 = l0 - r0, l1 - r1
+        if d0 * d1 < 0.0:
+            s = d0 / (d0 - d1)
+            floor = min(floor, l0 + s * (l1 - l0), r0 + s * (r1 - r0))
+    return floor
+
+
 def _tau_measure(f, ell, L, K=None):
     """Lebesgue measure of {tau : f(ell, tau) <= L}.
 
@@ -1097,7 +1201,10 @@ def _tau_measure(f, ell, L, K=None):
     shell [-T, T] is doubled until f > L at both ends and rises outward
     there (f(+-T) > f(+-T/2)), which by convexity puts the whole set
     inside; golden-section search for the minimum then looks for one tau
-    with f <= L (the set is empty once the bracket is below 2^-20 T).
+    with f <= L (the set is empty once the bracket is below 2^-20 T, or
+    as soon as the chords through the points evaluated so far, extended
+    past their ends, bound f over the bracket above L (_chord_floor): the
+    search could then find no such tau, so the measure is 0 either way).
     Each end is bisected 53 times from that tau toward +-T, to float
     resolution.  The bisection is replayed through _end_predicate: a
     bracketed secant first pins the end to about 2^-50 of its bracket, and
@@ -1126,7 +1233,8 @@ def _tau_measure(f, ell, L, K=None):
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = g(c), g(d)
     while fc > L and fd > L:  # one new point per step
-        if b - a < T * 2.0 ** -20:
+        if b - a < T * 2.0 ** -20 or \
+                _chord_floor(known, a, b) > L * (1.0 + _CHORD_SLACK):
             return 0.0
         if fc < fd:
             b, d, fd = d, c, fc

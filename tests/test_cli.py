@@ -237,6 +237,24 @@ class TestCommands:
         with pytest.raises(cli.ConfigError, match=message):
             cli._as_int({"seed": text}, "seed", 0)
 
+    def test_radii_count_read_as_int_option(self, capsys):
+        # the n of --radii lo:hi:n is read as every integer option is
+        # (_as_int): 1e3 is 1000 samples, where int("1e3") raised
+        assert run_main(["apl-ray", "--radii", "1:1000:1e3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["lengths"]) == 1000
+
+    def test_grid_n_read_as_int_option(self, capsys):
+        assert run_main(["wall-scan", "--grid-n", "1e3"]) == 0
+        assert "walls=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, message", [
+        ("3", "radii must be an integer >= 4"),
+        ("2.5", "radii must be an integer >= 4"),
+        ("x", "radii must be numeric")])
+    def test_radii_count_rejected(self, n, message, capsys):
+        assert run_main(["apl-ray", "--radii", "10:1000:" + n]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["wall-scan", "--grid-n", "{n}"],
         ["twist-convexity", "--grid-n", "{n}"],

@@ -183,6 +183,32 @@ class TestElementaryMove:
                                                abs=1e-12)
         assert fs.wolpert_check(X) <= 1e-5
 
+    @pytest.mark.parametrize("ell, tau, want", [
+        (100.0, 100.0, (100.0, -100.0)), (30.0, 200.0, (200.0, -30.0))])
+    @pytest.mark.parametrize("l1", [0.0, 0.5])
+    def test_torus_move_at_large_coordinates(self, ell, tau, want, l1):
+        # xy - z = tr(a b^-1) is many orders below xy here: formed in
+        # floats it lost every digit (kappa 1.3e71 at (100, 100)), formed
+        # from the chart's fixed point it keeps them
+        Y = fs.elementary_move(torus(ell, tau, l1))
+        assert (Y.ell, Y.tau) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("ell, tau, l1", [
+        (100.0, 100.0, 0.0), (100.0, 100.0, 0.5), (30.0, 200.0, 0.0),
+        (1.2, 0.8, 0.5), (20.0, 0.3, 0.0), (0.5, -30.0, 0.5)])
+    def test_moved_triple_matches_mpmath(self, ell, tau, l1):
+        # the swapped triple (y, x, xy - z) that the move inverts, each
+        # coordinate within 2^-52 relative of the chart in 150-digit mpmath
+        got = fs._float_chart(torus(ell, tau, l1), True).astuple()
+        with mpmath.workdps(150):
+            h, t = mpmath.mpf(ell) / 2, mpmath.mpf(tau) / 2
+            m = mpmath.sqrt(2 * mpmath.cosh(mpmath.mpf(l1) / 2)
+                            + 2 * mpmath.cosh(2 * h)) / (2 * mpmath.sinh(h))
+            x, y, z = (2 * mpmath.cosh(h), 2 * m * mpmath.cosh(t),
+                       2 * m * mpmath.cosh(h + t))
+            for g, w in zip(got, (y, x, x * y - z)):
+                assert abs(g - w) <= 2.0 ** -52 * abs(w), (ell, tau, l1)
+
     def test_torus_move_past_the_float_range(self):
         # at ell = 800 kappa overflows to nan, which the check rejects
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +23,8 @@ from teichlab import orbit as ob
 from teichlab.fn_surface import S11, SurfacePoint, fricke_triple
 from teichlab.fricke import (_plan_eval_bounded, _plan_eval_fixed,
                              _trace_length, _trace_plan, canonical_cyclic,
-                             is_peripheral_word, length_trace, reduce_word,
-                             trace_word_fricke)
+                             cyclic_reduce, is_peripheral_word, length_trace,
+                             reduce_word, trace_word_fricke)
 
 
 MODULAR = (3.0, 3.0, 3.0)
@@ -1551,6 +1552,59 @@ class TestWordLength:
             ob._ORACLE_PRUNE, ob._ORACLE_NODES)
         assert ob._word_orbit_lengths(X, gamma, L) == want
 
+    @pytest.mark.parametrize("gamma, L, want", [
+        ("aaaBAbb", 9.0, "pruning validation failed: 4 node(s)"),
+        ("aabAbAbb", 12.0, "pruning validation failed: 6 node(s)"),
+        ("aabAb", 9.0, 24)])
+    def test_validation_fires_at_a_small_prune(self, gamma, L, want,
+                                               monkeypatch):
+        # at prune constant 1.2 the search misses classes of length <= L
+        # that the validation pass finds among the pruned classes'
+        # children, bounding and taking their lengths before their
+        # canonical forms; the four-image search, which keys every child
+        # first, finds as many
+        monkeypatch.setattr(ob, "_ORACLE_PRUNE", 1.2)
+        k = ob._bits(60 + int(0.5 * 1.2 * L))
+        node, _, k0 = ob._point(MODULAR, k)
+        mats = ob._rep_fixed(tuple(v << (k - k0) for v in node), k)
+
+        def keyed_first():
+            return len(ob._pruned_bfs(
+                canonical_cyclic(gamma), lambda w: w, ob._word_images,
+                lambda ws: [ob._word_length(mats, w, k) for w in ws], L,
+                1.2, ob._ORACLE_NODES)[0])
+        for count in (keyed_first,
+                      lambda: ob.count_orbit_word_bruteforce(MODULAR, gamma,
+                                                             L)):
+            if isinstance(want, int):
+                assert count() == want
+            else:
+                with pytest.raises(ArithmeticError, match=re.escape(want)):
+                    count()
+
+    def test_twist_floor_on_short_words(self):
+        # the bound by which the validation pass skips a child holds for
+        # every image of every class of <= 7 letters, and is sharp: a
+        # stronger one fails here
+        words = {canonical_cyclic("".join(t)) for n in range(1, 8)
+                 for t in itertools.product("abAB", repeat=n)} - {""}
+        k = ob._bits(80)
+        worst = 0.0
+        for X in (MODULAR, GENERIC, (5.0, 3.1, 7.2)):
+            node, _, k0 = ob._point(X, k)
+            mats = ob._rep_fixed(tuple(v << (k - k0) for v in node), k)
+            la, lb = (ob._word_length(mats, c, k) for c in "ab")
+            for w in words:
+                lw = ob._word_length(mats, w, k)
+                for g in ob.GENS:
+                    image = ob._word_length(
+                        mats, cyclic_reduce(w.translate(ob._AUTOS[g])), k)
+                    low = ob._twist_floor(w, lw, g, la, lb)
+                    assert image >= low - 1e-12 * lw, (X, w, g)
+                    if low < lw:
+                        worst = max(worst, (lw - image) / (lw - low))
+        assert worst > 0.9999
+
     def test_memo_bounded_per_search(self, monkeypatch):
         # the memo is the search's own dict of realizing matrices: it holds
         # reduced words of 1 to 6 letters, at most 4 * (3^6 - 1) / 2 = 1456
@@ -2100,6 +2154,55 @@ class TestTwistMeasure:
                 ob._tau_measure(g, ell, L)
                 assert again == calls
         assert sorted(counts)[len(counts) // 2] <= 45, counts
+
+    @pytest.mark.parametrize("gamma", ["aabAb", "aaBabb", "aabbAB"])
+    def test_empty_lines_exit_early(self, gamma):
+        # a line with no tau where l <= L ends once the chords bound the
+        # length above L over the bracket: the plain bisection's 0.0 from
+        # the shell and the first two golden-section points on lines far
+        # from L, and, on lines within 2^-20 of their minimum on either
+        # side of L, the plain bisection's measure too
+        f = fs._gamma_length_fn(gamma, 0.0)
+        for ell, L in ((0.02, 8.0), (2.0, 5.0), (20.0, 12.0)):
+            g, calls = counted(f)
+            assert ob._tau_measure(g, ell, L) == 0.0
+            assert calls[0] <= 9
+            assert bisection_tau_measure(f, ell, L) == 0.0
+        ell = 3.0
+        taus = np.linspace(-12.0, 12.0, 2401)
+        t0 = taus[np.argmin([f(ell, t) for t in taus])]
+        low = min(f(ell, t0 + d) for d in np.linspace(-0.01, 0.01, 201))
+        for L in (low * (1.0 - 2.0 ** -20), low * (1.0 + 2.0 ** -20)):
+            g, calls = counted(f)
+            got = ob._tau_measure(g, ell, L)
+            g_old, calls_old = counted(f)
+            assert got == bisection_tau_measure(g_old, ell, L)
+            assert calls[0] <= calls_old[0]
+
+    def test_chord_floor_bounds_convex_functions(self):
+        # the floor over [a, b] from a few points of a convex g is at most
+        # g anywhere in [a, b]; for the maximum of two lines, with two
+        # points on each, it is the minimum to rounding
+        rng = random.Random(5)
+        for _ in range(300):
+            c, s = rng.uniform(-5, 5), rng.uniform(0.1, 3)
+            h = rng.uniform(0, 4)
+
+            def g(t):
+                return h + math.cosh(s * (t - c))
+            ts = sorted({rng.uniform(-10, 10)
+                         for _ in range(rng.randint(2, 12))})
+            known = {t: g(t) for t in ts}
+            i, j = sorted(rng.sample(range(len(ts)), 2))
+            floor = ob._chord_floor(known, ts[i], ts[j])
+            assert floor <= min(g(t) for t in np.linspace(ts[i], ts[j], 1001))
+        for c, m in ((0.3, 1.0), (-2.0, 0.2), (1.5, 7.0)):
+            def v(t):
+                return 9.0 + max(m * (t - c), (c - t) / m)
+            known = {t: v(t) for t in (-6.0, -5.0, 4.0, 5.0)}
+            assert ob._chord_floor(known, -5.0, 4.0) == pytest.approx(
+                9.0, abs=1e-9)
+        assert ob._chord_floor({0.0: 1.0, 1.0: 2.0}, 0.0, 1.0) == -math.inf
 
 
 class TestBallVolume:

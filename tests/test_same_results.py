@@ -61,15 +61,19 @@ def test_walks_unwrap(case, walks):
 
 def test_brute_images_unwrap():
     # the brute case counts canonical forms through a wrapper that it takes
-    # off again: one for gamma, then three images of each class and a
-    # fourth at the root (the way back to a class's parent is not taken)
+    # off again: one for gamma, then three images of each class that is
+    # not pruned and a fourth at the root (the way back to a class's parent
+    # is not taken), then those children of the pruned classes that come
+    # back within L by the length of their substituted word, none here
     orbit = same_results.orbit
     canonical = orbit.canonical_cyclic
     line = same_results.run_case(["brute", [3.2, 3.5, 4.1], "aabAb", 9.0])
     assert orbit.canonical_cyclic is canonical
     counters = json.loads(line)["counters"]
     assert set(counters) == {"images", "nodes", "pruned", "conversions"}
-    assert counters["images"] == 3 * counters["nodes"] + 2
+    assert (counters["nodes"], counters["pruned"]) == (433, 220)
+    assert counters["images"] == 3 * (counters["nodes"]
+                                      - counters["pruned"]) + 2 + 0
 
 
 @pytest.mark.parametrize("case, conversions", [

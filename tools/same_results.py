@@ -29,7 +29,11 @@ The table:
 - ``brute``: the count of ``count_orbit_word_bruteforce`` (the lengths that
   its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
   at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
-  ``counters``, and as ``images`` its ``orbit.canonical_cyclic`` calls;
+  ``counters``, and as ``images`` its ``orbit.canonical_cyclic`` calls:
+  gamma's, the main pass's children, and those children of the pruned
+  classes that the validation pass keys (the ones that come back within L
+  by the length of their substituted word), not every child of a pruned
+  class;
 - ``mc``: ``_mc_sample_value`` of aabAb for seeds 0 and 1, samples
   0-119, at criterion 11's L = 30 and l1 = 0 (case ``["mc", seed, i]``),
   and for seed 0, samples 0-59, at L = 16 and boundary length l1 = 4
