@@ -99,6 +99,10 @@ def _as_int(cfg, key, lo=None, hi=None):
 # the most points of a grid or radius list a command builds and evaluates
 # a length at: wall-scan --grid-n, twist-convexity --grid-n, apl-ray's n
 GRID_MAX = 4096
+# the most trials or Monte Carlo samples a command draws, each an item of a
+# list built before any work: hexagon-check and wolpert-check --trials,
+# ball-volume --mc-samples
+SAMPLES_MAX = 10 ** 6
 
 
 def _as_tuple(cfg, key, n):
@@ -210,7 +214,8 @@ def cmd_ball_volume(cfg):
     gamma = str(cfg["word"])
     L = _as_length(cfg, "L", zero_ok=True)
     l1 = _as_length(cfg, "l1", zero_ok=True)
-    mc = _as_int(cfg, "mc_samples", 0) if cfg["mc_samples"] is not None else 0
+    mc = _as_int(cfg, "mc_samples", 0, SAMPLES_MAX) \
+        if cfg["mc_samples"] is not None else 0
     if mc:
         vol, avg, se = orbit.ball_volume_and_average(
             gamma, L, mc_samples=mc, seed=_as_int(cfg, "seed", 0), l1=l1,
@@ -254,7 +259,7 @@ def _hexagon_trial(i):
 
 
 def cmd_hexagon_check(cfg):
-    n = _as_int(cfg, "trials", 1)
+    n = _as_int(cfg, "trials", 1, SAMPLES_MAX)
     res = parallel_map(_hexagon_trial, range(n), _workers(cfg))
     worst = max(res)
     s = hyptrig.acosh_1p(1.0)  # cosh s = 2
@@ -279,7 +284,7 @@ def _wolpert_trial(i):
 
 
 def cmd_wolpert_check(cfg):
-    n = _as_int(cfg, "trials", 1)
+    n = _as_int(cfg, "trials", 1, SAMPLES_MAX)
     res = parallel_map(_wolpert_trial, range(n), _workers(cfg))
     worst = max(res)
     print("jacobian_sup=%.3e" % worst)

@@ -241,15 +241,6 @@ def _mat_mul(m, n, k: int):
             (m[2] * n[0] + m[3] * n[2]) >> k, (m[2] * n[1] + m[3] * n[3]) >> k)
 
 
-def curve_symmetry_order(gamma: str) -> int:
-    """|Sym(gamma) & Gamma|: order of the mapping-class stabilizer of the
-    unoriented class of gamma in PSL(2,Z) (_word); 0 if it is infinite
-    (abaB: a twist fixes it), 1 for simple classes by convention (their
-    stabilizer contains the infinite twist subgroup, which is the
-    redundancy quotiented out by the slope parametrization)."""
-    return _word(gamma).sym
-
-
 def _symmetry(key: str) -> tuple[int, str | None]:
     """(|Sym| or 0 if infinite, the orbit representative) from the finite set
     of least-length words of the orbit of key, a canonical class that is
@@ -340,7 +331,7 @@ def _aut_tol(v: int, k: int) -> int:
 # word classification
 
 
-_Word = namedtuple("_Word", "gamma power sym rep iota cut kcoef")
+_Word = namedtuple("_Word", "gamma power sym rep iota cut")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -349,10 +340,10 @@ def _word(gamma: str) -> _Word:
     (gamma cyclically reduced, its simple power, |Sym| or 0 if infinite,
     the orbit representative (1 and the class for a simple power, else
     _symmetry's), iota: 2 if -I (a -> A, b -> B; it fixes every triple)
-    maps gamma to another class, and the representative's slope cut and
-    its K-coefficients (_slope_cut; None for a simple power)).  ValueError
-    for an empty or peripheral gamma, ArithmeticError if Sym is infinite
-    but T fixes no shortest image."""
+    maps gamma to another class, and the representative's slope cut
+    (_slope_cut; None for a simple power)).  ValueError for an empty or
+    peripheral gamma, ArithmeticError if Sym is infinite but T fixes no
+    shortest image."""
     reduced = cyclic_reduce(gamma)
     if not reduced or is_peripheral_word(reduced):
         raise ValueError("gamma=%r is empty or peripheral" % gamma)
@@ -366,20 +357,18 @@ def _word(gamma: str) -> _Word:
         raise ArithmeticError("Sym(%r) is infinite, but no least-length "
                               "image of it is fixed by T" % gamma)
     iota = 1 if canonical_cyclic(key.swapcase()) == key else 2
-    cut, kcoef = (None, None) if power else _slope_cut(rep)
-    return _Word(reduced, power, sym, rep, iota, cut, kcoef)
+    return _Word(reduced, power, sym, rep, iota,
+                 None if power else _slope_cut(rep))
 
 
 def _slope_cut(rep: str):
-    """(c, s) of _family_lengths' lemma for the word rep, or (None, None)
-    when it gives no cut: rep is longer than NORMAL_MAX_LEN letters, its
-    normal form in x, y, z and K = -2 - kappa has coefficients of both
-    signs, or c < 2.  c sums |coef| w over the monomials x^a y^b z^c that
-    hold no K (w = 2^(a+b+c-1) if a >= 1, 2^(b+c-2) if a = 0 < b, c, else
-    0); s sums |coef| over those that hold K, and is None when one of them
-    has no K-free monomial of its x, y, z part."""
+    """The c of _family_lengths' lemma for the word rep, or None when it
+    gives no cut: rep is longer than NORMAL_MAX_LEN letters, its normal
+    form in x, y, z and K = -2 - kappa has coefficients of both signs, or
+    c < 2.  c sums |coef| w over the monomials x^a y^b z^c that hold no K
+    (w = 2^(a+b+c-1) if a >= 1, 2^(b+c-2) if a = 0 < b, c, else 0)."""
     if len(rep) > NORMAL_MAX_LEN:
-        return None, None
+        return None
     poly = {}
     for (a, b, c, d), v in _normal_poly(_trace_plan(rep)).items():
         for j in range(d + 1):  # kappa^d = (-1)^d (2 + K)^d
@@ -388,15 +377,10 @@ def _slope_cut(rep: str):
                 2 ** (d - j) * v
     poly = {m: v for m, v in poly.items() if v}
     if len({v > 0 for v in poly.values()}) > 1:
-        return None, None
-    free = {m[:3] for m in poly if not m[3]}
+        return None
     cut = sum(abs(v) << (a + b + c - 1 if a else b + c - 2)
               for (a, b, c, d), v in poly.items() if not d and (a or b and c))
-    if cut < 2:
-        return None, None
-    held = {m: abs(v) for m, v in poly.items() if m[3]}
-    paired = all(m[:3] in free for m in held)
-    return cut, sum(held.values()) if paired else None
+    return cut if cut >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +494,9 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
     over lists (_plan_eval_fixed) evaluates all the new nodes of the
     step; steps counts the passes.  The plan is gamma's normal form
     (fricke._normal_plan) at kappa, the point's own (_kappa_fixed of its
-    node, exact at an integral X): T preserves kappa, so every node of
-    every family shares it, up to the rounding the walk checks for drift
-    (_family_lengths).
+    node, exact at an integral X) clamped at -2 (_family_lengths): T
+    preserves kappa, so every node of every family shares it, up to the
+    rounding the walk checks for drift.
 
     With tr(n) = |tr gamma| at node(n), the right end is live while
     tr(hi) < tr(hi - 1) or tr(hi) <= T, and the left end while
@@ -646,23 +630,17 @@ def _family_lengths(point, word: _Word, L: float):
     Floats.  At a float X the walk's ints round the exact values at its
     point, and its count, |tr| <= T, rests on their lying close to them
     (the digit rule of _family_bits; the drift check below guards it).
-    The cut needs them within a relative 2^-22, and takes the coefficients
-    > 0 (else it negates the form):
-    - The plan reads kappa0, the point's own, and K0 = -2 - kappa0 can lie
-      below 0 by rounding, where a monomial that holds K can be < 0.  Group
-      the monomials by their x, y, z part.  If each group that holds K also
-      holds the K-free monomial, of |coef| >= 1, and s = word.kcoef sums
-      the |coef| that go with K, then for |K0| <= 1 each group is
-      >= (1 - s |K0|) times its K-free term, so |tr rho| >=
-      (1 - s |K0|) c x.  The cut stands down to K0 = -2^-22 / s and falls
-      back to 1 below it, or below 0 for a word with a group of K-monomials
-      alone (kcoef None).  yz > x needs only the node's own K > -2x.
-    - Let tr and x be exact and tr~, x~ the walk's.  A slope left out has
-      c x~ > T + T 2^-20 + 1, so tr~ >= (1 - 2^-22) tr >=
-      (1 - 2^-22)^2 c x >= (1 - 2^-22)^3 c x~ > T, as
-      (1 - 2^-22)^3 (1 + 2^-20) > 1: the walk would count no node of its
-      family.
-    At an integral X (k = 0) all of it is exact and K0 >= 0.
+    K0 = -2 - kappa0 can lie below 0 by rounding, so the plan reads
+    K+ = max(K0, 0), kappa0 clamped at -2, where every K-monomial of a
+    one-signed form is >= 0.  The lemma then holds on the walk's own
+    values: the nodes of a family share the mark's x~, their y~, z~ are
+    > 2 and their own K~ > -2 x~, all that yz > x needs, so the normal
+    form P (coefficients > 0, else negate it) has P(x~, y~, z~, K+) >=
+    c x~.  Only the plan's rounding, within a relative 2^-22 (the digit
+    rule's premise), separates the walk's tr~ from that value.  A slope
+    left out has c x~ > T + T 2^-20 + 1, so tr~ >= (1 - 2^-22) c x~ > T,
+    as (1 - 2^-22)(1 + 2^-20) > 1: the walk would count no node of its
+    family.  At an integral X (k = 0) all of it is exact and K+ = K0.
 
     A non-empty family of a slope with l_s > L - _TOP_BAND raises
     ArithmeticError, a guard for the words without a certificate: with
@@ -672,17 +650,15 @@ def _family_lengths(point, word: _Word, L: float):
     where the recursion has rounded most.
 
     Nodes are ints scaled by the point's 2^k (_point): k = 0 for an
-    integral X, else _family_bits.  kappa0 is the point's own.
+    integral X, else _family_bits.  kappa0 is the point's own; the walk
+    reads it clamped at -2, the drift check as it is.
     """
     node, _, k = point
     kappa0 = _kappa_fixed(node, k)
-    K0 = -(2 << k) - kappa0
     cut = word.cut or 1
-    if K0 < 0 and (word.kcoef is None or word.kcoef * -K0 << 22 > 1 << k):
-        cut = 1
     marks = _farey_walk(point, L, cut)
-    found, outer, work = _twist_walk(marks, word.rep, L, k, kappa0,
-                                     word.sym == 0)
+    found, outer, work = _twist_walk(marks, word.rep, L, k,
+                                     min(kappa0, -(2 << k)), word.sym == 0)
     top = _trace_bound(max(L - _TOP_BAND, 0.0), k)
     ends = []
     for (_, mark), got, nodes in zip(marks, found, outer):

@@ -266,6 +266,22 @@ class TestCommands:
             assert run_main(args) == 1
         assert "at most %d" % cli.GRID_MAX in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["hexagon-check", "--trials", "{n}"],
+        ["wolpert-check", "--trials", "{n}"],
+        ["ball-volume", "--mc-samples", "{n}"],
+    ])
+    @pytest.mark.parametrize("n", [cli.SAMPLES_MAX + 1, "1e12"])
+    def test_samples_cap_exit_1(self, args, n, capsys, time_bound):
+        # each builds a list of its trials or samples before any work, so a
+        # count above SAMPLES_MAX is rejected while the options are read
+        args = [a.format(n=n) for a in args]
+        with time_bound(3):
+            assert run_main(args) == 1
+        err = capsys.readouterr().err
+        assert "at most %d" % cli.SAMPLES_MAX in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("span", ["0", "-3"])
     def test_twist_convexity_span_positive(self, span, capsys):
         # span 0 checks tau = 0 only; a negative span mirrors the grid

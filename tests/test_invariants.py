@@ -114,6 +114,16 @@ def _names(module, tree):
                     yield f.name, f
 
 
+def _fields(tree):
+    """(field, node) for each field of the namedtuple records assigned at
+    the top of a module, X = namedtuple("X", "a b c")."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and getattr(node.value.func, "id", None) == "namedtuple":
+            for field in node.value.args[1].value.replace(",", " ").split():
+                yield field, node
+
+
 def _docstrings(tree):
     """The ids of the docstring constants of a module, class or function."""
     return {id(node.body[0].value) for node in ast.walk(tree)
@@ -152,17 +162,21 @@ def test_no_orphan_names():
     # acceptance criteria (_references: outside src a name in a string
     # counts too, since the benchmark names functions by string; a word in
     # a comment, a docstring or a string of src does not).  A unit test is
-    # not a caller: a name that only its own test runs is an orphan
+    # not a caller: a name that only its own test runs is an orphan.  A
+    # field of a namedtuple record is read as an attribute, so a field is
+    # an orphan unless some code reads .field
     root = Path(__file__).resolve().parents[1]
     files = sorted(SRC.rglob("*.py"))
     for d in ("perfbench", "tools"):
         files += sorted((root / d).rglob("*.py"))
     files.append(root / "tests" / "test_acceptance.py")
-    refs = {}
+    refs, attrs = {}, set()
     for path in files:
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, line in _references(tree, SRC not in path.parents):
             refs.setdefault(name, []).append((path, line))
+        attrs |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     orphans = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -171,4 +185,7 @@ def test_no_orphan_names():
             if all(p == path and node.lineno <= line <= node.end_lineno
                    for p, line in refs.get(name, [])):
                 orphans.append("%s:%d %s" % (path.name, node.lineno, name))
+        orphans += ["%s:%d %s.%s" % (path.name, node.lineno,
+                                     node.targets[0].id, field)
+                    for field, node in _fields(tree) if field not in attrs]
     assert not orphans, "names nothing uses: %s" % orphans

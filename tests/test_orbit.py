@@ -168,19 +168,19 @@ class TestWordClassification:
 
     def test_symmetry_order_infinite_for_nonfilling(self):
         # tr(abaB) = x^2 + 2 is twist invariant: infinite stabilizer
-        assert ob.curve_symmetry_order("abaB") == 0
-        assert ob.curve_symmetry_order("aabb") == 0
+        assert ob._word("abaB").sym == 0
+        assert ob._word("aabb").sym == 0
 
     def test_symmetry_order_finite_for_filling(self):
         # aabbAABB is fixed by S (a -> b, b -> A); an element of order 3
         # fixes the other four (TestShortWords pins a count of aaBABAbb)
-        assert ob.curve_symmetry_order("aabAb") == 1
-        assert ob.curve_symmetry_order("aabbAABB") == 2
+        assert ob._word("aabAb").sym == 1
+        assert ob._word("aabbAABB").sym == 2
         for w in ("aaBABAbb", "aaBBAbAb", "aabAbABB", "aabbABAB"):
-            assert ob.curve_symmetry_order(w) == 3, w
-        assert ob.curve_symmetry_order("abaB") == 0
-        assert ob.curve_symmetry_order("aabAB") == 0
-        assert ob.curve_symmetry_order("aabbAB") == 1
+            assert ob._word(w).sym == 3, w
+        assert ob._word("abaB").sym == 0
+        assert ob._word("aabAB").sym == 0
+        assert ob._word("aabbAB").sym == 1
         assert ob._word("aabbAB").iota == 2
 
     def test_require_filling(self):
@@ -478,7 +478,6 @@ class TestOneWord:
         for w in classes(8):
             word = ob._word(w)
             assert word.gamma == w
-            assert word.sym == ob.curve_symmetry_order(w)
             rows.append([w, word.power, word.sym, word.rep, word.iota])
         assert len(rows) == 691
         assert sum(r[1] > 0 for r in rows) == 72
@@ -537,7 +536,7 @@ class TestShortWords:
         # orbit representative, infinite Sym included
         words = short_words(6)
         assert len(words) == 74
-        assert sum(ob.curve_symmetry_order(w) == 0 for w in words) == 36
+        assert sum(ob._word(w).sym == 0 for w in words) == 36
         bad = {}
         for w in words:
             got = ob.count_orbit_word(X, w, L).counts[-1]
@@ -658,7 +657,7 @@ def bfs_counts(X, gamma, L, grid, prune_c):
     the same length unless it fixes gamma (iota = 1)."""
     lengths, _ = orbit_bfs_lengths(X, gamma, L, prune_c)
     aut = ob.point_symmetry_order(X)
-    sym = ob.curve_symmetry_order(gamma)
+    sym = ob._word(gamma).sym
     iota = ob._word(gamma).iota
     return [sum(v <= g for v in lengths) * aut * iota // sym for g in grid]
 
@@ -888,26 +887,31 @@ CUT_POINTS = list(same_results.BASES) + WALK_POINTS[-2:] + [
     chart_triple(1e-3, 0.7), mc_triple(0, 0, 4.0), mc_triple(0, 1, 4.0)]
 
 
+def negative_K0(X, L):
+    """Whether K0 = -2 - kappa0 of X's point at aabaaB's bits for L rounds
+    below 0."""
+    node, _, k = ob._point(X, ob._family_bits("aabaaB", L))
+    return ob._kappa_fixed(node, k) > -(2 << k)
+
+
 def uncut(gamma, word=ob._word):
     """gamma's record with no slope cut: every slope with l_s <= L."""
-    return word(gamma)._replace(cut=None, kcoef=None)
+    return word(gamma)._replace(cut=None)
 
 
 class TestSlopeCut:
     def test_pinned_cuts(self):
         # aabAb = yz + (3 + K) x, abaB = x^2 + 2 + K, aabAB = -(3 + K) x;
         # aabbAB = z - (4 + K) xy has coefficients of both signs
-        assert [ob._word(w)[5:] for w in ("aabAb", "abaB", "aabAB",
-                                          "aabbAB")] == \
-            [(4, 1), (2, 1), (3, 1), (None, None)]
+        assert [ob._word(w).cut for w in ("aabAb", "abaB", "aabAB",
+                                          "aabbAB")] == [4, 2, 3, None]
         # 41 of the 246 non-simple representatives of <= 8 letters; six
-        # more have coefficients of one sign but c = 0, and aabaaB's
-        # K x^2 has no K-free partner
+        # more have coefficients of one sign but c = 0.  aabaaB's K x^2 has
+        # no K-free partner, and its cut holds all the same (K+ >= 0)
         reps = {ob._word(w).rep for w in classes(8) if not ob._word(w).power}
         assert len(reps) == 246
-        cuts = {r: ob._word(r)[5:] for r in reps if ob._word(r).cut}
-        assert len(cuts) == 41
-        assert [r for r, (_, s) in cuts.items() if s is None] == ["aabaaB"]
+        assert sum(bool(ob._word(r).cut) for r in reps) == 41
+        assert ob._word("aabaaB").cut == 8
         assert ob._word("aab").cut is None  # a simple word walks no family
 
     @pytest.mark.parametrize("X", CUT_POINTS)
@@ -915,8 +919,10 @@ class TestSlopeCut:
         # a hunt for counterexamples of the lemma of _family_lengths: every
         # node that the uncut walk evaluates, for every certified
         # representative of <= 8 letters, has |tr| >= c x, exactly at k = 0
-        # and within the relative 2^-22 of the proof at a float point, where
-        # the point's K0 can lie below 0 (aabAB's (3 + K0) x)
+        # and within the relative 2^-22 of the proof at a float point.  The
+        # walk reads the point's kappa clamped at -2, as the count does:
+        # K+ = max(K0, 0), where K0 rounds below 0 at some of the points
+        assert any(negative_K0(P, 12.0) for P in CUT_POINTS)
         seen = []
 
         def spy(plan, xs, ys, zs, kappa, k):
@@ -933,7 +939,8 @@ class TestSlopeCut:
             k = point[2]
             seen.clear()
             ob._twist_walk(ob._farey_walk(point, L), rep, L, k,
-                           ob._kappa_fixed(point[0], k), word.sym == 0)
+                           min(ob._kappa_fixed(point[0], k), -(2 << k)),
+                           word.sym == 0)
             assert seen
             for x, t in seen:
                 cx = word.cut * x
@@ -994,27 +1001,24 @@ class TestSlopeCut:
             assert rep.metadata["families"] == 0
             assert rep.metadata["cut"] == 4
 
-    def test_negative_K0_falls_back(self, monkeypatch):
-        # below K0 = -2^-22 / s, or below 0 for a word whose K-monomial has
-        # no K-free partner, the walk takes every slope with l_s <= L
-        L, k = 9.0, 64
-        node, basis, _ = ob._point(GENERIC, k)
-        kappa0 = ob._kappa_fixed(node, k)
-        got = {}
-        monkeypatch.setattr(ob, "_twist_walk",
-                            lambda marks, *args: ([[]] * len(marks),
-                                                  [()] * len(marks), {}))
-        for dk in (0, 1 << k - 22, (1 << k - 22) + 1):
-            monkeypatch.setattr(ob, "_kappa_fixed",
-                                lambda t, k, v=-(2 << k) + dk: v)
-            for gamma in ("aabAb", "aabaaB"):
-                got[dk, gamma] = ob._family_lengths(
-                    (node, basis, k), ob._word(gamma), L)[1]["cut"]
-        assert kappa0 < -(2 << k)
-        assert got == {(0, "aabAb"): 4, (0, "aabaaB"): 8,
-                       (1 << k - 22, "aabAb"): 4, (1 << k - 22, "aabaaB"): 1,
-                       ((1 << k - 22) + 1, "aabAb"): 1,
-                       ((1 << k - 22) + 1, "aabaaB"): 1}
+    def test_negative_K0_keeps_the_cut(self, monkeypatch):
+        # at float cusp points where K0 = -2 - kappa0 rounds below 0, the
+        # first seed-0 MC draws and the thin chart point, aabaaB, whose
+        # K x^2 has no K-free partner, keeps its cut 8 and counts as the
+        # walk of every slope with l_s <= L
+        L = 12.0
+        points = [P for P in [mc_triple(0, i) for i in range(5)]
+                  + [chart_triple(1e-2, 0.3 * 1e-2)] if negative_K0(P, L)]
+        assert len(points) == 5
+        reports = [ob.count_orbit_word(P, "aabaaB", L) for P in points]
+        assert [r.metadata["cut"] for r in reports] == [8] * 5
+        monkeypatch.setattr(ob, "_word", uncut)
+        uncut_reports = [ob.count_orbit_word(P, "aabaaB", L) for P in points]
+        assert [r.metadata["cut"] for r in uncut_reports] == [1] * 5
+        assert [r.counts for r in reports] == \
+            [r.counts for r in uncut_reports]
+        assert all(r.metadata["families"] < u.metadata["families"]
+                   for r, u in zip(reports, uncut_reports))
 
 
 class TestNodeLength:

@@ -23,9 +23,12 @@ The table:
   ``point_symmetry_order`` and the repr of ``thurston_ball_B``, at each
   base of BASES moved by each reduced word of length <= 3 in T, t, U, u;
 - ``orb1``: the ORB1 report of each word of ORB_WORDS at each base moved
-  by each reduced word of length <= 2, and of aabAb at L = 16 at the torus
-  chart's points (ell, tau) of ORB_CHART_POINTS, thin points where the
-  twist walk is widest (1080 and 1926 families);
+  by each reduced word of length <= 2, and of each word of
+  ORB_CHART_WORDS at the torus chart's points (ell, tau) of
+  ORB_CHART_POINTS, thin points where the twist walk is widest (aabAb at
+  L = 16: 1080 and 1926 families) and, at the first, the point's
+  K0 = -2 - kappa0 rounds below 0 (aabaaB, whose K x^2 has no K-free
+  partner, keeps its slope cut there);
 - ``brute``: the count of ``count_orbit_word_bruteforce`` (the lengths that
   its search ``_word_orbit_lengths`` returns) of each word of BRUTE_WORDS
   at each base, unmoved, with the search's ``nodes`` and ``pruned`` under
@@ -93,6 +96,7 @@ MC_SAMPLES = 120
 MC_BOUNDARY = (0, 60, 16.0, 4.0)  # seed, samples, L, l1
 BALL_POINTS = ((1e-2, 0.3 * 1e-2), (1e-3, 0.3 * 1e-3))
 ORB_CHART_POINTS = ((1e-2, 0.3 * 1e-2), (3e-3, 0.3 * 3e-3))
+ORB_CHART_WORDS = (("aabAb", 16.0), ("aabaaB", 12.0))
 BALL_MC_SAMPLES = 3
 # the generator maps on triples, in the base's own arithmetic
 MOVES = {"T": lambda x, y, z: (x, z, x * z - y),
@@ -125,8 +129,9 @@ def cases():
     for base, w, (gamma, L) in itertools.product(BASES, move_words(2),
                                                  ORB_WORDS):
         yield ["orb1", list(base), w, gamma, L]
-    for ell, tau in ORB_CHART_POINTS:
-        yield ["orb1", "chart", ell, tau, "aabAb", 16.0]
+    for (gamma, L), (ell, tau) in itertools.product(ORB_CHART_WORDS,
+                                                    ORB_CHART_POINTS):
+        yield ["orb1", "chart", ell, tau, gamma, L]
     for base, (gamma, L) in itertools.product(BASES, BRUTE_WORDS):
         yield ["brute", list(base), gamma, L]
     for seed, i in itertools.product(MC_SEEDS, range(MC_SAMPLES)):
