@@ -112,9 +112,9 @@ def ray_fit(gamma: str, x0: tuple, direction: tuple, radii,
         dm[i] -= h
         grad.append((F(t_big, dp) - F(t_big, dm)) / (2.0 * h * t_big))
     rational = {
-        "slope": asdict(nearest_rational(slope)),
-        "grad_ell": asdict(nearest_rational(grad[0])),
-        "grad_tau": asdict(nearest_rational(grad[1])),
+        "slope": dict(vars(nearest_rational(slope))),
+        "grad_ell": dict(vars(nearest_rational(grad[0]))),
+        "grad_tau": dict(vars(nearest_rational(grad[1]))),
     }
     return RayFit(
         schema="APL1", gamma=gamma, l1=l1, x0=tuple(x0),
@@ -200,8 +200,8 @@ def wall_scan(gamma: str, grid_n: int = 64, l1: float = 0.0) -> WallScan:
             # between cell i and cell j+1
             u_lo, u_hi = us[i], us[j + 2]
             u_mid = 0.5 * (u_lo + u_hi)
-            walls.append(WallSegment(u_lo, u_hi, u_mid, asdict(
-                nearest_rational(u_mid, tol=2.0 * du))))
+            walls.append(WallSegment(u_lo, u_hi, u_mid, dict(vars(
+                nearest_rational(u_mid, tol=2.0 * du)))))
             i = j + 1
         i += 1
     zero_cells = [0.5 * (us[i] + us[i + 1]) for i in range(len(d2))

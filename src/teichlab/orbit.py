@@ -41,7 +41,6 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 from sys import float_info
 
 import numpy as np
@@ -281,9 +280,10 @@ def _fixed_root(X, bits: int):
     """(node, k): the triple X as ints scaled by 2^k, where k = 0 when every
     coordinate is an integer (exact arithmetic) and k = bits otherwise.
     Ints convert exactly at any size, anything else as a double."""
-    qs = [Fraction(v if isinstance(v, int) else float(v)) for v in _triple(X)]
-    k = 0 if all(q.denominator == 1 for q in qs) else bits
-    return tuple((q.numerator << k) // q.denominator for q in qs), k
+    qs = [(v if isinstance(v, int) else float(v)).as_integer_ratio()
+          for v in _triple(X)]
+    k = 0 if all(d == 1 for _, d in qs) else bits
+    return tuple((n << k) // d for n, d in qs), k
 
 
 def point_symmetry_order(X) -> int:
@@ -479,9 +479,10 @@ def _family_bits(gamma: str, L: float) -> int:
 def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
                 twist_fixed: bool):
     """Walk the twist families of the marks in lockstep: (the traces
-    |tr gamma| <= T = _trace_bound(L, k) of each family, its two outermost
-    nodes (lo, hi), and the counters {evaluations, steps}).  A node holds
-    a curve of length <= L when |tr| <= T, the rule of the Farey walk.
+    |tr gamma| <= T = _trace_bound(L, k) of each family, M, the largest
+    coordinate of the marks and of the nodes evaluated, and the counters
+    {evaluations, steps}).  A node holds a curve of length <= L when
+    |tr| <= T, the rule of the Farey walk.
 
     The family of the marking triple (x, y_0, y_1) is the nodes
     node(n) = T^n(mark) = (x, y_n, y_(n+1)): T takes s' to s + s', so
@@ -496,7 +497,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
     (fricke._normal_plan) at kappa, the point's own (_kappa_fixed of its
     node, exact at an integral X) clamped at -2 (_family_lengths): T
     preserves kappa, so every node of every family shares it, up to the
-    rounding the walk checks for drift.
+    rounding whose drift _family_lengths bounds from M and steps.
 
     With tr(n) = |tr gamma| at node(n), the right end is live while
     tr(hi) < tr(hi - 1) or tr(hi) <= T, and the left end while
@@ -529,22 +530,17 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
     trs = [abs(t) for t in _plan_eval_fixed(plan, xs, ys, zs, kappa, k)]
     found = [[t for t in trs[f::n] if t <= bound] for f in range(n)]
     counts = [1 if twist_fixed else 2] * n
+    top = max([*xs, *ys, *zs], default=0)
     # an end is [x, y, y', |tr| at its node, family, right]; its node is
     # (x, y, y') at the right end and (x, y', y) at the left one, and the
     # next node outward has y'' = x y' - y in place of y
-    ends, live = [], []
-    for f in range(n):
-        left = [xs[f], zs[f], ys[f], trs[f], f, False]
-        if twist_fixed:
-            ends.append((left, [xs[f], ys[f], zs[f], trs[f], f, True]))
-            continue
-        right = [xs[n + f], ys[n + f], zs[n + f], trs[n + f], f, True]
-        ends.append((left, right))
+    live = []
+    for f in range(0 if twist_fixed else n):
         t0, t1 = trs[f], trs[n + f]
         if t0 <= bound or t0 <= t1:
-            live.append(left)
+            live.append([xs[f], zs[f], ys[f], t0, f, False])
         if t1 <= bound or t1 < t0:
-            live.append(right)
+            live.append([xs[n + f], ys[n + f], zs[n + f], t1, f, True])
     steps = 1
     while live:
         steps += 1
@@ -567,6 +563,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
                 ys.append(y2)
                 zs.append(y1)
         trs = _plan_eval_fixed(plan, xs, ys, zs, kappa, k)
+        top = max(top, max(ys), max(zs))
         nxt = []
         for e, t in zip(live, trs):
             t = abs(t)
@@ -578,9 +575,7 @@ def _twist_walk(marks, gamma: str, L: float, k: int, kappa: int,
             elif fell:
                 nxt.append(e)
         live = nxt
-    outer = [((lo[0], lo[2], lo[1]), (hi[0], hi[1], hi[2]))
-             for lo, hi in ends]
-    return found, outer, {"evaluations": sum(counts), "steps": steps}
+    return found, top, {"evaluations": sum(counts), "steps": steps}
 
 
 def _family_lengths(point, word: _Word, L: float):
@@ -629,7 +624,8 @@ def _family_lengths(point, word: _Word, L: float):
 
     Floats.  At a float X the walk's ints round the exact values at its
     point, and its count, |tr| <= T, rests on their lying close to them
-    (the digit rule of _family_bits; the drift check below guards it).
+    (the digit rule of _family_bits; the drift guard below bounds how far
+    the rounding moves kappa).
     K0 = -2 - kappa0 can lie below 0 by rounding, so the plan reads
     K+ = max(K0, 0), kappa0 clamped at -2, where every K-monomial of a
     one-signed form is >= 0.  The lemma then holds on the walk's own
@@ -642,39 +638,53 @@ def _family_lengths(point, word: _Word, L: float):
     as (1 - 2^-22)(1 + 2^-20) > 1: the walk would count no node of its
     family.  At an integral X (k = 0) all of it is exact and K+ = K0.
 
+    Drift.  Every node used is reached from the point's reduced triple by
+    steps (p, q, r) -> (p, q, r'), r' = floor(pq 2^-k) - r in the ints, so
+    r' = pq - r - d with 0 <= d < 2^-k in the values: each Farey child, a
+    mark's s + s' trace, node 1 of a family and each twist step (sa's mark
+    takes two steps through one floor, and is the reduced triple itself).
+    kappa(p, q, r') - kappa(p, q, r) = (r' - r)(r' + r - pq) = -d (r' - r),
+    so a step moves kappa by < 2M 2^-k, M the largest coordinate met (all
+    are traces of simple curves, > 2; _twist_walk's M and the reduced
+    triple's).  Every Farey vertex on the path to a mark but the reduced
+    triple's is a mark, so a marking triple lies at most len(marks) + 1
+    steps out, and a family's nodes at most _twist_walk's steps + 1 more.
+    So every node has |kappa - kappa0| < 2nM 2^-k, n = len(marks) + steps
+    + 2, and _kappa_fixed's floors add under (|z| + 1) 2^-k at each end:
+    the measured |_kappa_fixed(node) - _kappa_fixed(reduced)| is below
+    (2nM + 2M + 2) 2^-k at every node.  The count raises ArithmeticError
+    when 10^7 times that bound passes max(1, |kappa0|), so it stops
+    wherever a measured check at any node would, with no kappa taken past
+    kappa0's.  At an integral X (k = 0) d = 0: nothing drifts.
+
     A non-empty family of a slope with l_s > L - _TOP_BAND raises
     ArithmeticError, a guard for the words without a certificate: with
     c >= 2 every walked slope has l_s <= 2 ln(tr s) < L - 2 ln 2 + 2 e^-L
     + 2^-19, below the band wherever a non-simple curve fits (|tr| >= 3,
-    Yamada).  kappa is checked at both ends of every non-empty family,
-    where the recursion has rounded most.
+    Yamada).
 
     Nodes are ints scaled by the point's 2^k (_point): k = 0 for an
     integral X, else _family_bits.  kappa0 is the point's own; the walk
-    reads it clamped at -2, the drift check as it is.
+    reads it clamped at -2, the drift guard as it is.
     """
     node, _, k = point
     kappa0 = _kappa_fixed(node, k)
     cut = word.cut or 1
     marks = _farey_walk(point, L, cut)
-    found, outer, work = _twist_walk(marks, word.rep, L, k,
-                                     min(kappa0, -(2 << k)), word.sym == 0)
-    top = _trace_bound(max(L - _TOP_BAND, 0.0), k)
-    ends = []
-    for (_, mark), got, nodes in zip(marks, found, outer):
-        if got:
-            if mark[0] > top:
-                raise ArithmeticError(
-                    "the twist family of a slope of length %.6g > L - %g is "
-                    "non-empty: slopes beyond L may carry curves of length "
-                    "<= L" % (length_trace(mark[0] / (1 << k)), _TOP_BAND))
-            ends += nodes
-    # kappa at the two outermost nodes of each non-empty family, in one list
-    # pass (_kappa_fixed written out)
-    base, drift = kappa0 + (2 << k), max(1 << k, abs(kappa0))
-    if ends and max([abs((x * x + y * y + z * z - (x * y >> k) * z >> k)
-                         - base) for x, y, z in ends]) * 10 ** 7 > drift:
+    found, top, work = _twist_walk(marks, word.rep, L, k,
+                                   min(kappa0, -(2 << k)), word.sym == 0)
+    # the Drift bound, (2nM + 2M + 2) 2^-k, scaled by 2^(2k)
+    n = len(marks) + work["steps"] + 2
+    if k and ((2 * n + 2) * max(top, *node) + (2 << k)) * 10 ** 7 > \
+            max(1 << k, abs(kappa0)) << k:
         raise ArithmeticError("kappa drifted along the orbit")
+    band = _trace_bound(max(L - _TOP_BAND, 0.0), k)
+    for (_, mark), got in zip(marks, found):
+        if got and mark[0] > band:
+            raise ArithmeticError(
+                "the twist family of a slope of length %.6g > L - %g is "
+                "non-empty: slopes beyond L may carry curves of length "
+                "<= L" % (length_trace(mark[0] / (1 << k)), _TOP_BAND))
     return ([t for got in found for t in got],
             {"families": len(marks), **work, "k": k, "cut": cut})
 

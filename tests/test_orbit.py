@@ -797,8 +797,8 @@ class TestTwistFamilies:
     @pytest.mark.parametrize("X", WALK_POINTS)
     def test_lockstep_walk_matches_family_oracle(self, X, twist_node,
                                                  monkeypatch):
-        # per family: the found lengths and the outermost nodes; over all
-        # families: the multiset of the nodes evaluated, and the passes
+        # per family: the found lengths; over all families: the multiset
+        # of the nodes evaluated, their largest coordinate, and the passes
         evaluated = []
 
         def spy(plan, xs, ys, zs, kappa, k):
@@ -814,18 +814,18 @@ class TestTwistFamilies:
             marks, k = ob._farey_walk(point, L), point[2]
             evaluated.clear()
             kappa = ob._kappa_fixed(point[0], k)
-            found, outer, work = ob._twist_walk(marks, gamma, L, k, kappa,
-                                                twist_fixed)
+            found, top, work = ob._twist_walk(marks, gamma, L, k, kappa,
+                                              twist_fixed)
             want = collections.Counter()
             widest = 0
-            for (_, mark), got, ends in zip(marks, found, outer):
+            for (_, mark), got in zip(marks, found):
                 traces, nodes = walk_family(twist_node(mark, k), gamma, L,
                                             k, kappa, twist_fixed)
                 assert sorted(got) == sorted(traces), (gamma, L, mark)
-                assert ends == (nodes[min(nodes)], nodes[max(nodes)])
                 want.update(nodes.values())
                 widest = max(widest, max(nodes) - 1, -min(nodes))
             assert collections.Counter(evaluated) == want, (gamma, L)
+            assert top == max([v for t in evaluated for v in t], default=0)
             assert work == {"evaluations": len(evaluated),
                             "steps": 1 + widest}
 
@@ -1645,42 +1645,56 @@ class TestPrecision:
             ob._family_lengths(ob._point(GENERIC, ob._family_bits(
                 "aabAb", 9.0)), ob._word("aabAb"), 9.0)
 
-    def test_kappa_checked_at_both_family_ends(self, monkeypatch,
-                                               twist_node):
-        # the drift check reads the outermost node on each side of every
-        # family with a length <= L and no other node: one such node moved
-        # off kappa's level set fails the count, and the count is unchanged
-        # when the node is that of an empty family.  The families that
-        # raise are the non-empty ones of the uncut walk
-        L = 9.0
-        k = ob._bits(60 + int(0.25 * 5 * 1.5 * L))
-        point = ob._point(GENERIC, k)
-        word = ob._word("aabAb")
-        nonempty = sum(
-            any(node_length(twist_node(mark, k)(n), "aabAb", k) <= L
-                for n in range(-30, 31))
-            for _, mark in ob._farey_walk(point, L))
-        want = ob._family_lengths(point, word, L)
-        walk = ob._twist_walk
-        found, outer, _ = walk(ob._farey_walk(point, L, 4), "aabAb", L, k,
-                               ob._kappa_fixed(point[0], k), False)
-        assert 0 < nonempty < len(found)
-        raised = 0
-        for f, side in itertools.product(range(len(found)), (0, 1)):
-            def moved(*args, f=f, side=side):
-                got, ends, work = walk(*args)
-                x, y, z = ends[f][side]
-                pair = list(ends[f])
-                pair[side] = (x, y + (y >> 10), z)
-                return got, ends[:f] + [tuple(pair)] + ends[f + 1:], work
-            monkeypatch.setattr(ob, "_twist_walk", moved)
-            if found[f]:
-                with pytest.raises(ArithmeticError, match="kappa drifted"):
-                    ob._family_lengths(point, word, L)
-                raised += 1
-            else:
-                assert ob._family_lengths(point, word, L) == want
-        assert raised == 2 * nonempty
+    def test_drift_bound_covers_every_node(self, twist_node):
+        # the Drift lemma of _family_lengths: at every node of every family
+        # that aabAb's count at L = 12 walks, the measured drift
+        # |_kappa_fixed(node) - kappa0| is below (2nM + 2M + 2) 2^-k, with
+        # the nodes regenerated apart from the walk.  The count raises
+        # exactly when 10^7 times that bound passes max(1, |kappa0|), so
+        # wherever the old check at the two outermost nodes of each
+        # non-empty family raised.  Some cases lie within a factor 2 above
+        # that threshold, where a bound half as large would not raise
+        L, word = 12.0, ob._word("aabAb")
+        points = [GENERIC, (5, 3.1, 7.2)] + WALK_POINTS[-2:] + [
+            chart_triple(1e-3, 0.7)] + [mc_triple(0, i) for i in range(40)] \
+            + [mc_triple(0, i, 4.0) for i in range(10)]
+        ratios, old_raised = [], 0
+        for X, k in itertools.product(points, [16, 24, 32, 48, 64,
+                                               ob._family_bits("aabAb", L)]):
+            if min(ob._fixed_root(X, k)[0]) <= 2 << k:
+                continue  # 16 bits round two thin points' x down to 2
+            point = ob._point(X, k)
+            marks = ob._farey_walk(point, L, word.cut)
+            kappa0 = ob._kappa_fixed(point[0], k)
+            families = [walk_family(twist_node(mark, k), "aabAb", L, k,
+                                    min(kappa0, -(2 << k)), False)
+                        for _, mark in marks]
+            nodes = [t for _, ns in families for t in ns.values()]
+            steps = max([1] + [max(max(ns), 1 - min(ns))
+                               for _, ns in families])
+            n = len(marks) + steps + 2
+            top = max([*point[0], *(v for t in nodes for v in t)])
+            # the bound and the drift scaled by 2^(2k), exact ints
+            bound = (2 * n + 2) * top + (2 << k)
+            assert all(abs(ob._kappa_fixed(t, k) - kappa0) << k < bound
+                       for t in nodes), (X, k)
+            tol = max(1 << k, abs(kappa0))
+            old = any(abs(ob._kappa_fixed(ns[end], k) - kappa0) * 10 ** 7
+                      > tol for got, ns in families if got
+                      for end in (min(ns), max(ns)))
+            fires = bound * 10 ** 7 > tol << k
+            try:
+                ob._family_lengths(point, word, L)
+                raised = False
+            except ArithmeticError as e:
+                raised = "kappa drifted" in str(e)
+            assert raised == fires, (X, k)
+            assert fires or not old, (X, k)
+            old_raised += old
+            ratios.append(bound * 10 ** 7 / (tol << k))
+        assert len(ratios) == 328 and old_raised > 100
+        assert any(1 < r <= 2 for r in ratios)
+        assert any(r <= 1 for r in ratios)
 
     def test_triple_orbit_abort_keeps_dps(self, monkeypatch):
         monkeypatch.setattr(ob, "_FAMILY_STEPS", 2)
